@@ -8,7 +8,7 @@ import (
 // The columnar row representation. Rows are packed struct-of-arrays lanes
 // (core.Col) carved from pooled slabs, and row tasks run through kernels
 // compiled once per (edge, topology generation) — the evaluation loop
-// itself is the same runLoop the interface path uses, so scheduling,
+// itself is the same run.step the interface path uses, so scheduling,
 // skipping, change tracking and certification are shared line for line
 // and the two paths stay bit-identical, Stats included.
 

@@ -427,20 +427,37 @@ type run[R, Row any] struct {
 	adj *matrix.Adjacency[R]
 
 	// per-run working storage, retained across runs when pooled
-	nbr      []int32
+	nbr      []int32 // flat in-neighbour lists: node i's are nbr[nbrOff[i]:nbrOff[i+1]]
 	nbrOff   []int32
-	tabs     [][]Row
+	tabs     [][]Row // per-node β-resolved table scratch
 	actives  []int
 	tasks    []rowTask[R, Row]
 	pendRows []int32
 	pendLo   []int32
 	loArena  []int32
 	betaBuf  []int
-	actMinB  []int32
+	actMinB  []int32 // per processed activation: node and min β, for certification
 	actNodes []int32
 	certStmp []int32
 	seenRows []Row   // ring-reclaim dedup scratch
 	cws      []colWS // columnar per-worker scratch (nil on the interface path)
+
+	// The evaluation in progress — the loop's position and carried state,
+	// kept on the run so that pausing is a return from step and resuming
+	// a call to it.
+	e          *Engine[R]
+	src        Source
+	n, T, t    int // node count, horizon, last completed step
+	doTerm     bool
+	fairP      int
+	events     []TimelineEvent[R] // the timeline to play; events[:nextEv] have fired
+	nextEv     int
+	marks      []*matrix.State[R]
+	prev       []Row // the state at t
+	lastChange int
+	certGen    int32
+	nCert      int
+	converged  bool // convergence certified: the run stopped before the horizon
 }
 
 func (r *run[R, Row]) newRow(n int) Row {
@@ -560,8 +577,9 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) 
 			clear(r.lastRead)
 			r.inc.cells.Store(0)
 			// r.chg is clear: the serial fold clears every set bitset
-			// before the run that pooled this scratch returned. hist needs
-			// no clearing — stale slots fail their stamp check.
+			// before the step that set it returns, and scratch is only
+			// ever pooled between steps. hist needs no clearing — stale
+			// slots fail their stamp check.
 		}
 		r.inc.top = 0
 		for i := range r.lastComp {
@@ -581,19 +599,20 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) 
 	return r
 }
 
-// releaseRun reclaims the run's history rows and headers into its free
-// lists and returns the scratch to the engine pool. Row sharing is
-// contiguous in time, so the distinct rows of one node across the ring
-// are found by a pointer scan; everything reclaimed here feeds the next
-// run's newRow/newHeader without touching the allocator.
-func releaseRun[R, Row any](e *Engine[R], r *run[R, Row]) {
-	if !e.interning || r.window < 0 {
+// release ends the evaluation: it reclaims the run's history rows and
+// headers into its free lists and returns the scratch to the engine
+// pool. Row sharing is contiguous in time, so the distinct rows of one
+// node across the ring are found by a pointer scan; everything reclaimed
+// here feeds the next run's newRow/newHeader without touching the
+// allocator.
+func (r *run[R, Row]) release() {
+	r.src, r.events, r.marks, r.prev = nil, nil, nil, nil
+	if !r.e.interning || r.window < 0 {
 		return
 	}
 	ops := r.ops
-	n := len(r.tabs)
 	seen := r.seenRows
-	for i := 0; i < n; i++ {
+	for i := 0; i < r.n; i++ {
 		seen = seen[:0]
 		for _, s := range r.ring {
 			if s == nil {
@@ -701,58 +720,42 @@ func (e *Engine[R]) terminationFor(src Source) (bool, int) {
 	return true, p
 }
 
-// neighbours builds the flat in-neighbour lists of the adjacency into
-// the run's retained buffers: node i's neighbours are
-// nbr[off[i]:off[i+1]]. Built per run because the dynamic-topology
-// experiments mutate adjacencies between runs.
-func neighbours[R, Row any](e *Engine[R], r *run[R, Row]) (nbr []int32, off []int32) {
-	n := e.adj.N
+// neighbours rebuilds the run's flat in-neighbour lists (r.nbr, r.nbrOff)
+// from the adjacency, and grows the per-activation β scratch to the new
+// maximum degree. Built per run, and again after a timeline mutation,
+// because the topology moves between and within runs.
+func (r *run[R, Row]) neighbours() {
+	adj, n := r.e.adj, r.n
 	if cap(r.nbrOff) < n+1 {
 		r.nbrOff = make([]int32, n+1)
 	}
-	off = r.nbrOff[:n+1]
-	nbr = r.nbr[:0]
+	off := r.nbrOff[:n+1]
+	nbr := r.nbr[:0]
 	for i := 0; i < n; i++ {
 		off[i] = int32(len(nbr))
 		for k := 0; k < n; k++ {
-			if _, ok := e.adj.Edge(i, k); ok && k != i {
+			if _, ok := adj.Edge(i, k); ok && k != i {
 				nbr = append(nbr, int32(k))
 			}
 		}
 	}
 	off[n] = int32(len(nbr))
-	r.nbr = nbr
-	return nbr, off
+	r.nbr, r.nbrOff = nbr, off
+	if d := maxDegree(off); r.e.incremental && len(r.betaBuf) < d {
+		r.betaBuf = make([]int, d)
+	}
 }
 
 // Run evaluates δ from start over src and returns the result. The final
 // state is always available; the full history only when the run retained
-// it (KeepAll, or auto mode over an unbounded source).
-//
-// The evaluation itself happens in runLoop, generic over the row
-// representation: when the algebra packs (core.Columnar), the topology
-// compiles, and the run does not retain history, rows live as packed
-// struct-of-arrays lanes; otherwise as []R slices. Both paths are
-// bit-identical — in cells and in Stats.
+// it (KeepAll, or auto mode over an unbounded source). It is Start,
+// Step to the horizon, Result.
 func (e *Engine[R]) Run(start *matrix.State[R], src Source) *Result[R] {
-	n := src.Nodes()
-	if n != e.adj.N {
-		panic(fmt.Sprintf("engine: source has %d nodes but adjacency has %d", n, e.adj.N))
-	}
-	window, doTerm, fairP := e.planRun(src)
-	T := src.Horizon()
-	if window >= 0 && e.interning && e.columnar {
-		// Keep-everything runs stay on the interface path: their
-		// snapshots escape into the Result, which hands out []R rows.
-		if cs := e.columnarFor(); cs != nil {
-			return runLoop(e, &colOps[R]{e: e, cs: cs}, start, src, n, window, T, doTerm, fairP, nil, nil, nil)
-		}
-	}
-	return runLoop(e, genOps[R]{e: e}, start, src, n, window, T, doTerm, fairP, nil, nil, nil)
+	return e.RunTimeline(start, src, nil)
 }
 
 // planRun resolves the history window and the early-termination plan for
-// one run over src, shared by Run and RunTimeline.
+// one run over src.
 func (e *Engine[R]) planRun(src Source) (window int, doTerm bool, fairP int) {
 	doTerm, fairP = e.terminationFor(src)
 	window = e.window
@@ -807,86 +810,35 @@ func (r *run[R, Row]) foldRowChanges(i, t int) bool {
 	return true
 }
 
-// runLoop is the evaluation loop shared by every row representation. tl,
-// when non-nil, is the mid-run event timeline of a RunTimeline call. sp,
-// when non-nil, asks for a Snapshot capture (RunSnapshot); rs, when
-// non-nil, is a snapshot to resume from instead of a start state
-// (Restore) — exactly one of start and rs is non-nil.
-func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R], src Source, n, window, T int, doTerm bool, fairP int, tl *timeline[R], sp *snapPlan[R], rs *Snapshot[R]) *Result[R] {
-	r := acquireRun(e, ops, n, window, T)
-	nbr, nbrOff := neighbours(e, r)
-	r.adj = ops.adjFor()
-
-	t0 := 0
-	var prev []Row
-	if rs == nil {
-		s0 := r.newHeader(n)
-		for i := range s0 {
-			row := r.newRow(n)
-			ops.encodeRow(row, start.RowView(i))
-			s0[i] = row
-		}
-		r.put(0, s0)
-		prev = s0
-	} else {
-		// Resume: repopulate the history ring from the snapshot's
-		// materialised states, restore the exact incremental matrices, and
-		// rebuild the derived dirty summaries from them. From here the loop
-		// proceeds from step t0+1 exactly as the uninterrupted run did.
-		t0 = rs.Step
-		base := rs.Step - len(rs.States) + 1
-		for idx, st := range rs.States {
-			s := r.newHeader(n)
-			for i := 0; i < n; i++ {
-				row := r.newRow(n)
-				ops.encodeRow(row, st.RowView(i))
-				s[i] = row
-			}
-			r.put(base+idx, s)
-			prev = s
-		}
-		if e.incremental {
-			copy(r.inc.ver, rs.Ver)
-			copy(r.lastComp, rs.LastComp)
-			copy(r.lastRead, rs.LastRead)
-			rebuildIncSummaries(r.inc, rs.Step)
-		}
-		r.stats = rs.Stats
+// load publishes a dense state as the run's state at time t.
+func (r *run[R, Row]) load(t int, st *matrix.State[R]) {
+	s := r.newHeader(r.n)
+	for i := range s {
+		row := r.newRow(r.n)
+		r.ops.encodeRow(row, st.RowView(i))
+		s[i] = row
 	}
+	r.put(t, s)
+	r.prev = s
+}
 
-	actives := r.actives[:0]
-	tabs := r.tabs // per-node β-resolved table scratch
-	tasks := r.tasks
-
-	// Per-step incremental scratch. loArena backs the per-task threshold
-	// slices; its capacity covers every active row's degree, so in-step
-	// appends never reallocate out from under earlier tasks.
-	var (
-		loArena  []int32
-		betaBuf  []int
-		actMinB  []int32 // per processed activation: node and min β, for certification
-		actNodes []int32
-		certStmp []int32
-		certGen  int32 = 1
-		nCert    int
-	)
-	// pendRows/pendLo collect the rows that survive the skip pass; tasks
-	// are built afterwards so the column-shard decision sees the number of
-	// rows actually computing, not the raw active count (in a convergence
-	// tail most activations skip, and sharding over the survivors is what
-	// keeps the pool busy). pendLo is the row's offset into loArena, −1
-	// for a full (first-activation or non-incremental) recomputation.
-	pendRows := r.pendRows[:0]
-	pendLo := r.pendLo[:0]
-	if e.incremental {
-		if cap(r.loArena) < len(nbr) {
-			r.loArena = make([]int32, 0, len(nbr))
-		}
-		if d := maxDegree(nbrOff); len(r.betaBuf) < d {
-			r.betaBuf = make([]int, d)
-		}
-		loArena = r.loArena[:0]
-		betaBuf = r.betaBuf
+// startRun readies a run on the given row representation: at step 0 from
+// start, or — when rs is non-nil, already validated against this engine
+// and source — right after step rs.Step from the snapshot.
+func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events []TimelineEvent[R],
+	window int, doTerm bool, fairP int, start *matrix.State[R], rs *Snapshot[R]) *run[R, Row] {
+	n, T := src.Nodes(), src.Horizon()
+	r := acquireRun(e, ops, n, window, T)
+	r.e, r.src, r.n, r.T, r.t = e, src, n, T, 0
+	r.doTerm, r.fairP = doTerm, fairP
+	r.events, r.nextEv = events, 0
+	r.lastChange, r.certGen, r.nCert, r.converged = 0, 1, 0, false
+	r.neighbours()
+	r.adj = ops.adjFor()
+	// loArena backs the per-task threshold slices of one step; sized to
+	// the edge count, it never grows within a step.
+	if e.incremental && cap(r.loArena) < len(r.nbr) {
+		r.loArena = make([]int32, 0, len(r.nbr))
 	}
 	if doTerm {
 		if cap(r.actMinB) < n {
@@ -898,47 +850,89 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 		} else {
 			clear(r.certStmp)
 		}
-		actMinB = r.actMinB[:0]
-		actNodes = r.actNodes[:0]
-		certStmp = r.certStmp
 	}
-	lastChange := 0
-	if rs != nil && doTerm {
-		// Restore the certification state: the generation counter restarts
-		// at 1, but only membership matters — the restored set and
-		// last-change step make every future certify/terminate decision
-		// identical to the uninterrupted run's.
-		lastChange = rs.LastChange
-		for i, c := range rs.Certified {
-			if c {
-				certStmp[i] = certGen
-				nCert++
+	if len(events) > 0 {
+		r.marks = make([]*matrix.State[R], 0, len(events))
+	}
+	if rs == nil {
+		r.load(0, start)
+	} else {
+		// Resume: repopulate the history ring from the snapshot's
+		// materialised states, restore the exact incremental matrices, and
+		// rebuild the derived dirty summaries from them. From here the run
+		// proceeds from step rs.Step+1 exactly as the uninterrupted one did.
+		r.t = rs.Step
+		for idx, st := range rs.States {
+			r.load(rs.Step-len(rs.States)+1+idx, st)
+		}
+		if e.incremental {
+			copy(r.inc.ver, rs.Ver)
+			copy(r.lastComp, rs.LastComp)
+			copy(r.lastRead, rs.LastRead)
+			rebuildIncSummaries(r.inc, rs.Step)
+		}
+		r.stats = rs.Stats
+		if doTerm {
+			// The generation counter restarts at 1, but only membership
+			// matters — the restored set and last-change step make every
+			// future certify/terminate decision identical to the
+			// uninterrupted run's.
+			r.lastChange = rs.LastChange
+			for i, c := range rs.Certified {
+				if c {
+					r.certStmp[i] = r.certGen
+					r.nCert++
+				}
 			}
 		}
 	}
-	steps := T
-	converged := false
-	var marks []*matrix.State[R]
-	if tl != nil {
-		marks = make([]*matrix.State[R], 0, len(tl.events))
-	}
+	return r
+}
 
-	for t := t0 + 1; t <= T; t++ {
-		if tl != nil && tl.next < len(tl.events) && tl.events[tl.next].Step == t {
+// step evaluates time steps t+1 … until (clamped to the horizon) and
+// reports whether the run is done: the horizon was reached or convergence
+// was certified. Everything the loop touches per step is hoisted into
+// locals here and written back on return, so a run driven in one call
+// pays nothing for being pausable.
+func (r *run[R, Row]) step(until int) bool {
+	if until > r.T {
+		until = r.T
+	}
+	if r.converged || r.t >= until {
+		return r.converged || r.t >= r.T
+	}
+	e, ops, src, n := r.e, r.ops, r.src, r.n
+	incremental, doTerm := e.incremental, r.doTerm
+	nbr, nbrOff, tabs, betaBuf, certStmp := r.nbr, r.nbrOff, r.tabs, r.betaBuf, r.certStmp
+	actives, tasks := r.actives[:0], r.tasks
+	// pendRows/pendLo collect the rows that survive the skip pass; tasks
+	// are built afterwards so the column-shard decision sees the number of
+	// rows actually computing, not the raw active count (in a convergence
+	// tail most activations skip, and sharding over the survivors is what
+	// keeps the pool busy). pendLo is the row's offset into loArena, −1
+	// for a full (first-activation or non-incremental) recomputation.
+	pendRows, pendLo, loArena := r.pendRows[:0], r.pendLo[:0], r.loArena[:0]
+	actMinB, actNodes := r.actMinB[:0], r.actNodes[:0]
+	prev, lastChange, certGen, nCert := r.prev, r.lastChange, r.certGen, r.nCert
+
+	t := r.t
+	for t < until {
+		t++
+		if r.nextEv < len(r.events) && r.events[r.nextEv].Step == t {
 			// Timeline event step: no node activates. Restarted nodes'
 			// rows are replaced by the identity row (recorded as changes
 			// so neighbours recompute), then the mutation edits the
 			// adjacency in place and the affected rows are invalidated so
 			// their next activation recomputes in full — with change
 			// tracking, so only genuinely moved columns propagate.
-			ev := &tl.events[tl.next]
-			tl.next++
+			ev := &r.events[r.nextEv]
+			r.nextEv++
 			cur := r.newHeader(n)
 			copy(cur, prev)
 			if len(ev.Restart) > 0 {
 				var prevSnap *matrix.State[R]
 				var scratch []R
-				if e.incremental {
+				if incremental {
 					prevSnap = ops.materialise(prev)
 				}
 				for _, i := range ev.Restart {
@@ -952,7 +946,7 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 					row := r.newRow(n)
 					ops.encodeRow(row, scratch)
 					cur[i] = row
-					if e.incremental {
+					if incremental {
 						old := prevSnap.RowView(i)
 						chgI := &r.chg[i]
 						for j := 0; j < n; j++ {
@@ -971,13 +965,10 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 				// moving the adjacency generation; bump it so memoised
 				// views and compiled kernels can never be served stale.
 				e.adj.Touch()
-				nbr, nbrOff = neighbours(e, r)
+				r.neighbours()
+				nbr, nbrOff, betaBuf = r.nbr, r.nbrOff, r.betaBuf
 				r.adj = ops.adjFor()
-				if e.incremental {
-					if d := maxDegree(nbrOff); len(r.betaBuf) < d {
-						r.betaBuf = make([]int, d)
-						betaBuf = r.betaBuf
-					}
+				if incremental {
 					if ev.Rows == nil {
 						for i := range r.lastComp {
 							r.lastComp[i] = -1
@@ -989,7 +980,7 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 					}
 				}
 			}
-			if e.incremental {
+			if incremental {
 				for _, i := range ev.Invalidate {
 					r.lastComp[i] = -1
 				}
@@ -997,7 +988,7 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 			}
 			r.put(t, cur)
 			prev = cur
-			marks = append(marks, ops.materialise(cur))
+			r.marks = append(r.marks, ops.materialise(cur))
 			// An event reopens the convergence question from scratch.
 			lastChange = t
 			certGen++
@@ -1017,18 +1008,14 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 		if len(actives) > 0 {
 			pendRows = pendRows[:0]
 			pendLo = pendLo[:0]
-			if e.incremental {
-				loArena = loArena[:0]
-			}
-			if doTerm {
-				actMinB = actMinB[:0]
-				actNodes = actNodes[:0]
-			}
+			loArena = loArena[:0]
+			actMinB = actMinB[:0]
+			actNodes = actNodes[:0]
 			stepOps := 0
 			for _, i := range actives {
 				nb := nbr[nbrOff[i]:nbrOff[i+1]]
 				minB := t
-				if e.incremental && r.lastComp[i] >= 0 {
+				if incremental && r.lastComp[i] >= 0 {
 					// The node has a previous row. Decide in O(deg) whether
 					// any β-resolved input changed since it was computed;
 					// if not, the row is structurally unchanged — skip it.
@@ -1097,7 +1084,7 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 							minB = b
 						}
 						tb[k] = r.at(t, b)[k]
-						if e.incremental {
+						if incremental {
 							r.lastRead[i*n+k] = int32(b)
 						}
 					}
@@ -1105,7 +1092,7 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 					pendRows = append(pendRows, int32(i))
 					pendLo = append(pendLo, -1)
 					stepOps += n * n
-					if e.incremental {
+					if incremental {
 						r.lastComp[i] = int32(t)
 					} else {
 						r.stats.CellsComputed += n
@@ -1130,7 +1117,7 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 						lo      []int32
 						chgI    *matrix.Bitset
 					)
-					if e.incremental {
+					if incremental {
 						incp = r.inc
 						prevRow = prev[i]
 						chgI = &r.chg[i]
@@ -1153,7 +1140,7 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 			// Serial fold: publish this step's changed-destination sets
 			// into the last-changed matrix, the change-mask ring, and the
 			// global dirty frontier.
-			if e.incremental {
+			if incremental {
 				for _, fi := range pendRows {
 					if r.foldRowChanges(int(fi), t) {
 						stepChanged = true
@@ -1186,66 +1173,58 @@ func runLoop[R, Row any](e *Engine[R], ops rowOps[R, Row], start *matrix.State[R
 					nCert++
 				}
 			}
-			if nCert == n && t-lastChange >= fairP-1 &&
-				(tl == nil || tl.next >= len(tl.events)) {
+			if nCert == n && t-lastChange >= r.fairP-1 && r.nextEv >= len(r.events) {
 				// With timeline events still pending, a certified fixed
 				// point is only an interlude — the next event will
 				// perturb it, so the run must keep marching.
-				steps = t
-				converged = true
-				break
-			}
-		}
-
-		if sp != nil && t == sp.at {
-			sp.snap = captureSnapshot(e, r, ops, n, window, t, doTerm, lastChange, certStmp, certGen, nCert)
-			if sp.halt {
-				steps = t
+				r.converged = true
 				break
 			}
 		}
 	}
+	// Hand the position, and any backing the loop grew, back to the run.
+	r.t, r.prev = t, prev
+	r.lastChange, r.certGen, r.nCert = lastChange, certGen, nCert
+	r.actives, r.tasks = actives[:0], tasks[:0]
+	r.pendRows, r.pendLo, r.loArena = pendRows[:0], pendLo[:0], loArena[:0]
+	r.actMinB, r.actNodes = actMinB[:0], actNodes[:0]
+	return r.converged || t >= r.T
+}
 
-	r.stats.Steps = steps
-	if e.incremental {
-		r.stats.CellsComputed += int(r.inc.cells.Load())
+// statsNow returns the run counters as of the last completed step, cell
+// counts folded in.
+func (r *run[R, Row]) statsNow() Stats {
+	st := r.stats
+	st.Steps = r.t
+	if r.e.incremental {
+		st.CellsComputed += int(r.inc.cells.Load())
 	}
-	if converged {
-		r.stats.ConvergedAt = lastChange
-	} else {
-		r.stats.ConvergedAt = -1
+	st.ConvergedAt = -1
+	if r.converged {
+		st.ConvergedAt = r.lastChange
 	}
-	if window < 0 {
-		r.stats.Retained = len(r.all)
+	return st
+}
+
+// finish writes the run's outcome into res, reports it to the ObserveRuns
+// hook, and releases the scratch.
+func (r *run[R, Row]) finish(res *Result[R]) {
+	st := r.statsNow()
+	if r.window < 0 {
+		st.Retained = len(r.all)
 	} else {
 		for _, s := range r.ring {
 			if s != nil {
-				r.stats.Retained++
+				st.Retained++
 			}
 		}
 	}
-	res := &Result[R]{alg: e.alg, horizon: steps, final: ops.materialise(prev), stats: r.stats, marks: marks}
-	// A snapshot-halt is a preemption, not a completion: the run will
-	// resume from the snapshot with these Stats as its starting point, so
-	// observing here would double-count. Every other exit is final.
-	if !(sp != nil && sp.halt && sp.snap != nil) {
-		observeRun(r.stats)
+	*res = Result[R]{alg: r.e.alg, horizon: r.t, final: r.ops.materialise(r.prev), stats: st, marks: r.marks}
+	observeRun(st)
+	if r.window < 0 {
+		r.ops.retain(res, r.all)
 	}
-	if window < 0 {
-		ops.retain(res, r.all)
-	}
-	// Hand any backing a loop may have grown back to the run, then return
-	// the scratch to the pool for the next run.
-	r.actives, r.tasks = actives[:0], tasks[:0]
-	r.pendRows, r.pendLo = pendRows[:0], pendLo[:0]
-	if e.incremental {
-		r.loArena = loArena[:0]
-	}
-	if doTerm {
-		r.actMinB, r.actNodes = actMinB[:0], actNodes[:0]
-	}
-	releaseRun(e, r)
-	return res
+	r.release()
 }
 
 func maxDegree(off []int32) int {

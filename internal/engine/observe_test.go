@@ -10,8 +10,10 @@ import (
 )
 
 // The observer contract: one call per completed run with its final
-// Stats; a snapshot-halt preemption observes nothing (the resumed run
-// observes once, with cumulative counters); removal stops the calls.
+// Stats, from Result and nowhere else — however many Step calls the run
+// took, and never for a run that was Closed; a snapshot-halt preemption
+// observes nothing (the resumed run observes once, with cumulative
+// counters); removal stops the calls.
 func TestObserveRuns(t *testing.T) {
 	var mu sync.Mutex
 	var seen []engine.Stats
@@ -73,9 +75,37 @@ func TestObserveRuns(t *testing.T) {
 		t.Fatalf("observed %+v, result says %+v", seen[2], full.Stats())
 	}
 
+	// A stepped run observes exactly once, in Result, with the same
+	// Stats the one-call run reported.
+	st := eng.Start(start, src, nil)
+	steps := 0
+	for k := 1; !st.Step(k); k++ {
+		steps++
+	}
+	if steps < 2 || count() != 3 {
+		t.Fatalf("stepping observed (count %d after %d Step calls), only Result may", count(), steps)
+	}
+	stepped := st.Result()
+	st.Result()
+	st.Close()
+	if count() != 4 {
+		t.Fatalf("stepped run observed %d times total, want 4", count())
+	}
+	if seen[3] != stepped.Stats() || seen[3] != res.Stats() {
+		t.Fatalf("observed %+v, stepped result says %+v, one-call run %+v", seen[3], stepped.Stats(), res.Stats())
+	}
+
+	// An abandoned run is not a completion.
+	st = eng.Start(start, src, nil)
+	st.Step(3)
+	st.Close()
+	if count() != 4 {
+		t.Fatalf("closed run observed (count %d)", count())
+	}
+
 	engine.ObserveRuns(nil)
 	eng.Run(start, src)
-	if count() != 3 {
+	if count() != 4 {
 		t.Fatalf("removed observer still fired (count %d)", count())
 	}
 }

@@ -1,8 +1,10 @@
 package engine_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/algebras"
 	"repro/internal/engine"
@@ -12,7 +14,8 @@ import (
 // TestCloseDuringRun: Engine is documented as safe for concurrent use,
 // which includes one goroutine tearing the engine down while another is
 // mid-Run — the racing Run must degrade to inline execution and still
-// produce the right answer, never panic on the closed pool.
+// produce the right answer, never panic on the closed pool. The same
+// holds for a run paused in a Stepper when either side is closed.
 func TestCloseDuringRun(t *testing.T) {
 	alg, adj := incrementalNet(192)
 	start := matrix.Identity[algebras.NatInf](alg, 192)
@@ -37,5 +40,40 @@ func TestCloseDuringRun(t *testing.T) {
 			_ = g
 		}
 		eng.Close() // idempotent
+	}
+
+	// A paused stepper holds the engine's scratch. Closing the stepper
+	// mid-run must hand back scratch the next Run can use as if fresh;
+	// closing the engine under a paused stepper must leave the stepper
+	// able to finish inline; and neither may panic or strand a helper.
+	goroutines := runtime.NumGoroutine()
+	for trial := 0; trial < 4; trial++ {
+		eng := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 4})
+		st := eng.Start(start, src, nil)
+		st.Step(2 + trial%3)
+		st.Close()
+		st.Close() // idempotent
+		identicalStates(t, "run after Stepper.Close", eng.Run(start, src).Final(), want)
+
+		st = eng.Start(start, src, nil)
+		st.Step(3)
+		eng.Close() // under the paused stepper
+		if !st.Step(src.T) {
+			t.Fatal("stepper did not finish after Engine.Close")
+		}
+		identicalStates(t, "stepper finishing after Engine.Close", st.Result().Final(), want)
+		identicalStates(t, "run after Engine.Close", eng.Run(start, src).Final(), want)
+
+		eng = engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 4})
+		st = eng.Start(start, src, nil)
+		st.Step(3)
+		eng.Close()
+		st.Close() // abandoned on a closed engine
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d before, %d after", goroutines, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

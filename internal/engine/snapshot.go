@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/matrix"
@@ -103,47 +104,37 @@ func (s *Snapshot[R]) validate() error {
 	return nil
 }
 
-// snapPlan asks runLoop to capture a Snapshot right after step at; halt
-// additionally stops the run there (preemption).
-type snapPlan[R any] struct {
-	at   int
-	halt bool
-	snap *Snapshot[R]
-}
-
-// captureSnapshot materialises the run's complete state after step t.
-// It only reads; the run continues undisturbed when the plan does not
-// halt.
-func captureSnapshot[R, Row any](e *Engine[R], r *run[R, Row], ops rowOps[R, Row],
-	n, window, t int, doTerm bool, lastChange int, certStmp []int32, certGen int32, nCert int) *Snapshot[R] {
-	s := &Snapshot[R]{N: n, Step: t, Window: window, LastChange: lastChange}
-	lo := t - window
-	if lo < 0 {
-		lo = 0
+// snapshot materialises the run's complete state after its last completed
+// step. It only reads; the run continues undisturbed.
+func (r *run[R, Row]) snapshot() (*Snapshot[R], error) {
+	t := r.t
+	switch {
+	case r.window < 0:
+		return nil, errors.New("engine: a keep-everything run has no compact state to snapshot (the source must be Bounded or Fair, or set Config.HistoryWindow > 0)")
+	case t == 0:
+		return nil, errors.New("engine: nothing to snapshot at step 0; start again from the start state")
+	case r.converged:
+		return nil, fmt.Errorf("engine: the run certified convergence at step %d and has no continuation to snapshot", t)
+	case r.nextEv > 0 && r.events[r.nextEv-1].Step == t:
+		return nil, fmt.Errorf("engine: step %d is a timeline event step (no activation to capture after)", t)
 	}
-	for b := lo; b <= t; b++ {
-		s.States = append(s.States, ops.materialise(r.ring[b%(window+1)]))
+	s := &Snapshot[R]{N: r.n, Step: t, Window: r.window, LastChange: r.lastChange, Stats: r.statsNow()}
+	for b := max(t-r.window, 0); b <= t; b++ {
+		s.States = append(s.States, r.ops.materialise(r.ring[b%(r.window+1)]))
 	}
-	if e.incremental {
+	if r.e.incremental {
 		s.Incremental = true
 		s.Ver = append([]int32(nil), r.inc.ver...)
 		s.LastComp = append([]int32(nil), r.lastComp...)
 		s.LastRead = append([]int32(nil), r.lastRead...)
 	}
-	if doTerm {
-		s.Certified = make([]bool, n)
+	if r.doTerm {
+		s.Certified = make([]bool, r.n)
 		for i := range s.Certified {
-			s.Certified[i] = certStmp[i] == certGen
+			s.Certified[i] = r.certStmp[i] == r.certGen
 		}
-		_ = nCert
 	}
-	s.Stats = r.stats
-	s.Stats.Steps = t
-	s.Stats.ConvergedAt = -1
-	if e.incremental {
-		s.Stats.CellsComputed += int(r.inc.cells.Load())
-	}
-	return s
+	return s, nil
 }
 
 // rebuildIncSummaries reconstructs the derived dirty summaries — the
@@ -199,180 +190,43 @@ func rebuildIncSummaries(inc *incShared, top int) {
 // checkpoint-and-exit form — and the returned Result covers only steps
 // 1..at; otherwise the run continues to its normal end, so a single call
 // yields both the uninterrupted result and the snapshot: the
-// differential pair the restore tests compare.
+// differential pair the restore tests compare. It is a wrapper over
+// Start, Step(at), Snapshot and Result.
 //
 // Snapshot capture requires a bounded history window (a KeepAll run has
-// no compact resumable state) and always evaluates on the interface row
-// representation, which is bit-identical to the columnar path by
-// contract. The returned snapshot is nil when the run certified
-// convergence and stopped before reaching at.
+// no compact resumable state). The returned snapshot is nil when the run
+// certified convergence and stopped before reaching at.
 func (e *Engine[R]) RunSnapshot(start *matrix.State[R], src Source, at int, halt bool) (*Result[R], *Snapshot[R]) {
-	n := src.Nodes()
-	if n != e.adj.N {
-		panic(fmt.Sprintf("engine: source has %d nodes but adjacency has %d", n, e.adj.N))
-	}
-	window, doTerm, fairP := e.planRun(src)
-	T := src.Horizon()
-	if window < 0 {
-		panic("engine: RunSnapshot needs a bounded history window (the source must be Bounded or Fair, or set Config.HistoryWindow > 0)")
-	}
-	if at < 1 || at > T {
+	if T := src.Horizon(); at < 1 || at > T {
 		panic(fmt.Sprintf("engine: snapshot step %d outside [1, %d]", at, T))
 	}
-	sp := &snapPlan[R]{at: at, halt: halt}
-	res := runLoop(e, genOps[R]{e: e}, start, src, n, window, T, doTerm, fairP, nil, sp, nil)
-	return res, sp.snap
+	st := e.Start(start, src, nil)
+	st.Step(at)
+	if st.Stats().ConvergedAt >= 0 {
+		return st.Result(), nil
+	}
+	snap, err := st.Snapshot()
+	if err != nil {
+		st.Close()
+		panic(err.Error())
+	}
+	if halt {
+		// A preemption, not a completion: the run is abandoned unobserved
+		// and the halted prefix's result is read off the snapshot.
+		st.Close()
+		return &Result[R]{alg: e.alg, horizon: at, final: snap.States[len(snap.States)-1], stats: snap.Stats}, snap
+	}
+	st.Step(src.Horizon())
+	return st.Result(), snap
 }
 
-// RunTimelineSnapshot is RunTimeline with a snapshot plan: it plays the
-// event timeline exactly like RunTimeline while capturing a resumable
-// Snapshot right after step at (halt additionally stops the run there —
-// the preemption form). at = 0 disables the capture, making the call
-// equivalent to RunTimeline on the interface representation; this is the
-// uniform entry point a preemptible service uses for every slice, so the
-// sliced and unsliced executions share one code path bit for bit.
-//
-// Because a timeline event's step performs no activations and is skipped
-// by the snapshot plan, at must not name an event step (pick the next
-// activation step instead); the call panics otherwise, like the other
-// timeline-shape contract violations.
-func (e *Engine[R]) RunTimelineSnapshot(start *matrix.State[R], src Source, events []TimelineEvent[R], at int, halt bool) (*Result[R], *Snapshot[R]) {
-	n := src.Nodes()
-	if n != e.adj.N {
-		panic(fmt.Sprintf("engine: source has %d nodes but adjacency has %d", n, e.adj.N))
-	}
-	T := src.Horizon()
-	validateTimeline(events, n, T)
-	window, doTerm, fairP := e.planRun(src)
-	if window < 0 {
-		panic("engine: RunTimelineSnapshot needs a bounded history window (the source must be Bounded or Fair, or set Config.HistoryWindow > 0)")
-	}
-	var sp *snapPlan[R]
-	if at != 0 {
-		if at < 1 || at > T {
-			panic(fmt.Sprintf("engine: snapshot step %d outside [1, %d]", at, T))
-		}
-		if eventAt(events, at) {
-			panic(fmt.Sprintf("engine: snapshot step %d is a timeline event step (no activation to capture after)", at))
-		}
-		sp = &snapPlan[R]{at: at, halt: halt}
-	}
-	var tl *timeline[R]
-	if len(events) > 0 {
-		tl = &timeline[R]{events: events}
-	}
-	res := runLoop(e, genOps[R]{e: e}, start, src, n, window, T, doTerm, fairP, tl, sp, nil)
-	if sp == nil {
-		return res, nil
-	}
-	return res, sp.snap
-}
-
-// RestoreTimeline resumes a snapshotted timeline run: the evaluation
-// state is rebuilt from snap, the remaining events — exactly those whose
-// Step exceeds snap.Step; the caller replays the earlier events'
-// mutations onto the instance before building the engine — continue to
-// fire at their steps, and, like RunTimelineSnapshot, a fresh Snapshot is
-// captured right after step at (0 = none; halt stops there). This is the
-// re-slice primitive of checkpoint-based preemption: a preempted run
-// resumes, runs one more quantum, and yields again, bit-identically to
-// the run that was never paused.
-func (e *Engine[R]) RestoreTimeline(snap *Snapshot[R], src Source, events []TimelineEvent[R], at int, halt bool) (*Result[R], *Snapshot[R], error) {
-	if err := snap.validate(); err != nil {
-		return nil, nil, err
-	}
-	n := src.Nodes()
-	if n != e.adj.N {
-		return nil, nil, fmt.Errorf("engine: source has %d nodes but adjacency has %d", n, e.adj.N)
-	}
-	if snap.N != n {
-		return nil, nil, fmt.Errorf("engine: snapshot has %d nodes but source has %d", snap.N, n)
-	}
-	window, doTerm, fairP := e.planRun(src)
-	if window != snap.Window {
-		return nil, nil, fmt.Errorf("engine: snapshot window %d but this run resolves window %d", snap.Window, window)
-	}
-	if snap.Incremental != e.incremental {
-		return nil, nil, fmt.Errorf("engine: snapshot incremental=%v but engine incremental=%v", snap.Incremental, e.incremental)
-	}
-	if doTerm != (snap.Certified != nil) {
-		return nil, nil, fmt.Errorf("engine: snapshot certifying=%v but this run certifying=%v", snap.Certified != nil, doTerm)
-	}
-	T := src.Horizon()
-	if snap.Step > T {
-		return nil, nil, fmt.Errorf("engine: snapshot at step %d beyond horizon %d", snap.Step, T)
-	}
-	validateTimeline(events, n, T)
-	if len(events) > 0 && events[0].Step <= snap.Step {
-		return nil, nil, fmt.Errorf("engine: timeline event at step %d not after snapshot step %d (already-fired events must not be replayed)",
-			events[0].Step, snap.Step)
-	}
-	var sp *snapPlan[R]
-	if at != 0 {
-		if at <= snap.Step || at > T {
-			return nil, nil, fmt.Errorf("engine: snapshot step %d outside (%d, %d]", at, snap.Step, T)
-		}
-		if eventAt(events, at) {
-			return nil, nil, fmt.Errorf("engine: snapshot step %d is a timeline event step", at)
-		}
-		sp = &snapPlan[R]{at: at, halt: halt}
-	}
-	var tl *timeline[R]
-	if len(events) > 0 {
-		tl = &timeline[R]{events: events}
-	}
-	res := runLoop(e, genOps[R]{e: e}, nil, src, n, window, T, doTerm, fairP, tl, sp, snap)
-	if sp == nil {
-		return res, nil, nil
-	}
-	return res, sp.snap, nil
-}
-
-// eventAt reports whether step is one of the timeline's event steps.
-func eventAt[R any](events []TimelineEvent[R], step int) bool {
-	for _, ev := range events {
-		if ev.Step == step {
-			return true
-		}
-		if ev.Step > step {
-			break
-		}
-	}
-	return false
-}
-
-// Restore resumes a snapshotted run: it rebuilds the evaluation state
-// from snap and continues over src from step snap.Step+1 to the horizon.
-// src must describe the same schedule the snapshot was taken under (for
-// the engine's lazy sources that means equal parameters; for
-// materialised schedules, the same recording); the engine must be built
-// over the same algebra and topology with the same incremental and
-// termination configuration. Everything observable is validated and
-// returned as an error — a corrupt or mismatched snapshot never panics.
+// Restore resumes a snapshotted run and continues it over src from step
+// snap.Step+1 to its end: Resume, Step to the horizon, Result.
 func (e *Engine[R]) Restore(snap *Snapshot[R], src Source) (*Result[R], error) {
-	if err := snap.validate(); err != nil {
+	st, err := e.Resume(snap, src, nil)
+	if err != nil {
 		return nil, err
 	}
-	n := src.Nodes()
-	if n != e.adj.N {
-		return nil, fmt.Errorf("engine: source has %d nodes but adjacency has %d", n, e.adj.N)
-	}
-	if snap.N != n {
-		return nil, fmt.Errorf("engine: snapshot has %d nodes but source has %d", snap.N, n)
-	}
-	window, doTerm, fairP := e.planRun(src)
-	if window != snap.Window {
-		return nil, fmt.Errorf("engine: snapshot window %d but this run resolves window %d", snap.Window, window)
-	}
-	if snap.Incremental != e.incremental {
-		return nil, fmt.Errorf("engine: snapshot incremental=%v but engine incremental=%v", snap.Incremental, e.incremental)
-	}
-	if doTerm != (snap.Certified != nil) {
-		return nil, fmt.Errorf("engine: snapshot certifying=%v but this run certifying=%v", snap.Certified != nil, doTerm)
-	}
-	T := src.Horizon()
-	if snap.Step > T {
-		return nil, fmt.Errorf("engine: snapshot at step %d beyond horizon %d", snap.Step, T)
-	}
-	return runLoop(e, genOps[R]{e: e}, nil, src, n, window, T, doTerm, fairP, nil, nil, snap), nil
+	st.Step(src.Horizon())
+	return st.Result(), nil
 }

@@ -1,0 +1,160 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/matrix"
+)
+
+// Stepper is one evaluation in progress, returned by Engine.Start and
+// Engine.Resume. The paper's δ is a step-indexed recursion whose next
+// state depends only on a bounded window of past ones, so a run the
+// process still holds pauses for free: Step returns, and the next Step
+// carries on from the same ring, dirty summaries and certification state
+// — bit-identical, in cells and in Stats, to the run driven in one call.
+// A Stepper holds the engine's pooled scratch until Result or Close, and
+// is for one goroutine at a time.
+type Stepper[R any] struct {
+	run stepperRun[R] // nil once Result or Close handed the scratch back
+	res Result[R]     // filled by Result; here so a run costs one allocation for both
+}
+
+// stepperRun erases the row representation of a *run[R, Row].
+type stepperRun[R any] interface {
+	step(until int) bool
+	statsNow() Stats
+	snapshot() (*Snapshot[R], error)
+	finish(res *Result[R])
+	release()
+}
+
+// Step evaluates time steps At()+1 … until (clamped to the horizon) and
+// reports whether the run is done: the horizon was reached, or
+// convergence was certified and the run stopped early.
+func (s *Stepper[R]) Step(until int) (done bool) { return s.run == nil || s.run.step(until) }
+
+// At returns the last completed step.
+func (s *Stepper[R]) At() int { return s.Stats().Steps }
+
+// Stats returns the run counters as of the last completed step.
+func (s *Stepper[R]) Stats() Stats {
+	if s.run == nil {
+		return s.res.stats
+	}
+	return s.run.statsNow()
+}
+
+// Snapshot captures the complete resumable state after the last completed
+// step without disturbing the run; Resume on any engine over the same
+// algebra, topology and source continues from it bit-identically. It is
+// an error at step 0 (nothing has run: restart from the start state), at
+// a timeline event step (no activation to capture after), on a run that
+// certified convergence (it has no continuation), on a keep-everything
+// run (no compact state), and after Result or Close.
+func (s *Stepper[R]) Snapshot() (*Snapshot[R], error) {
+	if s.run == nil {
+		return nil, errors.New("engine: the run has ended; nothing to snapshot")
+	}
+	return s.run.snapshot()
+}
+
+// Result ends the run where it stands — normally after Step reported
+// done — and returns its outcome, reports it to the ObserveRuns hook, and
+// hands the scratch back to the engine. Further calls return the same
+// Result; after Close it is nil.
+func (s *Stepper[R]) Result() *Result[R] {
+	if s.run != nil {
+		s.run.finish(&s.res)
+		s.run = nil
+	}
+	if s.res.final == nil {
+		return nil
+	}
+	return &s.res
+}
+
+// Close abandons the run — no Result, no observation — and hands the
+// scratch back to the engine. It is a no-op after Result or Close.
+func (s *Stepper[R]) Close() {
+	if s.run != nil {
+		s.run.release()
+		s.run = nil
+	}
+}
+
+// Start begins a run of δ from start over src, playing the given event
+// timeline (nil for none), and returns it paused at step 0. Run,
+// RunTimeline, RunSnapshot and Restore are wrappers over Start/Resume,
+// Step and Result.
+//
+// The run picks its row representation once, here: packed columnar lanes
+// when the algebra packs (core.Columnar), every edge compiles, the run
+// does not retain its history and has no timeline; []R slices otherwise.
+// Both are bit-identical — in cells and in Stats — and both can be
+// snapshotted and resumed. Timeline runs stay on the interface path
+// because the columnar kernels are compiled against a fixed topology;
+// recompiling them at a mutation step is left to a later change.
+//
+// Like Run, Start panics on a contract violation: a source or timeline
+// that does not fit the engine's topology.
+func (e *Engine[R]) Start(start *matrix.State[R], src Source, events []TimelineEvent[R]) *Stepper[R] {
+	s, err := e.begin(start, nil, src, events)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// Resume rebuilds a run from snap and returns it paused right after step
+// snap.Step. src must describe the schedule the snapshot was taken under
+// (for the lazy sources, equal parameters; for a materialised schedule,
+// the same recording), and the engine must be over the same algebra and
+// incremental/termination configuration, on the topology as it stood at
+// snap.Step: the caller replays the mutations of already-fired events
+// onto the instance first and passes only the events still to fire.
+// Everything observable is validated and returned as an error — a
+// corrupt or mismatched snapshot never panics.
+func (e *Engine[R]) Resume(snap *Snapshot[R], src Source, events []TimelineEvent[R]) (*Stepper[R], error) {
+	return e.begin(nil, snap, src, events)
+}
+
+// begin is Start (rs nil) and Resume (start nil).
+func (e *Engine[R]) begin(start *matrix.State[R], rs *Snapshot[R], src Source, events []TimelineEvent[R]) (*Stepper[R], error) {
+	n, T := src.Nodes(), src.Horizon()
+	if n != e.adj.N {
+		return nil, fmt.Errorf("engine: source has %d nodes but adjacency has %d", n, e.adj.N)
+	}
+	if err := validateTimeline(events, n, T); err != nil {
+		return nil, err
+	}
+	window, doTerm, fairP := e.planRun(src)
+	if rs != nil {
+		if err := rs.validate(); err != nil {
+			return nil, err
+		}
+		switch {
+		case rs.N != n:
+			return nil, fmt.Errorf("engine: snapshot has %d nodes but source has %d", rs.N, n)
+		case rs.Window != window:
+			return nil, fmt.Errorf("engine: snapshot window %d but this run resolves window %d", rs.Window, window)
+		case rs.Incremental != e.incremental:
+			return nil, fmt.Errorf("engine: snapshot incremental=%v but engine incremental=%v", rs.Incremental, e.incremental)
+		case doTerm != (rs.Certified != nil):
+			return nil, fmt.Errorf("engine: snapshot certifying=%v but this run certifying=%v", rs.Certified != nil, doTerm)
+		case rs.Step > T:
+			return nil, fmt.Errorf("engine: snapshot at step %d beyond horizon %d", rs.Step, T)
+		case len(events) > 0 && events[0].Step <= rs.Step:
+			return nil, fmt.Errorf("engine: timeline event at step %d not after snapshot step %d (already-fired events must not be replayed)",
+				events[0].Step, rs.Step)
+		}
+	}
+	if len(events) == 0 && window >= 0 && e.interning && e.columnar {
+		// Keep-everything runs stay on the interface path too: their
+		// history escapes into the Result, which hands out []R rows.
+		if cs := e.columnarFor(); cs != nil {
+			return &Stepper[R]{run: startRun(e, &colOps[R]{e: e, cs: cs}, src, events, window, doTerm, fairP, start, rs)}, nil
+		}
+	}
+	return &Stepper[R]{run: startRun(e, genOps[R]{e: e}, src, events, window, doTerm, fairP, start, rs)}, nil
+}

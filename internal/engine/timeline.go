@@ -42,12 +42,6 @@ type TimelineEvent[R any] struct {
 	Invalidate []int
 }
 
-// timeline is the runLoop-side cursor over a RunTimeline event list.
-type timeline[R any] struct {
-	events []TimelineEvent[R]
-	next   int
-}
-
 // RunTimeline evaluates δ from start over src while playing the given
 // event timeline: at each event's step the fault is injected, and the
 // run continues on the mutated instance from the state it had reached.
@@ -60,50 +54,46 @@ type timeline[R any] struct {
 // Callers that need the original topology untouched should build the
 // engine over a clone.
 //
-// Timeline runs always use the interface row representation: the
-// columnar backend compiles per-edge kernels against a fixed topology,
-// which a mid-run mutation would invalidate. Early termination (under a
-// Fair source) is suppressed while events are pending and becomes
-// available again after the last event fires.
+// Timeline runs always use the interface row representation (see Start).
+// Early termination (under a Fair source) is suppressed while events are
+// pending and becomes available again after the last event fires. It is
+// Start, Step to the horizon, Result.
 func (e *Engine[R]) RunTimeline(start *matrix.State[R], src Source, events []TimelineEvent[R]) *Result[R] {
-	n := src.Nodes()
-	if n != e.adj.N {
-		panic(fmt.Sprintf("engine: source has %d nodes but adjacency has %d", n, e.adj.N))
-	}
-	T := src.Horizon()
-	validateTimeline(events, n, T)
-	window, doTerm, fairP := e.planRun(src)
-	tl := &timeline[R]{events: events}
-	return runLoop(e, genOps[R]{e: e}, start, src, n, window, T, doTerm, fairP, tl, nil, nil)
+	st := e.Start(start, src, events)
+	st.Step(src.Horizon())
+	return st.Result()
 }
 
-func validateTimeline[R any](events []TimelineEvent[R], n, T int) {
+// validateTimeline checks the shape contract of an event list against a
+// run of n nodes and horizon T.
+func validateTimeline[R any](events []TimelineEvent[R], n, T int) error {
 	last := 0
 	for idx, ev := range events {
 		if ev.Step <= last {
-			panic(fmt.Sprintf("engine: timeline event %d at step %d, want strictly increasing steps (previous %d)", idx, ev.Step, last))
+			return fmt.Errorf("engine: timeline event %d at step %d, want strictly increasing steps (previous %d)", idx, ev.Step, last)
 		}
 		if ev.Step > T {
-			panic(fmt.Sprintf("engine: timeline event %d at step %d beyond horizon %d", idx, ev.Step, T))
+			return fmt.Errorf("engine: timeline event %d at step %d beyond horizon %d", idx, ev.Step, T)
 		}
 		if ev.Mutate == nil && len(ev.Restart) == 0 && len(ev.Invalidate) == 0 {
-			panic(fmt.Sprintf("engine: timeline event %d at step %d does nothing (no Mutate, no Restart, no Invalidate)", idx, ev.Step))
+			return fmt.Errorf("engine: timeline event %d at step %d does nothing (no Mutate, no Restart, no Invalidate)", idx, ev.Step)
 		}
 		for _, i := range ev.Restart {
 			if i < 0 || i >= n {
-				panic(fmt.Sprintf("engine: timeline event %d restarts node %d, want [0, %d)", idx, i, n))
+				return fmt.Errorf("engine: timeline event %d restarts node %d, want [0, %d)", idx, i, n)
 			}
 		}
 		for _, i := range ev.Rows {
 			if i < 0 || i >= n {
-				panic(fmt.Sprintf("engine: timeline event %d invalidates row %d, want [0, %d)", idx, i, n))
+				return fmt.Errorf("engine: timeline event %d invalidates row %d, want [0, %d)", idx, i, n)
 			}
 		}
 		for _, i := range ev.Invalidate {
 			if i < 0 || i >= n {
-				panic(fmt.Sprintf("engine: timeline event %d invalidates row %d, want [0, %d)", idx, i, n))
+				return fmt.Errorf("engine: timeline event %d invalidates row %d, want [0, %d)", idx, i, n)
 			}
 		}
 		last = ev.Step
 	}
+	return nil
 }

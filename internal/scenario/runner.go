@@ -11,15 +11,16 @@ import (
 	"repro/internal/wire"
 )
 
-// Runner is a preemptible scenario run for the service path: the run is
-// advanced in quanta of engine steps, each quantum ends in a resumable
-// engine.Snapshot, and a paused run serialises to a self-describing
-// checkpoint file (the scenario text rides in the checkpoint metadata,
-// so any process can rebuild the instance and resume). The sliced run
-// is bit-identical — cells and work counters — to the run that was
-// never paused; the engine preemption primitives carry that proof, the
-// runner adds the instance rebuild: on resume it replays the mutations
-// of every already-fired event onto a fresh topology before restoring.
+// Runner is a preemptible scenario run for the service path: one live
+// engine.Stepper advanced in quanta of engine steps — a quantum ends in
+// a return, not a serialisation — and a paused run serialises, only
+// when asked to (drain), to a self-describing checkpoint file (the
+// scenario text rides in the checkpoint metadata, so any process can
+// rebuild the instance and resume). The sliced run is bit-identical —
+// cells and work counters — to the run that was never paused; the
+// engine stepper carries that proof, the runner adds the instance
+// rebuild: on resume it replays the mutations of every already-fired
+// event onto a fresh topology before resuming.
 //
 // Unlike Run, which differential-checks a materialised segmented
 // schedule against the reference evaluator, the Runner schedules with
@@ -32,20 +33,19 @@ type Runner struct {
 	sc      *Scenario
 	evStep  map[int]bool
 	horizon int
-	step    int // last completed engine step (0 = not started)
 	done    bool
 	core    runnerCore
 }
 
 // runnerCore is the family-typed part of a Runner.
 type runnerCore interface {
-	// advance runs from the current position to target (snapshotting and
-	// halting there); target 0 runs to completion. Reports whether the
-	// run finished (horizon reached or convergence certified) and the
-	// step reached.
-	advance(target int) (step int, done bool, err error)
-	// checkpoint serialises the current snapshot (advance must have
-	// halted at least once).
+	// advance steps the run to target (clamped to the horizon) and
+	// reports whether it finished: horizon reached or convergence
+	// certified.
+	advance(target int) (done bool)
+	// at is the last completed engine step (0 = not started).
+	at() int
+	// checkpoint serialises a snapshot of the paused run.
 	checkpoint() ([]byte, error)
 	finalHash() uint64
 	finalTable() string
@@ -152,7 +152,6 @@ func ResumeRunner(data []byte) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.step, _, _ = r.core.advance(-1) // observe the snapshot position without running
 	return r, nil
 }
 
@@ -171,7 +170,7 @@ func (r *Runner) Name() string { return r.sc.Name }
 func (r *Runner) Scenario() *Scenario { return r.sc }
 
 // Step returns the last completed engine step.
-func (r *Runner) Step() int { return r.step }
+func (r *Runner) Step() int { return r.core.at() }
 
 // Horizon returns the scenario's step budget.
 func (r *Runner) Horizon() int { return r.horizon }
@@ -180,11 +179,11 @@ func (r *Runner) Horizon() int { return r.horizon }
 // certified).
 func (r *Runner) Done() bool { return r.done }
 
-// Advance runs one quantum of at most quantum engine steps, pausing in
-// a resumable snapshot (or finishing: a run that certifies convergence
-// or reaches its horizon inside the quantum completes instead). The
-// quantum boundary is bumped past event steps — an event step performs
-// no activation, so there is nothing to capture after it.
+// Advance runs one quantum of at most quantum engine steps and pauses
+// there (or finishes: a run that certifies convergence or reaches its
+// horizon inside the quantum completes instead). The quantum boundary
+// is bumped past event steps — an event step performs no activation, so
+// there is nothing to checkpoint after it.
 func (r *Runner) Advance(quantum int) (done bool, err error) {
 	if r.done {
 		return true, nil
@@ -192,37 +191,30 @@ func (r *Runner) Advance(quantum int) (done bool, err error) {
 	if quantum < 1 {
 		return false, fmt.Errorf("scenario: quantum %d, want ≥ 1", quantum)
 	}
-	target := r.step + quantum
+	target := r.core.at() + quantum
 	for target < r.horizon && r.evStep[target] {
 		target++
 	}
-	if target >= r.horizon {
-		target = 0 // the rest fits in the quantum: run to completion
-	}
-	step, done, err := r.core.advance(target)
-	if err != nil {
-		return false, err
-	}
-	r.step, r.done = step, done
-	return done, nil
+	r.done = r.core.advance(target)
+	return r.done, nil
 }
 
 // Checkpoint serialises the paused run as a self-describing checkpoint
 // file. The run must have advanced at least once (a never-started run
-// has no snapshot; re-submit its scenario instead) and must not be
-// done.
+// has nothing to snapshot; re-submit its scenario instead) and must not
+// be done.
 func (r *Runner) Checkpoint() ([]byte, error) {
 	if r.done {
 		return nil, fmt.Errorf("scenario: run is done, nothing to checkpoint")
 	}
-	if r.step == 0 {
+	if r.core.at() == 0 {
 		return nil, fmt.Errorf("scenario: run has not started, checkpoint the scenario text instead")
 	}
 	return r.core.checkpoint()
 }
 
-// Stats returns the run counters (final when Done, the snapshot's
-// otherwise).
+// Stats returns the run counters (final when Done, as of the last
+// completed step otherwise).
 func (r *Runner) Stats() engine.Stats { return r.core.stats() }
 
 // Converged reports certified convergence of a finished run.
@@ -253,7 +245,8 @@ func (r *Runner) FinalTable() string {
 	return r.core.finalTable()
 }
 
-// Close releases the engine worker pool. The runner is unusable after.
+// Close abandons a run still in flight and releases the engine worker
+// pool. The runner is unusable after.
 func (r *Runner) Close() {
 	if r.core != nil {
 		r.core.close()
@@ -268,17 +261,16 @@ const (
 	metaName     = "name"
 )
 
-// core is the family-typed implementation behind Runner.
+// core is the family-typed implementation behind Runner: one engine and
+// one stepper for the life of the run.
 type svcCore[R any] struct {
 	sc     *Scenario
 	family string
 	codec  wire.Codec[R]
 	inst   *instance[R]
 	eng    *engine.Engine[R]
-	events []engine.TimelineEvent[R]
-	snap   *engine.Snapshot[R]
-	res    *engine.Result[R]
-	src    engine.Hashed
+	st     *engine.Stepper[R]
+	res    *engine.Result[R] // set when the run finishes
 }
 
 func newCore[R any](sc *Scenario, family string, codec wire.Codec[R],
@@ -287,25 +279,27 @@ func newCore[R any](sc *Scenario, family string, codec wire.Codec[R],
 	if err != nil {
 		return nil, err
 	}
+	fired := 0
 	if snap != nil {
 		// Bring the fresh topology to the snapshot instant: replay the
 		// mutations of every event that already fired. Restarts and the
 		// crash markers mutate no topology (and crash windows are not
 		// serviceable anyway), so replaying through apply is exact.
-		for _, ev := range sc.Events {
-			if ev.Step > snap.Step {
-				break
-			}
-			inst.apply(ev, inst.adj)
+		for ; fired < len(sc.Events) && sc.Events[fired].Step <= snap.Step; fired++ {
+			inst.apply(sc.Events[fired], inst.adj)
 		}
 	}
 	c := &svcCore[R]{
 		sc: sc, family: family, codec: codec, inst: inst,
-		eng:  engine.New(inst.alg, inst.adj, engine.Config{}),
-		snap: snap,
-		src:  serviceSource(sc, inst.n),
+		eng: engine.New(inst.alg, inst.adj, engine.Config{}),
 	}
-	c.events = inst.timeline(sc.Events)
+	src, events := serviceSource(sc, inst.n), inst.timeline(sc.Events)[fired:]
+	if snap == nil {
+		c.st = c.eng.Start(inst.start, src, events)
+	} else if c.st, err = c.eng.Resume(snap, src, events); err != nil {
+		c.eng.Close()
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -318,41 +312,20 @@ func resumeCore[R any](sc *Scenario, data []byte, family string, codec wire.Code
 	return newCore(sc, family, codec, build, f.Snap)
 }
 
-// remaining returns the compiled events strictly after step.
-func (c *svcCore[R]) remaining(step int) []engine.TimelineEvent[R] {
-	i := 0
-	for i < len(c.events) && c.events[i].Step <= step {
-		i++
+func (c *svcCore[R]) advance(target int) bool {
+	done := c.st.Step(target)
+	if done {
+		c.res = c.st.Result()
 	}
-	return c.events[i:]
+	return done
 }
 
-func (c *svcCore[R]) advance(target int) (int, bool, error) {
-	if target < 0 { // position probe (ResumeRunner)
-		if c.snap == nil {
-			return 0, false, nil
-		}
-		return c.snap.Step, false, nil
-	}
-	if c.snap == nil {
-		res, snap := c.eng.RunTimelineSnapshot(c.inst.start, c.src, c.events, target, true)
-		c.res, c.snap = res, snap
-	} else {
-		res, snap, err := c.eng.RestoreTimeline(c.snap, c.src, c.remaining(c.snap.Step), target, true)
-		if err != nil {
-			return 0, false, err
-		}
-		c.res, c.snap = res, snap
-	}
-	if c.snap == nil { // finished: certified convergence or horizon
-		return c.res.Stats().Steps, true, nil
-	}
-	return c.snap.Step, false, nil
-}
+func (c *svcCore[R]) at() int { return c.st.At() }
 
 func (c *svcCore[R]) checkpoint() ([]byte, error) {
-	if c.snap == nil {
-		return nil, fmt.Errorf("scenario: no snapshot to checkpoint")
+	snap, err := c.st.Snapshot()
+	if err != nil {
+		return nil, err
 	}
 	return checkpoint.Encode(c.codec, &checkpoint.File[R]{
 		Family: c.family,
@@ -360,7 +333,7 @@ func (c *svcCore[R]) checkpoint() ([]byte, error) {
 			metaScenario: string(c.sc.Encode()),
 			metaName:     c.sc.Name,
 		},
-		Snap: c.snap,
+		Snap: snap,
 	})
 }
 
@@ -404,16 +377,14 @@ func (c *svcCore[R]) finalTable() string {
 	return c.res.Final().Format(c.inst.alg)
 }
 
-func (c *svcCore[R]) stats() engine.Stats {
-	if c.res != nil {
-		return c.res.Stats()
-	}
-	return engine.Stats{}
-}
+func (c *svcCore[R]) stats() engine.Stats { return c.st.Stats() }
 
 func (c *svcCore[R]) converged() (int, bool) { return c.res.Converged() }
 
-func (c *svcCore[R]) close() { c.eng.Close() }
+func (c *svcCore[R]) close() {
+	c.st.Close()
+	c.eng.Close()
+}
 
 // Interface conformance (both families).
 var (

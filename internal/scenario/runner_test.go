@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -81,6 +83,7 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				slices := 0
+				var liveCells []int // Stats().CellsComputed after every quantum
 				for done := false; !done; slices++ {
 					if done, err = r.Advance(quantum); err != nil {
 						t.Fatalf("quantum=%d slice %d: %v", quantum, slices, err)
@@ -88,6 +91,7 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 					if slices > sc.Horizon {
 						t.Fatalf("quantum=%d: run never finished", quantum)
 					}
+					liveCells = append(liveCells, r.Stats().CellsComputed)
 				}
 				if slices < 2 {
 					t.Fatalf("quantum=%d: run never sliced", quantum)
@@ -109,11 +113,13 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				hops := 0
+				var hopCells []int
 				for {
 					done, err := r.Advance(quantum)
 					if err != nil {
 						t.Fatalf("quantum=%d hop %d: %v", quantum, hops, err)
 					}
+					hopCells = append(hopCells, r.Stats().CellsComputed)
 					if done {
 						break
 					}
@@ -134,6 +140,11 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 				if hops < 1 {
 					t.Fatalf("quantum=%d: run finished before a single checkpoint hop", quantum)
 				}
+				// The live stepper and the snapshot→resume chain do the same
+				// work quantum by quantum, not merely in total.
+				if !reflect.DeepEqual(liveCells, hopCells) {
+					t.Fatalf("quantum=%d: per-quantum cells diverge:\nin-process  %v\ncheckpointed %v", quantum, liveCells, hopCells)
+				}
 				if got := r.FinalHash(); got != wantHash {
 					t.Fatalf("quantum=%d: resumed hash %x, uninterrupted %x\nresumed table:\n%s\nwant:\n%s",
 						quantum, got, wantHash, r.FinalTable(), wantTable)
@@ -144,6 +155,39 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 				r.Close()
 			}
 		})
+	}
+}
+
+// TestRunnerQuantumAllocation pins the mechanism that makes slicing
+// cheap: a quantum on a live run is a Step call on warm scratch, so it
+// allocates next to nothing — where ending every quantum in a snapshot
+// and starting the next with a restore cost 230 KB per quantum on this
+// scenario.
+func TestRunnerQuantumAllocation(t *testing.T) {
+	sc, err := Parse([]byte("scenario heavy\ntopo ring 64 rip\nseed 9\nhorizon 4096\nat 4000 linkdown 0 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	advance := func(quanta int) {
+		for q := 0; q < quanta; q++ {
+			if done, err := r.Advance(64); err != nil || done {
+				t.Fatalf("quantum at step %d: done=%v err=%v", r.Step(), done, err)
+			}
+		}
+	}
+	advance(8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	advance(40)
+	runtime.ReadMemStats(&after)
+	if perQuantum := (after.TotalAlloc - before.TotalAlloc) / 40; perQuantum >= 16<<10 {
+		t.Fatalf("a warm quantum allocates %d bytes (%d mallocs), want < 16 KB",
+			perQuantum, (after.Mallocs-before.Mallocs)/40)
 	}
 }
 
