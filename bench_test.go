@@ -1,5 +1,5 @@
 // Package repro's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper (the experiment IDs match DESIGN.md).
+// table and figure of the paper.
 // Each benchmark regenerates the artefact end-to-end, so -bench times the
 // cost of reproducing it; correctness is asserted inside every iteration.
 package repro_test

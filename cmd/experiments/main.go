@@ -1,6 +1,5 @@
-// Command experiments regenerates every table and figure of the paper
-// (see DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// outcomes).
+// Command experiments regenerates every table and figure of the paper;
+// the usage line below is the experiment index.
 //
 // Usage:
 //

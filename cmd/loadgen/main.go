@@ -50,11 +50,11 @@ type report struct {
 		Quantum     int    `json:"quantum,omitempty"`
 		MaxInFlight int    `json:"max_inflight,omitempty"`
 	} `json:"config"`
-	AdmittedFirstTry int `json:"admitted_first_try"`
-	Sheds            int `json:"sheds"`
-	Completed        int `json:"completed"`
-	Failed           int `json:"failed"`
-	UniqueHashes     int `json:"unique_hashes"`
+	AdmittedFirstTry int                     `json:"admitted_first_try"`
+	Sheds            int                     `json:"sheds"`
+	Completed        int                     `json:"completed"`
+	Failed           int                     `json:"failed"`
+	UniqueHashes     int                     `json:"unique_hashes"`
 	PerTenant        map[string]*tenantStats `json:"per_tenant"`
 	LatencyMS        struct {
 		P50 float64 `json:"p50"`

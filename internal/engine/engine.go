@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -173,7 +174,8 @@ type Stats struct {
 	RowsComputed int
 	// RowsSkipped counts activations discharged without recomputation
 	// because none of the node's β-resolved inputs had changed since its
-	// last recomputation.
+	// last recomputation — counted, not visited, inside a certified
+	// interlude (see run.step).
 	RowsSkipped int
 	// CellsComputed counts individual σ-cell evaluations. The full path
 	// computes n cells per activation; the incremental path only the
@@ -432,6 +434,7 @@ type run[R, Row any] struct {
 	tabs     [][]Row // per-node β-resolved table scratch
 	actives  []int
 	tasks    []rowTask[R, Row]
+	job      job // the parallel step in flight; reused, one per run
 	pendRows []int32
 	pendLo   []int32
 	loArena  []int32
@@ -917,6 +920,30 @@ func (r *run[R, Row]) step(until int) bool {
 
 	t := r.t
 	for t < until {
+		if doTerm && nCert == n && r.window >= 0 && r.nextEv < len(r.events) {
+			// Quiescent interlude: a certified fixed point with an event
+			// still pending. Once the quiet period holds (no β reaches
+			// before lastChange) and the ring holds nothing but this state,
+			// the fixed point is absorbing: every activation up to the event
+			// skips, provided each row was last read at or after its inputs'
+			// last change (settled). The steps are not evaluated; their
+			// activations are counted. lastRead stays put: it sits at or
+			// after every change before the event, the marching run's would
+			// end before the event, and nothing changes in between, so both
+			// resolve the same dirty sets afterwards. Rotating the ring by
+			// the jump keeps every resident's age, so put still evicts the
+			// oldest state and row sharing stays contiguous in time.
+			to, quiet := min(until, r.events[r.nextEv].Step-1), t-lastChange
+			if to > t && quiet >= r.fairP-1 && quiet > r.window && r.settled() {
+				r.stats.RowsSkipped += countActive(src, t+1, to)
+				k := (to - t) % len(r.ring)
+				slices.Reverse(r.ring)
+				slices.Reverse(r.ring[:k])
+				slices.Reverse(r.ring[k:])
+				t = to
+				continue
+			}
+		}
 		t++
 		if r.nextEv < len(r.events) && r.events[r.nextEv].Step == t {
 			// Timeline event step: no node activates. Restarted nodes'
@@ -1133,7 +1160,8 @@ func (r *run[R, Row]) step(until int) bool {
 						})
 					}
 				}
-				exec(e, ops, tasks, stepOps)
+				r.tasks = tasks
+				r.exec(stepOps)
 			}
 			r.stats.RowsComputed += len(pendRows)
 
@@ -1176,7 +1204,8 @@ func (r *run[R, Row]) step(until int) bool {
 			if nCert == n && t-lastChange >= r.fairP-1 && r.nextEv >= len(r.events) {
 				// With timeline events still pending, a certified fixed
 				// point is only an interlude — the next event will
-				// perturb it, so the run must keep marching.
+				// perturb it, so the run carries on, by the jump at the
+				// top of the loop, to the event.
 				r.converged = true
 				break
 			}
@@ -1189,6 +1218,20 @@ func (r *run[R, Row]) step(until int) bool {
 	r.pendRows, r.pendLo, r.loArena = pendRows[:0], pendLo[:0], loArena[:0]
 	r.actMinB, r.actNodes = actMinB[:0], actNodes[:0]
 	return r.converged || t >= r.T
+}
+
+// settled reports whether every node holds a row last read at or after
+// each neighbour's last change: an activation whose β values also sit
+// there finds no dirty input and skips.
+func (r *run[R, Row]) settled() bool {
+	for i := 0; i < r.n; i++ {
+		for _, k := range r.nbr[r.nbrOff[i]:r.nbrOff[i+1]] {
+			if r.lastComp[i] < 0 || r.lastRead[i*r.n+int(k)] < r.inc.rowMax[k] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // statsNow returns the run counters as of the last completed step, cell
@@ -1441,24 +1484,24 @@ func resolveDirtySel(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScra
 	return sel
 }
 
-// exec runs the step's row tasks, across the pool when the step is big
-// enough to pay for the fan-out. Tasks write disjoint spans, so the
+// exec runs the step's row tasks (r.tasks), across the pool when the step
+// is big enough to pay for the fan-out. Tasks write disjoint spans, so the
 // merge is a no-op and the result is bit-identical to sequential order.
-func exec[R, Row any](e *Engine[R], ops rowOps[R, Row], tasks []rowTask[R, Row], stepOps int) {
+// The job is the run's own: concurrent runs on one engine share the pool,
+// never a job.
+func (r *run[R, Row]) exec(stepOps int) {
+	e, tasks := r.e, r.tasks
 	if e.workers <= 1 || len(tasks) == 1 || stepOps < minParallelOps {
 		for i := range tasks {
-			ops.runTask(&tasks[i], 0)
+			r.ops.runTask(&tasks[i], 0)
 		}
 		return
 	}
-	want := e.workers
-	if want > len(tasks) {
-		want = len(tasks)
-	}
-	e.pool.do(want, len(tasks), func(idx, worker int) {
-		ops.runTask(&tasks[idx], worker)
-	})
+	e.pool.do(&r.job, min(e.workers, len(tasks)), len(tasks), r)
 }
+
+// runIdx implements tasker.
+func (r *run[R, Row]) runIdx(idx, worker int) { r.ops.runTask(&r.tasks[idx], worker) }
 
 // materialise copies a snapshot into a standalone matrix.State.
 func materialise[R any](alg core.Algebra[R], s [][]R) *matrix.State[R] {
@@ -1489,7 +1532,7 @@ func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 			tasks = append(tasks, rowTask[R, []R]{i: i, j0: s * n / shards, j1: (s + 1) * n / shards, adj: e.adj, tabs: tabs, dst: dst})
 		}
 	}
-	exec(e, genOps[R]{e: e}, tasks, n*n*n)
+	(&run[R, []R]{e: e, ops: genOps[R]{e: e}, tasks: tasks}).exec(n * n * n)
 }
 
 // FixedPoint iterates σ from start until a fixed point or maxRounds, the

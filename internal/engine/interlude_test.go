@@ -1,0 +1,370 @@
+package engine_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/algebras"
+	"repro/internal/engine"
+	"repro/internal/gaorexford"
+	"repro/internal/matrix"
+	"repro/internal/policy"
+	"repro/internal/schedule"
+)
+
+// The interlude contract: a run that certifies a fixed point while a
+// timeline event is still pending advances to the event by counting the
+// activations it skips instead of evaluating them — and nothing a caller
+// can observe may tell the two apart. The oracle is the same run under
+// TermOff: it never certifies, so it never jumps, and marches every step.
+
+// probe counts what the engine asks of a source, and passes every
+// optional capability through.
+type probe struct {
+	engine.Source
+	active, beta, counted int
+}
+
+func (p *probe) Active(t, i int) bool { p.active++; return p.Source.Active(t, i) }
+func (p *probe) Beta(t, i, k int) int { p.beta++; return p.Source.Beta(t, i, k) }
+func (p *probe) MaxLookback() int     { return p.Source.(engine.Bounded).MaxLookback() }
+func (p *probe) FairPeriod() int      { return p.Source.(engine.Fair).FairPeriod() }
+func (p *probe) CountActive(t0, t1 int) int {
+	p.counted += t1 - t0 + 1
+	return p.Source.(engine.Counting).CountActive(t0, t1)
+}
+
+// uncounted is a Fair, Bounded source without the Counting capability:
+// the engine must count its interludes by asking Active.
+type uncounted struct {
+	engine.Source
+	period, lookback int
+}
+
+func (u uncounted) FairPeriod() int  { return u.period }
+func (u uncounted) MaxLookback() int { return u.lookback }
+
+// quietFlap is a timeline with long quiet gaps, one event of each kind:
+// cut a↔b, restore it with a node restart, invalidate two rows, restart.
+func (p pauseNet[R]) quietFlap(at [4]int) []engine.TimelineEvent[R] {
+	a, b, n := p.a, p.b, p.adj.N
+	ab, _ := p.adj.Edge(a, b)
+	ba, _ := p.adj.Edge(b, a)
+	return []engine.TimelineEvent[R]{
+		{Step: at[0], Rows: []int{a, b}, Mutate: func(adj *matrix.Adjacency[R]) {
+			adj.RemoveEdge(a, b)
+			adj.RemoveEdge(b, a)
+		}},
+		{Step: at[1], Rows: []int{a, b}, Restart: []int{(a + 2) % n}, Mutate: func(adj *matrix.Adjacency[R]) {
+			adj.SetEdge(a, b, ab)
+			adj.SetEdge(b, a, ba)
+		}},
+		{Step: at[2], Invalidate: []int{b, (b + 1) % n}},
+		{Step: at[3], Restart: []int{a}},
+	}
+}
+
+// policyRing is the interned-policy family of the pause differentials: a
+// 6-node ring with second-neighbour chords, one conditional program on
+// every edge.
+func policyRing(t *testing.T) pauseNet[policy.IRoute] {
+	pol, err := policy.ParsePolicy("addc(2); if (comm(2) & !path(3)) { lp+=7 } else { prepend(1) }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := policy.NewInterned(nil)
+	adj := matrix.NewAdjacency[policy.IRoute](6)
+	for i := 0; i < 6; i++ {
+		for _, d := range []int{1, 2} {
+			j := (i + d) % 6
+			adj.SetEdge(i, j, alg.Edge(i, j, pol))
+			adj.SetEdge(j, i, alg.Edge(j, i, pol))
+		}
+	}
+	return pauseNet[policy.IRoute]{alg, adj, 0, 2}
+}
+
+// marchTrace is the marching oracle's record: the counters after every
+// step, the state wherever one can be captured, and the finished run.
+type marchTrace[R any] struct {
+	stats  []engine.Stats
+	states []*matrix.State[R]
+	res    *engine.Result[R]
+}
+
+func marchEveryStep[R any](t *testing.T, p pauseNet[R], src engine.Source, events []engine.TimelineEvent[R]) marchTrace[R] {
+	T := src.Horizon()
+	eng := engine.New(p.alg, p.adj.Clone(), engine.Config{Termination: engine.TermOff})
+	defer eng.Close()
+	st := eng.Start(matrix.Identity(p.alg, p.adj.N), src, events)
+	m := marchTrace[R]{stats: make([]engine.Stats, T+1), states: make([]*matrix.State[R], T+1)}
+	for k := 1; k <= T; k++ {
+		st.Step(k)
+		m.stats[k] = st.Stats()
+		if snap, err := st.Snapshot(); err == nil {
+			m.states[k] = snap.States[len(snap.States)-1]
+		}
+	}
+	m.res = st.Result()
+	return m
+}
+
+// jumpAgainstMarch drives the jumping run (the default configuration)
+// from one event boundary to the next and requires the marching run's
+// counters and state at each: the step before every event, the event
+// step, and the end. It returns the finished jumping run.
+func jumpAgainstMarch[R any](t *testing.T, label string, p pauseNet[R], src engine.Source,
+	events []engine.TimelineEvent[R], m marchTrace[R]) *engine.Result[R] {
+	eng := engine.New(p.alg, p.adj.Clone(), engine.Config{})
+	defer eng.Close()
+	st := eng.Start(matrix.Identity(p.alg, p.adj.N), src, events)
+	for _, ev := range events {
+		if st.Step(ev.Step-1) || st.At() != ev.Step-1 {
+			t.Fatalf("%s: Step(%d) finished or stopped at %d", label, ev.Step-1, st.At())
+		}
+		statsMatch(t, fmt.Sprintf("%s before event %d", label, ev.Step), st.Stats(), m.stats[ev.Step-1])
+		snap, err := st.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: snapshot before event %d: %v", label, ev.Step, err)
+		}
+		identicalStates(t, fmt.Sprintf("%s state before event %d", label, ev.Step),
+			snap.States[len(snap.States)-1], m.states[ev.Step-1])
+		st.Step(ev.Step)
+		statsMatch(t, fmt.Sprintf("%s at event %d", label, ev.Step), st.Stats(), m.stats[ev.Step])
+	}
+	if !st.Step(src.Horizon()) {
+		t.Fatalf("%s: Step to the horizon did not finish", label)
+	}
+	res := st.Result()
+	for k, mark := range res.Marks() {
+		identicalStates(t, fmt.Sprintf("%s mark %d", label, k), mark, m.res.Marks()[k])
+	}
+	identicalStates(t, label+" final", res.Final(), m.res.Final())
+	// The jumping run stops where it certifies; up to there it did exactly
+	// the marching run's work.
+	got, want := res.Stats(), m.stats[res.Stats().Steps]
+	if got.ConvergedAt < events[len(events)-1].Step || got.Steps >= src.Horizon() {
+		t.Fatalf("%s: the run did not certify after the last event: %+v", label, got)
+	}
+	want.ConvergedAt = got.ConvergedAt
+	statsMatch(t, label+" final", got, want)
+	return res
+}
+
+func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
+	n := p.adj.N
+	const T = 330
+	at := [4]int{61, 130, 200, 263}
+	events := p.quietFlap(at)
+	start := matrix.Identity(p.alg, n)
+	// MaxGap < n: several nodes are forced at every step. The ring holds
+	// window+1 = 4 states; the pauses below land on every residue of it.
+	hashed := engine.Hashed{N: n, T: T, Seed: 41, MaxGap: 4, MaxStaleness: 3}
+
+	// The lazy source, counted in closed form.
+	march := marchEveryStep(t, p, hashed, events)
+	jp := &probe{Source: hashed}
+	full := jumpAgainstMarch(t, name+"/hashed", p, jp, events, march)
+	if jp.counted < T/3 {
+		t.Fatalf("%s: only %d of %d steps were counted, not marched; the timeline has no interlude to jump", name, jp.counted, T)
+	}
+	fullSteps := full.Stats().Steps
+
+	// The same source with the Counting capability hidden: the generic
+	// Active loop must count the same activations.
+	plain := jumpAgainstMarch(t, name+"/hashed-uncounted", p,
+		uncounted{hashed, hashed.FairPeriod(), hashed.MaxLookback()}, events, march)
+	statsMatch(t, name+" counted vs uncounted", plain.Stats(), full.Stats())
+
+	// A materialised plan, one schedule per segment with β clamped at the
+	// events, so the literal evaluator can replay it: jumping ≡ marching ≡
+	// async.RunReference.
+	plan := newSegPlan(rand.New(rand.NewSource(7)), n, T, at[:], schedule.Options{MaxGap: 4, MaxStaleness: 3})
+	fair := uncounted{plan, 4, plan.MaxLookback()}
+	refBounds, refFinal := replayReference(p.alg, p.adj.Clone(), start, plan, events)
+	res := jumpAgainstMarch(t, name+"/plan", p, fair, events, marchEveryStep(t, p, fair, events))
+	for k, mark := range res.Marks() {
+		if !mark.Equal(p.alg, refBounds[k]) {
+			t.Fatalf("%s: state at event %d diverges from the reference\nengine:\n%s\nreference:\n%s",
+				name, k, mark.Format(p.alg), refBounds[k].Format(p.alg))
+		}
+	}
+	if !res.Final().Equal(p.alg, refFinal) {
+		t.Fatalf("%s: final state diverges from the reference\nengine:\n%s\nreference:\n%s",
+			name, res.Final().Format(p.alg), refFinal.Format(p.alg))
+	}
+
+	// Pause at every step — until lands inside, at the end of, and one
+	// short of every interlude — and, wherever a snapshot exists, resume
+	// it on a fresh engine over a fresh topology: a resumed ring holds
+	// loaded states that share no rows, and must still jump.
+	nextEvent := func(k int) int {
+		for _, ev := range events {
+			if ev.Step > k {
+				return ev.Step
+			}
+		}
+		return T + 1
+	}
+	for k := 1; k < fullSteps; k++ {
+		kl := fmt.Sprintf("%s k=%d", name, k)
+		eng := engine.New(p.alg, p.adj.Clone(), engine.Config{})
+		st := eng.Start(start, hashed, events)
+		if st.Step(k) || st.At() != k {
+			t.Fatalf("%s: Step(k) finished or stopped at %d", kl, st.At())
+		}
+		statsMatch(t, kl+" paused", st.Stats(), march.stats[k])
+		snap, _ := st.Snapshot()
+		st.Step(T)
+		live := st.Result()
+		eng.Close()
+		identicalStates(t, kl+" paused final", live.Final(), full.Final())
+		statsMatch(t, kl+" paused final", live.Stats(), full.Stats())
+		if snap == nil {
+			continue // an event step
+		}
+		identicalStates(t, kl+" snapshot state", snap.States[len(snap.States)-1], march.states[k])
+
+		fresh := p.adj.Clone()
+		replayFired(fresh, events, k)
+		e2 := engine.New(p.alg, fresh, engine.Config{})
+		rs, err := e2.Resume(snap, hashed, remainingEvents(events, k))
+		if err != nil {
+			t.Fatalf("%s: resume: %v", kl, err)
+		}
+		for _, k2 := range []int{k + 1 + k%7, nextEvent(k) - 2, nextEvent(k) - 1} {
+			if k2 <= rs.At() || k2 >= fullSteps {
+				continue
+			}
+			if rs.Step(k2) || rs.At() != k2 {
+				t.Fatalf("%s: resumed Step(%d) finished or stopped at %d", kl, k2, rs.At())
+			}
+			statsMatch(t, fmt.Sprintf("%s resumed, paused at %d", kl, k2), rs.Stats(), march.stats[k2])
+		}
+		rs.Step(T)
+		resumed := rs.Result()
+		e2.Close()
+		identicalStates(t, kl+" resumed final", resumed.Final(), full.Final())
+		statsMatch(t, kl+" resumed final", resumed.Stats(), full.Stats())
+	}
+}
+
+func TestInterludeJumpDifferential(t *testing.T) {
+	t.Run("hopcount", func(t *testing.T) {
+		alg, adj := meshNet()
+		runInterludeJump[algebras.NatInf](t, "hopcount", pauseNet[algebras.NatInf]{alg, adj, 0, 6})
+	})
+	t.Run("lex", func(t *testing.T) {
+		alg, adj, _ := lexNet()
+		runInterludeJump(t, "lex", pauseNet[algebras.Pair[algebras.NatInf, algebras.NatInf]]{alg, adj, 1, 2})
+	})
+	t.Run("gaorexford", func(t *testing.T) {
+		alg, adj, _ := grNet()
+		runInterludeJump(t, "gaorexford", pauseNet[gaorexford.Route]{alg, adj, 0, 3})
+	})
+	t.Run("policy", func(t *testing.T) {
+		runInterludeJump(t, "policy", policyRing(t))
+	})
+}
+
+// TestInterludeJumpCost pins what a jump may cost. Across 10⁶ quiescent
+// steps a source that counts in closed form is asked for no activation
+// and no β at all, so the advance takes time independent of the gap; on
+// Hashed the jump hashes every skipped activation but evaluates no β and
+// allocates nothing.
+func TestInterludeJumpCost(t *testing.T) {
+	alg, adj := meshNet()
+	n := adj.N
+	start := matrix.Identity[algebras.NatInf](alg, n)
+	const settle, gap = 400, 1_000_000
+	events := []engine.TimelineEvent[algebras.NatInf]{{Step: settle + gap, Restart: []int{3}}}
+	const T = settle + gap + 400
+
+	for _, c := range []struct {
+		name    string
+		src     engine.Source
+		perStep int // activations per non-event step
+	}{
+		{"synchronous", engine.Synchronous{N: n, T: T}, n},
+		{"round-robin", engine.RoundRobin{N: n, T: T}, 1},
+	} {
+		eng := engine.New(alg, adj.Clone(), engine.Config{})
+		p := &probe{Source: c.src}
+		st := eng.Start(start, p, events)
+		st.Step(settle)
+		asked, counted := p.active+p.beta, p.counted
+		if st.Step(settle+gap-1) || st.At() != settle+gap-1 {
+			t.Fatalf("%s: the run did not pause before the event (at %d)", c.name, st.At())
+		}
+		if p.active+p.beta != asked || p.counted-counted != gap-1 {
+			t.Fatalf("%s: %d Active/β calls and %d counted steps across the interlude, want 0 and %d",
+				c.name, p.active+p.beta-asked, p.counted-counted, gap-1)
+		}
+		if !st.Step(T) {
+			t.Fatalf("%s: the run did not finish", c.name)
+		}
+		res := st.Result()
+		eng.Close()
+		s := res.Stats()
+		if at, ok := res.Converged(); !ok || at < settle+gap {
+			t.Fatalf("%s: no certified convergence after the event: %+v", c.name, s)
+		}
+		if got, want := s.RowsComputed+s.RowsSkipped, c.perStep*(s.Steps-1); got != want {
+			t.Fatalf("%s: %d activations over %d steps and one event, want %d", c.name, got, s.Steps, want)
+		}
+	}
+
+	eng := engine.New(alg, adj.Clone(), engine.Config{})
+	defer eng.Close()
+	p := &probe{Source: engine.Hashed{N: n, T: T, Seed: 3, MaxGap: 6, MaxStaleness: 5}}
+	st := eng.Start(start, p, events)
+	defer st.Close()
+	st.Step(settle)
+	betas, counted, until := p.beta, p.counted, settle
+	allocs := testing.AllocsPerRun(8, func() {
+		until += gap / 10
+		if st.Step(until) || st.At() != until {
+			t.Fatalf("hashed: Step(%d) finished or stopped at %d", until, st.At())
+		}
+	})
+	if allocs != 0 || p.beta != betas || p.counted-counted != until-settle {
+		t.Fatalf("hashed: %v allocs/jump, %d β evaluations, %d of %d steps counted; want 0, 0, all",
+			allocs, p.beta-betas, p.counted-counted, until-settle)
+	}
+}
+
+// TestInterludeJumpWaitsForSettledRows: certification is not enough to
+// jump. When β can reach further back than a node's activation gap
+// (MaxStaleness > MaxGap), a node certified right after the last change
+// can recompute once more from a stale read — no change, still certified —
+// and then holds a lastRead from before its neighbour's last change; its
+// next activation recomputes instead of skipping. The jump has to see
+// that (run.settled) and march until the row is read afresh: without the
+// check, seed 2 at staleness 12 and seeds 20, 24 and 30 at staleness 8
+// count one computed row as skipped.
+func TestInterludeJumpWaitsForSettledRows(t *testing.T) {
+	alg, adj := meshNet()
+	n := adj.N
+	start := matrix.Identity[algebras.NatInf](alg, n)
+	events := []engine.TimelineEvent[algebras.NatInf]{
+		{Step: 40, Restart: []int{3}}, {Step: 80, Restart: []int{5}}, {Step: 120, Restart: []int{7}},
+	}
+	for seed := uint64(0); seed <= 40; seed++ {
+		for _, stale := range []int{8, 12} {
+			src := engine.Hashed{N: n, T: 160, Seed: seed, MaxGap: 3, MaxStaleness: stale, ActivationProbMille: 300}
+			march := engine.New(alg, adj.Clone(), engine.Config{Termination: engine.TermOff})
+			jump := engine.New(alg, adj.Clone(), engine.Config{})
+			ms, js := march.Start(start, src, events), jump.Start(start, src, events)
+			for _, k := range []int{39, 79, 119, 125} {
+				ms.Step(k)
+				js.Step(k)
+				statsMatch(t, fmt.Sprintf("seed %d staleness %d at %d", seed, stale, k), js.Stats(), ms.Stats())
+			}
+			ms.Close()
+			js.Close()
+			march.Close()
+			jump.Close()
+		}
+	}
+}

@@ -29,15 +29,19 @@ type pool struct {
 	closed atomic.Bool
 }
 
-// job is one step's worth of tasks. fn runs task idx on behalf of worker
-// id; ids 1..helpers are the pool's helpers and id 0 is the submitting
-// goroutine, so per-worker scratch needs helpers+1 slots.
+// job is one step's worth of tasks, run through the tasker that owns it.
+// Worker ids 1..helpers are the pool's helpers and id 0 is the submitting
+// goroutine, so per-worker scratch needs helpers+1 slots. A job is idle
+// again once do returns, so its owner reuses it step after step.
 type job struct {
-	fn   func(idx, worker int)
+	t    tasker
 	n    int
 	next atomic.Int64
 	wg   sync.WaitGroup
 }
+
+// tasker runs task idx on behalf of worker id.
+type tasker interface{ runIdx(idx, worker int) }
 
 func (j *job) drain(worker int) {
 	for {
@@ -45,7 +49,7 @@ func (j *job) drain(worker int) {
 		if idx >= j.n {
 			return
 		}
-		j.fn(idx, worker)
+		j.t.runIdx(idx, worker)
 	}
 }
 
@@ -69,10 +73,10 @@ func (p *pool) start() {
 	})
 }
 
-// do runs fn for every task index in [0, n), fanning out across up to
-// want-1 helpers while the calling goroutine works too (as worker 0). It
-// returns when every task has finished.
-func (p *pool) do(want, n int, fn func(idx, worker int)) {
+// do runs t's tasks [0, n) through j, fanning out across up to want-1
+// helpers while the calling goroutine works too (as worker 0). It returns
+// when every task has finished.
+func (p *pool) do(j *job, want, n int, t tasker) {
 	helpers := want - 1
 	if helpers > p.helpers {
 		helpers = p.helpers
@@ -80,7 +84,8 @@ func (p *pool) do(want, n int, fn func(idx, worker int)) {
 	if helpers > n-1 {
 		helpers = n - 1
 	}
-	j := &job{fn: fn, n: n}
+	j.t, j.n = t, n
+	j.next.Store(0)
 	p.mu.RLock()
 	if p.closed.Load() {
 		// Closed under us: run everything on the submitting goroutine.

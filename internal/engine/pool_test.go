@@ -77,3 +77,39 @@ func TestCloseDuringRun(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestParallelStepsDoNotAllocate: a step that fans out across the pool
+// reuses the run's own job, so a warm engine's parallel run allocates per
+// run, not per step — and two runs in flight on one engine, each with its
+// own job, stay bit-identical to the sequential answer.
+func TestParallelStepsDoNotAllocate(t *testing.T) {
+	alg, adj := incrementalNet(192)
+	start := matrix.Identity[algebras.NatInf](alg, 192)
+	src := engine.Synchronous{N: 192, T: 40}
+	want := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 1}).Run(start, src)
+
+	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 2, Termination: engine.TermOff})
+	defer eng.Close()
+	var got *engine.Result[algebras.NatInf]
+	allocs := testing.AllocsPerRun(3, func() { got = eng.Run(start, src) })
+	identicalStates(t, "parallel run", got.Final(), want.Final())
+	// 40 parallel steps used to cost a job and a closure each.
+	if allocs > 20 {
+		t.Fatalf("a warm 40-step parallel run allocates %.0f times, want it independent of the step count (≤ 20)", allocs)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := eng.Start(start, src, nil)
+			for k := 1; !st.Step(k); k++ {
+			}
+			if got := st.Result().Final(); !got.Equal(alg, want.Final()) {
+				t.Error("concurrent parallel runs on one engine diverged from the sequential answer")
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -50,6 +50,31 @@ type Fair interface {
 	FairPeriod() int
 }
 
+// Counting is implemented by sources that can count the activations of
+// steps t0..t1 — |{(t, i) : t0 ≤ t ≤ t1, i ∈ α(t)}|, 0 when t1 < t0 —
+// without visiting them one Active call at a time; the engine advances a
+// certified fixed point across a quiescent interlude by that count (see
+// run.step).
+type Counting interface {
+	CountActive(t0, t1 int) int
+}
+
+// countActive counts the activations of steps t0..t1 through the
+// source's Counting capability, or by asking Active when it has none.
+func countActive(src Source, t0, t1 int) (cnt int) {
+	if c, ok := src.(Counting); ok {
+		return c.CountActive(t0, t1)
+	}
+	for t := t0; t <= t1; t++ {
+		for i, n := 0, src.Nodes(); i < n; i++ {
+			if src.Active(t, i) {
+				cnt++
+			}
+		}
+	}
+	return cnt
+}
+
 // Synchronous is the schedule that recovers σ (Section 3.1): every node
 // activates at every step and always reads the previous step's data. It
 // is the lazy, O(1)-memory counterpart of schedule.Synchronous.
@@ -63,6 +88,9 @@ func (s Synchronous) Horizon() int { return s.T }
 
 // Active implements Source: α(t) is every node.
 func (s Synchronous) Active(t, i int) bool { return true }
+
+// CountActive implements Counting: N per step.
+func (s Synchronous) CountActive(t0, t1 int) int { return s.N * max(t1-t0+1, 0) }
 
 // Beta implements Source: β ≡ t − 1.
 func (s Synchronous) Beta(t, i, k int) int { return t - 1 }
@@ -121,16 +149,37 @@ func (h Hashed) Nodes() int { return h.N }
 // Horizon implements Source.
 func (h Hashed) Horizon() int { return h.T }
 
+func (h Hashed) mille() int {
+	if h.ActivationProbMille == 0 {
+		return 500
+	}
+	return h.ActivationProbMille
+}
+
+// draw is node i's activation draw at t, uniform on [0, 1000).
+func (h Hashed) draw(t, i int) int { return int(mix(h.Seed, uint64(t), uint64(i)) % 1000) }
+
 // Active implements Source.
 func (h Hashed) Active(t, i int) bool {
-	if (t+i)%h.gap() == 0 {
-		return true
+	return (t+i)%h.gap() == 0 || h.draw(t, i) < h.mille()
+}
+
+// CountActive implements Counting: one hash per (t, i), no branch and no
+// division in the inner loop; the forced activations (i ≡ −t mod MaxGap)
+// are then added where the draw missed them.
+func (h Hashed) CountActive(t0, t1 int) (cnt int) {
+	gap, p := h.gap(), h.mille()
+	for t := t0; t <= t1; t++ {
+		for i := 0; i < h.N; i++ {
+			cnt += int(uint64(h.draw(t, i)-p) >> 63) // 1 when draw < p
+		}
+		for i := (gap - t%gap) % gap; i < h.N; i += gap {
+			if h.draw(t, i) >= p {
+				cnt++
+			}
+		}
 	}
-	p := h.ActivationProbMille
-	if p == 0 {
-		p = 500
-	}
-	return int(mix(h.Seed, uint64(t), uint64(i))%1000) < p
+	return cnt
 }
 
 // Beta implements Source.
@@ -169,6 +218,9 @@ func (s RoundRobin) Horizon() int { return s.T }
 
 // Active implements Source: α(t) = {(t−1) mod N}.
 func (s RoundRobin) Active(t, i int) bool { return (t-1)%s.N == i }
+
+// CountActive implements Counting: one per step.
+func (s RoundRobin) CountActive(t0, t1 int) int { return max(t1-t0+1, 0) }
 
 // Beta implements Source: β ≡ t − 1.
 func (s RoundRobin) Beta(t, i, k int) int { return t - 1 }

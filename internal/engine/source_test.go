@@ -131,3 +131,65 @@ func TestTermRequireNeedsIncremental(t *testing.T) {
 	engine.New[algebras.NatInf](alg, adj, engine.Config{Incremental: engine.IncOff, Termination: engine.TermRequire}).
 		Run(matrix.Identity[algebras.NatInf](alg, adj.N), engine.Synchronous{N: adj.N, T: 10})
 }
+
+// sumActive is the definition CountActive must equal.
+func sumActive(src engine.Source, t0, t1 int) int {
+	cnt := 0
+	for t := t0; t <= t1; t++ {
+		for i := 0; i < src.Nodes(); i++ {
+			if src.Active(t, i) {
+				cnt++
+			}
+		}
+	}
+	return cnt
+}
+
+// FuzzCountActive: CountActive(t0, t1) = Σ Active(t, i) over t0 ≤ t ≤ t1
+// on every lazy source — the closed forms, and Hashed with the forced
+// activations sparse (default MaxGap = 4N), dense (MaxGap < N, several
+// nodes forced per step) and the draw all but off or all but always on.
+// The seed corpus is the unit test; `-fuzz FuzzCountActive` explores.
+func FuzzCountActive(f *testing.F) {
+	for _, c := range []struct {
+		kind                    uint8
+		n, gap, mille, t0, span int
+	}{
+		{0, 7, 0, 0, 1, 40},    // Synchronous from step 1
+		{1, 7, 0, 0, 1, 40},    // RoundRobin from step 1
+		{1, 5, 0, 0, 13, 1},    // single step
+		{0, 5, 0, 0, 13, 0},    // empty range
+		{2, 9, 0, 0, 1, 60},    // Hashed, defaults
+		{2, 9, 11, 0, 57, 90},  // explicit MaxGap ≥ N
+		{2, 16, 3, 0, 1, 50},   // MaxGap < N: ⌈16/3⌉ forced per step
+		{2, 16, 5, 1, 998, 70}, // the draw all but off: forced only
+		{2, 16, 5, 999, 3, 70}, // the draw all but always on
+		{2, 1, 1, 0, 1, 9},     // one node, forced every step
+		{2, 12, 4, 600, 20, 1}, // single step
+		{2, 12, 4, 600, 20, 0}, // empty range
+		{2, 12, 4, 600, 20, -3},
+	} {
+		f.Add(c.kind, c.n, c.gap, c.mille, uint64(c.n*31+c.gap), c.t0, c.span)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, n, gap, mille int, seed uint64, t0, span int) {
+		if n < 1 || n > 64 || gap < 0 || gap > 300 || mille < 0 || mille > 1000 || t0 < 1 || t0 > 1<<40 || span < -4 || span > 400 {
+			t.Skip()
+		}
+		t1 := t0 + span - 1
+		var src interface {
+			engine.Source
+			engine.Counting
+		}
+		switch kind % 3 {
+		case 0:
+			src = engine.Synchronous{N: n, T: t1}
+		case 1:
+			src = engine.RoundRobin{N: n, T: t1}
+		default:
+			src = engine.Hashed{N: n, T: t1, Seed: seed, ActivationProbMille: mille, MaxGap: gap}
+		}
+		if got, want := src.CountActive(t0, t1), sumActive(src, t0, t1); got != want {
+			t.Fatalf("%+v: CountActive(%d, %d) = %d, Σ Active = %d", src, t0, t1, got, want)
+		}
+	})
+}

@@ -96,6 +96,12 @@ func (s *Stepper[R]) Close() {
 // because the columnar kernels are compiled against a fixed topology;
 // recompiling them at a mutation step is left to a later change.
 //
+// While events are pending a certified fixed point does not end the run,
+// but it is not marched through either: Step advances across the
+// quiescent interlude to the next event (or to until) by counting the
+// activations it skips, in time that does not grow with the gap when the
+// source counts in closed form (Counting).
+//
 // Like Run, Start panics on a contract violation: a source or timeline
 // that does not fit the engine's topology.
 func (e *Engine[R]) Start(start *matrix.State[R], src Source, events []TimelineEvent[R]) *Stepper[R] {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gaorexford"
 	"repro/internal/matrix"
-	"repro/internal/policy"
 )
 
 // The preemption contract: a timeline run chopped into quanta must be
@@ -409,19 +408,6 @@ func TestStepperPauseAtEveryStep(t *testing.T) {
 		runPauseAtEveryStep(t, "gaorexford", pauseNet[gaorexford.Route]{alg, adj, 0, 3})
 	})
 	t.Run("policy", func(t *testing.T) {
-		pol, err := policy.ParsePolicy("addc(2); if (comm(2) & !path(3)) { lp+=7 } else { prepend(1) }")
-		if err != nil {
-			t.Fatal(err)
-		}
-		alg := policy.NewInterned(nil)
-		adj := matrix.NewAdjacency[policy.IRoute](6)
-		for i := 0; i < 6; i++ {
-			for _, d := range []int{1, 2} {
-				j := (i + d) % 6
-				adj.SetEdge(i, j, alg.Edge(i, j, pol))
-				adj.SetEdge(j, i, alg.Edge(j, i, pol))
-			}
-		}
-		runPauseAtEveryStep[policy.IRoute](t, "policy", pauseNet[policy.IRoute]{alg, adj, 0, 2})
+		runPauseAtEveryStep(t, "policy", policyRing(t))
 	})
 }

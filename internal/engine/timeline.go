@@ -56,8 +56,9 @@ type TimelineEvent[R any] struct {
 //
 // Timeline runs always use the interface row representation (see Start).
 // Early termination (under a Fair source) is suppressed while events are
-// pending and becomes available again after the last event fires. It is
-// Start, Step to the horizon, Result.
+// pending — a fixed point certified before an event is jumped across, not
+// marched (see Start) — and becomes available again after the last event
+// fires. It is Start, Step to the horizon, Result.
 func (e *Engine[R]) RunTimeline(start *matrix.State[R], src Source, events []TimelineEvent[R]) *Result[R] {
 	st := e.Start(start, src, events)
 	st.Step(src.Horizon())

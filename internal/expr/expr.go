@@ -1,8 +1,7 @@
 // Package expr is the experiment harness: one entry point per table and
 // figure of the paper (and per headline claim of its sections), each
 // printing the regenerated rows to an io.Writer and returning a structured
-// result the tests and benchmarks assert on. The experiment index lives in
-// DESIGN.md; the measured outcomes are recorded in EXPERIMENTS.md.
+// result the tests and benchmarks assert on.
 package expr
 
 import (

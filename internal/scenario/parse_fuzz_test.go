@@ -43,8 +43,8 @@ func TestParseCaps(t *testing.T) {
 		t.Fatalf("rank-path cap not enforced at parse time: %v", err)
 	}
 	for _, bad := range []string{
-		"scenario h\ntopo ring 8 rip\nhorizon 999999\n",             // horizon over cap
-		"scenario n\ntopo ring 99999 rip\nhorizon 10\n",             // node count over cap
+		"scenario h\ntopo ring 8 rip\nhorizon 999999\n",              // horizon over cap
+		"scenario n\ntopo ring 99999 rip\nhorizon 10\n",              // node count over cap
 		"scenario i\ntopo ring 8 rip\nhorizon 10\nat 5 restart 64\n", // node index over cap
 		"scenario w\ntopo ring 8 rip\nhorizon 10\nat 5 weight 9999999 0 1\n",
 	} {

@@ -762,13 +762,13 @@ func TestWireLevelRobustness(t *testing.T) {
 
 func TestNameValidation(t *testing.T) {
 	for name, ok := range map[string]bool{
-		"acme":        true,
-		"a-b_C9":      true,
-		"":            false,
-		"a/b":         false,
-		"a~b":         false,
-		"a b":         false,
-		"über":        false,
+		"acme":                   true,
+		"a-b_C9":                 true,
+		"":                       false,
+		"a/b":                    false,
+		"a~b":                    false,
+		"a b":                    false,
+		"über":                   false,
 		string(make([]byte, 65)): false,
 	} {
 		if got := nameOK(name); got != ok {
