@@ -27,12 +27,10 @@
 // needed — and the continuation is bit-identical to the run that was
 // never interrupted.
 // The path-aware algebras (pv, policy) run over hash-consed interned
-// paths by default; -intern=false selects the reference []Arc carrier
-// and disables the engine's pooled-scratch/memo fast paths, for A/B
-// comparison (mirroring -incremental). Algebras that pack canonically
-// (shortest, rip, interned pv/gr/policy) additionally evaluate through
-// the columnar struct-of-arrays kernels by default; -columnar=false
-// keeps the generic interface path, completing the A/B triple.
+// paths, and in delta mode algebras that pack canonically (shortest,
+// rip, pv, policy) evaluate through the columnar struct-of-arrays
+// kernels; every delta run is change-driven and stops at its certified
+// fixed point.
 package main
 
 import (
@@ -78,15 +76,9 @@ func realMain() int {
 		showTrace = flag.Bool("trace", false, "print the route-change timeline after the run")
 		modeFlag  = flag.String("mode", "sim", "evaluation substrate: sim (event simulator) | delta (schedule-driven engine)")
 		stepsFlag = flag.Int("steps", 0, "delta mode: schedule horizon T (default 50·n)")
-		incFlag   = flag.Bool("incremental", true,
-			"delta mode: change-driven evaluation (skip unchanged rows, recompute only affected cells, stop at the certified fixed point); false = full recomputation, for A/B comparison")
-		internFlag = flag.Bool("intern", true,
-			"hash-consed route interning: path-aware algebras (pv, policy) carry PathIDs backed by a shared table, and the delta engine reuses pooled scratch and per-edge memo caches; false = reference []Arc paths and allocation-per-run evaluation, for A/B comparison")
-		colFlag = flag.Bool("columnar", true,
-			"delta mode: evaluate packable algebras through the columnar struct-of-arrays kernels (packed cell lanes, batched per-edge policy application, word-compare change detection); false = generic interface evaluation, for A/B comparison")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		scenFile = flag.String("scenario", "",
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		scenFile  = flag.String("scenario", "",
 			"play a dynamic-event scenario file instead of a static run (see internal/scenario)")
 		substrate = flag.String("substrate", "engine",
 			"scenario mode: substrate(s) to play the timeline on: engine|sim|dist|all")
@@ -159,6 +151,15 @@ func realMain() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
+		// A checkpoint whose metadata names an evaluation mode this dbfsim
+		// does not have is refused, not continued under a mode it was not
+		// taken in.
+		for _, key := range []string{"incremental", "intern", "columnar"} {
+			if meta[key] == "false" {
+				fmt.Fprintf(os.Stderr, "%s: checkpoint was written with %s=false, a mode this dbfsim cannot resume\n", *resumeFile, key)
+				return 2
+			}
+		}
 		// Rebuild the instance exactly as the checkpointing run shaped it:
 		// every knob that affects the algebra, topology or schedule comes
 		// from the checkpoint's own metadata, not this invocation's flags.
@@ -176,9 +177,6 @@ func realMain() int {
 			*seed = v
 		}
 		*modeFlag = "delta"
-		*incFlag = meta["incremental"] != "false"
-		*internFlag = meta["intern"] != "false"
-		*colFlag = meta["columnar"] != "false"
 		resumeData = data
 		infof("resuming %s checkpoint %s (algebra %s, topo %s, n %d, seed %d)\n",
 			family, *resumeFile, *algebra, *topo, *n, *seed)
@@ -186,9 +184,6 @@ func realMain() int {
 
 	mode = *modeFlag
 	deltaSteps = *stepsFlag
-	incremental = *incFlag
-	interning = *internFlag
-	columnar = *colFlag
 	if mode != "sim" && mode != "delta" {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", mode)
 		return 2
@@ -200,13 +195,10 @@ func realMain() int {
 		}
 		ckptPath, ckptAtStep = *ckptFile, *ckptAt
 		ckptMeta = map[string]string{
-			"algebra":     *algebra,
-			"topo":        *topo,
-			"n":           strconv.Itoa(*n),
-			"seed":        strconv.FormatInt(*seed, 10),
-			"incremental": strconv.FormatBool(incremental),
-			"intern":      strconv.FormatBool(interning),
-			"columnar":    strconv.FormatBool(columnar),
+			"algebra": *algebra,
+			"topo":    *topo,
+			"n":       strconv.Itoa(*n),
+			"seed":    strconv.FormatInt(*seed, 10),
 		}
 		if *algebra == "policy" {
 			ckptMeta["policy"] = *polSrc
@@ -245,21 +237,12 @@ func realMain() int {
 	case "pv":
 		base := algebras.ShortestPaths{}
 		baseAdj := topology.BuildUniform[algebras.NatInf](g, base.AddEdge(1))
-		if interning {
-			alg := pathalg.NewInterned[algebras.NatInf](base, nil)
-			adj := pathalg.LiftAdjacencyInterned(alg, baseAdj)
-			type R = pathalg.IRoute[algebras.NatInf]
-			start := matrix.Identity[R](alg, g.N)
-			run[R](alg, adj, start, cfg, *seed, "pv-interned",
-				wire.InternedPathCodec[algebras.NatInf]{Alg: alg, Base: wire.NatInfCodec{}})
-		} else {
-			alg := pathalg.New[algebras.NatInf](base)
-			adj := pathalg.LiftAdjacency(alg, baseAdj)
-			type R = pathalg.Route[algebras.NatInf]
-			start := matrix.Identity[R](alg, g.N)
-			run[R](alg, adj, start, cfg, *seed, "pv",
-				wire.TrackedCodec[algebras.NatInf]{Base: wire.NatInfCodec{}})
-		}
+		alg := pathalg.NewInterned[algebras.NatInf](base, nil)
+		adj := pathalg.LiftAdjacencyInterned(alg, baseAdj)
+		type R = pathalg.IRoute[algebras.NatInf]
+		start := matrix.Identity[R](alg, g.N)
+		run[R](alg, adj, start, cfg, *seed, "pv-interned",
+			wire.InternedPathCodec[algebras.NatInf]{Alg: alg, Base: wire.NatInfCodec{}})
 	case "gr":
 		alg := gaorexford.Algebra{MaxHops: 16}
 		rng := rand.New(rand.NewSource(*seed))
@@ -286,33 +269,18 @@ func realMain() int {
 			return 2
 		}
 		infof("policy on every edge: %s\n", pol)
-		if interning {
-			alg := policy.NewInterned(nil)
-			adj := topology.Build[policy.IRoute](g, func(i, j int) core.Edge[policy.IRoute] {
-				return alg.Edge(i, j, pol)
+		alg := policy.NewInterned(nil)
+		adj := topology.Build[policy.IRoute](g, func(i, j int) core.Edge[policy.IRoute] {
+			return alg.Edge(i, j, pol)
+		})
+		start := matrix.Identity[policy.IRoute](alg, g.N)
+		if *garbage {
+			rng := rand.New(rand.NewSource(*seed))
+			start = matrix.RandomState(rng, g.N, func(rng *rand.Rand, _, _ int) policy.IRoute {
+				return alg.FromRoute(policy.RandomRoute(rng, g.N))
 			})
-			start := matrix.Identity[policy.IRoute](alg, g.N)
-			if *garbage {
-				rng := rand.New(rand.NewSource(*seed))
-				start = matrix.RandomState(rng, g.N, func(rng *rand.Rand, _, _ int) policy.IRoute {
-					return alg.FromRoute(policy.RandomRoute(rng, g.N))
-				})
-			}
-			run[policy.IRoute](alg, adj, start, cfg, *seed, "policy-interned", wire.InternedPolicyCodec{Alg: alg})
-		} else {
-			alg := policy.Algebra{}
-			adj := topology.Build[policy.Route](g, func(i, j int) core.Edge[policy.Route] {
-				return alg.Edge(i, j, pol)
-			})
-			start := matrix.Identity[policy.Route](alg, g.N)
-			if *garbage {
-				rng := rand.New(rand.NewSource(*seed))
-				start = matrix.RandomState(rng, g.N, func(rng *rand.Rand, _, _ int) policy.Route {
-					return policy.RandomRoute(rng, g.N)
-				})
-			}
-			run[policy.Route](alg, adj, start, cfg, *seed, "policy", wire.PolicyCodec{})
 		}
+		run[policy.IRoute](alg, adj, start, cfg, *seed, "policy-interned", wire.InternedPolicyCodec{Alg: alg})
 	default:
 		fmt.Fprintf(os.Stderr, "unknown algebra %q\n", *algebra)
 		return 2
@@ -370,17 +338,13 @@ func runScenario(path, substrate string) int {
 // recorder, when non-nil, captures the run's event timeline for -trace.
 var recorder *trace.Recorder
 
-// mode selects the evaluation substrate; deltaSteps is -steps;
-// incremental is -incremental; interning is -intern; columnar is
-// -columnar; exitCode is the eventual process status (set instead of
-// os.Exit so deferred profile writers run).
+// mode selects the evaluation substrate; deltaSteps is -steps; exitCode
+// is the eventual process status (set instead of os.Exit so deferred
+// profile writers run).
 var (
-	mode        string
-	deltaSteps  int
-	incremental bool
-	interning   bool
-	columnar    bool
-	exitCode    int
+	mode       string
+	deltaSteps int
+	exitCode   int
 )
 
 // ckptPath/ckptAtStep/ckptMeta configure a checkpoint-and-halt delta
@@ -481,17 +445,7 @@ func runDelta[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], start *matri
 		T = 50 * n
 	}
 	src := engine.Hashed{N: n, T: T, Seed: uint64(seed), MaxStaleness: 8}
-	cfg := engine.Config{}
-	if !incremental {
-		cfg.Incremental = engine.IncOff
-	}
-	if !interning {
-		cfg.Interning = engine.InternOff
-	}
-	if !columnar {
-		cfg.Columnar = engine.ColOff
-	}
-	eng := engine.New[R](alg, adj, cfg)
+	eng := engine.New[R](alg, adj, engine.Config{})
 	defer eng.Close()
 	var res *engine.Result[R]
 	switch {
@@ -565,7 +519,7 @@ func runDelta[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], start *matri
 	fmt.Printf("          row buffers recycled=%d, states retained=%d\n", st.RowsRecycled, st.Retained)
 	if at, ok := res.Converged(); ok {
 		fmt.Printf("          converged at t=%d (certified; run stopped %d steps early)\n", at, T-st.Steps)
-	} else if incremental {
+	} else {
 		fmt.Println("          convergence not certified within the horizon")
 	}
 	if stable := report[R](alg, adj, res.Final()); !stable {

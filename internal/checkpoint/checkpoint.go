@@ -18,7 +18,7 @@
 //	meta: u16 count, count × (u16 klen + key + u16 vlen + value), keys sorted
 //	payload: flags u8 | u32 step | u32 n | u32 window | u32 lastChange
 //	         stats (8 × i64) | u32 nstates | states (n·n cells of u32 len + bytes, row-major)
-//	         [incremental: ver n·n × i32 | lastComp n × i32 | lastRead n·n × i32]
+//	         ver n·n × i32 | lastComp n × i32 | lastRead n·n × i32
 //	         [certified: n × u8]
 //	u32 CRC-32 (IEEE) of everything above
 //
@@ -95,10 +95,9 @@ func Encode[R any](c wire.Codec[R], f *File[R]) ([]byte, error) {
 		out = appendString(out, f.Meta[k])
 	}
 
-	var flags byte
-	if s.Incremental {
-		flags |= 1
-	}
+	// Flag bit 0 says the change-tracking matrices are present; every
+	// engine run tracks changes, so it is always set.
+	flags := byte(1)
 	if s.Certified != nil {
 		flags |= 2
 	}
@@ -126,11 +125,9 @@ func Encode[R any](c wire.Codec[R], f *File[R]) ([]byte, error) {
 			}
 		}
 	}
-	if s.Incremental {
-		out = appendInt32s(out, s.Ver)
-		out = appendInt32s(out, s.LastComp)
-		out = appendInt32s(out, s.LastRead)
-	}
+	out = appendInt32s(out, s.Ver)
+	out = appendInt32s(out, s.LastComp)
+	out = appendInt32s(out, s.LastRead)
 	for _, cert := range s.Certified {
 		if cert {
 			out = append(out, 1)
@@ -169,7 +166,9 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	f := &File[R]{Family: family, Meta: meta, Snap: &engine.Snapshot[R]{}}
 	s := f.Snap
 	flags := cur.u8()
-	s.Incremental = flags&1 != 0
+	if cur.err == nil && flags&1 == 0 {
+		return nil, errors.New("checkpoint: snapshot of a run without change tracking (flag bit 0 clear), which no engine can resume")
+	}
 	certified := flags&2 != 0
 	s.Step = int(cur.u32())
 	s.N = int(cur.u32())
@@ -209,11 +208,9 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 		}
 		s.States = append(s.States, st)
 	}
-	if s.Incremental {
-		s.Ver = cur.int32s(s.N * s.N)
-		s.LastComp = cur.int32s(s.N)
-		s.LastRead = cur.int32s(s.N * s.N)
-	}
+	s.Ver = cur.int32s(s.N * s.N)
+	s.LastComp = cur.int32s(s.N)
+	s.LastRead = cur.int32s(s.N * s.N)
 	if certified {
 		s.Certified = make([]bool, s.N)
 		for i := range s.Certified {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/algebras"
@@ -258,5 +259,38 @@ func TestCheckpointWrongFamily(t *testing.T) {
 	}
 	if _, err := checkpoint.Decode(wire.NatInfCodec{}, data, "gaorexford"); err == nil {
 		t.Fatal("decode handed natinf bytes to a decoder expecting gaorexford")
+	}
+}
+
+// TestDecodeRejectsNonIncrementalCheckpoint clears payload flag bit 0 —
+// "the change-tracking matrices follow" — in a golden file and recomputes
+// the checksum: a snapshot no engine can resume must come back from Decode
+// as an error that says so, not as a misparsed payload.
+func TestDecodeRejectsNonIncrementalCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "natinf.ckpt"))
+	if err != nil {
+		t.Fatalf("golden file: %v (run with -update to regenerate)", err)
+	}
+	// Walk the header to the flags byte: magic, version, family, meta.
+	u16 := func(at int) int { return int(binary.BigEndian.Uint16(data[at:])) }
+	at := 4 + 2
+	at += 2 + u16(at)
+	entries := u16(at)
+	at += 2
+	for i := 0; i < 2*entries; i++ {
+		at += 2 + u16(at)
+	}
+	if data[at]&1 == 0 {
+		t.Fatalf("golden file has flag bit 0 clear at offset %d", at)
+	}
+	bad := append([]byte(nil), data[:len(data)-4]...)
+	bad[at] &^= 1
+	bad = binary.BigEndian.AppendUint32(bad, crc32.ChecksumIEEE(bad))
+	_, err = checkpoint.Decode(wire.NatInfCodec{}, bad, "natinf")
+	if err == nil || !strings.Contains(err.Error(), "change tracking") {
+		t.Fatalf("decode of a checkpoint with flag bit 0 clear: %v, want an error naming change tracking", err)
+	}
+	if _, _, err := checkpoint.Header(bad); err != nil {
+		t.Fatalf("header of the same file: %v (the header is intact)", err)
 	}
 }

@@ -70,8 +70,8 @@ type ColKernel func(dst, src Col, sel []int32, j0, j1 int, scratch *ColScratch)
 // canonical and injective up to Equal: two routes are Equal exactly when
 // their packed cells are identical words — the driver's change tracking
 // relies on it. (Kernel outputs are canonical by the same argument that
-// lets SigmaSpanIntoChanged copy-compare: Choice and the edge functions
-// normalise as they go.)
+// lets matrix.SigmaSpanIntoChangedNbr copy-compare: Choice and the edge
+// functions normalise as they go.)
 type Columnar[R any] interface {
 	// ColumnarOK reports whether this algebra instance can actually pack
 	// its cells (e.g. an interned path algebra needs its base algebra to

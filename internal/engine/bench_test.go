@@ -31,24 +31,16 @@ func benchNet(n int) (algebras.HopCount, *matrix.Adjacency[algebras.NatInf]) {
 
 // BenchmarkEngineDelta evaluates δ on a convergence-tail workload —
 // horizon 4n, so once routes settle the remaining steps are pure
-// redundancy — in two variants: the incremental (change-driven) default
-// and the full path that recomputes every active row end to end. The
-// cells/op metric is Stats.CellsComputed, the direct measure of the
-// incremental win; the incremental variant also terminates at the
-// certified fixed point (the sources are Fair).
+// redundancy the change-driven engine skips, and the run terminates at
+// the certified fixed point (the sources are Fair). The cells/op metric
+// is Stats.CellsComputed; full recomputation would cost n cells for each
+// of the computed and skipped activations.
 //
 // n ≤ 512 use the lazy Hashed source (a materialised schedule at n = 512
 // would need ~400 MB of β tables); n = 2048 uses RoundRobin, whose
 // single-activation steps are exactly the small-active-set regime the
 // persistent worker pool and O(deg) row skips target.
 func BenchmarkEngineDelta(b *testing.B) {
-	modes := []struct {
-		name string
-		cfg  engine.Config
-	}{
-		{"incremental", engine.Config{}},
-		{"full", engine.Config{Incremental: engine.IncOff}},
-	}
 	for _, n := range []int{32, 128, 512, 2048} {
 		var (
 			alg algebras.HopCount
@@ -66,32 +58,29 @@ func BenchmarkEngineDelta(b *testing.B) {
 			alg = algebras.HopCount{Limit: algebras.NatInf(2 * n)}
 			g := topology.ErdosRenyi(rand.New(rand.NewSource(9)), n, 8/float64(n))
 			adj = topology.BuildUniform[algebras.NatInf](g, alg.AddEdge(1))
-			// The horizon is deliberately deep: the incremental run's cost
-			// is fixed at convergence + certification however far T
-			// reaches, while the full path scales linearly with T.
+			// The horizon is deliberately deep: the run's cost is fixed at
+			// convergence + certification however far T reaches.
 			src = engine.RoundRobin{N: n, T: 16 * n}
 		}
 		start := matrix.Identity[algebras.NatInf](alg, n)
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				eng := engine.New[algebras.NatInf](alg, adj, mode.cfg)
-				defer eng.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				var cells, skipped int
-				for i := 0; i < b.N; i++ {
-					res := eng.Run(start, src)
-					if res.Final() == nil {
-						b.Fatal("no result")
-					}
-					st := res.Stats()
-					cells += st.CellsComputed
-					skipped += st.RowsSkipped
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			eng := engine.New[algebras.NatInf](alg, adj, engine.Config{})
+			defer eng.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var cells, skipped int
+			for i := 0; i < b.N; i++ {
+				res := eng.Run(start, src)
+				if res.Final() == nil {
+					b.Fatal("no result")
 				}
-				b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
-				b.ReportMetric(float64(skipped)/float64(b.N), "skips/op")
-			})
-		}
+				st := res.Stats()
+				cells += st.CellsComputed
+				skipped += st.RowsSkipped
+			}
+			b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+			b.ReportMetric(float64(skipped)/float64(b.N), "skips/op")
+		})
 	}
 	// The materialised random schedule shared with BenchmarkLegacyDelta,
 	// so allocs/op stay directly comparable with the reference evaluator.
@@ -112,8 +101,8 @@ func BenchmarkEngineDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineWorstCase is the adversarial workload for incrementality:
-// σ on a clique, where round one changes every cell (so nothing can be
+// BenchmarkEngineWorstCase is the adversarial workload for change
+// tracking: σ on a clique, where round one changes every cell (so nothing can be
 // skipped and every dirty set is full) and the horizon stops right at the
 // fixed point (so there is no tail to win back). This bounds the overhead
 // of dirty tracking — ver scans, per-cell compares, bitset upkeep — on
@@ -123,26 +112,16 @@ func BenchmarkEngineWorstCase(b *testing.B) {
 	alg := algebras.HopCount{Limit: algebras.NatInf(2 * n)}
 	adj := topology.BuildUniform[algebras.NatInf](topology.Complete(n), alg.AddEdge(1))
 	start := matrix.Identity[algebras.NatInf](alg, n)
-	for _, mode := range []struct {
-		name string
-		cfg  engine.Config
-	}{
-		{"incremental", engine.Config{Termination: engine.TermOff}},
-		{"full", engine.Config{Incremental: engine.IncOff}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := engine.New[algebras.NatInf](alg, adj, mode.cfg)
-			defer eng.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var cells int
-			for i := 0; i < b.N; i++ {
-				res := eng.Run(start, engine.Synchronous{N: n, T: 2})
-				cells += res.Stats().CellsComputed
-			}
-			b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
-		})
+	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{Termination: engine.TermOff})
+	defer eng.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cells int
+	for i := 0; i < b.N; i++ {
+		res := eng.Run(start, engine.Synchronous{N: n, T: 2})
+		cells += res.Stats().CellsComputed
 	}
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 }
 
 // BenchmarkLegacyDelta is the clone-everything reference evaluator on the

@@ -171,10 +171,6 @@ func (o *colOps[R]) runTask(tk *rowTask[R, core.Col], worker int) {
 	cs := o.cs
 	kern := cs.kern[cs.off[tk.i]:cs.off[tk.i+1]]
 	cw := &o.cws[worker]
-	if tk.inc == nil {
-		matrix.SigmaColSpanChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, core.Col{}, tk.dst, tk.j0, tk.j1, nil, nil, &cw.scratch)
-		return
-	}
 	if tk.lo == nil {
 		computed := matrix.SigmaColSpanChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, nil, tk.chg, &cw.scratch)
 		tk.inc.cells.Add(int64(computed))

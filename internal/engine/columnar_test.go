@@ -15,16 +15,30 @@ import (
 
 // The columnar equivalence contract: the struct-of-arrays kernels are an
 // alternative evaluation backend, not an alternative semantics. A run
-// that packs (ColAuto, the default) must be indistinguishable — final
-// cells bit for bit AND every work counter — from the same run forced
-// onto the generic interface path (ColOff). The dirty set is a pure
-// function of the schedule, so Stats agreeing is part of the contract,
-// not a coincidence.
+// that packs must be indistinguishable — final cells bit for bit AND
+// every work counter — from the same run on the generic interface path,
+// which the engine takes for an algebra that does not pack. The dirty set
+// is a pure function of the schedule, so Stats agreeing is part of the
+// contract, not a coincidence.
 
-// runColumnarToggle runs alg on adj under a lazy fair source with the
-// columnar backend on and off, across the incremental and sharding axes,
-// on fresh and warm engines, and requires identical states and stats.
+// unpacked hides every optional capability of an algebra (a named field,
+// not an embedding, so nothing is promoted): the engine sees a plain
+// core.Algebra and evaluates it on the interface path.
+type unpacked[R any] struct{ alg core.Algebra[R] }
+
+func (u unpacked[R]) Choice(a, b R) R   { return u.alg.Choice(a, b) }
+func (u unpacked[R]) Trivial() R        { return u.alg.Trivial() }
+func (u unpacked[R]) Invalid() R        { return u.alg.Invalid() }
+func (u unpacked[R]) Equal(a, b R) bool { return u.alg.Equal(a, b) }
+func (u unpacked[R]) Format(r R) string { return u.alg.Format(r) }
+
+// runColumnarToggle runs alg on adj under a lazy fair source on packed
+// lanes and on the interface path, with and without column sharding, on
+// fresh and warm engines, and requires identical states and stats.
 func runColumnarToggle[R any](t *testing.T, name string, alg core.Algebra[R], adj *matrix.Adjacency[R], T int) {
+	if c, ok := alg.(core.Columnar[R]); !ok || !c.ColumnarOK() {
+		t.Fatalf("%s does not pack; the differential would compare the interface path with itself", name)
+	}
 	n := adj.N
 	start := matrix.Identity[R](alg, n)
 	src := engine.Hashed{N: n, T: T, Seed: 23, MaxGap: 6, MaxStaleness: 5}
@@ -35,11 +49,8 @@ func runColumnarToggle[R any](t *testing.T, name string, alg core.Algebra[R], ad
 	}{
 		{"default", engine.Config{}},
 		{"sharded", engine.Config{Workers: 8, ShardColumns: 1}},
-		{"nonincremental", engine.Config{Incremental: engine.IncOff}},
 	} {
-		off := cfg.conf
-		off.Columnar = engine.ColOff
-		engOff := engine.New[R](alg, adj, off)
+		engOff := engine.New[R](unpacked[R]{alg}, adj, cfg.conf)
 		resOff := engOff.Run(start, src)
 		engOn := engine.New[R](alg, adj, cfg.conf)
 		// rep ≥ 1 reuses the pooled columnar slabs and selection scratch
@@ -56,7 +67,7 @@ func runColumnarToggle[R any](t *testing.T, name string, alg core.Algebra[R], ad
 }
 
 // TestColumnarToggleIsBitIdentical crosses every packable carrier family
-// with the -columnar A/B contract: the bare metric lane (hop count), the
+// with the packed-versus-interface contract: the bare metric lane (hop count), the
 // one-word lift with a path lane (interned path vector), the packed
 // Gao–Rexford classes, and the two-word policy cells.
 func TestColumnarToggleIsBitIdentical(t *testing.T) {
@@ -95,8 +106,8 @@ func TestColumnarToggleIsBitIdentical(t *testing.T) {
 
 // TestColumnarHistoryRunsStayGeneric pins the fallback contract: a
 // history-retaining run cannot use pooled packed lanes (its snapshots
-// escape into the Result), so with columnar left on auto it must fall
-// back to the interface path and still retain a correct history.
+// escape into the Result), so even over an algebra that packs it must
+// take the interface path and still retain a correct history.
 func TestColumnarHistoryRunsStayGeneric(t *testing.T) {
 	alg, adj, _ := hopNet()
 	n := adj.N
@@ -107,9 +118,9 @@ func TestColumnarHistoryRunsStayGeneric(t *testing.T) {
 	defer eng.Close()
 	res := eng.Run(start, src)
 	if !res.Retained() {
-		t.Fatal("KeepAll run did not retain history with columnar on auto")
+		t.Fatal("KeepAll run over a packing algebra did not retain history")
 	}
-	off := engine.New[algebras.NatInf](alg, adj, engine.Config{Columnar: engine.ColOff})
+	off := engine.New[algebras.NatInf](unpacked[algebras.NatInf]{alg}, adj, engine.Config{})
 	defer off.Close()
 	resOff := off.Run(start, src)
 	identicalStates(t, "keepall final", res.Final(), resOff.Final())

@@ -20,7 +20,7 @@
 //     split by destination column on large networks — with a
 //     deterministic merge: every worker writes a disjoint span, so the
 //     result is bit-identical to the sequential path.
-//   - Incremental (change-driven) evaluation. Real asynchronous protocols
+//   - Change-driven evaluation. Real asynchronous protocols
 //     process received updates; they do not periodically recompute
 //     everything. The engine tracks, per node and destination, when each
 //     route last changed, skips an activation outright when none of the
@@ -39,7 +39,8 @@
 //     evaluation loop itself is representation-generic (run[R, Row] over
 //     a rowOps capability), so the columnar path shares every line of the
 //     scheduling, skip, and certification logic with the interface path,
-//     which remains the differential oracle.
+//     which serves every other run (algebras that do not pack,
+//     keep-everything histories, timelines).
 package engine
 
 import (
@@ -67,74 +68,24 @@ const minParallelOps = 1 << 14
 // are split across workers when there are fewer active rows than workers.
 const defaultShardColumns = 128
 
-// IncrementalMode selects change-driven evaluation (Config.Incremental).
-type IncrementalMode int
-
-const (
-	// IncAuto (the zero value) enables incremental evaluation; it is
-	// bit-identical to the full path on every schedule, so there is no
-	// reason to disable it except A/B measurement.
-	IncAuto IncrementalMode = iota
-	// IncOff forces the full path: every active row recomputes all n
-	// destinations. The baseline incremental runs are measured against.
-	IncOff
-)
-
-// InternMode selects the interning fast paths (Config.Interning).
-type InternMode int
-
-const (
-	// InternAuto (the zero value) enables the interning-era fast paths:
-	// run scratch (history ring, row slabs, change-tracking matrices) is
-	// pooled on the engine and reused across runs, so the σ/δ hot path
-	// stops allocating once warm; and when the algebra interns its routes
-	// (core.Interner / core.EdgeMemoizer) the kernels use O(1) equality
-	// and each run evaluates through a per-edge memo cache, so
-	// re-extending an unchanged neighbour route is a table lookup instead
-	// of a policy evaluation. All of it is bit-identical to the plain
-	// path, so there is no reason to disable it except A/B measurement.
-	InternAuto InternMode = iota
-	// InternOff forces the allocation-per-run, deep-compare,
-	// no-memoisation path the interned runs are measured against.
-	InternOff
-)
-
-// ColumnarMode selects the struct-of-arrays backend (Config.Columnar).
-type ColumnarMode int
-
-const (
-	// ColAuto (the zero value) runs on packed columnar lanes whenever the
-	// algebra implements core.Columnar, every edge of the topology
-	// compiles to a batched kernel, and the run does not retain its full
-	// history. It is bit-identical to the interface path — same cells,
-	// same Stats — so there is no reason to disable it except A/B
-	// measurement.
-	ColAuto ColumnarMode = iota
-	// ColOff forces the interface path the columnar runs are measured
-	// against.
-	ColOff
-)
-
 // TerminationMode selects early δ-termination (Config.Termination).
 type TerminationMode int
 
 const (
 	// TermAuto (the zero value) stops a run as soon as convergence is
-	// certified, provided the source implements Fair, incremental
-	// evaluation is on, and the run is not retaining its full history
-	// (keep-everything runs exist to materialise the whole horizon);
-	// otherwise the run goes to the horizon.
+	// certified, provided the source implements Fair and the run is not
+	// retaining its full history (keep-everything runs exist to
+	// materialise the whole horizon); otherwise the run goes to the
+	// horizon.
 	TermAuto TerminationMode = iota
-	// TermRequire demands early-termination capability: the engine panics
-	// at Run if the source is not Fair or incremental evaluation is off.
-	TermRequire
-	// TermOff always runs to the horizon.
+	// TermOff always runs to the horizon: the marching oracle certified
+	// early exits and interlude jumps are checked against.
 	TermOff
 )
 
 // Config tunes an Engine. The zero value is the right default everywhere:
-// automatic history sizing, a GOMAXPROCS-wide pool, incremental
-// evaluation on, and early termination whenever the source allows it.
+// automatic history sizing, a GOMAXPROCS-wide pool, and early termination
+// whenever the source allows it.
 type Config struct {
 	// HistoryWindow is how many past states the engine retains for β
 	// lookups. 0 = auto: use the source's MaxLookback when it implements
@@ -149,18 +100,9 @@ type Config struct {
 	// by destination column across idle workers. 0 = default (128);
 	// negative disables column sharding.
 	ShardColumns int
-	// Incremental selects change-driven evaluation; the default enables
-	// it.
-	Incremental IncrementalMode
 	// Termination selects early δ-termination; the default stops early
-	// whenever the source is Fair and incremental evaluation is on.
+	// whenever the source is Fair.
 	Termination TerminationMode
-	// Interning selects the pooled-scratch and interned-route fast paths;
-	// the default enables them.
-	Interning InternMode
-	// Columnar selects the struct-of-arrays backend; the default enables
-	// it whenever the algebra supports it.
-	Columnar ColumnarMode
 }
 
 // Stats counts what a run did, for benchmarks and the dbfsim report.
@@ -177,10 +119,10 @@ type Stats struct {
 	// last recomputation — counted, not visited, inside a certified
 	// interlude (see run.step).
 	RowsSkipped int
-	// CellsComputed counts individual σ-cell evaluations. The full path
-	// computes n cells per activation; the incremental path only the
-	// columns whose inputs changed — the ratio is the measure of the
-	// incremental win.
+	// CellsComputed counts individual σ-cell evaluations: n for a node's
+	// first activation, afterwards only the columns whose inputs changed.
+	// Full recomputation would cost n·(RowsComputed+RowsSkipped); the
+	// ratio to that closed form is the measure of the change-driven win.
 	CellsComputed int
 	// ConvergedAt is the time step after which the state never changed,
 	// when the run certified convergence and returned early; −1
@@ -197,8 +139,8 @@ type Stats struct {
 // Engine evaluates δ (and, through the Synchronous source, σ) over one
 // algebra and topology. It is semantically stateless between runs — no
 // result ever depends on a prior run — and safe for concurrent use by
-// separate goroutines; with interning on it retains one run's worth of
-// scratch purely as memory to reuse. Engines own a lazily-started
+// separate goroutines; it retains one run's worth of scratch per row
+// representation purely as memory to reuse. Engines own a lazily-started
 // persistent worker pool; Close releases both the pool and the retained
 // scratch early, and a GC cleanup handles engines that are simply
 // dropped.
@@ -208,15 +150,12 @@ type Engine[R any] struct {
 	window      int // Config.HistoryWindow verbatim (0 = auto)
 	workers     int
 	shardCols   int
-	incremental bool
-	interning   bool
-	columnar    bool
 	termination TerminationMode
 	pool        *pool
 	cleanup     runtime.Cleanup
 	// mu guards the retained cross-run state below. spareG/spareC are the
-	// run scratch reused across Runs when interning is on — one slot per
-	// row representation, so a warm engine's evaluation loop allocates
+	// run scratch reused across Runs — one slot per row representation,
+	// so a warm engine's evaluation loop allocates
 	// (almost) nothing. Plain slots rather than a sync.Pool so the
 	// garbage the run itself no longer produces cannot trigger the GC
 	// into discarding the very scratch that eliminates it. memoAdj is the
@@ -247,9 +186,6 @@ func New[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], cfg Config) *Engi
 	e := &Engine[R]{
 		alg: alg, adj: adj,
 		window: cfg.HistoryWindow, workers: workers, shardCols: shard,
-		incremental: cfg.Incremental != IncOff,
-		interning:   cfg.Interning != InternOff,
-		columnar:    cfg.Columnar != ColOff,
 		termination: cfg.Termination,
 		pool:        newPool(workers - 1),
 	}
@@ -274,7 +210,7 @@ func Run[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], start *matrix.Sta
 	return New(alg, adj, Config{}).Run(start, src)
 }
 
-// incShared is the read-only incremental state a step's tasks consume:
+// incShared is the read-only change-tracking state a step's tasks consume:
 // the last-changed-time matrix and the per-worker scratch bitsets. It is
 // written only between steps, by the serial fold.
 type incShared struct {
@@ -327,11 +263,12 @@ type workerScratch struct {
 }
 
 // rowTask is one unit of sharded work: compute dst[j0:j1] of node i's
-// σ-row from the β-resolved neighbour tables. Tracked tasks (inc != nil)
-// recompute only the columns whose inputs changed since the row's last
-// recomputation, copy prev for the rest, and record the columns whose
-// value moved in chg. Row is the row representation: []R on the
-// interface path, core.Col (packed lanes) on the columnar path.
+// σ-row from the β-resolved neighbour tables. A run's tasks are tracked
+// (inc != nil): they recompute only the columns whose inputs changed
+// since the row's last recomputation, copy prev for the rest, and record
+// the columns whose value moved in chg; Engine.SigmaInto's are not. Row is
+// the row representation: []R on the interface path, core.Col (packed
+// lanes) on the columnar path.
 type rowTask[R, Row any] struct {
 	i, j0, j1 int
 	adj       *matrix.Adjacency[R] // the (possibly memoised) adjacency view; nil on the columnar path
@@ -400,9 +337,9 @@ type rowOps[R, Row any] interface {
 }
 
 // run is the mutable state of one evaluation, generic over the row
-// representation. With interning on, run values are pooled on the engine
-// and every slice below is retained across runs, so a warm run allocates
-// nothing on the hot path. A snapshot — one time step's global state —
+// representation. Run values are pooled on the engine and every slice
+// below is retained across runs, so a warm run allocates nothing on the
+// hot path. A snapshot — one time step's global state —
 // is a []Row of n rows, shared with neighbouring snapshots for every
 // node that did not activate in between, and immutable once published.
 type run[R, Row any] struct {
@@ -416,7 +353,7 @@ type run[R, Row any] struct {
 	hdrSlab  []Row
 	stats    Stats
 
-	// incremental bookkeeping (nil/empty when incremental is off)
+	// change-tracking bookkeeping
 	inc      *incShared
 	lastComp []int32         // time of node's last recomputation, −1 = never
 	lastRead []int32         // lastRead[i·n+k] = β used at i's last recomputation
@@ -528,15 +465,12 @@ func (r *run[R, Row]) at(t, b int) []Row {
 	return r.ring[b%(r.window+1)]
 }
 
-// acquireRun returns a run ready for evaluation: a pooled one (scratch,
-// history ring, row slabs and change-tracking matrices reset and reused)
-// when interning is on, a fresh one otherwise. Keep-everything histories
-// always get fresh backing — they escape into the Result.
+// acquireRun returns a run ready for evaluation: the engine's pooled one
+// (scratch, history ring, row slabs and change-tracking matrices reset
+// and reused) when it is free, a fresh one otherwise. Keep-everything
+// histories always get fresh backing — they escape into the Result.
 func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) *run[R, Row] {
-	var r *run[R, Row]
-	if e.interning {
-		r = ops.takeSpare()
-	}
+	r := ops.takeSpare()
 	if r == nil {
 		r = &run[R, Row]{}
 	}
@@ -555,39 +489,37 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) 
 	} else {
 		r.all = make([][]Row, 0, T+1)
 	}
-	if e.incremental {
-		if r.inc == nil {
-			wper := (n + 63) / 64
-			r.inc = &incShared{
-				n: n, ver: make([]int32, n*n),
-				wordMax: make([]int32, n*wper), wper: wper,
-				rowMax:    make([]int32, n),
-				hist:      make([]uint64, n*histH*wper),
-				histStamp: make([]int32, n*histH),
-				scratch:   make([]workerScratch, e.workers),
-			}
-			for w, b := range matrix.NewBitsets(e.workers, n) {
-				r.inc.scratch[w].cols = b
-			}
-			r.lastComp = make([]int32, n)
-			r.lastRead = make([]int32, n*n)
-			r.chg = matrix.NewBitsets(n, n)
-		} else {
-			clear(r.inc.ver)
-			clear(r.inc.wordMax)
-			clear(r.inc.rowMax)
-			clear(r.inc.histStamp)
-			clear(r.lastRead)
-			r.inc.cells.Store(0)
-			// r.chg is clear: the serial fold clears every set bitset
-			// before the step that set it returns, and scratch is only
-			// ever pooled between steps. hist needs no clearing — stale
-			// slots fail their stamp check.
+	if r.inc == nil {
+		wper := (n + 63) / 64
+		r.inc = &incShared{
+			n: n, ver: make([]int32, n*n),
+			wordMax: make([]int32, n*wper), wper: wper,
+			rowMax:    make([]int32, n),
+			hist:      make([]uint64, n*histH*wper),
+			histStamp: make([]int32, n*histH),
+			scratch:   make([]workerScratch, e.workers),
 		}
-		r.inc.top = 0
-		for i := range r.lastComp {
-			r.lastComp[i] = -1
+		for w, b := range matrix.NewBitsets(e.workers, n) {
+			r.inc.scratch[w].cols = b
 		}
+		r.lastComp = make([]int32, n)
+		r.lastRead = make([]int32, n*n)
+		r.chg = matrix.NewBitsets(n, n)
+	} else {
+		clear(r.inc.ver)
+		clear(r.inc.wordMax)
+		clear(r.inc.rowMax)
+		clear(r.inc.histStamp)
+		clear(r.lastRead)
+		r.inc.cells.Store(0)
+		// r.chg is clear: the serial fold clears every set bitset before
+		// the step that set it returns, and scratch is only ever pooled
+		// between steps. hist needs no clearing — stale slots fail their
+		// stamp check.
+	}
+	r.inc.top = 0
+	for i := range r.lastComp {
+		r.lastComp[i] = -1
 	}
 	if cap(r.actives) < n {
 		r.actives = make([]int, 0, n)
@@ -610,7 +542,7 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) 
 // allocator.
 func (r *run[R, Row]) release() {
 	r.src, r.events, r.marks, r.prev = nil, nil, nil, nil
-	if !r.e.interning || r.window < 0 {
+	if r.window < 0 {
 		return
 	}
 	ops := r.ops
@@ -653,9 +585,9 @@ func (r *run[R, Row]) release() {
 	ops.putSpare(r)
 }
 
-// adjFor returns the adjacency a run evaluates through: when interning
-// is on and the algebra interns its routes (core.EdgeMemoizer), a view
-// whose edges carry memo caches — edge × interned route → result — so
+// adjFor returns the adjacency a run evaluates through: when the algebra
+// interns its routes (core.EdgeMemoizer), a view whose edges carry memo
+// caches — edge × interned route → result — so
 // re-extending an unchanged neighbour route is a map lookup instead of a
 // policy evaluation. The view is retained across runs and rebuilt only
 // when the underlying adjacency's generation moves (the dynamic-topology
@@ -663,9 +595,6 @@ func (r *run[R, Row]) release() {
 // a convergence tail stays a map hit run after run. Close drops it;
 // each cache is bounded by core's memo cap.
 func (e *Engine[R]) adjFor() *matrix.Adjacency[R] {
-	if !e.interning {
-		return e.adj
-	}
 	m, ok := e.alg.(core.EdgeMemoizer[R])
 	if !ok {
 		return e.adj
@@ -695,34 +624,6 @@ func (e *Engine[R]) adjFor() *matrix.Adjacency[R] {
 	return out
 }
 
-// terminationFor resolves whether this run may stop at a certified fixed
-// point, and the source's fairness period when it may.
-func (e *Engine[R]) terminationFor(src Source) (bool, int) {
-	f, fair := src.(Fair)
-	switch e.termination {
-	case TermOff:
-		return false, 0
-	case TermRequire:
-		if !e.incremental {
-			panic("engine: Config.Termination = TermRequire needs incremental evaluation, but Config.Incremental is IncOff")
-		}
-		if !fair {
-			panic(fmt.Sprintf(
-				"engine: Config.Termination = TermRequire needs a source with a fairness contract, but %T does not implement engine.Fair (materialised schedules make no fairness promise; use a lazy Fair source or TermAuto)",
-				src))
-		}
-	default: // TermAuto
-		if !e.incremental || !fair {
-			return false, 0
-		}
-	}
-	p := f.FairPeriod()
-	if p < 1 {
-		panic(fmt.Sprintf("engine: %T.FairPeriod() = %d, want ≥ 1", src, p))
-	}
-	return true, p
-}
-
 // neighbours rebuilds the run's flat in-neighbour lists (r.nbr, r.nbrOff)
 // from the adjacency, and grows the per-activation β scratch to the new
 // maximum degree. Built per run, and again after a timeline mutation,
@@ -744,7 +645,7 @@ func (r *run[R, Row]) neighbours() {
 	}
 	off[n] = int32(len(nbr))
 	r.nbr, r.nbrOff = nbr, off
-	if d := maxDegree(off); r.e.incremental && len(r.betaBuf) < d {
+	if d := maxDegree(off); len(r.betaBuf) < d {
 		r.betaBuf = make([]int, d)
 	}
 }
@@ -757,15 +658,22 @@ func (e *Engine[R]) Run(start *matrix.State[R], src Source) *Result[R] {
 	return e.RunTimeline(start, src, nil)
 }
 
-// planRun resolves the history window and the early-termination plan for
-// one run over src.
+// planRun resolves the history window for one run over src, whether the
+// run may stop at a certified fixed point, and the source's fairness
+// period when it may.
 func (e *Engine[R]) planRun(src Source) (window int, doTerm bool, fairP int) {
-	doTerm, fairP = e.terminationFor(src)
+	f, fair := src.(Fair)
+	if fair && e.termination != TermOff {
+		if fairP = f.FairPeriod(); fairP < 1 {
+			panic(fmt.Sprintf("engine: %T.FairPeriod() = %d, want ≥ 1", src, fairP))
+		}
+		doTerm = true
+	}
 	window = e.window
 	if window == 0 {
 		if b, ok := src.(Bounded); ok {
 			window = b.MaxLookback()
-		} else if f, ok := src.(Fair); ok {
+		} else if fair {
 			// Fair promises β ≥ t − P, so a period's worth of history is
 			// always enough — a Fair source need not also spell out
 			// Bounded to get a bounded ring (and to keep TermAuto alive,
@@ -775,10 +683,10 @@ func (e *Engine[R]) planRun(src Source) (window int, doTerm bool, fairP int) {
 			window = KeepAll
 		}
 	}
-	if window < 0 && e.termination == TermAuto {
+	if window < 0 {
 		// A keep-everything run is for replaying or analysing the whole
-		// horizon; cutting it short under TermAuto would silently truncate
-		// the history the caller asked to retain. TermRequire overrides.
+		// horizon; cutting it short would silently truncate the history
+		// the caller asked to retain.
 		doTerm = false
 	}
 	return window, doTerm, fairP
@@ -840,7 +748,7 @@ func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events [
 	r.adj = ops.adjFor()
 	// loArena backs the per-task threshold slices of one step; sized to
 	// the edge count, it never grows within a step.
-	if e.incremental && cap(r.loArena) < len(r.nbr) {
+	if cap(r.loArena) < len(r.nbr) {
 		r.loArena = make([]int32, 0, len(r.nbr))
 	}
 	if doTerm {
@@ -861,19 +769,17 @@ func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events [
 		r.load(0, start)
 	} else {
 		// Resume: repopulate the history ring from the snapshot's
-		// materialised states, restore the exact incremental matrices, and
+		// materialised states, restore the exact change-tracking matrices, and
 		// rebuild the derived dirty summaries from them. From here the run
 		// proceeds from step rs.Step+1 exactly as the uninterrupted one did.
 		r.t = rs.Step
 		for idx, st := range rs.States {
 			r.load(rs.Step-len(rs.States)+1+idx, st)
 		}
-		if e.incremental {
-			copy(r.inc.ver, rs.Ver)
-			copy(r.lastComp, rs.LastComp)
-			copy(r.lastRead, rs.LastRead)
-			rebuildIncSummaries(r.inc, rs.Step)
-		}
+		copy(r.inc.ver, rs.Ver)
+		copy(r.lastComp, rs.LastComp)
+		copy(r.lastRead, rs.LastRead)
+		rebuildIncSummaries(r.inc, rs.Step)
 		r.stats = rs.Stats
 		if doTerm {
 			// The generation counter restarts at 1, but only membership
@@ -905,7 +811,7 @@ func (r *run[R, Row]) step(until int) bool {
 		return r.converged || r.t >= r.T
 	}
 	e, ops, src, n := r.e, r.ops, r.src, r.n
-	incremental, doTerm := e.incremental, r.doTerm
+	doTerm := r.doTerm
 	nbr, nbrOff, tabs, betaBuf, certStmp := r.nbr, r.nbrOff, r.tabs, r.betaBuf, r.certStmp
 	actives, tasks := r.actives[:0], r.tasks
 	// pendRows/pendLo collect the rows that survive the skip pass; tasks
@@ -913,7 +819,7 @@ func (r *run[R, Row]) step(until int) bool {
 	// rows actually computing, not the raw active count (in a convergence
 	// tail most activations skip, and sharding over the survivors is what
 	// keeps the pool busy). pendLo is the row's offset into loArena, −1
-	// for a full (first-activation or non-incremental) recomputation.
+	// for a full (first-activation) recomputation.
 	pendRows, pendLo, loArena := r.pendRows[:0], r.pendLo[:0], r.loArena[:0]
 	actMinB, actNodes := r.actMinB[:0], r.actNodes[:0]
 	prev, lastChange, certGen, nCert := r.prev, r.lastChange, r.certGen, r.nCert
@@ -957,11 +863,8 @@ func (r *run[R, Row]) step(until int) bool {
 			cur := r.newHeader(n)
 			copy(cur, prev)
 			if len(ev.Restart) > 0 {
-				var prevSnap *matrix.State[R]
+				prevSnap := ops.materialise(prev)
 				var scratch []R
-				if incremental {
-					prevSnap = ops.materialise(prev)
-				}
 				for _, i := range ev.Restart {
 					if scratch == nil {
 						scratch = make([]R, n)
@@ -973,17 +876,15 @@ func (r *run[R, Row]) step(until int) bool {
 					row := r.newRow(n)
 					ops.encodeRow(row, scratch)
 					cur[i] = row
-					if incremental {
-						old := prevSnap.RowView(i)
-						chgI := &r.chg[i]
-						for j := 0; j < n; j++ {
-							if !e.alg.Equal(scratch[j], old[j]) {
-								chgI.Set(j)
-							}
+					old := prevSnap.RowView(i)
+					chgI := &r.chg[i]
+					for j := 0; j < n; j++ {
+						if !e.alg.Equal(scratch[j], old[j]) {
+							chgI.Set(j)
 						}
-						r.foldRowChanges(i, t)
-						r.lastComp[i] = -1
 					}
+					r.foldRowChanges(i, t)
+					r.lastComp[i] = -1
 				}
 			}
 			if ev.Mutate != nil {
@@ -995,24 +896,20 @@ func (r *run[R, Row]) step(until int) bool {
 				r.neighbours()
 				nbr, nbrOff, betaBuf = r.nbr, r.nbrOff, r.betaBuf
 				r.adj = ops.adjFor()
-				if incremental {
-					if ev.Rows == nil {
-						for i := range r.lastComp {
-							r.lastComp[i] = -1
-						}
-					} else {
-						for _, i := range ev.Rows {
-							r.lastComp[i] = -1
-						}
+				if ev.Rows == nil {
+					for i := range r.lastComp {
+						r.lastComp[i] = -1
+					}
+				} else {
+					for _, i := range ev.Rows {
+						r.lastComp[i] = -1
 					}
 				}
 			}
-			if incremental {
-				for _, i := range ev.Invalidate {
-					r.lastComp[i] = -1
-				}
-				r.inc.top = int32(t)
+			for _, i := range ev.Invalidate {
+				r.lastComp[i] = -1
 			}
+			r.inc.top = int32(t)
 			r.put(t, cur)
 			prev = cur
 			r.marks = append(r.marks, ops.materialise(cur))
@@ -1042,7 +939,7 @@ func (r *run[R, Row]) step(until int) bool {
 			for _, i := range actives {
 				nb := nbr[nbrOff[i]:nbrOff[i+1]]
 				minB := t
-				if incremental && r.lastComp[i] >= 0 {
+				if r.lastComp[i] >= 0 {
 					// The node has a previous row. Decide in O(deg) whether
 					// any β-resolved input changed since it was computed;
 					// if not, the row is structurally unchanged — skip it.
@@ -1094,9 +991,8 @@ func (r *run[R, Row]) step(until int) bool {
 						stepOps += n * (len(nb) + 1) // dirty scan; the kernel may touch far fewer cells
 					}
 				} else {
-					// Full recomputation: the non-incremental path, and a
-					// node's first activation (nothing to reuse yet). In
-					// incremental mode the full kernel still tracks changes
+					// Full recomputation: the node's first activation (nothing
+					// to reuse yet). The full kernel still tracks changes
 					// against the node's starting row, so ConvergedAt and
 					// FixedPoint round counts stay exact.
 					tb := tabs[i]
@@ -1111,19 +1007,13 @@ func (r *run[R, Row]) step(until int) bool {
 							minB = b
 						}
 						tb[k] = r.at(t, b)[k]
-						if incremental {
-							r.lastRead[i*n+k] = int32(b)
-						}
+						r.lastRead[i*n+k] = int32(b)
 					}
+					r.lastComp[i] = int32(t)
 					cur[i] = r.newRow(n)
 					pendRows = append(pendRows, int32(i))
 					pendLo = append(pendLo, -1)
 					stepOps += n * n
-					if incremental {
-						r.lastComp[i] = int32(t)
-					} else {
-						r.stats.CellsComputed += n
-					}
 				}
 				if doTerm {
 					actNodes = append(actNodes, int32(i))
@@ -1136,27 +1026,15 @@ func (r *run[R, Row]) step(until int) bool {
 				for pi, i32 := range pendRows {
 					i := int(i32)
 					nb := nbr[nbrOff[i]:nbrOff[i+1]]
-					tb := tabs[i]
-					dst := cur[i]
-					var (
-						incp    *incShared
-						prevRow Row
-						lo      []int32
-						chgI    *matrix.Bitset
-					)
-					if incremental {
-						incp = r.inc
-						prevRow = prev[i]
-						chgI = &r.chg[i]
-						if off := int(pendLo[pi]); off >= 0 {
-							lo = loArena[off : off+len(nb) : off+len(nb)]
-						}
+					var lo []int32
+					if off := int(pendLo[pi]); off >= 0 {
+						lo = loArena[off : off+len(nb) : off+len(nb)]
 					}
 					for s := 0; s < shards; s++ {
 						tasks = append(tasks, rowTask[R, Row]{
 							i: i, j0: s * n / shards, j1: (s + 1) * n / shards,
-							adj: r.adj, tabs: tb, dst: dst,
-							inc: incp, prev: prevRow, nbr: nb, lo: lo, chg: chgI,
+							adj: r.adj, tabs: tabs[i], dst: cur[i],
+							inc: r.inc, prev: prev[i], nbr: nb, lo: lo, chg: &r.chg[i],
 						})
 					}
 				}
@@ -1168,14 +1046,12 @@ func (r *run[R, Row]) step(until int) bool {
 			// Serial fold: publish this step's changed-destination sets
 			// into the last-changed matrix, the change-mask ring, and the
 			// global dirty frontier.
-			if incremental {
-				for _, fi := range pendRows {
-					if r.foldRowChanges(int(fi), t) {
-						stepChanged = true
-					}
+			for _, fi := range pendRows {
+				if r.foldRowChanges(int(fi), t) {
+					stepChanged = true
 				}
-				r.inc.top = int32(t)
 			}
+			r.inc.top = int32(t)
 		}
 		r.put(t, cur)
 		prev = cur
@@ -1239,9 +1115,7 @@ func (r *run[R, Row]) settled() bool {
 func (r *run[R, Row]) statsNow() Stats {
 	st := r.stats
 	st.Steps = r.t
-	if r.e.incremental {
-		st.CellsComputed += int(r.inc.cells.Load())
-	}
+	st.CellsComputed += int(r.inc.cells.Load())
 	st.ConvergedAt = -1
 	if r.converged {
 		st.ConvergedAt = r.lastChange
@@ -1539,16 +1413,15 @@ func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 // sharded counterpart of matrix.FixedPoint. It returns the final state,
 // the number of rounds applied, and whether a fixed point was reached.
 //
-// With incremental evaluation on (the default) it runs δ under the
-// Synchronous source and lets convergence certification stop the
-// iteration — each round recomputes only the cells whose inputs changed,
-// so the detection that used to cost an extra O(n²) Equal sweep per round
-// is free, and the total cost is output-sensitive.
+// It runs δ under the Synchronous source and lets convergence
+// certification stop the iteration — each round recomputes only the cells
+// whose inputs changed, so detection costs no extra O(n²) Equal sweep per
+// round and the total cost is output-sensitive.
 func (e *Engine[R]) FixedPoint(start *matrix.State[R], maxRounds int) (*matrix.State[R], int, bool) {
-	if e.incremental && e.termination != TermOff && e.window >= 0 {
+	if e.termination != TermOff && e.window >= 0 {
 		// These conditions guarantee the run can certify: Synchronous is
-		// Fair and the window stays bounded, so TermAuto/TermRequire
-		// terminate at the fixed point. Configs that suppress
+		// Fair and the window stays bounded, so TermAuto terminates at the
+		// fixed point. Configs that suppress
 		// certification (TermOff, explicit KeepAll) take the explicit
 		// Equal-sweep loop below instead of silently reporting failure.
 		res := e.Run(start, Synchronous{N: e.adj.N, T: maxRounds})

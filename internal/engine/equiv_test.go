@@ -139,6 +139,9 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 			if bounded.Retained() {
 				t.Fatal("auto mode over a Bounded source must not retain full history")
 			}
+			if _, ok := bounded.Converged(); ok || bounded.Stats().Steps != sched.T {
+				t.Fatalf("a schedule with no fairness contract must run to the horizon %d, stopped at %d", sched.T, bounded.Stats().Steps)
+			}
 		}
 	})
 

@@ -97,7 +97,7 @@ func marchEveryStep[R any](t *testing.T, p pauseNet[R], src engine.Source, event
 	T := src.Horizon()
 	eng := engine.New(p.alg, p.adj.Clone(), engine.Config{Termination: engine.TermOff})
 	defer eng.Close()
-	st := eng.Start(matrix.Identity(p.alg, p.adj.N), src, events)
+	st := mustStart(t, eng, matrix.Identity(p.alg, p.adj.N), src, events)
 	m := marchTrace[R]{stats: make([]engine.Stats, T+1), states: make([]*matrix.State[R], T+1)}
 	for k := 1; k <= T; k++ {
 		st.Step(k)
@@ -118,7 +118,7 @@ func jumpAgainstMarch[R any](t *testing.T, label string, p pauseNet[R], src engi
 	events []engine.TimelineEvent[R], m marchTrace[R]) *engine.Result[R] {
 	eng := engine.New(p.alg, p.adj.Clone(), engine.Config{})
 	defer eng.Close()
-	st := eng.Start(matrix.Identity(p.alg, p.adj.N), src, events)
+	st := mustStart(t, eng, matrix.Identity(p.alg, p.adj.N), src, events)
 	for _, ev := range events {
 		if st.Step(ev.Step-1) || st.At() != ev.Step-1 {
 			t.Fatalf("%s: Step(%d) finished or stopped at %d", label, ev.Step-1, st.At())
@@ -210,7 +210,7 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 	for k := 1; k < fullSteps; k++ {
 		kl := fmt.Sprintf("%s k=%d", name, k)
 		eng := engine.New(p.alg, p.adj.Clone(), engine.Config{})
-		st := eng.Start(start, hashed, events)
+		st := mustStart(t, eng, start, hashed, events)
 		if st.Step(k) || st.At() != k {
 			t.Fatalf("%s: Step(k) finished or stopped at %d", kl, st.At())
 		}
@@ -291,7 +291,7 @@ func TestInterludeJumpCost(t *testing.T) {
 	} {
 		eng := engine.New(alg, adj.Clone(), engine.Config{})
 		p := &probe{Source: c.src}
-		st := eng.Start(start, p, events)
+		st := mustStart(t, eng, start, p, events)
 		st.Step(settle)
 		asked, counted := p.active+p.beta, p.counted
 		if st.Step(settle+gap-1) || st.At() != settle+gap-1 {
@@ -318,7 +318,7 @@ func TestInterludeJumpCost(t *testing.T) {
 	eng := engine.New(alg, adj.Clone(), engine.Config{})
 	defer eng.Close()
 	p := &probe{Source: engine.Hashed{N: n, T: T, Seed: 3, MaxGap: 6, MaxStaleness: 5}}
-	st := eng.Start(start, p, events)
+	st := mustStart(t, eng, start, p, events)
 	defer st.Close()
 	st.Step(settle)
 	betas, counted, until := p.beta, p.counted, settle
@@ -355,7 +355,7 @@ func TestInterludeJumpWaitsForSettledRows(t *testing.T) {
 			src := engine.Hashed{N: n, T: 160, Seed: seed, MaxGap: 3, MaxStaleness: stale, ActivationProbMille: 300}
 			march := engine.New(alg, adj.Clone(), engine.Config{Termination: engine.TermOff})
 			jump := engine.New(alg, adj.Clone(), engine.Config{})
-			ms, js := march.Start(start, src, events), jump.Start(start, src, events)
+			ms, js := mustStart(t, march, start, src, events), mustStart(t, jump, start, src, events)
 			for _, k := range []int{39, 79, 119, 125} {
 				ms.Step(k)
 				js.Step(k)

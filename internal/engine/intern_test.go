@@ -16,12 +16,11 @@ import (
 )
 
 // The interning equivalence contract: evaluating over the hash-consed
-// route carriers — with the engine's interning fast paths (pooled
-// scratch, O(1) equality, per-edge memo caches) engaged — must be
-// indistinguishable, cell for cell after materialising the path ids,
-// from the literal clone-everything reference evaluator over the
-// reference carriers. Every configuration axis crosses: incremental ×
-// interning × column sharding.
+// route carriers — with the engine's pooled scratch, O(1) equality and
+// per-edge memo caches engaged — must be indistinguishable, cell for cell
+// after materialising the path ids, from the literal clone-everything
+// reference evaluator over the reference carriers, with and without
+// column sharding.
 
 // internNet packages one base algebra lifted both ways.
 type internNet[B comparable] struct {
@@ -63,10 +62,7 @@ func runInternEquiv[B comparable](t *testing.T, net internNet[B]) {
 			conf  engine.Config
 		}{
 			{"interned", engine.Config{}},
-			{"interned-nonincremental", engine.Config{Incremental: engine.IncOff}},
 			{"interned-sharded", engine.Config{Workers: 8, ShardColumns: 1}},
-			{"intern-off", engine.Config{Interning: engine.InternOff}},
-			{"intern-off-sharded", engine.Config{Interning: engine.InternOff, Workers: 8, ShardColumns: 1}},
 		} {
 			eng := engine.New[RI](net.in, net.adjI, cfg.conf)
 			// Two runs on one engine: the second consumes the pooled
@@ -90,8 +86,8 @@ func runInternEquiv[B comparable](t *testing.T, net internNet[B]) {
 	}
 }
 
-// statsEqual compares the counters that must not depend on the interning
-// configuration.
+// statsEqual compares the counters that must not depend on the row
+// representation, the memo caches or the scratch a run inherited.
 func statsEqual(t *testing.T, label string, a, b engine.Stats) {
 	t.Helper()
 	if a.Steps != b.Steps || a.RowsComputed != b.RowsComputed ||
@@ -128,9 +124,10 @@ func TestInternedEngineEquivalence(t *testing.T) {
 }
 
 // TestInternToggleIsBitIdentical runs the interned carrier under a lazy
-// fair source with interning on and off, on fresh and warm engines, and
-// requires identical final states, identical work counters and the same
-// certified convergence time — the -intern A/B contract.
+// fair source on fresh and warm engines, against the same algebra with
+// its interning capabilities (O(1) equality, edge memoisation, packing)
+// hidden, and requires identical final states, identical work counters
+// and the same certified convergence time.
 func TestInternToggleIsBitIdentical(t *testing.T) {
 	alg, baseAdj, _ := hopNet()
 	net := liftBoth("hopcount", alg, baseAdj)
@@ -141,15 +138,15 @@ func TestInternToggleIsBitIdentical(t *testing.T) {
 
 	on := engine.New[RI](net.in, net.adjI, engine.Config{})
 	defer on.Close()
-	off := engine.New[RI](net.in, net.adjI, engine.Config{Interning: engine.InternOff})
+	off := engine.New[RI](unpacked[RI]{net.in}, net.adjI, engine.Config{})
 	defer off.Close()
 
 	resOff := off.Run(start, src)
 	var prev *engine.Result[RI]
 	for rep := 0; rep < 3; rep++ { // rep ≥ 1 reuses pooled scratch
 		res := on.Run(start, src)
-		identicalStates(t, fmt.Sprintf("intern on vs off (rep %d)", rep), res.Final(), resOff.Final())
-		statsEqual(t, "intern on vs off", res.Stats(), resOff.Stats())
+		identicalStates(t, fmt.Sprintf("interning capabilities on vs hidden (rep %d)", rep), res.Final(), resOff.Final())
+		statsEqual(t, "interning capabilities on vs hidden", res.Stats(), resOff.Stats())
 		if prev != nil {
 			statsEqual(t, "warm vs cold", res.Stats(), prev.Stats())
 		}

@@ -77,7 +77,7 @@ func TestObserveRuns(t *testing.T) {
 
 	// A stepped run observes exactly once, in Result, with the same
 	// Stats the one-call run reported.
-	st := eng.Start(start, src, nil)
+	st := mustStart(t, eng, start, src, nil)
 	steps := 0
 	for k := 1; !st.Step(k); k++ {
 		steps++
@@ -96,7 +96,7 @@ func TestObserveRuns(t *testing.T) {
 	}
 
 	// An abandoned run is not a completion.
-	st = eng.Start(start, src, nil)
+	st = mustStart(t, eng, start, src, nil)
 	st.Step(3)
 	st.Close()
 	if count() != 4 {

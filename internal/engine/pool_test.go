@@ -49,13 +49,13 @@ func TestCloseDuringRun(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	for trial := 0; trial < 4; trial++ {
 		eng := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 4})
-		st := eng.Start(start, src, nil)
+		st := mustStart(t, eng, start, src, nil)
 		st.Step(2 + trial%3)
 		st.Close()
 		st.Close() // idempotent
 		identicalStates(t, "run after Stepper.Close", eng.Run(start, src).Final(), want)
 
-		st = eng.Start(start, src, nil)
+		st = mustStart(t, eng, start, src, nil)
 		st.Step(3)
 		eng.Close() // under the paused stepper
 		if !st.Step(src.T) {
@@ -65,7 +65,7 @@ func TestCloseDuringRun(t *testing.T) {
 		identicalStates(t, "run after Engine.Close", eng.Run(start, src).Final(), want)
 
 		eng = engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 4})
-		st = eng.Start(start, src, nil)
+		st = mustStart(t, eng, start, src, nil)
 		st.Step(3)
 		eng.Close()
 		st.Close() // abandoned on a closed engine
@@ -103,7 +103,11 @@ func TestParallelStepsDoNotAllocate(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := eng.Start(start, src, nil)
+			st, err := eng.Start(start, src, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for k := 1; !st.Step(k); k++ {
 			}
 			if got := st.Result().Final(); !got.Equal(alg, want.Final()) {

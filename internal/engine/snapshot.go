@@ -9,7 +9,7 @@ import (
 
 // Snapshot is the complete resumable state of a bounded-window run right
 // after some step k: the resident history ring (materialised), the exact
-// incremental matrices (last-changed, last-recomputation, last-read),
+// change-tracking matrices (last-changed, last-recomputation, last-read),
 // the convergence-certification state, and the run counters. Restore
 // rebuilds a run from it and continues at step k+1; the continuation is
 // bit-identical — in cells and in the work counters — to the run that
@@ -26,8 +26,7 @@ import (
 // (seed, t, i, k), so resuming at step k+1 needs nothing beyond Step.
 // Restore must be given a source equal to the one the snapshot was taken
 // under; it validates everything it can observe (node count, window,
-// incremental and certification modes) and trusts the caller for the
-// rest.
+// certification mode) and trusts the caller for the rest.
 type Snapshot[R any] struct {
 	// N is the node count; Step the last completed step; Window the
 	// history ring depth the run was using.
@@ -35,15 +34,13 @@ type Snapshot[R any] struct {
 	// States are the resident ring states, oldest first; the last entry
 	// is δ^Step(X). len(States) = min(Step, Window) + 1.
 	States []*matrix.State[R]
-	// Incremental reports whether the run tracked changes; the three
-	// matrices below are nil otherwise. Ver is the last-changed matrix
-	// (ver[k·n+j] = time node k's route to j last changed), LastComp the
-	// per-node last-recomputation times (−1 = never), LastRead the β each
-	// node used at its last recomputation.
-	Incremental bool
-	Ver         []int32
-	LastComp    []int32
-	LastRead    []int32
+	// Ver is the last-changed matrix (ver[k·n+j] = time node k's route to
+	// j last changed), LastComp the per-node last-recomputation times
+	// (−1 = never), LastRead the β each node used at its last
+	// recomputation.
+	Ver      []int32
+	LastComp []int32
+	LastRead []int32
 	// Certified, non-nil exactly when the run was certifying convergence
 	// (a Fair source with termination on), marks the nodes certified in
 	// the current generation; LastChange is the last step the state
@@ -83,17 +80,13 @@ func (s *Snapshot[R]) validate() error {
 			return fmt.Errorf("engine: snapshot state %d malformed", i)
 		}
 	}
-	if s.Incremental {
-		if len(s.Ver) != s.N*s.N || len(s.LastRead) != s.N*s.N || len(s.LastComp) != s.N {
-			return fmt.Errorf("engine: snapshot incremental matrices have wrong shape")
+	if len(s.Ver) != s.N*s.N || len(s.LastRead) != s.N*s.N || len(s.LastComp) != s.N {
+		return fmt.Errorf("engine: snapshot change-tracking matrices have wrong shape")
+	}
+	for j, v := range s.Ver {
+		if int(v) > s.Step || v < 0 {
+			return fmt.Errorf("engine: snapshot ver[%d]=%d outside [0, %d]", j, v, s.Step)
 		}
-		for j, v := range s.Ver {
-			if int(v) > s.Step || v < 0 {
-				return fmt.Errorf("engine: snapshot ver[%d]=%d outside [0, %d]", j, v, s.Step)
-			}
-		}
-	} else if s.Ver != nil || s.LastComp != nil || s.LastRead != nil {
-		return fmt.Errorf("engine: snapshot carries incremental matrices but is not incremental")
 	}
 	if s.Certified != nil && len(s.Certified) != s.N {
 		return fmt.Errorf("engine: snapshot certification state has wrong shape")
@@ -122,12 +115,9 @@ func (r *run[R, Row]) snapshot() (*Snapshot[R], error) {
 	for b := max(t-r.window, 0); b <= t; b++ {
 		s.States = append(s.States, r.ops.materialise(r.ring[b%(r.window+1)]))
 	}
-	if r.e.incremental {
-		s.Incremental = true
-		s.Ver = append([]int32(nil), r.inc.ver...)
-		s.LastComp = append([]int32(nil), r.lastComp...)
-		s.LastRead = append([]int32(nil), r.lastRead...)
-	}
+	s.Ver = append([]int32(nil), r.inc.ver...)
+	s.LastComp = append([]int32(nil), r.lastComp...)
+	s.LastRead = append([]int32(nil), r.lastRead...)
 	if r.doTerm {
 		s.Certified = make([]bool, r.n)
 		for i := range s.Certified {
@@ -200,7 +190,10 @@ func (e *Engine[R]) RunSnapshot(start *matrix.State[R], src Source, at int, halt
 	if T := src.Horizon(); at < 1 || at > T {
 		panic(fmt.Sprintf("engine: snapshot step %d outside [1, %d]", at, T))
 	}
-	st := e.Start(start, src, nil)
+	st, err := e.Start(start, src, nil)
+	if err != nil {
+		panic(err.Error())
+	}
 	st.Step(at)
 	if st.Stats().ConvergedAt >= 0 {
 		return st.Result(), nil

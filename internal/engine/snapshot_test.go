@@ -45,43 +45,35 @@ func runSnapshotDifferential[R any](t *testing.T, name string, alg core.Algebra[
 		sched := schedule.Random(rng, n, T, schedule.Options{MaxGap: 6, MaxStaleness: 5})
 		ref := async.RunReference(alg, adj, start, sched)
 
-		for _, cfg := range []struct {
-			label string
-			conf  engine.Config
-		}{
-			{"incremental", engine.Config{}},
-			{"full", engine.Config{Incremental: engine.IncOff}},
-		} {
-			eng := engine.New(alg, adj, cfg.conf)
-			ks := map[int]bool{1: true, 2: true, T / 2: true, T - 1: true, T: true}
-			for len(ks) < 12 {
-				ks[1+rng.Intn(T)] = true
-			}
-			for k := range ks {
-				label := fmt.Sprintf("%s/%s trial %d k=%d", name, cfg.label, trial, k)
-				full, snap := eng.RunSnapshot(start, sched, k, false)
-				if snap == nil {
-					t.Fatalf("%s: no snapshot captured", label)
-				}
-				identicalStates(t, label+" uninterrupted final", full.Final(), ref[T])
-				identicalStates(t, label+" snapshot state", snap.States[len(snap.States)-1], ref[k])
-
-				resumed, err := eng.Restore(snap, sched)
-				if err != nil {
-					t.Fatalf("%s: restore: %v", label, err)
-				}
-				identicalStates(t, label+" resumed final", resumed.Final(), full.Final())
-				statsMatch(t, label, resumed.Stats(), full.Stats())
-
-				// The preemption form: halting at k must leave exactly δᵏ(X).
-				halted, hsnap := eng.RunSnapshot(start, sched, k, true)
-				identicalStates(t, label+" halted final", halted.Final(), ref[k])
-				if hsnap == nil || hsnap.Step != k {
-					t.Fatalf("%s: halted run lost its snapshot", label)
-				}
-			}
-			eng.Close()
+		eng := engine.New(alg, adj, engine.Config{})
+		ks := map[int]bool{1: true, 2: true, T / 2: true, T - 1: true, T: true}
+		for len(ks) < 12 {
+			ks[1+rng.Intn(T)] = true
 		}
+		for k := range ks {
+			label := fmt.Sprintf("%s trial %d k=%d", name, trial, k)
+			full, snap := eng.RunSnapshot(start, sched, k, false)
+			if snap == nil {
+				t.Fatalf("%s: no snapshot captured", label)
+			}
+			identicalStates(t, label+" uninterrupted final", full.Final(), ref[T])
+			identicalStates(t, label+" snapshot state", snap.States[len(snap.States)-1], ref[k])
+
+			resumed, err := eng.Restore(snap, sched)
+			if err != nil {
+				t.Fatalf("%s: restore: %v", label, err)
+			}
+			identicalStates(t, label+" resumed final", resumed.Final(), full.Final())
+			statsMatch(t, label, resumed.Stats(), full.Stats())
+
+			// The preemption form: halting at k must leave exactly δᵏ(X).
+			halted, hsnap := eng.RunSnapshot(start, sched, k, true)
+			identicalStates(t, label+" halted final", halted.Final(), ref[k])
+			if hsnap == nil || hsnap.Step != k {
+				t.Fatalf("%s: halted run lost its snapshot", label)
+			}
+		}
+		eng.Close()
 	}
 }
 
@@ -159,12 +151,6 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	eng := engine.New(alg, adj, engine.Config{})
 	defer eng.Close()
 	_, snap := eng.RunSnapshot(start, sched, 20, true)
-
-	off := engine.New(alg, adj, engine.Config{Incremental: engine.IncOff})
-	defer off.Close()
-	if _, err := off.Restore(snap, sched); err == nil {
-		t.Fatal("restore accepted an incremental snapshot on a non-incremental engine")
-	}
 
 	short := schedule.Random(rng, n, 10, schedule.Options{MaxGap: 6, MaxStaleness: 5})
 	if _, err := eng.Restore(snap, short); err == nil {

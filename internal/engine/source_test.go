@@ -1,8 +1,6 @@
 package engine_test
 
 import (
-	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/algebras"
@@ -12,9 +10,8 @@ import (
 )
 
 // The schedule-source laws: lazy sources must be pure functions of their
-// parameters, Fair sources must honour the contract their FairPeriod
-// advertises, and requesting early termination from a source with no
-// fairness promise must fail loudly, not silently run to the horizon.
+// parameters, and Fair sources must honour the contract their FairPeriod
+// advertises.
 
 // TestHashedDeterministic: Hashed is a pure function of (Seed, t, i, k) —
 // two values with equal parameters must agree on every activation and β,
@@ -97,39 +94,6 @@ func TestFairContracts(t *testing.T) {
 	if p := schedule.RoundRobin(7, 120).Fairness(); p != 7 {
 		t.Fatalf("schedule.RoundRobin(7).Fairness() = %d, want 7", p)
 	}
-}
-
-// TestTermRequireNonFairPanics: a materialised schedule makes no fairness
-// promise, so demanding early termination from one must panic with a
-// message that names the missing contract.
-func TestTermRequireNonFairPanics(t *testing.T) {
-	alg, adj, _ := hopNet()
-	sched := schedule.Random(rand.New(rand.NewSource(1)), adj.N, 50, schedule.Options{MaxGap: 8, MaxStaleness: 4})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("TermRequire with a non-Fair source must panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "Fair") {
-			t.Fatalf("panic message %v does not name the Fair contract", r)
-		}
-	}()
-	engine.New[algebras.NatInf](alg, adj, engine.Config{Termination: engine.TermRequire}).
-		Run(matrix.Identity[algebras.NatInf](alg, adj.N), sched)
-}
-
-// TestTermRequireNeedsIncremental: early termination rides on the dirty
-// frontier, so requiring it with incremental evaluation disabled is a
-// configuration error.
-func TestTermRequireNeedsIncremental(t *testing.T) {
-	alg, adj, _ := hopNet()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TermRequire with IncOff must panic")
-		}
-	}()
-	engine.New[algebras.NatInf](alg, adj, engine.Config{Incremental: engine.IncOff, Termination: engine.TermRequire}).
-		Run(matrix.Identity[algebras.NatInf](alg, adj.N), engine.Synchronous{N: adj.N, T: 10})
 }
 
 // sumActive is the definition CountActive must equal.

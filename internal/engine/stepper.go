@@ -102,21 +102,17 @@ func (s *Stepper[R]) Close() {
 // activations it skips, in time that does not grow with the gap when the
 // source counts in closed form (Counting).
 //
-// Like Run, Start panics on a contract violation: a source or timeline
-// that does not fit the engine's topology.
-func (e *Engine[R]) Start(start *matrix.State[R], src Source, events []TimelineEvent[R]) *Stepper[R] {
-	s, err := e.begin(start, nil, src, events)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
+// A source or timeline that does not fit the engine's topology is
+// returned as an error, as from Resume.
+func (e *Engine[R]) Start(start *matrix.State[R], src Source, events []TimelineEvent[R]) (*Stepper[R], error) {
+	return e.begin(start, nil, src, events)
 }
 
 // Resume rebuilds a run from snap and returns it paused right after step
 // snap.Step. src must describe the schedule the snapshot was taken under
 // (for the lazy sources, equal parameters; for a materialised schedule,
 // the same recording), and the engine must be over the same algebra and
-// incremental/termination configuration, on the topology as it stood at
+// termination configuration, on the topology as it stood at
 // snap.Step: the caller replays the mutations of already-fired events
 // onto the instance first and passes only the events still to fire.
 // Everything observable is validated and returned as an error — a
@@ -144,8 +140,6 @@ func (e *Engine[R]) begin(start *matrix.State[R], rs *Snapshot[R], src Source, e
 			return nil, fmt.Errorf("engine: snapshot has %d nodes but source has %d", rs.N, n)
 		case rs.Window != window:
 			return nil, fmt.Errorf("engine: snapshot window %d but this run resolves window %d", rs.Window, window)
-		case rs.Incremental != e.incremental:
-			return nil, fmt.Errorf("engine: snapshot incremental=%v but engine incremental=%v", rs.Incremental, e.incremental)
 		case doTerm != (rs.Certified != nil):
 			return nil, fmt.Errorf("engine: snapshot certifying=%v but this run certifying=%v", rs.Certified != nil, doTerm)
 		case rs.Step > T:
@@ -155,7 +149,7 @@ func (e *Engine[R]) begin(start *matrix.State[R], rs *Snapshot[R], src Source, e
 				events[0].Step, rs.Step)
 		}
 	}
-	if len(events) == 0 && window >= 0 && e.interning && e.columnar {
+	if len(events) == 0 && window >= 0 {
 		// Keep-everything runs stay on the interface path too: their
 		// history escapes into the Result, which hands out []R rows.
 		if cs := e.columnarFor(); cs != nil {

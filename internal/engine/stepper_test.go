@@ -43,6 +43,17 @@ func flapEvents(alg algebras.HopCount) []engine.TimelineEvent[algebras.NatInf] {
 	}
 }
 
+// mustStart is Start for a source and timeline the test knows to fit the
+// engine.
+func mustStart[R any](t *testing.T, eng *engine.Engine[R], start *matrix.State[R], src engine.Source, events []engine.TimelineEvent[R]) *engine.Stepper[R] {
+	t.Helper()
+	st, err := eng.Start(start, src, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // remainingEvents returns the suffix of events strictly after step.
 func remainingEvents[R any](events []engine.TimelineEvent[R], step int) []engine.TimelineEvent[R] {
 	i := 0
@@ -88,66 +99,58 @@ func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
 	src := engine.Hashed{N: n, T: T, Seed: 23, MaxGap: 6, MaxStaleness: 5}
 	start := matrix.Identity[algebras.NatInf](alg, n)
 
-	for _, cfg := range []struct {
-		label string
-		conf  engine.Config
-	}{
-		{"incremental", engine.Config{}},
-		{"full", engine.Config{Incremental: engine.IncOff}},
-	} {
-		for _, quantum := range []int{7, 17, 50} {
-			label := fmt.Sprintf("%s quantum=%d", cfg.label, quantum)
+	for _, quantum := range []int{7, 17, 50} {
+		label := fmt.Sprintf("quantum=%d", quantum)
 
-			// The uninterrupted run.
-			_, fullAdj := meshNet()
-			fullEng := engine.New(alg, fullAdj, cfg.conf)
-			full := fullEng.RunTimeline(start, src, events)
-			fullEng.Close()
+		// The uninterrupted run.
+		_, fullAdj := meshNet()
+		fullEng := engine.New(alg, fullAdj, engine.Config{})
+		full := fullEng.RunTimeline(start, src, events)
+		fullEng.Close()
 
-			// In-process preemption: one engine, one stepper, sliced; the
-			// adjacency accumulates the events' mutations as they play.
-			_, adj := meshNet()
-			eng := engine.New(alg, adj, cfg.conf)
-			st := eng.Start(start, src, events)
-			slices := 0
-			for done := false; !done; slices++ {
-				done = st.Step(nextQuantumEnd(st.At(), quantum, T, isEvent))
-			}
-			if slices < 2 {
-				t.Fatalf("%s: run never sliced (quantum too big for horizon?)", label)
-			}
-			res := st.Result()
-			identicalStates(t, label+" sliced final", res.Final(), full.Final())
-			statsMatch(t, label+" sliced", res.Stats(), full.Stats())
-			eng.Close()
-
-			// Cross-process resume: every slice ends in a Snapshot and the
-			// next resumes on a FRESH engine over a FRESH topology with the
-			// already-fired events' mutations replayed — exactly what a
-			// daemon does when it reloads a spooled checkpoint after a
-			// restart.
-			_, adj0 := meshNet()
-			e2 := engine.New(alg, adj0, cfg.conf)
-			st = e2.Start(start, src, events)
-			for !st.Step(nextQuantumEnd(st.At(), quantum, T, isEvent)) {
-				snap, err := st.Snapshot()
-				if err != nil {
-					t.Fatalf("%s: snapshot at %d: %v", label, st.At(), err)
-				}
-				st.Close()
-				e2.Close()
-				_, fresh := meshNet()
-				replayFired(fresh, events, snap.Step)
-				e2 = engine.New(alg, fresh, cfg.conf)
-				if st, err = e2.Resume(snap, src, remainingEvents(events, snap.Step)); err != nil {
-					t.Fatalf("%s: fresh-engine resume: %v", label, err)
-				}
-			}
-			res = st.Result()
-			e2.Close()
-			identicalStates(t, label+" fresh-engine final", res.Final(), full.Final())
-			statsMatch(t, label+" fresh-engine", res.Stats(), full.Stats())
+		// In-process preemption: one engine, one stepper, sliced; the
+		// adjacency accumulates the events' mutations as they play.
+		_, adj := meshNet()
+		eng := engine.New(alg, adj, engine.Config{})
+		st := mustStart(t, eng, start, src, events)
+		slices := 0
+		for done := false; !done; slices++ {
+			done = st.Step(nextQuantumEnd(st.At(), quantum, T, isEvent))
 		}
+		if slices < 2 {
+			t.Fatalf("%s: run never sliced (quantum too big for horizon?)", label)
+		}
+		res := st.Result()
+		identicalStates(t, label+" sliced final", res.Final(), full.Final())
+		statsMatch(t, label+" sliced", res.Stats(), full.Stats())
+		eng.Close()
+
+		// Cross-process resume: every slice ends in a Snapshot and the
+		// next resumes on a FRESH engine over a FRESH topology with the
+		// already-fired events' mutations replayed — exactly what a
+		// daemon does when it reloads a spooled checkpoint after a
+		// restart.
+		_, adj0 := meshNet()
+		e2 := engine.New(alg, adj0, engine.Config{})
+		st = mustStart(t, e2, start, src, events)
+		for !st.Step(nextQuantumEnd(st.At(), quantum, T, isEvent)) {
+			snap, err := st.Snapshot()
+			if err != nil {
+				t.Fatalf("%s: snapshot at %d: %v", label, st.At(), err)
+			}
+			st.Close()
+			e2.Close()
+			_, fresh := meshNet()
+			replayFired(fresh, events, snap.Step)
+			e2 = engine.New(alg, fresh, engine.Config{})
+			if st, err = e2.Resume(snap, src, remainingEvents(events, snap.Step)); err != nil {
+				t.Fatalf("%s: fresh-engine resume: %v", label, err)
+			}
+		}
+		res = st.Result()
+		e2.Close()
+		identicalStates(t, label+" fresh-engine final", res.Final(), full.Final())
+		statsMatch(t, label+" fresh-engine", res.Stats(), full.Stats())
 	}
 }
 
@@ -164,7 +167,7 @@ func TestResumeRejectsBadShapes(t *testing.T) {
 	_, adj := meshNet()
 	eng := engine.New(alg, adj, engine.Config{})
 	defer eng.Close()
-	st := eng.Start(start, src, events)
+	st := mustStart(t, eng, start, src, events)
 	defer st.Close()
 	if st.Step(30) || st.At() != 30 {
 		t.Fatalf("Step(30) left the run at %d", st.At())
@@ -199,8 +202,8 @@ func TestResumeRejectsBadShapes(t *testing.T) {
 		"window":     func(s *engine.Snapshot[algebras.NatInf]) { s.Window++ },
 		"step":       func(s *engine.Snapshot[algebras.NatInf]) { s.Step = 141 },
 		"states":     func(s *engine.Snapshot[algebras.NatInf]) { s.States = s.States[1:] },
-		"incremental": func(s *engine.Snapshot[algebras.NatInf]) {
-			s.Incremental, s.Ver, s.LastComp, s.LastRead = false, nil, nil, nil
+		"matrices": func(s *engine.Snapshot[algebras.NatInf]) {
+			s.Ver, s.LastComp, s.LastRead = nil, nil, nil
 		},
 		"certifying":  func(s *engine.Snapshot[algebras.NatInf]) { s.Certified = nil },
 		"last change": func(s *engine.Snapshot[algebras.NatInf]) { s.LastChange = s.Step + 1 },
@@ -224,7 +227,7 @@ func TestStepperSnapshotLifecycle(t *testing.T) {
 	eng := engine.New(alg, adj, engine.Config{})
 	defer eng.Close()
 
-	st := eng.Start(start, src, events)
+	st := mustStart(t, eng, start, src, events)
 	if _, err := st.Snapshot(); err == nil {
 		t.Fatal("Snapshot at step 0 succeeded")
 	}
@@ -252,7 +255,7 @@ func TestStepperSnapshotLifecycle(t *testing.T) {
 	// certified convergence has no continuation.
 	keep := engine.New(alg, adj, engine.Config{HistoryWindow: engine.KeepAll})
 	defer keep.Close()
-	ks := keep.Start(start, src, nil)
+	ks := mustStart(t, keep, start, src, nil)
 	ks.Step(5)
 	if _, err := ks.Snapshot(); err == nil {
 		t.Fatal("Snapshot of a keep-everything run succeeded")
@@ -261,7 +264,7 @@ func TestStepperSnapshotLifecycle(t *testing.T) {
 	if ks.Result() != nil {
 		t.Fatal("Result after Close returned a result")
 	}
-	cs := eng.Start(start, src, nil)
+	cs := mustStart(t, eng, start, src, nil)
 	cs.Step(140)
 	if cs.Stats().ConvergedAt < 0 {
 		t.Fatal("event-free hop-count run did not certify convergence")
@@ -313,24 +316,21 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 
 	for _, cfg := range []struct {
 		label  string
-		conf   engine.Config
+		alg    core.Algebra[R]
 		events []engine.TimelineEvent[R]
 	}{
-		{"incremental/events", engine.Config{}, p.flap()},
-		{"full/events", engine.Config{Incremental: engine.IncOff}, p.flap()},
+		{"events", p.alg, p.flap()},
 		// Event-free runs, on both row representations: packed lanes
-		// wherever the algebra packs (the default), []R slices forced.
-		{"incremental/columnar", engine.Config{}, nil},
-		{"incremental/interface", engine.Config{Columnar: engine.ColOff}, nil},
-		{"full/columnar", engine.Config{Incremental: engine.IncOff}, nil},
-		{"full/interface", engine.Config{Incremental: engine.IncOff, Columnar: engine.ColOff}, nil},
+		// wherever the algebra packs, []R slices with the packing hidden.
+		{"columnar", p.alg, nil},
+		{"interface", unpacked[R]{p.alg}, nil},
 	} {
 		label := name + "/" + cfg.label
 		isEvent := map[int]bool{}
 		for _, ev := range cfg.events {
 			isEvent[ev.Step] = true
 		}
-		fullEng := engine.New(p.alg, p.adj.Clone(), cfg.conf)
+		fullEng := engine.New(cfg.alg, p.adj.Clone(), engine.Config{})
 		full := fullEng.RunTimeline(start, src, cfg.events)
 		fullEng.Close()
 		T := full.Stats().Steps
@@ -339,8 +339,8 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 		}
 
 		// Every step its own Step call.
-		eng := engine.New(p.alg, p.adj.Clone(), cfg.conf)
-		st := eng.Start(start, src, cfg.events)
+		eng := engine.New(cfg.alg, p.adj.Clone(), engine.Config{})
+		st := mustStart(t, eng, start, src, cfg.events)
 		for k := 1; !st.Step(k); k++ {
 			if st.At() != k {
 				t.Fatalf("%s: Step(%d) left the run at %d", label, k, st.At())
@@ -353,8 +353,8 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 
 		for k := 1; k < T; k++ {
 			kl := fmt.Sprintf("%s k=%d", label, k)
-			eng := engine.New(p.alg, p.adj.Clone(), cfg.conf)
-			st := eng.Start(start, src, cfg.events)
+			eng := engine.New(cfg.alg, p.adj.Clone(), engine.Config{})
+			st := mustStart(t, eng, start, src, cfg.events)
 			if st.Step(k) || st.At() != k {
 				t.Fatalf("%s: Step(k) finished or stopped at %d", kl, st.At())
 			}
@@ -376,7 +376,7 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 
 			fresh := p.adj.Clone()
 			replayFired(fresh, cfg.events, k)
-			e2 := engine.New(p.alg, fresh, cfg.conf)
+			e2 := engine.New(cfg.alg, fresh, engine.Config{})
 			rs, err := e2.Resume(snap, src, remainingEvents(cfg.events, k))
 			if err != nil {
 				t.Fatalf("%s: resume: %v", kl, err)
@@ -410,4 +410,44 @@ func TestStepperPauseAtEveryStep(t *testing.T) {
 	t.Run("policy", func(t *testing.T) {
 		runPauseAtEveryStep(t, "policy", policyRing(t))
 	})
+}
+
+// TestStartRejectsBadShapes: a source or timeline that does not fit the
+// engine is an error from Start, as it is from Resume, and the
+// panic-on-misuse wrappers still panic on it.
+func TestStartRejectsBadShapes(t *testing.T) {
+	alg, adj := meshNet()
+	start := matrix.Identity[algebras.NatInf](alg, 12)
+	src := engine.Hashed{N: 12, T: 140, Seed: 23, MaxGap: 6, MaxStaleness: 5}
+	eng := engine.New(alg, adj, engine.Config{})
+	defer eng.Close()
+
+	for name, bad := range map[string]struct {
+		src    engine.Source
+		events []engine.TimelineEvent[algebras.NatInf]
+	}{
+		"node count":           {engine.Hashed{N: 11, T: 140, Seed: 23}, nil},
+		"event order":          {src, []engine.TimelineEvent[algebras.NatInf]{{Step: 30, Restart: []int{1}}, {Step: 30, Restart: []int{2}}}},
+		"event past":           {src, []engine.TimelineEvent[algebras.NatInf]{{Step: 141, Restart: []int{1}}}},
+		"restart out of range": {src, []engine.TimelineEvent[algebras.NatInf]{{Step: 30, Restart: []int{12}}}},
+	} {
+		if st, err := eng.Start(start, bad.src, bad.events); err == nil {
+			st.Close()
+			t.Errorf("Start accepted a wrong %s", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RunTimeline did not panic on a wrong %s", name)
+				}
+			}()
+			eng.RunTimeline(start, bad.src, bad.events)
+		}()
+	}
+	// The engine is still usable after a refused start.
+	st := mustStart(t, eng, start, src, nil)
+	st.Step(140)
+	if st.Result().Stats().ConvergedAt < 0 {
+		t.Fatal("run after refused starts did not converge")
+	}
 }

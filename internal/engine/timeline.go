@@ -58,9 +58,13 @@ type TimelineEvent[R any] struct {
 // Early termination (under a Fair source) is suppressed while events are
 // pending — a fixed point certified before an event is jumped across, not
 // marched (see Start) — and becomes available again after the last event
-// fires. It is Start, Step to the horizon, Result.
+// fires. It is Start, Step to the horizon, Result — except that, like
+// Run, it panics on the contract violation Start returns as an error.
 func (e *Engine[R]) RunTimeline(start *matrix.State[R], src Source, events []TimelineEvent[R]) *Result[R] {
-	st := e.Start(start, src, events)
+	st, err := e.Start(start, src, events)
+	if err != nil {
+		panic(err.Error())
+	}
 	st.Step(src.Horizon())
 	return st.Result()
 }

@@ -32,11 +32,9 @@ type AsyncEquivalenceResult struct {
 	ReplayOK bool
 	// EngineOK reports that the sharded, memory-bounded engine produces
 	// bit-identical finals to the reference clone-everything evaluator on
-	// the same schedules.
+	// the same schedules, in no more σ-cell evaluations than recomputing
+	// every activated row in full would take.
 	EngineOK bool
-	// IncrementalOK reports that the change-driven engine and the full
-	// engine agree cell for cell on the same schedules.
-	IncrementalOK bool
 	// EarlyStopOK reports that a fair run cut short at its certified
 	// fixed point returns exactly the state the full-horizon run reaches.
 	EarlyStopOK bool
@@ -45,7 +43,7 @@ type AsyncEquivalenceResult struct {
 // OK reports overall success.
 func (r AsyncEquivalenceResult) OK() bool {
 	return r.DeltaOK && r.SimulatorOK && r.LiveOK && r.SigmaRecovered && r.ReplayOK &&
-		r.EngineOK && r.IncrementalOK && r.EarlyStopOK
+		r.EngineOK && r.EarlyStopOK
 }
 
 // AsyncEquivalence is experiment E12 (Section 3): the three asynchronous
@@ -61,7 +59,7 @@ func AsyncEquivalence(w io.Writer, trials int) AsyncEquivalenceResult {
 	rng := rand.New(rand.NewSource(1201))
 	res := AsyncEquivalenceResult{
 		DeltaOK: true, SimulatorOK: true, LiveOK: true, SigmaRecovered: true,
-		EngineOK: true, IncrementalOK: true, EarlyStopOK: true,
+		EngineOK: true, EarlyStopOK: true,
 	}
 
 	// δ recovers σ under the synchronous schedule.
@@ -84,19 +82,14 @@ func AsyncEquivalence(w io.Writer, trials int) AsyncEquivalenceResult {
 		}
 
 		// The memory-bounded sharded engine must agree with the reference
-		// evaluator cell for cell, not merely reach the same limit — and
-		// the change-driven path must agree with the full path while
-		// provably doing no more work.
+		// evaluator cell for cell, not merely reach the same limit — while
+		// doing no more work than full recomputation, n cells for every
+		// activation, would.
 		ref := async.RunReference[algebras.NatInf](alg, adj, start, sched)
 		bounded := engine.New[algebras.NatInf](alg, adj, engine.Config{HistoryWindow: 10}).Run(start, sched)
-		if !bounded.Final().Equal(alg, ref[len(ref)-1]) {
+		if st := bounded.Stats(); !bounded.Final().Equal(alg, ref[len(ref)-1]) ||
+			st.CellsComputed > adj.N*(st.RowsComputed+st.RowsSkipped) {
 			res.EngineOK = false
-		}
-		full := engine.New[algebras.NatInf](alg, adj,
-			engine.Config{HistoryWindow: 10, Incremental: engine.IncOff}).Run(start, sched)
-		if !bounded.Final().Equal(alg, full.Final()) ||
-			bounded.Stats().CellsComputed > full.Stats().CellsComputed {
-			res.IncrementalOK = false
 		}
 
 		// Early termination: a fair lazy schedule stopped at its certified
@@ -156,8 +149,7 @@ func AsyncEquivalence(w io.Writer, trials int) AsyncEquivalenceResult {
 	fmt.Fprintf(tw, "substrate\treached the σ fixed point\n")
 	fmt.Fprintf(tw, "δ under synchronous schedule ≡ σ\t%s\n", pass(res.SigmaRecovered))
 	fmt.Fprintf(tw, "δ under random schedules (%d trials)\t%s\n", trials, pass(res.DeltaOK))
-	fmt.Fprintf(tw, "bounded-window sharded engine ≡ reference evaluator\t%s\n", pass(res.EngineOK))
-	fmt.Fprintf(tw, "incremental (change-driven) engine ≡ full engine, fewer cells\t%s\n", pass(res.IncrementalOK))
+	fmt.Fprintf(tw, "bounded-window change-driven engine ≡ reference evaluator, cells ≤ n·activations\t%s\n", pass(res.EngineOK))
 	fmt.Fprintf(tw, "fair run stopped at certified fixed point ≡ full horizon\t%s\n", pass(res.EarlyStopOK))
 	fmt.Fprintf(tw, "event simulator, loss+dup+reorder (%d trials)\t%s\n", trials, pass(res.SimulatorOK))
 	fmt.Fprintf(tw, "δ replay of schedules extracted from simulator runs\t%s\n", pass(res.ReplayOK))

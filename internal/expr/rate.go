@@ -45,11 +45,11 @@ type RateResult struct {
 // for increasing path algebras. We measure both families — from clean and
 // from arbitrary states — and verify the bounds.
 //
-// Every sweep runs through Engine.FixedPoint, which since the incremental
-// engine is a δ run under the Synchronous source with convergence
-// certification: each round recomputes only the cells whose inputs
-// changed and the fixed-point check costs nothing extra, so the sweep's
-// cost tracks the routes that actually move rather than rounds × n².
+// Every sweep runs through Engine.FixedPoint, a δ run under the
+// Synchronous source with convergence certification: each round
+// recomputes only the cells whose inputs changed and the fixed-point
+// check costs nothing extra, so the sweep's cost tracks the routes that
+// actually move rather than rounds × n².
 func ConvergenceRate(w io.Writer, sizes []int, trialsPerSize int) RateResult {
 	section(w, "E10 (§8.1)", "rounds to synchronous convergence vs n")
 	res := RateResult{DistributiveLinear: true, IncreasingQuadratic: true}

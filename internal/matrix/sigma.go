@@ -41,29 +41,25 @@ func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, tabs [][]R
 	if dst == nil {
 		dst = make([]R, a.N)
 	}
-	SigmaSpanInto(alg, a, i, tabs, dst, 0, a.N)
+	SigmaSpanIntoNbr(alg, a, i, nil, tabs, dst, 0, a.N)
 	return dst
 }
 
-// SigmaSpanInto is SigmaRowInto restricted to destinations j ∈ [j0, j1):
-// the column-sharded form the engine uses to split one row's recomputation
-// across workers on large networks. dst must have length N; only the span
-// is written.
+// SigmaSpanIntoNbr is SigmaRowInto restricted to destinations
+// j ∈ [j0, j1): the column-sharded form the engine uses to split one
+// row's recomputation across workers on large networks. dst must have
+// length N; only the span is written.
 //
 // The loops run k-outer so the edge lookup happens once per neighbour
 // rather than once per cell — O(n·deg) instead of O(n²) on sparse
 // topologies. Each cell still folds ⊕ over neighbours in ascending-k
 // order, so the result is bit-identical to the j-outer form.
-func SigmaSpanInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, tabs [][]R, dst []R, j0, j1 int) {
-	SigmaSpanIntoNbr(alg, a, i, nil, tabs, dst, j0, j1)
-}
-
-// SigmaSpanIntoNbr is SigmaSpanInto with a precomputed in-neighbour list:
-// when nbr is non-nil the kernel folds only over those k (in slice
+//
+// When nbr is non-nil the kernel folds only over those k (in slice
 // order) instead of probing all n candidate edges — O(deg) edge lookups
-// per span on sparse topologies. A nil nbr falls back to the full scan.
-// Callers must pass exactly the k ≠ i with an (i, k) edge, ascending, to
-// keep the fold order — and therefore the result — bit-identical.
+// per span. A nil nbr falls back to the full scan. Callers must pass
+// exactly the k ≠ i with an (i, k) edge, ascending, to keep the fold
+// order — and therefore the result — bit-identical.
 func SigmaSpanIntoNbr[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []int32, tabs [][]R, dst []R, j0, j1 int) {
 	inv := alg.Invalid()
 	for j := j0; j < j1; j++ {
@@ -97,9 +93,10 @@ func SigmaSpanIntoNbr[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []
 	}
 }
 
-// SigmaSpanIntoChanged is the change-tracking variant of SigmaSpanInto
-// that powers the engine's incremental evaluation. It computes node i's
-// σ-row over the span [j0, j1) with two additions:
+// SigmaSpanIntoChangedNbr is the change-tracking variant of
+// SigmaSpanIntoNbr that powers the engine's change-driven evaluation. It
+// computes node i's σ-row over the span [j0, j1), over the in-neighbour
+// list nbr under the same contract, with two additions:
 //
 //   - cols, when non-nil, restricts recomputation to the destination
 //     columns it contains; every other column of the span is copied from
@@ -111,23 +108,14 @@ func SigmaSpanIntoNbr[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []
 //     Because column shards of one row share changed, the flush uses the
 //     Bitset's atomic word OR.
 //
-// The fold order per cell is identical to SigmaSpanInto (ascending k), so
-// recomputed cells are bit-identical to the full kernel's. It returns the
-// number of columns recomputed.
+// The fold order per cell is identical to SigmaSpanIntoNbr (ascending k),
+// so recomputed cells are bit-identical to the full kernel's. It returns
+// the number of columns recomputed.
 //
 // Correctness of the copy-for-unchanged contract requires alg.Equal to
 // coincide with structural equality on values the kernel itself produces
 // (kernel outputs are canonical: Choice and the edge functions normalise
 // as they go), which holds for every algebra in this repository.
-func SigmaSpanIntoChanged[R any](
-	alg core.Algebra[R], a *Adjacency[R], i int, tabs [][]R,
-	prev, dst []R, j0, j1 int, cols, changed *Bitset,
-) int {
-	return SigmaSpanIntoChangedNbr(alg, a, i, nil, tabs, prev, dst, j0, j1, cols, changed)
-}
-
-// SigmaSpanIntoChangedNbr is SigmaSpanIntoChanged with a precomputed
-// in-neighbour list, under the same contract as SigmaSpanIntoNbr.
 func SigmaSpanIntoChangedNbr[R any](
 	alg core.Algebra[R], a *Adjacency[R], i int, nbr []int32, tabs [][]R,
 	prev, dst []R, j0, j1 int, cols, changed *Bitset,

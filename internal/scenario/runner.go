@@ -295,8 +295,11 @@ func newCore[R any](sc *Scenario, family string, codec wire.Codec[R],
 	}
 	src, events := serviceSource(sc, inst.n), inst.timeline(sc.Events)[fired:]
 	if snap == nil {
-		c.st = c.eng.Start(inst.start, src, events)
-	} else if c.st, err = c.eng.Resume(snap, src, events); err != nil {
+		c.st, err = c.eng.Start(inst.start, src, events)
+	} else {
+		c.st, err = c.eng.Resume(snap, src, events)
+	}
+	if err != nil {
 		c.eng.Close()
 		return nil, err
 	}

@@ -2,13 +2,11 @@ package transport
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // MaxFrame caps a received frame's claimed payload size. A full-table
@@ -60,28 +58,11 @@ func (t *TCP) Addr(node int) net.Addr { return t.listeners[node].Addr() }
 
 func (t *TCP) acceptLoop(node int, ln net.Listener) {
 	defer t.wg.Done()
-	var delay time.Duration
 	for {
-		conn, err := ln.Accept()
+		conn, err := acceptBackoff(ln)
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			t.mu.Lock()
-			closed := t.closed
-			t.mu.Unlock()
-			if closed {
-				return
-			}
-			// Transient accept failure (EMFILE under overload, an aborted
-			// handshake): back off and keep accepting rather than spinning
-			// or abandoning the node's listener.
-			mAcceptBackoffs.Inc()
-			delay = nextAcceptDelay(delay)
-			time.Sleep(delay)
-			continue
+			return
 		}
-		delay = 0
 		t.wg.Add(1)
 		go t.readLoop(node, conn)
 	}
