@@ -58,6 +58,10 @@ const (
 // was flipped between Encode and Decode.
 var ErrChecksum = errors.New("checkpoint: checksum mismatch")
 
+// errTruncated is the fault the body cursor sticks: a length field or a
+// fixed-width read ran past the verified data or over its cap.
+var errTruncated = errors.New("checkpoint: truncated payload")
+
 // File is one checkpoint: a tagged, annotated engine snapshot. Family
 // names the carrier's codec family (e.g. "natinf", "policy-interned") —
 // Decode refuses to hand route bytes to the wrong codec. Meta is free
@@ -146,7 +150,7 @@ func Header(data []byte) (family string, meta map[string]string, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return cur.header()
+	return header(cur)
 }
 
 // Decode parses a checkpoint encoded with Encode, verifying the checksum
@@ -156,7 +160,7 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	if err != nil {
 		return nil, err
 	}
-	family, meta, err := cur.header()
+	family, meta, err := header(cur)
 	if err != nil {
 		return nil, err
 	}
@@ -165,39 +169,39 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	}
 	f := &File[R]{Family: family, Meta: meta, Snap: &engine.Snapshot[R]{}}
 	s := f.Snap
-	flags := cur.u8()
-	if cur.err == nil && flags&1 == 0 {
+	flags := cur.U8()
+	if cur.Err() == nil && flags&1 == 0 {
 		return nil, errors.New("checkpoint: snapshot of a run without change tracking (flag bit 0 clear), which no engine can resume")
 	}
 	certified := flags&2 != 0
-	s.Step = int(cur.u32())
-	s.N = int(cur.u32())
-	s.Window = int(cur.u32())
-	s.LastChange = int(cur.u32())
+	s.Step = int(cur.U32())
+	s.N = int(cur.U32())
+	s.Window = int(cur.U32())
+	s.LastChange = int(cur.U32())
 	for _, p := range []*int{
 		&s.Stats.Steps, &s.Stats.RowsComputed, &s.Stats.RowsSkipped, &s.Stats.CellsComputed,
 		&s.Stats.ConvergedAt, &s.Stats.RowsRecycled, &s.Stats.Retained, &s.Stats.Events,
 	} {
-		*p = int(int64(cur.u64()))
+		*p = int(int64(cur.U64()))
 	}
-	if cur.err == nil && (s.N < 1 || s.N > maxNodes) {
+	if cur.Err() == nil && (s.N < 1 || s.N > maxNodes) {
 		return nil, fmt.Errorf("checkpoint: implausible node count %d", s.N)
 	}
-	nstates := int(cur.u32())
-	if cur.err == nil && (nstates < 1 || nstates > s.Step+1) {
+	nstates := int(cur.U32())
+	if cur.Err() == nil && (nstates < 1 || nstates > s.Step+1) {
 		return nil, fmt.Errorf("checkpoint: implausible state count %d for step %d", nstates, s.Step)
 	}
-	if cur.err != nil {
-		return nil, cur.err
+	if cur.Err() != nil {
+		return nil, cur.Err()
 	}
 	var zero R
 	for b := 0; b < nstates; b++ {
 		st := matrix.NewState(s.N, zero)
 		for i := 0; i < s.N; i++ {
 			for j := 0; j < s.N; j++ {
-				cell := cur.bytes(maxCell)
-				if cur.err != nil {
-					return nil, cur.err
+				cell := cur.Bytes(maxCell)
+				if cur.Err() != nil {
+					return nil, cur.Err()
 				}
 				r, err := c.Decode(cell)
 				if err != nil {
@@ -208,27 +212,27 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 		}
 		s.States = append(s.States, st)
 	}
-	s.Ver = cur.int32s(s.N * s.N)
-	s.LastComp = cur.int32s(s.N)
-	s.LastRead = cur.int32s(s.N * s.N)
+	s.Ver = cur.Int32s(s.N * s.N)
+	s.LastComp = cur.Int32s(s.N)
+	s.LastRead = cur.Int32s(s.N * s.N)
 	if certified {
 		s.Certified = make([]bool, s.N)
 		for i := range s.Certified {
-			s.Certified[i] = cur.u8() != 0
+			s.Certified[i] = cur.U8() != 0
 		}
 	}
-	if cur.err != nil {
-		return nil, cur.err
+	if cur.Err() != nil {
+		return nil, cur.Err()
 	}
-	if len(cur.b) != 0 {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes", len(cur.b))
+	if cur.Len() != 0 {
+		return nil, fmt.Errorf("checkpoint: %d trailing bytes", cur.Len())
 	}
 	return f, nil
 }
 
 // verified checks magic, version and CRC, returning a cursor over the
 // bytes between the header and the checksum trailer.
-func verified(data []byte) (*cursor, error) {
+func verified(data []byte) (*wire.Cursor, error) {
 	if len(data) < len(magic)+2+4 {
 		return nil, errors.New("checkpoint: file too short")
 	}
@@ -239,124 +243,29 @@ func verified(data []byte) (*cursor, error) {
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, ErrChecksum
 	}
-	cur := &cursor{b: body[4:]}
-	if v := cur.u16(); cur.err == nil && v > Version {
+	cur := wire.NewCursor(body[4:], errTruncated)
+	if v := cur.U16(); cur.Err() == nil && v > Version {
 		return nil, fmt.Errorf("checkpoint: format version %d, this build reads ≤ %d", v, Version)
 	}
-	return cur, cur.err
+	return cur, cur.Err()
 }
 
-// cursor is a bounds-checked reader over the verified body; the first
-// failed read sticks in err and every later read is a no-op.
-type cursor struct {
-	b   []byte
-	err error
-}
-
-func (c *cursor) fail() {
-	if c.err == nil {
-		c.err = errors.New("checkpoint: truncated payload")
-	}
-}
-
-func (c *cursor) u8() byte {
-	if c.err != nil || len(c.b) < 1 {
-		c.fail()
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *cursor) u16() uint16 {
-	if c.err != nil || len(c.b) < 2 {
-		c.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint16(c.b)
-	c.b = c.b[2:]
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil || len(c.b) < 4 {
-		c.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(c.b)
-	c.b = c.b[4:]
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil || len(c.b) < 8 {
-		c.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(c.b)
-	c.b = c.b[8:]
-	return v
-}
-
-// bytes reads a u32-length-prefixed blob, rejecting lengths over max
-// before looking at the data.
-func (c *cursor) bytes(max int) []byte {
-	l := int(c.u32())
-	if c.err != nil {
-		return nil
-	}
-	if l > max || l > len(c.b) {
-		c.fail()
-		return nil
-	}
-	v := c.b[:l]
-	c.b = c.b[l:]
-	return v
-}
-
-func (c *cursor) str(max int) string {
-	l := int(c.u16())
-	if c.err != nil {
-		return ""
-	}
-	if l > max || l > len(c.b) {
-		c.fail()
-		return ""
-	}
-	v := string(c.b[:l])
-	c.b = c.b[l:]
-	return v
-}
-
-func (c *cursor) int32s(n int) []int32 {
-	if c.err != nil || len(c.b) < 4*n {
-		c.fail()
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.BigEndian.Uint32(c.b[4*i:]))
-	}
-	c.b = c.b[4*n:]
-	return out
-}
-
-func (c *cursor) header() (string, map[string]string, error) {
-	family := c.str(maxString)
-	count := int(c.u16())
-	if c.err == nil && count > maxMeta {
+// header reads the family tag and metadata that follow the version.
+func header(c *wire.Cursor) (string, map[string]string, error) {
+	family := c.Str(maxString)
+	count := int(c.U16())
+	if c.Err() == nil && count > maxMeta {
 		return "", nil, fmt.Errorf("checkpoint: implausible meta count %d", count)
 	}
 	var meta map[string]string
-	if c.err == nil && count > 0 {
+	if c.Err() == nil && count > 0 {
 		meta = make(map[string]string, count)
 		for i := 0; i < count; i++ {
-			k := c.str(maxString)
-			meta[k] = c.str(maxString)
+			k := c.Str(maxString)
+			meta[k] = c.Str(maxString)
 		}
 	}
-	return family, meta, c.err
+	return family, meta, c.Err()
 }
 
 func appendString(out []byte, s string) []byte {

@@ -66,10 +66,6 @@ type Config struct {
 	// (CrashNode, scenario `crash` events) are never auto-healed — their
 	// recovery timing belongs to whoever crashed them.
 	AutoHeal bool
-	// SendRetries bounds per-message transport send retries under capped
-	// exponential backoff with jitter. Default: 2; negative disables
-	// retries. ErrClosed is never retried.
-	SendRetries int
 }
 
 // Restart wipes one node a fixed interval into a live run.
@@ -104,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = c.ReadvertiseEvery
-	}
-	if c.SendRetries == 0 {
-		c.SendRetries = 2
 	}
 	return c
 }
@@ -145,11 +138,8 @@ type RunStats struct {
 	// Restarts counts routers respawned from a snapshot, whether by
 	// AutoHeal or an explicit RecoverNode.
 	Restarts int64
-	// SendRetries counts transport sends that were retried after a
-	// transient failure.
-	SendRetries int64
 	// QueueDrops counts messages the transport dropped on full receive
-	// buffers, when the transport accounts them (transport.StatsReporter).
+	// buffers (the sum of transport.NodeStats.Dropped at run end).
 	QueueDrops int64
 }
 
@@ -191,7 +181,7 @@ type Network[R any] struct {
 	alg   core.Algebra[R]
 	adj   *matrix.Adjacency[R]
 	codec wire.Codec[R]
-	tr    transport.Transport
+	tr    *transport.Memory
 	cfg   Config
 
 	// mu guards the omniscient view used for convergence detection — the
@@ -230,9 +220,8 @@ type Network[R any] struct {
 	// guards would discard everything it says as stale.
 	seqs     []atomic.Uint64
 	runStats struct {
-		crashes, restarts, sendRetries atomic.Int64
+		crashes, restarts atomic.Int64
 	}
-	retryState
 }
 
 // scheduledMut is one ApplyAfter registration.
@@ -319,7 +308,7 @@ func NewNetwork[R any](
 	adj *matrix.Adjacency[R],
 	start *matrix.State[R],
 	codec wire.Codec[R],
-	tr transport.Transport,
+	tr *transport.Memory,
 	cfg Config,
 ) *Network[R] {
 	n := adj.N
@@ -345,7 +334,6 @@ func NewNetwork[R any](
 	nw.snaps = make([][][]byte, n)
 	nw.beats = make([]atomic.Int64, n)
 	nw.seqs = make([]atomic.Uint64, n)
-	nw.retryRng = rand.New(rand.NewSource(cfg.Seed*7919 + 17))
 	return nw
 }
 
@@ -440,14 +428,11 @@ func (nw *Network[R]) Run(ctx context.Context) Outcome[R] {
 	stats := RunStats{
 		CrashesDetected: nw.runStats.crashes.Load(),
 		Restarts:        nw.runStats.restarts.Load(),
-		SendRetries:     nw.runStats.sendRetries.Load(),
 	}
-	if sr, ok := nw.tr.(transport.StatsReporter); ok {
-		for _, st := range sr.Stats() {
-			stats.QueueDrops += st.Dropped
-		}
-		mRunQueueDrops.Add(float64(stats.QueueDrops))
+	for _, st := range nw.tr.Stats() {
+		stats.QueueDrops += st.Dropped
 	}
+	mRunQueueDrops.Add(float64(stats.QueueDrops))
 	class := ClassConverged
 	switch {
 	case converged:
@@ -554,7 +539,8 @@ func (nw *Network[R]) recompute(i int, scratch []R) bool {
 // (nodes j with an edge (j, i), i.e. nodes whose σ-row reads i's table).
 // The listener set is gathered under the lock — the adjacency can mutate
 // mid-run — but the sends happen outside it, so a slow transport never
-// holds up the omniscient view.
+// holds up the omniscient view. A Send error is shutdown (ErrClosed);
+// like any undelivered advert it is loss, which the model absorbs.
 func (nw *Network[R]) advertise(i int, seq uint64) {
 	nw.mu.Lock()
 	row := nw.state.Row(i)
@@ -576,7 +562,7 @@ func (nw *Network[R]) advertise(i int, seq uint64) {
 	}
 	payload := wire.EncodeAdvert(wire.Advert{From: i, Seq: seq, Rows: rows})
 	for _, j := range listeners {
-		nw.send(transport.Message{From: i, To: j, Payload: payload})
+		_ = nw.tr.Send(transport.Message{From: i, To: j, Payload: payload})
 	}
 }
 

@@ -13,8 +13,6 @@ var (
 		"Router failures detected by the supervisor (silent deaths and wedged routers).")
 	mRecoveries = metrics.Default.Counter("dist_recoveries_total",
 		"Routers respawned from a snapshot, by AutoHeal or explicit RecoverNode.")
-	mSendRetries = metrics.Default.Counter("dist_send_retries_total",
-		"Transport sends retried with backoff after a transient failure.")
 	mRunQueueDrops = metrics.Default.Counter("dist_queue_drops_total",
 		"Messages the run's transport dropped on full receive buffers, summed at run end.")
 )

@@ -2,12 +2,8 @@ package dist
 
 import (
 	"context"
-	"errors"
-	"math/rand"
-	"sync"
 	"time"
 
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -212,35 +208,4 @@ func (nw *Network[R]) detectFailures(ctx context.Context) {
 			nw.RecoverNode(i)
 		}
 	}
-}
-
-// send delivers one message with bounded retries: transient transport
-// failures (a dropped TCP connection, an unreachable peer) back off
-// exponentially with jitter and try again; ErrClosed means shutdown and
-// is never retried. Loss remains permitted — a message that exhausts its
-// retries is simply lost, which the model absorbs.
-func (nw *Network[R]) send(msg transport.Message) {
-	const baseBackoff = time.Millisecond
-	const maxBackoff = 16 * time.Millisecond
-	err := nw.tr.Send(msg)
-	for attempt := 0; err != nil && !errors.Is(err, transport.ErrClosed) && attempt < nw.cfg.SendRetries; attempt++ {
-		backoff := baseBackoff << attempt
-		if backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-		nw.retryMu.Lock()
-		jitter := time.Duration(nw.retryRng.Int63n(int64(backoff)))
-		nw.retryMu.Unlock()
-		time.Sleep(backoff/2 + jitter)
-		nw.runStats.sendRetries.Add(1)
-		mSendRetries.Inc()
-		err = nw.tr.Send(msg)
-	}
-}
-
-// retryState carries the jitter source for send backoff, shared by every
-// router goroutine.
-type retryState struct {
-	retryMu  sync.Mutex
-	retryRng *rand.Rand
 }

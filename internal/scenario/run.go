@@ -181,29 +181,14 @@ func finish[R any](sc *Scenario, build func(*Scenario) (*instance[R], error),
 				rebuilt.apply(ev, rebuilt.adj)
 			}
 		}
-		fp, ok := settle(inst, final, wd.MaxRounds)
+		// The orbit's fixed point is the state the Wedged verdict is about;
+		// the bound is the watchdog's default.
+		fp, _, ok := matrix.FixedPoint(inst.alg, inst.adj, final, 4*inst.n+64)
 		if ok {
 			_, sr.Certified = certifyWedged(inst, rebuilt, fp, inst.start, sc.Seed)
 		}
 	}
 	return nil
-}
-
-// settle iterates σ to the orbit's fixed point (the state a Wedged or
-// Converged verdict is about), bounded like the watchdog.
-func settle[R any](in *instance[R], x *matrix.State[R], maxRounds int) (*matrix.State[R], bool) {
-	if maxRounds == 0 {
-		maxRounds = 4*in.n + 64
-	}
-	cur := x
-	for r := 0; r < maxRounds; r++ {
-		next := matrix.Sigma(in.alg, in.adj, cur)
-		if next.Equal(in.alg, cur) {
-			return cur, true
-		}
-		cur = next
-	}
-	return cur, false
 }
 
 // runEngine plays the timeline on the stepped δ engine under the

@@ -46,7 +46,7 @@ func (s *Server) recordFinishedLocked(r *run, outcome string) {
 		Key: r.key, Tenant: r.tenant.name, ID: r.id,
 		Phase: "finished", Step: int64(r.step), Horizon: int64(r.sc.Horizon),
 		Cells: r.cells, Resumed: r.resumed, Finished: true, Outcome: outcome,
-		Trace: traceLines(r.renderTraceLocked()),
+		Trace: r.traceLinesLocked(),
 	}
 	s.finished = append(s.finished, finishedRun{info: info, at: time.Now()})
 	if len(s.finished) > maxFinished {
@@ -78,7 +78,7 @@ func (s *Server) RunsSnapshot() []RunInfo {
 			Key: r.key, Tenant: r.tenant.name, ID: r.id,
 			Phase: phase.String(), Step: int64(r.step), Horizon: int64(r.sc.Horizon),
 			Cells: r.cells, Resumed: r.resumed,
-			Trace: traceLines(r.renderTraceLocked()),
+			Trace: r.traceLinesLocked(),
 		})
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].Key < live[j].Key })

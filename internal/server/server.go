@@ -380,13 +380,16 @@ func (s *Server) advance(r *run) {
 	r.cells = int64(r.runner.Stats().CellsComputed)
 	r.spanLocked("quantum %d: steps %d→%d (cells %d), preempted", r.quanta, before, r.step, r.cells)
 	s.met.preemptions.Inc()
+	// Push the preemption Status before re-queueing, still under the lock:
+	// no worker can dequeue the run (and push later progress, or its
+	// Result) until we release it, so a client reads a run's frames in
+	// step order and nothing after the terminal one. push never blocks.
 	status := s.statusLocked(r)
-	s.enqueueLocked(r)
-	subs := append([]*clientConn(nil), r.subs...)
-	s.mu.Unlock()
-	for _, cc := range subs {
+	for _, cc := range r.subs {
 		cc.push(status, false)
 	}
+	s.enqueueLocked(r)
+	s.mu.Unlock()
 }
 
 // stepEstimate reports the run's last completed step without requiring
@@ -410,7 +413,6 @@ func (s *Server) statusLocked(r *run) wire.Status {
 		ID: r.id, Phase: phase,
 		Step: int64(r.step), Horizon: int64(r.sc.Horizon),
 		CellsComputed: r.cells,
-		Trace:         r.renderTraceLocked(),
 	}
 }
 
@@ -907,7 +909,11 @@ func (s *Server) Close() error {
 // outbox: a slow or stalled client drops Status frames (they are
 // advisory and resent every quantum) rather than stalling a worker; a
 // terminal frame that cannot be enqueued closes the connection, and the
-// client re-Waits — the stored result table makes that safe.
+// client re-Waits — the stored result table makes that safe. Advisory
+// frames may queue only outboxLen deep; the outboxHeadroom slots above
+// that are for must-deliver frames, so a burst of cheap quanta cannot
+// crowd out the terminal frame that ends it: a failed run's ErrorFrame
+// is not stored, and a re-Wait could not recover it.
 type clientConn struct {
 	conn *transport.Conn
 	logf func(format string, args ...any)
@@ -918,8 +924,15 @@ type clientConn struct {
 	wg     sync.WaitGroup
 }
 
+// outboxLen bounds the advisory frames queued for one connection;
+// outboxHeadroom is the room above it that only must-deliver frames use.
+const (
+	outboxLen      = 64
+	outboxHeadroom = 16
+)
+
 func newClientConn(conn *transport.Conn, logf func(format string, args ...any)) *clientConn {
-	cc := &clientConn{conn: conn, logf: logf, out: make(chan []byte, 64)}
+	cc := &clientConn{conn: conn, logf: logf, out: make(chan []byte, outboxLen+outboxHeadroom)}
 	cc.wg.Add(1)
 	go cc.writeLoop()
 	return cc
@@ -936,9 +949,9 @@ func (cc *clientConn) writeLoop() {
 	}
 }
 
-// push enqueues a frame. Non-terminal frames are dropped when the
-// outbox is full; a terminal frame that does not fit closes the
-// connection instead of blocking.
+// push enqueues a frame. Non-terminal frames are dropped when outboxLen
+// frames are already queued; a terminal frame that does not fit even in
+// the headroom closes the connection instead of blocking.
 func (cc *clientConn) push(f wire.Frame, terminal bool) {
 	b, err := wire.EncodeFrame(f)
 	if err != nil {
@@ -946,7 +959,7 @@ func (cc *clientConn) push(f wire.Frame, terminal bool) {
 		return
 	}
 	cc.mu.Lock()
-	if cc.closed {
+	if cc.closed || (!terminal && len(cc.out) >= outboxLen) {
 		cc.mu.Unlock()
 		return
 	}
@@ -954,10 +967,9 @@ func (cc *clientConn) push(f wire.Frame, terminal bool) {
 	case cc.out <- b:
 		cc.mu.Unlock()
 	default:
+		// Full, and f is terminal: advisory frames stopped at outboxLen.
 		cc.mu.Unlock()
-		if terminal {
-			cc.close()
-		}
+		cc.close()
 	}
 }
 

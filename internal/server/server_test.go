@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -196,6 +197,111 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGoroutines(t, goroutines)
+}
+
+// TestStatusNeverFollowsResult pins the frame order a client reads for
+// one run: Status steps never decrease, and nothing about the run
+// follows its Result. With two workers and one-step quanta a second
+// worker finishes the run right after the first preempts it, so a
+// preemption Status pushed outside the server lock would land after the
+// Result, and the Wait for the finished id would read that stale Status
+// instead of the stored Result.
+func TestStatusNeverFollowsResult(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	s, err := New(Config{Workers: 2, Quantum: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	c, err := DialClient(ctx, s.Addr(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("r%d", i)
+		if _, err := c.Submit(ctx, id, []byte(shortScenario), 0); err != nil {
+			t.Fatal(err)
+		}
+		var res wire.Result
+		for step, done := int64(0), false; !done; {
+			f, err := c.recv(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch f := f.(type) {
+			case wire.Status:
+				if f.ID != id {
+					t.Fatalf("run %s: read a Status for %s, which already finished", id, f.ID)
+				}
+				if f.Step < step {
+					t.Fatalf("run %s: Status step %d after step %d", id, f.Step, step)
+				}
+				step = f.Step
+			case wire.Result:
+				if f.ID != id {
+					t.Fatalf("run %s: read a Result for %s", id, f.ID)
+				}
+				res, done = f, true
+			default:
+				t.Fatalf("run %s: unexpected %#v", id, f)
+			}
+		}
+		if err := c.send(wire.Wait{Tenant: "acme", ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := f.(wire.Result); !ok || got.ID != id || got.Hash != res.Hash {
+			t.Fatalf("run %s: Wait after its Result read %#v, want the stored result", id, f)
+		}
+	}
+	c.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkGoroutines(t, goroutines)
+}
+
+// TestStatusBurstLeavesRoomForTerminalFrame pins the outbox headroom: a
+// stalled reader and a burst of advisory Status frames (far more than
+// the outbox holds) must not crowd out the ErrorFrame that ends the run
+// — failed outcomes are not stored, so a connection closed on overflow
+// would lose it for good.
+func TestStatusBurstLeavesRoomForTerminalFrame(t *testing.T) {
+	srv, cli := net.Pipe() // unbuffered: nothing drains until cli reads
+	cc := newClientConn(transport.NewConn(srv), t.Logf)
+	for i := 0; i < 500; i++ {
+		cc.push(wire.Status{ID: "r", Phase: wire.PhasePreempted, Step: int64(i)}, false)
+	}
+	cc.push(wire.ErrorFrame{ID: "r", Code: wire.CodeDeadline, Msg: "late"}, true)
+	cc.mu.Lock()
+	closed := cc.closed
+	cc.mu.Unlock()
+	if closed {
+		t.Fatal("terminal frame found the outbox full of Status frames and closed the connection")
+	}
+	conn := transport.NewConn(cli)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		b, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("connection ended before the ErrorFrame: %v", err)
+		}
+		f, err := wire.DecodeFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ef, ok := f.(wire.ErrorFrame); ok {
+			if ef.Code != wire.CodeDeadline {
+				t.Fatalf("read %#v, want the deadline error", ef)
+			}
+			break
+		}
+	}
+	cc.close()
+	cli.Close()
 }
 
 func asErrorFrame(t *testing.T, err error) *wire.ErrorFrame {

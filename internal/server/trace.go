@@ -2,25 +2,22 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"time"
 )
 
 // The run-lifecycle tracer: every admitted run carries a bounded span
 // log — timestamped one-line events from submission through quanta,
-// checkpoints and completion — rendered into wire.Status frames and the
-// admin /runs endpoint. Appends and reads both happen under the server
-// lock (statusLocked reads concurrently with workers appending), and
-// the log is bounded so a million-quantum run costs a fixed few KB: once
-// full, further events are counted, not stored, and the render says so.
+// checkpoints and completion — served by the admin /runs endpoint.
+// Appends and reads both happen under the server lock (RunsSnapshot
+// reads concurrently with workers appending), and the log is bounded so
+// a million-quantum run costs a fixed few KB: once full, further events
+// are counted, not stored, and the render says so.
 
 // maxSpanHead and maxSpanTail bound a run's stored span log: the first
 // maxSpanHead events (admission and the early quanta) are kept verbatim,
 // and after that a rolling window of the maxSpanTail most recent events
 // — so a thousand-quantum run still shows how it started AND how it
 // ended (checkpoint, completion), with the repetitive middle elided.
-// With the wire trace cap at 4 KiB and events averaging well under 100
-// bytes, the whole log renders without truncation in the common case.
 const (
 	maxSpanHead = 28
 	maxSpanTail = 8
@@ -46,29 +43,24 @@ func (r *run) spanLocked(format string, args ...any) {
 	r.traceTail = append(r.traceTail, ev)
 }
 
-// renderTraceLocked renders the span log as "+12.3ms event" lines; call
+// traceLinesLocked renders the span log as "+12.3ms event" lines; call
 // under s.mu.
-func (r *run) renderTraceLocked() string {
+func (r *run) traceLinesLocked() []string {
 	if len(r.trace) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for _, ev := range r.trace {
-		fmt.Fprintf(&b, "+%.1fms %s\n", float64(ev.at.Microseconds())/1000, ev.msg)
-	}
-	if r.traceDropped > 0 {
-		fmt.Fprintf(&b, "... (+%d events elided)\n", r.traceDropped)
-	}
-	for _, ev := range r.traceTail {
-		fmt.Fprintf(&b, "+%.1fms %s\n", float64(ev.at.Microseconds())/1000, ev.msg)
-	}
-	return b.String()
-}
-
-// traceLines splits a rendered span log for JSON output.
-func traceLines(trace string) []string {
-	if trace == "" {
 		return nil
 	}
-	return strings.Split(strings.TrimRight(trace, "\n"), "\n")
+	line := func(ev spanEvent) string {
+		return fmt.Sprintf("+%.1fms %s", float64(ev.at.Microseconds())/1000, ev.msg)
+	}
+	lines := make([]string, 0, len(r.trace)+1+len(r.traceTail))
+	for _, ev := range r.trace {
+		lines = append(lines, line(ev))
+	}
+	if r.traceDropped > 0 {
+		lines = append(lines, fmt.Sprintf("... (+%d events elided)", r.traceDropped))
+	}
+	for _, ev := range r.traceTail {
+		lines = append(lines, line(ev))
+	}
+	return lines
 }

@@ -12,17 +12,23 @@ import (
 )
 
 // Stream connections: the client/server side of the transport package.
-// Where Transport moves datagram-like advertisements between simulated
+// Where Memory moves datagram-like advertisements between simulated
 // routers, a Conn is one framed byte stream between a service client
-// and the dbfsimd daemon — length-prefixed frames over TCP, with the
-// same MaxFrame hardening the router path has, plus the two robustness
-// behaviours a long-lived daemon needs from its socket layer:
+// and the dbfsimd daemon — length-prefixed frames over TCP, capped at
+// MaxFrame, plus the two robustness behaviours a long-lived daemon needs
+// from its socket layer:
 //
 //   - Dialling retries with capped exponential backoff under a context,
 //     so a client racing the daemon's startup (or its drain/restart
 //     window) converges instead of failing or spinning.
 //   - Accepting backs off on transient errors (EMFILE under overload is
 //     the classic), so the accept loop neither busy-spins nor dies.
+
+// MaxFrame caps a frame's payload size in both directions. The largest
+// service frame carries a 64 KiB scenario or table, so anything above
+// this is a corrupt or hostile length prefix; the reader rejects it
+// before allocating a byte.
+const MaxFrame = 1 << 20
 
 // acceptDelayCap bounds the accept-error backoff.
 const acceptDelayCap = 100 * time.Millisecond

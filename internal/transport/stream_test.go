@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,29 +75,35 @@ func TestRecvRejectsOverCapLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	errc := make(chan error, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
+	// Hostile length prefixes — 4 GiB, 256 MiB and MaxFrame+1: the server
+	// must reject each without allocating the claimed size.
+	for _, prefix := range [][]byte{
+		{0xFF, 0xFF, 0xFF, 0xFF},
+		{0x10, 0x00, 0x00, 0x00},
+		{0x00, 0x10, 0x00, 0x01},
+	} {
+		errc := make(chan error, 1)
+		go func() {
+			c, err := l.Accept()
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer c.Close()
+			_, err = c.Recv()
 			errc <- err
-			return
+		}()
+		raw, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
-		defer c.Close()
-		_, err = c.Recv()
-		errc <- err
-	}()
-	raw, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	// A hostile length prefix claiming 256 MiB: the server must reject it
-	// without allocating the claimed size.
-	if _, err := raw.Write([]byte{0x10, 0x00, 0x00, 0x00}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errc; err == nil {
-		t.Fatal("over-cap length prefix accepted")
+		if _, err := raw.Write(prefix); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("over-cap length prefix % x: got %v, want the over-cap error", prefix, err)
+		}
+		raw.Close()
 	}
 }
 

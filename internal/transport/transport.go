@@ -1,8 +1,9 @@
-// Package transport carries encoded advertisements between routers of the
-// live engine. Two implementations are provided: an in-memory transport
-// with seeded fault injection (loss, duplication, reordering via random
-// per-message delay) and a TCP transport over net that exchanges
-// length-prefixed frames on the loopback interface.
+// Package transport moves bytes for the two things in this repository
+// that talk: Memory carries encoded advertisements between routers of the
+// live engine, in process, with seeded fault injection (loss, duplication,
+// reordering via random per-message delay); Conn (stream.go) is the
+// length-prefixed TCP stream between a service client and the dbfsimd
+// daemon.
 package transport
 
 import (
@@ -19,16 +20,6 @@ type Message struct {
 	From    int
 	To      int
 	Payload []byte
-}
-
-// Transport delivers messages between nodes 0..N-1. Send is best-effort
-// and non-blocking: the model explicitly permits loss, so transports drop
-// rather than block when buffers fill. Recv returns the receive channel of
-// a node; the channel closes when the transport does.
-type Transport interface {
-	Send(msg Message) error
-	Recv(node int) <-chan Message
-	Close() error
 }
 
 // ErrClosed is returned by Send after Close.
@@ -57,19 +48,15 @@ type NodeStats struct {
 	Sent, Dropped, Duplicated int64
 }
 
-// StatsReporter is implemented by transports that account per-node
-// traffic; the dist runtime surfaces the counts in its Outcome.
-type StatsReporter interface {
-	Stats() []NodeStats
-}
-
 // nodeCounters is the atomic backing of NodeStats: delivery goroutines
 // record drops concurrently with readers.
 type nodeCounters struct {
 	sent, dropped, duplicated atomic.Int64
 }
 
-// Memory is an in-process Transport with fault injection. The zero Faults
+// Memory delivers messages between nodes 0..N-1 in process, with fault
+// injection. Send is best-effort and non-blocking: the model explicitly
+// permits loss, so a full buffer drops rather than blocks. The zero Faults
 // value gives loss-free, in-order-ish (but still concurrent) delivery.
 type Memory struct {
 	mu     sync.Mutex
@@ -100,7 +87,8 @@ func NewMemory(n int, seed int64, faults Faults) *Memory {
 	return t
 }
 
-// Stats implements StatsReporter: a snapshot of each node's counters.
+// Stats is a snapshot of each node's counters; the dist runtime surfaces
+// the drops in its Outcome.
 func (t *Memory) Stats() []NodeStats {
 	out := make([]NodeStats, len(t.stats))
 	for i := range t.stats {
@@ -113,7 +101,8 @@ func (t *Memory) Stats() []NodeStats {
 	return out
 }
 
-// Send implements Transport with loss, duplication and random delay.
+// Send accepts msg for delivery, applying loss, duplication and random
+// delay. It fails only after Close or for a destination outside 0..N-1.
 func (t *Memory) Send(msg Message) error {
 	t.mu.Lock()
 	if t.closed {
@@ -174,11 +163,11 @@ func (t *Memory) delayLocked() time.Duration {
 	return t.faults.MinDelay + time.Duration(t.rng.Int63n(int64(t.faults.MaxDelay-t.faults.MinDelay)))
 }
 
-// Recv implements Transport.
+// Recv returns a node's receive channel; it closes when the transport does.
 func (t *Memory) Recv(node int) <-chan Message { return t.chans[node] }
 
-// Close implements Transport; it waits for in-flight deliveries to finish
-// and closes every receive channel.
+// Close waits for in-flight deliveries to finish and closes every receive
+// channel.
 func (t *Memory) Close() error {
 	t.mu.Lock()
 	if t.closed {

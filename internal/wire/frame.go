@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -122,7 +123,6 @@ const (
 	maxMsgLen      = 1 << 10
 	maxScenarioLen = 1 << 16
 	maxTableLen    = 1 << 16
-	maxTraceLen    = 1 << 12
 )
 
 // Frame is one service protocol frame.
@@ -153,18 +153,13 @@ type Wait struct {
 // Status reports progress: the run's lifecycle phase, the last
 // completed engine step against its horizon, and the work counter — the
 // convergence-stats stream that keeps a throttled client informed
-// rather than timing out blind.
+// rather than timing out blind. The run's lifecycle span log is served
+// by the admin /runs endpoint, not carried here.
 type Status struct {
 	ID            string
 	Phase         RunPhase
 	Step, Horizon int64
 	CellsComputed int64
-	// Trace is the run's lifecycle span log rendered as newline-separated
-	// lines (submitted → admitted/resumed → quantum[i] → checkpointed),
-	// each prefixed with its offset from admission — the machine-readable
-	// run history the admin /runs endpoint serves in structured form.
-	// Oversized logs are truncated at encode, never refused.
-	Trace string
 }
 
 // Result reports a finished run: the certified convergence step (−1 if
@@ -245,15 +240,11 @@ func (s Status) appendTo(out []byte) ([]byte, error) {
 	if err := checkName("id", s.ID); err != nil {
 		return nil, err
 	}
-	if len(s.Trace) > maxTraceLen {
-		s.Trace = s.Trace[:maxTraceLen]
-	}
 	out = appendName(out, s.ID)
 	out = append(out, byte(s.Phase))
 	out = binary.BigEndian.AppendUint64(out, uint64(s.Step))
 	out = binary.BigEndian.AppendUint64(out, uint64(s.Horizon))
-	out = binary.BigEndian.AppendUint64(out, uint64(s.CellsComputed))
-	return appendName(out, s.Trace), nil
+	return binary.BigEndian.AppendUint64(out, uint64(s.CellsComputed)), nil
 }
 
 func (r Result) appendTo(out []byte) ([]byte, error) {
@@ -287,6 +278,9 @@ func (e ErrorFrame) appendTo(out []byte) ([]byte, error) {
 	return out, nil
 }
 
+// errFrameField is the fault DecodeFrame's cursor sticks.
+var errFrameField = errors.New("wire: truncated or over-cap frame field")
+
 // DecodeFrame parses one frame. Unknown kinds and over-cap lengths are
 // clean errors.
 func DecodeFrame(data []byte) (f Frame, err error) {
@@ -295,34 +289,30 @@ func DecodeFrame(data []byte) (f Frame, err error) {
 		return nil, ErrTruncated
 	}
 	defer func() { countDecoded(FrameKind(data[0]), err) }()
-	d := &frameCursor{b: data[1:]}
+	d := NewCursor(data[1:], errFrameField)
 	switch FrameKind(data[0]) {
 	case FrameSubmit:
-		s := Submit{Tenant: d.str(maxNameLen), ID: d.str(maxNameLen), DeadlineMS: d.i64()}
-		s.Scenario = d.blob(maxScenarioLen)
-		f = s
+		f = Submit{Tenant: d.Str(maxNameLen), ID: d.Str(maxNameLen), DeadlineMS: d.I64(),
+			Scenario: bytes.Clone(d.Bytes(maxScenarioLen))}
 	case FrameWait:
-		f = Wait{Tenant: d.str(maxNameLen), ID: d.str(maxNameLen)}
+		f = Wait{Tenant: d.Str(maxNameLen), ID: d.Str(maxNameLen)}
 	case FrameStatus:
-		f = Status{ID: d.str(maxNameLen), Phase: RunPhase(d.u8()),
-			Step: d.i64(), Horizon: d.i64(), CellsComputed: d.i64(),
-			Trace: d.str(maxTraceLen)}
+		f = Status{ID: d.Str(maxNameLen), Phase: RunPhase(d.U8()),
+			Step: d.I64(), Horizon: d.I64(), CellsComputed: d.I64()}
 	case FrameResult:
-		r := Result{ID: d.str(maxNameLen), Steps: d.i64(), ConvergedAt: d.i64(),
-			CellsComputed: d.i64(), Hash: d.u64()}
-		r.Table = string(d.blob(maxTableLen))
-		f = r
+		f = Result{ID: d.Str(maxNameLen), Steps: d.I64(), ConvergedAt: d.I64(),
+			CellsComputed: d.I64(), Hash: d.U64(), Table: string(d.Bytes(maxTableLen))}
 	case FrameError:
-		f = ErrorFrame{ID: d.str(maxNameLen), Code: ErrorCode(d.u8()),
-			RetryAfterMS: d.i64(), Msg: d.str(maxMsgLen)}
+		f = ErrorFrame{ID: d.Str(maxNameLen), Code: ErrorCode(d.U8()),
+			RetryAfterMS: d.I64(), Msg: d.Str(maxMsgLen)}
 	default:
 		return nil, fmt.Errorf("wire: unknown frame kind %d", data[0])
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v frame", len(d.b), FrameKind(data[0]))
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after %v frame", d.Len(), FrameKind(data[0]))
 	}
 	return f, nil
 }
@@ -337,72 +327,4 @@ func checkName(what, s string) error {
 func appendName(out []byte, s string) []byte {
 	out = binary.BigEndian.AppendUint16(out, uint16(len(s)))
 	return append(out, s...)
-}
-
-// frameCursor is a bounds-checked reader; the first failed read sticks
-// in err and every later read is a no-op.
-type frameCursor struct {
-	b   []byte
-	err error
-}
-
-func (c *frameCursor) fail() {
-	if c.err == nil {
-		c.err = errors.New("wire: truncated or over-cap frame field")
-	}
-}
-
-func (c *frameCursor) u8() byte {
-	if c.err != nil || len(c.b) < 1 {
-		c.fail()
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *frameCursor) u64() uint64 {
-	if c.err != nil || len(c.b) < 8 {
-		c.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(c.b)
-	c.b = c.b[8:]
-	return v
-}
-
-func (c *frameCursor) i64() int64 { return int64(c.u64()) }
-
-func (c *frameCursor) str(max int) string {
-	if c.err != nil || len(c.b) < 2 {
-		c.fail()
-		return ""
-	}
-	l := int(binary.BigEndian.Uint16(c.b))
-	c.b = c.b[2:]
-	if l > max || l > len(c.b) {
-		c.fail()
-		return ""
-	}
-	v := string(c.b[:l])
-	c.b = c.b[l:]
-	return v
-}
-
-func (c *frameCursor) blob(max int) []byte {
-	if c.err != nil || len(c.b) < 4 {
-		c.fail()
-		return nil
-	}
-	l := int(binary.BigEndian.Uint32(c.b))
-	c.b = c.b[4:]
-	if l > max || l > len(c.b) {
-		c.fail()
-		return nil
-	}
-	v := make([]byte, l)
-	copy(v, c.b[:l])
-	c.b = c.b[l:]
-	return v
 }
