@@ -8,11 +8,13 @@ package repro_test
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/algebras"
 	"repro/internal/engine"
 	"repro/internal/matrix"
+	"repro/internal/scenario"
 )
 
 // benchBaseline mirrors the committed BENCH_*.json layout.
@@ -82,3 +84,66 @@ func TestE5EngineAllocGate(t *testing.T) {
 			avg, budget*gateSlack, gateSlack, budget)
 	}
 }
+
+// benchSlicedScenario is cmd/bench's svc_sliced_n64 request: ring-64,
+// horizon 4096, one late event that keeps the run alive for 64 quanta.
+const benchSlicedScenario = "scenario bench-sliced\ntopo ring 64 rip\nseed 1\nhorizon 4096\nat 4000 linkdown 0 1\n"
+
+// serviceRequest is what the daemon does for one Submit, in process:
+// Parse → NewRunner → Advance(64) until done → FinalHash → Close.
+func serviceRequest(tb testing.TB) uint64 {
+	sc, err := scenario.Parse([]byte(benchSlicedScenario))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := scenario.NewRunner(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer r.Close()
+	for done := false; !done; {
+		if done, err = r.Advance(64); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return r.FinalHash()
+}
+
+// TestServiceRequestAllocGate: a service request after the first runs on
+// scratch the first one parked — the engine it was built for is closed
+// and gone — and hashes its result through one buffer, so it allocates
+// the instance, the engine shell and the result, not the run: ≤ 350 KB
+// in ≤ 300 allocations, where rebuilding the scratch cost 650 KB and a
+// slice per hashed cell 4 235 allocations. The best of five requests is
+// judged: whatever else the process allocates meanwhile only adds.
+func TestServiceRequestAllocGate(t *testing.T) {
+	want := serviceRequest(t)
+	bytes, mallocs := ^uint64(0), ^uint64(0)
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := serviceRequest(t)
+		runtime.ReadMemStats(&after)
+		if got != want {
+			t.Fatalf("request %d hashed %016x, the first %016x", try+2, got, want)
+		}
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("a warm service request allocates %d KB in %d allocations", bytes>>10, mallocs)
+	if bytes > 350<<10 || mallocs > 300 {
+		t.Fatalf("a warm service request allocates %d KB in %d allocations, want ≤ 350 KB in ≤ 300", bytes>>10, mallocs)
+	}
+}
+
+// BenchmarkServiceRequest times the same request; run with -benchmem.
+func BenchmarkServiceRequest(b *testing.B) {
+	serviceRequest(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = serviceRequest(b)
+	}
+}
+
+var benchSink uint64

@@ -95,22 +95,12 @@ type colOps[R any] struct {
 	cws []colWS
 }
 
-func (o *colOps[R]) takeSpare() *run[R, core.Col] {
-	e := o.e
-	e.mu.Lock()
-	r := e.spareC
-	e.spareC = nil
-	e.mu.Unlock()
-	return r
-}
-
-func (o *colOps[R]) putSpare(r *run[R, core.Col]) {
-	e := o.e
-	e.mu.Lock()
-	if e.spareC == nil && !e.closed {
-		e.spareC = r
+// geom: pooled lanes and slabs are reusable only at the same cell layout.
+func (o *colOps[R]) geom() int {
+	if o.cs.meta.HasID {
+		return -o.cs.meta.W
 	}
-	e.mu.Unlock()
+	return o.cs.meta.W
 }
 
 func (o *colOps[R]) newSlab() rowSlab[core.Col] {

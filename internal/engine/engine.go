@@ -139,11 +139,12 @@ type Stats struct {
 // Engine evaluates δ (and, through the Synchronous source, σ) over one
 // algebra and topology. It is semantically stateless between runs — no
 // result ever depends on a prior run — and safe for concurrent use by
-// separate goroutines; it retains one run's worth of scratch per row
-// representation purely as memory to reuse. Engines own a lazily-started
-// persistent worker pool; Close releases both the pool and the retained
-// scratch early, and a GC cleanup handles engines that are simply
-// dropped.
+// separate goroutines. Run scratch is not the engine's: a finished run
+// parks it on the process-wide spare list (spares), so it outlives Close
+// and serves the next engine of the same shape. Engines own a
+// lazily-started persistent worker pool and the compilations below;
+// Close releases them early, and a GC cleanup handles engines that are
+// simply dropped.
 type Engine[R any] struct {
 	alg         core.Algebra[R]
 	adj         *matrix.Adjacency[R]
@@ -153,18 +154,11 @@ type Engine[R any] struct {
 	termination TerminationMode
 	pool        *pool
 	cleanup     runtime.Cleanup
-	// mu guards the retained cross-run state below. spareG/spareC are the
-	// run scratch reused across Runs — one slot per row representation,
-	// so a warm engine's evaluation loop allocates
-	// (almost) nothing. Plain slots rather than a sync.Pool so the
-	// garbage the run itself no longer produces cannot trigger the GC
-	// into discarding the very scratch that eliminates it. memoAdj is the
+	// mu guards the retained cross-run state below. memoAdj is the
 	// memoised adjacency view and colSup the compiled columnar kernel
 	// table, each reused until the underlying adjacency's generation
-	// moves. closed stops all of them from being repopulated after Close.
+	// moves. closed stops them from being repopulated after Close.
 	mu       sync.Mutex
-	spareG   *run[R, []R]
-	spareC   *run[R, core.Col]
 	memoAdj  *matrix.Adjacency[R]
 	memoGen  uint64
 	colSup   *colSupport[R]
@@ -200,7 +194,7 @@ func (e *Engine[R]) Close() {
 	e.cleanup.Stop()
 	e.pool.close()
 	e.mu.Lock()
-	e.spareG, e.spareC, e.memoAdj, e.colSup, e.closed = nil, nil, nil, nil, true
+	e.memoAdj, e.colSup, e.closed = nil, nil, true
 	e.mu.Unlock()
 }
 
@@ -310,10 +304,9 @@ func (s *genSlab[R]) carve(n int) []R {
 // bit-identical by contract — the loop, the skip logic, the stats and
 // the certification never see the difference.
 type rowOps[R, Row any] interface {
-	// takeSpare and putSpare move the pooled run scratch in and out of
-	// the engine's per-representation spare slot (locking engine.mu).
-	takeSpare() *run[R, Row]
-	putSpare(r *run[R, Row])
+	// geom is the row geometry beyond n that pooled scratch must match
+	// (the packed cell layout; 0 for []R rows).
+	geom() int
 	// newSlab returns a fresh row arena; prepare sizes any
 	// representation-specific per-run scratch.
 	newSlab() rowSlab[Row]
@@ -337,12 +330,13 @@ type rowOps[R, Row any] interface {
 }
 
 // run is the mutable state of one evaluation, generic over the row
-// representation. Run values are pooled on the engine and every slice
-// below is retained across runs, so a warm run allocates nothing on the
-// hot path. A snapshot — one time step's global state —
+// representation. Run values are pooled (spares) and every slice below
+// is retained across runs, so a warm run allocates nothing on the hot
+// path. A snapshot — one time step's global state —
 // is a []Row of n rows, shared with neighbouring snapshots for every
 // node that did not activate in between, and immutable once published.
 type run[R, Row any] struct {
+	shape    spareShape // what the scratch below was sized for; fixed for life
 	ops      rowOps[R, Row]
 	window   int // -1 = keep all
 	ring     [][]Row
@@ -386,8 +380,9 @@ type run[R, Row any] struct {
 	// kept on the run so that pausing is a return from step and resuming
 	// a call to it.
 	e          *Engine[R]
-	src        Source
-	n, T, t    int // node count, horizon, last completed step
+	sched      Batched   // the source's whole-step form, or &pw over a plain Source
+	pw         pointwise // here, not boxed, so adapting a source allocates nothing
+	n, T, t    int       // node count, horizon, last completed step
 	doTerm     bool
 	fairP      int
 	events     []TimelineEvent[R] // the timeline to play; events[:nextEv] have fired
@@ -465,14 +460,88 @@ func (r *run[R, Row]) at(t, b int) []Row {
 	return r.ring[b%(r.window+1)]
 }
 
-// acquireRun returns a run ready for evaluation: the engine's pooled one
-// (scratch, history ring, row slabs and change-tracking matrices reset
-// and reused) when it is free, a fresh one otherwise. Keep-everything
-// histories always get fresh backing — they escape into the Result.
+// spareShape is what run scratch is sized for. A run is only ever reused
+// at the shape it was built for — a spare of another shape is left for
+// its own kind (and in time evicted), never resized in place.
+type spareShape struct {
+	typ              any // (*run[R, Row])(nil): the row type
+	n, workers, geom int
+}
+
+// spareShapes is how many shapes' worth of parked runs the process keeps.
+const spareShapes = 4
+
+// spares is the process-wide list of parked run scratch, least recently
+// parked first: what makes a warm evaluation loop allocate (almost)
+// nothing, whether the next run is on this engine or on a fresh one (the
+// service builds an engine per request). Plain slots rather than a
+// sync.Pool so the garbage the run itself no longer produces cannot
+// trigger the GC into discarding the very scratch that eliminates it.
+//
+// The bound is constants: at most GOMAXPROCS runs of one shape (more are
+// not in use at once without oversubscribing) and spareShapes·GOMAXPROCS
+// in all, the least recently parked evicted first. A parked run of n
+// nodes and window w holds at most (w+1)·n rows of n cells, n² row
+// headers of β-resolved tables and 12·n² bytes of change tracking (ver,
+// lastRead, the mask ring): ≈ 0.3 MB at the service's n = 64, w = 4, so
+// ≤ 2.4 MB retained on 2 CPUs; ≈ 35 MB a run at E5's n = 512, w = 8. It
+// holds nothing of the engine, adjacency, source or timeline it last
+// served (see release).
+var spares struct {
+	sync.Mutex
+	list []parked
+}
+
+type parked struct {
+	shape spareShape
+	run   any
+}
+
+// takeSpare removes and returns the most recently parked run of the
+// shape, nil when there is none.
+func takeSpare(shape spareShape) any {
+	spares.Lock()
+	defer spares.Unlock()
+	for idx := len(spares.list) - 1; idx >= 0; idx-- {
+		if p := spares.list[idx]; p.shape == shape {
+			spares.list = slices.Delete(spares.list, idx, idx+1)
+			return p.run
+		}
+	}
+	return nil
+}
+
+// parkSpare parks a released run, evicting the least recently parked run
+// of its shape when GOMAXPROCS of them are parked already, else of any
+// shape when the list is full.
+func parkSpare(shape spareShape, r any) {
+	perShape := runtime.GOMAXPROCS(0)
+	spares.Lock()
+	defer spares.Unlock()
+	oldest, same := 0, 0
+	for idx := len(spares.list) - 1; idx >= 0; idx-- {
+		if spares.list[idx].shape == shape {
+			oldest, same = idx, same+1
+		}
+	}
+	if same >= perShape {
+		spares.list = slices.Delete(spares.list, oldest, oldest+1)
+	} else if len(spares.list) >= spareShapes*perShape {
+		spares.list = slices.Delete(spares.list, 0, 1)
+	}
+	spares.list = append(spares.list, parked{shape, r})
+}
+
+// acquireRun returns a run ready for evaluation: a parked one of exactly
+// this shape (scratch, history ring, row slabs and change-tracking
+// matrices reset and reused) when there is one, a fresh one otherwise.
+// Keep-everything histories always get fresh backing — they escape into
+// the Result.
 func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) *run[R, Row] {
-	r := ops.takeSpare()
+	shape := spareShape{(*run[R, Row])(nil), n, e.workers, ops.geom()}
+	r, _ := takeSpare(shape).(*run[R, Row])
 	if r == nil {
-		r = &run[R, Row]{}
+		r = &run[R, Row]{shape: shape}
 	}
 	r.ops = ops
 	if r.slab == nil {
@@ -535,17 +604,19 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) 
 }
 
 // release ends the evaluation: it reclaims the run's history rows and
-// headers into its free lists and returns the scratch to the engine
-// pool. Row sharing is contiguous in time, so the distinct rows of one
+// headers into its free lists and parks the scratch on the spare
+// list. Row sharing is contiguous in time, so the distinct rows of one
 // node across the ring are found by a pointer scan; everything reclaimed
 // here feeds the next run's newRow/newHeader without touching the
 // allocator.
 func (r *run[R, Row]) release() {
-	r.src, r.events, r.marks, r.prev = nil, nil, nil, nil
+	ops := r.ops
+	// A parked run pins nothing of what it served: not the engine (closed
+	// or not), its adjacency, the source or the timeline's closures.
+	r.e, r.ops, r.sched, r.pw, r.events, r.marks, r.prev = nil, nil, nil, pointwise{}, nil, nil, nil
 	if r.window < 0 {
 		return
 	}
-	ops := r.ops
 	seen := r.seenRows
 	for i := 0; i < r.n; i++ {
 		seen = seen[:0]
@@ -577,12 +648,12 @@ func (r *run[R, Row]) release() {
 			r.ring[si] = nil
 		}
 	}
-	// Drop the run-local references to the memo adjacency view (the
-	// engine retains it, keyed by topology generation): the run pointer
-	// and the rowTask values lingering in the retained task backing.
+	// The memo adjacency view (the engine retains it, keyed by topology
+	// generation) goes too: the run pointer and the rowTask values
+	// lingering in the retained task backing.
 	r.adj = nil
 	clear(r.tasks[:cap(r.tasks)])
-	ops.putSpare(r)
+	parkSpare(r.shape, r)
 }
 
 // adjFor returns the adjacency a run evaluates through: when the algebra
@@ -740,7 +811,13 @@ func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events [
 	window int, doTerm bool, fairP int, start *matrix.State[R], rs *Snapshot[R]) *run[R, Row] {
 	n, T := src.Nodes(), src.Horizon()
 	r := acquireRun(e, ops, n, window, T)
-	r.e, r.src, r.n, r.T, r.t = e, src, n, T, 0
+	r.e, r.n, r.T, r.t = e, n, T, 0
+	if b, ok := src.(Batched); ok {
+		r.sched = b
+	} else {
+		r.pw = pointwise{src}
+		r.sched = &r.pw
+	}
 	r.doTerm, r.fairP = doTerm, fairP
 	r.events, r.nextEv = events, 0
 	r.lastChange, r.certGen, r.nCert, r.converged = 0, 1, 0, false
@@ -810,7 +887,7 @@ func (r *run[R, Row]) step(until int) bool {
 	if r.converged || r.t >= until {
 		return r.converged || r.t >= r.T
 	}
-	e, ops, src, n := r.e, r.ops, r.src, r.n
+	e, ops, sched, n := r.e, r.ops, r.sched, r.n
 	doTerm := r.doTerm
 	nbr, nbrOff, tabs, betaBuf, certStmp := r.nbr, r.nbrOff, r.tabs, r.betaBuf, r.certStmp
 	actives, tasks := r.actives[:0], r.tasks
@@ -841,7 +918,7 @@ func (r *run[R, Row]) step(until int) bool {
 			// oldest state and row sharing stays contiguous in time.
 			to, quiet := min(until, r.events[r.nextEv].Step-1), t-lastChange
 			if to > t && quiet >= r.fairP-1 && quiet > r.window && r.settled() {
-				r.stats.RowsSkipped += countActive(src, t+1, to)
+				r.stats.RowsSkipped += sched.CountActive(t+1, to)
 				k := (to - t) % len(r.ring)
 				slices.Reverse(r.ring)
 				slices.Reverse(r.ring[:k])
@@ -920,12 +997,7 @@ func (r *run[R, Row]) step(until int) bool {
 			r.stats.Events++
 			continue
 		}
-		actives = actives[:0]
-		for i := 0; i < n; i++ {
-			if src.Active(t, i) {
-				actives = append(actives, i)
-			}
-		}
+		actives = sched.ActiveSet(t, actives[:0])
 		cur := r.newHeader(n)
 		copy(cur, prev)
 		stepChanged := false
@@ -938,82 +1010,52 @@ func (r *run[R, Row]) step(until int) bool {
 			stepOps := 0
 			for _, i := range actives {
 				nb := nbr[nbrOff[i]:nbrOff[i+1]]
-				minB := t
+				minB := sched.Betas(t, i, nb, betaBuf)
+				// A first activation (nothing to reuse yet) recomputes in
+				// full; the kernel still tracks changes against the node's
+				// starting row, so ConvergedAt and FixedPoint round counts
+				// stay exact.
+				base, arena0, compute, cost := i*n, -1, true, n*n
 				if r.lastComp[i] >= 0 {
 					// The node has a previous row. Decide in O(deg) whether
 					// any β-resolved input changed since it was computed;
 					// if not, the row is structurally unchanged — skip it.
-					base := i * n
-					arena0 := len(loArena)
-					skip := true
+					arena0, compute = len(loArena), false
 					for ai, k32 := range nb {
-						k := int(k32)
-						b := src.Beta(t, i, k)
-						if b < minB {
-							minB = b
-						}
-						betaBuf[ai] = b
-						b0 := int(r.lastRead[base+k])
-						lo := b
-						if b0 < lo {
-							lo = b0
-						}
+						lo := min(betaBuf[ai], int(r.lastRead[base+int(k32)]))
 						loArena = append(loArena, int32(lo))
-						if int(r.inc.rowMax[k]) > lo {
-							skip = false
+						if int(r.inc.rowMax[k32]) > lo {
+							compute = true
 						}
 					}
-					if skip {
-						r.stats.RowsSkipped++
-						for ai, k32 := range nb {
-							// The kept row is also valid against the fresher
-							// read time — advance it to maximise future skips.
-							if slot := base + int(k32); int32(betaBuf[ai]) > r.lastRead[slot] {
-								r.lastRead[slot] = int32(betaBuf[ai])
-							}
-						}
-						loArena = loArena[:arena0]
-					} else {
-						tb := tabs[i]
-						if tb == nil {
-							tb = r.newHeader(n)
-							tabs[i] = tb
-						}
-						for ai, k32 := range nb {
-							k := int(k32)
-							tb[k] = r.at(t, betaBuf[ai])[k]
-							r.lastRead[base+k] = int32(betaBuf[ai])
-						}
-						r.lastComp[i] = int32(t)
-						cur[i] = r.newRow(n)
-						pendRows = append(pendRows, int32(i))
-						pendLo = append(pendLo, int32(arena0))
-						stepOps += n * (len(nb) + 1) // dirty scan; the kernel may touch far fewer cells
-					}
-				} else {
-					// Full recomputation: the node's first activation (nothing
-					// to reuse yet). The full kernel still tracks changes
-					// against the node's starting row, so ConvergedAt and
-					// FixedPoint round counts stay exact.
+					cost = n * (len(nb) + 1) // dirty scan; the kernel may touch far fewer cells
+				}
+				if compute {
 					tb := tabs[i]
 					if tb == nil {
 						tb = r.newHeader(n)
 						tabs[i] = tb
 					}
-					for _, k32 := range nb {
+					for ai, k32 := range nb {
 						k := int(k32)
-						b := src.Beta(t, i, k)
-						if b < minB {
-							minB = b
-						}
-						tb[k] = r.at(t, b)[k]
-						r.lastRead[i*n+k] = int32(b)
+						tb[k] = r.at(t, betaBuf[ai])[k]
+						r.lastRead[base+k] = int32(betaBuf[ai])
 					}
 					r.lastComp[i] = int32(t)
 					cur[i] = r.newRow(n)
 					pendRows = append(pendRows, int32(i))
-					pendLo = append(pendLo, -1)
-					stepOps += n * n
+					pendLo = append(pendLo, int32(arena0))
+					stepOps += cost
+				} else {
+					r.stats.RowsSkipped++
+					for ai, k32 := range nb {
+						// The kept row is also valid against the fresher
+						// read time — advance it to maximise future skips.
+						if slot := base + int(k32); int32(betaBuf[ai]) > r.lastRead[slot] {
+							r.lastRead[slot] = int32(betaBuf[ai])
+						}
+					}
+					loArena = loArena[:arena0]
 				}
 				if doTerm {
 					actNodes = append(actNodes, int32(i))
@@ -1170,23 +1212,7 @@ func (e *Engine[R]) shardsFor(actives, n int) int {
 // genOps is the []R row representation: the interface evaluation path.
 type genOps[R any] struct{ e *Engine[R] }
 
-func (o genOps[R]) takeSpare() *run[R, []R] {
-	e := o.e
-	e.mu.Lock()
-	r := e.spareG
-	e.spareG = nil
-	e.mu.Unlock()
-	return r
-}
-
-func (o genOps[R]) putSpare(r *run[R, []R]) {
-	e := o.e
-	e.mu.Lock()
-	if e.spareG == nil && !e.closed {
-		e.spareG = r
-	}
-	e.mu.Unlock()
-}
+func (genOps[R]) geom() int { return 0 }
 
 func (genOps[R]) newSlab() rowSlab[[]R] { return &genSlab[R]{} }
 

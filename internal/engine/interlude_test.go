@@ -20,23 +20,36 @@ import (
 // TermOff: it never certifies, so it never jumps, and marches every step.
 
 // probe counts what the engine asks of a source, and passes every
-// optional capability through.
+// optional capability through: active and beta are pointwise calls, sets
+// and rows whole-step ones, counted the steps handed to CountActive.
 type probe struct {
 	engine.Source
-	active, beta, counted int
+	active, beta, sets, rows, counted int
 }
 
 func (p *probe) Active(t, i int) bool { p.active++; return p.Source.Active(t, i) }
 func (p *probe) Beta(t, i, k int) int { p.beta++; return p.Source.Beta(t, i, k) }
 func (p *probe) MaxLookback() int     { return p.Source.(engine.Bounded).MaxLookback() }
 func (p *probe) FairPeriod() int      { return p.Source.(engine.Fair).FairPeriod() }
+func (p *probe) ActiveSet(t int, dst []int) []int {
+	p.sets++
+	return p.Source.(engine.Batched).ActiveSet(t, dst)
+}
+func (p *probe) Betas(t, i int, nbr []int32, dst []int) int {
+	p.rows++
+	return p.Source.(engine.Batched).Betas(t, i, nbr, dst)
+}
 func (p *probe) CountActive(t0, t1 int) int {
 	p.counted += t1 - t0 + 1
-	return p.Source.(engine.Counting).CountActive(t0, t1)
+	return p.Source.(engine.Batched).CountActive(t0, t1)
 }
 
-// uncounted is a Fair, Bounded source without the Counting capability:
-// the engine must count its interludes by asking Active.
+// asked is every schedule question short of a range count.
+func (p *probe) asked() int { return p.active + p.beta + p.sets + p.rows }
+
+// uncounted is a Fair, Bounded source with the Batched capability hidden
+// (only Source's methods are promoted): the engine must march it, and
+// count its interludes, through the pointwise adapter.
 type uncounted struct {
 	engine.Source
 	period, lookback int
@@ -171,8 +184,8 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 	}
 	fullSteps := full.Stats().Steps
 
-	// The same source with the Counting capability hidden: the generic
-	// Active loop must count the same activations.
+	// The same source with the Batched capability hidden: the pointwise
+	// adapter must march the same steps and count the same activations.
 	plain := jumpAgainstMarch(t, name+"/hashed-uncounted", p,
 		uncounted{hashed, hashed.FairPeriod(), hashed.MaxLookback()}, events, march)
 	statsMatch(t, name+" counted vs uncounted", plain.Stats(), full.Stats())
@@ -272,7 +285,9 @@ func TestInterludeJumpDifferential(t *testing.T) {
 // steps a source that counts in closed form is asked for no activation
 // and no β at all, so the advance takes time independent of the gap; on
 // Hashed the jump hashes every skipped activation but evaluates no β and
-// allocates nothing.
+// allocates nothing. It also pins what a marched step may cost: over a
+// Batched source, one ActiveSet, one Betas per activation, no pointwise
+// Active or Beta call, and no allocation.
 func TestInterludeJumpCost(t *testing.T) {
 	alg, adj := meshNet()
 	n := adj.N
@@ -293,13 +308,13 @@ func TestInterludeJumpCost(t *testing.T) {
 		p := &probe{Source: c.src}
 		st := mustStart(t, eng, start, p, events)
 		st.Step(settle)
-		asked, counted := p.active+p.beta, p.counted
+		asked, counted := p.asked(), p.counted
 		if st.Step(settle+gap-1) || st.At() != settle+gap-1 {
 			t.Fatalf("%s: the run did not pause before the event (at %d)", c.name, st.At())
 		}
-		if p.active+p.beta != asked || p.counted-counted != gap-1 {
-			t.Fatalf("%s: %d Active/β calls and %d counted steps across the interlude, want 0 and %d",
-				c.name, p.active+p.beta-asked, p.counted-counted, gap-1)
+		if p.asked() != asked || p.counted-counted != gap-1 {
+			t.Fatalf("%s: %d Active/β questions and %d counted steps across the interlude, want 0 and %d",
+				c.name, p.asked()-asked, p.counted-counted, gap-1)
 		}
 		if !st.Step(T) {
 			t.Fatalf("%s: the run did not finish", c.name)
@@ -321,16 +336,35 @@ func TestInterludeJumpCost(t *testing.T) {
 	st := mustStart(t, eng, start, p, events)
 	defer st.Close()
 	st.Step(settle)
-	betas, counted, until := p.beta, p.counted, settle
+	asked, counted, until := p.asked(), p.counted, settle
 	allocs := testing.AllocsPerRun(8, func() {
 		until += gap / 10
 		if st.Step(until) || st.At() != until {
 			t.Fatalf("hashed: Step(%d) finished or stopped at %d", until, st.At())
 		}
 	})
-	if allocs != 0 || p.beta != betas || p.counted-counted != until-settle {
-		t.Fatalf("hashed: %v allocs/jump, %d β evaluations, %d of %d steps counted; want 0, 0, all",
-			allocs, p.beta-betas, p.counted-counted, until-settle)
+	if allocs != 0 || p.asked() != asked || p.counted-counted != until-settle {
+		t.Fatalf("hashed: %v allocs/jump, %d Active/β questions, %d of %d steps counted; want 0, 0, all",
+			allocs, p.asked()-asked, p.counted-counted, until-settle)
+	}
+
+	// The marching run (TermOff never jumps), past its first change wave
+	// so the row slabs are warm.
+	march := engine.New(alg, adj.Clone(), engine.Config{Termination: engine.TermOff})
+	defer march.Close()
+	mp := &probe{Source: p.Source}
+	ms := mustStart(t, march, start, mp, events)
+	defer ms.Close()
+	ms.Step(settle)
+	sets, rows, at := mp.sets, mp.rows, settle
+	allocs = testing.AllocsPerRun(50, func() {
+		at++
+		ms.Step(at)
+	})
+	steps := at - settle
+	if allocs != 0 || mp.active+mp.beta != 0 || mp.counted != 0 || mp.sets-sets != steps || mp.rows-rows < steps {
+		t.Fatalf("marched: %v allocs/step, %d pointwise calls, %d ActiveSet and %d Betas calls over %d steps; want 0, 0, one a step, ≥ one a step",
+			allocs, mp.active+mp.beta, mp.sets-sets, mp.rows-rows, steps)
 	}
 }
 

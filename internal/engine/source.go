@@ -4,7 +4,8 @@ package engine
 // is β in the Üresin & Dubois model of Section 3.1. *schedule.Schedule
 // satisfies Source; the types in this file are lazy sources that need no
 // O(T·n²) materialisation, which matters once horizons reach production
-// scale.
+// scale. Active and Beta define the schedule; a run reads it a step at a
+// time, through Batched.
 type Source interface {
 	// Nodes returns n, the node count.
 	Nodes() int
@@ -50,29 +51,67 @@ type Fair interface {
 	FairPeriod() int
 }
 
-// Counting is implemented by sources that can count the activations of
-// steps t0..t1 — |{(t, i) : t0 ≤ t ≤ t1, i ∈ α(t)}|, 0 when t1 < t0 —
-// without visiting them one Active call at a time; the engine advances a
-// certified fixed point across a quiescent interlude by that count (see
-// run.step).
-type Counting interface {
+// Batched is implemented by sources that answer for a whole step at a
+// time; it is how a run asks every schedule question. A lazy source
+// hoists what depends only on t, or on (t, i), out of the per-node and
+// per-neighbour work, and counts a range of steps without visiting it;
+// each answer must equal the pointwise one (Active, Beta) exactly. A
+// source without it is served by the pointwise adapter, so Active and
+// Beta stay: they are what the reference evaluator and the adapter read.
+type Batched interface {
+	// ActiveSet appends α(t) to dst in ascending node order.
+	ActiveSet(t int, dst []int) []int
+	// Betas writes β(t, i, k) for each k of nbr into dst[:len(nbr)] and
+	// returns their minimum (t when nbr is empty).
+	Betas(t, i int, nbr []int32, dst []int) (minB int)
+	// CountActive returns |{(t, i) : t0 ≤ t ≤ t1, i ∈ α(t)}|, 0 when
+	// t1 < t0; the engine advances a certified fixed point across a
+	// quiescent interlude by that count (see run.step).
 	CountActive(t0, t1 int) int
 }
 
-// countActive counts the activations of steps t0..t1 through the
-// source's Counting capability, or by asking Active when it has none.
-func countActive(src Source, t0, t1 int) (cnt int) {
-	if c, ok := src.(Counting); ok {
-		return c.CountActive(t0, t1)
+// pointwise serves Batched from a plain Source, one Active or Beta call
+// at a time.
+type pointwise struct{ Source }
+
+func (p *pointwise) ActiveSet(t int, dst []int) []int {
+	for i, n := 0, p.Nodes(); i < n; i++ {
+		if p.Active(t, i) {
+			dst = append(dst, i)
+		}
 	}
-	for t := t0; t <= t1; t++ {
-		for i, n := 0, src.Nodes(); i < n; i++ {
-			if src.Active(t, i) {
+	return dst
+}
+
+func (p *pointwise) Betas(t, i int, nbr []int32, dst []int) int {
+	minB := t
+	for ai, k := range nbr {
+		dst[ai] = p.Beta(t, i, int(k))
+		minB = min(minB, dst[ai])
+	}
+	return minB
+}
+
+func (p *pointwise) CountActive(t0, t1 int) (cnt int) {
+	for t, n := t0, p.Nodes(); t <= t1; t++ {
+		for i := 0; i < n; i++ {
+			if p.Active(t, i) {
 				cnt++
 			}
 		}
 	}
 	return cnt
+}
+
+// fillBetas is the Betas of a source whose β is t − 1 everywhere.
+func fillBetas(t int, nbr []int32, dst []int) int {
+	if len(nbr) == 0 {
+		return t
+	}
+	for ai := range nbr {
+		dst[ai] = t - 1
+	}
+	return t - 1
 }
 
 // Synchronous is the schedule that recovers σ (Section 3.1): every node
@@ -89,11 +128,22 @@ func (s Synchronous) Horizon() int { return s.T }
 // Active implements Source: α(t) is every node.
 func (s Synchronous) Active(t, i int) bool { return true }
 
-// CountActive implements Counting: N per step.
-func (s Synchronous) CountActive(t0, t1 int) int { return s.N * max(t1-t0+1, 0) }
-
 // Beta implements Source: β ≡ t − 1.
 func (s Synchronous) Beta(t, i, k int) int { return t - 1 }
+
+// ActiveSet implements Batched: every node.
+func (s Synchronous) ActiveSet(t int, dst []int) []int {
+	for i := 0; i < s.N; i++ {
+		dst = append(dst, i)
+	}
+	return dst
+}
+
+// Betas implements Batched.
+func (s Synchronous) Betas(t, i int, nbr []int32, dst []int) int { return fillBetas(t, nbr, dst) }
+
+// CountActive implements Batched: N per step.
+func (s Synchronous) CountActive(t0, t1 int) int { return s.N * max(t1-t0+1, 0) }
 
 // MaxLookback implements Bounded: the engine needs only one past state.
 func (s Synchronous) MaxLookback() int { return 1 }
@@ -133,15 +183,23 @@ func (h Hashed) staleness() int {
 	return 8
 }
 
-// mix is SplitMix64 over the packed key, the standard statistically-solid
-// integer finaliser.
-func mix(seed, a, b uint64) uint64 {
-	z := seed ^ (a * 0x9e3779b97f4a7c15) ^ (b * 0xbf58476d1ce4e5b9)
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+// mixA and mixB are SplitMix64's increment and first multiplier; they
+// also spread the two key halves before the finaliser.
+const mixA, mixB = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
+
+// finalise is the SplitMix64 finaliser, the standard statistically-solid
+// integer mixer.
+func finalise(z uint64) uint64 {
+	z += mixA
+	z = (z ^ (z >> 30)) * mixB
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// mix hashes the packed key (a, b) under seed. The whole-step methods
+// hoist seed ^ a·mixA — the part fixed for a step, or for an activation
+// row — and finalise the rest per node or per neighbour.
+func mix(seed, a, b uint64) uint64 { return finalise(seed ^ a*mixA ^ b*mixB) }
 
 // Nodes implements Source.
 func (h Hashed) Nodes() int { return h.N }
@@ -156,25 +214,43 @@ func (h Hashed) mille() int {
 	return h.ActivationProbMille
 }
 
-// draw is node i's activation draw at t, uniform on [0, 1000).
-func (h Hashed) draw(t, i int) int { return int(mix(h.Seed, uint64(t), uint64(i)) % 1000) }
+// draw is node i's activation draw, uniform on [0, 1000), under the
+// step's key Seed ^ t·mixA.
+func draw(key uint64, i int) int { return int(finalise(key^uint64(i)*mixB) % 1000) }
 
 // Active implements Source.
 func (h Hashed) Active(t, i int) bool {
-	return (t+i)%h.gap() == 0 || h.draw(t, i) < h.mille()
+	return (t+i)%h.gap() == 0 || int(mix(h.Seed, uint64(t), uint64(i))%1000) < h.mille()
 }
 
-// CountActive implements Counting: one hash per (t, i), no branch and no
-// division in the inner loop; the forced activations (i ≡ −t mod MaxGap)
-// are then added where the draw missed them.
+// ActiveSet implements Batched: one hash per unforced node; the forced
+// ones (i ≡ −t mod MaxGap) are met by stepping, not by a modulo per node.
+func (h Hashed) ActiveSet(t int, dst []int) []int {
+	gap, p, key := h.gap(), h.mille(), h.Seed^uint64(t)*mixA
+	forced := (gap - t%gap) % gap
+	for i := 0; i < h.N; i++ {
+		if i == forced {
+			forced += gap
+			dst = append(dst, i)
+		} else if draw(key, i) < p {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// CountActive implements Batched: one hash per (t, i), no branch and no
+// division in the inner loop; the forced activations are then added
+// where the draw missed them.
 func (h Hashed) CountActive(t0, t1 int) (cnt int) {
 	gap, p := h.gap(), h.mille()
 	for t := t0; t <= t1; t++ {
+		key := h.Seed ^ uint64(t)*mixA
 		for i := 0; i < h.N; i++ {
-			cnt += int(uint64(h.draw(t, i)-p) >> 63) // 1 when draw < p
+			cnt += int(uint64(draw(key, i)-p) >> 63) // 1 when draw < p
 		}
 		for i := (gap - t%gap) % gap; i < h.N; i += gap {
-			if h.draw(t, i) >= p {
+			if draw(key, i) >= p {
 				cnt++
 			}
 		}
@@ -184,11 +260,28 @@ func (h Hashed) CountActive(t0, t1 int) (cnt int) {
 
 // Beta implements Source.
 func (h Hashed) Beta(t, i, k int) int {
-	lo := t - h.staleness()
-	if lo < 0 {
-		lo = 0
-	}
+	lo := max(t-h.staleness(), 0)
 	return lo + int(mix(h.Seed^0xa5a5a5a5, uint64(t)<<20|uint64(i), uint64(k))%uint64(t-lo))
+}
+
+// Betas implements Batched: the row's key is hashed once, and a
+// power-of-two reach t − lo (the service's 4, the default 8) reduces the
+// draw by a mask — exact for unsigned values — instead of a division.
+func (h Hashed) Betas(t, i int, nbr []int32, dst []int) int {
+	lo := max(t-h.staleness(), 0)
+	span, minB := uint64(t-lo), t
+	pow2, key := span&(span-1) == 0, h.Seed^0xa5a5a5a5^(uint64(t)<<20|uint64(i))*mixA
+	for ai, k := range nbr {
+		z := finalise(key ^ uint64(k)*mixB)
+		if pow2 {
+			z &= span - 1
+		} else {
+			z %= span
+		}
+		dst[ai] = lo + int(z)
+		minB = min(minB, dst[ai])
+	}
+	return minB
 }
 
 // MaxLookback implements Bounded.
@@ -219,11 +312,17 @@ func (s RoundRobin) Horizon() int { return s.T }
 // Active implements Source: α(t) = {(t−1) mod N}.
 func (s RoundRobin) Active(t, i int) bool { return (t-1)%s.N == i }
 
-// CountActive implements Counting: one per step.
-func (s RoundRobin) CountActive(t0, t1 int) int { return max(t1-t0+1, 0) }
-
 // Beta implements Source: β ≡ t − 1.
 func (s RoundRobin) Beta(t, i, k int) int { return t - 1 }
+
+// ActiveSet implements Batched: the one node whose turn it is.
+func (s RoundRobin) ActiveSet(t int, dst []int) []int { return append(dst, (t-1)%s.N) }
+
+// Betas implements Batched.
+func (s RoundRobin) Betas(t, i int, nbr []int32, dst []int) int { return fillBetas(t, nbr, dst) }
+
+// CountActive implements Batched: one per step.
+func (s RoundRobin) CountActive(t0, t1 int) int { return max(t1-t0+1, 0) }
 
 // MaxLookback implements Bounded.
 func (s RoundRobin) MaxLookback() int { return 1 }

@@ -13,8 +13,8 @@ import (
 // process still holds pauses for free: Step returns, and the next Step
 // carries on from the same ring, dirty summaries and certification state
 // — bit-identical, in cells and in Stats, to the run driven in one call.
-// A Stepper holds the engine's pooled scratch until Result or Close, and
-// is for one goroutine at a time.
+// A Stepper holds pooled run scratch until Result or Close, and is for
+// one goroutine at a time.
 type Stepper[R any] struct {
 	run stepperRun[R] // nil once Result or Close handed the scratch back
 	res Result[R]     // filled by Result; here so a run costs one allocation for both
@@ -61,7 +61,7 @@ func (s *Stepper[R]) Snapshot() (*Snapshot[R], error) {
 
 // Result ends the run where it stands — normally after Step reported
 // done — and returns its outcome, reports it to the ObserveRuns hook, and
-// hands the scratch back to the engine. Further calls return the same
+// parks the scratch for the next run. Further calls return the same
 // Result; after Close it is nil.
 func (s *Stepper[R]) Result() *Result[R] {
 	if s.run != nil {
@@ -74,8 +74,8 @@ func (s *Stepper[R]) Result() *Result[R] {
 	return &s.res
 }
 
-// Close abandons the run — no Result, no observation — and hands the
-// scratch back to the engine. It is a no-op after Result or Close.
+// Close abandons the run — no Result, no observation — and parks the
+// scratch for the next run. It is a no-op after Result or Close.
 func (s *Stepper[R]) Close() {
 	if s.run != nil {
 		s.run.release()
@@ -100,7 +100,7 @@ func (s *Stepper[R]) Close() {
 // but it is not marched through either: Step advances across the
 // quiescent interlude to the next event (or to until) by counting the
 // activations it skips, in time that does not grow with the gap when the
-// source counts in closed form (Counting).
+// source counts in closed form (Batched.CountActive).
 //
 // A source or timeline that does not fit the engine's topology is
 // returned as an error, as from Resume.

@@ -311,21 +311,25 @@ func (p pauseNet[R]) flap() []engine.TimelineEvent[R] {
 func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 	n := p.adj.N
 	const horizon = 60
-	src := engine.Hashed{N: n, T: horizon, Seed: 41, MaxGap: 4, MaxStaleness: 3}
+	hashed := engine.Hashed{N: n, T: horizon, Seed: 41, MaxGap: 4, MaxStaleness: 3}
 	start := matrix.Identity(p.alg, n)
 
 	for _, cfg := range []struct {
 		label  string
 		alg    core.Algebra[R]
 		events []engine.TimelineEvent[R]
+		src    engine.Source
 	}{
-		{"events", p.alg, p.flap()},
+		{"events", p.alg, p.flap(), hashed},
+		// The same run with the source's Batched capability hidden, so
+		// every pause and resume goes through the pointwise adapter.
+		{"events-pointwise", p.alg, p.flap(), uncounted{hashed, hashed.FairPeriod(), hashed.MaxLookback()}},
 		// Event-free runs, on both row representations: packed lanes
 		// wherever the algebra packs, []R slices with the packing hidden.
-		{"columnar", p.alg, nil},
-		{"interface", unpacked[R]{p.alg}, nil},
+		{"columnar", p.alg, nil, hashed},
+		{"interface", unpacked[R]{p.alg}, nil, hashed},
 	} {
-		label := name + "/" + cfg.label
+		label, src := name+"/"+cfg.label, cfg.src
 		isEvent := map[int]bool{}
 		for _, ev := range cfg.events {
 			isEvent[ev.Step] = true

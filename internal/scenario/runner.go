@@ -351,10 +351,19 @@ func (c *svcCore[R]) finalHash() uint64 {
 		}
 		h.Write(buf[:])
 	}
+	// One buffer for every cell when the codec can append; Encode's slice
+	// per cell otherwise. The bytes hashed are the same.
+	app, _ := c.codec.(wire.Appender[R])
+	var b []byte
 	n := c.inst.n
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			b, err := c.codec.Encode(final.Get(i, j))
+			var err error
+			if app != nil {
+				b, err = app.AppendEncode(b[:0], final.Get(i, j))
+			} else {
+				b, err = c.codec.Encode(final.Get(i, j))
+			}
 			if err != nil {
 				// Encode failures are build bugs, not data: fold the error
 				// into the hash so mismatched runs cannot collide on 0.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -189,6 +190,45 @@ func TestRunnerQuantumAllocation(t *testing.T) {
 		t.Fatalf("a warm quantum allocates %d bytes (%d mallocs), want < 16 KB",
 			perQuantum, (after.Mallocs-before.Mallocs)/40)
 	}
+}
+
+// TestRunnerChurnSharesSpareScratch: every service request builds and
+// closes its own engine, so requests of one shape hand run scratch to one
+// another through the engine package's process-wide spare list. Two
+// goroutines churning NewRunner … Close on one shape — one of them also
+// abandoning a run mid-flight — must each keep reading the hash of the
+// run nobody shared scratch with (run under -race in CI).
+func TestRunnerChurnSharesSpareScratch(t *testing.T) {
+	want, _, _ := uninterrupted(t, topoRunnerScenario)
+	sc, err := Parse([]byte(topoRunnerScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for iter := 0; iter < 30; iter++ {
+				r, err := NewRunner(sc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				abandon := g == 1 && iter%3 == 2
+				for done := false; !done && !(abandon && r.Step() > 100); {
+					if done, err = r.Advance(37); err != nil {
+						t.Error(err)
+					}
+				}
+				if got := r.FinalHash(); !abandon && got != want {
+					t.Errorf("goroutine %d, request %d: hash %016x, want %016x", g, iter, got, want)
+				}
+				r.Close()
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestRunnerCheckpointLifecycleErrors(t *testing.T) {

@@ -25,6 +25,14 @@ type Codec[R any] interface {
 	Decode(b []byte) (R, error)
 }
 
+// Appender is implemented by codecs that can encode into a caller's
+// buffer: AppendEncode appends to dst exactly the bytes Encode returns,
+// so a loop over many routes reuses one buffer instead of allocating a
+// slice per route.
+type Appender[R any] interface {
+	AppendEncode(dst []byte, r R) ([]byte, error)
+}
+
 // Advert is one full-table advertisement: the sender's current route to
 // every destination, already encoded.
 type Advert struct {
@@ -119,8 +127,11 @@ func DecodeRow[R any](c Codec[R], rows [][]byte) ([]R, error) {
 type NatInfCodec struct{}
 
 // Encode implements Codec.
-func (NatInfCodec) Encode(r algebras.NatInf) ([]byte, error) {
-	return binary.BigEndian.AppendUint64(nil, uint64(r)), nil
+func (c NatInfCodec) Encode(r algebras.NatInf) ([]byte, error) { return c.AppendEncode(nil, r) }
+
+// AppendEncode implements Appender.
+func (NatInfCodec) AppendEncode(dst []byte, r algebras.NatInf) ([]byte, error) {
+	return binary.BigEndian.AppendUint64(dst, uint64(r)), nil
 }
 
 // Decode implements Codec.

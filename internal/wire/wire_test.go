@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -46,6 +47,10 @@ func TestNatInfCodec(t *testing.T) {
 		got, err := c.Decode(b)
 		if err != nil || got != v {
 			t.Errorf("round trip %v: got %v, err %v", v, got, err)
+		}
+		// Appender: the same bytes, after whatever dst already held.
+		if app, err := c.AppendEncode([]byte("pre"), v); err != nil || !bytes.Equal(app, append([]byte("pre"), b...)) {
+			t.Errorf("AppendEncode(%v) = %x, %v; want prefix + %x", v, app, err, b)
 		}
 	}
 	if _, err := c.Decode([]byte{1, 2}); err == nil {
