@@ -261,9 +261,10 @@ func BenchmarkPathVectorSigmaInterned(b *testing.B) {
 
 // BenchmarkPVEngineConvergence is the path-vector convergence scenario on
 // the δ engine at n = 64, A/B over the route representation: "reference"
-// carries []Arc paths, "interned" carries PathIDs (with the engine's
-// per-edge memo caches engaged). Same schedule, bit-equivalent limits;
-// the delta is the hash-consing win on a path-aware algebra.
+// carries []Arc paths on the interface path, "interned" carries PathIDs
+// and packs, so it runs on the columnar kernels. Same schedule,
+// bit-equivalent limits; the delta is the hash-consing and packing win on
+// a path-aware algebra.
 func BenchmarkPVEngineConvergence(b *testing.B) {
 	const n = 64
 	base := algebras.ShortestPaths{}

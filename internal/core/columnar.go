@@ -1,5 +1,5 @@
 // Columnar evaluation capabilities. An algebra whose routes already
-// intern their variable-length components (see intern.go) can usually be
+// intern their variable-length components (hash-consed paths) can usually be
 // packed further: one route becomes a (paths.PathID, fixed number of
 // uint64 metric words) cell, and a whole routing table becomes a
 // struct-of-arrays pair of contiguous lanes. The σ kernels then stop
@@ -8,11 +8,11 @@
 // column in a tight, monomorphic loop, and change tracking becomes
 // word compares on the packed lanes.
 //
-// As with Interner and EdgeMemoizer, the capability is detected by type
-// assertion: the engine goes columnar only when the algebra implements
-// Columnar, reports ColumnarOK, and every edge of the topology compiles;
-// otherwise evaluation stays on the general interface path, which remains
-// the differential oracle for the packed one.
+// The capability is detected by type assertion: the engine goes columnar
+// only when the algebra implements Columnar, reports ColumnarOK, and every
+// edge of the topology compiles; otherwise evaluation stays on the general
+// interface path, which remains the differential oracle for the packed
+// one.
 package core
 
 import "repro/internal/paths"

@@ -213,7 +213,8 @@ type Network[R any] struct {
 	snaps   [][][]byte
 	runCtx  context.Context
 	stopped bool
-	beats   []atomic.Int64
+	clock   atomic.Int64   // the supervisor's running-time clock (see supervise)
+	beats   []atomic.Int64 // each router's latest reading of clock: its heartbeat
 	// seqs are the per-node advertisement sequence counters. They live on
 	// the network, not the router goroutine, so a restarted router
 	// continues its predecessor's sequence — otherwise peers' freshness
@@ -470,7 +471,7 @@ func (nw *Network[R]) router(ctx context.Context, i int) {
 		// The heartbeat the supervisor's failure detector watches: a live
 		// router beats at least every activation period (plus jitter),
 		// far inside the deadline.
-		nw.beats[i].Store(time.Now().UnixNano())
+		nw.beats[i].Store(nw.clock.Load())
 		select {
 		case <-ctx.Done():
 			return
@@ -602,7 +603,7 @@ func (nw *Network[R]) quiescent() bool {
 	// within the failure-detector deadline. A silently dead router may
 	// hold a fixed-point table right now, but it can never repair a
 	// future loss — declaring quiescence over it would race the detector.
-	now := time.Now().UnixNano()
+	now := nw.clock.Load()
 	for i := range nw.beats {
 		if now-nw.beats[i].Load() > int64(nw.cfg.HeartbeatTimeout) {
 			return false

@@ -40,7 +40,7 @@ func (nw *Network[R]) spawn(ctx context.Context, i int) {
 	nw.allCtls = append(nw.allCtls, ctl)
 	nw.down[i] = false
 	nw.mu.Unlock()
-	nw.beats[i].Store(time.Now().UnixNano())
+	nw.beats[i].Store(nw.clock.Load())
 	go func() {
 		defer close(done)
 		nw.router(rctx, i)
@@ -135,13 +135,23 @@ func (nw *Network[R]) supervise(ctx context.Context) {
 	}
 	tick := time.NewTicker(period)
 	defer tick.Stop()
+	idle := time.Now() // when the supervisor last finished a round
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
+			// Heartbeat ages are read off a clock that counts only time the
+			// process was seen running: at most one period per round. A
+			// tick that arrives late was held up with the rest of the
+			// process — a starved box, a stopped process — and every
+			// router with it, so the excess says nothing about any router;
+			// on the wall clock a stall longer than the deadline marks
+			// every healthy router down, and nothing clears a down mark.
+			nw.clock.Add(int64(min(time.Since(idle), period)))
 			nw.snapshotTables()
 			nw.detectFailures(ctx)
+			idle = time.Now()
 		}
 	}
 }
@@ -174,12 +184,12 @@ func (nw *Network[R]) snapshotTables() {
 }
 
 // detectFailures applies the deadline failure detector: a router that is
-// supposed to be alive but has not beaten within HeartbeatTimeout is
-// declared crashed. With AutoHeal it is immediately restarted from its
-// snapshot; otherwise it is marked down and the outcome will classify
-// the run as partitioned.
+// supposed to be alive but has not beaten within HeartbeatTimeout on the
+// supervisor's clock is declared crashed. With AutoHeal it is immediately
+// restarted from its snapshot; otherwise it is marked down and the outcome
+// will classify the run as partitioned.
 func (nw *Network[R]) detectFailures(ctx context.Context) {
-	now := time.Now().UnixNano()
+	now := nw.clock.Load()
 	n := nw.adj.N
 	for i := 0; i < n; i++ {
 		nw.mu.Lock()

@@ -2,7 +2,10 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
 	"runtime"
 	"testing"
 	"time"
@@ -89,6 +92,46 @@ func TestCrashWithoutRecoverPartitions(t *testing.T) {
 	}
 	if len(out.DownNodes) != 1 || out.DownNodes[0] != 1 {
 		t.Fatalf("down nodes %v, want [1]", out.DownNodes)
+	}
+}
+
+// TestProcessStallIsNotACrash stops the whole process (SIGSTOP, from a
+// helper shell) for twice the heartbeat deadline in the middle of a run.
+// Every heartbeat goes stale at once, the supervisor's included; the
+// supervisor ticks far more often than the routers activate here, so it
+// is the first to look afterwards. It must put the stall down to itself:
+// declaring the routers crashed would leave them down — nothing heals an
+// undetected-by-design false positive — and the run partitioned until its
+// timeout.
+func TestProcessStallIsNotACrash(t *testing.T) {
+	sh, err := exec.LookPath("sh")
+	if err != nil || runtime.GOOS == "windows" {
+		t.Skip("needs a POSIX shell to stop and continue the test process")
+	}
+	alg := algebras.HopCount{Limit: 15}
+	n := 6
+	adj := ringAdj(n, alg)
+	start := matrix.Identity(alg, n)
+
+	// HeartbeatTimeout resolves to 10 × ActivateEvery = 200ms.
+	cfg := dist.Config{Seed: 37, Timeout: 20 * time.Second, ActivateEvery: 20 * time.Millisecond, SnapshotEvery: time.Millisecond}
+	tr := transport.NewMemory(n, cfg.Seed, cfg.Faults())
+	nw := dist.NewNetwork(alg, adj, start, wire.NatInfCodec{}, tr, cfg)
+	nw.ApplyAfter(100*time.Millisecond, func(*dist.Network[algebras.NatInf]) {
+		pid := os.Getpid()
+		stall := fmt.Sprintf("kill -STOP %d; sleep 0.4; kill -CONT %d", pid, pid)
+		if err := exec.Command(sh, "-c", stall).Run(); err != nil {
+			t.Errorf("stalling the process: %v", err)
+		}
+	})
+
+	out := nw.Run(context.Background())
+	if out.Stats.CrashesDetected != 0 || len(out.DownNodes) != 0 {
+		t.Fatalf("a process stall was read as %d router crash(es), nodes %v down: %s",
+			out.Stats.CrashesDetected, out.DownNodes, out.Describe())
+	}
+	if !out.Converged {
+		t.Fatalf("stalled run did not converge: %s", out.Describe())
 	}
 }
 

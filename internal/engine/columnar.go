@@ -26,10 +26,8 @@ type colSupport[R any] struct {
 // columnarFor returns the compiled columnar support for the engine's
 // algebra and current topology, or nil when the algebra cannot pack or
 // any edge fails to compile (the run then stays on the interface path).
-// Like the memoised adjacency, the compilation is retained across runs
-// and redone only when the adjacency's generation moves. Edges are
-// compiled from the raw adjacency — not the memoised view — because the
-// capability type-switches on the algebra's own edge types.
+// The compilation is retained across runs and redone only when the
+// adjacency's generation moves.
 func (e *Engine[R]) columnarFor() *colSupport[R] {
 	c, ok := e.alg.(core.Columnar[R])
 	if !ok || !c.ColumnarOK() {
@@ -118,11 +116,6 @@ func (o *colOps[R]) prepare(r *run[R, core.Col], n int) {
 	}
 	o.cws = r.cws
 }
-
-// adjFor: columnar tasks evaluate through compiled kernels, never the
-// adjacency, so the run carries none (and edge memo caches would be dead
-// weight — the batched ExtendSel already amortises the table work).
-func (o *colOps[R]) adjFor() *matrix.Adjacency[R] { return nil }
 
 func (o *colOps[R]) encodeRow(dst core.Col, src []R) { o.cs.cap.EncodeCol(src, dst) }
 

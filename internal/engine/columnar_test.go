@@ -45,14 +45,15 @@ func runColumnarToggle[R any](t *testing.T, name string, alg core.Algebra[R], ad
 
 	for _, cfg := range []struct {
 		label string
+		mk    func(core.Algebra[R], *matrix.Adjacency[R], engine.Config) *engine.Engine[R]
 		conf  engine.Config
 	}{
-		{"default", engine.Config{}},
-		{"sharded", engine.Config{Workers: 8, ShardColumns: 1}},
+		{"default", engine.New[R], engine.Config{}},
+		{"sharded", engine.NewSharded[R], engine.Config{Workers: 8}},
 	} {
-		engOff := engine.New[R](unpacked[R]{alg}, adj, cfg.conf)
+		engOff := cfg.mk(unpacked[R]{alg}, adj, cfg.conf)
 		resOff := engOff.Run(start, src)
-		engOn := engine.New[R](alg, adj, cfg.conf)
+		engOn := cfg.mk(alg, adj, cfg.conf)
 		// rep ≥ 1 reuses the pooled columnar slabs and selection scratch
 		// of the first run, so stale-lane bugs cannot hide.
 		for rep := 0; rep < 2; rep++ {

@@ -64,9 +64,9 @@ const KeepAll = -1
 // worker wake-ups than it saves.
 const minParallelOps = 1 << 14
 
-// defaultShardColumns is the network size at which one row's destinations
-// are split across workers when there are fewer active rows than workers.
-const defaultShardColumns = 128
+// shardFromN is the network size at which one row's destinations are
+// split across workers when there are fewer active rows than workers.
+const shardFromN = 128
 
 // TerminationMode selects early δ-termination (Config.Termination).
 type TerminationMode int
@@ -96,10 +96,6 @@ type Config struct {
 	// Workers sizes the row-recomputation pool. 0 = GOMAXPROCS, 1 =
 	// sequential.
 	Workers int
-	// ShardColumns is the network size from which a single row is split
-	// by destination column across idle workers. 0 = default (128);
-	// negative disables column sharding.
-	ShardColumns int
 	// Termination selects early δ-termination; the default stops early
 	// whenever the source is Fair.
 	Termination TerminationMode
@@ -132,7 +128,7 @@ type Stats struct {
 	RowsRecycled int
 	// Retained is the number of states held at the end of the run.
 	Retained int
-	// Events is the number of timeline events applied (RunTimeline only).
+	// Events is the number of timeline events applied.
 	Events int
 }
 
@@ -150,17 +146,15 @@ type Engine[R any] struct {
 	adj         *matrix.Adjacency[R]
 	window      int // Config.HistoryWindow verbatim (0 = auto)
 	workers     int
-	shardCols   int
+	shardFrom   int // shardFromN; tests lower it to shard tiny networks
 	termination TerminationMode
 	pool        *pool
 	cleanup     runtime.Cleanup
-	// mu guards the retained cross-run state below. memoAdj is the
-	// memoised adjacency view and colSup the compiled columnar kernel
-	// table, each reused until the underlying adjacency's generation
-	// moves. closed stops them from being repopulated after Close.
+	// mu guards the retained cross-run state below: colSup is the
+	// compiled columnar kernel table, reused until the adjacency's
+	// generation moves. closed stops it from being repopulated after
+	// Close.
 	mu       sync.Mutex
-	memoAdj  *matrix.Adjacency[R]
-	memoGen  uint64
 	colSup   *colSupport[R]
 	colGen   uint64
 	colTried bool
@@ -173,13 +167,9 @@ func New[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], cfg Config) *Engi
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shard := cfg.ShardColumns
-	if shard == 0 {
-		shard = defaultShardColumns
-	}
 	e := &Engine[R]{
 		alg: alg, adj: adj,
-		window: cfg.HistoryWindow, workers: workers, shardCols: shard,
+		window: cfg.HistoryWindow, workers: workers, shardFrom: shardFromN,
 		termination: cfg.Termination,
 		pool:        newPool(workers - 1),
 	}
@@ -194,7 +184,7 @@ func (e *Engine[R]) Close() {
 	e.cleanup.Stop()
 	e.pool.close()
 	e.mu.Lock()
-	e.memoAdj, e.colSup, e.closed = nil, nil, true
+	e.colSup, e.closed = nil, true
 	e.mu.Unlock()
 }
 
@@ -265,7 +255,6 @@ type workerScratch struct {
 // lanes) on the columnar path.
 type rowTask[R, Row any] struct {
 	i, j0, j1 int
-	adj       *matrix.Adjacency[R] // the (possibly memoised) adjacency view; nil on the columnar path
 	tabs      []Row
 	dst       Row
 	inc       *incShared
@@ -311,9 +300,6 @@ type rowOps[R, Row any] interface {
 	// representation-specific per-run scratch.
 	newSlab() rowSlab[Row]
 	prepare(r *run[R, Row], n int)
-	// adjFor is the adjacency view tasks evaluate through (nil when the
-	// representation does not use one).
-	adjFor() *matrix.Adjacency[R]
 	// encodeRow writes a reference row into a freshly allocated Row.
 	encodeRow(dst Row, src []R)
 	// copySpan copies columns [j0, j1) between rows.
@@ -352,12 +338,6 @@ type run[R, Row any] struct {
 	lastComp []int32         // time of node's last recomputation, −1 = never
 	lastRead []int32         // lastRead[i·n+k] = β used at i's last recomputation
 	chg      []matrix.Bitset // per-node changed-destination scratch
-
-	// adj is the adjacency this run evaluates through: the engine's, a
-	// per-run view whose edges are wrapped in memo caches when the
-	// algebra supports it, or nil on the columnar path (tasks run through
-	// compiled kernels instead).
-	adj *matrix.Adjacency[R]
 
 	// per-run working storage, retained across runs when pooled
 	nbr      []int32 // flat in-neighbour lists: node i's are nbr[nbrOff[i]:nbrOff[i+1]]
@@ -648,51 +628,9 @@ func (r *run[R, Row]) release() {
 			r.ring[si] = nil
 		}
 	}
-	// The memo adjacency view (the engine retains it, keyed by topology
-	// generation) goes too: the run pointer and the rowTask values
-	// lingering in the retained task backing.
-	r.adj = nil
+	// So do the rowTask values lingering in the retained task backing.
 	clear(r.tasks[:cap(r.tasks)])
 	parkSpare(r.shape, r)
-}
-
-// adjFor returns the adjacency a run evaluates through: when the algebra
-// interns its routes (core.EdgeMemoizer), a view whose edges carry memo
-// caches — edge × interned route → result — so
-// re-extending an unchanged neighbour route is a map lookup instead of a
-// policy evaluation. The view is retained across runs and rebuilt only
-// when the underlying adjacency's generation moves (the dynamic-topology
-// experiments mutate adjacencies between runs), so on static topologies
-// a convergence tail stays a map hit run after run. Close drops it;
-// each cache is bounded by core's memo cap.
-func (e *Engine[R]) adjFor() *matrix.Adjacency[R] {
-	m, ok := e.alg.(core.EdgeMemoizer[R])
-	if !ok {
-		return e.adj
-	}
-	gen := e.adj.Generation()
-	e.mu.Lock()
-	if e.memoAdj != nil && e.memoGen == gen {
-		out := e.memoAdj
-		e.mu.Unlock()
-		return out
-	}
-	e.mu.Unlock()
-	n := e.adj.N
-	out := matrix.NewAdjacency[R](n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if ed, ok := e.adj.Edge(i, j); ok {
-				out.SetEdge(i, j, m.MemoizeEdge(ed))
-			}
-		}
-	}
-	e.mu.Lock()
-	if !e.closed {
-		e.memoAdj, e.memoGen = out, gen
-	}
-	e.mu.Unlock()
-	return out
 }
 
 // neighbours rebuilds the run's flat in-neighbour lists (r.nbr, r.nbrOff)
@@ -822,7 +760,6 @@ func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events [
 	r.events, r.nextEv = events, 0
 	r.lastChange, r.certGen, r.nCert, r.converged = 0, 1, 0, false
 	r.neighbours()
-	r.adj = ops.adjFor()
 	// loArena backs the per-task threshold slices of one step; sized to
 	// the edge count, it never grows within a step.
 	if cap(r.loArena) < len(r.nbr) {
@@ -967,12 +904,11 @@ func (r *run[R, Row]) step(until int) bool {
 			if ev.Mutate != nil {
 				ev.Mutate(e.adj)
 				// Policy-state edits can change edge behaviour without
-				// moving the adjacency generation; bump it so memoised
-				// views and compiled kernels can never be served stale.
+				// moving the adjacency generation; bump it so kernels
+				// compiled for a later run can never be served stale.
 				e.adj.Touch()
 				r.neighbours()
 				nbr, nbrOff, betaBuf = r.nbr, r.nbrOff, r.betaBuf
-				r.adj = ops.adjFor()
 				if ev.Rows == nil {
 					for i := range r.lastComp {
 						r.lastComp[i] = -1
@@ -1075,7 +1011,7 @@ func (r *run[R, Row]) step(until int) bool {
 					for s := 0; s < shards; s++ {
 						tasks = append(tasks, rowTask[R, Row]{
 							i: i, j0: s * n / shards, j1: (s + 1) * n / shards,
-							adj: r.adj, tabs: tabs[i], dst: cur[i],
+							tabs: tabs[i], dst: cur[i],
 							inc: r.inc, prev: prev[i], nbr: nb, lo: lo, chg: &r.chg[i],
 						})
 					}
@@ -1199,7 +1135,7 @@ func maxDegree(off []int32) int {
 // shardsFor decides how many column spans each active row splits into:
 // one, unless the network is large and there are workers to spare.
 func (e *Engine[R]) shardsFor(actives, n int) int {
-	if e.shardCols < 0 || n < e.shardCols || actives >= e.workers || e.workers <= 1 {
+	if n < e.shardFrom || actives >= e.workers || e.workers <= 1 {
 		return 1
 	}
 	shards := (e.workers + actives - 1) / actives
@@ -1217,8 +1153,6 @@ func (genOps[R]) geom() int { return 0 }
 func (genOps[R]) newSlab() rowSlab[[]R] { return &genSlab[R]{} }
 
 func (genOps[R]) prepare(*run[R, []R], int) {}
-
-func (o genOps[R]) adjFor() *matrix.Adjacency[R] { return o.e.adjFor() }
 
 func (genOps[R]) encodeRow(dst, src []R) { copy(dst, src) }
 
@@ -1238,13 +1172,13 @@ func (genOps[R]) retain(res *Result[R], all [][][]R) { res.snaps = all }
 func (o genOps[R]) runTask(tk *rowTask[R, []R], worker int) {
 	e := o.e
 	if tk.inc == nil {
-		matrix.SigmaSpanIntoNbr(e.alg, tk.adj, tk.i, tk.nbr, tk.tabs, tk.dst, tk.j0, tk.j1)
+		matrix.SigmaSpanIntoNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.dst, tk.j0, tk.j1)
 		return
 	}
 	if tk.lo == nil {
 		// Tracked full recomputation (first activation): every column is
 		// computed, changes recorded against the node's starting row.
-		computed := matrix.SigmaSpanIntoChangedNbr(e.alg, tk.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, nil, tk.chg)
+		computed := matrix.SigmaSpanIntoChangedNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, nil, tk.chg)
 		tk.inc.cells.Add(int64(computed))
 		return
 	}
@@ -1260,7 +1194,7 @@ func (o genOps[R]) runTask(tk *rowTask[R, []R], worker int) {
 		// bit-iterating sparse path.
 		cols = nil
 	}
-	computed := matrix.SigmaSpanIntoChangedNbr(e.alg, tk.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, cols, tk.chg)
+	computed := matrix.SigmaSpanIntoChangedNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, cols, tk.chg)
 	tk.inc.cells.Add(int64(computed))
 }
 
@@ -1412,14 +1346,6 @@ func materialise[R any](alg core.Algebra[R], s [][]R) *matrix.State[R] {
 	return st
 }
 
-// Sigma applies one synchronous round σ(X) = A(X) ⊕ I using the sharded
-// kernel; it is bit-identical to matrix.Sigma.
-func (e *Engine[R]) Sigma(x *matrix.State[R]) *matrix.State[R] {
-	out := matrix.NewState(x.N, e.alg.Invalid())
-	e.SigmaInto(x, out)
-	return out
-}
-
 // SigmaInto computes σ(x) into out (which must be distinct from x).
 func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 	n := x.N
@@ -1429,7 +1355,7 @@ func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 	for i := 0; i < n; i++ {
 		dst := out.RowView(i)
 		for s := 0; s < shards; s++ {
-			tasks = append(tasks, rowTask[R, []R]{i: i, j0: s * n / shards, j1: (s + 1) * n / shards, adj: e.adj, tabs: tabs, dst: dst})
+			tasks = append(tasks, rowTask[R, []R]{i: i, j0: s * n / shards, j1: (s + 1) * n / shards, tabs: tabs, dst: dst})
 		}
 	}
 	(&run[R, []R]{e: e, ops: genOps[R]{e: e}, tasks: tasks}).exec(n * n * n)

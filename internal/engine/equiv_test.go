@@ -149,10 +149,10 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 		start := matrix.RandomStateFrom(rng, n, universe)
 		sched := schedule.Random(rng, n, 100, schedule.Options{MaxGap: 8, MaxStaleness: 6})
 		seq := engine.New(alg, adj, engine.Config{Workers: 1}).Run(start, sched)
-		// ShardColumns: 1 forces column splitting even on tiny networks,
-		// and a zero parallelism threshold cannot be configured, so use
-		// many workers with forced column sharding instead.
-		par := engine.New(alg, adj, engine.Config{Workers: 8, ShardColumns: 1}).Run(start, sched)
+		// NewSharded forces column splitting even on tiny networks, and a
+		// zero parallelism threshold cannot be configured, so use many
+		// workers with forced column sharding instead.
+		par := engine.NewSharded(alg, adj, engine.Config{Workers: 8}).Run(start, sched)
 		identicalStates(t, "workers=1 vs workers=8", par.Final(), seq.Final())
 	})
 

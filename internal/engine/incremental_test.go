@@ -47,32 +47,33 @@ func incrementalNet(n int) (algebras.HopCount, *matrix.Adjacency[algebras.NatInf
 func TestIncrementalMatchesFull(t *testing.T) {
 	nets := []struct {
 		name string
-		run  func(t *testing.T, cfg engine.Config)
+		run  func(t *testing.T, cfg engine.Config, shard bool)
 	}{
-		{"hopcount", func(t *testing.T, cfg engine.Config) {
+		{"hopcount", func(t *testing.T, cfg engine.Config, shard bool) {
 			alg, adj, u := hopNet()
-			diffIncrementalFull(t, alg, adj, u, cfg)
+			diffIncrementalFull(t, alg, adj, u, cfg, shard)
 		}},
-		{"lex", func(t *testing.T, cfg engine.Config) {
+		{"lex", func(t *testing.T, cfg engine.Config, shard bool) {
 			alg, adj, u := lexNet()
-			diffIncrementalFull(t, alg, adj, u, cfg)
+			diffIncrementalFull(t, alg, adj, u, cfg, shard)
 		}},
-		{"gaorexford", func(t *testing.T, cfg engine.Config) {
+		{"gaorexford", func(t *testing.T, cfg engine.Config, shard bool) {
 			alg, adj, u := grNet()
-			diffIncrementalFull(t, alg, adj, u, cfg)
+			diffIncrementalFull(t, alg, adj, u, cfg, shard)
 		}},
 	}
 	configs := []struct {
-		name string
-		cfg  engine.Config
+		name  string
+		cfg   engine.Config
+		shard bool // split every row by column, however small the network
 	}{
-		{"sequential", engine.Config{Workers: 1, HistoryWindow: engine.KeepAll}},
-		{"sharded", engine.Config{Workers: 8, ShardColumns: 1, HistoryWindow: engine.KeepAll}},
+		{"sequential", engine.Config{Workers: 1, HistoryWindow: engine.KeepAll}, false},
+		{"sharded", engine.Config{Workers: 8, HistoryWindow: engine.KeepAll}, true},
 	}
 	for _, nt := range nets {
 		for _, cfg := range configs {
 			t.Run(nt.name+"/"+cfg.name, func(t *testing.T) {
-				nt.run(t, cfg.cfg)
+				nt.run(t, cfg.cfg, cfg.shard)
 			})
 		}
 	}
@@ -84,7 +85,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 // account for every activation as computed or skipped, and evaluate no
 // more cells than that.
 func diffIncrementalFull[R any](
-	t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R], universe []R, cfg engine.Config,
+	t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R], universe []R, cfg engine.Config, shard bool,
 ) {
 	rng := rand.New(rand.NewSource(77))
 	n := adj.N
@@ -96,7 +97,11 @@ func diffIncrementalFull[R any](
 		} else {
 			sched = schedule.Adversarial(rng, n, 150, 9, 6)
 		}
-		res := engine.New[R](alg, adj, cfg).Run(start, sched)
+		mk := engine.New[R]
+		if shard {
+			mk = engine.NewSharded[R]
+		}
+		res := mk(alg, adj, cfg).Run(start, sched)
 		ref := async.RunReference(alg, adj, start, sched)
 		activations := 0
 		for tt := 0; tt <= sched.T; tt++ {

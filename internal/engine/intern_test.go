@@ -16,8 +16,8 @@ import (
 )
 
 // The interning equivalence contract: evaluating over the hash-consed
-// route carriers — with the engine's pooled scratch, O(1) equality and
-// per-edge memo caches engaged — must be indistinguishable, cell for cell
+// route carriers — with the engine's pooled scratch and packed kernels
+// engaged — must be indistinguishable, cell for cell
 // after materialising the path ids, from the literal clone-everything
 // reference evaluator over the reference carriers, with and without
 // column sharding.
@@ -59,12 +59,13 @@ func runInternEquiv[B comparable](t *testing.T, net internNet[B]) {
 
 		for _, cfg := range []struct {
 			label string
+			mk    func(core.Algebra[RI], *matrix.Adjacency[RI], engine.Config) *engine.Engine[RI]
 			conf  engine.Config
 		}{
-			{"interned", engine.Config{}},
-			{"interned-sharded", engine.Config{Workers: 8, ShardColumns: 1}},
+			{"interned", engine.New[RI], engine.Config{}},
+			{"interned-sharded", engine.NewSharded[RI], engine.Config{Workers: 8}},
 		} {
-			eng := engine.New[RI](net.in, net.adjI, cfg.conf)
+			eng := cfg.mk(net.in, net.adjI, cfg.conf)
 			// Two runs on one engine: the second consumes the pooled
 			// scratch of the first, so reuse bugs cannot hide.
 			for rep := 0; rep < 2; rep++ {
@@ -87,7 +88,7 @@ func runInternEquiv[B comparable](t *testing.T, net internNet[B]) {
 }
 
 // statsEqual compares the counters that must not depend on the row
-// representation, the memo caches or the scratch a run inherited.
+// representation or the scratch a run inherited.
 func statsEqual(t *testing.T, label string, a, b engine.Stats) {
 	t.Helper()
 	if a.Steps != b.Steps || a.RowsComputed != b.RowsComputed ||
@@ -125,9 +126,8 @@ func TestInternedEngineEquivalence(t *testing.T) {
 
 // TestInternToggleIsBitIdentical runs the interned carrier under a lazy
 // fair source on fresh and warm engines, against the same algebra with
-// its interning capabilities (O(1) equality, edge memoisation, packing)
-// hidden, and requires identical final states, identical work counters
-// and the same certified convergence time.
+// its packing capability hidden, and requires identical final states,
+// identical work counters and the same certified convergence time.
 func TestInternToggleIsBitIdentical(t *testing.T) {
 	alg, baseAdj, _ := hopNet()
 	net := liftBoth("hopcount", alg, baseAdj)

@@ -87,7 +87,7 @@ func TestSpareRunShapeMismatch(t *testing.T) {
 
 // TestParkedRunPinsNoEngine: after Close, the scratch a run parked holds
 // no path back to the engine's adjacency — through the engine, the row
-// capability, the memoised view, the task backing or the timeline — nor
+// capability, the task backing or the timeline — nor
 // to the source it was scheduled by, so the collector reclaims both while
 // the scratch stays parked.
 func TestParkedRunPinsNoEngine(t *testing.T) {

@@ -115,16 +115,6 @@ func EncodeColumnar[R any](c core.Columnar[R], s *State[R]) *ColumnarState {
 	return cs
 }
 
-// DecodeColumnar unpacks cs back into a reference state.
-func DecodeColumnar[R any](c core.Columnar[R], cs *ColumnarState) *State[R] {
-	var zero R
-	s := NewState[R](cs.N, zero)
-	for i := 0; i < cs.N; i++ {
-		c.DecodeCol(cs.Rows[i], s.RowView(i))
-	}
-	return s
-}
-
 // SigmaColSpanChanged computes node i's σ-row over the span [j0, j1) of
 // the packed lanes, the columnar twin of SigmaSpanIntoChangedNbr:
 //

@@ -80,15 +80,13 @@ func (x *State[R]) Clone() *State[R] {
 	return &State[R]{N: x.N, cells: cells}
 }
 
-// Equal reports whether x and y agree in every cell under alg.Equal
-// (via the O(1) fast path when the algebra interns its routes).
+// Equal reports whether x and y agree in every cell under alg.Equal.
 func (x *State[R]) Equal(alg core.Algebra[R], y *State[R]) bool {
 	if x.N != y.N {
 		return false
 	}
-	eq := core.EqualFn(alg)
 	for i := range x.cells {
-		if !eq(x.cells[i], y.cells[i]) {
+		if !alg.Equal(x.cells[i], y.cells[i]) {
 			return false
 		}
 	}
@@ -138,14 +136,14 @@ type Adjacency[R any] struct {
 }
 
 // Generation counts the mutations (SetEdge/RemoveEdge) this adjacency has
-// seen; derived views (such as the engine's memoised adjacency) use it to
-// detect topology changes and invalidate themselves.
+// seen; derived views (the engine's compiled kernels) use it to detect
+// topology changes and invalidate themselves.
 func (a *Adjacency[R]) Generation() uint64 { return a.gen }
 
 // Touch bumps the generation without changing any edge. Mutations that
 // change edge *behaviour* without reinstalling an edge value — say, a
 // policy table the edge functions close over — call it so derived views
-// (memoised adjacencies, compiled kernels) know to invalidate.
+// (compiled kernels) know to invalidate.
 func (a *Adjacency[R]) Touch() { a.gen++ }
 
 // NewAdjacency allocates an n × n adjacency matrix with no edges.

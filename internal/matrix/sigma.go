@@ -6,31 +6,14 @@ import (
 	"repro/internal/core"
 )
 
-// SigmaCell computes one element of σ(X) per Equation 5:
+// SigmaRowInto computes node i's σ-row per Equation 5,
 //
 //	σ(X)_ij = 0                      if i = j
 //	        = ⨁_k A_ik(X_kj)         otherwise
 //
-// Node i's new route to j is the best extension of the routes its
-// neighbours currently hold.
-func SigmaCell[R any](alg core.Algebra[R], a *Adjacency[R], x *State[R], i, j int) R {
-	if i == j {
-		return alg.Trivial()
-	}
-	best := alg.Invalid()
-	for k := 0; k < a.N; k++ {
-		if k == i {
-			continue
-		}
-		if e, ok := a.Edge(i, k); ok {
-			best = alg.Choice(best, e.Apply(x.Get(k, j)))
-		}
-	}
-	return best
-}
-
-// SigmaRowInto computes node i's σ-row from the neighbour tables in tabs
-// and writes it into dst (allocated when nil), returning dst. tabs[k] is
+// (node i's new route to j is the best extension of the routes its
+// neighbours currently hold) from the neighbour tables in tabs, and
+// writes it into dst (allocated when nil), returning dst. tabs[k] is
 // the table node i currently sees from node k; entries for k = i or for k
 // without an (i, k) edge are never read and may be nil. This is the single
 // per-node update kernel shared by σ, the δ evaluator in internal/engine,
@@ -172,12 +155,9 @@ func SigmaSpanIntoChangedNbr[R any](
 
 // recordChanged flushes the columns of [j0, j1) (restricted to cols when
 // non-nil) where prev and dst differ into changed, one atomic OR per word.
-// The compare resolves through core.EqualFn, so algebras with interned
-// routes (core.Interner) pay an O(1) id compare per cell instead of a
-// deep path walk — change tracking stays O(1) per cell regardless of
-// path length.
+// Algebras with interned routes answer Equal with an O(1) id compare, so
+// change tracking stays O(1) per cell regardless of path length.
 func recordChanged[R any](alg core.Algebra[R], prev, dst []R, j0, j1 int, cols, changed *Bitset) {
-	eq := core.EqualFn(alg)
 	var mask uint64
 	word := -1
 	flush := func() {
@@ -186,7 +166,7 @@ func recordChanged[R any](alg core.Algebra[R], prev, dst []R, j0, j1 int, cols, 
 		}
 	}
 	note := func(j int) {
-		if eq(prev[j], dst[j]) {
+		if alg.Equal(prev[j], dst[j]) {
 			return
 		}
 		if w := j >> 6; w != word {
@@ -232,13 +212,6 @@ func forSpan(b *Bitset, j0, j1 int, fn func(j int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// SigmaRow recomputes node i's whole routing table from the neighbour
-// tables recorded in x. It is the per-node update that both the
-// asynchronous evaluator and the message-passing engines share with σ.
-func SigmaRow[R any](alg core.Algebra[R], a *Adjacency[R], x *State[R], i int) []R {
-	return SigmaRowInto(alg, a, i, x.RowViews(), nil)
 }
 
 // Sigma applies one synchronous Bellman-Ford round: σ(X) = A(X) ⊕ I.

@@ -23,10 +23,6 @@ type IRoute[B any] struct {
 // for cell with the reference representation — but path extension is an
 // O(1) table probe, equality a pair of O(1) compares, and the tie-break
 // path order walks ids only down to their first shared suffix.
-//
-// Interned implements core.Interner (FastEqual) and core.EdgeMemoizer, so
-// the matrix kernels and the engine detect the representation and take
-// their fast paths.
 type Interned[B comparable] struct {
 	Base core.Algebra[B]
 	Tab  *paths.Table
@@ -81,16 +77,6 @@ func (t *Interned[B]) Invalid() IRoute[B] {
 func (t *Interned[B]) Equal(a, b IRoute[B]) bool {
 	a, b = t.normalise(a), t.normalise(b)
 	return a.ID == b.ID && t.Base.Equal(a.Base, b.Base)
-}
-
-// FastEqual implements core.Interner. It coincides with Equal: ids are
-// canonical, and the base carriers of this repository compare in O(1).
-func (t *Interned[B]) FastEqual(a, b IRoute[B]) bool { return t.Equal(a, b) }
-
-// MemoizeEdge implements core.EdgeMemoizer: IRoute[B] is comparable, so
-// an edge's applications memoise into a route → route map.
-func (t *Interned[B]) MemoizeEdge(e core.Edge[IRoute[B]]) core.Edge[IRoute[B]] {
-	return core.MemoEdge[IRoute[B]](e)
 }
 
 // Format implements route rendering, matching Tracked.Format.

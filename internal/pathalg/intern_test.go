@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/algebras"
-	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/pathalg"
 	"repro/internal/paths"
@@ -49,14 +48,11 @@ func TestInternedMatchesTracked(t *testing.T) {
 	}
 }
 
-// TestInternedIsPathAlgebra checks the Definition 14 projection contract
-// and the capability interfaces.
+// TestInternedIsPathAlgebra checks the Definition 14 projection contract.
 func TestInternedIsPathAlgebra(t *testing.T) {
 	base := algebras.ShortestPaths{}
 	in := pathalg.NewInterned[algebras.NatInf](base, paths.NewTable())
 	var _ pathalg.PathAlgebra[pathalg.IRoute[algebras.NatInf]] = in
-	var _ core.Interner[pathalg.IRoute[algebras.NatInf]] = in
-	var _ core.EdgeMemoizer[pathalg.IRoute[algebras.NatInf]] = in
 
 	if !in.Path(in.Invalid()).IsInvalid() {
 		t.Fatal("P1: path of ∞ must be ⊥")
@@ -64,30 +60,9 @@ func TestInternedIsPathAlgebra(t *testing.T) {
 	if !in.Path(in.Trivial()).IsEmpty() {
 		t.Fatal("P2: path of 0 must be []")
 	}
-	// A normalising FastEqual: an invalid id with a valid base is ∞.
+	// A normalising Equal: an invalid id with a valid base is ∞.
 	weird := pathalg.IRoute[algebras.NatInf]{Base: 3, ID: paths.InvalidID}
-	if !in.FastEqual(weird, in.Invalid()) {
-		t.Fatal("FastEqual must normalise invalid components")
-	}
-}
-
-// TestMemoEdgeTransparent checks that a memoised edge is observationally
-// identical to the raw edge, including on repeated inputs.
-func TestMemoEdgeTransparent(t *testing.T) {
-	base := algebras.ShortestPaths{}
-	in := pathalg.NewInterned[algebras.NatInf](base, nil)
-	raw := in.Edge(0, 1, base.AddEdge(1))
-	memo := in.MemoizeEdge(in.Edge(0, 1, base.AddEdge(1)))
-	if memo.Label() != raw.Label() {
-		t.Fatalf("label changed: %q vs %q", memo.Label(), raw.Label())
-	}
-	r := pathalg.IRoute[algebras.NatInf]{Base: 2, ID: in.Tab.Extend(paths.EmptyID, 1, 2)}
-	inputs := []pathalg.IRoute[algebras.NatInf]{in.Trivial(), in.Invalid(), r, r, r}
-	for _, x := range inputs {
-		for rep := 0; rep < 3; rep++ {
-			if got, want := memo.Apply(x), raw.Apply(x); !in.Equal(got, want) {
-				t.Fatalf("memo.Apply(%s) = %s, want %s", in.Format(x), in.Format(got), in.Format(want))
-			}
-		}
+	if !in.Equal(weird, in.Invalid()) {
+		t.Fatal("Equal must normalise invalid components")
 	}
 }

@@ -11,7 +11,7 @@ import (
 //	w0 = LPref<<32 | plen<<8 | Pad      w1 = Comms
 //
 // with the invalid route encoded as (InvalidID, ^0, ^0). The packing is
-// canonical for FastEqual — plen is determined by the id, Pad and LPref
+// canonical for Equal — plen is determined by the id, Pad and LPref
 // fit their fields, and path lengths stay far below 2²⁴ (paths are simple,
 // so length is bounded by the node count) — which is all the change
 // tracking needs. Unlike the scalar algebras the packed words are NOT

@@ -20,7 +20,7 @@ type IRoute struct {
 	Pad     uint8
 	// plen caches the arc count of ID so the decision procedure's length
 	// step needs no table access (and no lock) — equal ids always have
-	// equal plen, so comparability and FastEqual are unaffected. It is
+	// equal plen, so comparability and Equal are unaffected. It is
 	// maintained incrementally: +1 per extension.
 	plen int32
 }
@@ -34,8 +34,7 @@ func (r IRoute) IsInvalid() bool { return r.invalid }
 // Interned is the Section 7 algebra over the interned carrier. It
 // decides exactly the same order as Algebra on the corresponding Route
 // values — the decision procedure is unchanged, only the path
-// representation differs — and implements pathalg.PathAlgebra[IRoute],
-// core.Interner and core.EdgeMemoizer.
+// representation differs — and implements pathalg.PathAlgebra[IRoute].
 type Interned struct {
 	Tab *paths.Table
 }
@@ -131,22 +130,14 @@ func (*Interned) Trivial() IRoute { return TrivialIRoute }
 // Invalid implements ∞.
 func (*Interned) Invalid() IRoute { return InvalidIRoute }
 
-// Equal implements route equality.
-func (t *Interned) Equal(a, b IRoute) bool { return t.FastEqual(a, b) }
-
-// FastEqual implements core.Interner: with the path hash-consed, routes
+// Equal implements route equality: with the path hash-consed, routes
 // are equal iff their (comparable) field tuples coincide — no Compare
 // walk. Invalid routes are identified regardless of other fields.
-func (*Interned) FastEqual(a, b IRoute) bool {
+func (*Interned) Equal(a, b IRoute) bool {
 	if a.invalid || b.invalid {
 		return a.invalid == b.invalid
 	}
 	return a == b
-}
-
-// MemoizeEdge implements core.EdgeMemoizer.
-func (*Interned) MemoizeEdge(e core.Edge[IRoute]) core.Edge[IRoute] {
-	return core.MemoEdge[IRoute](e)
 }
 
 // Format implements route rendering, matching Route.String.

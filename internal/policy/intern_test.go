@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/paths"
 )
 
@@ -48,8 +47,6 @@ func TestInternedAlgebraDifferential(t *testing.T) {
 // distinguished elements.
 func TestInternedPolicyRoundTrip(t *testing.T) {
 	in := NewInterned(paths.NewTable())
-	var _ core.Interner[IRoute] = in
-	var _ core.EdgeMemoizer[IRoute] = in
 	if !in.ToRoute(in.Trivial()).Equal(TrivialRoute) {
 		t.Fatal("trivial round trip")
 	}

@@ -30,6 +30,8 @@ type instance[R any] struct {
 	prist *matrix.Adjacency[R]
 	start *matrix.State[R]
 	codec wire.Codec[R]
+	// family tags the instance's checkpoints; it names the codec.
+	family string
 	// spp is the gadget family's private policy state (nil for topo).
 	spp *gadgets.SPP
 	// weightEdge builds a weighted edge (nil for gadgets).
@@ -71,6 +73,7 @@ func buildGadget(sc *Scenario) (*instance[gadgets.Route], error) {
 		adj:    adj,
 		prist:  adj.Clone(),
 		codec:  wire.SPPCodec{},
+		family: familySPP,
 		spp:    spp,
 		sample: alg.SampleRoutes(),
 	}
@@ -112,6 +115,7 @@ func buildTopo(sc *Scenario) (*instance[algebras.NatInf], error) {
 	in := &instance[algebras.NatInf]{
 		n:      n,
 		codec:  wire.NatInfCodec{},
+		family: familyNatInf,
 		sample: []algebras.NatInf{0, 1, 2, 7, algebras.Inf},
 	}
 	switch sc.Spec.Algebra {
@@ -178,7 +182,7 @@ func (in *instance[R]) check(sc *Scenario) error {
 // are treated as undirected: both directions fail together, and a
 // recovery restores whichever directions the pristine topology had.
 // Rank edits mutate the instance's SPP in place and bump the adjacency
-// generation so memoised edge views are rebuilt.
+// generation so compiled kernels are rebuilt.
 func (in *instance[R]) apply(ev Event, adj *matrix.Adjacency[R]) {
 	switch ev.Kind {
 	case LinkDown:

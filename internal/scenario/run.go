@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/dist"
-	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/simulate"
 	"repro/internal/transport"
@@ -191,9 +190,10 @@ func finish[R any](sc *Scenario, build func(*Scenario) (*instance[R], error),
 	return nil
 }
 
-// runEngine plays the timeline on the stepped δ engine under the
-// clamped segmented schedule and differential-checks every event
-// boundary and the final state against the literal reference evaluator.
+// runEngine plays the timeline on the stepped δ engine — the service's
+// core, advanced to the horizon under the clamped segmented schedule —
+// and differential-checks every event boundary and the final state
+// against the literal reference evaluator.
 func runEngine[R any](sc *Scenario, build func(*Scenario) (*instance[R], error)) (SubstrateReport, error) {
 	sr := SubstrateReport{Substrate: SubEngine}
 	inst, err := build(sc)
@@ -201,9 +201,13 @@ func runEngine[R any](sc *Scenario, build func(*Scenario) (*instance[R], error))
 		return sr, err
 	}
 	p := newPlan(sc, inst.n)
-	eng := engine.New(inst.alg, inst.adj, engine.Config{})
-	defer eng.Close()
-	res := eng.RunTimeline(inst.start, p, inst.timeline(sc.Events))
+	c, err := newCore(sc, inst, p, nil)
+	if err != nil {
+		return sr, err
+	}
+	defer c.close()
+	c.advance(sc.Horizon)
+	res := c.res
 	_, sr.Converged = res.Converged()
 
 	ref, err := build(sc)

@@ -55,16 +55,18 @@ type runnerCore interface {
 }
 
 // Serviceable reports whether the scenario can run on the service path.
-// Crash windows need activation masking that only the materialised
-// differential plan provides, so crash/recover timelines are reserved
-// for Run; everything else the engine substrate accepts is serviceable.
+// Both paths drive one core; what differs is the schedule. Crash windows
+// need activation masking, which the materialised differential plan has
+// and the lazy Hashed source has not, so crash/recover timelines are
+// reserved for Run; everything else the engine substrate accepts is
+// serviceable.
 func Serviceable(sc *Scenario) error {
 	if err := sc.Validate(); err != nil {
 		return err
 	}
 	for idx, ev := range sc.Events {
 		if ev.Kind == NodeCrash || ev.Kind == NodeRecover {
-			return fmt.Errorf("scenario: event %d: %s is not serviceable (crash windows need the differential plan; use the scenario runner)", idx, ev.Kind)
+			return fmt.Errorf("scenario: event %d: %s is not serviceable (crash windows need the differential plan's activation masking; use Run)", idx, ev.Kind)
 		}
 	}
 	if len(sc.Encode()) > 1<<12 {
@@ -99,17 +101,7 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	if err := Serviceable(sc); err != nil {
 		return nil, err
 	}
-	r := newShell(sc)
-	var err error
-	if sc.Spec.Gadget != "" {
-		r.core, err = newCore(sc, familySPP, wire.SPPCodec{}, buildGadget, nil)
-	} else {
-		r.core, err = newCore(sc, familyNatInf, wire.NatInfCodec{}, buildTopo, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return newRunner(sc, nil)
 }
 
 // ResumeRunner rebuilds a paused run from a checkpoint produced by
@@ -117,9 +109,10 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 // back from the checkpoint metadata, the instance is rebuilt, every
 // event at or before the snapshot step is replayed onto the fresh
 // topology, and the engine resumes from the snapshot. The continuation
-// is bit-identical to the run that was never paused.
+// is bit-identical to the run that was never paused. A checkpoint whose
+// family tag is not the embedded scenario's is refused by the decoder.
 func ResumeRunner(data []byte) (*Runner, error) {
-	family, meta, err := checkpoint.Header(data)
+	_, meta, err := checkpoint.Header(data)
 	if err != nil {
 		return nil, err
 	}
@@ -134,25 +127,37 @@ func ResumeRunner(data []byte) (*Runner, error) {
 	if err := Serviceable(sc); err != nil {
 		return nil, err
 	}
+	return newRunner(sc, data)
+}
+
+// newRunner wraps a core over the scenario's family, fresh or — data
+// non-nil — resumed from that checkpoint.
+func newRunner(sc *Scenario, data []byte) (*Runner, error) {
 	r := newShell(sc)
-	switch family {
-	case familySPP:
-		if sc.Spec.Gadget == "" {
-			return nil, fmt.Errorf("scenario: checkpoint family %q but embedded scenario is not a gadget", family)
-		}
-		r.core, err = resumeCore(sc, data, familySPP, wire.SPPCodec{}, buildGadget)
-	case familyNatInf:
-		if sc.Spec.Topo == "" {
-			return nil, fmt.Errorf("scenario: checkpoint family %q but embedded scenario is not a topology", family)
-		}
-		r.core, err = resumeCore(sc, data, familyNatInf, wire.NatInfCodec{}, buildTopo)
-	default:
-		return nil, fmt.Errorf("scenario: unknown checkpoint family %q", family)
+	var err error
+	if sc.Spec.Gadget != "" {
+		r.core, err = serviceCore(sc, buildGadget, data)
+	} else {
+		r.core, err = serviceCore(sc, buildTopo, data)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// serviceCore builds the instance and starts or resumes a core over it
+// under the lazy service schedule.
+func serviceCore[R any](sc *Scenario, build func(*Scenario) (*instance[R], error), data []byte) (*svcCore[R], error) {
+	inst, err := build(sc)
+	if err != nil {
+		return nil, err
+	}
+	src := serviceSource(sc, inst.n)
+	if data == nil {
+		return newCore(sc, inst, src, nil)
+	}
+	return resumeCore(sc, inst, src, data)
 }
 
 func newShell(sc *Scenario) *Runner {
@@ -261,39 +266,35 @@ const (
 	metaName     = "name"
 )
 
-// core is the family-typed implementation behind Runner: one engine and
-// one stepper for the life of the run.
+// svcCore is the one place a scenario instance meets the engine: one
+// engine and one stepper for the life of the run, over whatever source
+// the caller schedules it with — the lazy Hashed source behind a Runner,
+// the materialised differential plan behind Run's engine substrate.
 type svcCore[R any] struct {
-	sc     *Scenario
-	family string
-	codec  wire.Codec[R]
-	inst   *instance[R]
-	eng    *engine.Engine[R]
-	st     *engine.Stepper[R]
-	res    *engine.Result[R] // set when the run finishes
+	sc   *Scenario
+	inst *instance[R]
+	eng  *engine.Engine[R]
+	st   *engine.Stepper[R]
+	res  *engine.Result[R] // set when the run finishes
 }
 
-func newCore[R any](sc *Scenario, family string, codec wire.Codec[R],
-	build func(*Scenario) (*instance[R], error), snap *engine.Snapshot[R]) (*svcCore[R], error) {
-	inst, err := build(sc)
-	if err != nil {
-		return nil, err
-	}
+// newCore starts a run of inst under src at step 0, or — snap non-nil —
+// resumes it right after snap.Step. inst must be freshly built: the core
+// mutates its topology as the timeline plays.
+func newCore[R any](sc *Scenario, inst *instance[R], src engine.Source, snap *engine.Snapshot[R]) (*svcCore[R], error) {
 	fired := 0
 	if snap != nil {
 		// Bring the fresh topology to the snapshot instant: replay the
 		// mutations of every event that already fired. Restarts and the
-		// crash markers mutate no topology (and crash windows are not
-		// serviceable anyway), so replaying through apply is exact.
+		// crash markers mutate no topology, so replaying through apply is
+		// exact.
 		for ; fired < len(sc.Events) && sc.Events[fired].Step <= snap.Step; fired++ {
 			inst.apply(sc.Events[fired], inst.adj)
 		}
 	}
-	c := &svcCore[R]{
-		sc: sc, family: family, codec: codec, inst: inst,
-		eng: engine.New(inst.alg, inst.adj, engine.Config{}),
-	}
-	src, events := serviceSource(sc, inst.n), inst.timeline(sc.Events)[fired:]
+	c := &svcCore[R]{sc: sc, inst: inst, eng: engine.New(inst.alg, inst.adj, engine.Config{})}
+	events := inst.timeline(sc.Events)[fired:]
+	var err error
 	if snap == nil {
 		c.st, err = c.eng.Start(inst.start, src, events)
 	} else {
@@ -306,13 +307,13 @@ func newCore[R any](sc *Scenario, family string, codec wire.Codec[R],
 	return c, nil
 }
 
-func resumeCore[R any](sc *Scenario, data []byte, family string, codec wire.Codec[R],
-	build func(*Scenario) (*instance[R], error)) (*svcCore[R], error) {
-	f, err := checkpoint.Decode(codec, data, family)
+// resumeCore is newCore from checkpoint bytes.
+func resumeCore[R any](sc *Scenario, inst *instance[R], src engine.Source, data []byte) (*svcCore[R], error) {
+	f, err := checkpoint.Decode(inst.codec, data, inst.family)
 	if err != nil {
 		return nil, err
 	}
-	return newCore(sc, family, codec, build, f.Snap)
+	return newCore(sc, inst, src, f.Snap)
 }
 
 func (c *svcCore[R]) advance(target int) bool {
@@ -330,8 +331,8 @@ func (c *svcCore[R]) checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return checkpoint.Encode(c.codec, &checkpoint.File[R]{
-		Family: c.family,
+	return checkpoint.Encode(c.inst.codec, &checkpoint.File[R]{
+		Family: c.inst.family,
 		Meta: map[string]string{
 			metaScenario: string(c.sc.Encode()),
 			metaName:     c.sc.Name,
@@ -353,7 +354,7 @@ func (c *svcCore[R]) finalHash() uint64 {
 	}
 	// One buffer for every cell when the codec can append; Encode's slice
 	// per cell otherwise. The bytes hashed are the same.
-	app, _ := c.codec.(wire.Appender[R])
+	app, _ := c.inst.codec.(wire.Appender[R])
 	var b []byte
 	n := c.inst.n
 	for i := 0; i < n; i++ {
@@ -362,7 +363,7 @@ func (c *svcCore[R]) finalHash() uint64 {
 			if app != nil {
 				b, err = app.AppendEncode(b[:0], final.Get(i, j))
 			} else {
-				b, err = c.codec.Encode(final.Get(i, j))
+				b, err = c.inst.codec.Encode(final.Get(i, j))
 			}
 			if err != nil {
 				// Encode failures are build bugs, not data: fold the error

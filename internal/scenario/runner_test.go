@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -156,6 +157,90 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 				r.Close()
 			}
 		})
+	}
+
+	// Sliced ≡ the paper's oracle: the same preemptible core, driven under
+	// the differential plan instead of the service's Hashed source, must
+	// land on the literal Section 3.1 evaluator's states.
+	restarts := "scenario reboots\ntopo ring 6 rip\nseed 4\nhorizon 150\nat 30 restart 2\nat 70 restart 4\nat 71 restart 0\nat 110 restart 5\n"
+	wedgie, err := os.ReadFile("../../examples/scenarios/wedgie-flap.scenario")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("reference/wedgie-flap", func(t *testing.T) { slicedAgainstReference(t, string(wedgie), buildGadget) })
+	t.Run("reference/topo-rip", func(t *testing.T) { slicedAgainstReference(t, topoRunnerScenario, buildTopo) })
+	t.Run("reference/restarts", func(t *testing.T) { slicedAgainstReference(t, restarts, buildTopo) })
+}
+
+// slicedAgainstReference advances a core over the differential plan in
+// quanta of 7 — once straight through, once with a checkpoint → resume
+// round trip into a rebuilt instance after half the events have fired —
+// and holds every event-boundary state and the final state to
+// replayReference. A resumed run only marks the events it fires itself,
+// so its marks are compared with the tail of the reference's.
+func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenario) (*instance[R], error)) {
+	sc, err := Parse([]byte(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *instance[R] {
+		inst, err := build(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	ref := fresh()
+	p := newPlan(sc, ref.n)
+	bounds, final := replayReference(ref, p, sc.Events)
+	hopAt := sc.Events[(len(sc.Events)-1)/2].Step
+
+	for _, hop := range []bool{false, true} {
+		c, err := newCore(sc, fresh(), p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newShell(sc)
+		r.core = c
+		hopped := false
+		for done := false; !done; {
+			if done, err = r.Advance(7); err != nil {
+				t.Fatalf("hop=%v step %d: %v", hop, r.Step(), err)
+			}
+			if hop && !hopped && !done && r.Step() >= hopAt {
+				data, err := r.Checkpoint()
+				if err != nil {
+					t.Fatalf("checkpoint at step %d: %v", r.Step(), err)
+				}
+				r.Close()
+				if c, err = resumeCore(sc, fresh(), p, data); err != nil {
+					t.Fatalf("resume at step %d: %v", r.Step(), err)
+				}
+				r.core, hopped = c, true
+			}
+		}
+		if hop && !hopped {
+			t.Fatal("run finished before the checkpoint hop")
+		}
+		marks, want := c.res.Marks(), bounds
+		if hop {
+			want = bounds[len(bounds)-len(marks):]
+			if len(marks) == 0 || len(marks) == len(bounds) {
+				t.Fatalf("hop at step ≥ %d left %d of %d marks to the resumed run; want some before and some after", hopAt, len(marks), len(bounds))
+			}
+		}
+		if len(marks) != len(want) {
+			t.Fatalf("hop=%v: %d marks, reference has %d boundaries", hop, len(marks), len(want))
+		}
+		for i := range marks {
+			if !marks[i].Equal(ref.alg, want[i]) {
+				t.Fatalf("hop=%v: state at event %d of %d diverges from the reference", hop, len(bounds)-len(want)+i, len(bounds))
+			}
+		}
+		if !c.res.Final().Equal(ref.alg, final) {
+			t.Fatalf("hop=%v: final state diverges from the reference:\n%s\nwant:\n%s", hop, c.res.Final().Format(ref.alg), final.Format(ref.alg))
+		}
+		r.Close()
 	}
 }
 

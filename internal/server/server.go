@@ -90,8 +90,8 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to shed load; default
 	// 200ms.
 	RetryAfter time.Duration
-	// MaxResults bounds the completed-result table (oldest evicted);
-	// default 1024.
+	// MaxResults bounds the table of terminal outcomes — results and
+	// failures alike (oldest evicted); default 1024.
 	MaxResults int
 	// Logf, when set, receives one line per lifecycle event (default
 	// discards).
@@ -187,9 +187,9 @@ type Server struct {
 	cond     *sync.Cond
 	tenants  map[string]*tenant
 	runs     map[string]*run
-	results  map[string]wire.Result
-	order    []string // results eviction order
-	vclock   float64  // virtual time of the most recent scheduling decision
+	results  map[string]wire.Frame // finished runs' terminal frames: Result or ErrorFrame
+	order    []string              // results eviction order
+	vclock   float64               // virtual time of the most recent scheduling decision
 	conns    map[*clientConn]struct{}
 	finished []finishedRun // bounded ring of completed runs for /runs
 
@@ -209,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		tenants: make(map[string]*tenant),
 		runs:    make(map[string]*run),
-		results: make(map[string]wire.Result),
+		results: make(map[string]wire.Frame),
 		conns:   make(map[*clientConn]struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -430,17 +430,20 @@ func (s *Server) finish(r *run, res *wire.Result, ef *wire.ErrorFrame) {
 	r.tenant.inflight--
 	s.met.inflight.With(r.tenant.name).Set(float64(r.tenant.inflight))
 	var outcome string
+	var terminal wire.Frame
 	if res != nil {
-		s.storeResultLocked(r.key, *res)
+		terminal = *res
 		s.met.finished.With("ok").Inc()
 		r.step, r.cells = int(res.Steps), res.CellsComputed
 		outcome = fmt.Sprintf("ok: steps=%d converged=%d hash=%x", res.Steps, res.ConvergedAt, res.Hash)
 		r.spanLocked("finished: steps=%d converged=%d", res.Steps, res.ConvergedAt)
 	} else {
 		s.met.finished.With("error").Inc()
+		terminal = *ef
 		outcome = "error: " + ef.Error()
 		r.spanLocked("failed: %s", ef.Msg)
 	}
+	s.storeResultLocked(r.key, terminal)
 	s.recordFinishedLocked(r, outcome)
 	delete(s.runs, r.key)
 	subs := r.subs
@@ -453,11 +456,7 @@ func (s *Server) finish(r *run, res *wire.Result, ef *wire.ErrorFrame) {
 		os.Remove(spool)
 	}
 	for _, cc := range subs {
-		if res != nil {
-			cc.push(*res, true)
-		} else {
-			cc.push(*ef, true)
-		}
+		cc.push(terminal, true)
 	}
 	if res != nil {
 		s.cfg.Logf("server: run %s finished: steps=%d converged=%d hash=%x", r.key, res.Steps, res.ConvergedAt, res.Hash)
@@ -466,7 +465,7 @@ func (s *Server) finish(r *run, res *wire.Result, ef *wire.ErrorFrame) {
 	}
 }
 
-func (s *Server) storeResultLocked(key string, res wire.Result) {
+func (s *Server) storeResultLocked(key string, res wire.Frame) {
 	if _, ok := s.results[key]; !ok {
 		s.order = append(s.order, key)
 	}
@@ -733,7 +732,7 @@ func (s *Server) Drain(ctx context.Context) (int, error) {
 	// forever.
 	if s.cfg.SpoolDir != "" {
 		s.mu.Lock()
-		results := make(map[string]wire.Result, len(s.results))
+		results := make(map[string]wire.Frame, len(s.results))
 		for k, v := range s.results {
 			results[k] = v
 		}
@@ -805,12 +804,13 @@ func (s *Server) recoverSpool() error {
 				s.cfg.Logf("server: spool: %q does not decode: %v", name, err)
 				continue
 			}
-			res, ok := f.(wire.Result)
-			if !ok {
-				s.cfg.Logf("server: spool: %q is not a result frame", name)
+			switch f.(type) {
+			case wire.Result, wire.ErrorFrame:
+				s.storeResultLocked(tn+"/"+id, f)
+			default:
+				s.cfg.Logf("server: spool: %q is not a terminal frame", name)
 				continue
 			}
-			s.storeResultLocked(tn+"/"+id, res)
 			os.Remove(path)
 			continue
 		}
@@ -909,11 +909,11 @@ func (s *Server) Close() error {
 // outbox: a slow or stalled client drops Status frames (they are
 // advisory and resent every quantum) rather than stalling a worker; a
 // terminal frame that cannot be enqueued closes the connection, and the
-// client re-Waits — the stored result table makes that safe. Advisory
-// frames may queue only outboxLen deep; the outboxHeadroom slots above
-// that are for must-deliver frames, so a burst of cheap quanta cannot
-// crowd out the terminal frame that ends it: a failed run's ErrorFrame
-// is not stored, and a re-Wait could not recover it.
+// client re-Waits — the table of stored outcomes, failures included,
+// makes that safe. Advisory frames may queue only outboxLen deep; the
+// outboxHeadroom slots above that are for must-deliver frames, so a
+// burst of cheap quanta cannot crowd out the terminal frame that ends
+// it and cost the client a reconnect.
 type clientConn struct {
 	conn *transport.Conn
 	logf func(format string, args ...any)

@@ -267,8 +267,8 @@ func TestStatusNeverFollowsResult(t *testing.T) {
 // TestStatusBurstLeavesRoomForTerminalFrame pins the outbox headroom: a
 // stalled reader and a burst of advisory Status frames (far more than
 // the outbox holds) must not crowd out the ErrorFrame that ends the run
-// — failed outcomes are not stored, so a connection closed on overflow
-// would lose it for good.
+// — a connection closed on overflow would cost the client a reconnect and
+// a re-Wait for the stored outcome.
 func TestStatusBurstLeavesRoomForTerminalFrame(t *testing.T) {
 	srv, cli := net.Pipe() // unbuffered: nothing drains until cli reads
 	cc := newClientConn(transport.NewConn(srv), t.Logf)
@@ -302,6 +302,70 @@ func TestStatusBurstLeavesRoomForTerminalFrame(t *testing.T) {
 	}
 	cc.close()
 	cli.Close()
+}
+
+// TestFailedRunOutcomeSurvivesDroppedConnection: a run that fails is a
+// stored outcome like one that finishes. The client's connection drops
+// between admission and the deadline failure, so the terminal ErrorFrame
+// is pushed at a closed connection (even rounds: the test waits for the
+// failure before re-dialling, so only the stored frame can answer) or
+// races the re-Wait (odd rounds); either way Await must read the typed
+// deadline error exactly once, not re-Wait into unknown-run until its
+// context expires.
+func TestFailedRunOutcomeSurvivesDroppedConnection(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	s, err := New(Config{Workers: 1, Quantum: 16, Stall: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	c, err := DialClient(ctx, s.Addr(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 6; round++ {
+		id := fmt.Sprintf("late%d", round)
+		if _, err := c.Submit(ctx, id, []byte(longScenario), time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		c.conn.Close()
+		for live := round%2 == 0; live; time.Sleep(time.Millisecond) {
+			s.mu.Lock()
+			_, live = s.runs["acme/"+id]
+			s.mu.Unlock()
+		}
+		awaitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		_, _, err := c.Await(awaitCtx, id)
+		cancel()
+		if err == nil {
+			t.Fatalf("round %d: 1ms-deadline run completed", round)
+		}
+		if ef := asErrorFrame(t, err); ef.Code != wire.CodeDeadline || ef.ID != id {
+			t.Fatalf("round %d: Await read %v, want the run's deadline error", round, ef)
+		}
+		// Once: the next frame on the connection answers the next request.
+		if err := c.send(wire.Wait{Tenant: "acme", ID: "nope"}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ef, ok := f.(wire.ErrorFrame); !ok || ef.Code != wire.CodeUnknownRun || ef.ID != "nope" {
+			t.Fatalf("round %d: frame after the terminal error is %#v, want unknown-run for \"nope\"", round, f)
+		}
+		// A failed id stays taken, like a completed one.
+		if _, err := c.Submit(ctx, id, []byte(shortScenario), 0); err == nil {
+			t.Fatalf("round %d: failed run's id admitted again", round)
+		} else if ef := asErrorFrame(t, err); ef.Code != wire.CodeBadRequest {
+			t.Fatalf("round %d: resubmitted id rejected with %v, want bad-request", round, ef.Code)
+		}
+	}
+	c.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkGoroutines(t, goroutines)
 }
 
 func asErrorFrame(t *testing.T, err error) *wire.ErrorFrame {

@@ -170,11 +170,7 @@ func (q *eventQueue[R]) Pop() any {
 
 // engine is the mutable state of one run.
 type engine[R any] struct {
-	alg core.Algebra[R]
-	// eq is the cheapest correct route equality for alg — the O(1)
-	// FastEqual when the algebra interns its routes (core.Interner),
-	// alg.Equal otherwise. Every hot comparison below goes through it.
-	eq    func(a, b R) bool
+	alg   core.Algebra[R]
 	adj   *matrix.Adjacency[R]
 	cfg   Config
 	rng   *rand.Rand
@@ -277,7 +273,6 @@ func RunTraced[R any](
 	n := adj.N
 	e := &engine[R]{
 		alg:      alg,
-		eq:       core.EqualFn(alg),
 		adj:      adj.Clone(),
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -426,7 +421,7 @@ func (e *engine[R]) activate(now int64, i int) {
 	row := matrix.SigmaRowInto(e.alg, e.adj, i, e.recv[i], e.rowScratch)
 	changed := false
 	for j := 0; j < n; j++ {
-		if !e.eq(row[j], e.state.Get(i, j)) {
+		if !e.alg.Equal(row[j], e.state.Get(i, j)) {
 			changed = true
 			if e.rec != nil {
 				e.rec.Route(now, i, j, e.alg.Format(e.state.Get(i, j)), e.alg.Format(row[j]))
@@ -459,7 +454,6 @@ func RunExtracting[R any](
 	n := adj.N
 	e := &engine[R]{
 		alg:     alg,
-		eq:      core.EqualFn(alg),
 		adj:     adj.Clone(),
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -570,7 +564,7 @@ func (e *engine[R]) quiescent() bool {
 				continue // cache never read by activate
 			}
 			for j := 0; j < n; j++ {
-				if !e.eq(e.recv[i][k][j], e.state.Get(k, j)) {
+				if !e.alg.Equal(e.recv[i][k][j], e.state.Get(k, j)) {
 					return false
 				}
 			}
@@ -581,7 +575,7 @@ func (e *engine[R]) quiescent() bool {
 			continue
 		}
 		for j := range ev.row {
-			if !e.eq(ev.row[j], e.state.Get(ev.from, j)) {
+			if !e.alg.Equal(ev.row[j], e.state.Get(ev.from, j)) {
 				return false
 			}
 		}

@@ -132,27 +132,20 @@ func NewListener(ln net.Listener) *Listener { return &Listener{ln: ln} }
 // Addr returns the bound address.
 func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 
-// Accept returns the next connection, retrying transient accept errors
-// (see acceptBackoff); only a closed listener returns an error.
-func (l *Listener) Accept() (*Conn, error) {
-	c, err := acceptBackoff(l.ln)
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(c), nil
-}
-
-// acceptBackoff returns ln's next connection. Transient accept errors
-// (EMFILE under overload, an aborted handshake) are retried with capped
-// backoff instead of being surfaced, so one burst can neither kill an
-// accept loop nor make it spin; only a closed listener returns an error,
+// Accept returns the next connection. Transient accept errors (EMFILE
+// under overload, an aborted handshake) are retried with capped backoff
+// instead of being surfaced, so one burst can neither kill an accept loop
+// nor make it spin; only a closed listener returns an error,
 // net.ErrClosed.
-func acceptBackoff(ln net.Listener) (net.Conn, error) {
+func (l *Listener) Accept() (*Conn, error) {
 	var delay time.Duration
 	for {
-		c, err := ln.Accept()
-		if err == nil || errors.Is(err, net.ErrClosed) {
-			return c, err
+		c, err := l.ln.Accept()
+		if err == nil {
+			return NewConn(c), nil
+		}
+		if errors.Is(err, net.ErrClosed) {
+			return nil, err
 		}
 		mAcceptBackoffs.Inc()
 		delay = nextAcceptDelay(delay)

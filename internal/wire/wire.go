@@ -6,6 +6,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -68,31 +69,22 @@ func EncodeAdvert(a Advert) []byte {
 
 // DecodeAdvert parses a frame produced by EncodeAdvert.
 func DecodeAdvert(b []byte) (Advert, error) {
-	var a Advert
-	if len(b) < 16 {
-		return a, ErrTruncated
+	cur := NewCursor(b, ErrTruncated)
+	a := Advert{From: int(cur.U32()), Seq: cur.U64()}
+	n := cur.U32()
+	if cur.Err() != nil {
+		return a, cur.Err()
 	}
-	a.From = int(binary.BigEndian.Uint32(b[0:4]))
-	a.Seq = binary.BigEndian.Uint64(b[4:12])
-	n := binary.BigEndian.Uint32(b[12:16])
 	if n > maxFrame/4 {
 		return a, fmt.Errorf("wire: implausible row count %d", n)
 	}
-	b = b[16:]
 	a.Rows = make([][]byte, 0, n)
 	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return a, ErrTruncated
+		row := cur.Bytes(cur.Len()) // no cap of its own: a row is bounded by its frame
+		if cur.Err() != nil {
+			return a, cur.Err()
 		}
-		l := binary.BigEndian.Uint32(b[:4])
-		b = b[4:]
-		if uint32(len(b)) < l {
-			return a, ErrTruncated
-		}
-		row := make([]byte, l)
-		copy(row, b[:l])
-		a.Rows = append(a.Rows, row)
-		b = b[l:]
+		a.Rows = append(a.Rows, bytes.Clone(row))
 	}
 	return a, nil
 }
