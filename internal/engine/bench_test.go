@@ -124,6 +124,39 @@ func BenchmarkEngineWorstCase(b *testing.B) {
 	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 }
 
+// BenchmarkEngineWorkers is the worker pool's own number: the E5 run
+// (hop count on the chord ring, Hashed over horizon 10n) at n = 512 and
+// n = 128, sequential against the default pool. fanouts/op counts the
+// steps handed to the pool and hot_handoffs/op the helper hand-offs among
+// them that found the helper still polling — no channel, no futex.
+func BenchmarkEngineWorkers(b *testing.B) {
+	for _, n := range []int{512, 128} {
+		alg, adj := benchNet(n)
+		start := matrix.Identity[algebras.NatInf](alg, n)
+		src := engine.Hashed{N: n, T: 10 * n, Seed: 1, MaxGap: 16, MaxStaleness: 8}
+		for _, w := range []struct {
+			name    string
+			workers int
+		}{{"w=1", 1}, {"w=default", 0}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, w.name), func(b *testing.B) {
+				eng := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: w.workers})
+				defer eng.Close()
+				eng.Run(start, src) // warm the run scratch
+				_, fan0, hot0 := engine.PoolCounters(eng)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, ok := eng.Run(start, src).Converged(); !ok {
+						b.Fatal("run did not certify convergence")
+					}
+				}
+				_, fan, hot := engine.PoolCounters(eng)
+				b.ReportMetric(float64(fan-fan0)/float64(b.N), "fanouts/op")
+				b.ReportMetric(float64(hot-hot0)/float64(b.N), "hot_handoffs/op")
+			})
+		}
+	}
+}
+
 // BenchmarkLegacyDelta is the clone-everything reference evaluator on the
 // same schedules, the baseline the engine's copy-on-write and recycling
 // are measured against.

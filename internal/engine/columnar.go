@@ -154,12 +154,11 @@ func (o *colOps[R]) runTask(tk *rowTask[R, core.Col], worker int) {
 	cs := o.cs
 	kern := cs.kern[cs.off[tk.i]:cs.off[tk.i+1]]
 	cw := &o.cws[worker]
+	ws := &tk.inc.scratch[worker]
 	if tk.lo == nil {
-		computed := matrix.SigmaColSpanChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, nil, tk.chg, &cw.scratch)
-		tk.inc.cells.Add(int64(computed))
+		ws.cells += matrix.SigmaColSpanChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, nil, tk.chg, &cw.scratch)
 		return
 	}
-	ws := &tk.inc.scratch[worker]
 	sel := resolveDirtySel(tk.inc, tk.nbr, tk.lo, tk.j0, tk.j1, ws, cw.sel[:0])
 	cw.sel = sel[:0]
 	if len(sel) == 0 {
@@ -170,6 +169,5 @@ func (o *colOps[R]) runTask(tk *rowTask[R, core.Col], worker int) {
 		// Everything dirty: the dense kernel loops beat sel indirection.
 		sel = nil
 	}
-	computed := matrix.SigmaColSpanChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, sel, tk.chg, &cw.scratch)
-	tk.inc.cells.Add(int64(computed))
+	ws.cells += matrix.SigmaColSpanChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, sel, tk.chg, &cw.scratch)
 }

@@ -16,8 +16,10 @@
 //     nothing. The keep-everything mode remains available (KeepAll) for
 //     replay and convergence-time analysis.
 //   - Sharded recomputation. The per-node σ-row updates of one step are
-//     independent, so they fan out across a persistent worker pool — and
-//     split by destination column on large networks — with a
+//     independent, so a step that costs more than the hand-off fans them
+//     out across a persistent worker pool whose helpers stay hot between
+//     one step's fan-out and the next (pool.go) — split by destination
+//     column when a large network has fewer rows than workers — with a
 //     deterministic merge: every worker writes a disjoint span, so the
 //     result is bit-identical to the sequential path.
 //   - Change-driven evaluation. Real asynchronous protocols
@@ -49,7 +51,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
@@ -59,9 +60,11 @@ import (
 // full history [δ⁰(X) … δᵀ(X)] can be materialised afterwards.
 const KeepAll = -1
 
-// minParallelOps is the per-step work (active rows × n × n) below which
-// the engine stays sequential; fanning out tiny steps costs more in
-// worker wake-ups than it saves.
+// minParallelOps is the per-step work — Σ n·(deg+1) over the rows that
+// recompute, what the kernels walk at most — below which the engine stays
+// sequential: a hot hand-off costs microseconds, a parked helper a futex
+// round trip, and a step this small (a ring-64 service request never
+// exceeds it) is done before either pays.
 const minParallelOps = 1 << 14
 
 // shardFromN is the network size at which one row's destinations are
@@ -147,6 +150,7 @@ type Engine[R any] struct {
 	window      int // Config.HistoryWindow verbatim (0 = auto)
 	workers     int
 	shardFrom   int // shardFromN; tests lower it to shard tiny networks
+	minOps      int // minParallelOps; tests lower it to fan tiny steps out
 	termination TerminationMode
 	pool        *pool
 	cleanup     runtime.Cleanup
@@ -169,7 +173,7 @@ func New[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], cfg Config) *Engi
 	}
 	e := &Engine[R]{
 		alg: alg, adj: adj,
-		window: cfg.HistoryWindow, workers: workers, shardFrom: shardFromN,
+		window: cfg.HistoryWindow, workers: workers, shardFrom: shardFromN, minOps: minParallelOps,
 		termination: cfg.Termination,
 		pool:        newPool(workers - 1),
 	}
@@ -230,8 +234,6 @@ type incShared struct {
 	top int32
 	// scratch[w] is worker w's workspace.
 	scratch []workerScratch
-	// cells accumulates recomputed-cell counts from tracked tasks.
-	cells atomic.Int64
 }
 
 // histH is the change-mask ring depth per node: thresholds reaching at
@@ -240,10 +242,13 @@ type incShared struct {
 const histH = 32
 
 // workerScratch is one worker's private workspace: the dirty-column
-// masks being assembled and their bitset form.
+// masks being assembled, their bitset form, and the worker's count of
+// recomputed cells, padded off every other worker's cache lines.
 type workerScratch struct {
 	cols  matrix.Bitset
 	masks []uint64
+	cells int
+	_     [64]byte
 }
 
 // rowTask is one unit of sharded work: compute dst[j0:j1] of node i's
@@ -560,7 +565,9 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) 
 		clear(r.inc.rowMax)
 		clear(r.inc.histStamp)
 		clear(r.lastRead)
-		r.inc.cells.Store(0)
+		for w := range r.inc.scratch {
+			r.inc.scratch[w].cells = 0
+		}
 		// r.chg is clear: the serial fold clears every set bitset before
 		// the step that set it returns, and scratch is only ever pooled
 		// between steps. hist needs no clearing — stale slots fail their
@@ -951,7 +958,7 @@ func (r *run[R, Row]) step(until int) bool {
 				// full; the kernel still tracks changes against the node's
 				// starting row, so ConvergedAt and FixedPoint round counts
 				// stay exact.
-				base, arena0, compute, cost := i*n, -1, true, n*n
+				base, arena0, compute := i*n, -1, true
 				if r.lastComp[i] >= 0 {
 					// The node has a previous row. Decide in O(deg) whether
 					// any β-resolved input changed since it was computed;
@@ -964,7 +971,6 @@ func (r *run[R, Row]) step(until int) bool {
 							compute = true
 						}
 					}
-					cost = n * (len(nb) + 1) // dirty scan; the kernel may touch far fewer cells
 				}
 				if compute {
 					tb := tabs[i]
@@ -981,7 +987,9 @@ func (r *run[R, Row]) step(until int) bool {
 					cur[i] = r.newRow(n)
 					pendRows = append(pendRows, int32(i))
 					pendLo = append(pendLo, int32(arena0))
-					stepOps += cost
+					// What the kernel walks at most: n columns over the
+					// neighbour list; a dirty scan may touch far fewer.
+					stepOps += n * (len(nb) + 1)
 				} else {
 					r.stats.RowsSkipped++
 					for ai, k32 := range nb {
@@ -1000,7 +1008,7 @@ func (r *run[R, Row]) step(until int) bool {
 			}
 			if len(pendRows) > 0 {
 				tasks = tasks[:0]
-				shards := e.shardsFor(len(pendRows), n)
+				fan, shards := e.shardsFor(stepOps, len(pendRows), n)
 				for pi, i32 := range pendRows {
 					i := int(i32)
 					nb := nbr[nbrOff[i]:nbrOff[i+1]]
@@ -1017,7 +1025,7 @@ func (r *run[R, Row]) step(until int) bool {
 					}
 				}
 				r.tasks = tasks
-				r.exec(stepOps)
+				r.exec(fan)
 			}
 			r.stats.RowsComputed += len(pendRows)
 
@@ -1068,7 +1076,7 @@ func (r *run[R, Row]) step(until int) bool {
 	// Hand the position, and any backing the loop grew, back to the run.
 	r.t, r.prev = t, prev
 	r.lastChange, r.certGen, r.nCert = lastChange, certGen, nCert
-	r.actives, r.tasks = actives[:0], tasks[:0]
+	r.actives, r.tasks = actives[:0], tasks
 	r.pendRows, r.pendLo, r.loArena = pendRows[:0], pendLo[:0], loArena[:0]
 	r.actMinB, r.actNodes = actMinB[:0], actNodes[:0]
 	return r.converged || t >= r.T
@@ -1093,7 +1101,9 @@ func (r *run[R, Row]) settled() bool {
 func (r *run[R, Row]) statsNow() Stats {
 	st := r.stats
 	st.Steps = r.t
-	st.CellsComputed += int(r.inc.cells.Load())
+	for w := range r.inc.scratch {
+		st.CellsComputed += r.inc.scratch[w].cells
+	}
 	st.ConvergedAt = -1
 	if r.converged {
 		st.ConvergedAt = r.lastChange
@@ -1132,17 +1142,19 @@ func maxDegree(off []int32) int {
 	return max
 }
 
-// shardsFor decides how many column spans each active row splits into:
-// one, unless the network is large and there are workers to spare.
-func (e *Engine[R]) shardsFor(actives, n int) int {
-	if n < e.shardFrom || actives >= e.workers || e.workers <= 1 {
-		return 1
+// shardsFor decides the shape of a step of stepOps work over this many
+// rows: whether it fans out to the pool at all and, only then, how many
+// column spans each row splits into — one, unless the network is large and
+// there are workers to spare. A step that stays inline keeps one task per
+// row, so no row resolves its dirty columns twice.
+func (e *Engine[R]) shardsFor(stepOps, rows, n int) (fan bool, shards int) {
+	if e.workers <= 1 || stepOps < e.minOps {
+		return false, 1
 	}
-	shards := (e.workers + actives - 1) / actives
-	if shards > n {
-		shards = n
+	if n < e.shardFrom || rows >= e.workers {
+		return true, 1
 	}
-	return shards
+	return true, min(n, (e.workers+rows-1)/rows)
 }
 
 // genOps is the []R row representation: the interface evaluation path.
@@ -1175,14 +1187,13 @@ func (o genOps[R]) runTask(tk *rowTask[R, []R], worker int) {
 		matrix.SigmaSpanIntoNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.dst, tk.j0, tk.j1)
 		return
 	}
+	ws := &tk.inc.scratch[worker]
 	if tk.lo == nil {
 		// Tracked full recomputation (first activation): every column is
 		// computed, changes recorded against the node's starting row.
-		computed := matrix.SigmaSpanIntoChangedNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, nil, tk.chg)
-		tk.inc.cells.Add(int64(computed))
+		ws.cells += matrix.SigmaSpanIntoChangedNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, nil, tk.chg)
 		return
 	}
-	ws := &tk.inc.scratch[worker]
 	dirtyCnt := resolveDirty(tk.inc, tk.nbr, tk.lo, tk.j0, tk.j1, ws)
 	if dirtyCnt == 0 {
 		copy(tk.dst[tk.j0:tk.j1], tk.prev[tk.j0:tk.j1])
@@ -1194,8 +1205,7 @@ func (o genOps[R]) runTask(tk *rowTask[R, []R], worker int) {
 		// bit-iterating sparse path.
 		cols = nil
 	}
-	computed := matrix.SigmaSpanIntoChangedNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, cols, tk.chg)
-	tk.inc.cells.Add(int64(computed))
+	ws.cells += matrix.SigmaSpanIntoChangedNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, cols, tk.chg)
 }
 
 // dirtyMasks computes the span's dirty-column set — the destinations
@@ -1318,14 +1328,14 @@ func resolveDirtySel(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScra
 	return sel
 }
 
-// exec runs the step's row tasks (r.tasks), across the pool when the step
-// is big enough to pay for the fan-out. Tasks write disjoint spans, so the
+// exec runs the step's row tasks (r.tasks), across the pool when fan says
+// the step is big enough to pay for it. Tasks write disjoint spans, so the
 // merge is a no-op and the result is bit-identical to sequential order.
 // The job is the run's own: concurrent runs on one engine share the pool,
 // never a job.
-func (r *run[R, Row]) exec(stepOps int) {
+func (r *run[R, Row]) exec(fan bool) {
 	e, tasks := r.e, r.tasks
-	if e.workers <= 1 || len(tasks) == 1 || stepOps < minParallelOps {
+	if !fan || len(tasks) == 1 {
 		for i := range tasks {
 			r.ops.runTask(&tasks[i], 0)
 		}
@@ -1350,7 +1360,7 @@ func materialise[R any](alg core.Algebra[R], s [][]R) *matrix.State[R] {
 func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 	n := x.N
 	tabs := x.RowViews()
-	shards := e.shardsFor(n, n)
+	fan, shards := e.shardsFor(n*n*n, n, n)
 	tasks := make([]rowTask[R, []R], 0, n*shards)
 	for i := 0; i < n; i++ {
 		dst := out.RowView(i)
@@ -1358,7 +1368,7 @@ func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 			tasks = append(tasks, rowTask[R, []R]{i: i, j0: s * n / shards, j1: (s + 1) * n / shards, tabs: tabs, dst: dst})
 		}
 	}
-	(&run[R, []R]{e: e, ops: genOps[R]{e: e}, tasks: tasks}).exec(n * n * n)
+	(&run[R, []R]{e: e, ops: genOps[R]{e: e}, tasks: tasks}).exec(fan)
 }
 
 // FixedPoint iterates σ from start until a fixed point or maxRounds, the

@@ -149,11 +149,28 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 		start := matrix.RandomStateFrom(rng, n, universe)
 		sched := schedule.Random(rng, n, 100, schedule.Options{MaxGap: 8, MaxStaleness: 6})
 		seq := engine.New(alg, adj, engine.Config{Workers: 1}).Run(start, sched)
-		// NewSharded forces column splitting even on tiny networks, and a
-		// zero parallelism threshold cannot be configured, so use many
-		// workers with forced column sharding instead.
-		par := engine.NewSharded(alg, adj, engine.Config{Workers: 8}).Run(start, sched)
+		// NewSharded fans every step out and forces column splitting even
+		// on tiny networks: seven helpers, each row in up to eight spans.
+		// CellsComputed is summed from the workers' own counters.
+		sharded := engine.NewSharded(alg, adj, engine.Config{Workers: 8})
+		defer sharded.Close()
+		par := sharded.Run(start, sched)
 		identicalStates(t, "workers=1 vs workers=8", par.Final(), seq.Final())
+		if par.Stats() != seq.Stats() {
+			t.Fatalf("sharded stats %+v, sequential %+v", par.Stats(), seq.Stats())
+		}
+		// A step that fans out with rows to spare splits each of them.
+		st := mustStart(t, sharded, start, sched, nil)
+		defer st.Close()
+		for k, rows := 1, 0; k <= sched.T; k++ {
+			st.Step(k)
+			if computed := st.Stats().RowsComputed - rows; computed > 0 {
+				if tasks := engine.LastStepTasks(st); computed < 8 && tasks <= computed {
+					t.Fatalf("step %d: %d rows over 8 workers ran as %d tasks, want them split by column", k, computed, tasks)
+				}
+				rows += computed
+			}
+		}
 	})
 
 	t.Run("fixed-point-matches-matrix", func(t *testing.T) {
@@ -165,6 +182,42 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 		}
 		identicalStates(t, "fixed point", gotFP, wantFP)
 	})
+}
+
+// TestShardsFollowTheFanOutDecision: column shards exist to keep the pool
+// busy, so a step that stays inline gets one task per row. A lone pending
+// row at n = 192 with two workers used to be split into two half-span
+// tasks that then ran back to back on the caller, resolving the row's
+// dirty columns twice.
+func TestShardsFollowTheFanOutDecision(t *testing.T) {
+	alg, adj := incrementalNet(192)
+	start := matrix.Identity[algebras.NatInf](alg, 192)
+	src := engine.RoundRobin{N: 192, T: 600}
+	want := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 1}).Run(start, src)
+
+	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 2})
+	defer eng.Close()
+	st := mustStart(t, eng, start, src, nil)
+	rows := 0
+	for k := 1; !st.Step(k); k++ {
+		if computed := st.Stats().RowsComputed - rows; computed > 0 {
+			if tasks := engine.LastStepTasks(st); computed != 1 || tasks != 1 {
+				t.Fatalf("step %d: %d pending rows ran as %d tasks, want one row in one task", k, computed, tasks)
+			}
+			rows += computed
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no step computed a row")
+	}
+	got := st.Result()
+	identicalStates(t, "workers=2 vs workers=1", got.Final(), want.Final())
+	if got.Stats() != want.Stats() {
+		t.Fatalf("stats %+v, sequential %+v", got.Stats(), want.Stats())
+	}
+	if _, fanouts, _ := engine.PoolCounters(eng); fanouts != 0 {
+		t.Fatalf("single-row steps fanned out %d times", fanouts)
+	}
 }
 
 func TestEquivalenceHopCount(t *testing.T) {
