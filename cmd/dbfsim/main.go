@@ -18,8 +18,10 @@
 // With -scenario, dbfsim instead plays a dynamic-event timeline (link
 // failures, restarts, node crashes, live policy edits) from a scenario
 // file on the substrates named by -substrate (engine, sim, dist, or all)
-// and prints each substrate's watchdog verdict; the exit code is 0 only
-// when every substrate converged.
+// and prints each substrate's watchdog verdict and, for the engine, the
+// run's digest (steps, convergedAt, cells, hash) — the line -server
+// prints for the same file, since the daemon runs the same schedule; the
+// exit code is 0 only when every substrate converged.
 // With -checkpoint (delta mode), the run halts right after step
 // -checkpoint-at (default T/2) and writes a CRC-checksummed resumable
 // checkpoint; -resume continues such a run to its horizon, rebuilding
@@ -292,7 +294,7 @@ func realMain() int {
 // named substrates and prints the per-substrate watchdog verdicts. Exit
 // status: 0 when every substrate's verdict is Converged, 1 when any run
 // wedged, oscillated, diverged, stayed undecided, or — engine only —
-// disagreed with the segment-wise reference evaluation; 2 on bad input.
+// disagreed with the reference evaluation; 2 on bad input.
 func runScenario(path, substrate string) int {
 	sc, err := scenario.Load(path)
 	if err != nil {
@@ -325,7 +327,7 @@ func runScenario(path, substrate string) int {
 			code = 1
 		}
 		if sr.Substrate == scenario.SubEngine && !sr.ReferenceOK {
-			fmt.Fprintln(os.Stderr, "engine run disagreed with the segment-wise reference evaluation")
+			fmt.Fprintln(os.Stderr, "engine run disagreed with the reference evaluation")
 			code = 1
 		}
 		if !statsJSON && len(rep.Substrates) <= 2 && sr.FinalTable != "" {

@@ -65,6 +65,16 @@ type substrateVerdictJSON struct {
 	Period      int    `json:"period,omitempty"`       // oscillating only
 	Rounds      int    `json:"rounds"`
 	Detail      string `json:"detail"`
+	*engineDigestJSON
+}
+
+// engineDigestJSON is the engine run's digest, the four fields -server
+// prints for the same scenario text.
+type engineDigestJSON struct {
+	Steps       int    `json:"steps"`
+	ConvergedAt int    `json:"converged_at"` // -1 when not certified
+	Cells       int    `json:"cells"`
+	Hash        string `json:"hash"`
 }
 
 // infof prints an informational progress line — to stdout normally, to
@@ -112,6 +122,10 @@ func scenarioJSON(rep *scenario.Report) scenarioStatsJSON {
 		if sr.Substrate == scenario.SubEngine {
 			ok := sr.ReferenceOK
 			v.ReferenceOK = &ok
+			v.engineDigestJSON = &engineDigestJSON{
+				Steps: sr.Steps, ConvergedAt: sr.ConvergedAt, Cells: sr.Cells,
+				Hash: fmt.Sprintf("%016x", sr.Hash),
+			}
 		}
 		out.Substrates = append(out.Substrates, v)
 	}

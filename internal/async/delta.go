@@ -12,8 +12,9 @@
 // did not change are skipped outright and the rest recompute only the
 // affected destination columns, bit-identically to the literal recursion.
 // This package keeps the paper-facing API, the convergence definitions
-// 6–8 as executable checks, and RunReference, the original
-// clone-everything evaluator retained as the differential-testing oracle.
+// 6–8 as executable checks, and RunReference / RunTimelineReference, the
+// original clone-everything evaluator retained as the
+// differential-testing oracle.
 package async
 
 import (
@@ -47,13 +48,46 @@ func RunReference[R any](
 	start *matrix.State[R],
 	sched *schedule.Schedule,
 ) []*matrix.State[R] {
-	n := adj.N
-	history := make([]*matrix.State[R], sched.T+1)
+	return RunTimelineReference(alg, adj, start, sched, nil)
+}
+
+// RunTimelineReference is the literal evaluator playing a timeline
+// (Section 3.2: a mid-run change is the same run on a new instance): the
+// oracle for engine.RunTimeline under any source, β reaching across
+// event steps included, since history[β] is read wherever β lands. At an
+// event step no node activates, Restart rows become the identity row and
+// Mutate edits adj in place; Rows and Invalidate are bookkeeping the
+// literal evaluator has none of. Every other step is the recursion as
+// written: every state cloned and kept, every cell of an active row
+// recomputed, no window, no early stop.
+func RunTimelineReference[R any](
+	alg core.Algebra[R],
+	adj *matrix.Adjacency[R],
+	start *matrix.State[R],
+	src engine.Source,
+	events []engine.TimelineEvent[R],
+) []*matrix.State[R] {
+	n, T := adj.N, src.Horizon()
+	history := make([]*matrix.State[R], T+1)
 	history[0] = start.Clone()
-	for t := 1; t <= sched.T; t++ {
+	for t := 1; t <= T; t++ {
 		cur := history[t-1].Clone()
+		if len(events) > 0 && events[0].Step == t {
+			for _, i := range events[0].Restart {
+				for j := 0; j < n; j++ {
+					cur.Set(i, j, alg.Invalid())
+				}
+				cur.Set(i, i, alg.Trivial())
+			}
+			if events[0].Mutate != nil {
+				events[0].Mutate(adj)
+			}
+			events = events[1:]
+			history[t] = cur
+			continue
+		}
 		for i := 0; i < n; i++ {
-			if !sched.Active(t, i) {
+			if !src.Active(t, i) {
 				continue
 			}
 			for j := 0; j < n; j++ {
@@ -67,7 +101,7 @@ func RunReference[R any](
 						continue
 					}
 					if e, ok := adj.Edge(i, k); ok {
-						past := history[sched.Beta(t, i, k)]
+						past := history[src.Beta(t, i, k)]
 						best = alg.Choice(best, e.Apply(past.Get(k, j)))
 					}
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/algebras"
+	"repro/internal/async"
 	"repro/internal/engine"
 	"repro/internal/gaorexford"
 	"repro/internal/matrix"
@@ -190,23 +191,15 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 		uncounted{hashed, hashed.FairPeriod(), hashed.MaxLookback()}, events, march)
 	statsMatch(t, name+" counted vs uncounted", plain.Stats(), full.Stats())
 
-	// A materialised plan, one schedule per segment with β clamped at the
-	// events, so the literal evaluator can replay it: jumping ≡ marching ≡
-	// async.RunReference.
-	plan := newSegPlan(rand.New(rand.NewSource(7)), n, T, at[:], schedule.Options{MaxGap: 4, MaxStaleness: 3})
-	fair := uncounted{plan, 4, plan.MaxLookback()}
-	refBounds, refFinal := replayReference(p.alg, p.adj.Clone(), start, plan, events)
+	holdToOracle(t, name+"/hashed", p.alg, full, async.RunTimelineReference(p.alg, p.adj.Clone(), start, hashed, events), events)
+
+	// A materialised schedule over the whole horizon, β reaching across the
+	// events, promising the fairness period it was drawn with: jumping ≡
+	// marching ≡ the literal evaluator.
+	sched := schedule.Random(rand.New(rand.NewSource(7)), n, T, schedule.Options{MaxGap: 4, MaxStaleness: 3})
+	fair := uncounted{sched, 4, sched.MaxLookback()}
 	res := jumpAgainstMarch(t, name+"/plan", p, fair, events, marchEveryStep(t, p, fair, events))
-	for k, mark := range res.Marks() {
-		if !mark.Equal(p.alg, refBounds[k]) {
-			t.Fatalf("%s: state at event %d diverges from the reference\nengine:\n%s\nreference:\n%s",
-				name, k, mark.Format(p.alg), refBounds[k].Format(p.alg))
-		}
-	}
-	if !res.Final().Equal(p.alg, refFinal) {
-		t.Fatalf("%s: final state diverges from the reference\nengine:\n%s\nreference:\n%s",
-			name, res.Final().Format(p.alg), refFinal.Format(p.alg))
-	}
+	holdToOracle(t, name+"/plan", p.alg, res, async.RunTimelineReference(p.alg, p.adj.Clone(), start, sched, events), events)
 
 	// Pause at every step — until lands inside, at the end of, and one
 	// short of every interlude — and, wherever a snapshot exists, resume

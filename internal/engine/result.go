@@ -37,9 +37,8 @@ func (r *Result[R]) Converged() (int, bool) {
 
 // Marks returns the state at each timeline event step of a RunTimeline
 // run (after the event's restarts, before any subsequent activation), in
-// event order. Empty for plain Run calls. Mark k is the exact initial
-// state of the schedule segment that follows event k, which is what makes
-// segment-wise differential checks against async.RunReference possible.
+// event order. Empty for plain Run calls. Mark k is the state the
+// literal evaluator, async.RunTimelineReference, holds at event k's step.
 func (r *Result[R]) Marks() []*matrix.State[R] { return r.marks }
 
 // Retained reports whether the run kept its full history, i.e. whether At

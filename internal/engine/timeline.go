@@ -45,9 +45,9 @@ type TimelineEvent[R any] struct {
 // RunTimeline evaluates δ from start over src while playing the given
 // event timeline: at each event's step the fault is injected, and the
 // run continues on the mutated instance from the state it had reached.
-// The result's Marks hold the state at each event step, so each
-// inter-event segment can be differentially checked against a reference
-// evaluation on that segment's topology.
+// The result's Marks hold the state at each event step, so the run can
+// be differentially checked against the literal evaluator playing the
+// same timeline (async.RunTimelineReference).
 //
 // The engine's adjacency is mutated in place as the timeline plays; the
 // engine remains valid afterwards and evaluates the post-event topology.

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,80 +13,12 @@ import (
 	"repro/internal/schedule"
 )
 
-// The timeline contract: a RunTimeline is a sequence of plain δ runs
-// stitched together — segment s runs on the topology after event s, from
-// the state the previous segment reached (with the event's restarts
-// applied). Each segment must be cell-for-cell identical to the literal
-// reference evaluator on that segment's topology, and the incremental
-// machinery must survive the stitch points.
-
-// segPlan is a Source that plays an independent materialised random
-// schedule per inter-event segment, with β clamped so no lookup reaches
-// past the most recent event step. Event steps themselves have no
-// activations. The clamping is what makes the segment-wise differential
-// exact: segment s, viewed in local time, is precisely segs[s].
-type segPlan struct {
-	n      int
-	starts []int // starts[s] = global step that is segment s's local time 0
-	segs   []*schedule.Schedule
-}
-
-// newSegPlan splits horizon T at the given (strictly increasing) event
-// steps and draws a random schedule for each segment.
-func newSegPlan(rng *rand.Rand, n, T int, evSteps []int, opts schedule.Options) *segPlan {
-	p := &segPlan{n: n}
-	prev := 0
-	for _, es := range evSteps {
-		p.starts = append(p.starts, prev)
-		p.segs = append(p.segs, schedule.Random(rng, n, es-prev-1, opts))
-		prev = es
-	}
-	p.starts = append(p.starts, prev)
-	p.segs = append(p.segs, schedule.Random(rng, n, T-prev, opts))
-	return p
-}
-
-func (p *segPlan) Nodes() int { return p.n }
-
-func (p *segPlan) Horizon() int {
-	last := len(p.segs) - 1
-	return p.starts[last] + p.segs[last].T
-}
-
-func (p *segPlan) MaxLookback() int {
-	max := 1
-	for _, s := range p.segs {
-		if m := s.MaxLookback(); m > max {
-			max = m
-		}
-	}
-	return max
-}
-
-// seg locates the segment containing global step t; ok is false on event
-// steps (which belong to no segment).
-func (p *segPlan) seg(t int) (s, tau int, ok bool) {
-	for s = len(p.starts) - 1; s >= 0; s-- {
-		if t > p.starts[s] {
-			tau = t - p.starts[s]
-			return s, tau, tau <= p.segs[s].T
-		}
-	}
-	panic("segPlan: step before start")
-}
-
-func (p *segPlan) Active(t, i int) bool {
-	s, tau, ok := p.seg(t)
-	if !ok {
-		return false
-	}
-	return p.segs[s].Active(tau, i)
-}
-
-func (p *segPlan) Beta(t, i, k int) int {
-	s, tau, _ := p.seg(t)
-	return p.starts[s] + p.segs[s].Beta(tau, i, k)
-}
+// The timeline contract: a RunTimeline is one δ run over one schedule —
+// an event changes the instance, not the run (Section 3.2) — so β reads
+// across event steps, and every event-step state and the final state must
+// be cell-for-cell the literal evaluator's, async.RunTimelineReference,
+// under the same source: lazy or materialised, certifying or marching,
+// one worker or every row split across eight.
 
 // meshNet is a 12-node hop-count ring with chords — big enough that a
 // single link failure leaves most rows untouched.
@@ -106,50 +39,70 @@ func meshNet() (algebras.HopCount, *matrix.Adjacency[algebras.NatInf]) {
 	return alg, adj
 }
 
-// replayReference replays the same timeline with async.RunReference: a
-// fresh literal evaluation per segment on that segment's topology,
-// restarts applied by hand at the boundaries. Returns the state at each
-// event step and the final state.
-func replayReference[R any](
-	alg core.Algebra[R], adj *matrix.Adjacency[R], start *matrix.State[R],
-	p *segPlan, events []engine.TimelineEvent[R],
-) (bounds []*matrix.State[R], final *matrix.State[R]) {
-	cur := start
-	for s, seg := range p.segs {
-		if seg.T > 0 {
-			hist := async.RunReference(alg, adj, cur, seg)
-			cur = hist[len(hist)-1]
-		}
-		if s < len(events) {
-			ev := events[s]
-			next := cur.Clone()
-			for _, i := range ev.Restart {
-				row := make([]R, p.n)
-				for j := range row {
-					row[j] = alg.Invalid()
-				}
-				row[i] = alg.Trivial()
-				next.SetRow(i, row)
-			}
-			if ev.Mutate != nil {
-				ev.Mutate(adj)
-			}
-			cur = next
-			bounds = append(bounds, cur)
+// holdToOracle requires a timeline run's marks and final state to be the
+// literal evaluator's states at the event steps and at the horizon — the
+// horizon also when the run certified a fixed point and stopped early.
+func holdToOracle[R any](t *testing.T, label string, alg core.Algebra[R], res *engine.Result[R],
+	hist []*matrix.State[R], events []engine.TimelineEvent[R]) {
+	t.Helper()
+	if res.Stats().Events != len(events) || len(res.Marks()) != len(events) {
+		t.Fatalf("%s: %d events applied, %d marks, want %d", label, res.Stats().Events, len(res.Marks()), len(events))
+	}
+	for k, m := range res.Marks() {
+		if want := hist[events[k].Step]; !m.Equal(alg, want) {
+			t.Fatalf("%s: state at event %d diverges from the reference\nengine:\n%s\nreference:\n%s",
+				label, k, m.Format(alg), want.Format(alg))
 		}
 	}
-	return bounds, cur
+	if want := hist[len(hist)-1]; !res.Final().Equal(alg, want) {
+		t.Fatalf("%s: final state (step %d) diverges from the reference at the horizon\nengine:\n%s\nreference:\n%s",
+			label, res.Horizon(), res.Final().Format(alg), want.Format(alg))
+	}
+}
+
+// timelineAgainstOracle plays events on the mesh under three unsegmented
+// sources — a Hashed whose β reaches 5 steps back, across the events; a
+// materialised schedule.Random over the whole horizon (not Fair: it
+// marches to the end); RoundRobin — at Workers 1 and sharded across 8,
+// certifying and marching, and holds each run to the oracle. It returns
+// the runs of the default configuration (Workers 1, TermAuto) by source
+// name.
+func timelineAgainstOracle(t *testing.T, T int, seed int64, events []engine.TimelineEvent[algebras.NatInf]) map[string]*engine.Result[algebras.NatInf] {
+	t.Helper()
+	alg, adj := meshNet()
+	start := matrix.Identity(alg, adj.N)
+	out := map[string]*engine.Result[algebras.NatInf]{}
+	for name, src := range map[string]engine.Source{
+		"hashed":     engine.Hashed{N: adj.N, T: T, Seed: uint64(seed), ActivationProbMille: 600, MaxStaleness: 5},
+		"random":     schedule.Random(rand.New(rand.NewSource(seed)), adj.N, T, schedule.Options{ActivationProb: 0.6, MaxStaleness: 5}),
+		"roundrobin": engine.RoundRobin{N: adj.N, T: T},
+	} {
+		hist := async.RunTimelineReference(alg, adj.Clone(), start, src, events)
+		for _, term := range []engine.TerminationMode{engine.TermAuto, engine.TermOff} {
+			for _, sharded := range []bool{false, true} {
+				var eng *engine.Engine[algebras.NatInf]
+				if sharded {
+					eng = engine.NewSharded(alg, adj.Clone(), engine.Config{Workers: 8, Termination: term})
+				} else {
+					eng = engine.New(alg, adj.Clone(), engine.Config{Workers: 1, Termination: term})
+				}
+				res := eng.RunTimeline(start, src, events)
+				eng.Close()
+				holdToOracle(t, fmt.Sprintf("seed %d %s term=%v sharded=%v", seed, name, term, sharded), alg, res, hist, events)
+				if term == engine.TermAuto && !sharded {
+					out[name] = res
+				}
+			}
+		}
+	}
+	return out
 }
 
 // TestTimelineLinkFailRecover drives the engine across an adjacency
-// mutation — fail a link, re-converge, recover it — under a random
-// asynchronous schedule, and asserts every cell bit-identical to a fresh
-// reference run on each intermediate topology.
+// mutation — fail a link, re-converge, recover it — and asserts every
+// cell bit-identical to the literal evaluator playing the same timeline.
 func TestTimelineLinkFailRecover(t *testing.T) {
-	alg, adj := meshNet()
-	n := adj.N
-	start := matrix.Identity(alg, n)
-
+	alg, _ := meshNet()
 	events := []engine.TimelineEvent[algebras.NatInf]{
 		{
 			Step: 40,
@@ -168,45 +121,14 @@ func TestTimelineLinkFailRecover(t *testing.T) {
 			Rows: []int{2, 3},
 		},
 	}
-
 	for _, seed := range []int64{1, 7, 42} {
-		rng := rand.New(rand.NewSource(seed))
-		p := newSegPlan(rng, n, 120, []int{40, 80}, schedule.Options{ActivationProb: 0.6, MaxStaleness: 5})
-
-		refBounds, refFinal := replayReference(alg, adj.Clone(), start, p, events)
-
-		eng := engine.New(alg, adj.Clone(), engine.Config{})
-		res := eng.RunTimeline(start, p, events)
-		eng.Close()
-
-		if res.Stats().Events != len(events) {
-			t.Fatalf("seed %d: %d events applied, want %d", seed, res.Stats().Events, len(events))
-		}
-		marks := res.Marks()
-		if len(marks) != len(refBounds) {
-			t.Fatalf("seed %d: %d marks, want %d", seed, len(marks), len(refBounds))
-		}
-		for k := range marks {
-			if !marks[k].Equal(alg, refBounds[k]) {
-				t.Fatalf("seed %d: state at event %d diverges from reference\nengine:\n%s\nreference:\n%s",
-					seed, k, marks[k].Format(alg), refBounds[k].Format(alg))
-			}
-		}
-		if !res.Final().Equal(alg, refFinal) {
-			t.Fatalf("seed %d: final state diverges from reference\nengine:\n%s\nreference:\n%s",
-				seed, res.Final().Format(alg), refFinal.Format(alg))
-		}
+		timelineAgainstOracle(t, 120, seed, events)
 	}
 }
 
 // TestTimelineRestartMatchesReference injects node restarts (alone and
-// together with a link failure) and checks the stitched run against the
-// reference replay.
+// together with a link failure) and checks the run against the oracle.
 func TestTimelineRestartMatchesReference(t *testing.T) {
-	alg, adj := meshNet()
-	n := adj.N
-	start := matrix.Identity(alg, n)
-
 	events := []engine.TimelineEvent[algebras.NatInf]{
 		{Step: 30, Restart: []int{5}},
 		{
@@ -219,37 +141,16 @@ func TestTimelineRestartMatchesReference(t *testing.T) {
 			Restart: []int{0, 7},
 		},
 	}
-
-	rng := rand.New(rand.NewSource(11))
-	p := newSegPlan(rng, n, 100, []int{30, 60}, schedule.Options{ActivationProb: 0.5, MaxStaleness: 4})
-
-	refBounds, refFinal := replayReference(alg, adj.Clone(), start, p, events)
-
-	eng := engine.New(alg, adj.Clone(), engine.Config{})
-	res := eng.RunTimeline(start, p, events)
-	eng.Close()
-
-	for k, m := range res.Marks() {
-		if !m.Equal(alg, refBounds[k]) {
-			t.Fatalf("state at event %d diverges from reference\nengine:\n%s\nreference:\n%s",
-				k, m.Format(alg), refBounds[k].Format(alg))
-		}
-	}
-	if !res.Final().Equal(alg, refFinal) {
-		t.Fatalf("final state diverges\nengine:\n%s\nreference:\n%s",
-			res.Final().Format(alg), refFinal.Format(alg))
-	}
+	timelineAgainstOracle(t, 100, 11, events)
 }
 
 // TestTimelineIncrementalWin checks the timeline's economics: after the
 // engine has converged, a single link failure must recompute far fewer
 // cells than recomputing every activated row in full would — and the
-// result must agree with the reference replay cell for cell.
+// result must agree with the oracle cell for cell.
 func TestTimelineIncrementalWin(t *testing.T) {
-	alg, adj := meshNet()
+	_, adj := meshNet()
 	n := adj.N
-	start := matrix.Identity(alg, n)
-
 	events := []engine.TimelineEvent[algebras.NatInf]{
 		{
 			Step: 60,
@@ -260,24 +161,12 @@ func TestTimelineIncrementalWin(t *testing.T) {
 			Rows: []int{2, 3},
 		},
 	}
-
-	rng := rand.New(rand.NewSource(3))
-	p := newSegPlan(rng, n, 120, []int{60}, schedule.Options{ActivationProb: 0.7, MaxStaleness: 3})
-
-	_, refFinal := replayReference(alg, adj.Clone(), start, p, events)
-
-	eng := engine.New(alg, adj.Clone(), engine.Config{})
-	res := eng.RunTimeline(start, p, events)
-	eng.Close()
-
-	if !res.Final().Equal(alg, refFinal) {
-		t.Fatalf("timeline run diverges from reference\nengine:\n%s\nreference:\n%s",
-			res.Final().Format(alg), refFinal.Format(alg))
-	}
-	st := res.Stats()
-	ci, cf := st.CellsComputed, n*(st.RowsComputed+st.RowsSkipped)
-	if ci*2 >= cf {
-		t.Fatalf("timeline computed %d cells vs %d for full recomputation — expected under half", ci, cf)
+	for name, res := range timelineAgainstOracle(t, 120, 3, events) {
+		st := res.Stats()
+		ci, cf := st.CellsComputed, n*(st.RowsComputed+st.RowsSkipped)
+		if ci*2 >= cf {
+			t.Fatalf("%s: timeline computed %d cells vs %d for full recomputation — expected under half", name, ci, cf)
+		}
 	}
 }
 
@@ -304,6 +193,8 @@ func TestTimelineEarlyTermination(t *testing.T) {
 	eng := engine.New(alg, adj.Clone(), engine.Config{})
 	defer eng.Close()
 	res := eng.RunTimeline(start, src, events)
+	// What it stopped on is still the literal evaluator's state 4000 steps in.
+	holdToOracle(t, "early termination", alg, res, async.RunTimelineReference(alg, adj.Clone(), start, src, events), events)
 
 	at, ok := res.Converged()
 	if !ok {

@@ -16,8 +16,10 @@ const (
 // substrate and checks the invariants that must hold for every
 // well-formed timeline:
 //
-//   - the engine is bit-identical to the segment-wise reference
-//     evaluator on every event boundary and the final state;
+//   - the engine, under the schedule the daemon serves (β crossing event
+//     steps, early termination, crash windows masked), is bit-identical
+//     to the literal evaluator playing the same timeline, on every event
+//     boundary and at the horizon;
 //   - a RIP scenario classifies Converged — the algebra is finite and
 //     strictly increasing, so by Theorem 7 it converges from any state,
 //     on any topology the timeline leaves behind;
@@ -89,7 +91,7 @@ at 110 linkdown 0 1
 		}
 		sr := rep.Substrates[0]
 		if !sr.ReferenceOK {
-			t.Fatalf("engine diverged from the segment-wise reference:\n%s\n%s", sc.Encode(), rep)
+			t.Fatalf("engine diverged from the reference:\n%s\n%s", sc.Encode(), rep)
 		}
 		if sc.Spec.Algebra == "rip" && sr.Class.Verdict != VerdictConverged {
 			t.Fatalf("RIP timeline did not converge (Theorem 7 violated):\n%s\n%s", sc.Encode(), rep)

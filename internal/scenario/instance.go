@@ -208,6 +208,14 @@ func (in *instance[R]) apply(ev Event, adj *matrix.Adjacency[R]) {
 	}
 }
 
+// applyAll brings the instance's own adjacency to the post-event
+// topology (restarts, crashes and recovers edit none).
+func (in *instance[R]) applyAll(events []Event) {
+	for _, ev := range events {
+		in.apply(ev, in.adj)
+	}
+}
+
 // affectedRows lists the state rows whose in-edge functions an event
 // touches — the incremental engine invalidates exactly these. Row i's
 // update σ(X)_i reads i's out-edges A_ik, so a link event touches both
@@ -222,12 +230,12 @@ func (in *instance[R]) affectedRows(ev Event) []int {
 	}
 }
 
-// timeline compiles the scenario events for engine.RunTimeline. A crash
-// is a pure marker on the engine substrate — the plan has already masked
-// the node's activations for the window, so the event only abandons the
-// row's incremental bookkeeping (the dying process takes it along). A
-// recover is a restart: the node reboots wiped and its first activation
-// rebuilds the row in full.
+// timeline compiles the scenario events for the engine and for the
+// reference evaluator. A crash is a pure marker — the scenario's source
+// masks the node's activations for the window, so on the engine the
+// event only abandons the row's incremental bookkeeping (the dying
+// process takes it along). A recover is a restart: the node reboots
+// wiped and its first activation rebuilds the row in full.
 func (in *instance[R]) timeline(events []Event) []engine.TimelineEvent[R] {
 	out := make([]engine.TimelineEvent[R], 0, len(events))
 	for _, ev := range events {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,9 +40,14 @@ type SubstrateReport struct {
 	// post-event topology.
 	Stable bool
 	// ReferenceOK (engine only) reports that every event-boundary state
-	// and the final state were bit-identical to async.RunReference run
-	// segment by segment on each intermediate topology.
+	// and the state at the horizon were bit-identical to the literal
+	// evaluator, async.RunTimelineReference, playing the same timeline
+	// under the same schedule.
 	ReferenceOK bool
+	// Steps, ConvergedAt (−1: not certified), Cells and Hash (engine only)
+	// are the run's digest — what dbfsimd returns for the same text.
+	Steps, ConvergedAt, Cells int
+	Hash                      uint64
 	// Certified (Wedged verdicts only) reports that the bisimulation
 	// certifier confirmed the wedge against an independently rebuilt
 	// post-event instance.
@@ -71,6 +77,9 @@ func (r *Report) String() string {
 			fmt.Fprintf(&b, " certified=%v", s.Certified)
 		}
 		fmt.Fprintf(&b, " (%s)\n", s.Class.Detail)
+		if s.Substrate == SubEngine {
+			fmt.Fprintf(&b, "         steps=%d convergedAt=%d cells=%d hash=%016x\n", s.Steps, s.ConvergedAt, s.Cells, s.Hash)
+		}
 	}
 	return b.String()
 }
@@ -120,40 +129,17 @@ func runFamily[R any](sc *Scenario, subs []string, build func(*Scenario) (*insta
 	return rep, nil
 }
 
-// replayReference replays the timeline with the literal Section 3.1
-// evaluator: a fresh async.RunReference per segment on that segment's
-// topology, restarts and mutations applied by hand at the boundaries.
-// Returns the state at each event step and the final state — the exact
-// oracle for engine.Result.Marks() and Final() under the clamped plan.
-func replayReference[R any](in *instance[R], p *plan, events []Event) (bounds []*matrix.State[R], final *matrix.State[R]) {
-	cur := in.start
-	for s, seg := range p.segs {
-		if seg.T > 0 {
-			hist := async.RunReference(in.alg, in.adj, cur, seg)
-			cur = hist[len(hist)-1]
-		}
-		if s < len(events) {
-			ev := events[s]
-			next := cur.Clone()
-			switch ev.Kind {
-			case Restart, NodeRecover:
-				row := make([]R, in.n)
-				for j := range row {
-					row[j] = in.alg.Invalid()
-				}
-				row[ev.Node] = in.alg.Trivial()
-				next.SetRow(ev.Node, row)
-			case NodeCrash:
-				// The crash instant changes no state; the plan has already
-				// masked the node's activations for the down window.
-			default:
-				in.apply(ev, in.adj)
-			}
-			cur = next
-			bounds = append(bounds, cur)
-		}
+// replayReference plays the timeline on a freshly built instance with the
+// literal Section 3.1 evaluator under the scenario's schedule. Returns
+// the state at each event step and the state at the horizon — the exact
+// oracle for engine.Result.Marks() and Final(), a run that stopped early
+// included: a certified fixed point is the state at the horizon.
+func replayReference[R any](sc *Scenario, in *instance[R]) (bounds []*matrix.State[R], final *matrix.State[R]) {
+	hist := async.RunTimelineReference(in.alg, in.adj, in.start, source(sc, in.n), in.timeline(sc.Events))
+	for _, ev := range sc.Events {
+		bounds = append(bounds, hist[ev.Step])
 	}
-	return bounds, cur
+	return bounds, hist[len(hist)-1]
 }
 
 // finish classifies a finished run: the caller guarantees inst.adj holds
@@ -175,11 +161,7 @@ func finish[R any](sc *Scenario, build func(*Scenario) (*instance[R], error),
 		if err != nil {
 			return err
 		}
-		for _, ev := range sc.Events {
-			if ev.Kind != Restart {
-				rebuilt.apply(ev, rebuilt.adj)
-			}
-		}
+		rebuilt.applyAll(sc.Events)
 		// The orbit's fixed point is the state the Wedged verdict is about;
 		// the bound is the watchdog's default.
 		fp, _, ok := matrix.FixedPoint(inst.alg, inst.adj, final, 4*inst.n+64)
@@ -191,7 +173,7 @@ func finish[R any](sc *Scenario, build func(*Scenario) (*instance[R], error),
 }
 
 // runEngine plays the timeline on the stepped δ engine — the service's
-// core, advanced to the horizon under the clamped segmented schedule —
+// core, advanced to the horizon or to the fixed point it certifies first —
 // and differential-checks every event boundary and the final state
 // against the literal reference evaluator.
 func runEngine[R any](sc *Scenario, build func(*Scenario) (*instance[R], error)) (SubstrateReport, error) {
@@ -200,31 +182,24 @@ func runEngine[R any](sc *Scenario, build func(*Scenario) (*instance[R], error))
 	if err != nil {
 		return sr, err
 	}
-	p := newPlan(sc, inst.n)
-	c, err := newCore(sc, inst, p, nil)
+	c, err := newCore(sc, inst, nil)
 	if err != nil {
 		return sr, err
 	}
 	defer c.close()
 	c.advance(sc.Horizon)
 	res := c.res
-	_, sr.Converged = res.Converged()
+	st := res.Stats()
+	sr.Steps, sr.ConvergedAt, sr.Cells, sr.Hash = st.Steps, st.ConvergedAt, st.CellsComputed, c.finalHash()
+	sr.Converged = st.ConvergedAt >= 0
 
 	ref, err := build(sc)
 	if err != nil {
 		return sr, err
 	}
-	bounds, refFinal := replayReference(ref, p, sc.Events)
-	marks := res.Marks()
-	sr.ReferenceOK = len(marks) == len(bounds) && res.Final().Equal(inst.alg, refFinal)
-	if sr.ReferenceOK {
-		for i := range marks {
-			if !marks[i].Equal(inst.alg, bounds[i]) {
-				sr.ReferenceOK = false
-				break
-			}
-		}
-	}
+	bounds, refFinal := replayReference(sc, ref)
+	sr.ReferenceOK = slices.EqualFunc(append(res.Marks(), res.Final()), append(bounds, refFinal),
+		func(a, b *matrix.State[R]) bool { return a.Equal(inst.alg, b) })
 	err = finish(sc, build, inst, res.Final(), &sr)
 	return sr, err
 }
@@ -265,11 +240,7 @@ func runSimulate[R any](sc *Scenario, build func(*Scenario) (*instance[R], error
 	// The simulator mutated its private clone; bring the instance's
 	// adjacency to the post-event topology for classification (every
 	// event kind is idempotent, so replaying rank edits is harmless).
-	for _, ev := range sc.Events {
-		if ev.Kind != Restart {
-			inst.apply(ev, inst.adj)
-		}
-	}
+	inst.applyAll(sc.Events)
 	err = finish(sc, build, inst, out.Final, &sr)
 	return sr, err
 }
@@ -309,11 +280,7 @@ func runDist[R any](sc *Scenario, build func(*Scenario) (*instance[R], error)) (
 	out := nw.Run(context.Background())
 	tr.Close()
 	sr.Converged = out.Converged
-	for _, ev := range sc.Events {
-		if ev.Kind != Restart {
-			inst.apply(ev, inst.adj)
-		}
-	}
+	inst.applyAll(sc.Events)
 	err = finish(sc, build, inst, out.Final, &sr)
 	return sr, err
 }

@@ -22,13 +22,12 @@ import (
 // rebuild: on resume it replays the mutations of every already-fired
 // event onto a fresh topology before resuming.
 //
-// Unlike Run, which differential-checks a materialised segmented
-// schedule against the reference evaluator, the Runner schedules with
-// the engine's lazy Hashed source: a pure function of (seed, step,
-// node), so the only schedule state a checkpoint needs is the step
+// The Runner schedules with the scenario's one source — the schedule Run
+// plays and the reference evaluator replays — a pure function of (text,
+// step, node), so the only schedule state a checkpoint needs is the step
 // index, and equal scenario text replays the identical run in any
-// process. The type parameter is erased behind the runnerCore
-// interface, so a server can hold mixed-family runs in one table.
+// process. The type parameter is erased behind the runnerCore interface,
+// so a server can hold mixed-family runs in one table.
 type Runner struct {
 	sc      *Scenario
 	evStep  map[int]bool
@@ -50,49 +49,20 @@ type runnerCore interface {
 	finalHash() uint64
 	finalTable() string
 	stats() engine.Stats
-	converged() (int, bool)
 	close()
 }
 
-// Serviceable reports whether the scenario can run on the service path.
-// Both paths drive one core; what differs is the schedule. Crash windows
-// need activation masking, which the materialised differential plan has
-// and the lazy Hashed source has not, so crash/recover timelines are
-// reserved for Run; everything else the engine substrate accepts is
-// serviceable.
+// Serviceable reports whether the scenario can run on the service path:
+// everything Run's engine substrate accepts, as long as its text fits the
+// checkpoint metadata that carries it across a drain.
 func Serviceable(sc *Scenario) error {
 	if err := sc.Validate(); err != nil {
 		return err
-	}
-	for idx, ev := range sc.Events {
-		if ev.Kind == NodeCrash || ev.Kind == NodeRecover {
-			return fmt.Errorf("scenario: event %d: %s is not serviceable (crash windows need the differential plan's activation masking; use Run)", idx, ev.Kind)
-		}
 	}
 	if len(sc.Encode()) > 1<<12 {
 		return fmt.Errorf("scenario: encoded text exceeds the checkpoint metadata cap")
 	}
 	return nil
-}
-
-// serviceSource derives the run's lazy schedule from the scenario: the
-// same defaults the differential plan uses (activation 0.6, staleness
-// 4), but as a Hashed source — resumable from nothing but the step
-// index, and Fair, so serviced runs stop early once they certify
-// convergence after the last event.
-func serviceSource(sc *Scenario, n int) engine.Hashed {
-	mille := int(sc.ActProb * 1000)
-	if mille == 0 {
-		mille = 600
-	}
-	stale := sc.MaxStaleness
-	if stale == 0 {
-		stale = 4
-	}
-	return engine.Hashed{
-		N: n, T: sc.Horizon, Seed: uint64(sc.Seed),
-		ActivationProbMille: mille, MaxStaleness: stale,
-	}
 }
 
 // NewRunner compiles a serviceable scenario into a fresh preemptible
@@ -147,17 +117,13 @@ func newRunner(sc *Scenario, data []byte) (*Runner, error) {
 }
 
 // serviceCore builds the instance and starts or resumes a core over it
-// under the lazy service schedule.
+// under the scenario's schedule.
 func serviceCore[R any](sc *Scenario, build func(*Scenario) (*instance[R], error), data []byte) (*svcCore[R], error) {
 	inst, err := build(sc)
 	if err != nil {
 		return nil, err
 	}
-	src := serviceSource(sc, inst.n)
-	if data == nil {
-		return newCore(sc, inst, src, nil)
-	}
-	return resumeCore(sc, inst, src, data)
+	return newCore(sc, inst, data)
 }
 
 func newShell(sc *Scenario) *Runner {
@@ -227,7 +193,8 @@ func (r *Runner) Converged() (int, bool) {
 	if !r.done {
 		return -1, false
 	}
-	return r.core.converged()
+	at := r.core.stats().ConvergedAt
+	return at, at >= 0
 }
 
 // FinalHash returns the FNV-64a fingerprint of the finished run's final
@@ -267,9 +234,8 @@ const (
 )
 
 // svcCore is the one place a scenario instance meets the engine: one
-// engine and one stepper for the life of the run, over whatever source
-// the caller schedules it with — the lazy Hashed source behind a Runner,
-// the materialised differential plan behind Run's engine substrate.
+// engine and one stepper for the life of the run, behind a Runner and
+// behind Run's engine substrate alike, both over source(sc, n).
 type svcCore[R any] struct {
 	sc   *Scenario
 	inst *instance[R]
@@ -278,12 +244,19 @@ type svcCore[R any] struct {
 	res  *engine.Result[R] // set when the run finishes
 }
 
-// newCore starts a run of inst under src at step 0, or — snap non-nil —
-// resumes it right after snap.Step. inst must be freshly built: the core
-// mutates its topology as the timeline plays.
-func newCore[R any](sc *Scenario, inst *instance[R], src engine.Source, snap *engine.Snapshot[R]) (*svcCore[R], error) {
+// newCore starts a run of inst under the scenario's schedule at step 0,
+// or — data non-nil — resumes it right after that checkpoint's step. inst
+// must be freshly built: the core mutates its topology as the timeline
+// plays.
+func newCore[R any](sc *Scenario, inst *instance[R], data []byte) (*svcCore[R], error) {
+	var snap *engine.Snapshot[R]
 	fired := 0
-	if snap != nil {
+	if data != nil {
+		f, err := checkpoint.Decode(inst.codec, data, inst.family)
+		if err != nil {
+			return nil, err
+		}
+		snap = f.Snap
 		// Bring the fresh topology to the snapshot instant: replay the
 		// mutations of every event that already fired. Restarts and the
 		// crash markers mutate no topology, so replaying through apply is
@@ -293,7 +266,7 @@ func newCore[R any](sc *Scenario, inst *instance[R], src engine.Source, snap *en
 		}
 	}
 	c := &svcCore[R]{sc: sc, inst: inst, eng: engine.New(inst.alg, inst.adj, engine.Config{})}
-	events := inst.timeline(sc.Events)[fired:]
+	src, events := source(sc, inst.n), inst.timeline(sc.Events)[fired:]
 	var err error
 	if snap == nil {
 		c.st, err = c.eng.Start(inst.start, src, events)
@@ -305,15 +278,6 @@ func newCore[R any](sc *Scenario, inst *instance[R], src engine.Source, snap *en
 		return nil, err
 	}
 	return c, nil
-}
-
-// resumeCore is newCore from checkpoint bytes.
-func resumeCore[R any](sc *Scenario, inst *instance[R], src engine.Source, data []byte) (*svcCore[R], error) {
-	f, err := checkpoint.Decode(inst.codec, data, inst.family)
-	if err != nil {
-		return nil, err
-	}
-	return newCore(sc, inst, src, f.Snap)
 }
 
 func (c *svcCore[R]) advance(target int) bool {
@@ -391,8 +355,6 @@ func (c *svcCore[R]) finalTable() string {
 }
 
 func (c *svcCore[R]) stats() engine.Stats { return c.st.Stats() }
-
-func (c *svcCore[R]) converged() (int, bool) { return c.res.Converged() }
 
 func (c *svcCore[R]) close() {
 	c.st.Close()

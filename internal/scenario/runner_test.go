@@ -2,11 +2,14 @@ package scenario
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // The service-path contract: a Runner advanced in quanta — in one
@@ -62,25 +65,50 @@ func uninterrupted(t *testing.T, text string) (uint64, string, int) {
 }
 
 func TestRunnerSlicedDifferential(t *testing.T) {
-	for _, tc := range []struct {
+	type row struct {
 		name, text string
-	}{
-		{"topo-rip", topoRunnerScenario},
-		{"gadget-wedgie", gadgetRunnerScenario},
-	} {
+		quanta     []int
+	}
+	rows := []row{
+		{"topo-rip", topoRunnerScenario, []int{13, 37, 111}},
+		{"gadget-wedgie", gadgetRunnerScenario, []int{13, 37, 111}},
+	}
+	// Every shipped scenario, crash windows included, in quanta of 7.
+	files, err := filepath.Glob("../../examples/scenarios/*.scenario")
+	if err != nil || len(files) != 6 {
+		t.Fatalf("want the six example scenarios, found %d (%v)", len(files), err)
+	}
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row{"examples/" + strings.TrimSuffix(filepath.Base(f), ".scenario"), string(text), []int{7}})
+	}
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			wantHash, wantTable, wantSteps := uninterrupted(t, tc.text)
 			if wantHash == 0 || wantTable == "" {
 				t.Fatal("uninterrupted run produced no fingerprint")
 			}
+			// The batch door runs the same schedule: Run's engine digest is
+			// the Runner's (the hash folds cells, rows and convergedAt).
+			sc, err := Parse([]byte(tc.text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := rep.Substrates[0]; !b.ReferenceOK || b.Hash != wantHash || b.Steps != wantSteps || b.Converged != (b.ConvergedAt >= 0) {
+				t.Fatalf("Run: reference=%v hash %016x steps %d converged=%v convergedAt=%d; unsliced Runner: hash %016x steps %d",
+					b.ReferenceOK, b.Hash, b.Steps, b.Converged, b.ConvergedAt, wantHash, wantSteps)
+			}
 
-			for _, quantum := range []int{13, 37, 111} {
+			for _, quantum := range tc.quanta {
 				// In-process preemption: one runner, advanced in quanta.
-				sc, err := Parse([]byte(tc.text))
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := NewRunner(sc)
+				r, err := NewRunner(sc.Clone())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,9 +187,10 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 		})
 	}
 
-	// Sliced ≡ the paper's oracle: the same preemptible core, driven under
-	// the differential plan instead of the service's Hashed source, must
-	// land on the literal Section 3.1 evaluator's states.
+	// Sliced ≡ the paper's oracle: the preemptible core, under the one
+	// schedule every door runs, must land on the literal Section 3.1
+	// evaluator's states — β crossing event steps, early termination and
+	// interlude jumps included.
 	restarts := "scenario reboots\ntopo ring 6 rip\nseed 4\nhorizon 150\nat 30 restart 2\nat 70 restart 4\nat 71 restart 0\nat 110 restart 5\n"
 	wedgie, err := os.ReadFile("../../examples/scenarios/wedgie-flap.scenario")
 	if err != nil {
@@ -170,15 +199,32 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 	t.Run("reference/wedgie-flap", func(t *testing.T) { slicedAgainstReference(t, string(wedgie), buildGadget) })
 	t.Run("reference/topo-rip", func(t *testing.T) { slicedAgainstReference(t, topoRunnerScenario, buildTopo) })
 	t.Run("reference/restarts", func(t *testing.T) { slicedAgainstReference(t, restarts, buildTopo) })
+	t.Run("reference/crash", func(t *testing.T) {
+		// Node 2 is down over (40, 90); the hop follows the event at 60.
+		if at := slicedAgainstReference(t, crashRunnerScenario, buildTopo); at <= 40 || at >= 90 {
+			t.Fatalf("checkpoint hop at step %d, want inside the crash window (40, 90)", at)
+		}
+	})
 }
 
-// slicedAgainstReference advances a core over the differential plan in
-// quanta of 7 — once straight through, once with a checkpoint → resume
-// round trip into a rebuilt instance after half the events have fired —
-// and holds every event-boundary state and the final state to
-// replayReference. A resumed run only marks the events it fires itself,
-// so its marks are compared with the tail of the reference's.
-func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenario) (*instance[R], error)) {
+const crashRunnerScenario = `scenario crash-window
+topo ring 6 rip
+seed 13
+horizon 200
+at 20 linkdown 0 1
+at 40 crash 2
+at 60 linkdown 4 5
+at 90 recover 2
+at 120 linkup 4 5
+`
+
+// slicedAgainstReference advances a core in quanta of 7 — once straight
+// through, once with a checkpoint → resume round trip into a rebuilt
+// instance after half the events have fired — and holds every
+// event-boundary state and the final state to replayReference. A resumed
+// run only marks the events it fires itself, so its marks are compared
+// with the tail of the reference's. It returns the step of the hop.
+func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenario) (*instance[R], error)) (hopStep int) {
 	sc, err := Parse([]byte(text))
 	if err != nil {
 		t.Fatal(err)
@@ -191,12 +237,11 @@ func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenar
 		return inst
 	}
 	ref := fresh()
-	p := newPlan(sc, ref.n)
-	bounds, final := replayReference(ref, p, sc.Events)
+	bounds, final := replayReference(sc, ref)
 	hopAt := sc.Events[(len(sc.Events)-1)/2].Step
 
 	for _, hop := range []bool{false, true} {
-		c, err := newCore(sc, fresh(), p, nil)
+		c, err := newCore(sc, fresh(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,9 +257,10 @@ func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenar
 				if err != nil {
 					t.Fatalf("checkpoint at step %d: %v", r.Step(), err)
 				}
+				hopStep = r.Step()
 				r.Close()
-				if c, err = resumeCore(sc, fresh(), p, data); err != nil {
-					t.Fatalf("resume at step %d: %v", r.Step(), err)
+				if c, err = newCore(sc, fresh(), data); err != nil {
+					t.Fatalf("resume at step %d: %v", hopStep, err)
 				}
 				r.core, hopped = c, true
 			}
@@ -242,6 +288,7 @@ func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenar
 		}
 		r.Close()
 	}
+	return hopStep
 }
 
 // TestRunnerQuantumAllocation pins the mechanism that makes slicing
@@ -361,16 +408,62 @@ func TestRunnerCheckpointLifecycleErrors(t *testing.T) {
 	}
 }
 
-func TestServiceableRejectsCrashTimelines(t *testing.T) {
-	sc, err := Parse([]byte("scenario c\ntopo ring 4 rip\nhorizon 50\nat 10 crash 1\nat 20 recover 1\n"))
+// TestCrashMaskCannotBeBypassed: every schedule answer the engine can get
+// out of a crash timeline's source — Active, and ActiveSet/CountActive
+// should the source ever expose engine.Batched — is the crash-free
+// Hashed's, minus the down node strictly inside its window. Embedding
+// Hashed in the mask promotes its unmasked whole-step methods and fails
+// here.
+func TestCrashMaskCannotBeBypassed(t *testing.T) {
+	sc, err := Parse([]byte(crashRunnerScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = Serviceable(sc)
-	if err == nil || !strings.Contains(err.Error(), "not serviceable") {
-		t.Fatalf("crash timeline accepted by Serviceable: %v", err)
+	const n, node, from, to = 6, 2, 40, 90
+	bare := sc.Clone()
+	bare.Events = nil
+	inner, ok := source(bare, n).(engine.Hashed)
+	if !ok {
+		t.Fatalf("a crash-free scenario's source is %T, want the bare engine.Hashed", source(bare, n))
 	}
-	if _, err := NewRunner(sc); err == nil {
-		t.Fatal("NewRunner accepted a crash timeline")
+	src := source(sc, n)
+	batched, _ := src.(engine.Batched)
+	masked, count := 0, 0
+	for step := 1; step <= sc.Horizon; step++ {
+		var want []int
+		for i := 0; i < n; i++ {
+			down := i == node && from < step && step < to
+			if inner.Active(step, i) && down {
+				masked++
+			}
+			active := inner.Active(step, i) && !down
+			if active {
+				want = append(want, i)
+			}
+			if got := src.Active(step, i); got != active {
+				t.Fatalf("Active(%d, %d) = %v, want %v", step, i, got, active)
+			}
+			for k := 0; k < n; k++ {
+				if got := src.Beta(step, i, k); got != inner.Beta(step, i, k) {
+					t.Fatalf("Beta(%d, %d, %d) = %d, want the inner source's %d", step, i, k, got, inner.Beta(step, i, k))
+				}
+			}
+		}
+		count += len(want)
+		if batched == nil {
+			continue
+		}
+		if got := batched.ActiveSet(step, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ActiveSet(%d) = %v, want %v: the mask is bypassed", step, got, want)
+		}
+		if got := batched.CountActive(1, step); got != count {
+			t.Fatalf("CountActive(1, %d) = %d, want %d: the mask is bypassed", step, got, count)
+		}
+	}
+	if masked == 0 {
+		t.Fatal("the inner source never activates the down node inside its window; the test masks nothing")
+	}
+	if src.(engine.Fair).FairPeriod() != inner.FairPeriod() || src.(engine.Bounded).MaxLookback() != inner.MaxLookback() {
+		t.Fatal("the mask does not forward FairPeriod and MaxLookback")
 	}
 }

@@ -8,8 +8,8 @@
 // event turns the continuing computation into a new problem instance
 // whose starting state is whatever the network held at that moment;
 // the scenario layer makes that instant observable, differential-checks
-// the stepped engine against the literal reference evaluator on every
-// inter-event segment, and classifies how the run ends (converged,
+// the stepped engine against the literal reference evaluator at every
+// event and at the horizon, and classifies how the run ends (converged,
 // wedged, oscillating, counting to infinity) with the watchdogs in this
 // package.
 package scenario

@@ -109,6 +109,12 @@ func checkGoroutines(t *testing.T, before int) {
 	}
 }
 
+// await is what a client goroutine riding Await across a restart reports.
+type await struct {
+	res wire.Result
+	err error
+}
+
 func testCtx(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
@@ -633,10 +639,6 @@ func TestDrainRestartResumesBitIdentically(t *testing.T) {
 	ctx := testCtx(t)
 
 	// Two tenants, two families, both submitted before the drain.
-	type await struct {
-		res wire.Result
-		err error
-	}
 	results := make(map[string]chan await)
 	clients := make(map[string]*Client)
 	for key, text := range map[string]string{
@@ -711,6 +713,100 @@ func TestDrainRestartResumesBitIdentically(t *testing.T) {
 		t.Fatalf("completed runs left spool files behind: %v", files)
 	}
 
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkGoroutines(t, goroutines)
+}
+
+// TestCrashTimelineDrainedInsideWindow: the daemon serves crash/recover
+// timelines, and the schedule mask that keeps the down node silent needs
+// nothing but the step index to resume. crash-recover.scenario has node 2
+// down over steps (30, 80); the server drains to its spool while the run
+// is paused inside that window, a second server takes over, and the
+// still-waiting client must read the digest the batch door (scenario.Run,
+// what dbfsim -scenario prints) computes for the same text.
+func TestCrashTimelineDrainedInsideWindow(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	text, err := os.ReadFile("../../examples/scenarios/crash-recover.scenario")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := scenario.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := rep.Substrates[0]
+	if !batch.ReferenceOK {
+		t.Fatalf("batch run diverged from the reference\n%s", rep)
+	}
+
+	spool := t.TempDir()
+	// One worker, quanta ending at steps 20, 40, 60: once the second
+	// quantum is scheduled, a drain parks the run at 40 — or, should this
+	// goroutine be held up for a stall or two, at 60 — inside the window.
+	s1, err := New(Config{Workers: 1, Quantum: 20, SpoolDir: spool, Stall: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := s1.Addr()
+	ctx := testCtx(t)
+	c, err := DialClient(ctx, addr, "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Submit(ctx, "crash", text, 0); err != nil {
+		t.Fatalf("the daemon refused a crash timeline: %v", err)
+	}
+	got := make(chan await, 1)
+	go func() {
+		res, _, err := c.Await(ctx, "crash")
+		got <- await{res, err}
+	}()
+	for quanta := 0; quanta < 2; time.Sleep(time.Millisecond) {
+		s1.mu.Lock()
+		r := s1.runs["acme/crash"]
+		if r == nil {
+			s1.mu.Unlock()
+			t.Fatal("the run finished before it could be drained")
+		}
+		quanta = r.quanta
+		s1.mu.Unlock()
+	}
+	if _, err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(spool, spoolName("acme", "crash", ".ckpt")))
+	if err != nil {
+		t.Fatalf("drain left no checkpoint of the run: %v", err)
+	}
+	paused, err := scenario.ResumeRunner(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := paused.Step()
+	paused.Close()
+	if at <= 30 || at >= 80 {
+		t.Fatalf("run was drained at step %d, want inside the crash window (30, 80)", at)
+	}
+
+	s2, err := New(Config{Addr: addr, Workers: 1, Quantum: 20, SpoolDir: spool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("await across restart: %v", r.err)
+	}
+	sameRun(t, fmt.Sprintf("crash timeline drained at step %d", at), r.res, wire.Result{
+		Steps: int64(batch.Steps), ConvergedAt: int64(batch.ConvergedAt),
+		CellsComputed: int64(batch.Cells), Hash: batch.Hash, Table: batch.FinalTable,
+	})
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
