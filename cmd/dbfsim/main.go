@@ -153,15 +153,6 @@ func realMain() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		// A checkpoint whose metadata names an evaluation mode this dbfsim
-		// does not have is refused, not continued under a mode it was not
-		// taken in.
-		for _, key := range []string{"incremental", "intern", "columnar"} {
-			if meta[key] == "false" {
-				fmt.Fprintf(os.Stderr, "%s: checkpoint was written with %s=false, a mode this dbfsim cannot resume\n", *resumeFile, key)
-				return 2
-			}
-		}
 		// Rebuild the instance exactly as the checkpointing run shaped it:
 		// every knob that affects the algebra, topology or schedule comes
 		// from the checkpoint's own metadata, not this invocation's flags.
@@ -508,9 +499,8 @@ func runDelta[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], start *matri
 	}
 	st := res.Stats()
 	if statsJSON {
-		convAt, conv := res.Converged()
 		stable := matrix.IsStable[R](alg, adj, res.Final())
-		emitJSON(deltaJSON(st, T, convAt, conv, stable))
+		emitJSON(deltaJSON(st, T, stable))
 		if !stable {
 			exitCode = 1
 		}
@@ -518,7 +508,6 @@ func runDelta[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], start *matri
 	}
 	fmt.Printf("δ engine: T=%d of %d, rows computed=%d, rows skipped=%d, cells computed=%d\n",
 		st.Steps, T, st.RowsComputed, st.RowsSkipped, st.CellsComputed)
-	fmt.Printf("          row buffers recycled=%d, states retained=%d\n", st.RowsRecycled, st.Retained)
 	if at, ok := res.Converged(); ok {
 		fmt.Printf("          converged at t=%d (certified; run stopped %d steps early)\n", at, T-st.Steps)
 	} else {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -62,8 +63,7 @@ func runRemote(addr, scenFile, tenant, runID string, deadline time.Duration) int
 	}
 	fmt.Printf("run %s/%s completed in %v (shed %d times before admission)\n",
 		tenant, runID, time.Since(start).Round(time.Millisecond), sheds)
-	fmt.Printf("steps=%d convergedAt=%d cells=%d hash=%016x\n",
-		res.Steps, res.ConvergedAt, res.CellsComputed, res.Hash)
+	fmt.Println(scenario.DigestLine(int(res.Steps), int(res.ConvergedAt), int(res.CellsComputed), res.Hash))
 	if res.Table != "" {
 		fmt.Println(res.Table)
 	}

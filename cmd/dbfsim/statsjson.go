@@ -25,8 +25,6 @@ type deltaStatsJSON struct {
 	RowsComputed  int    `json:"rows_computed"`
 	RowsSkipped   int    `json:"rows_skipped"`
 	CellsComputed int    `json:"cells_computed"`
-	RowsRecycled  int    `json:"rows_recycled"`
-	Retained      int    `json:"retained"`
 	Converged     bool   `json:"converged"`
 	ConvergedAt   int    `json:"converged_at"` // -1 when not certified
 	Stable        bool   `json:"stable"`
@@ -95,16 +93,11 @@ func emitJSON(v any) {
 	}
 }
 
-func deltaJSON(st engine.Stats, horizon int, convergedAt int, converged, stable bool) deltaStatsJSON {
-	if !converged {
-		convergedAt = -1
-	}
+func deltaJSON(st engine.Stats, horizon int, stable bool) deltaStatsJSON {
 	return deltaStatsJSON{
 		Mode: "delta", Steps: st.Steps, Horizon: horizon,
-		RowsComputed: st.RowsComputed, RowsSkipped: st.RowsSkipped,
-		CellsComputed: st.CellsComputed, RowsRecycled: st.RowsRecycled,
-		Retained:  st.Retained,
-		Converged: converged, ConvergedAt: convergedAt, Stable: stable,
+		RowsComputed: st.RowsComputed, RowsSkipped: st.RowsSkipped, CellsComputed: st.CellsComputed,
+		Converged: st.ConvergedAt >= 0, ConvergedAt: st.ConvergedAt, Stable: stable,
 	}
 }
 

@@ -17,10 +17,17 @@
 //	"DBFC" | u16 version | family (u16 len + bytes)
 //	meta: u16 count, count × (u16 klen + key + u16 vlen + value), keys sorted
 //	payload: flags u8 | u32 step | u32 n | u32 window | u32 lastChange
-//	         stats (8 × i64) | u32 nstates | states (n·n cells of u32 len + bytes, row-major)
+//	         stats (3 × i64) | u32 nstates | states (n·n cells of u32 len + bytes, row-major)
 //	         ver n·n × i32 | lastComp n × i32 | lastRead n·n × i32
 //	         [certified: n × u8]
 //	u32 CRC-32 (IEEE) of everything above
+//
+// Flag bit 1: the certification set follows. The stats are RowsComputed,
+// RowsSkipped and CellsComputed; a resumable snapshot implies the rest
+// (Steps = step, ConvergedAt = −1). Version 1 still decodes, so a spool
+// written before an upgrade resumes: its stats are 8 × i64 (Steps, the
+// three above, ConvergedAt, three allocator counters) and its flag bit 0,
+// "change tracking follows", must be set.
 //
 // Every decode path is bounds-checked against the actual data and hard
 // caps; corrupt or hostile input yields a clean error, never a panic or
@@ -39,8 +46,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Version is the current format version; Decode rejects anything newer.
-const Version = 1
+// Version is the format Encode writes; Decode reads it and version 1.
+const Version = 2
 
 var magic = []byte("DBFC")
 
@@ -99,9 +106,7 @@ func Encode[R any](c wire.Codec[R], f *File[R]) ([]byte, error) {
 		out = appendString(out, f.Meta[k])
 	}
 
-	// Flag bit 0 says the change-tracking matrices are present; every
-	// engine run tracks changes, so it is always set.
-	flags := byte(1)
+	var flags byte
 	if s.Certified != nil {
 		flags |= 2
 	}
@@ -110,10 +115,7 @@ func Encode[R any](c wire.Codec[R], f *File[R]) ([]byte, error) {
 	out = binary.BigEndian.AppendUint32(out, uint32(s.N))
 	out = binary.BigEndian.AppendUint32(out, uint32(s.Window))
 	out = binary.BigEndian.AppendUint32(out, uint32(s.LastChange))
-	for _, v := range []int{
-		s.Stats.Steps, s.Stats.RowsComputed, s.Stats.RowsSkipped, s.Stats.CellsComputed,
-		s.Stats.ConvergedAt, s.Stats.RowsRecycled, s.Stats.Retained, s.Stats.Events,
-	} {
+	for _, v := range []int{s.Stats.RowsComputed, s.Stats.RowsSkipped, s.Stats.CellsComputed} {
 		out = binary.BigEndian.AppendUint64(out, uint64(int64(v)))
 	}
 	out = binary.BigEndian.AppendUint32(out, uint32(len(s.States)))
@@ -146,7 +148,7 @@ func Encode[R any](c wire.Codec[R], f *File[R]) ([]byte, error) {
 // to decide which codec to decode with — after verifying the checksum,
 // so a corrupt file is rejected before any of it is believed.
 func Header(data []byte) (family string, meta map[string]string, err error) {
-	cur, err := verified(data)
+	cur, _, err := verified(data)
 	if err != nil {
 		return "", nil, err
 	}
@@ -156,7 +158,7 @@ func Header(data []byte) (family string, meta map[string]string, err error) {
 // Decode parses a checkpoint encoded with Encode, verifying the checksum
 // and the family tag before decoding a single route.
 func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], error) {
-	cur, err := verified(data)
+	cur, version, err := verified(data)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +172,7 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	f := &File[R]{Family: family, Meta: meta, Snap: &engine.Snapshot[R]{}}
 	s := f.Snap
 	flags := cur.U8()
-	if cur.Err() == nil && flags&1 == 0 {
+	if cur.Err() == nil && version == 1 && flags&1 == 0 {
 		return nil, errors.New("checkpoint: snapshot of a run without change tracking (flag bit 0 clear), which no engine can resume")
 	}
 	certified := flags&2 != 0
@@ -178,12 +180,15 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	s.N = int(cur.U32())
 	s.Window = int(cur.U32())
 	s.LastChange = int(cur.U32())
-	for _, p := range []*int{
-		&s.Stats.Steps, &s.Stats.RowsComputed, &s.Stats.RowsSkipped, &s.Stats.CellsComputed,
-		&s.Stats.ConvergedAt, &s.Stats.RowsRecycled, &s.Stats.Retained, &s.Stats.Events,
-	} {
-		*p = int(int64(cur.U64()))
+	stats := []*int{&s.Stats.RowsComputed, &s.Stats.RowsSkipped, &s.Stats.CellsComputed}
+	if version == 1 {
+		var unread int // Steps, ConvergedAt and the allocator counters
+		stats = []*int{&unread, stats[0], stats[1], stats[2], &unread, &unread, &unread, &unread}
 	}
+	for _, p := range stats {
+		*p = int(cur.I64())
+	}
+	s.Stats.Steps, s.Stats.ConvergedAt = s.Step, -1
 	if cur.Err() == nil && (s.N < 1 || s.N > maxNodes) {
 		return nil, fmt.Errorf("checkpoint: implausible node count %d", s.N)
 	}
@@ -230,24 +235,25 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	return f, nil
 }
 
-// verified checks magic, version and CRC, returning a cursor over the
-// bytes between the header and the checksum trailer.
-func verified(data []byte) (*wire.Cursor, error) {
+// verified checks magic, version and CRC, returning the version and a
+// cursor over the bytes between it and the checksum trailer.
+func verified(data []byte) (*wire.Cursor, uint16, error) {
 	if len(data) < len(magic)+2+4 {
-		return nil, errors.New("checkpoint: file too short")
+		return nil, 0, errors.New("checkpoint: file too short")
 	}
 	if string(data[:4]) != string(magic) {
-		return nil, errors.New("checkpoint: bad magic (not a checkpoint file)")
+		return nil, 0, errors.New("checkpoint: bad magic (not a checkpoint file)")
 	}
 	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, ErrChecksum
+		return nil, 0, ErrChecksum
 	}
 	cur := wire.NewCursor(body[4:], errTruncated)
-	if v := cur.U16(); cur.Err() == nil && v > Version {
-		return nil, fmt.Errorf("checkpoint: format version %d, this build reads ≤ %d", v, Version)
+	v := cur.U16()
+	if cur.Err() == nil && (v < 1 || v > Version) {
+		return nil, 0, fmt.Errorf("checkpoint: format version %d, this build reads 1–%d", v, Version)
 	}
-	return cur, cur.Err()
+	return cur, v, cur.Err()
 }
 
 // header reads the family tag and metadata that follow the version.

@@ -28,12 +28,14 @@ import (
 var update = flag.Bool("update", false, "rewrite golden checkpoint files")
 
 // Format compatibility is tested against committed golden files, one per
-// carrier family: today's build must keep decoding yesterday's
-// checkpoints byte-for-byte, and a freshly encoded snapshot of the same
-// deterministic run must still produce exactly the golden bytes. The
-// decode side rebuilds its algebra from scratch — for the interned
-// families that means a fresh paths.Table, so a passing restore proves
-// the interned-id remap, not just the byte plumbing.
+// carrier family and format version: a freshly encoded snapshot of the
+// same deterministic run must still produce exactly the current golden
+// bytes, and both the current golden and the version-1 one (testdata/v1,
+// written before the stats block shrank) must decode and resume to the
+// uninterrupted run — the upgrade path of a spool that outlives its
+// daemon. The decode side rebuilds its algebra from scratch — for the
+// interned families that means a fresh paths.Table, so a passing restore
+// proves the interned-id remap, not just the byte plumbing.
 
 // family packages one carrier: a builder (called separately for the
 // encode and decode sides) and the deterministic instance parameters.
@@ -73,40 +75,51 @@ func goldenCase[R any](t *testing.T, name string, mk func() (core.Algebra[R], *m
 			name, len(data), len(want))
 	}
 
-	// Decode the golden bytes against a freshly built instance and prove
-	// the restored continuation matches the uninterrupted run. Comparison
-	// goes through Format: interned ids legitimately differ across
-	// tables, the materialised routes must not.
-	family, meta, err := checkpoint.Header(want)
+	restoreGolden(t, "v2", want, name, T, s, full, alg1, mk)
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1", name+".ckpt"))
 	if err != nil {
-		t.Fatalf("header: %v", err)
+		t.Fatalf("v1 golden file: %v", err)
+	}
+	restoreGolden(t, "v1", v1, name, T, s, full, alg1, mk)
+}
+
+// restoreGolden decodes golden bytes against a freshly built instance and
+// proves the restored continuation matches the uninterrupted run.
+// Comparison goes through Format: interned ids legitimately differ
+// across tables, the materialised routes must not.
+func restoreGolden[R any](t *testing.T, label string, data []byte, name string, T int, s engine.Source,
+	full *engine.Result[R], alg1 core.Algebra[R], mk func() (core.Algebra[R], *matrix.Adjacency[R], wire.Codec[R])) {
+	t.Helper()
+	family, meta, err := checkpoint.Header(data)
+	if err != nil {
+		t.Fatalf("%s header: %v", label, err)
 	}
 	if family != name || meta["horizon"] != fmt.Sprint(T) {
-		t.Fatalf("header round trip: got family %q meta %v", family, meta)
+		t.Fatalf("%s header round trip: got family %q meta %v", label, family, meta)
 	}
 	alg2, adj2, codec2 := mk()
-	f, err := checkpoint.Decode(codec2, want, name)
+	f, err := checkpoint.Decode(codec2, data, name)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("%s decode: %v", label, err)
 	}
 	eng2 := engine.New(alg2, adj2, engine.Config{})
 	defer eng2.Close()
 	resumed, err := eng2.Restore(f.Snap, s)
 	if err != nil {
-		t.Fatalf("restore: %v", err)
+		t.Fatalf("%s restore: %v", label, err)
 	}
 	wantFinal, gotFinal := full.Final(), resumed.Final()
+	n := adj2.N
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			w, g := alg1.Format(wantFinal.Get(i, j)), alg2.Format(gotFinal.Get(i, j))
 			if w != g {
-				t.Fatalf("cell (%d,%d) after golden restore: got %s want %s", i, j, g, w)
+				t.Fatalf("%s: cell (%d,%d) after golden restore: got %s want %s", label, i, j, g, w)
 			}
 		}
 	}
-	fs, rs := full.Stats(), resumed.Stats()
-	if fs.CellsComputed != rs.CellsComputed || fs.Steps != rs.Steps {
-		t.Fatalf("stats after golden restore: got %+v want %+v", rs, fs)
+	if got, want := resumed.Stats(), full.Stats(); got != want {
+		t.Fatalf("%s: stats after golden restore: got %+v want %+v", label, got, want)
 	}
 }
 
@@ -263,11 +276,11 @@ func TestCheckpointWrongFamily(t *testing.T) {
 }
 
 // TestDecodeRejectsNonIncrementalCheckpoint clears payload flag bit 0 —
-// "the change-tracking matrices follow" — in a golden file and recomputes
-// the checksum: a snapshot no engine can resume must come back from Decode
-// as an error that says so, not as a misparsed payload.
+// "the change-tracking matrices follow" — in a version-1 golden file and
+// recomputes the checksum: a snapshot no engine can resume must come back
+// from Decode as an error that says so, not as a misparsed payload.
 func TestDecodeRejectsNonIncrementalCheckpoint(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "natinf.ckpt"))
+	data, err := os.ReadFile(filepath.Join("testdata", "v1", "natinf.ckpt"))
 	if err != nil {
 		t.Fatalf("golden file: %v (run with -update to regenerate)", err)
 	}

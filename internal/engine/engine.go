@@ -104,7 +104,12 @@ type Config struct {
 	Termination TerminationMode
 }
 
-// Stats counts what a run did, for benchmarks and the dbfsim report.
+// Stats counts what a run did. Every field is resume-invariant: a run
+// paused, snapshotted and resumed anywhere ends with Stats equal (==) to
+// the run that was never interrupted. Steps, RowsComputed, CellsComputed
+// and ConvergedAt, with the final state, are the run's identity — what a
+// service result hash folds in. RowsSkipped is an exact diagnostic:
+// RowsComputed + RowsSkipped = Σ|α(t)| over the non-event steps run.
 type Stats struct {
 	// Steps is the number of time steps actually evaluated: the horizon
 	// T, or less when the run terminated early at a certified fixed
@@ -127,12 +132,6 @@ type Stats struct {
 	// when the run certified convergence and returned early; −1
 	// otherwise.
 	ConvergedAt int
-	// RowsRecycled counts row buffers reclaimed from evicted history.
-	RowsRecycled int
-	// Retained is the number of states held at the end of the run.
-	Retained int
-	// Events is the number of timeline events applied.
-	Events int
 }
 
 // Engine evaluates δ (and, through the Synchronous source, σ) over one
@@ -421,7 +420,6 @@ func (r *run[R, Row]) put(t int, s []Row) {
 		for i, row := range old {
 			if !r.ops.emptyRow(row) && !r.ops.sameRow(row, next[i]) {
 				r.freeRows = append(r.freeRows, row)
-				r.stats.RowsRecycled++
 			}
 		}
 		r.freeHdrs = append(r.freeHdrs, old)
@@ -937,7 +935,6 @@ func (r *run[R, Row]) step(until int) bool {
 			lastChange = t
 			certGen++
 			nCert = 0
-			r.stats.Events++
 			continue
 		}
 		actives = sched.ActiveSet(t, actives[:0])
@@ -1115,15 +1112,6 @@ func (r *run[R, Row]) statsNow() Stats {
 // hook, and releases the scratch.
 func (r *run[R, Row]) finish(res *Result[R]) {
 	st := r.statsNow()
-	if r.window < 0 {
-		st.Retained = len(r.all)
-	} else {
-		for _, s := range r.ring {
-			if s != nil {
-				st.Retained++
-			}
-		}
-	}
 	*res = Result[R]{alg: r.e.alg, horizon: r.t, final: r.ops.materialise(r.prev), stats: st, marks: r.marks}
 	observeRun(st)
 	if r.window < 0 {

@@ -255,12 +255,14 @@ func TestHashedSourceConverges(t *testing.T) {
 	if !ok {
 		t.Fatal("σ must converge")
 	}
+	eng := engine.New(alg, adj, engine.Config{})
+	defer eng.Close()
 	for seed := uint64(0); seed < 5; seed++ {
 		src := engine.Hashed{N: adj.N, T: 400, Seed: seed, MaxGap: 10, MaxStaleness: 6}
-		got := engine.Run(alg, adj, matrix.Identity[algebras.NatInf](alg, adj.N), src)
+		got, resident := engine.RunResident(eng, matrix.Identity[algebras.NatInf](alg, adj.N), src)
 		identicalStates(t, "hashed limit", got.Final(), want)
-		if st := got.Stats(); st.Retained > 7 {
-			t.Fatalf("bounded run retained %d states, want ≤ MaxStaleness+1", st.Retained)
+		if resident > 7 {
+			t.Fatalf("bounded run retained %d states, want ≤ MaxStaleness+1", resident)
 		}
 	}
 }
@@ -282,19 +284,19 @@ func TestHistoryWindowTooSmallPanics(t *testing.T) {
 
 func TestRowRecyclingKeepsResultsIntact(t *testing.T) {
 	// Stress the ring eviction: long horizon, small window, verify the
-	// final state against the reference and that recycling engaged.
+	// final state against the reference and that the ring stayed bounded.
+	// That recycling engaged is the allocation gates' to prove (the E5
+	// gate, TestRunnerQuantumAllocation).
 	alg, adj, u := hopNet()
 	rng := rand.New(rand.NewSource(9))
 	start := matrix.RandomStateFrom(rng, adj.N, u)
 	sched := schedule.Random(rng, adj.N, 500, schedule.Options{MaxGap: 8, MaxStaleness: 5})
 	ref := async.RunReference(alg, adj, start, sched)
-	res := engine.Run(alg, adj, start, sched)
+	eng := engine.New(alg, adj, engine.Config{})
+	defer eng.Close()
+	res, resident := engine.RunResident(eng, start, sched)
 	identicalStates(t, "long horizon", res.Final(), ref[len(ref)-1])
-	st := res.Stats()
-	if st.RowsRecycled == 0 {
-		t.Error("a 500-step bounded run must recycle evicted rows")
-	}
-	if st.Retained > sched.MaxLookback()+1 {
-		t.Errorf("retained %d states, want ≤ lookback+1 = %d", st.Retained, sched.MaxLookback()+1)
+	if resident > sched.MaxLookback()+1 {
+		t.Errorf("retained %d states, want ≤ lookback+1 = %d", resident, sched.MaxLookback()+1)
 	}
 }

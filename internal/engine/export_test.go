@@ -44,3 +44,28 @@ func (r *run[R, Row]) builtTasks() int { return len(r.tasks) }
 func LastStepTasks[R any](s *Stepper[R]) int {
 	return s.run.(interface{ builtTasks() int }).builtTasks()
 }
+
+// RunResident is e.Run that also reports how many states the run held at
+// its end: the ring's occupancy, or the whole history for KeepAll.
+func RunResident[R any](e *Engine[R], start *matrix.State[R], src Source) (*Result[R], int) {
+	st, err := e.Start(start, src, nil)
+	if err != nil {
+		panic(err)
+	}
+	st.Step(src.Horizon())
+	resident := st.run.(interface{ resident() int }).resident()
+	return st.Result(), resident
+}
+
+func (r *run[R, Row]) resident() int {
+	if r.window < 0 {
+		return len(r.all)
+	}
+	n := 0
+	for _, s := range r.ring {
+		if s != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -259,12 +259,14 @@ func TestFairImpliesBoundedWindow(t *testing.T) {
 	alg, adj, _ := hopNet()
 	start := matrix.Identity[algebras.NatInf](alg, adj.N)
 	src := fairOnly{rr: engine.RoundRobin{N: adj.N, T: 400}}
-	res := engine.Run[algebras.NatInf](alg, adj, start, src)
+	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{})
+	defer eng.Close()
+	res, resident := engine.RunResident[algebras.NatInf](eng, start, src)
 	if _, ok := res.Converged(); !ok {
 		t.Fatal("fair-only source should still certify convergence")
 	}
-	if st := res.Stats(); st.Retained > src.FairPeriod()+1 {
-		t.Fatalf("retained %d states, want ≤ FairPeriod+1 = %d", st.Retained, src.FairPeriod()+1)
+	if resident > src.FairPeriod()+1 {
+		t.Fatalf("retained %d states, want ≤ FairPeriod+1 = %d", resident, src.FairPeriod()+1)
 	}
 	want, _, _ := matrix.FixedPoint[algebras.NatInf](alg, adj, start, 400)
 	identicalStates(t, "fair-only limit", res.Final(), want)

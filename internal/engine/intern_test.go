@@ -87,17 +87,6 @@ func runInternEquiv[B comparable](t *testing.T, net internNet[B]) {
 	}
 }
 
-// statsEqual compares the counters that must not depend on the row
-// representation or the scratch a run inherited.
-func statsEqual(t *testing.T, label string, a, b engine.Stats) {
-	t.Helper()
-	if a.Steps != b.Steps || a.RowsComputed != b.RowsComputed ||
-		a.RowsSkipped != b.RowsSkipped || a.CellsComputed != b.CellsComputed ||
-		a.ConvergedAt != b.ConvergedAt {
-		t.Fatalf("%s: stats diverge: %+v vs %+v", label, a, b)
-	}
-}
-
 // TestInternedEngineEquivalence crosses the three algebra families with
 // every engine configuration.
 func TestInternedEngineEquivalence(t *testing.T) {
@@ -146,9 +135,9 @@ func TestInternToggleIsBitIdentical(t *testing.T) {
 	for rep := 0; rep < 3; rep++ { // rep ≥ 1 reuses pooled scratch
 		res := on.Run(start, src)
 		identicalStates(t, fmt.Sprintf("interning capabilities on vs hidden (rep %d)", rep), res.Final(), resOff.Final())
-		statsEqual(t, "interning capabilities on vs hidden", res.Stats(), resOff.Stats())
+		statsMatch(t, "interning capabilities on vs hidden", res.Stats(), resOff.Stats())
 		if prev != nil {
-			statsEqual(t, "warm vs cold", res.Stats(), prev.Stats())
+			statsMatch(t, "warm vs cold", res.Stats(), prev.Stats())
 		}
 		prev = res
 	}

@@ -274,8 +274,8 @@ func TestSmallRunsStayInline(t *testing.T) {
 		st := mustStart(t, eng, matrix.Identity[algebras.NatInf](alg, n), src, events)
 		for k := 64; !st.Step(k); k += 64 {
 		}
-		if stats := st.Result().Stats(); stats.Events != 1 || stats.RowsComputed == 0 {
-			t.Fatalf("ring-%d: the request did not play its event: %+v", n, stats)
+		if res := st.Result(); len(res.Marks()) != 1 || res.Stats().RowsComputed == 0 {
+			t.Fatalf("ring-%d: the request did not play its event: %d marks, %+v", n, len(res.Marks()), res.Stats())
 		}
 		if started, fanouts, _ := engine.PoolCounters(eng); started || fanouts != 0 {
 			t.Fatalf("ring-%d request: helpers started=%v, %d fan-outs; want none", n, started, fanouts)

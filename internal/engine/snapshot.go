@@ -48,9 +48,9 @@ type Snapshot[R any] struct {
 	Certified  []bool
 	LastChange int
 	// Stats are the run counters at the capture point, cell counts
-	// folded in. A restored run continues them, so the continuation's
-	// final Stats match the uninterrupted run's (allocator-dependent
-	// counters — RowsRecycled, Retained — excepted).
+	// folded in: Steps = Step and ConvergedAt = −1 (a certified run has no
+	// continuation to capture). A restored run continues them, so the
+	// continuation's final Stats equal the uninterrupted run's.
 	Stats Stats
 }
 
@@ -93,6 +93,9 @@ func (s *Snapshot[R]) validate() error {
 	}
 	if s.LastChange < 0 || s.LastChange > s.Step {
 		return fmt.Errorf("engine: snapshot last change %d outside [0, %d]", s.LastChange, s.Step)
+	}
+	if s.Stats.Steps != s.Step || s.Stats.ConvergedAt != -1 {
+		return fmt.Errorf("engine: snapshot at step %d carries stats %+v, want that step and convergedAt −1", s.Step, s.Stats)
 	}
 	return nil
 }

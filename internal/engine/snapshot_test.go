@@ -20,15 +20,12 @@ import (
 // preempted million-step run pays nothing for the interruption and a
 // checkpoint proves what the run would have computed.
 
-// statsMatch compares the counters that restoring must preserve; the
-// allocator-dependent ones (RowsRecycled, Retained) legitimately differ
-// because a resumed run materialises its ring afresh.
+// statsMatch requires equal Stats: every counter is resume-invariant, so
+// a restored, sliced or differently configured run must match exactly.
 func statsMatch(t *testing.T, label string, got, want engine.Stats) {
 	t.Helper()
-	if got.Steps != want.Steps || got.RowsComputed != want.RowsComputed ||
-		got.RowsSkipped != want.RowsSkipped || got.CellsComputed != want.CellsComputed ||
-		got.ConvergedAt != want.ConvergedAt {
-		t.Fatalf("%s: stats diverge after restore: got %+v want %+v", label, got, want)
+	if got != want {
+		t.Fatalf("%s: stats diverge: got %+v want %+v", label, got, want)
 	}
 }
 

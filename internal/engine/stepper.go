@@ -37,7 +37,9 @@ func (s *Stepper[R]) Step(until int) (done bool) { return s.run == nil || s.run.
 // At returns the last completed step.
 func (s *Stepper[R]) At() int { return s.Stats().Steps }
 
-// Stats returns the run counters as of the last completed step.
+// Stats returns the run counters as of the last completed step: at every
+// step the same whether the run got there in one call, in slices, or
+// through Snapshot and Resume.
 func (s *Stepper[R]) Stats() Stats {
 	if s.run == nil {
 		return s.res.stats

@@ -45,8 +45,8 @@ func meshNet() (algebras.HopCount, *matrix.Adjacency[algebras.NatInf]) {
 func holdToOracle[R any](t *testing.T, label string, alg core.Algebra[R], res *engine.Result[R],
 	hist []*matrix.State[R], events []engine.TimelineEvent[R]) {
 	t.Helper()
-	if res.Stats().Events != len(events) || len(res.Marks()) != len(events) {
-		t.Fatalf("%s: %d events applied, %d marks, want %d", label, res.Stats().Events, len(res.Marks()), len(events))
+	if len(res.Marks()) != len(events) {
+		t.Fatalf("%s: %d marks, want one per event (%d)", label, len(res.Marks()), len(events))
 	}
 	for k, m := range res.Marks() {
 		if want := hist[events[k].Step]; !m.Equal(alg, want) {

@@ -78,10 +78,16 @@ func (r *Report) String() string {
 		}
 		fmt.Fprintf(&b, " (%s)\n", s.Class.Detail)
 		if s.Substrate == SubEngine {
-			fmt.Fprintf(&b, "         steps=%d convergedAt=%d cells=%d hash=%016x\n", s.Steps, s.ConvergedAt, s.Cells, s.Hash)
+			fmt.Fprintf(&b, "         %s\n", DigestLine(s.Steps, s.ConvergedAt, s.Cells, s.Hash))
 		}
 	}
 	return b.String()
+}
+
+// DigestLine renders an engine run's digest: dbfsim -scenario and dbfsim
+// -server both print it, so the two doors' lines can be diffed.
+func DigestLine(steps, convergedAt, cells int, hash uint64) string {
+	return fmt.Sprintf("steps=%d convergedAt=%d cells=%d hash=%016x", steps, convergedAt, cells, hash)
 }
 
 // Run validates the scenario and plays its timeline on the named

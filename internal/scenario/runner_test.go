@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/engine"
 )
 
@@ -42,8 +44,8 @@ at 330 restart 1
 `
 
 // uninterrupted runs the scenario to completion in a single quantum and
-// returns its fingerprint, table and step count.
-func uninterrupted(t *testing.T, text string) (uint64, string, int) {
+// returns its fingerprint, table and counters.
+func uninterrupted(t *testing.T, text string) (uint64, string, engine.Stats) {
 	t.Helper()
 	sc, err := Parse([]byte(text))
 	if err != nil {
@@ -61,7 +63,7 @@ func uninterrupted(t *testing.T, text string) (uint64, string, int) {
 	if !done {
 		t.Fatal("one full-horizon quantum did not finish the run")
 	}
-	return r.FinalHash(), r.FinalTable(), r.Stats().Steps
+	return r.FinalHash(), r.FinalTable(), r.Stats()
 }
 
 func TestRunnerSlicedDifferential(t *testing.T) {
@@ -87,7 +89,8 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
-			wantHash, wantTable, wantSteps := uninterrupted(t, tc.text)
+			wantHash, wantTable, wantStats := uninterrupted(t, tc.text)
+			wantSteps := wantStats.Steps
 			if wantHash == 0 || wantTable == "" {
 				t.Fatal("uninterrupted run produced no fingerprint")
 			}
@@ -113,7 +116,7 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				slices := 0
-				var liveCells []int // Stats().CellsComputed after every quantum
+				var liveStats []engine.Stats // after every quantum
 				for done := false; !done; slices++ {
 					if done, err = r.Advance(quantum); err != nil {
 						t.Fatalf("quantum=%d slice %d: %v", quantum, slices, err)
@@ -121,7 +124,7 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 					if slices > sc.Horizon {
 						t.Fatalf("quantum=%d: run never finished", quantum)
 					}
-					liveCells = append(liveCells, r.Stats().CellsComputed)
+					liveStats = append(liveStats, r.Stats())
 				}
 				if slices < 2 {
 					t.Fatalf("quantum=%d: run never sliced", quantum)
@@ -130,8 +133,8 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 					t.Fatalf("quantum=%d: sliced hash %x, uninterrupted %x\nsliced table:\n%s\nwant:\n%s",
 						quantum, got, wantHash, r.FinalTable(), wantTable)
 				}
-				if got := r.Stats().Steps; got != wantSteps {
-					t.Fatalf("quantum=%d: sliced run took %d steps, uninterrupted %d", quantum, got, wantSteps)
+				if got := r.Stats(); got != wantStats {
+					t.Fatalf("quantum=%d: sliced stats %+v, uninterrupted %+v", quantum, got, wantStats)
 				}
 				r.Close()
 
@@ -143,13 +146,13 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				hops := 0
-				var hopCells []int
+				var hopStats []engine.Stats
 				for {
 					done, err := r.Advance(quantum)
 					if err != nil {
 						t.Fatalf("quantum=%d hop %d: %v", quantum, hops, err)
 					}
-					hopCells = append(hopCells, r.Stats().CellsComputed)
+					hopStats = append(hopStats, r.Stats())
 					if done {
 						break
 					}
@@ -172,8 +175,8 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 				}
 				// The live stepper and the snapshot→resume chain do the same
 				// work quantum by quantum, not merely in total.
-				if !reflect.DeepEqual(liveCells, hopCells) {
-					t.Fatalf("quantum=%d: per-quantum cells diverge:\nin-process  %v\ncheckpointed %v", quantum, liveCells, hopCells)
+				if !reflect.DeepEqual(liveStats, hopStats) {
+					t.Fatalf("quantum=%d: per-quantum stats diverge:\nin-process  %v\ncheckpointed %v", quantum, liveStats, hopStats)
 				}
 				if got := r.FinalHash(); got != wantHash {
 					t.Fatalf("quantum=%d: resumed hash %x, uninterrupted %x\nresumed table:\n%s\nwant:\n%s",
@@ -465,5 +468,47 @@ func TestCrashMaskCannotBeBypassed(t *testing.T) {
 	}
 	if src.(engine.Fair).FairPeriod() != inner.FairPeriod() || src.(engine.Bounded).MaxLookback() != inner.MaxLookback() {
 		t.Fatal("the mask does not forward FairPeriod and MaxLookback")
+	}
+}
+
+// TestResumeV1ServiceCheckpoint is the upgrade path of a daemon restarted
+// across a drain: testdata/v1/loadgen-ring8.ckpt is a format-1 drain
+// checkpoint of the ring-8 loadgen scenario at step 96, written by the
+// build before checkpoints stopped encoding the allocator counters. It
+// must resume to the hash that build printed for the run, which is also
+// the uninterrupted run's hash today, with equal counters.
+func TestResumeV1ServiceCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v1", "loadgen-ring8.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.BigEndian.Uint16(data[4:]); v != 1 {
+		t.Fatalf("fixture is format version %d, want 1", v)
+	}
+	_, meta, err := checkpoint.Header(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHash, _, wantStats := uninterrupted(t, meta[metaScenario])
+	const parentHash = 0xae5be22f5653feb6
+	if wantHash != parentHash {
+		t.Fatalf("uninterrupted hash %016x, the format-1 build's %016x", wantHash, uint64(parentHash))
+	}
+	r, err := ResumeRunner(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Step() != 96 {
+		t.Fatalf("resumed at step %d, want 96", r.Step())
+	}
+	if done, err := r.Advance(r.Horizon()); err != nil || !done {
+		t.Fatalf("advance: done=%v err=%v", done, err)
+	}
+	if got := r.FinalHash(); got != parentHash {
+		t.Fatalf("resumed hash %016x, want %016x", got, uint64(parentHash))
+	}
+	if got := r.Stats(); got != wantStats {
+		t.Fatalf("resumed stats %+v, uninterrupted %+v", got, wantStats)
 	}
 }

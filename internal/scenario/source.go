@@ -22,19 +22,29 @@ func source(sc *Scenario, n int) engine.Source {
 		N: n, T: sc.Horizon, Seed: uint64(sc.Seed),
 		ActivationProbMille: mille, MaxStaleness: stale,
 	}
+	var down [][]downWindow // per node, nil without crash events
 	for _, ev := range sc.Events {
-		if ev.Kind == NodeCrash {
-			return downMask{inner: h, events: sc.Events}
+		switch ev.Kind {
+		case NodeCrash:
+			if down == nil {
+				down = make([][]downWindow, n)
+			}
+			down[ev.Node] = append(down[ev.Node], downWindow{from: ev.Step})
+		case NodeRecover: // Validate pairs it with the node's last crash
+			down[ev.Node][len(down[ev.Node])-1].to = ev.Step
 		}
 	}
-	return h
+	if down == nil {
+		return h
+	}
+	return downMask{inner: h, down: down}
 }
 
 // downMask is inner with α(t) stripped of the nodes that are down at t —
 // strictly between a crash step and its recover step (the two event steps
-// activate nobody anyway); β is inner's. It reads nothing but the
-// scenario's events, so it is still a pure function of (text, t, i) and a
-// checkpoint needs only the step index.
+// activate nobody anyway); β is inner's. Its windows are computed once
+// from the scenario's events, so it is still a pure function of
+// (text, t, i) and a checkpoint needs only the step index.
 //
 // inner is a named field on purpose: embedding Hashed would promote its
 // ActiveSet and CountActive, and the engine would read the unmasked
@@ -48,25 +58,23 @@ func source(sc *Scenario, n int) engine.Source {
 // and recover are event steps, which reopen the certification generation
 // — so nothing is certified, ended or jumped inside a window.
 type downMask struct {
-	inner  engine.Hashed
-	events []Event
+	inner engine.Hashed
+	down  [][]downWindow
 }
+
+// downWindow is a node's down time: the steps strictly between from and to.
+type downWindow struct{ from, to int }
 
 func (m downMask) Nodes() int   { return m.inner.Nodes() }
 func (m downMask) Horizon() int { return m.inner.Horizon() }
 
 func (m downMask) Active(t, i int) bool {
-	down := false
-	for _, ev := range m.events {
-		if ev.Step > t {
-			break
-		}
-		if ev.Node == i && (ev.Kind == NodeCrash || ev.Kind == NodeRecover) {
-			// Validate pairs them: the latest of the two decides.
-			down = ev.Kind == NodeCrash && ev.Step < t
+	for _, w := range m.down[i] {
+		if w.from < t && t < w.to {
+			return false
 		}
 	}
-	return !down && m.inner.Active(t, i)
+	return m.inner.Active(t, i)
 }
 
 func (m downMask) Beta(t, i, k int) int { return m.inner.Beta(t, i, k) }
