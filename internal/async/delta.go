@@ -5,16 +5,17 @@
 //	δᵗ(X)_ij = ⨁_k A_ik(δ^{β(t,i,k)}(X)_kj) ⊕ I_ij   if i ∈ α(t)
 //	         = δ^{t−1}(X)_ij                          otherwise
 //
-// β may point anywhere into the retained past — including times already
-// read (duplication), out of order (reordering) or never (loss). The
-// evaluation itself lives in internal/engine, the sharded, memory-bounded,
-// change-driven core shared with σ: activations whose β-resolved inputs
-// did not change are skipped outright and the rest recompute only the
-// affected destination columns, bit-identically to the literal recursion.
-// This package keeps the paper-facing API, the convergence definitions
-// 6–8 as executable checks, and RunReference / RunTimelineReference, the
-// original clone-everything evaluator retained as the
-// differential-testing oracle.
+// β may point anywhere into the past, up to the schedule's MaxLookback —
+// including times already read (duplication), out of order (reordering)
+// or never (loss). The evaluation itself lives in internal/engine, the
+// sharded, memory-bounded, change-driven core shared with σ: activations
+// whose β-resolved inputs did not change are skipped outright and the
+// rest recompute only the affected destination columns, bit-identically
+// to the literal recursion. This package keeps the paper-facing API, the
+// convergence definitions 6–8 as executable checks, and RunReference /
+// RunTimelineReference, the original clone-everything evaluator retained
+// as the differential-testing oracle and the one source of whole
+// histories.
 package async
 
 import (
@@ -24,24 +25,12 @@ import (
 	"repro/internal/schedule"
 )
 
-// Run evaluates δ over the schedule and returns the full history
-// [δ⁰(X), δ¹(X), ..., δᵀ(X)]. Because the contract materialises every
-// state, it retains the whole history; callers that need only the limit
-// should use Final (bounded memory) instead.
-func Run[R any](
-	alg core.Algebra[R],
-	adj *matrix.Adjacency[R],
-	start *matrix.State[R],
-	sched *schedule.Schedule,
-) []*matrix.State[R] {
-	eng := engine.New(alg, adj, engine.Config{HistoryWindow: engine.KeepAll})
-	return eng.Run(start, sched).History()
-}
-
 // RunReference is the literal Section 3.1 evaluator the engine replaced:
-// it clones the full n×n state at every step and keeps every clone. It is
-// the oracle the engine's equivalence tests compare against, and the
-// baseline its benchmarks measure the copy-on-write win over.
+// it clones the full n×n state at every step and keeps every clone,
+// returning the whole history [δ⁰(X), δ¹(X), ..., δᵀ(X)]. It is the
+// oracle the engine's equivalence tests compare against, the baseline its
+// benchmarks measure the copy-on-write win over, and what ConvergenceTime
+// reads; callers that need only the limit use Final (bounded memory).
 func RunReference[R any](
 	alg core.Algebra[R],
 	adj *matrix.Adjacency[R],
@@ -53,7 +42,8 @@ func RunReference[R any](
 
 // RunTimelineReference is the literal evaluator playing a timeline
 // (Section 3.2: a mid-run change is the same run on a new instance): the
-// oracle for engine.RunTimeline under any source, β reaching across
+// oracle for an engine run started with a timeline under any source
+// (engine.Start), β reaching across
 // event steps included, since history[β] is read wherever β lands. At an
 // event step no node activates, Restart rows become the identity row and
 // Mutate edits adj in place; Rows and Invalidate are bookkeeping the

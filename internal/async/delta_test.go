@@ -33,7 +33,7 @@ func TestSynchronousScheduleRecoversSigma(t *testing.T) {
 	alg, adj := ripNet()
 	start := matrix.Identity[algebras.NatInf](alg, 4)
 	sched := schedule.Synchronous(4, 8)
-	history := Run[algebras.NatInf](alg, adj, start, sched)
+	history := RunReference[algebras.NatInf](alg, adj, start, sched)
 	x := start.Clone()
 	for tt := 1; tt <= 8; tt++ {
 		x = matrix.Sigma[algebras.NatInf](alg, adj, x)
@@ -83,7 +83,7 @@ func TestConvergenceTime(t *testing.T) {
 	alg, adj := ripNet()
 	start := matrix.Identity[algebras.NatInf](alg, 4)
 	sched := schedule.Synchronous(4, 30)
-	history := Run[algebras.NatInf](alg, adj, start, sched)
+	history := RunReference[algebras.NatInf](alg, adj, start, sched)
 	ct, ok := ConvergenceTime[algebras.NatInf](alg, adj, history)
 	if !ok {
 		t.Fatal("synchronous run must converge within 30 steps")
@@ -95,7 +95,7 @@ func TestConvergenceTime(t *testing.T) {
 	// converged.
 	quiet := schedule.New(4, 10) // nobody activates
 	garbage := matrix.NewState[algebras.NatInf](4, 3)
-	h2 := Run[algebras.NatInf](alg, adj, garbage, quiet)
+	h2 := RunReference[algebras.NatInf](alg, adj, garbage, quiet)
 	if _, ok := ConvergenceTime[algebras.NatInf](alg, adj, h2); ok {
 		t.Error("an unstable frozen state must not count as converged")
 	}

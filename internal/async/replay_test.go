@@ -84,7 +84,7 @@ func TestReplayStepByStep(t *testing.T) {
 		Seed: 5, LossProb: 0.3, DupProb: 0.2,
 	})
 	sched := FromLog(log)
-	history := Run[algebras.NatInf](alg, adj, start, sched)
+	history := RunReference[algebras.NatInf](alg, adj, start, sched)
 	// Monotone sanity: each state differs from its predecessor only in
 	// the activated node's row.
 	for t0 := 1; t0 <= sched.T; t0++ {

@@ -112,13 +112,14 @@ func BenchmarkEngineWorstCase(b *testing.B) {
 	alg := algebras.HopCount{Limit: algebras.NatInf(2 * n)}
 	adj := topology.BuildUniform[algebras.NatInf](topology.Complete(n), alg.AddEdge(1))
 	start := matrix.Identity[algebras.NatInf](alg, n)
-	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{Termination: engine.TermOff})
+	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{})
 	defer eng.Close()
+	src := march(engine.Synchronous{N: n, T: 2})
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cells int
 	for i := 0; i < b.N; i++ {
-		res := eng.Run(start, engine.Synchronous{N: n, T: 2})
+		res := eng.Run(start, src)
 		cells += res.Stats().CellsComputed
 	}
 	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
@@ -229,7 +230,7 @@ func BenchmarkEventRecompute(b *testing.B) {
 	run := func(adj *matrix.Adjacency[algebras.NatInf], events []engine.TimelineEvent[algebras.NatInf]) int {
 		eng := engine.New[algebras.NatInf](alg, adj, engine.Config{})
 		defer eng.Close()
-		res := eng.RunTimeline(start, src, events)
+		res := playTimeline(b, eng, start, src, events)
 		if _, converged := res.Converged(); !converged {
 			b.Fatal("run did not certify convergence")
 		}

@@ -139,12 +139,6 @@ func (o *colOps[R]) materialise(s []core.Col) *matrix.State[R] {
 	return st
 }
 
-// retain is unreachable: Run keeps history-retaining runs on the
-// interface path (their snapshots escape into the Result as []R rows).
-func (o *colOps[R]) retain(*Result[R], [][]core.Col) {
-	panic("engine: columnar runs never retain history")
-}
-
 // runTask is the columnar twin of genOps.runTask: same dirty resolution
 // (shared resolveDirty), same dense/sparse/copy trichotomy, with the
 // kernel fold running over packed lanes. The dirty bitset is materialised

@@ -104,26 +104,3 @@ func TestColumnarToggleIsBitIdentical(t *testing.T) {
 		runColumnarToggle[policy.IRoute](t, "policy", alg, adj, 300)
 	})
 }
-
-// TestColumnarHistoryRunsStayGeneric pins the fallback contract: a
-// history-retaining run cannot use pooled packed lanes (its snapshots
-// escape into the Result), so even over an algebra that packs it must
-// take the interface path and still retain a correct history.
-func TestColumnarHistoryRunsStayGeneric(t *testing.T) {
-	alg, adj, _ := hopNet()
-	n := adj.N
-	start := matrix.Identity[algebras.NatInf](alg, n)
-	src := engine.Hashed{N: n, T: 120, Seed: 23, MaxGap: 6, MaxStaleness: 5}
-
-	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{HistoryWindow: engine.KeepAll})
-	defer eng.Close()
-	res := eng.Run(start, src)
-	if !res.Retained() {
-		t.Fatal("KeepAll run over a packing algebra did not retain history")
-	}
-	off := engine.New[algebras.NatInf](unpacked[algebras.NatInf]{alg}, adj, engine.Config{})
-	defer off.Close()
-	resOff := off.Run(start, src)
-	identicalStates(t, "keepall final", res.Final(), resOff.Final())
-	identicalStates(t, "keepall last snapshot", res.At(res.Horizon()), resOff.Final())
-}

@@ -10,11 +10,11 @@
 //   - Copy-on-write rows. A time step shares the row storage of every
 //     node that did not activate, so a step with a active nodes costs
 //     O(a·n + n) memory instead of the O(n²) full-state clone.
-//   - Bounded history. β can only reach MaxLookback steps into the past,
-//     so only that window of states is retained, in a ring whose evicted
-//     rows are recycled; steady-state evaluation allocates (almost)
-//     nothing. The keep-everything mode remains available (KeepAll) for
-//     replay and convergence-time analysis.
+//   - Bounded history. β can only reach the source's MaxLookback steps
+//     into the past, so only that window of states is retained, in a ring
+//     whose evicted rows are recycled; steady-state evaluation allocates
+//     (almost) nothing. A whole history is the literal evaluator's to
+//     keep (async.RunReference).
 //   - Sharded recomputation. The per-node σ-row updates of one step are
 //     independent, so a step that costs more than the hand-off fans them
 //     out across a persistent worker pool whose helpers stay hot between
@@ -30,9 +30,9 @@
 //     otherwise recomputes only the affected destination columns, reusing
 //     the previous row copy-on-write for the rest. On convergence-tail
 //     workloads this turns O(T·n²) grinding into output-sensitive cost,
-//     and — for sources that promise fairness (Fair) — lets the run
-//     return its fixed point as soon as convergence is certified instead
-//     of marching to the horizon.
+//     and — exactly when the source promises fairness (Fair) — lets the
+//     run return its fixed point as soon as convergence is certified
+//     instead of marching to the horizon.
 //   - Columnar evaluation. When the algebra packs its routes into
 //     fixed-width cells (core.Columnar) and every edge of the topology
 //     compiles, the run stores rows as struct-of-arrays lanes and applies
@@ -41,8 +41,11 @@
 //     evaluation loop itself is representation-generic (run[R, Row] over
 //     a rowOps capability), so the columnar path shares every line of the
 //     scheduling, skip, and certification logic with the interface path,
-//     which serves every other run (algebras that do not pack,
-//     keep-everything histories, timelines).
+//     which serves every other run (algebras that do not pack, timelines).
+//
+// The source decides everything else: a run's history ring is its
+// MaxLookback, and it may stop early iff it is Fair. The only knob is the
+// pool size (Config).
 package engine
 
 import (
@@ -56,10 +59,6 @@ import (
 	"repro/internal/matrix"
 )
 
-// KeepAll, as Config.HistoryWindow, retains every state of the run so the
-// full history [δ⁰(X) … δᵀ(X)] can be materialised afterwards.
-const KeepAll = -1
-
 // minParallelOps is the per-step work — Σ n·(deg+1) over the rows that
 // recompute, what the kernels walk at most — below which the engine stays
 // sequential: a hot hand-off costs microseconds, a parked helper a futex
@@ -71,37 +70,11 @@ const minParallelOps = 1 << 14
 // split across workers when there are fewer active rows than workers.
 const shardFromN = 128
 
-// TerminationMode selects early δ-termination (Config.Termination).
-type TerminationMode int
-
-const (
-	// TermAuto (the zero value) stops a run as soon as convergence is
-	// certified, provided the source implements Fair and the run is not
-	// retaining its full history (keep-everything runs exist to
-	// materialise the whole horizon); otherwise the run goes to the
-	// horizon.
-	TermAuto TerminationMode = iota
-	// TermOff always runs to the horizon: the marching oracle certified
-	// early exits and interlude jumps are checked against.
-	TermOff
-)
-
-// Config tunes an Engine. The zero value is the right default everywhere:
-// automatic history sizing, a GOMAXPROCS-wide pool, and early termination
-// whenever the source allows it.
+// Config tunes an Engine. The zero value is the right default everywhere.
 type Config struct {
-	// HistoryWindow is how many past states the engine retains for β
-	// lookups. 0 = auto: use the source's MaxLookback when it implements
-	// Bounded, otherwise keep everything. KeepAll (−1) = keep everything.
-	// w > 0 = a fixed ring of w past states; a β reaching further back
-	// panics, naming the offending lookup.
-	HistoryWindow int
 	// Workers sizes the row-recomputation pool. 0 = GOMAXPROCS, 1 =
 	// sequential.
 	Workers int
-	// Termination selects early δ-termination; the default stops early
-	// whenever the source is Fair.
-	Termination TerminationMode
 }
 
 // Stats counts what a run did. Every field is resume-invariant: a run
@@ -144,15 +117,13 @@ type Stats struct {
 // Close releases them early, and a GC cleanup handles engines that are
 // simply dropped.
 type Engine[R any] struct {
-	alg         core.Algebra[R]
-	adj         *matrix.Adjacency[R]
-	window      int // Config.HistoryWindow verbatim (0 = auto)
-	workers     int
-	shardFrom   int // shardFromN; tests lower it to shard tiny networks
-	minOps      int // minParallelOps; tests lower it to fan tiny steps out
-	termination TerminationMode
-	pool        *pool
-	cleanup     runtime.Cleanup
+	alg       core.Algebra[R]
+	adj       *matrix.Adjacency[R]
+	workers   int
+	shardFrom int // shardFromN; tests lower it to shard tiny networks
+	minOps    int // minParallelOps; tests lower it to fan tiny steps out
+	pool      *pool
+	cleanup   runtime.Cleanup
 	// mu guards the retained cross-run state below: colSup is the
 	// compiled columnar kernel table, reused until the adjacency's
 	// generation moves. closed stops it from being repopulated after
@@ -172,9 +143,8 @@ func New[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], cfg Config) *Engi
 	}
 	e := &Engine[R]{
 		alg: alg, adj: adj,
-		window: cfg.HistoryWindow, workers: workers, shardFrom: shardFromN, minOps: minParallelOps,
-		termination: cfg.Termination,
-		pool:        newPool(workers - 1),
+		workers: workers, shardFrom: shardFromN, minOps: minParallelOps,
+		pool: newPool(workers - 1),
 	}
 	e.cleanup = runtime.AddCleanup(e, func(p *pool) { p.close() }, e.pool)
 	return e
@@ -313,8 +283,6 @@ type rowOps[R, Row any] interface {
 	sameRow(a, b Row) bool
 	// materialise converts a snapshot into a standalone state.
 	materialise(s []Row) *matrix.State[R]
-	// retain hands a keep-everything history to the result.
-	retain(res *Result[R], all [][]Row)
 	// runTask executes one row task on behalf of the given worker.
 	runTask(tk *rowTask[R, Row], worker int)
 }
@@ -328,9 +296,8 @@ type rowOps[R, Row any] interface {
 type run[R, Row any] struct {
 	shape    spareShape // what the scratch below was sized for; fixed for life
 	ops      rowOps[R, Row]
-	window   int // -1 = keep all
+	window   int // the source's MaxLookback: the ring holds window+1 states
 	ring     [][]Row
-	all      [][]Row
 	freeRows []Row
 	freeHdrs [][]Row
 	slab     rowSlab[Row]
@@ -405,10 +372,6 @@ func (r *run[R, Row]) newHeader(n int) []Row {
 // put publishes the state at time t, evicting — and recycling — whatever
 // ages out of the ring.
 func (r *run[R, Row]) put(t int, s []Row) {
-	if r.window < 0 {
-		r.all = append(r.all, s)
-		return
-	}
 	size := r.window + 1
 	slot := t % size
 	if old := r.ring[slot]; old != nil {
@@ -432,13 +395,8 @@ func (r *run[R, Row]) at(t, b int) []Row {
 	if b < 0 || b >= t {
 		panic(fmt.Sprintf("engine: β lookup at time %d resolves to %d, violating S2", t, b))
 	}
-	if r.window < 0 {
-		return r.all[b]
-	}
 	if t-b > r.window {
-		panic(fmt.Sprintf(
-			"engine: β at time %d reaches %d steps back but HistoryWindow is %d; raise Config.HistoryWindow or implement Bounded on the source",
-			t, t-b, r.window))
+		panic(fmt.Sprintf("engine: β at time %d reaches %d steps back, beyond the source's MaxLookback %d", t, t-b, r.window))
 	}
 	return r.ring[b%(r.window+1)]
 }
@@ -518,9 +476,7 @@ func parkSpare(shape spareShape, r any) {
 // acquireRun returns a run ready for evaluation: a parked one of exactly
 // this shape (scratch, history ring, row slabs and change-tracking
 // matrices reset and reused) when there is one, a fresh one otherwise.
-// Keep-everything histories always get fresh backing — they escape into
-// the Result.
-func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) *run[R, Row] {
+func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window int) *run[R, Row] {
 	shape := spareShape{(*run[R, Row])(nil), n, e.workers, ops.geom()}
 	r, _ := takeSpare(shape).(*run[R, Row])
 	if r == nil {
@@ -533,13 +489,8 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window, T int) 
 	ops.prepare(r, n)
 	r.window = window
 	r.stats = Stats{}
-	if window >= 0 {
-		if len(r.ring) != window+1 {
-			r.ring = make([][]Row, window+1)
-		}
-		r.all = nil
-	} else {
-		r.all = make([][]Row, 0, T+1)
+	if len(r.ring) != window+1 {
+		r.ring = make([][]Row, window+1)
 	}
 	if r.inc == nil {
 		wper := (n + 63) / 64
@@ -599,9 +550,6 @@ func (r *run[R, Row]) release() {
 	// A parked run pins nothing of what it served: not the engine (closed
 	// or not), its adjacency, the source or the timeline's closures.
 	r.e, r.ops, r.sched, r.pw, r.events, r.marks, r.prev = nil, nil, nil, pointwise{}, nil, nil, nil
-	if r.window < 0 {
-		return
-	}
 	seen := r.seenRows
 	for i := 0; i < r.n; i++ {
 		seen = seen[:0]
@@ -664,46 +612,16 @@ func (r *run[R, Row]) neighbours() {
 	}
 }
 
-// Run evaluates δ from start over src and returns the result. The final
-// state is always available; the full history only when the run retained
-// it (KeepAll, or auto mode over an unbounded source). It is Start,
-// Step to the horizon, Result.
+// Run evaluates δ from start over src and returns the result: Start,
+// Step to the horizon, Result. It panics on what Start returns as an
+// error.
 func (e *Engine[R]) Run(start *matrix.State[R], src Source) *Result[R] {
-	return e.RunTimeline(start, src, nil)
-}
-
-// planRun resolves the history window for one run over src, whether the
-// run may stop at a certified fixed point, and the source's fairness
-// period when it may.
-func (e *Engine[R]) planRun(src Source) (window int, doTerm bool, fairP int) {
-	f, fair := src.(Fair)
-	if fair && e.termination != TermOff {
-		if fairP = f.FairPeriod(); fairP < 1 {
-			panic(fmt.Sprintf("engine: %T.FairPeriod() = %d, want ≥ 1", src, fairP))
-		}
-		doTerm = true
+	st, err := e.Start(start, src, nil)
+	if err != nil {
+		panic(err.Error())
 	}
-	window = e.window
-	if window == 0 {
-		if b, ok := src.(Bounded); ok {
-			window = b.MaxLookback()
-		} else if fair {
-			// Fair promises β ≥ t − P, so a period's worth of history is
-			// always enough — a Fair source need not also spell out
-			// Bounded to get a bounded ring (and to keep TermAuto alive,
-			// which a KeepAll fallback would suppress).
-			window = f.FairPeriod()
-		} else {
-			window = KeepAll
-		}
-	}
-	if window < 0 {
-		// A keep-everything run is for replaying or analysing the whole
-		// horizon; cutting it short would silently truncate the history
-		// the caller asked to retain.
-		doTerm = false
-	}
-	return window, doTerm, fairP
+	st.Step(src.Horizon())
+	return st.Result()
 }
 
 // foldRowChanges publishes node i's changed-destination scratch bitset
@@ -753,7 +671,7 @@ func (r *run[R, Row]) load(t int, st *matrix.State[R]) {
 func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events []TimelineEvent[R],
 	window int, doTerm bool, fairP int, start *matrix.State[R], rs *Snapshot[R]) *run[R, Row] {
 	n, T := src.Nodes(), src.Horizon()
-	r := acquireRun(e, ops, n, window, T)
+	r := acquireRun(e, ops, n, window)
 	r.e, r.n, r.T, r.t = e, n, T, 0
 	if b, ok := src.(Batched); ok {
 		r.sched = b
@@ -845,7 +763,7 @@ func (r *run[R, Row]) step(until int) bool {
 
 	t := r.t
 	for t < until {
-		if doTerm && nCert == n && r.window >= 0 && r.nextEv < len(r.events) {
+		if doTerm && nCert == n && r.nextEv < len(r.events) {
 			// Quiescent interlude: a certified fixed point with an event
 			// still pending. Once the quiet period holds (no β reaches
 			// before lastChange) and the ring holds nothing but this state,
@@ -1112,11 +1030,8 @@ func (r *run[R, Row]) statsNow() Stats {
 // hook, and releases the scratch.
 func (r *run[R, Row]) finish(res *Result[R]) {
 	st := r.statsNow()
-	*res = Result[R]{alg: r.e.alg, horizon: r.t, final: r.ops.materialise(r.prev), stats: st, marks: r.marks}
+	*res = Result[R]{final: r.ops.materialise(r.prev), stats: st, marks: r.marks}
 	observeRun(st)
-	if r.window < 0 {
-		r.ops.retain(res, r.all)
-	}
 	r.release()
 }
 
@@ -1163,8 +1078,6 @@ func (genOps[R]) emptyRow(a []R) bool { return len(a) == 0 }
 func (genOps[R]) sameRow(a, b []R) bool { return &a[0] == &b[0] }
 
 func (o genOps[R]) materialise(s [][]R) *matrix.State[R] { return materialise(o.e.alg, s) }
-
-func (genOps[R]) retain(res *Result[R], all [][][]R) { res.snaps = all }
 
 // runTask executes one row task. Untracked tasks run the plain kernel;
 // tracked tasks resolve their span's dirty columns from the last-changed
@@ -1363,31 +1276,14 @@ func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 // sharded counterpart of matrix.FixedPoint. It returns the final state,
 // the number of rounds applied, and whether a fixed point was reached.
 //
-// It runs δ under the Synchronous source and lets convergence
-// certification stop the iteration — each round recomputes only the cells
-// whose inputs changed, so detection costs no extra O(n²) Equal sweep per
-// round and the total cost is output-sensitive.
+// It is a Run under the Synchronous source, which is Fair, so convergence
+// certification stops the iteration — each round recomputes only the
+// cells whose inputs changed, so detection costs no extra O(n²) Equal
+// sweep per round and the total cost is output-sensitive.
 func (e *Engine[R]) FixedPoint(start *matrix.State[R], maxRounds int) (*matrix.State[R], int, bool) {
-	if e.termination != TermOff && e.window >= 0 {
-		// These conditions guarantee the run can certify: Synchronous is
-		// Fair and the window stays bounded, so TermAuto terminates at the
-		// fixed point. Configs that suppress
-		// certification (TermOff, explicit KeepAll) take the explicit
-		// Equal-sweep loop below instead of silently reporting failure.
-		res := e.Run(start, Synchronous{N: e.adj.N, T: maxRounds})
-		if at, ok := res.Converged(); ok {
-			return res.Final(), at, true
-		}
-		return res.Final(), maxRounds, false
+	res := e.Run(start, Synchronous{N: e.adj.N, T: maxRounds})
+	if at, ok := res.Converged(); ok {
+		return res.Final(), at, true
 	}
-	x := start.Clone()
-	next := matrix.NewState(x.N, e.alg.Invalid())
-	for round := 0; round < maxRounds; round++ {
-		e.SigmaInto(x, next)
-		if next.Equal(e.alg, x) {
-			return x, round, true
-		}
-		x, next = next, x
-	}
-	return x, maxRounds, false
+	return res.Final(), maxRounds, false
 }

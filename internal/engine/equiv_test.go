@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -100,6 +101,23 @@ func identicalStates[R any](t *testing.T, label string, got, want *matrix.State[
 	}
 }
 
+// stepAgainst steps st one step at a time to len(want)−1 and requires the
+// state after every step t to be want[t], read off a Snapshot (which
+// only reads, so the run goes on undisturbed). It returns the finished
+// run.
+func stepAgainst[R any](t *testing.T, label string, st *engine.Stepper[R], want []*matrix.State[R]) *engine.Result[R] {
+	t.Helper()
+	for tt := 1; tt < len(want); tt++ {
+		st.Step(tt)
+		snap, err := st.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: snapshot at t=%d: %v", label, tt, err)
+		}
+		identicalStates(t, fmt.Sprintf("%s, t=%d", label, tt), snap.States[len(snap.States)-1], want[tt])
+	}
+	return st.Result()
+}
+
 // runEquiv exercises one algebra through every equivalence obligation.
 func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R], universe []R) {
 	n := adj.N
@@ -107,16 +125,19 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 
 	t.Run("synchronous-recovers-sigma", func(t *testing.T) {
 		start := matrix.Identity[R](alg, n)
-		res := engine.New(alg, adj, engine.Config{HistoryWindow: engine.KeepAll}).
-			Run(start, engine.Synchronous{N: n, T: 12})
-		x := start.Clone()
+		sigma := []*matrix.State[R]{start}
 		for tt := 1; tt <= 12; tt++ {
-			x = matrix.Sigma(alg, adj, x)
-			identicalStates(t, "sync step", res.At(tt), x)
+			sigma = append(sigma, matrix.Sigma(alg, adj, sigma[tt-1]))
 		}
+		// Marching: a certified fixed point has no snapshot to read.
+		eng := engine.New(alg, adj, engine.Config{})
+		defer eng.Close()
+		stepAgainst(t, "sync step", mustStart(t, eng, start, march(engine.Synchronous{N: n, T: 12}), nil), sigma)
 	})
 
 	t.Run("recorded-schedules-match-reference", func(t *testing.T) {
+		eng := engine.New(alg, adj, engine.Config{})
+		defer eng.Close()
 		for trial := 0; trial < 10; trial++ {
 			start := matrix.RandomStateFrom(rng, n, universe)
 			var sched *schedule.Schedule
@@ -126,21 +147,10 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 				sched = schedule.Adversarial(rng, n, 120, 9, 6)
 			}
 			ref := async.RunReference(alg, adj, start, sched)
-
-			// Keep-all mode: the whole history must match.
-			full := engine.New(alg, adj, engine.Config{HistoryWindow: engine.KeepAll}).Run(start, sched)
-			for tt := range ref {
-				identicalStates(t, "history", full.At(tt), ref[tt])
-			}
-
-			// Auto (bounded) mode: the final state must match.
-			bounded := engine.Run(alg, adj, start, sched)
-			identicalStates(t, "bounded final", bounded.Final(), ref[len(ref)-1])
-			if bounded.Retained() {
-				t.Fatal("auto mode over a Bounded source must not retain full history")
-			}
-			if _, ok := bounded.Converged(); ok || bounded.Stats().Steps != sched.T {
-				t.Fatalf("a schedule with no fairness contract must run to the horizon %d, stopped at %d", sched.T, bounded.Stats().Steps)
+			res := stepAgainst(t, fmt.Sprintf("trial %d", trial), mustStart(t, eng, start, sched, nil), ref)
+			identicalStates(t, "final", res.Final(), ref[len(ref)-1])
+			if _, ok := res.Converged(); ok || res.Stats().Steps != sched.T {
+				t.Fatalf("a schedule with no fairness contract must run to the horizon %d, stopped at %d", sched.T, res.Stats().Steps)
 			}
 		}
 	})
@@ -267,7 +277,10 @@ func TestHashedSourceConverges(t *testing.T) {
 	}
 }
 
-func TestHistoryWindowTooSmallPanics(t *testing.T) {
+// TestLyingLookbackPanics: the ring is as deep as the source says, so a
+// source that understates its MaxLookback must panic at the first β
+// reaching past it, not read stale memory.
+func TestLyingLookbackPanics(t *testing.T) {
 	alg, adj, _ := hopNet()
 	rng := rand.New(rand.NewSource(7))
 	sched := schedule.Random(rng, adj.N, 60, schedule.Options{MaxGap: 8, MaxStaleness: 10})
@@ -276,10 +289,10 @@ func TestHistoryWindowTooSmallPanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a window smaller than the schedule's lookback must panic, not read stale memory")
+			t.Fatal("a source claiming MaxLookback 1 over a staler β must panic, not read stale memory")
 		}
 	}()
-	engine.New(alg, adj, engine.Config{HistoryWindow: 1}).Run(matrix.Identity[algebras.NatInf](alg, adj.N), sched)
+	engine.Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, adj.N), lookback{sched, 1})
 }
 
 func TestRowRecyclingKeepsResultsIntact(t *testing.T) {

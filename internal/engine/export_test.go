@@ -46,7 +46,7 @@ func LastStepTasks[R any](s *Stepper[R]) int {
 }
 
 // RunResident is e.Run that also reports how many states the run held at
-// its end: the ring's occupancy, or the whole history for KeepAll.
+// its end: the ring's occupancy.
 func RunResident[R any](e *Engine[R], start *matrix.State[R], src Source) (*Result[R], int) {
 	st, err := e.Start(start, src, nil)
 	if err != nil {
@@ -58,9 +58,6 @@ func RunResident[R any](e *Engine[R], start *matrix.State[R], src Source) (*Resu
 }
 
 func (r *run[R, Row]) resident() int {
-	if r.window < 0 {
-		return len(r.all)
-	}
 	n := 0
 	for _, s := range r.ring {
 		if s != nil {

@@ -67,8 +67,8 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		cfg   engine.Config
 		shard bool // split every row by column, however small the network
 	}{
-		{"sequential", engine.Config{Workers: 1, HistoryWindow: engine.KeepAll}, false},
-		{"sharded", engine.Config{Workers: 8, HistoryWindow: engine.KeepAll}, true},
+		{"sequential", engine.Config{Workers: 1}, false},
+		{"sharded", engine.Config{Workers: 8}, true},
 	}
 	for _, nt := range nets {
 		for _, cfg := range configs {
@@ -79,16 +79,22 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-// diffIncrementalFull compares a keep-everything engine run with
-// async.RunReference state by state. Full recomputation evaluates n cells
-// for each of the schedule's Σ_t |α(t)| activations; the engine must
-// account for every activation as computed or skipped, and evaluate no
-// more cells than that.
+// diffIncrementalFull steps an engine run one step at a time against
+// async.RunReference, state by state, on whichever row representation the
+// algebra takes. Full recomputation evaluates n cells for each of the
+// schedule's Σ_t |α(t)| activations; the engine must account for every
+// activation as computed or skipped, and evaluate no more cells than that.
 func diffIncrementalFull[R any](
 	t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R], universe []R, cfg engine.Config, shard bool,
 ) {
 	rng := rand.New(rand.NewSource(77))
 	n := adj.N
+	mk := engine.New[R]
+	if shard {
+		mk = engine.NewSharded[R]
+	}
+	eng := mk(alg, adj, cfg)
+	defer eng.Close()
 	for trial := 0; trial < 6; trial++ {
 		start := matrix.RandomStateFrom(rng, n, universe)
 		var sched *schedule.Schedule
@@ -97,16 +103,11 @@ func diffIncrementalFull[R any](
 		} else {
 			sched = schedule.Adversarial(rng, n, 150, 9, 6)
 		}
-		mk := engine.New[R]
-		if shard {
-			mk = engine.NewSharded[R]
-		}
-		res := mk(alg, adj, cfg).Run(start, sched)
 		ref := async.RunReference(alg, adj, start, sched)
+		res := stepAgainst(t, fmt.Sprintf("trial %d", trial), mustStart(t, eng, start, sched, nil), ref)
 		activations := 0
-		for tt := 0; tt <= sched.T; tt++ {
-			identicalStates(t, fmt.Sprintf("trial %d, t=%d", trial, tt), res.At(tt), ref[tt])
-			for i := 0; tt > 0 && i < n; i++ {
+		for tt := 1; tt <= sched.T; tt++ {
+			for i := 0; i < n; i++ {
 				if sched.Active(tt, i) {
 					activations++
 				}
@@ -142,7 +143,7 @@ func TestIncrementalComputesNoMoreCells(t *testing.T) {
 	if !ok {
 		t.Fatal("σ must converge on the test net")
 	}
-	inc := engine.New[algebras.NatInf](alg, adj, engine.Config{Termination: engine.TermOff}).Run(start, src)
+	inc := engine.Run[algebras.NatInf](alg, adj, start, march(src))
 	incStop := engine.New[algebras.NatInf](alg, adj, engine.Config{}).Run(start, src)
 
 	identicalStates(t, "full-horizon final vs σ fixed point", inc.Final(), want)
@@ -228,57 +229,3 @@ func TestFixedPointIncrementalMatchesMatrix(t *testing.T) {
 	}
 	identicalStates(t, "fixed start", gotX, fp)
 }
-
-// TestFixedPointDetectsUnderAnyConfig: Engine.FixedPoint must report the
-// fixed point whatever the engine's termination/history configuration —
-// configs that suppress run-level certification (TermOff, KeepAll) take
-// the explicit sweep instead of silently returning (maxRounds, false).
-func TestFixedPointDetectsUnderAnyConfig(t *testing.T) {
-	alg, adj, _ := hopNet()
-	start := matrix.Identity[algebras.NatInf](alg, adj.N)
-	wantX, wantR, wantOK := matrix.FixedPoint[algebras.NatInf](alg, adj, start, 1000)
-	if !wantOK {
-		t.Fatal("reference must converge")
-	}
-	for _, cfg := range []engine.Config{
-		{},
-		{Termination: engine.TermOff},
-		{HistoryWindow: engine.KeepAll},
-	} {
-		gotX, gotR, gotOK := engine.New[algebras.NatInf](alg, adj, cfg).FixedPoint(start, 1000)
-		if gotR != wantR || gotOK != wantOK {
-			t.Fatalf("config %+v: got (rounds=%d, ok=%v) want (%d, %v)", cfg, gotR, gotOK, wantR, wantOK)
-		}
-		identicalStates(t, fmt.Sprintf("config %+v", cfg), gotX, wantX)
-	}
-}
-
-// TestFairImpliesBoundedWindow: a Fair source without MaxLookback still
-// gets a bounded ring (window = FairPeriod) and keeps early termination.
-func TestFairImpliesBoundedWindow(t *testing.T) {
-	alg, adj, _ := hopNet()
-	start := matrix.Identity[algebras.NatInf](alg, adj.N)
-	src := fairOnly{rr: engine.RoundRobin{N: adj.N, T: 400}}
-	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{})
-	defer eng.Close()
-	res, resident := engine.RunResident[algebras.NatInf](eng, start, src)
-	if _, ok := res.Converged(); !ok {
-		t.Fatal("fair-only source should still certify convergence")
-	}
-	if resident > src.FairPeriod()+1 {
-		t.Fatalf("retained %d states, want ≤ FairPeriod+1 = %d", resident, src.FairPeriod()+1)
-	}
-	want, _, _ := matrix.FixedPoint[algebras.NatInf](alg, adj, start, 400)
-	identicalStates(t, "fair-only limit", res.Final(), want)
-}
-
-// fairOnly hides RoundRobin's MaxLookback (a named field, not an
-// embedding, so Bounded is not promoted) — only the Fair contract is
-// visible to the engine.
-type fairOnly struct{ rr engine.RoundRobin }
-
-func (f fairOnly) Nodes() int           { return f.rr.Nodes() }
-func (f fairOnly) Horizon() int         { return f.rr.Horizon() }
-func (f fairOnly) Active(t, i int) bool { return f.rr.Active(t, i) }
-func (f fairOnly) Beta(t, i, k int) int { return f.rr.Beta(t, i, k) }
-func (f fairOnly) FairPeriod() int      { return f.rr.FairPeriod() }

@@ -17,8 +17,9 @@ import (
 // The interlude contract: a run that certifies a fixed point while a
 // timeline event is still pending advances to the event by counting the
 // activations it skips instead of evaluating them — and nothing a caller
-// can observe may tell the two apart. The oracle is the same run under
-// TermOff: it never certifies, so it never jumps, and marches every step.
+// can observe may tell the two apart. The oracle is the same run over
+// march(src): it never certifies, so it never jumps, and marches every
+// step.
 
 // probe counts what the engine asks of a source, and passes every
 // optional capability through: active and beta are pointwise calls, sets
@@ -30,7 +31,6 @@ type probe struct {
 
 func (p *probe) Active(t, i int) bool { p.active++; return p.Source.Active(t, i) }
 func (p *probe) Beta(t, i, k int) int { p.beta++; return p.Source.Beta(t, i, k) }
-func (p *probe) MaxLookback() int     { return p.Source.(engine.Bounded).MaxLookback() }
 func (p *probe) FairPeriod() int      { return p.Source.(engine.Fair).FairPeriod() }
 func (p *probe) ActiveSet(t int, dst []int) []int {
 	p.sets++
@@ -48,16 +48,15 @@ func (p *probe) CountActive(t0, t1 int) int {
 // asked is every schedule question short of a range count.
 func (p *probe) asked() int { return p.active + p.beta + p.sets + p.rows }
 
-// uncounted is a Fair, Bounded source with the Batched capability hidden
-// (only Source's methods are promoted): the engine must march it, and
-// count its interludes, through the pointwise adapter.
+// uncounted is a Fair source with the Batched capability hidden (only
+// Source's methods are promoted): the engine must march it, and count its
+// interludes, through the pointwise adapter.
 type uncounted struct {
 	engine.Source
-	period, lookback int
+	period int
 }
 
-func (u uncounted) FairPeriod() int  { return u.period }
-func (u uncounted) MaxLookback() int { return u.lookback }
+func (u uncounted) FairPeriod() int { return u.period }
 
 // quietFlap is a timeline with long quiet gaps, one event of each kind:
 // cut a↔b, restore it with a node restart, invalidate two rows, restart.
@@ -109,9 +108,9 @@ type marchTrace[R any] struct {
 
 func marchEveryStep[R any](t *testing.T, p pauseNet[R], src engine.Source, events []engine.TimelineEvent[R]) marchTrace[R] {
 	T := src.Horizon()
-	eng := engine.New(p.alg, p.adj.Clone(), engine.Config{Termination: engine.TermOff})
+	eng := engine.New(p.alg, p.adj.Clone(), engine.Config{})
 	defer eng.Close()
-	st := mustStart(t, eng, matrix.Identity(p.alg, p.adj.N), src, events)
+	st := mustStart(t, eng, matrix.Identity(p.alg, p.adj.N), march(src), events)
 	m := marchTrace[R]{stats: make([]engine.Stats, T+1), states: make([]*matrix.State[R], T+1)}
 	for k := 1; k <= T; k++ {
 		st.Step(k)
@@ -177,9 +176,9 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 	hashed := engine.Hashed{N: n, T: T, Seed: 41, MaxGap: 4, MaxStaleness: 3}
 
 	// The lazy source, counted in closed form.
-	march := marchEveryStep(t, p, hashed, events)
+	marched := marchEveryStep(t, p, hashed, events)
 	jp := &probe{Source: hashed}
-	full := jumpAgainstMarch(t, name+"/hashed", p, jp, events, march)
+	full := jumpAgainstMarch(t, name+"/hashed", p, jp, events, marched)
 	if jp.counted < T/3 {
 		t.Fatalf("%s: only %d of %d steps were counted, not marched; the timeline has no interlude to jump", name, jp.counted, T)
 	}
@@ -188,7 +187,7 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 	// The same source with the Batched capability hidden: the pointwise
 	// adapter must march the same steps and count the same activations.
 	plain := jumpAgainstMarch(t, name+"/hashed-uncounted", p,
-		uncounted{hashed, hashed.FairPeriod(), hashed.MaxLookback()}, events, march)
+		uncounted{hashed, hashed.FairPeriod()}, events, marched)
 	statsMatch(t, name+" counted vs uncounted", plain.Stats(), full.Stats())
 
 	holdToOracle(t, name+"/hashed", p.alg, full, async.RunTimelineReference(p.alg, p.adj.Clone(), start, hashed, events), events)
@@ -197,7 +196,7 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 	// events, promising the fairness period it was drawn with: jumping ≡
 	// marching ≡ the literal evaluator.
 	sched := schedule.Random(rand.New(rand.NewSource(7)), n, T, schedule.Options{MaxGap: 4, MaxStaleness: 3})
-	fair := uncounted{sched, 4, sched.MaxLookback()}
+	fair := uncounted{sched, 4}
 	res := jumpAgainstMarch(t, name+"/plan", p, fair, events, marchEveryStep(t, p, fair, events))
 	holdToOracle(t, name+"/plan", p.alg, res, async.RunTimelineReference(p.alg, p.adj.Clone(), start, sched, events), events)
 
@@ -220,7 +219,7 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 		if st.Step(k) || st.At() != k {
 			t.Fatalf("%s: Step(k) finished or stopped at %d", kl, st.At())
 		}
-		statsMatch(t, kl+" paused", st.Stats(), march.stats[k])
+		statsMatch(t, kl+" paused", st.Stats(), marched.stats[k])
 		snap, _ := st.Snapshot()
 		st.Step(T)
 		live := st.Result()
@@ -230,7 +229,7 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 		if snap == nil {
 			continue // an event step
 		}
-		identicalStates(t, kl+" snapshot state", snap.States[len(snap.States)-1], march.states[k])
+		identicalStates(t, kl+" snapshot state", snap.States[len(snap.States)-1], marched.states[k])
 
 		fresh := p.adj.Clone()
 		replayFired(fresh, events, k)
@@ -246,7 +245,7 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 			if rs.Step(k2) || rs.At() != k2 {
 				t.Fatalf("%s: resumed Step(%d) finished or stopped at %d", kl, k2, rs.At())
 			}
-			statsMatch(t, fmt.Sprintf("%s resumed, paused at %d", kl, k2), rs.Stats(), march.stats[k2])
+			statsMatch(t, fmt.Sprintf("%s resumed, paused at %d", kl, k2), rs.Stats(), marched.stats[k2])
 		}
 		rs.Step(T)
 		resumed := rs.Result()
@@ -341,12 +340,12 @@ func TestInterludeJumpCost(t *testing.T) {
 			allocs, p.asked()-asked, p.counted-counted, until-settle)
 	}
 
-	// The marching run (TermOff never jumps), past its first change wave
-	// so the row slabs are warm.
-	march := engine.New(alg, adj.Clone(), engine.Config{Termination: engine.TermOff})
-	defer march.Close()
+	// The marching run (a run over march(src) never jumps), past its first
+	// change wave so the row slabs are warm.
+	me := engine.New(alg, adj.Clone(), engine.Config{})
+	defer me.Close()
 	mp := &probe{Source: p.Source}
-	ms := mustStart(t, march, start, mp, events)
+	ms := mustStart(t, me, start, march(mp), events)
 	defer ms.Close()
 	ms.Step(settle)
 	sets, rows, at := mp.sets, mp.rows, settle
@@ -380,9 +379,9 @@ func TestInterludeJumpWaitsForSettledRows(t *testing.T) {
 	for seed := uint64(0); seed <= 40; seed++ {
 		for _, stale := range []int{8, 12} {
 			src := engine.Hashed{N: n, T: 160, Seed: seed, MaxGap: 3, MaxStaleness: stale, ActivationProbMille: 300}
-			march := engine.New(alg, adj.Clone(), engine.Config{Termination: engine.TermOff})
+			me := engine.New(alg, adj.Clone(), engine.Config{})
 			jump := engine.New(alg, adj.Clone(), engine.Config{})
-			ms, js := mustStart(t, march, start, src, events), mustStart(t, jump, start, src, events)
+			ms, js := mustStart(t, me, start, march(src), events), mustStart(t, jump, start, src, events)
 			for _, k := range []int{39, 79, 119, 125} {
 				ms.Step(k)
 				js.Step(k)
@@ -390,7 +389,7 @@ func TestInterludeJumpWaitsForSettledRows(t *testing.T) {
 			}
 			ms.Close()
 			js.Close()
-			march.Close()
+			me.Close()
 			jump.Close()
 		}
 	}

@@ -100,11 +100,12 @@ func waitGoroutines(t *testing.T, want int) {
 func TestParallelStepsDoNotAllocate(t *testing.T) {
 	alg, adj := incrementalNet(192)
 	start := matrix.Identity[algebras.NatInf](alg, 192)
-	src := engine.Synchronous{N: 192, T: 40}
-	want := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 1}).Run(start, src)
+	sync40 := engine.Synchronous{N: 192, T: 40}
+	want := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 1}).Run(start, sync40)
 
 	goroutines := runtime.NumGoroutine()
-	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 2, Termination: engine.TermOff})
+	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{Workers: 2})
+	src := march(sync40)
 	var got *engine.Result[algebras.NatInf]
 	allocs := testing.AllocsPerRun(3, func() { got = eng.Run(start, src) })
 	identicalStates(t, "parallel run", got.Final(), want.Final())
@@ -135,7 +136,7 @@ func TestParallelStepsDoNotAllocate(t *testing.T) {
 	// One goroutine alternating two steppers: every fan-out of one finds
 	// the single helper hot from, or still busy with, the other's job.
 	a, b := mustStart(t, eng, start, src, nil), mustStart(t, eng, start, src, nil)
-	for k := 1; k <= src.T; k++ {
+	for k := 1; k <= sync40.T; k++ {
 		a.Step(k)
 		b.Step(k)
 	}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/matrix"
 )
 
-// Snapshot is the complete resumable state of a bounded-window run right
-// after some step k: the resident history ring (materialised), the exact
+// Snapshot is the complete resumable state of a run right after some
+// step k: the resident history ring (materialised), the exact
 // change-tracking matrices (last-changed, last-recomputation, last-read),
 // the convergence-certification state, and the run counters. Restore
 // rebuilds a run from it and continues at step k+1; the continuation is
@@ -29,7 +29,7 @@ import (
 // certification mode) and trusts the caller for the rest.
 type Snapshot[R any] struct {
 	// N is the node count; Step the last completed step; Window the
-	// history ring depth the run was using.
+	// history ring depth the run was using (its source's MaxLookback).
 	N, Step, Window int
 	// States are the resident ring states, oldest first; the last entry
 	// is δ^Step(X). len(States) = min(Step, Window) + 1.
@@ -42,7 +42,7 @@ type Snapshot[R any] struct {
 	LastComp []int32
 	LastRead []int32
 	// Certified, non-nil exactly when the run was certifying convergence
-	// (a Fair source with termination on), marks the nodes certified in
+	// (its source is Fair), marks the nodes certified in
 	// the current generation; LastChange is the last step the state
 	// changed.
 	Certified  []bool
@@ -105,8 +105,6 @@ func (s *Snapshot[R]) validate() error {
 func (r *run[R, Row]) snapshot() (*Snapshot[R], error) {
 	t := r.t
 	switch {
-	case r.window < 0:
-		return nil, errors.New("engine: a keep-everything run has no compact state to snapshot (the source must be Bounded or Fair, or set Config.HistoryWindow > 0)")
 	case t == 0:
 		return nil, errors.New("engine: nothing to snapshot at step 0; start again from the start state")
 	case r.converged:
@@ -186,9 +184,8 @@ func rebuildIncSummaries(inc *incShared, top int) {
 // differential pair the restore tests compare. It is a wrapper over
 // Start, Step(at), Snapshot and Result.
 //
-// Snapshot capture requires a bounded history window (a KeepAll run has
-// no compact resumable state). The returned snapshot is nil when the run
-// certified convergence and stopped before reaching at.
+// The returned snapshot is nil when the run certified convergence and
+// stopped before reaching at.
 func (e *Engine[R]) RunSnapshot(start *matrix.State[R], src Source, at int, halt bool) (*Result[R], *Snapshot[R]) {
 	if T := src.Horizon(); at < 1 || at > T {
 		panic(fmt.Sprintf("engine: snapshot step %d outside [1, %d]", at, T))
@@ -210,7 +207,7 @@ func (e *Engine[R]) RunSnapshot(start *matrix.State[R], src Source, at int, halt
 		// A preemption, not a completion: the run is abandoned unobserved
 		// and the halted prefix's result is read off the snapshot.
 		st.Close()
-		return &Result[R]{alg: e.alg, horizon: at, final: snap.States[len(snap.States)-1], stats: snap.Stats}, snap
+		return &Result[R]{final: snap.States[len(snap.States)-1], stats: snap.Stats}, snap
 	}
 	st.Step(src.Horizon())
 	return st.Result(), snap

@@ -5,7 +5,9 @@ package engine
 // satisfies Source; the types in this file are lazy sources that need no
 // O(T·n²) materialisation, which matters once horizons reach production
 // scale. Active and Beta define the schedule; a run reads it a step at a
-// time, through Batched.
+// time, through Batched. MaxLookback is the bounded staleness the paper's
+// Theorem 4 assumes, stated by the source: it sizes the run's history
+// ring, and a source that may stop early says so by implementing Fair.
 type Source interface {
 	// Nodes returns n, the node count.
 	Nodes() int
@@ -17,15 +19,9 @@ type Source interface {
 	// Beta returns β(t, i, k) ∈ [0, t−1]: the time at which the data node
 	// i reads from node k at time t was generated.
 	Beta(t, i, k int) int
-}
-
-// Bounded is implemented by sources that know how far back β can reach.
-// The engine sizes its history ring from MaxLookback when Config leaves
-// HistoryWindow at auto; sources without it fall back to keeping the full
-// history.
-type Bounded interface {
 	// MaxLookback returns the maximum t − β(t, i, k) over activations the
-	// run performs; it is at least 1.
+	// run performs, at least 1: the run keeps that many past states, and a
+	// β reaching further back panics.
 	MaxLookback() int
 }
 
@@ -145,7 +141,7 @@ func (s Synchronous) Betas(t, i int, nbr []int32, dst []int) int { return fillBe
 // CountActive implements Batched: N per step.
 func (s Synchronous) CountActive(t0, t1 int) int { return s.N * max(t1-t0+1, 0) }
 
-// MaxLookback implements Bounded: the engine needs only one past state.
+// MaxLookback implements Source: the engine needs only one past state.
 func (s Synchronous) MaxLookback() int { return 1 }
 
 // FairPeriod implements Fair: every node activates every step and reads
@@ -284,7 +280,7 @@ func (h Hashed) Betas(t, i int, nbr []int32, dst []int) int {
 	return minB
 }
 
-// MaxLookback implements Bounded.
+// MaxLookback implements Source.
 func (h Hashed) MaxLookback() int { return h.staleness() }
 
 // FairPeriod implements Fair: the forced activation every MaxGap steps
@@ -324,7 +320,7 @@ func (s RoundRobin) Betas(t, i int, nbr []int32, dst []int) int { return fillBet
 // CountActive implements Batched: one per step.
 func (s RoundRobin) CountActive(t0, t1 int) int { return max(t1-t0+1, 0) }
 
-// MaxLookback implements Bounded.
+// MaxLookback implements Source.
 func (s RoundRobin) MaxLookback() int { return 1 }
 
 // FairPeriod implements Fair: each node activates exactly once per cycle

@@ -15,6 +15,34 @@ import (
 // parameters, and Fair sources must honour the contract their FairPeriod
 // advertises.
 
+// march hides src's Fair promise and keeps everything else, Batched
+// included when src has it: a run over it never certifies, so it never
+// stops early and never jumps an interlude. It is the marching oracle
+// early exits and interlude jumps are checked against.
+func march(src engine.Source) engine.Source {
+	if b, ok := src.(engine.Batched); ok {
+		return marchBatched{src, b}
+	}
+	return marching{src}
+}
+
+// marching and marchBatched promote only their embedded interfaces'
+// methods, so FairPeriod is not among them.
+type marching struct{ engine.Source }
+
+type marchBatched struct {
+	engine.Source
+	engine.Batched
+}
+
+// lookback is src stating a MaxLookback of its own, true or not.
+type lookback struct {
+	engine.Source
+	reach int
+}
+
+func (l lookback) MaxLookback() int { return l.reach }
+
 // TestHashedDeterministic: Hashed is a pure function of (Seed, t, i, k) —
 // two values with equal parameters must agree on every activation and β,
 // and drive the engine to bit-identical results.

@@ -104,7 +104,7 @@ func TestParkedRunPinsNoEngine(t *testing.T) {
 			// adapter) under a timeline whose closure holds the adjacency.
 			eng.Run(c.start, engine.Hashed{N: 8, T: 60, Seed: 3})
 			ev := []engine.TimelineEvent[algebras.NatInf]{{Step: 20, Restart: []int{1}, Mutate: func(*matrix.Adjacency[algebras.NatInf]) { _ = adj.N }}}
-			eng.RunTimeline(c.start, sched, ev)
+			playTimeline(t, eng, c.start, sched, ev)
 			eng.Close()
 		}
 	}()

@@ -52,8 +52,8 @@ func (s *Stepper[R]) Stats() Stats {
 // algebra, topology and source continues from it bit-identically. It is
 // an error at step 0 (nothing has run: restart from the start state), at
 // a timeline event step (no activation to capture after), on a run that
-// certified convergence (it has no continuation), on a keep-everything
-// run (no compact state), and after Result or Close.
+// certified convergence (it has no continuation), and after Result or
+// Close.
 func (s *Stepper[R]) Snapshot() (*Snapshot[R], error) {
 	if s.run == nil {
 		return nil, errors.New("engine: the run has ended; nothing to snapshot")
@@ -87,12 +87,16 @@ func (s *Stepper[R]) Close() {
 
 // Start begins a run of δ from start over src, playing the given event
 // timeline (nil for none), and returns it paused at step 0. Run,
-// RunTimeline, RunSnapshot and Restore are wrappers over Start/Resume,
-// Step and Result.
+// RunSnapshot and Restore are wrappers over Start/Resume, Step and
+// Result.
+//
+// The source decides the run's shape: its history ring holds
+// src.MaxLookback() past states, and the run certifies convergence — and
+// stops at a certified fixed point — exactly when src implements Fair.
 //
 // The run picks its row representation once, here: packed columnar lanes
-// when the algebra packs (core.Columnar), every edge compiles, the run
-// does not retain its history and has no timeline; []R slices otherwise.
+// when the algebra packs (core.Columnar), every edge compiles and the run
+// has no timeline; []R slices otherwise.
 // Both are bit-identical — in cells and in Stats — and both can be
 // snapshotted and resumed. Timeline runs stay on the interface path by
 // measurement, not for want of a recompile: refreshing the kernels at a
@@ -105,10 +109,17 @@ func (s *Stepper[R]) Close() {
 // but it is not marched through either: Step advances across the
 // quiescent interlude to the next event (or to until) by counting the
 // activations it skips, in time that does not grow with the gap when the
-// source counts in closed form (Batched.CountActive).
+// source counts in closed form (Batched.CountActive). After the last
+// event fires, a Fair run may stop early again.
 //
-// A source or timeline that does not fit the engine's topology is
-// returned as an error, as from Resume.
+// The engine's adjacency is mutated in place as the timeline plays; the
+// engine remains valid afterwards and evaluates the post-event topology.
+// Callers that need the original topology untouched build the engine over
+// a clone.
+//
+// A source or timeline that does not fit the engine's topology — a
+// MaxLookback or FairPeriod below 1 included — is returned as an error,
+// as from Resume.
 func (e *Engine[R]) Start(start *matrix.State[R], src Source, events []TimelineEvent[R]) (*Stepper[R], error) {
 	return e.begin(start, nil, src, events)
 }
@@ -116,9 +127,8 @@ func (e *Engine[R]) Start(start *matrix.State[R], src Source, events []TimelineE
 // Resume rebuilds a run from snap and returns it paused right after step
 // snap.Step. src must describe the schedule the snapshot was taken under
 // (for the lazy sources, equal parameters; for a materialised schedule,
-// the same recording), and the engine must be over the same algebra and
-// termination configuration, on the topology as it stood at
-// snap.Step: the caller replays the mutations of already-fired events
+// the same recording), and the engine must be over the same algebra, on
+// the topology as it stood at snap.Step: the caller replays the mutations of already-fired events
 // onto the instance first and passes only the events still to fire.
 // Everything observable is validated and returned as an error — a
 // corrupt or mismatched snapshot never panics.
@@ -135,7 +145,17 @@ func (e *Engine[R]) begin(start *matrix.State[R], rs *Snapshot[R], src Source, e
 	if err := validateTimeline(events, n, T); err != nil {
 		return nil, err
 	}
-	window, doTerm, fairP := e.planRun(src)
+	window := src.MaxLookback()
+	if window < 1 {
+		return nil, fmt.Errorf("engine: %T.MaxLookback() = %d, want ≥ 1", src, window)
+	}
+	f, doTerm := src.(Fair)
+	fairP := 0
+	if doTerm {
+		if fairP = f.FairPeriod(); fairP < 1 {
+			return nil, fmt.Errorf("engine: %T.FairPeriod() = %d, want ≥ 1", src, fairP)
+		}
+	}
 	if rs != nil {
 		if err := rs.validate(); err != nil {
 			return nil, err
@@ -144,7 +164,7 @@ func (e *Engine[R]) begin(start *matrix.State[R], rs *Snapshot[R], src Source, e
 		case rs.N != n:
 			return nil, fmt.Errorf("engine: snapshot has %d nodes but source has %d", rs.N, n)
 		case rs.Window != window:
-			return nil, fmt.Errorf("engine: snapshot window %d but this run resolves window %d", rs.Window, window)
+			return nil, fmt.Errorf("engine: snapshot window %d but the source's MaxLookback is %d", rs.Window, window)
 		case doTerm != (rs.Certified != nil):
 			return nil, fmt.Errorf("engine: snapshot certifying=%v but this run certifying=%v", rs.Certified != nil, doTerm)
 		case rs.Step > T:
@@ -154,9 +174,7 @@ func (e *Engine[R]) begin(start *matrix.State[R], rs *Snapshot[R], src Source, e
 				events[0].Step, rs.Step)
 		}
 	}
-	if len(events) == 0 && window >= 0 {
-		// Keep-everything runs stay on the interface path too: their
-		// history escapes into the Result, which hands out []R rows.
+	if len(events) == 0 {
 		if cs := e.columnarFor(); cs != nil {
 			return &Stepper[R]{run: startRun(e, &colOps[R]{e: e, cs: cs}, src, events, window, doTerm, fairP, start, rs)}, nil
 		}

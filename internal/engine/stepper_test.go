@@ -45,13 +45,22 @@ func flapEvents(alg algebras.HopCount) []engine.TimelineEvent[algebras.NatInf] {
 
 // mustStart is Start for a source and timeline the test knows to fit the
 // engine.
-func mustStart[R any](t *testing.T, eng *engine.Engine[R], start *matrix.State[R], src engine.Source, events []engine.TimelineEvent[R]) *engine.Stepper[R] {
+func mustStart[R any](t testing.TB, eng *engine.Engine[R], start *matrix.State[R], src engine.Source, events []engine.TimelineEvent[R]) *engine.Stepper[R] {
 	t.Helper()
 	st, err := eng.Start(start, src, events)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// playTimeline runs a timeline to its end: Start, Step to the horizon,
+// Result.
+func playTimeline[R any](t testing.TB, eng *engine.Engine[R], start *matrix.State[R], src engine.Source, events []engine.TimelineEvent[R]) *engine.Result[R] {
+	t.Helper()
+	st := mustStart(t, eng, start, src, events)
+	st.Step(src.Horizon())
+	return st.Result()
 }
 
 // remainingEvents returns the suffix of events strictly after step.
@@ -105,7 +114,7 @@ func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
 		// The uninterrupted run.
 		_, fullAdj := meshNet()
 		fullEng := engine.New(alg, fullAdj, engine.Config{})
-		full := fullEng.RunTimeline(start, src, events)
+		full := playTimeline(t, fullEng, start, src, events)
 		fullEng.Close()
 
 		// In-process preemption: one engine, one stepper, sliced; the
@@ -214,6 +223,21 @@ func TestResumeRejectsBadShapes(t *testing.T) {
 			t.Fatalf("Resume accepted a snapshot with a wrong %s", name)
 		}
 	}
+	// A source stating a bound below one step is an error from Start and
+	// from Resume alike: no ring can be that shallow, no period that short.
+	for name, bad := range map[string]engine.Source{
+		"MaxLookback": lookback{src, 0},
+		"FairPeriod":  uncounted{src, 0},
+	} {
+		if st, err := eng.Start(start, bad, events); err == nil {
+			st.Close()
+			t.Errorf("Start accepted a source with %s 0", name)
+		}
+		if rs, err := eng.Resume(snap, bad, remainingEvents(events, 30)); err == nil {
+			rs.Close()
+			t.Errorf("Resume accepted a source with %s 0", name)
+		}
+	}
 }
 
 // TestStepperSnapshotLifecycle: a snapshot exists only for a run that
@@ -251,15 +275,10 @@ func TestStepperSnapshotLifecycle(t *testing.T) {
 	}
 	st.Close() // no-op after Result
 
-	// A keep-everything run has no compact state, and a run that
-	// certified convergence has no continuation.
-	keep := engine.New(alg, adj, engine.Config{HistoryWindow: engine.KeepAll})
-	defer keep.Close()
-	ks := mustStart(t, keep, start, src, nil)
+	// A closed run has no result, and a run that certified convergence
+	// has no continuation.
+	ks := mustStart(t, eng, start, src, nil)
 	ks.Step(5)
-	if _, err := ks.Snapshot(); err == nil {
-		t.Fatal("Snapshot of a keep-everything run succeeded")
-	}
 	ks.Close()
 	if ks.Result() != nil {
 		t.Fatal("Result after Close returned a result")
@@ -323,7 +342,7 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 		{"events", p.alg, p.flap(), hashed},
 		// The same run with the source's Batched capability hidden, so
 		// every pause and resume goes through the pointwise adapter.
-		{"events-pointwise", p.alg, p.flap(), uncounted{hashed, hashed.FairPeriod(), hashed.MaxLookback()}},
+		{"events-pointwise", p.alg, p.flap(), uncounted{hashed, hashed.FairPeriod()}},
 		// Event-free runs, on both row representations: packed lanes
 		// wherever the algebra packs, []R slices with the packing hidden.
 		{"columnar", p.alg, nil, hashed},
@@ -335,7 +354,7 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 			isEvent[ev.Step] = true
 		}
 		fullEng := engine.New(cfg.alg, p.adj.Clone(), engine.Config{})
-		full := fullEng.RunTimeline(start, src, cfg.events)
+		full := playTimeline(t, fullEng, start, src, cfg.events)
 		fullEng.Close()
 		T := full.Stats().Steps
 		if T < 5 || (cfg.events != nil && T < 30) {
@@ -417,8 +436,7 @@ func TestStepperPauseAtEveryStep(t *testing.T) {
 }
 
 // TestStartRejectsBadShapes: a source or timeline that does not fit the
-// engine is an error from Start, as it is from Resume, and the
-// panic-on-misuse wrappers still panic on it.
+// engine is an error from Start, as it is from Resume.
 func TestStartRejectsBadShapes(t *testing.T) {
 	alg, adj := meshNet()
 	start := matrix.Identity[algebras.NatInf](alg, 12)
@@ -439,14 +457,6 @@ func TestStartRejectsBadShapes(t *testing.T) {
 			st.Close()
 			t.Errorf("Start accepted a wrong %s", name)
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RunTimeline did not panic on a wrong %s", name)
-				}
-			}()
-			eng.RunTimeline(start, bad.src, bad.events)
-		}()
 	}
 	// The engine is still usable after a refused start.
 	st := mustStart(t, eng, start, src, nil)

@@ -12,7 +12,10 @@ import (
 // dynamic model made operational inside one δ run: a change turns the
 // remainder of the run into a new problem instance that starts from the
 // current state — except that here the incremental machinery carries
-// over, so after the event only the affected columns recompute.
+// over, so after the event only the affected columns recompute. A run
+// plays a timeline from Engine.Start; its Result's Marks hold the state
+// at each event step, so it can be held to the literal evaluator playing
+// the same timeline (async.RunTimelineReference).
 type TimelineEvent[R any] struct {
 	// Step is the time step the event fires at, 1 ≤ Step ≤ horizon.
 	// Events must be given in strictly increasing Step order.
@@ -40,33 +43,6 @@ type TimelineEvent[R any] struct {
 	// restored from a snapshot of its own table would. An event may carry
 	// only Invalidate.
 	Invalidate []int
-}
-
-// RunTimeline evaluates δ from start over src while playing the given
-// event timeline: at each event's step the fault is injected, and the
-// run continues on the mutated instance from the state it had reached.
-// The result's Marks hold the state at each event step, so the run can
-// be differentially checked against the literal evaluator playing the
-// same timeline (async.RunTimelineReference).
-//
-// The engine's adjacency is mutated in place as the timeline plays; the
-// engine remains valid afterwards and evaluates the post-event topology.
-// Callers that need the original topology untouched should build the
-// engine over a clone.
-//
-// Timeline runs always use the interface row representation (see Start).
-// Early termination (under a Fair source) is suppressed while events are
-// pending — a fixed point certified before an event is jumped across, not
-// marched (see Start) — and becomes available again after the last event
-// fires. It is Start, Step to the horizon, Result — except that, like
-// Run, it panics on the contract violation Start returns as an error.
-func (e *Engine[R]) RunTimeline(start *matrix.State[R], src Source, events []TimelineEvent[R]) *Result[R] {
-	st, err := e.Start(start, src, events)
-	if err != nil {
-		panic(err.Error())
-	}
-	st.Step(src.Horizon())
-	return st.Result()
 }
 
 // validateTimeline checks the shape contract of an event list against a

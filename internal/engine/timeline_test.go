@@ -13,7 +13,7 @@ import (
 	"repro/internal/schedule"
 )
 
-// The timeline contract: a RunTimeline is one δ run over one schedule —
+// The timeline contract: a timeline run is one δ run over one schedule —
 // an event changes the instance, not the run (Section 3.2) — so β reads
 // across event steps, and every event-step state and the final state must
 // be cell-for-cell the literal evaluator's, async.RunTimelineReference,
@@ -56,7 +56,7 @@ func holdToOracle[R any](t *testing.T, label string, alg core.Algebra[R], res *e
 	}
 	if want := hist[len(hist)-1]; !res.Final().Equal(alg, want) {
 		t.Fatalf("%s: final state (step %d) diverges from the reference at the horizon\nengine:\n%s\nreference:\n%s",
-			label, res.Horizon(), res.Final().Format(alg), want.Format(alg))
+			label, res.Stats().Steps, res.Final().Format(alg), want.Format(alg))
 	}
 }
 
@@ -64,9 +64,8 @@ func holdToOracle[R any](t *testing.T, label string, alg core.Algebra[R], res *e
 // sources — a Hashed whose β reaches 5 steps back, across the events; a
 // materialised schedule.Random over the whole horizon (not Fair: it
 // marches to the end); RoundRobin — at Workers 1 and sharded across 8,
-// certifying and marching, and holds each run to the oracle. It returns
-// the runs of the default configuration (Workers 1, TermAuto) by source
-// name.
+// as given and marching (march), and holds each run to the oracle. It
+// returns the Workers 1 runs of the sources as given, by source name.
 func timelineAgainstOracle(t *testing.T, T int, seed int64, events []engine.TimelineEvent[algebras.NatInf]) map[string]*engine.Result[algebras.NatInf] {
 	t.Helper()
 	alg, adj := meshNet()
@@ -78,18 +77,22 @@ func timelineAgainstOracle(t *testing.T, T int, seed int64, events []engine.Time
 		"roundrobin": engine.RoundRobin{N: adj.N, T: T},
 	} {
 		hist := async.RunTimelineReference(alg, adj.Clone(), start, src, events)
-		for _, term := range []engine.TerminationMode{engine.TermAuto, engine.TermOff} {
+		for _, marching := range []bool{false, true} {
+			s := src
+			if marching {
+				s = march(src)
+			}
 			for _, sharded := range []bool{false, true} {
 				var eng *engine.Engine[algebras.NatInf]
 				if sharded {
-					eng = engine.NewSharded(alg, adj.Clone(), engine.Config{Workers: 8, Termination: term})
+					eng = engine.NewSharded(alg, adj.Clone(), engine.Config{Workers: 8})
 				} else {
-					eng = engine.New(alg, adj.Clone(), engine.Config{Workers: 1, Termination: term})
+					eng = engine.New(alg, adj.Clone(), engine.Config{Workers: 1})
 				}
-				res := eng.RunTimeline(start, src, events)
+				res := playTimeline(t, eng, start, s, events)
 				eng.Close()
-				holdToOracle(t, fmt.Sprintf("seed %d %s term=%v sharded=%v", seed, name, term, sharded), alg, res, hist, events)
-				if term == engine.TermAuto && !sharded {
+				holdToOracle(t, fmt.Sprintf("seed %d %s marching=%v sharded=%v", seed, name, marching, sharded), alg, res, hist, events)
+				if !marching && !sharded {
 					out[name] = res
 				}
 			}
@@ -192,7 +195,7 @@ func TestTimelineEarlyTermination(t *testing.T) {
 	src := engine.Hashed{N: n, T: 4000, Seed: 9, ActivationProbMille: 600}
 	eng := engine.New(alg, adj.Clone(), engine.Config{})
 	defer eng.Close()
-	res := eng.RunTimeline(start, src, events)
+	res := playTimeline(t, eng, start, src, events)
 	// What it stopped on is still the literal evaluator's state 4000 steps in.
 	holdToOracle(t, "early termination", alg, res, async.RunTimelineReference(alg, adj.Clone(), start, src, events), events)
 
@@ -212,9 +215,9 @@ func TestTimelineEarlyTermination(t *testing.T) {
 	}
 }
 
-// TestTimelineEmptyMatchesRun: with no events, RunTimeline is just Run —
-// identical final state and stats, on packed lanes as on the interface
-// path.
+// TestTimelineEmptyMatchesRun: a run with no events takes packed lanes
+// where the algebra packs, and must equal the interface path's run of the
+// same schedule — identical final state and stats.
 func TestTimelineEmptyMatchesRun(t *testing.T) {
 	alg, adj := meshNet()
 	n := adj.N
@@ -223,17 +226,17 @@ func TestTimelineEmptyMatchesRun(t *testing.T) {
 	sched := schedule.Random(rng, n, 60, schedule.Options{ActivationProb: 0.5, MaxStaleness: 4})
 
 	e1 := engine.New(alg, adj.Clone(), engine.Config{})
-	resT := e1.RunTimeline(start, sched, nil)
+	packed := e1.Run(start, sched)
 	e1.Close()
 
 	e2 := engine.New[algebras.NatInf](unpacked[algebras.NatInf]{alg}, adj.Clone(), engine.Config{})
-	resR := e2.Run(start, sched)
+	generic := e2.Run(start, sched)
 	e2.Close()
 
-	if !resT.Final().Equal(alg, resR.Final()) {
-		t.Fatal("RunTimeline with no events diverges from Run")
+	if !packed.Final().Equal(alg, generic.Final()) {
+		t.Fatal("the packed run diverges from the interface path's")
 	}
-	if resT.Stats() != resR.Stats() {
-		t.Fatalf("stats diverge: timeline %+v vs run %+v", resT.Stats(), resR.Stats())
+	if packed.Stats() != generic.Stats() {
+		t.Fatalf("stats diverge: packed %+v vs interface %+v", packed.Stats(), generic.Stats())
 	}
 }

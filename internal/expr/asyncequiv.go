@@ -62,13 +62,14 @@ func AsyncEquivalence(w io.Writer, trials int) AsyncEquivalenceResult {
 		EngineOK: true, EarlyStopOK: true,
 	}
 
-	// δ recovers σ under the synchronous schedule.
-	sync := schedule.Synchronous(4, 10)
-	history := async.Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), sync)
+	// δ recovers σ under the synchronous schedule: the engine run of
+	// horizon t lands on σᵗ (a recorded schedule is not Fair, so every
+	// run goes to its horizon).
 	x := matrix.Identity[algebras.NatInf](alg, 4)
 	for t := 1; t <= 10; t++ {
 		x = matrix.Sigma[algebras.NatInf](alg, adj, x)
-		if !history[t].Equal(alg, x) {
+		delta := engine.Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), schedule.Synchronous(4, t))
+		if !delta.Final().Equal(alg, x) {
 			res.SigmaRecovered = false
 		}
 	}
@@ -86,20 +87,21 @@ func AsyncEquivalence(w io.Writer, trials int) AsyncEquivalenceResult {
 		// doing no more work than full recomputation, n cells for every
 		// activation, would.
 		ref := async.RunReference[algebras.NatInf](alg, adj, start, sched)
-		bounded := engine.New[algebras.NatInf](alg, adj, engine.Config{HistoryWindow: 10}).Run(start, sched)
+		bounded := engine.Run[algebras.NatInf](alg, adj, start, sched)
 		if st := bounded.Stats(); !bounded.Final().Equal(alg, ref[len(ref)-1]) ||
 			st.CellsComputed > adj.N*(st.RowsComputed+st.RowsSkipped) {
 			res.EngineOK = false
 		}
 
 		// Early termination: a fair lazy schedule stopped at its certified
-		// fixed point must land exactly where the full-horizon run lands.
+		// fixed point must land exactly where the literal evaluator is at
+		// the horizon.
 		src := engine.Hashed{N: 4, T: 400, Seed: uint64(trial), MaxGap: 8, MaxStaleness: 5}
 		stopped := engine.Run[algebras.NatInf](alg, adj, start, src)
-		horizon := engine.New[algebras.NatInf](alg, adj, engine.Config{Termination: engine.TermOff}).Run(start, src)
+		horizon := async.RunTimelineReference[algebras.NatInf](alg, adj, start, src, nil)
 		if _, ok := stopped.Converged(); !ok ||
-			stopped.Stats().Steps >= horizon.Stats().Steps ||
-			!stopped.Final().Equal(alg, horizon.Final()) ||
+			stopped.Stats().Steps >= src.T ||
+			!stopped.Final().Equal(alg, horizon[src.T]) ||
 			!stopped.Final().Equal(alg, want) {
 			res.EarlyStopOK = false
 		}

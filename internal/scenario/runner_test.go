@@ -466,7 +466,7 @@ func TestCrashMaskCannotBeBypassed(t *testing.T) {
 	if masked == 0 {
 		t.Fatal("the inner source never activates the down node inside its window; the test masks nothing")
 	}
-	if src.(engine.Fair).FairPeriod() != inner.FairPeriod() || src.(engine.Bounded).MaxLookback() != inner.MaxLookback() {
+	if src.(engine.Fair).FairPeriod() != inner.FairPeriod() || src.MaxLookback() != inner.MaxLookback() {
 		t.Fatal("the mask does not forward FairPeriod and MaxLookback")
 	}
 }

@@ -53,8 +53,9 @@ func New(n, t int) *Schedule {
 	return s
 }
 
-// Nodes returns n, the node count. Together with Horizon, Active and
-// Beta it makes *Schedule satisfy the engine's Source interface.
+// Nodes returns n, the node count. Together with Horizon, Active, Beta
+// and MaxLookback it makes *Schedule satisfy the engine's Source
+// interface.
 func (s *Schedule) Nodes() int { return s.N }
 
 // Horizon returns T, the last time step.
