@@ -1,6 +1,6 @@
 // Command dbfsimd is the multi-tenant simulation service daemon: it
-// accepts scenario runs over the wire protocol, schedules them across
-// tenants with weighted fairness and checkpoint preemption, sheds
+// accepts scenario runs over the wire protocol, schedules them fairly
+// across tenants with checkpoint preemption, sheds
 // overload with retriable typed errors, and drains gracefully on
 // SIGTERM — checkpointing every in-flight run to the spool directory so
 // a restarted daemon resumes them bit-identically.
@@ -44,7 +44,6 @@ func realMain() int {
 		quantum  = flag.Int("quantum", 64, "engine steps per preemption quantum")
 		spool    = flag.String("spool", "", "spool directory for drain/resume (empty disables graceful drain)")
 		inflight = flag.Int("max-inflight", 4, "per-tenant cap on admitted unfinished runs")
-		scenCap  = flag.Int("max-scenario-bytes", 4000, "per-tenant cap on submitted scenario size")
 		tenants  = flag.Int("max-tenants", 64, "cap on distinct tenants")
 		retry    = flag.Duration("retry-after", 200*time.Millisecond, "backoff hint attached to shed load")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may take before giving up")
@@ -60,14 +59,12 @@ func realMain() int {
 	}
 	s, err := server.New(server.Config{
 		Addr: *addr, Workers: *workers, Quantum: *quantum,
-		SpoolDir: *spool,
-		DefaultQuota: server.Quota{
-			MaxInFlight: *inflight, MaxScenarioBytes: *scenCap,
-		},
-		MaxTenants: *tenants,
-		RetryAfter: *retry,
-		Stall:      *stall,
-		Logf:       logf,
+		SpoolDir:    *spool,
+		MaxInFlight: *inflight,
+		MaxTenants:  *tenants,
+		RetryAfter:  *retry,
+		Stall:       *stall,
+		Logf:        logf,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dbfsimd: %v\n", err)

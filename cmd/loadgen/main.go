@@ -103,8 +103,8 @@ func realMain() int {
 	if *selfSrv {
 		s, err := server.New(server.Config{
 			Workers: *workers, Quantum: *quantum,
-			DefaultQuota: server.Quota{MaxInFlight: *inflight},
-			MaxTenants:   *tenants + 1,
+			MaxInFlight: *inflight,
+			MaxTenants:  *tenants + 1,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)

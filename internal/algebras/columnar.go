@@ -99,7 +99,7 @@ func (h HopCount) CompileMetricEdge(e core.Edge[NatInf]) core.MetricFn {
 
 // CompileEdge implements core.Columnar: the batched kernel folds
 // dst[j] = min(dst[j], clamp(src[j] + w)) over the selected columns with
-// no interface calls, re-slicing to the span so the dense loop runs
+// no interface calls, re-slicing dst to src so the dense loop runs
 // without bounds checks. Folding ∞ is a no-op under min, so out-of-range
 // results are simply skipped.
 func (h HopCount) CompileEdge(e core.Edge[NatInf]) core.ColKernel {
@@ -110,11 +110,11 @@ func (h HopCount) CompileEdge(e core.Edge[NatInf]) core.ColKernel {
 			return noopKernel
 		}
 		w := uint64(ed.w)
-		return func(dst, src core.Col, sel []int32, j0, j1 int, _ *core.ColScratch) {
+		return func(dst, src core.Col, sel []int32, _ *core.ColScratch) {
 			dm, sm := dst.M, src.M
 			if sel == nil {
-				dm2, sm2 := dm[j0:j1], sm[j0:j1:j1]
-				for x, m := range sm2 {
+				dm2 := dm[:len(sm)]
+				for x, m := range sm {
 					if m <= vmax {
 						if nm := m + w; nm <= vmax && nm < dm2[x] {
 							dm2[x] = nm
@@ -136,11 +136,11 @@ func (h HopCount) CompileEdge(e core.Edge[NatInf]) core.ColKernel {
 			return noopKernel
 		}
 		w, test := uint64(ed.w), ed.p.Test
-		return func(dst, src core.Col, sel []int32, j0, j1 int, _ *core.ColScratch) {
+		return func(dst, src core.Col, sel []int32, _ *core.ColScratch) {
 			dm, sm := dst.M, src.M
 			if sel == nil {
-				dm2, sm2 := dm[j0:j1], sm[j0:j1:j1]
-				for x, m := range sm2 {
+				dm2 := dm[:len(sm)]
+				for x, m := range sm {
 					if m <= vmax && test(NatInf(m)) {
 						if nm := m + w; nm <= vmax && nm < dm2[x] {
 							dm2[x] = nm
@@ -228,11 +228,11 @@ func (ShortestPaths) CompileEdge(e core.Edge[NatInf]) core.ColKernel {
 		return noopKernel
 	}
 	w := ed.w
-	return func(dst, src core.Col, sel []int32, j0, j1 int, _ *core.ColScratch) {
+	return func(dst, src core.Col, sel []int32, _ *core.ColScratch) {
 		dm, sm := dst.M, src.M
 		if sel == nil {
-			dm2, sm2 := dm[j0:j1], sm[j0:j1:j1]
-			for x, m := range sm2 {
+			dm2 := dm[:len(sm)]
+			for x, m := range sm {
 				if m < packInf {
 					if nm := m + uint64(w); nm < packInf && nm < dm2[x] {
 						dm2[x] = nm
@@ -253,4 +253,4 @@ func (ShortestPaths) CompileEdge(e core.Edge[NatInf]) core.ColKernel {
 
 // noopKernel is the compiled form of an edge that maps every route to ∞:
 // folding ∞ under a min-oriented ⊕ changes nothing.
-func noopKernel(core.Col, core.Col, []int32, int, int, *core.ColScratch) {}
+func noopKernel(core.Col, core.Col, []int32, *core.ColScratch) {}

@@ -17,10 +17,10 @@ package core
 
 import "repro/internal/paths"
 
-// Col is a struct-of-arrays view of one packed routing table (or a span
-// of one): cell j is the pair (ID[j], M[j*W : (j+1)*W]) for the algebra's
-// metric width W. Algebras without a path component leave ID nil and the
-// kernels never touch it — the metric lane alone is the cell.
+// Col is a struct-of-arrays view of one packed routing table: cell j is
+// the pair (ID[j], M[j*W : (j+1)*W]) for the algebra's metric width W.
+// Algebras without a path component leave ID nil and the kernels never
+// touch it — the metric lane alone is the cell.
 type Col struct {
 	// ID is the interned-path lane, one id per destination; nil when the
 	// algebra's Columnar capability reports HasPathLane() == false.
@@ -56,21 +56,20 @@ func (s *ColScratch) Grow(n, w int) {
 //
 //	dst[j] = dst[j] ⊕ e(src[j]),
 //
-// for j ∈ sel when sel is non-nil (absolute column indices, ascending),
-// or for every j ∈ [j0, j1) when sel is nil (the dense form; kernels
-// re-slice to the span so the inner loop runs without bounds checks).
-// Kernels must be safe for concurrent use across disjoint dst spans and
-// must produce cells bit-identical to encoding the interface path's
-// Choice/Apply results — the columnar driver compares lanes word for
-// word when tracking changes.
-type ColKernel func(dst, src Col, sel []int32, j0, j1 int, scratch *ColScratch)
+// for j ∈ sel when sel is non-nil (column indices, ascending), or for
+// every column of the row when sel is nil (the dense form). Kernels must
+// be safe for concurrent use across distinct dst rows and must produce
+// cells bit-identical to encoding the interface path's Choice/Apply
+// results — the columnar driver compares lanes word for word when
+// tracking changes.
+type ColKernel func(dst, src Col, sel []int32, scratch *ColScratch)
 
 // Columnar is implemented by algebras whose routes pack into fixed-width
 // cells, enabling the struct-of-arrays σ kernel. The packing must be
 // canonical and injective up to Equal: two routes are Equal exactly when
 // their packed cells are identical words — the driver's change tracking
 // relies on it. (Kernel outputs are canonical by the same argument that
-// lets matrix.SigmaSpanIntoChangedNbr copy-compare: Choice and the edge
+// lets matrix.SigmaRowChanged copy-compare: Choice and the edge
 // functions normalise as they go.)
 type Columnar[R any] interface {
 	// ColumnarOK reports whether this algebra instance can actually pack

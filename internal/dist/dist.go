@@ -521,7 +521,7 @@ func (nw *Network[R]) deliver(i int, msg transport.Message) {
 func (nw *Network[R]) recompute(i int, scratch []R) bool {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	row := matrix.SigmaRowInto(nw.alg, nw.adj, i, nw.recv[i], scratch)
+	row := matrix.SigmaRowInto(nw.alg, nw.adj, i, nil, nw.recv[i], scratch)
 	changed := false
 	for j := range row {
 		if !nw.alg.Equal(row[j], nw.state.Get(i, j)) {

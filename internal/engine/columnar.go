@@ -119,14 +119,6 @@ func (o *colOps[R]) prepare(r *run[R, core.Col], n int) {
 
 func (o *colOps[R]) encodeRow(dst core.Col, src []R) { o.cs.cap.EncodeCol(src, dst) }
 
-func (o *colOps[R]) copySpan(dst, src core.Col, j0, j1 int) {
-	if o.cs.meta.HasID {
-		copy(dst.ID[j0:j1], src.ID[j0:j1])
-	}
-	w := o.cs.meta.W
-	copy(dst.M[j0*w:j1*w], src.M[j0*w:j1*w])
-}
-
 func (o *colOps[R]) emptyRow(a core.Col) bool { return len(a.M) == 0 }
 
 func (o *colOps[R]) sameRow(a, b core.Col) bool { return &a.M[0] == &b.M[0] }
@@ -140,7 +132,7 @@ func (o *colOps[R]) materialise(s []core.Col) *matrix.State[R] {
 }
 
 // runTask is the columnar twin of genOps.runTask: same dirty resolution
-// (shared resolveDirty), same dense/sparse/copy trichotomy, with the
+// (shared dirtyMasks), same dense/sparse/copy trichotomy, with the
 // kernel fold running over packed lanes. The dirty bitset is materialised
 // into a selection vector because the kernels — one pass per neighbour —
 // would otherwise re-walk the bit words per edge.
@@ -150,18 +142,19 @@ func (o *colOps[R]) runTask(tk *rowTask[R, core.Col], worker int) {
 	cw := &o.cws[worker]
 	ws := &tk.inc.scratch[worker]
 	if tk.lo == nil {
-		ws.cells += matrix.SigmaColSpanChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, nil, tk.chg, &cw.scratch)
+		ws.cells += matrix.SigmaColChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, nil, tk.chg, &cw.scratch)
 		return
 	}
-	sel := resolveDirtySel(tk.inc, tk.nbr, tk.lo, tk.j0, tk.j1, ws, cw.sel[:0])
+	sel := resolveDirtySel(tk.inc, tk.nbr, tk.lo, ws, cw.sel[:0])
 	cw.sel = sel[:0]
 	if len(sel) == 0 {
-		o.copySpan(tk.dst, tk.prev, tk.j0, tk.j1)
+		copy(tk.dst.ID, tk.prev.ID) // both nil without a path lane
+		copy(tk.dst.M, tk.prev.M)
 		return
 	}
-	if len(sel) == tk.j1-tk.j0 {
+	if len(sel) == tk.inc.n {
 		// Everything dirty: the dense kernel loops beat sel indirection.
 		sel = nil
 	}
-	ws.cells += matrix.SigmaColSpanChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, sel, tk.chg, &cw.scratch)
+	ws.cells += matrix.SigmaColChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, sel, tk.chg, &cw.scratch)
 }

@@ -33,8 +33,8 @@ func (u unpacked[R]) Equal(a, b R) bool { return u.alg.Equal(a, b) }
 func (u unpacked[R]) Format(r R) string { return u.alg.Format(r) }
 
 // runColumnarToggle runs alg on adj under a lazy fair source on packed
-// lanes and on the interface path, with and without column sharding, on
-// fresh and warm engines, and requires identical states and stats.
+// lanes and on the interface path, sequential and with every step fanned
+// out, on fresh and warm engines, and requires identical states and stats.
 func runColumnarToggle[R any](t *testing.T, name string, alg core.Algebra[R], adj *matrix.Adjacency[R], T int) {
 	if c, ok := alg.(core.Columnar[R]); !ok || !c.ColumnarOK() {
 		t.Fatalf("%s does not pack; the differential would compare the interface path with itself", name)

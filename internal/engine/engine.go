@@ -17,10 +17,9 @@
 //     keep (async.RunReference).
 //   - Sharded recomputation. The per-node σ-row updates of one step are
 //     independent, so a step that costs more than the hand-off fans them
-//     out across a persistent worker pool whose helpers stay hot between
-//     one step's fan-out and the next (pool.go) — split by destination
-//     column when a large network has fewer rows than workers — with a
-//     deterministic merge: every worker writes a disjoint span, so the
+//     out, one task per row, across a persistent worker pool whose
+//     helpers stay hot between one step's fan-out and the next (pool.go)
+//     — with a deterministic merge: every task writes its own row, so the
 //     result is bit-identical to the sequential path.
 //   - Change-driven evaluation. Real asynchronous protocols
 //     process received updates; they do not periodically recompute
@@ -65,10 +64,6 @@ import (
 // round trip, and a step this small (a ring-64 service request never
 // exceeds it) is done before either pays.
 const minParallelOps = 1 << 14
-
-// shardFromN is the network size at which one row's destinations are
-// split across workers when there are fewer active rows than workers.
-const shardFromN = 128
 
 // Config tunes an Engine. The zero value is the right default everywhere.
 type Config struct {
@@ -117,13 +112,12 @@ type Stats struct {
 // Close releases them early, and a GC cleanup handles engines that are
 // simply dropped.
 type Engine[R any] struct {
-	alg       core.Algebra[R]
-	adj       *matrix.Adjacency[R]
-	workers   int
-	shardFrom int // shardFromN; tests lower it to shard tiny networks
-	minOps    int // minParallelOps; tests lower it to fan tiny steps out
-	pool      *pool
-	cleanup   runtime.Cleanup
+	alg     core.Algebra[R]
+	adj     *matrix.Adjacency[R]
+	workers int
+	minOps  int // minParallelOps; tests lower it to fan tiny steps out
+	pool    *pool
+	cleanup runtime.Cleanup
 	// mu guards the retained cross-run state below: colSup is the
 	// compiled columnar kernel table, reused until the adjacency's
 	// generation moves. closed stops it from being repopulated after
@@ -143,7 +137,7 @@ func New[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], cfg Config) *Engi
 	}
 	e := &Engine[R]{
 		alg: alg, adj: adj,
-		workers: workers, shardFrom: shardFromN, minOps: minParallelOps,
+		workers: workers, minOps: minParallelOps,
 		pool: newPool(workers - 1),
 	}
 	e.cleanup = runtime.AddCleanup(e, func(p *pool) { p.close() }, e.pool)
@@ -220,22 +214,22 @@ type workerScratch struct {
 	_     [64]byte
 }
 
-// rowTask is one unit of sharded work: compute dst[j0:j1] of node i's
-// σ-row from the β-resolved neighbour tables. A run's tasks are tracked
+// rowTask is one unit of sharded work: compute node i's σ-row into dst
+// from the β-resolved neighbour tables. A run's tasks are tracked
 // (inc != nil): they recompute only the columns whose inputs changed
 // since the row's last recomputation, copy prev for the rest, and record
 // the columns whose value moved in chg; Engine.SigmaInto's are not. Row is
 // the row representation: []R on the interface path, core.Col (packed
 // lanes) on the columnar path.
 type rowTask[R, Row any] struct {
-	i, j0, j1 int
-	tabs      []Row
-	dst       Row
-	inc       *incShared
-	prev      Row            // the row's previous value
-	nbr       []int32        // i's in-neighbours
-	lo        []int32        // per-neighbour unchanged-since thresholds
-	chg       *matrix.Bitset // changed-destination output, shared by shards
+	i    int
+	tabs []Row
+	dst  Row
+	inc  *incShared
+	prev Row            // the row's previous value
+	nbr  []int32        // i's in-neighbours
+	lo   []int32        // per-neighbour unchanged-since thresholds
+	chg  *matrix.Bitset // changed-destination output, the task's alone
 }
 
 // slabRows is how many rows a slab carves at once; batching keeps the
@@ -276,8 +270,6 @@ type rowOps[R, Row any] interface {
 	prepare(r *run[R, Row], n int)
 	// encodeRow writes a reference row into a freshly allocated Row.
 	encodeRow(dst Row, src []R)
-	// copySpan copies columns [j0, j1) between rows.
-	copySpan(dst, src Row, j0, j1 int)
 	emptyRow(a Row) bool
 	// sameRow reports whether two non-empty rows share backing storage.
 	sameRow(a, b Row) bool
@@ -317,8 +309,6 @@ type run[R, Row any] struct {
 	actives  []int
 	tasks    []rowTask[R, Row]
 	job      job // the parallel step in flight; reused, one per run
-	pendRows []int32
-	pendLo   []int32
 	loArena  []int32
 	betaBuf  []int
 	actMinB  []int32 // per processed activation: node and min β, for certification
@@ -531,10 +521,6 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window int) *ru
 	}
 	if len(r.tabs) != n {
 		r.tabs = make([][]Row, n)
-	}
-	if cap(r.pendRows) < n {
-		r.pendRows = make([]int32, 0, n)
-		r.pendLo = make([]int32, 0, n)
 	}
 	return r
 }
@@ -750,14 +736,7 @@ func (r *run[R, Row]) step(until int) bool {
 	e, ops, sched, n := r.e, r.ops, r.sched, r.n
 	doTerm := r.doTerm
 	nbr, nbrOff, tabs, betaBuf, certStmp := r.nbr, r.nbrOff, r.tabs, r.betaBuf, r.certStmp
-	actives, tasks := r.actives[:0], r.tasks
-	// pendRows/pendLo collect the rows that survive the skip pass; tasks
-	// are built afterwards so the column-shard decision sees the number of
-	// rows actually computing, not the raw active count (in a convergence
-	// tail most activations skip, and sharding over the survivors is what
-	// keeps the pool busy). pendLo is the row's offset into loArena, −1
-	// for a full (first-activation) recomputation.
-	pendRows, pendLo, loArena := r.pendRows[:0], r.pendLo[:0], r.loArena[:0]
+	actives, tasks, loArena := r.actives[:0], r.tasks, r.loArena[:0]
 	actMinB, actNodes := r.actMinB[:0], r.actNodes[:0]
 	prev, lastChange, certGen, nCert := r.prev, r.lastChange, r.certGen, r.nCert
 
@@ -860,8 +839,10 @@ func (r *run[R, Row]) step(until int) bool {
 		copy(cur, prev)
 		stepChanged := false
 		if len(actives) > 0 {
-			pendRows = pendRows[:0]
-			pendLo = pendLo[:0]
+			// The skip pass builds one task per row that survives it; the
+			// fan-out decision afterwards weighs only those rows' work (in
+			// a convergence tail most activations skip).
+			tasks = tasks[:0]
 			loArena = loArena[:0]
 			actMinB = actMinB[:0]
 			actNodes = actNodes[:0]
@@ -900,8 +881,14 @@ func (r *run[R, Row]) step(until int) bool {
 					}
 					r.lastComp[i] = int32(t)
 					cur[i] = r.newRow(n)
-					pendRows = append(pendRows, int32(i))
-					pendLo = append(pendLo, int32(arena0))
+					var lo []int32 // nil: a full (first-activation) recomputation
+					if arena0 >= 0 {
+						lo = loArena[arena0 : arena0+len(nb) : arena0+len(nb)]
+					}
+					tasks = append(tasks, rowTask[R, Row]{
+						i: i, tabs: tb, dst: cur[i],
+						inc: r.inc, prev: prev[i], nbr: nb, lo: lo, chg: &r.chg[i],
+					})
 					// What the kernel walks at most: n columns over the
 					// neighbour list; a dirty scan may touch far fewer.
 					stepOps += n * (len(nb) + 1)
@@ -921,34 +908,17 @@ func (r *run[R, Row]) step(until int) bool {
 					actMinB = append(actMinB, int32(minB))
 				}
 			}
-			if len(pendRows) > 0 {
-				tasks = tasks[:0]
-				fan, shards := e.shardsFor(stepOps, len(pendRows), n)
-				for pi, i32 := range pendRows {
-					i := int(i32)
-					nb := nbr[nbrOff[i]:nbrOff[i+1]]
-					var lo []int32
-					if off := int(pendLo[pi]); off >= 0 {
-						lo = loArena[off : off+len(nb) : off+len(nb)]
-					}
-					for s := 0; s < shards; s++ {
-						tasks = append(tasks, rowTask[R, Row]{
-							i: i, j0: s * n / shards, j1: (s + 1) * n / shards,
-							tabs: tabs[i], dst: cur[i],
-							inc: r.inc, prev: prev[i], nbr: nb, lo: lo, chg: &r.chg[i],
-						})
-					}
-				}
+			if len(tasks) > 0 {
 				r.tasks = tasks
-				r.exec(fan)
+				r.exec(e.fanOut(stepOps))
 			}
-			r.stats.RowsComputed += len(pendRows)
+			r.stats.RowsComputed += len(tasks)
 
 			// Serial fold: publish this step's changed-destination sets
 			// into the last-changed matrix, the change-mask ring, and the
 			// global dirty frontier.
-			for _, fi := range pendRows {
-				if r.foldRowChanges(int(fi), t) {
+			for k := range tasks {
+				if r.foldRowChanges(tasks[k].i, t) {
 					stepChanged = true
 				}
 			}
@@ -991,8 +961,7 @@ func (r *run[R, Row]) step(until int) bool {
 	// Hand the position, and any backing the loop grew, back to the run.
 	r.t, r.prev = t, prev
 	r.lastChange, r.certGen, r.nCert = lastChange, certGen, nCert
-	r.actives, r.tasks = actives[:0], tasks
-	r.pendRows, r.pendLo, r.loArena = pendRows[:0], pendLo[:0], loArena[:0]
+	r.actives, r.tasks, r.loArena = actives[:0], tasks, loArena[:0]
 	r.actMinB, r.actNodes = actMinB[:0], actNodes[:0]
 	return r.converged || t >= r.T
 }
@@ -1045,19 +1014,10 @@ func maxDegree(off []int32) int {
 	return max
 }
 
-// shardsFor decides the shape of a step of stepOps work over this many
-// rows: whether it fans out to the pool at all and, only then, how many
-// column spans each row splits into — one, unless the network is large and
-// there are workers to spare. A step that stays inline keeps one task per
-// row, so no row resolves its dirty columns twice.
-func (e *Engine[R]) shardsFor(stepOps, rows, n int) (fan bool, shards int) {
-	if e.workers <= 1 || stepOps < e.minOps {
-		return false, 1
-	}
-	if n < e.shardFrom || rows >= e.workers {
-		return true, 1
-	}
-	return true, min(n, (e.workers+rows-1)/rows)
+// fanOut decides whether a step of stepOps work fans its row tasks out to
+// the pool or runs them inline on the caller.
+func (e *Engine[R]) fanOut(stepOps int) bool {
+	return e.workers > 1 && stepOps >= e.minOps
 }
 
 // genOps is the []R row representation: the interface evaluation path.
@@ -1071,8 +1031,6 @@ func (genOps[R]) prepare(*run[R, []R], int) {}
 
 func (genOps[R]) encodeRow(dst, src []R) { copy(dst, src) }
 
-func (genOps[R]) copySpan(dst, src []R, j0, j1 int) { copy(dst[j0:j1], src[j0:j1]) }
-
 func (genOps[R]) emptyRow(a []R) bool { return len(a) == 0 }
 
 func (genOps[R]) sameRow(a, b []R) bool { return &a[0] == &b[0] }
@@ -1080,56 +1038,51 @@ func (genOps[R]) sameRow(a, b []R) bool { return &a[0] == &b[0] }
 func (o genOps[R]) materialise(s [][]R) *matrix.State[R] { return materialise(o.e.alg, s) }
 
 // runTask executes one row task. Untracked tasks run the plain kernel;
-// tracked tasks resolve their span's dirty columns from the last-changed
+// tracked tasks resolve the row's dirty columns from the last-changed
 // matrix, recompute only those, and record which moved.
 func (o genOps[R]) runTask(tk *rowTask[R, []R], worker int) {
 	e := o.e
 	if tk.inc == nil {
-		matrix.SigmaSpanIntoNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.dst, tk.j0, tk.j1)
+		matrix.SigmaRowInto(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.dst)
 		return
 	}
 	ws := &tk.inc.scratch[worker]
 	if tk.lo == nil {
 		// Tracked full recomputation (first activation): every column is
 		// computed, changes recorded against the node's starting row.
-		ws.cells += matrix.SigmaSpanIntoChangedNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, nil, tk.chg)
+		ws.cells += matrix.SigmaRowChanged(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, nil, tk.chg)
 		return
 	}
-	dirtyCnt := resolveDirty(tk.inc, tk.nbr, tk.lo, tk.j0, tk.j1, ws)
+	dirtyCnt := resolveDirty(tk.inc, tk.nbr, tk.lo, ws)
 	if dirtyCnt == 0 {
-		copy(tk.dst[tk.j0:tk.j1], tk.prev[tk.j0:tk.j1])
+		copy(tk.dst, tk.prev)
 		return
 	}
 	cols := &ws.cols
-	if dirtyCnt == tk.j1-tk.j0 {
+	if dirtyCnt == tk.inc.n {
 		// Everything changed: the dense kernel's tight loops beat the
 		// bit-iterating sparse path.
 		cols = nil
 	}
-	ws.cells += matrix.SigmaSpanIntoChangedNbr(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, tk.j0, tk.j1, cols, tk.chg)
+	ws.cells += matrix.SigmaRowChanged(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, cols, tk.chg)
 }
 
-// dirtyMasks computes the span's dirty-column set — the destinations
+// dirtyMasks computes the row's dirty-column set — the destinations
 // whose β-resolved inputs changed since the row's thresholds — as one
-// mask word per 64 columns (masks[x] covers word j0>>6 + x), returning
-// the masks and the dirty count. The scan prunes at three granularities
-// before touching a single per-column stamp: a neighbour whose whole row
-// is clean since its threshold (rowMax) is dropped up front, a clean
-// 64-column word costs one compare (wordMax), and a word already fully
-// dirty from an earlier neighbour is skipped — change wavefronts make
-// full words common. Both resolveDirty and resolveDirtySel emit exactly
-// this set, so the interface and columnar paths have identical Stats by
-// construction.
-func dirtyMasks(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScratch) ([]uint64, int) {
-	n := inc.n
-	wper := inc.wper
-	top := int(inc.top)
-	w0 := j0 >> 6
-	nw := (j1-1)>>6 - w0 + 1
-	if cap(ws.masks) < nw {
+// mask word per 64 columns, returning the masks and the dirty count. The
+// scan prunes at three granularities before touching a single per-column
+// stamp: a neighbour whose whole row is clean since its threshold
+// (rowMax) is dropped up front, a clean 64-column word costs one compare
+// (wordMax), and a word already fully dirty from an earlier neighbour is
+// skipped — change wavefronts make full words common. Both resolveDirty
+// and resolveDirtySel emit exactly this set, so the interface and
+// columnar paths have identical Stats by construction.
+func dirtyMasks(inc *incShared, nbr, lo []int32, ws *workerScratch) ([]uint64, int) {
+	n, wper, top := inc.n, inc.wper, int(inc.top)
+	if cap(ws.masks) < wper {
 		ws.masks = make([]uint64, wper)
 	}
-	masks := ws.masks[:nw]
+	masks := ws.masks[:wper]
 	clear(masks)
 	for ai, k32 := range nbr {
 		k := int(k32)
@@ -1140,7 +1093,7 @@ func dirtyMasks(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScratch) 
 		if l >= top-histH {
 			// The threshold is within the mask ring: the dirty set is the
 			// union of this neighbour's change masks over (l, top] — a
-			// stamp check and at most nw ORs per step in the window.
+			// stamp check and at most wper ORs per step in the window.
 			stampRow := inc.histStamp[k*histH : (k+1)*histH]
 			histRow := inc.hist[k*histH*wper : (k+1)*histH*wper]
 			for s := l + 1; s <= top; s++ {
@@ -1148,8 +1101,7 @@ func dirtyMasks(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScratch) 
 				if stampRow[sl] != int32(s) {
 					continue
 				}
-				hb := histRow[sl*wper+w0 : sl*wper+w0+nw]
-				for x, h := range hb {
+				for x, h := range histRow[sl*wper : (sl+1)*wper] {
 					masks[x] |= h
 				}
 			}
@@ -1161,40 +1113,21 @@ func dirtyMasks(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScratch) 
 		row := inc.ver[k*n : (k+1)*n]
 		wm := inc.wordMax[k*wper : (k+1)*wper]
 		l32 := lo[ai]
-		for wi := w0; wi < w0+nw; wi++ {
+		for wi, m := range masks {
 			if wm[wi] <= l32 {
 				continue
 			}
-			jlo := wi << 6
-			base := 0
-			if jlo < j0 {
-				base = j0 & 63
-				jlo = j0
-			}
-			jhi := wi<<6 + 64
-			if jhi > j1 {
-				jhi = j1
-			}
-			full := (^uint64(0) >> (64 - (jhi - jlo))) << base
-			m := masks[wi-w0]
-			if m == full {
+			jlo, jhi := wi<<6, min(wi<<6+64, n)
+			if m == ^uint64(0)>>(64-(jhi-jlo)) {
 				continue
 			}
 			for x, v := range row[jlo:jhi] {
 				if v > l32 {
-					m |= 1 << (base + x)
+					m |= 1 << x
 				}
 			}
-			masks[wi-w0] = m
+			masks[wi] = m
 		}
-	}
-	// The ring path ORs whole 64-column words; trim the span's ragged
-	// edges before counting (scan-path bits are already in-span).
-	if b := j0 & 63; b != 0 {
-		masks[0] &^= 1<<b - 1
-	}
-	if b := j1 & 63; b != 0 {
-		masks[nw-1] &= 1<<b - 1
 	}
 	dirtyCnt := 0
 	for _, m := range masks {
@@ -1203,24 +1136,22 @@ func dirtyMasks(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScratch) 
 	return masks, dirtyCnt
 }
 
-// resolveDirty writes the span's dirty-column set into ws.cols and
-// returns the dirty count (the interface path's form).
-func resolveDirty(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScratch) int {
-	masks, dirtyCnt := dirtyMasks(inc, nbr, lo, j0, j1, ws)
-	w0 := j0 >> 6
-	for x, m := range masks {
-		ws.cols.StoreWord(w0+x, m)
+// resolveDirty writes the row's dirty-column set into ws.cols and returns
+// the dirty count (the interface path's form).
+func resolveDirty(inc *incShared, nbr, lo []int32, ws *workerScratch) int {
+	masks, dirtyCnt := dirtyMasks(inc, nbr, lo, ws)
+	for wi, m := range masks {
+		ws.cols.StoreWord(wi, m)
 	}
 	return dirtyCnt
 }
 
-// resolveDirtySel appends the span's dirty columns to sel in ascending
+// resolveDirtySel appends the row's dirty columns to sel in ascending
 // order (the selection vector the columnar kernels iterate).
-func resolveDirtySel(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScratch, sel []int32) []int32 {
-	masks, _ := dirtyMasks(inc, nbr, lo, j0, j1, ws)
-	w0 := j0 >> 6
-	for x, m := range masks {
-		jb := (w0 + x) << 6
+func resolveDirtySel(inc *incShared, nbr, lo []int32, ws *workerScratch, sel []int32) []int32 {
+	masks, _ := dirtyMasks(inc, nbr, lo, ws)
+	for wi, m := range masks {
+		jb := wi << 6
 		for m != 0 {
 			sel = append(sel, int32(jb+bits.TrailingZeros64(m)))
 			m &= m - 1
@@ -1230,7 +1161,7 @@ func resolveDirtySel(inc *incShared, nbr, lo []int32, j0, j1 int, ws *workerScra
 }
 
 // exec runs the step's row tasks (r.tasks), across the pool when fan says
-// the step is big enough to pay for it. Tasks write disjoint spans, so the
+// the step is big enough to pay for it. Tasks write disjoint rows, so the
 // merge is a no-op and the result is bit-identical to sequential order.
 // The job is the run's own: concurrent runs on one engine share the pool,
 // never a job.
@@ -1261,15 +1192,11 @@ func materialise[R any](alg core.Algebra[R], s [][]R) *matrix.State[R] {
 func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 	n := x.N
 	tabs := x.RowViews()
-	fan, shards := e.shardsFor(n*n*n, n, n)
-	tasks := make([]rowTask[R, []R], 0, n*shards)
-	for i := 0; i < n; i++ {
-		dst := out.RowView(i)
-		for s := 0; s < shards; s++ {
-			tasks = append(tasks, rowTask[R, []R]{i: i, j0: s * n / shards, j1: (s + 1) * n / shards, tabs: tabs, dst: dst})
-		}
+	tasks := make([]rowTask[R, []R], n)
+	for i := range tasks {
+		tasks[i] = rowTask[R, []R]{i: i, tabs: tabs, dst: out.RowView(i)}
 	}
-	(&run[R, []R]{e: e, ops: genOps[R]{e: e}, tasks: tasks}).exec(fan)
+	(&run[R, []R]{e: e, ops: genOps[R]{e: e}, tasks: tasks}).exec(e.fanOut(n * n * n))
 }
 
 // FixedPoint iterates σ from start until a fixed point or maxRounds, the

@@ -159,9 +159,9 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 		start := matrix.RandomStateFrom(rng, n, universe)
 		sched := schedule.Random(rng, n, 100, schedule.Options{MaxGap: 8, MaxStaleness: 6})
 		seq := engine.New(alg, adj, engine.Config{Workers: 1}).Run(start, sched)
-		// NewSharded fans every step out and forces column splitting even
-		// on tiny networks: seven helpers, each row in up to eight spans.
-		// CellsComputed is summed from the workers' own counters.
+		// NewSharded fans every step out even on tiny networks: seven
+		// helpers sharing the rows. CellsComputed is summed from the
+		// workers' own counters.
 		sharded := engine.NewSharded(alg, adj, engine.Config{Workers: 8})
 		defer sharded.Close()
 		par := sharded.Run(start, sched)
@@ -169,14 +169,16 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 		if par.Stats() != seq.Stats() {
 			t.Fatalf("sharded stats %+v, sequential %+v", par.Stats(), seq.Stats())
 		}
-		// A step that fans out with rows to spare splits each of them.
+		// A row is the unit of parallel work: every step fans out, and
+		// builds exactly one task per computing row, however many workers
+		// are idle.
 		st := mustStart(t, sharded, start, sched, nil)
 		defer st.Close()
 		for k, rows := 1, 0; k <= sched.T; k++ {
 			st.Step(k)
 			if computed := st.Stats().RowsComputed - rows; computed > 0 {
-				if tasks := engine.LastStepTasks(st); computed < 8 && tasks <= computed {
-					t.Fatalf("step %d: %d rows over 8 workers ran as %d tasks, want them split by column", k, computed, tasks)
+				if tasks := engine.LastStepTasks(st); tasks != computed {
+					t.Fatalf("step %d: %d rows over 8 workers ran as %d tasks, want one task per row", k, computed, tasks)
 				}
 				rows += computed
 			}
@@ -194,11 +196,10 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 	})
 }
 
-// TestShardsFollowTheFanOutDecision: column shards exist to keep the pool
-// busy, so a step that stays inline gets one task per row. A lone pending
-// row at n = 192 with two workers used to be split into two half-span
-// tasks that then ran back to back on the caller, resolving the row's
-// dirty columns twice.
+// TestShardsFollowTheFanOutDecision: a step too small to pay for the
+// hand-off stays inline, one task per row. A lone pending row at n = 192
+// with two workers runs as one task on the caller and never wakes the
+// pool.
 func TestShardsFollowTheFanOutDecision(t *testing.T) {
 	alg, adj := incrementalNet(192)
 	start := matrix.Identity[algebras.NatInf](alg, 192)

@@ -9,13 +9,12 @@ import (
 // so the external tests can hold it to the same laws as the lazy sources.
 func Pointwise(src Source) Batched { return &pointwise{src} }
 
-// NewSharded is New with the column-shard threshold (shardFromN) lowered
-// to 1 and the fan-out threshold (minParallelOps) to 0, so a test's tiny
-// network fans every step out and splits every row across the workers
-// the way a large one does.
+// NewSharded is New with the fan-out threshold (minParallelOps) lowered
+// to 0, so a test's tiny network fans every step's rows out across the
+// workers the way a large one does.
 func NewSharded[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], cfg Config) *Engine[R] {
 	e := New(alg, adj, cfg)
-	e.shardFrom, e.minOps = 1, 0
+	e.minOps = 0
 	return e
 }
 
@@ -39,8 +38,8 @@ func PoolPolling[R any](e *Engine[R]) (polling int) {
 
 func (r *run[R, Row]) builtTasks() int { return len(r.tasks) }
 
-// LastStepTasks is how many row tasks the stepper's last computing step
-// built: rows × column shards.
+// LastStepTasks is how many row tasks the stepper's last step with
+// activations built: one per row it recomputed.
 func LastStepTasks[R any](s *Stepper[R]) int {
 	return s.run.(interface{ builtTasks() int }).builtTasks()
 }

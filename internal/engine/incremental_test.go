@@ -42,7 +42,7 @@ func incrementalNet(n int) (algebras.HopCount, *matrix.Adjacency[algebras.NatInf
 
 // TestIncrementalMatchesFull holds the change-driven engine to
 // bit-identity with the literal reference evaluator at every step of every
-// kind of schedule, including with column sharding forced on, across the
+// kind of schedule, including with the fan-out forced on, across the
 // three equivalence algebras, and to the closed-form work bounds.
 func TestIncrementalMatchesFull(t *testing.T) {
 	nets := []struct {
@@ -65,7 +65,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	configs := []struct {
 		name  string
 		cfg   engine.Config
-		shard bool // split every row by column, however small the network
+		shard bool // fan every step out, however small the network
 	}{
 		{"sequential", engine.Config{Workers: 1}, false},
 		{"sharded", engine.Config{Workers: 8}, true},

@@ -19,8 +19,8 @@ import (
 // route carriers — with the engine's pooled scratch and packed kernels
 // engaged — must be indistinguishable, cell for cell
 // after materialising the path ids, from the literal clone-everything
-// reference evaluator over the reference carriers, with and without
-// column sharding.
+// reference evaluator over the reference carriers, sequential and with
+// every step fanned out.
 
 // internNet packages one base algebra lifted both ways.
 type internNet[B comparable] struct {

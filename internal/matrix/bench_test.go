@@ -120,27 +120,27 @@ func BenchmarkSigmaColumnBatch(b *testing.B) {
 	b.Run("generic/dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
-			SigmaSpanIntoNbr[algebras.NatInf](alg, adj, i, nbr, tabs, dstG, 0, n)
+			SigmaRowInto[algebras.NatInf](alg, adj, i, nbr, tabs, dstG)
 		}
 	})
 	b.Run("columnar/dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
-			SigmaColSpanChanged(meta, i, nbr, kern, cs.Rows, core.Col{}, dstC, 0, n, nil, nil, &scratch)
+			SigmaColChanged(meta, i, nbr, kern, cs.Rows, core.Col{}, dstC, nil, nil, &scratch)
 		}
 	})
 	b.Run("generic/dirty8", func(b *testing.B) {
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
 			chg.Clear()
-			SigmaSpanIntoChangedNbr[algebras.NatInf](alg, adj, i, nbr, tabs, prev, dstG, 0, n, cols, chg)
+			SigmaRowChanged[algebras.NatInf](alg, adj, i, nbr, tabs, prev, dstG, cols, chg)
 		}
 	})
 	b.Run("columnar/dirty8", func(b *testing.B) {
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
 			chg.Clear()
-			SigmaColSpanChanged(meta, i, nbr, kern, cs.Rows, prevC, dstC, 0, n, sel, chg, &scratch)
+			SigmaColChanged(meta, i, nbr, kern, cs.Rows, prevC, dstC, sel, chg, &scratch)
 		}
 	})
 }

@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Bitset is a fixed-width set of destination columns, the unit of the
 // engine's dirty tracking: one bit per destination j records whether a
@@ -68,15 +65,10 @@ func (b *Bitset) Count() int {
 // scratch.
 func (b *Bitset) StoreWord(w int, mask uint64) { b.words[w] = mask }
 
-// OrWord atomically ORs mask into word w (columns [64w, 64w+64)). It is
-// the merge point for column-sharded kernels: shards of one row flush
-// their changed bits into a shared Bitset, and a word may straddle two
-// shards' spans, so the OR must be atomic.
-func (b *Bitset) OrWord(w int, mask uint64) {
-	if mask != 0 {
-		atomic.OrUint64(&b.words[w], mask)
-	}
-}
+// OrWord ORs mask into word w (columns [64w, 64w+64)): how the row
+// kernels flush a row's changed bits. A row is one task, so each row's
+// change set has exactly one writer.
+func (b *Bitset) OrWord(w int, mask uint64) { b.words[w] |= mask }
 
 // ForEach calls fn for every set column in ascending order.
 func (b *Bitset) ForEach(fn func(j int)) {

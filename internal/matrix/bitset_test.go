@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -40,26 +39,5 @@ func TestBitsetBasics(t *testing.T) {
 		if !b.Empty() {
 			t.Fatalf("n=%d: clear left bits behind", n)
 		}
-	}
-}
-
-func TestBitsetOrWordConcurrent(t *testing.T) {
-	// OrWord is the merge point for column shards of one row; concurrent
-	// ORs into the same word must not lose bits.
-	const n = 256
-	b := NewBitset(n)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for j := g; j < n; j += 8 {
-				b.OrWord(j>>6, 1<<(j&63))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if b.Count() != n {
-		t.Fatalf("lost bits under concurrent OrWord: %d of %d", b.Count(), n)
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // Columnar σ evaluation. A routing table row becomes a pair of packed
 // lanes (core.Col): a contiguous []paths.PathID and a contiguous []uint64
-// metric lane, W words per destination. SigmaColSpanChanged below is the
-// struct-of-arrays analogue of SigmaSpanIntoChangedNbr: same dirty-column
+// metric lane, W words per destination. SigmaColChanged below is the
+// struct-of-arrays analogue of SigmaRowChanged: same dirty-column
 // contract, same computed-count semantics, same diagonal handling — but
 // the per-neighbour fold runs through compiled core.ColKernels that scan
 // the lanes monomorphically, and change detection compares packed words
@@ -46,7 +46,7 @@ func ColMetaOf[R any](alg core.Algebra[R], c core.Columnar[R]) *ColMeta {
 
 // ColSlab carves packed lanes out of large shared blocks, the columnar
 // analogue of the engine's row slabs: rows allocated together sit
-// adjacent in one arena, so a shard worker sweeping its rows scans
+// adjacent in one arena, so a worker sweeping its rows scans
 // contiguous memory, and per-row allocations disappear from the steady
 // state (the engine pools the slab with its run scratch).
 type ColSlab struct {
@@ -115,37 +115,36 @@ func EncodeColumnar[R any](c core.Columnar[R], s *State[R]) *ColumnarState {
 	return cs
 }
 
-// SigmaColSpanChanged computes node i's σ-row over the span [j0, j1) of
-// the packed lanes, the columnar twin of SigmaSpanIntoChangedNbr:
+// SigmaColChanged computes node i's σ-row in packed lanes, the columnar
+// twin of SigmaRowChanged:
 //
 //   - kern[x] is the compiled kernel of the edge (i, nbr[x]) and tabs is
 //     indexed by absolute neighbour id — tabs[nbr[x]] is the packed table
 //     node i currently sees from neighbour x.
-//   - sel, when non-nil, holds the ascending absolute indices of the
-//     dirty columns within the span; every other column is copied from
-//     prev. A nil sel recomputes the whole span (the dense form taken
-//     when every column is dirty or the run is not incremental).
+//   - sel, when non-nil, holds the ascending indices of the dirty
+//     columns; every other column is copied from prev. A nil sel
+//     recomputes the whole row (the dense form taken when every column is
+//     dirty or the run is not incremental).
 //   - changed, when non-nil, receives the columns whose packed cells
-//     differ from prev — one atomic word OR per 64 columns, with cell
-//     equality a plain word compare thanks to the canonical packing.
+//     differ from prev — one word OR per 64 columns, with cell equality a
+//     plain word compare thanks to the canonical packing.
 //
 // Fold order across neighbours matches the generic kernel (slice order),
 // and the diagonal is overwritten with the trivial cell after the fold,
 // so results are bit-identical to the interface path. Returns the number
-// of columns recomputed — len(sel), or the span width when dense.
-func SigmaColSpanChanged(
+// of columns recomputed — len(sel), or the row width when dense.
+func SigmaColChanged(
 	meta *ColMeta, i int, nbr []int32, kern []core.ColKernel, tabs []core.Col,
-	prev, dst core.Col, j0, j1 int, sel []int32, changed *Bitset,
+	prev, dst core.Col, sel []int32, changed *Bitset,
 	scratch *core.ColScratch,
 ) int {
 	w := meta.W
+	n := len(dst.M) / w
 	if sel != nil {
 		// Unchanged columns keep their previous cells; dirty ones restart
 		// from the fold identity ∞.
-		if meta.HasID {
-			copy(dst.ID[j0:j1], prev.ID[j0:j1])
-		}
-		copy(dst.M[j0*w:j1*w], prev.M[j0*w:j1*w])
+		copy(dst.ID, prev.ID)
+		copy(dst.M, prev.M)
 		if w == 1 && !meta.HasID {
 			inv, dm := meta.InvM[0], dst.M
 			for _, j := range sel {
@@ -157,41 +156,28 @@ func SigmaColSpanChanged(
 			}
 		}
 	} else if w == 1 && !meta.HasID {
-		inv, dm := meta.InvM[0], dst.M[j0:j1]
+		inv, dm := meta.InvM[0], dst.M
 		for x := range dm {
 			dm[x] = inv
 		}
 	} else {
-		for j := j0; j < j1; j++ {
+		for j := 0; j < n; j++ {
 			setCell(meta, dst, j, meta.InvID, meta.InvM)
 		}
 	}
 	for x, k := range kern {
-		k(dst, tabs[nbr[x]], sel, j0, j1, scratch)
+		k(dst, tabs[nbr[x]], sel, scratch)
 	}
-	if j0 <= i && i < j1 {
-		if sel == nil {
-			setCell(meta, dst, i, meta.TrvID, meta.TrvM)
-		} else if selHas(sel, int32(i)) {
-			setCell(meta, dst, i, meta.TrvID, meta.TrvM)
-		}
+	if sel == nil || selHas(sel, int32(i)) {
+		setCell(meta, dst, i, meta.TrvID, meta.TrvM)
 	}
 	if changed != nil {
-		recordColChanged(meta, prev, dst, j0, j1, sel, changed)
+		recordColChanged(meta, prev, dst, n, sel, changed)
 	}
 	if sel != nil {
 		return len(sel)
 	}
-	return j1 - j0
-}
-
-// AppendSpan appends the set columns of b within [j0, j1) to sel in
-// ascending order, returning the extended slice. The columnar driver uses
-// it to materialise a dirty-column bitset into the selection vector the
-// compiled kernels iterate.
-func (b *Bitset) AppendSpan(sel []int32, j0, j1 int) []int32 {
-	forSpan(b, j0, j1, func(j int) { sel = append(sel, int32(j)) })
-	return sel
+	return n
 }
 
 // setCell writes one packed cell (id, W metric words) into row at column j.
@@ -220,21 +206,20 @@ func selHas(sel []int32, j int32) bool {
 	return lo < len(sel) && sel[lo] == j
 }
 
-// recordColChanged flushes the selected columns whose packed cells differ
-// between prev and dst into changed, one atomic OR per word — the packed
-// twin of recordChanged, with the equality function replaced by word
-// compares.
-func recordColChanged(meta *ColMeta, prev, dst core.Col, j0, j1 int, sel []int32, changed *Bitset) {
+// recordColChanged flushes the selected columns (all n when sel is nil)
+// whose packed cells differ between prev and dst into changed, one OR per
+// word — the packed twin of recordChanged, with the equality function
+// replaced by word compares.
+func recordColChanged(meta *ColMeta, prev, dst core.Col, n int, sel []int32, changed *Bitset) {
 	var mask uint64
 	word := -1
 	w := meta.W
 	pm, dm := prev.M, dst.M
 	if sel == nil {
 		if w == 1 && !meta.HasID {
-			pm2, dm2 := pm[j0:j1], dm[j0:j1]
-			for x := range dm2 {
-				if pm2[x] != dm2[x] {
-					j := j0 + x
+			pm2, dm2 := pm[:n], dm[:n]
+			for j := range dm2 {
+				if pm2[j] != dm2[j] {
 					if wi := j >> 6; wi != word {
 						if mask != 0 {
 							changed.OrWord(word, mask)
@@ -245,7 +230,7 @@ func recordColChanged(meta *ColMeta, prev, dst core.Col, j0, j1 int, sel []int32
 				}
 			}
 		} else {
-			for j := j0; j < j1; j++ {
+			for j := 0; j < n; j++ {
 				if cellDiff(meta, prev, dst, pm, dm, j, w) {
 					if wi := j >> 6; wi != word {
 						if mask != 0 {

@@ -10,12 +10,11 @@ import (
 )
 
 // Boundary and differential tests for the two change-tracking row
-// kernels: the generic SigmaSpanIntoChangedNbr and its packed twin
-// SigmaColSpanChanged. The two must agree cell for cell and dirty-bit
-// for dirty-bit on every span shape the engine can produce — including
-// the degenerate ones: a node with no in-neighbours, an empty span, an
-// empty dirty selection, and column counts that do not fill the last
-// bitset word.
+// kernels: the generic SigmaRowChanged and its packed twin
+// SigmaColChanged. The two must agree cell for cell and dirty-bit for
+// dirty-bit on every dirty set the engine can produce — including the
+// degenerate ones: a node with no in-neighbours, an empty dirty
+// selection, and column counts that do not fill the last bitset word.
 
 // natNbr returns the ascending in-neighbour list of node i.
 func natNbr(a *Adjacency[algebras.NatInf], i int) []int32 {
@@ -62,7 +61,7 @@ func packRow(c core.Columnar[algebras.NatInf], row []algebras.NatInf) core.Col {
 func checkColVsGeneric(t *testing.T, label string,
 	alg algebras.ShortestPaths, adj *Adjacency[algebras.NatInf],
 	i int, nbr []int32, x *State[algebras.NatInf], prevRow []algebras.NatInf,
-	j0, j1 int, cols *Bitset,
+	cols *Bitset,
 ) {
 	t.Helper()
 	n := adj.N
@@ -70,15 +69,15 @@ func checkColVsGeneric(t *testing.T, label string,
 	meta := ColMetaOf[algebras.NatInf](alg, c)
 	kern := natKernels(alg, adj, i, nbr)
 
-	// Generic side. Cells outside the span must never be written: seed
-	// them with a sentinel no kernel produces.
+	// Generic side. Every cell must be written: seed them with a sentinel
+	// no kernel produces.
 	const sentinel = algebras.NatInf(0xdead)
 	dstG := make([]algebras.NatInf, n)
 	for j := range dstG {
 		dstG[j] = sentinel
 	}
 	chgG := NewBitset(n)
-	compG := SigmaSpanIntoChangedNbr[algebras.NatInf](alg, adj, i, nbr, x.RowViews(), prevRow, dstG, j0, j1, cols, chgG)
+	compG := SigmaRowChanged[algebras.NatInf](alg, adj, i, nbr, x.RowViews(), prevRow, dstG, cols, chgG)
 
 	// Columnar side: same tabs and prev, packed.
 	cs := EncodeColumnar(c, x)
@@ -89,40 +88,28 @@ func checkColVsGeneric(t *testing.T, label string,
 	}
 	var sel []int32
 	if cols != nil {
-		sel = cols.AppendSpan(nil, j0, j1)
-		if sel == nil {
-			sel = []int32{} // non-nil empty: the sparse form with nothing dirty
-		}
+		sel = []int32{} // non-nil even when empty: the sparse form with nothing dirty
+		cols.ForEach(func(j int) { sel = append(sel, int32(j)) })
 	}
 	chgC := NewBitset(n)
 	var scratch core.ColScratch
-	compC := SigmaColSpanChanged(meta, i, nbr, kern, cs.Rows, prevC, dstC, j0, j1, sel, chgC, &scratch)
+	compC := SigmaColChanged(meta, i, nbr, kern, cs.Rows, prevC, dstC, sel, chgC, &scratch)
 
 	if compG != compC {
 		t.Fatalf("%s: computed counts diverge: generic %d, columnar %d", label, compG, compC)
 	}
 	dec := make([]algebras.NatInf, n)
 	c.DecodeCol(dstC, dec)
-	for j := j0; j < j1; j++ {
+	for j := 0; j < n; j++ {
+		if dstG[j] == sentinel {
+			t.Fatalf("%s: generic kernel left cell %d unwritten", label, j)
+		}
 		if dstG[j] != dec[j] {
 			t.Fatalf("%s: cell %d: generic %v, columnar %v", label, j, dstG[j], dec[j])
 		}
 		if cols != nil && !cols.Get(j) && dstG[j] != prevRow[j] {
 			t.Fatalf("%s: clean cell %d rewritten: %v != prev %v", label, j, dstG[j], prevRow[j])
 		}
-	}
-	for j := 0; j < n; j++ {
-		if j < j1 && j >= j0 {
-			continue
-		}
-		if dstG[j] != sentinel {
-			t.Fatalf("%s: generic kernel wrote outside the span at %d", label, j)
-		}
-		if chgG.Get(j) || chgC.Get(j) {
-			t.Fatalf("%s: dirty bit outside the span at %d", label, j)
-		}
-	}
-	for j := 0; j < n; j++ {
 		if chgG.Get(j) != chgC.Get(j) {
 			t.Fatalf("%s: dirty bit %d diverges: generic %v, columnar %v", label, j, chgG.Get(j), chgC.Get(j))
 		}
@@ -143,7 +130,7 @@ func randomNatRow(rng *rand.Rand, n int) []algebras.NatInf {
 	return row
 }
 
-// TestSigmaSpanChangedBoundaries pins the degenerate span shapes of both
+// TestSigmaSpanChangedBoundaries pins the degenerate row shapes of both
 // change-tracking kernels. n = 70 throughout, so the second bitset word
 // is ragged — the high 58 bits of word 1 must never leak into dirty sets
 // or selections.
@@ -163,11 +150,11 @@ func TestSigmaSpanChangedBoundaries(t *testing.T) {
 			cols.Set(j)
 		}
 		prev := randomNatRow(rng, n)
-		checkColVsGeneric(t, "empty-nbr", alg, adj, i, []int32{}, x, prev, 0, n, cols)
+		checkColVsGeneric(t, "empty-nbr", alg, adj, i, []int32{}, x, prev, cols)
 
 		dst := make([]algebras.NatInf, n)
 		chg := NewBitset(n)
-		SigmaSpanIntoChangedNbr[algebras.NatInf](alg, adj, i, []int32{}, x.RowViews(), prev, dst, 0, n, cols, chg)
+		SigmaRowChanged[algebras.NatInf](alg, adj, i, []int32{}, x.RowViews(), prev, dst, cols, chg)
 		cols.ForEach(func(j int) {
 			switch {
 			case j == i:
@@ -180,56 +167,32 @@ func TestSigmaSpanChangedBoundaries(t *testing.T) {
 		})
 	})
 
-	t.Run("empty-span", func(t *testing.T) {
-		for _, j0 := range []int{0, 5, 64, n} {
-			cols := NewBitset(n)
-			for j := 0; j < n; j += 2 {
-				cols.Set(j) // bits outside an empty span must be ignored
-			}
-			prev := randomNatRow(rng, n)
-			checkColVsGeneric(t, fmt.Sprintf("empty-span@%d", j0), alg, adj, i, nbr, x, prev, j0, j0, cols)
-		}
-	})
-
 	t.Run("empty-selection", func(t *testing.T) {
-		// Nothing dirty in the span: both kernels must return 0, keep
+		// Nothing dirty in the row: both kernels must return 0, keep
 		// dst == prev and record no changes.
 		prev := randomNatRow(rng, n)
-		checkColVsGeneric(t, "empty-sel", alg, adj, i, nbr, x, prev, 0, n, NewBitset(n))
+		checkColVsGeneric(t, "empty-sel", alg, adj, i, nbr, x, prev, NewBitset(n))
 	})
 
 	t.Run("ragged-tail", func(t *testing.T) {
-		// Dirty columns past bit 63, including the last column, with the
-		// span covering the partial word.
+		// Dirty columns past bit 63, including the last column of the
+		// partial word.
 		cols := NewBitset(n)
 		for _, j := range []int{1, 63, 64, 65, n - 1} {
 			cols.Set(j)
 		}
 		prev := randomNatRow(rng, n)
-		checkColVsGeneric(t, "ragged-tail", alg, adj, i, nbr, x, prev, 0, n, cols)
-	})
-
-	t.Run("misaligned-span", func(t *testing.T) {
-		// Span boundaries inside both bitset words, dense and sparse.
-		prev := randomNatRow(rng, n)
-		checkColVsGeneric(t, "misaligned-dense", alg, adj, i, nbr, x, prev, 3, 67, nil)
-		cols := NewBitset(n)
-		for _, j := range []int{3, 4, 31, 63, 64, 66} {
-			cols.Set(j)
-		}
-		checkColVsGeneric(t, "misaligned-sparse", alg, adj, i, nbr, x, prev, 3, 67, cols)
+		checkColVsGeneric(t, "ragged-tail", alg, adj, i, nbr, x, prev, cols)
 	})
 
 	t.Run("differential-random", func(t *testing.T) {
-		// Random spans, random dirty sets, random prevs: the packed and
+		// Random rows, random dirty sets, random prevs: the packed and
 		// generic kernels must stay indistinguishable.
 		for trial := 0; trial < 50; trial++ {
-			j0 := rng.Intn(n)
-			j1 := j0 + rng.Intn(n-j0)
 			var cols *Bitset
 			if rng.Intn(4) != 0 {
 				cols = NewBitset(n)
-				for j := j0; j < j1; j++ {
+				for j := 0; j < n; j++ {
 					if rng.Intn(3) == 0 {
 						cols.Set(j)
 					}
@@ -237,7 +200,7 @@ func TestSigmaSpanChangedBoundaries(t *testing.T) {
 			}
 			prev := randomNatRow(rng, n)
 			ii := rng.Intn(n)
-			checkColVsGeneric(t, fmt.Sprintf("trial-%d", trial), alg, adj, ii, natNbr(adj, ii), x, prev, j0, j1, cols)
+			checkColVsGeneric(t, fmt.Sprintf("trial-%d", trial), alg, adj, ii, natNbr(adj, ii), x, prev, cols)
 		}
 	})
 }

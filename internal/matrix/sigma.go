@@ -20,18 +20,6 @@ import (
 // the event simulator, and the live goroutine engine — they differ only in
 // where tabs comes from (the current state, the β-indexed history, or a
 // receive cache).
-func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, tabs [][]R, dst []R) []R {
-	if dst == nil {
-		dst = make([]R, a.N)
-	}
-	SigmaSpanIntoNbr(alg, a, i, nil, tabs, dst, 0, a.N)
-	return dst
-}
-
-// SigmaSpanIntoNbr is SigmaRowInto restricted to destinations
-// j ∈ [j0, j1): the column-sharded form the engine uses to split one
-// row's recomputation across workers on large networks. dst must have
-// length N; only the span is written.
 //
 // The loops run k-outer so the edge lookup happens once per neighbour
 // rather than once per cell — O(n·deg) instead of O(n²) on sparse
@@ -40,12 +28,16 @@ func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, tabs [][]R
 //
 // When nbr is non-nil the kernel folds only over those k (in slice
 // order) instead of probing all n candidate edges — O(deg) edge lookups
-// per span. A nil nbr falls back to the full scan. Callers must pass
+// per row. A nil nbr falls back to the full scan. Callers must pass
 // exactly the k ≠ i with an (i, k) edge, ascending, to keep the fold
 // order — and therefore the result — bit-identical.
-func SigmaSpanIntoNbr[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []int32, tabs [][]R, dst []R, j0, j1 int) {
+func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []int32, tabs [][]R, dst []R) []R {
+	if dst == nil {
+		dst = make([]R, a.N)
+	}
+	dst = dst[:a.N]
 	inv := alg.Invalid()
-	for j := j0; j < j1; j++ {
+	for j := range dst {
 		dst[j] = inv
 	}
 	kn := a.N
@@ -64,58 +56,50 @@ func SigmaSpanIntoNbr[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []
 			continue
 		}
 		tk := tabs[k]
-		for j := j0; j < j1; j++ {
+		for j := range dst {
 			if j == i {
 				continue
 			}
 			dst[j] = alg.Choice(dst[j], e.Apply(tk[j]))
 		}
 	}
-	if j0 <= i && i < j1 {
-		dst[i] = alg.Trivial()
-	}
+	dst[i] = alg.Trivial()
+	return dst
 }
 
-// SigmaSpanIntoChangedNbr is the change-tracking variant of
-// SigmaSpanIntoNbr that powers the engine's change-driven evaluation. It
-// computes node i's σ-row over the span [j0, j1), over the in-neighbour
-// list nbr under the same contract, with two additions:
+// SigmaRowChanged is the change-tracking variant of SigmaRowInto that
+// powers the engine's change-driven evaluation. It computes node i's
+// σ-row over the in-neighbour list nbr under the same contract, with two
+// additions:
 //
 //   - cols, when non-nil, restricts recomputation to the destination
-//     columns it contains; every other column of the span is copied from
-//     prev (the row's previous value), so work is proportional to the
-//     columns whose inputs actually changed.
+//     columns it contains; every other column is copied from prev (the
+//     row's previous value), so work is proportional to the columns whose
+//     inputs actually changed.
 //   - every recomputed column is compared against prev as it is written,
 //     and columns whose value differs (per alg.Equal) are recorded in
 //     changed — the per-node dirty set downstream activations consume.
-//     Because column shards of one row share changed, the flush uses the
-//     Bitset's atomic word OR.
 //
-// The fold order per cell is identical to SigmaSpanIntoNbr (ascending k),
-// so recomputed cells are bit-identical to the full kernel's. It returns
-// the number of columns recomputed.
+// The fold order per cell is identical to SigmaRowInto (ascending k), so
+// recomputed cells are bit-identical to the full kernel's. It returns the
+// number of columns recomputed.
 //
 // Correctness of the copy-for-unchanged contract requires alg.Equal to
 // coincide with structural equality on values the kernel itself produces
 // (kernel outputs are canonical: Choice and the edge functions normalise
 // as they go), which holds for every algebra in this repository.
-func SigmaSpanIntoChangedNbr[R any](
+func SigmaRowChanged[R any](
 	alg core.Algebra[R], a *Adjacency[R], i int, nbr []int32, tabs [][]R,
-	prev, dst []R, j0, j1 int, cols, changed *Bitset,
+	prev, dst []R, cols, changed *Bitset,
 ) int {
 	if cols == nil {
-		SigmaSpanIntoNbr(alg, a, i, nbr, tabs, dst, j0, j1)
-		recordChanged(alg, prev, dst, j0, j1, nil, changed)
-		return j1 - j0
+		SigmaRowInto(alg, a, i, nbr, tabs, dst)
+		recordChanged(alg, prev, dst, nil, changed)
+		return a.N
 	}
-	copy(dst[j0:j1], prev[j0:j1])
+	copy(dst, prev)
 	inv := alg.Invalid()
-	computed := 0
-	forSpan(cols, j0, j1, func(j int) {
-		dst[j] = inv
-		computed++
-	})
-	w0, w1 := j0>>6, (j1-1)>>6
+	cols.ForEach(func(j int) { dst[j] = inv })
 	kn := a.N
 	if nbr != nil {
 		kn = len(nbr)
@@ -134,8 +118,7 @@ func SigmaSpanIntoChangedNbr[R any](
 		tk := tabs[k]
 		// The fold is the hot loop: iterate the dirty words inline rather
 		// than through a per-bit callback.
-		for wi := w0; wi <= w1; wi++ {
-			w := cols.spanWord(wi, j0, j1)
+		for wi, w := range cols.words {
 			base := wi << 6
 			for w != 0 {
 				j := base + bits.TrailingZeros64(w)
@@ -146,18 +129,18 @@ func SigmaSpanIntoChangedNbr[R any](
 			}
 		}
 	}
-	if j0 <= i && i < j1 && cols.Get(i) {
+	if cols.Get(i) {
 		dst[i] = alg.Trivial()
 	}
-	recordChanged(alg, prev, dst, j0, j1, cols, changed)
-	return computed
+	recordChanged(alg, prev, dst, cols, changed)
+	return cols.Count()
 }
 
-// recordChanged flushes the columns of [j0, j1) (restricted to cols when
-// non-nil) where prev and dst differ into changed, one atomic OR per word.
+// recordChanged flushes the columns (restricted to cols when non-nil)
+// where prev and dst differ into changed, one word OR per 64 columns.
 // Algebras with interned routes answer Equal with an O(1) id compare, so
 // change tracking stays O(1) per cell regardless of path length.
-func recordChanged[R any](alg core.Algebra[R], prev, dst []R, j0, j1 int, cols, changed *Bitset) {
+func recordChanged[R any](alg core.Algebra[R], prev, dst []R, cols, changed *Bitset) {
 	var mask uint64
 	word := -1
 	flush := func() {
@@ -176,42 +159,13 @@ func recordChanged[R any](alg core.Algebra[R], prev, dst []R, j0, j1 int, cols, 
 		mask |= 1 << (j & 63)
 	}
 	if cols == nil {
-		for j := j0; j < j1; j++ {
+		for j := range dst {
 			note(j)
 		}
 	} else {
-		forSpan(cols, j0, j1, note)
+		cols.ForEach(note)
 	}
 	flush()
-}
-
-// spanWord returns word wi masked to the columns within [j0, j1).
-func (b *Bitset) spanWord(wi, j0, j1 int) uint64 {
-	w := b.words[wi]
-	if wi == j0>>6 {
-		w &= ^uint64(0) << (j0 & 63)
-	}
-	if wi == (j1-1)>>6 {
-		if r := j1 & 63; r != 0 {
-			w &= (1 << r) - 1
-		}
-	}
-	return w
-}
-
-// forSpan calls fn for every set column of b within [j0, j1), ascending.
-func forSpan(b *Bitset, j0, j1 int, fn func(j int)) {
-	if j0 >= j1 {
-		return
-	}
-	for wi := j0 >> 6; wi <= (j1-1)>>6; wi++ {
-		w := b.spanWord(wi, j0, j1)
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }
 
 // Sigma applies one synchronous Bellman-Ford round: σ(X) = A(X) ⊕ I.
@@ -227,7 +181,7 @@ func Sigma[R any](alg core.Algebra[R], a *Adjacency[R], x *State[R]) *State[R] {
 func SigmaInto[R any](alg core.Algebra[R], a *Adjacency[R], x, out *State[R]) {
 	tabs := x.RowViews()
 	for i := 0; i < x.N; i++ {
-		SigmaRowInto(alg, a, i, tabs, out.RowView(i))
+		SigmaRowInto(alg, a, i, nil, tabs, out.RowView(i))
 	}
 }
 

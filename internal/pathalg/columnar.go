@@ -8,7 +8,7 @@ import "repro/internal/core"
 // struct-of-arrays pair the columnar σ kernel wants: the PathID lane plus
 // a one-word metric lane. The compiled edge kernel then runs the whole
 // dirty column in three monomorphic passes: a single batched ExtendSel
-// against the intern table (one lock round-trip per edge per span instead
+// against the intern table (one lock round-trip per edge per row instead
 // of one per cell), the compiled base edge over the metric lane, and the
 // ⊕ fold, whose base-preference step is an integer compare with ties
 // falling through to the interned path order.
@@ -70,10 +70,10 @@ func (t *Interned[B]) CompileEdge(e core.Edge[IRoute[B]]) core.ColKernel {
 	}
 	invM := p.PackMetric(t.Base.Invalid())
 	tab, i, j := t.Tab, ae.i, ae.j
-	return func(dst, src core.Col, sel []int32, j0, j1 int, s *core.ColScratch) {
+	return func(dst, src core.Col, sel []int32, s *core.ColScratch) {
 		s.Grow(len(src.ID), 1)
 		ext := s.ID
-		tab.ExtendSel(src.ID, ext, sel, j0, j1, i, j)
+		tab.ExtendSel(src.ID, ext, sel, i, j)
 		dm, sm := dst.M, src.M
 		did := dst.ID
 		fold := func(x int) {
@@ -94,7 +94,7 @@ func (t *Interned[B]) CompileEdge(e core.Edge[IRoute[B]]) core.ColKernel {
 			}
 		}
 		if sel == nil {
-			for x := j0; x < j1; x++ {
+			for x := range ext {
 				fold(x)
 			}
 			return

@@ -228,16 +228,16 @@ const pendingID PathID = -2
 
 // ExtendSel is the batched form of Extend used by the columnar σ kernels:
 // it computes out[x] = Extend(src[x], i, j) for every selected column x —
-// the ascending absolute indices in sel, or all of [j0, j1) when sel is
-// nil — under a single read-lock acquisition. A convergence sweep extends
-// whole columns by the same arc, so the batch turns one lock round-trip
-// and one index probe per cell into one lock round-trip per (edge, span);
+// the ascending indices in sel, or every x of src when sel is nil — under
+// a single read-lock acquisition. A convergence sweep extends whole
+// columns by the same arc, so the batch turns one lock round-trip and one
+// index probe per cell into one lock round-trip per (edge, row);
 // only genuinely new paths fall back to the write path, and paths are
 // immutable once interned, so the late re-probe inside Extend is safe.
-func (t *Table) ExtendSel(src, out []PathID, sel []int32, j0, j1, i, j int) {
+func (t *Table) ExtendSel(src, out []PathID, sel []int32, i, j int) {
 	if i == j {
 		if sel == nil {
-			for x := j0; x < j1; x++ {
+			for x := range src {
 				out[x] = InvalidID
 			}
 		} else {
@@ -250,8 +250,8 @@ func (t *Table) ExtendSel(src, out []PathID, sel []int32, j0, j1, i, j int) {
 	miss := false
 	t.mu.RLock()
 	if sel == nil {
-		for x := j0; x < j1; x++ {
-			out[x] = t.extendLocked(src[x], i, j, &miss)
+		for x, p := range src {
+			out[x] = t.extendLocked(p, i, j, &miss)
 		}
 	} else {
 		for _, x := range sel {
@@ -263,9 +263,9 @@ func (t *Table) ExtendSel(src, out []PathID, sel []int32, j0, j1, i, j int) {
 		return
 	}
 	if sel == nil {
-		for x := j0; x < j1; x++ {
+		for x, p := range src {
 			if out[x] == pendingID {
-				out[x] = t.Extend(src[x], i, j)
+				out[x] = t.Extend(p, i, j)
 			}
 		}
 	} else {

@@ -81,10 +81,10 @@ func (t *Interned) CompileEdge(e core.Edge[IRoute]) core.ColKernel {
 		return nil
 	}
 	tab, i, j, pol := t.Tab, pe.i, pe.j, pe.pol
-	return func(dst, src core.Col, sel []int32, j0, j1 int, s *core.ColScratch) {
+	return func(dst, src core.Col, sel []int32, s *core.ColScratch) {
 		s.Grow(len(src.ID), 1)
 		ext := s.ID
-		tab.ExtendSel(src.ID, ext, sel, j0, j1, i, j)
+		tab.ExtendSel(src.ID, ext, sel, i, j)
 		dm, sm := dst.M, src.M
 		did := dst.ID
 		fold := func(x int) {
@@ -115,7 +115,7 @@ func (t *Interned) CompileEdge(e core.Edge[IRoute]) core.ColKernel {
 			dm[2*x], dm[2*x+1] = packW0(r.LPref, r.plen, r.Pad), uint64(r.Comms)
 		}
 		if sel == nil {
-			for x := j0; x < j1; x++ {
+			for x := range ext {
 				fold(x)
 			}
 			return

@@ -88,7 +88,7 @@ func FuzzColumnarPolicy(f *testing.F) {
 		dst := core.Col{ID: make([]paths.PathID, n), M: make([]uint64, 2*n)}
 		alg.EncodeCol(incumbent, dst)
 		var scratch core.ColScratch
-		kn(dst, enc, nil, 0, n, &scratch)
+		kn(dst, enc, nil, &scratch)
 		got := make([]IRoute, n)
 		alg.DecodeCol(dst, got)
 		for x := range col {

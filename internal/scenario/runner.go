@@ -52,6 +52,10 @@ type runnerCore interface {
 	close()
 }
 
+// MaxServiceableBytes caps a served scenario's text: the checkpoint
+// metadata that carries it across a drain holds no more.
+const MaxServiceableBytes = 1 << 12
+
 // Serviceable reports whether the scenario can run on the service path:
 // everything Run's engine substrate accepts, as long as its text fits the
 // checkpoint metadata that carries it across a drain.
@@ -59,7 +63,7 @@ func Serviceable(sc *Scenario) error {
 	if err := sc.Validate(); err != nil {
 		return err
 	}
-	if len(sc.Encode()) > 1<<12 {
+	if len(sc.Encode()) > MaxServiceableBytes {
 		return fmt.Errorf("scenario: encoded text exceeds the checkpoint metadata cap")
 	}
 	return nil

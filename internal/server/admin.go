@@ -5,9 +5,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"time"
-
-	"repro/internal/wire"
 )
 
 // The admin surface: a plain http.Handler the daemon binds on a
@@ -31,13 +28,8 @@ type RunInfo struct {
 	Trace    []string `json:"trace,omitempty"`
 }
 
-// finishedRun is the retained record of a completed run for /runs; the
-// ring is bounded (maxFinished) so a long-lived daemon's memory is not.
-type finishedRun struct {
-	info RunInfo
-	at   time.Time
-}
-
+// maxFinished bounds the ring of completed runs /runs retains, so a
+// long-lived daemon's memory is bounded too.
 const maxFinished = 64
 
 // recordFinishedLocked appends to the finished ring; call under s.mu.
@@ -48,7 +40,7 @@ func (s *Server) recordFinishedLocked(r *run, outcome string) {
 		Cells: r.cells, Resumed: r.resumed, Finished: true, Outcome: outcome,
 		Trace: r.traceLinesLocked(),
 	}
-	s.finished = append(s.finished, finishedRun{info: info, at: time.Now()})
+	s.finished = append(s.finished, info)
 	if len(s.finished) > maxFinished {
 		s.finished = s.finished[len(s.finished)-maxFinished:]
 	}
@@ -68,24 +60,17 @@ func (s *Server) Draining() bool {
 func (s *Server) RunsSnapshot() []RunInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := make([]RunInfo, 0, len(s.runs))
+	live := make([]RunInfo, 0, len(s.runs)+len(s.finished))
 	for _, r := range s.runs {
-		phase := r.phase
-		if r.resumed && phase == wire.PhaseQueued {
-			phase = wire.PhaseResumed
-		}
 		live = append(live, RunInfo{
 			Key: r.key, Tenant: r.tenant.name, ID: r.id,
-			Phase: phase.String(), Step: int64(r.step), Horizon: int64(r.sc.Horizon),
+			Phase: r.phaseLocked().String(), Step: int64(r.step), Horizon: int64(r.sc.Horizon),
 			Cells: r.cells, Resumed: r.resumed,
 			Trace: r.traceLinesLocked(),
 		})
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].Key < live[j].Key })
-	for _, f := range s.finished {
-		live = append(live, f.info)
-	}
-	return live
+	return append(live, s.finished...)
 }
 
 // AdminHandler returns the admin HTTP surface:

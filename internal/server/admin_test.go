@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/scenario"
+	"repro/internal/wire"
 )
 
 // adminGet serves one request against the handler and returns the
@@ -120,10 +122,10 @@ func TestAdminSurface(t *testing.T) {
 func TestShedMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, err := New(Config{
-		Metrics:      reg,
-		DefaultQuota: Quota{MaxInFlight: 1},
-		Stall:        20 * time.Millisecond,
-		Quantum:      8,
+		Metrics:     reg,
+		MaxInFlight: 1,
+		Stall:       20 * time.Millisecond,
+		Quantum:     8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,5 +147,40 @@ func TestShedMetrics(t *testing.T) {
 	}
 	if got := reg.Snapshot()[`dbfsimd_sheds_total{reason="inflight_cap"}`]; got != 1 {
 		t.Fatalf("inflight_cap sheds = %v, want 1", got)
+	}
+}
+
+// TestOversizedScenarioRejectedBeforeAdmission: a submission longer than
+// the scenario package's cap is refused with CodeBadRequest at the first
+// gate, before parsing — the reject names the cap, not a parse error —
+// and no admission is counted; the next well-sized run is admitted.
+func TestOversizedScenarioRejectedBeforeAdmission(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s, err := New(Config{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := testCtx(t)
+
+	c, err := DialClient(ctx, s.Addr(), "big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	oversized := shortScenario + strings.Repeat("x", scenario.MaxServiceableBytes)
+	if _, err := c.Submit(ctx, "huge", []byte(oversized), 0); err == nil {
+		t.Fatal("oversized scenario admitted")
+	} else if ef := asErrorFrame(t, err); ef.Code != wire.CodeBadRequest || !strings.Contains(ef.Msg, "cap") {
+		t.Fatalf("oversized scenario rejected with %v %q, want bad-request naming the cap", ef.Code, ef.Msg)
+	}
+	if got := reg.Snapshot()[`dbfsimd_admissions_total{tenant="big"}`]; got != 0 {
+		t.Fatalf("admissions after the oversized submit = %v, want 0", got)
+	}
+	if _, err := c.Run(ctx, "fits", []byte(shortScenario), 0); err != nil {
+		t.Fatalf("well-sized run after the reject: %v", err)
+	}
+	if got := reg.Snapshot()[`dbfsimd_admissions_total{tenant="big"}`]; got != 1 {
+		t.Fatalf("admissions after the well-sized run = %v, want 1", got)
 	}
 }

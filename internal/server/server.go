@@ -3,14 +3,15 @@
 // connections and multiplexes them onto preemptible scenario runners
 // with a robustness core —
 //
-//   - admission control: per-tenant quotas on in-flight runs and
-//     scenario size; excess load is shed with typed retriable errors
-//     carrying retry-after hints, never queued unboundedly;
-//   - weighted fair scheduling: tenants accumulate virtual time in
-//     proportion to the engine steps they consume divided by their
-//     weight, and the next quantum always goes to the runnable tenant
-//     with the least virtual time — a late tenant's first run starts at
-//     the current virtual clock and is therefore scheduled next;
+//   - admission control: a per-tenant cap on in-flight runs and the
+//     scenario package's cap on scenario size; excess load is shed with
+//     typed retriable errors carrying retry-after hints, never queued
+//     unboundedly;
+//   - fair scheduling: tenants accumulate virtual time in proportion to
+//     the engine steps they consume, and the next quantum always goes to
+//     the runnable tenant with the least virtual time — a late tenant's
+//     first run starts at the current virtual clock and is therefore
+//     scheduled next;
 //   - checkpoint preemption: runs execute in bounded quanta, each
 //     quantum ending in a resumable engine snapshot, so a long run
 //     cannot hold a worker while other tenants starve, and a paused run
@@ -41,32 +42,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Quota bounds one tenant's resource use.
-type Quota struct {
-	// MaxInFlight caps the tenant's admitted, unfinished runs (queued,
-	// running or preempted). Default 4.
-	MaxInFlight int
-	// MaxScenarioBytes caps a submitted scenario's text size. Default
-	// 4000 (the checkpoint metadata cap with headroom).
-	MaxScenarioBytes int
-	// Weight is the tenant's fair-share weight; a weight-2 tenant
-	// accrues virtual time at half rate and receives twice the steps of
-	// a weight-1 tenant under contention. Default 1.
-	Weight int
-}
-
-func (q Quota) withDefaults() Quota {
-	if q.MaxInFlight <= 0 {
-		q.MaxInFlight = 4
-	}
-	if q.MaxScenarioBytes <= 0 {
-		q.MaxScenarioBytes = 4000
-	}
-	if q.Weight <= 0 {
-		q.Weight = 1
-	}
-	return q
-}
+// maxResults bounds the table of terminal outcomes — results and
+// failures alike, oldest evicted.
+const maxResults = 1024
 
 // Config configures a Server.
 type Config struct {
@@ -81,18 +59,14 @@ type Config struct {
 	// SpoolDir, when set, enables graceful drain: Drain checkpoints
 	// in-flight runs there and New re-admits them.
 	SpoolDir string
-	// DefaultQuota applies to tenants without an entry in Quotas.
-	DefaultQuota Quota
-	// Quotas holds per-tenant overrides.
-	Quotas map[string]Quota
+	// MaxInFlight caps each tenant's admitted, unfinished runs (queued,
+	// running or preempted); default 4.
+	MaxInFlight int
 	// MaxTenants bounds the tenant table; default 64.
 	MaxTenants int
 	// RetryAfter is the backoff hint attached to shed load; default
 	// 200ms.
 	RetryAfter time.Duration
-	// MaxResults bounds the table of terminal outcomes — results and
-	// failures alike (oldest evicted); default 1024.
-	MaxResults int
 	// Logf, when set, receives one line per lifecycle event (default
 	// discards).
 	Logf func(format string, args ...any)
@@ -119,14 +93,14 @@ func (c Config) withDefaults() Config {
 	if c.Quantum <= 0 {
 		c.Quantum = 64
 	}
+	if c.MaxInFlight <= 0 {
+		c.MaxInFlight = 4
+	}
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = 64
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 200 * time.Millisecond
-	}
-	if c.MaxResults <= 0 {
-		c.MaxResults = 1024
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -140,7 +114,6 @@ func (c Config) withDefaults() Config {
 // tenant is one tenant's scheduling state.
 type tenant struct {
 	name     string
-	quota    Quota
 	vtime    float64
 	queued   []*run // admitted, waiting for a worker (FIFO)
 	inflight int    // admitted, unfinished runs
@@ -160,8 +133,6 @@ type run struct {
 	spoolPath string // file to delete when the run completes
 	resumed   bool   // re-admitted after a restart (reported in Status)
 	phase     wire.RunPhase
-	running   bool // a worker is advancing it right now
-	finished  bool
 	// step and cells mirror the runner's position as of the last quantum
 	// boundary, written under the server lock so status probes never
 	// touch the runner a worker owns.
@@ -191,7 +162,7 @@ type Server struct {
 	order    []string              // results eviction order
 	vclock   float64               // virtual time of the most recent scheduling decision
 	conns    map[*clientConn]struct{}
-	finished []finishedRun // bounded ring of completed runs for /runs
+	finished []RunInfo // bounded ring of completed runs for /runs
 
 	draining bool
 	closed   bool
@@ -246,11 +217,7 @@ func (s *Server) tenantLocked(name string) *tenant {
 	if len(s.tenants) >= s.cfg.MaxTenants {
 		return nil
 	}
-	q := s.cfg.DefaultQuota
-	if o, ok := s.cfg.Quotas[name]; ok {
-		q = o
-	}
-	t := &tenant{name: name, quota: q.withDefaults(), vtime: s.vclock}
+	t := &tenant{name: name, vtime: s.vclock}
 	s.tenants[name] = t
 	return t
 }
@@ -291,7 +258,6 @@ func (s *Server) nextLocked() *run {
 			r := best.queued[0]
 			best.queued = best.queued[1:]
 			s.vclock = best.vtime
-			r.running = true
 			r.quanta++
 			r.phase = wire.PhaseRunning
 			r.spanLocked("scheduled quantum %d (vtime %.1f)", r.quanta, best.vtime)
@@ -357,7 +323,7 @@ func (s *Server) advance(r *run) {
 		convergedAt, _ := r.runner.Converged()
 		st := r.runner.Stats()
 		s.mu.Lock()
-		r.tenant.vtime += float64(st.Steps-before) / float64(r.tenant.quota.Weight)
+		r.tenant.vtime += float64(st.Steps - before)
 		s.met.vtimeLag.With(r.tenant.name).Set(r.tenant.vtime - s.vclock)
 		r.step = st.Steps
 		r.cells = int64(st.CellsComputed)
@@ -372,9 +338,8 @@ func (s *Server) advance(r *run) {
 	}
 
 	s.mu.Lock()
-	r.tenant.vtime += float64(steps) / float64(r.tenant.quota.Weight)
+	r.tenant.vtime += float64(steps)
 	s.met.vtimeLag.With(r.tenant.name).Set(r.tenant.vtime - s.vclock)
-	r.running = false
 	r.phase = wire.PhasePreempted
 	r.step = r.runner.Step()
 	r.cells = int64(r.runner.Stats().CellsComputed)
@@ -401,32 +366,41 @@ func (r *run) stepEstimate() int {
 	return 0
 }
 
+// phaseLocked is the phase a run reports: a re-admitted run still
+// waiting for its first quantum reads as resumed.
+func (r *run) phaseLocked() wire.RunPhase {
+	if r.resumed && r.phase == wire.PhaseQueued {
+		return wire.PhaseResumed
+	}
+	return r.phase
+}
+
 // statusLocked snapshots a run's progress from the mirrored
 // quantum-boundary counters — never from the runner, which a worker
 // may own outside the lock.
 func (s *Server) statusLocked(r *run) wire.Status {
-	phase := r.phase
-	if r.resumed && phase == wire.PhaseQueued {
-		phase = wire.PhaseResumed
-	}
 	return wire.Status{
-		ID: r.id, Phase: phase,
+		ID: r.id, Phase: r.phaseLocked(),
 		Step: int64(r.step), Horizon: int64(r.sc.Horizon),
 		CellsComputed: r.cells,
 	}
 }
 
 // finish completes a run with a result or a terminal error, storing the
-// outcome, releasing the runner and the quota slot, and notifying
+// outcome, releasing the runner and the in-flight slot, and notifying
 // subscribers.
 func (s *Server) finish(r *run, res *wire.Result, ef *wire.ErrorFrame) {
 	if r.runner != nil {
 		r.runner.Close()
 		r.runner = nil
 	}
+	// The spool entry goes before the outcome becomes visible: a client
+	// that reads the result finds the spool already clean.
+	if r.spoolPath != "" {
+		os.Remove(r.spoolPath)
+		r.spoolPath = ""
+	}
 	s.mu.Lock()
-	r.running = false
-	r.finished = true
 	r.tenant.inflight--
 	s.met.inflight.With(r.tenant.name).Set(float64(r.tenant.inflight))
 	var outcome string
@@ -448,13 +422,8 @@ func (s *Server) finish(r *run, res *wire.Result, ef *wire.ErrorFrame) {
 	delete(s.runs, r.key)
 	subs := r.subs
 	r.subs = nil
-	spool := r.spoolPath
-	r.spoolPath = ""
 	s.mu.Unlock()
 
-	if spool != "" {
-		os.Remove(spool)
-	}
 	for _, cc := range subs {
 		cc.push(terminal, true)
 	}
@@ -470,7 +439,7 @@ func (s *Server) storeResultLocked(key string, res wire.Frame) {
 		s.order = append(s.order, key)
 	}
 	s.results[key] = res
-	for len(s.order) > s.cfg.MaxResults {
+	for len(s.order) > maxResults {
 		delete(s.results, s.order[0])
 		s.order = s.order[1:]
 	}
@@ -561,8 +530,12 @@ func (s *Server) handleSubmit(cc *clientConn, f wire.Submit) {
 		return
 	}
 
-	// Admission gate 1, before parsing anything: quota lookup and size
-	// cap, so an over-quota tenant costs nothing.
+	// Admission gate 1, before parsing anything: the size cap on text
+	// from outside the program, and the tenant lookup.
+	if len(f.Scenario) > scenario.MaxServiceableBytes {
+		reject(wire.CodeBadRequest, fmt.Sprintf("%d-byte scenario exceeds the %d-byte cap", len(f.Scenario), scenario.MaxServiceableBytes))
+		return
+	}
 	s.mu.Lock()
 	if s.draining || s.closed {
 		s.mu.Unlock()
@@ -575,13 +548,8 @@ func (s *Server) handleSubmit(cc *clientConn, f wire.Submit) {
 		shed(shedTenants, wire.CodeOverloaded, "tenant table full")
 		return
 	}
-	quota := t.quota
 	s.mu.Unlock()
 
-	if len(f.Scenario) > quota.MaxScenarioBytes {
-		reject(wire.CodeBadRequest, fmt.Sprintf("%d-byte scenario exceeds the %d-byte tenant cap", len(f.Scenario), quota.MaxScenarioBytes))
-		return
-	}
 	sc, err := scenario.Parse(f.Scenario)
 	if err != nil {
 		reject(wire.CodeBadRequest, err.Error())
@@ -610,9 +578,9 @@ func (s *Server) handleSubmit(cc *clientConn, f wire.Submit) {
 		reject(wire.CodeBadRequest, "run id already completed (Wait for its result)")
 		return
 	}
-	if inflight := t.inflight; inflight >= quota.MaxInFlight {
+	if inflight := t.inflight; inflight >= s.cfg.MaxInFlight {
 		s.mu.Unlock()
-		shed(shedInFlight, wire.CodeOverloaded, fmt.Sprintf("tenant has %d runs in flight (cap %d)", inflight, quota.MaxInFlight))
+		shed(shedInFlight, wire.CodeOverloaded, fmt.Sprintf("tenant has %d runs in flight (cap %d)", inflight, s.cfg.MaxInFlight))
 		return
 	}
 	r := &run{tenant: t, id: f.ID, key: key, sc: sc, phase: wire.PhaseQueued, born: time.Now()}

@@ -384,7 +384,8 @@ func asErrorFrame(t *testing.T, err error) *wire.ErrorFrame {
 }
 
 // TestOverloadShedsRetriably is the overload acceptance gate: three
-// tenants fire 120 concurrent submissions at a server with tiny quotas.
+// tenants fire 120 concurrent submissions at a server with a tiny
+// in-flight cap.
 // The excess must be shed promptly with retriable typed errors carrying
 // retry-after hints; every admitted run must complete bit-identically;
 // nothing may hang, and the goroutine count must return to baseline.
@@ -394,8 +395,8 @@ func TestOverloadShedsRetriably(t *testing.T) {
 
 	s, err := New(Config{
 		Workers: 2, Quantum: 40,
-		DefaultQuota: Quota{MaxInFlight: 2},
-		RetryAfter:   50 * time.Millisecond,
+		MaxInFlight: 2,
+		RetryAfter:  50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +480,7 @@ func TestOverloadShedsRetriably(t *testing.T) {
 		t.Fatalf("admitted %d + shed %d != %d requests", admitted, shed, tenantsN*perTenant)
 	}
 	if shed == 0 {
-		t.Fatal("quota MaxInFlight=2 never shed under 120 concurrent submissions")
+		t.Fatal("MaxInFlight=2 never shed under 120 concurrent submissions")
 	}
 	if admitted < tenantsN {
 		t.Fatalf("only %d admissions across %d tenants", admitted, tenantsN)

@@ -418,7 +418,7 @@ func (e *engine[R]) activate(now int64, i int) {
 	if e.rowScratch == nil {
 		e.rowScratch = make([]R, n)
 	}
-	row := matrix.SigmaRowInto(e.alg, e.adj, i, e.recv[i], e.rowScratch)
+	row := matrix.SigmaRowInto(e.alg, e.adj, i, nil, e.recv[i], e.rowScratch)
 	changed := false
 	for j := 0; j < n; j++ {
 		if !e.alg.Equal(row[j], e.state.Get(i, j)) {
