@@ -72,36 +72,6 @@ type Config struct {
 	Workers int
 }
 
-// Stats counts what a run did. Every field is resume-invariant: a run
-// paused, snapshotted and resumed anywhere ends with Stats equal (==) to
-// the run that was never interrupted. Steps, RowsComputed, CellsComputed
-// and ConvergedAt, with the final state, are the run's identity — what a
-// service result hash folds in. RowsSkipped is an exact diagnostic:
-// RowsComputed + RowsSkipped = Σ|α(t)| over the non-event steps run.
-type Stats struct {
-	// Steps is the number of time steps actually evaluated: the horizon
-	// T, or less when the run terminated early at a certified fixed
-	// point.
-	Steps int
-	// RowsComputed counts σ-row recomputations (activations that did any
-	// work, full or partial).
-	RowsComputed int
-	// RowsSkipped counts activations discharged without recomputation
-	// because none of the node's β-resolved inputs had changed since its
-	// last recomputation — counted, not visited, inside a certified
-	// interlude (see run.step).
-	RowsSkipped int
-	// CellsComputed counts individual σ-cell evaluations: n for a node's
-	// first activation, afterwards only the columns whose inputs changed.
-	// Full recomputation would cost n·(RowsComputed+RowsSkipped); the
-	// ratio to that closed form is the measure of the change-driven win.
-	CellsComputed int
-	// ConvergedAt is the time step after which the state never changed,
-	// when the run certified convergence and returned early; −1
-	// otherwise.
-	ConvergedAt int
-}
-
 // Engine evaluates δ (and, through the Synchronous source, σ) over one
 // algebra and topology. It is semantically stateless between runs — no
 // result ever depends on a prior run — and safe for concurrent use by
@@ -294,7 +264,8 @@ type run[R, Row any] struct {
 	freeHdrs [][]Row
 	slab     rowSlab[Row]
 	hdrSlab  []Row
-	stats    Stats
+	stats    Stats // RowsSkipped short of what owed still holds
+	owed     owed  // jumped steps not yet counted into stats
 
 	// change-tracking bookkeeping
 	inc      *incShared
@@ -478,7 +449,7 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window int) *ru
 	}
 	ops.prepare(r, n)
 	r.window = window
-	r.stats = Stats{}
+	r.stats, r.owed = Stats{}, r.owed[:0]
 	if len(r.ring) != window+1 {
 		r.ring = make([][]Row, window+1)
 	}
@@ -743,25 +714,9 @@ func (r *run[R, Row]) step(until int) bool {
 	t := r.t
 	for t < until {
 		if doTerm && nCert == n && r.nextEv < len(r.events) {
-			// Quiescent interlude: a certified fixed point with an event
-			// still pending. Once the quiet period holds (no β reaches
-			// before lastChange) and the ring holds nothing but this state,
-			// the fixed point is absorbing: every activation up to the event
-			// skips, provided each row was last read at or after its inputs'
-			// last change (settled). The steps are not evaluated; their
-			// activations are counted. lastRead stays put: it sits at or
-			// after every change before the event, the marching run's would
-			// end before the event, and nothing changes in between, so both
-			// resolve the same dirty sets afterwards. Rotating the ring by
-			// the jump keeps every resident's age, so put still evicts the
-			// oldest state and row sharing stays contiguous in time.
-			to, quiet := min(until, r.events[r.nextEv].Step-1), t-lastChange
-			if to > t && quiet >= r.fairP-1 && quiet > r.window && r.settled() {
-				r.stats.RowsSkipped += sched.CountActive(t+1, to)
-				k := (to - t) % len(r.ring)
-				slices.Reverse(r.ring)
-				slices.Reverse(r.ring[:k])
-				slices.Reverse(r.ring[k:])
+			// A certified fixed point with an event still pending: a
+			// quiescent interlude, jumped once it is absorbing (interlude.go).
+			if to := r.jump(t, until, lastChange); to > t {
 				t = to
 				continue
 			}
@@ -966,41 +921,46 @@ func (r *run[R, Row]) step(until int) bool {
 	return r.converged || t >= r.T
 }
 
-// settled reports whether every node holds a row last read at or after
-// each neighbour's last change: an activation whose β values also sit
-// there finds no dirty input and skips.
-func (r *run[R, Row]) settled() bool {
-	for i := 0; i < r.n; i++ {
-		for _, k := range r.nbr[r.nbrOff[i]:r.nbrOff[i+1]] {
-			if r.lastComp[i] < 0 || r.lastRead[i*r.n+int(k)] < r.inc.rowMax[k] {
-				return false
-			}
-		}
+// completed returns the last completed step.
+func (r *run[R, Row]) completed() int { return r.t }
+
+// progress returns the run's identity as of the last completed step,
+// cell counts folded in.
+func (r *run[R, Row]) progress() Progress {
+	p := r.stats.Progress
+	p.Steps = r.t
+	for w := range r.inc.scratch {
+		p.CellsComputed += r.inc.scratch[w].cells
 	}
-	return true
+	p.ConvergedAt = -1
+	if r.converged {
+		p.ConvergedAt = r.lastChange
+	}
+	return p
 }
 
-// statsNow returns the run counters as of the last completed step, cell
-// counts folded in.
+// statsNow returns the run counters as of the last completed step, the
+// jumped interludes settled.
 func (r *run[R, Row]) statsNow() Stats {
-	st := r.stats
-	st.Steps = r.t
-	for w := range r.inc.scratch {
-		st.CellsComputed += r.inc.scratch[w].cells
-	}
-	st.ConvergedAt = -1
-	if r.converged {
-		st.ConvergedAt = r.lastChange
-	}
-	return st
+	r.stats.RowsSkipped += r.owed.settle(r.sched)
+	return Stats{Progress: r.progress(), RowsSkipped: r.stats.RowsSkipped}
 }
 
 // finish writes the run's outcome into res, reports it to the ObserveRuns
-// hook, and releases the scratch.
+// hook, and releases the scratch. What the run still owes goes with the
+// result, settled when its Stats are read.
 func (r *run[R, Row]) finish(res *Result[R]) {
-	st := r.statsNow()
-	*res = Result[R]{final: r.ops.materialise(r.prev), stats: st, marks: r.marks}
-	observeRun(st)
+	p := r.progress()
+	*res = Result[R]{final: r.ops.materialise(r.prev), marks: r.marks,
+		stats: Stats{Progress: p, RowsSkipped: r.stats.RowsSkipped}}
+	if len(r.owed) > 0 {
+		res.owed, res.sched = slices.Clone(r.owed), r.sched
+		if r.sched == Batched(&r.pw) {
+			// The adapter lives in the run's scratch, which is parked below.
+			res.sched = &pointwise{r.pw.Source}
+		}
+	}
+	observeRun(p)
 	r.release()
 }
 

@@ -3,10 +3,12 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/algebras"
 	"repro/internal/async"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gaorexford"
 	"repro/internal/matrix"
@@ -15,11 +17,11 @@ import (
 )
 
 // The interlude contract: a run that certifies a fixed point while a
-// timeline event is still pending advances to the event by counting the
-// activations it skips instead of evaluating them — and nothing a caller
-// can observe may tell the two apart. The oracle is the same run over
-// march(src): it never certifies, so it never jumps, and marches every
-// step.
+// timeline event is still pending jumps to the event instead of
+// evaluating the steps in between, and owes their activations to
+// RowsSkipped until Stats is read — and nothing a caller can observe may
+// tell the two apart. The oracle is the same run over march(src): it
+// never certifies, so it never jumps, and marches every step.
 
 // probe counts what the engine asks of a source, and passes every
 // optional capability through: active and beta are pointwise calls, sets
@@ -165,15 +167,38 @@ func jumpAgainstMarch[R any](t *testing.T, label string, p pauseNet[R], src engi
 	return res
 }
 
-func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
+// lastChanges reads off the marching trace, for each event, the last step
+// before it at which the state moved — the previous event's step (0 for
+// the first) when none did: the run's lastChange when the interlude
+// before the event begins.
+func (m marchTrace[R]) lastChanges(alg core.Algebra[R], start *matrix.State[R], events []engine.TimelineEvent[R]) []int {
+	out := make([]int, len(events))
+	at, prev := 0, start
+	for e, ev := range events {
+		out[e] = at
+		for s := at + 1; s < ev.Step; s++ {
+			if !m.states[s].Equal(alg, prev) {
+				out[e] = s
+			}
+			prev = m.states[s]
+		}
+		at, prev = ev.Step, m.res.Marks()[e]
+	}
+	return out
+}
+
+// runInterludeJump holds the jumping run to the marching one over the
+// quietFlap timeline, on a Hashed source with the given MaxGap and
+// MaxStaleness.
+func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R], gap, stale int) {
 	n := p.adj.N
 	const T = 330
 	at := [4]int{61, 130, 200, 263}
 	events := p.quietFlap(at)
 	start := matrix.Identity(p.alg, n)
-	// MaxGap < n: several nodes are forced at every step. The ring holds
-	// window+1 = 4 states; the pauses below land on every residue of it.
-	hashed := engine.Hashed{N: n, T: T, Seed: 41, MaxGap: 4, MaxStaleness: 3}
+	// With MaxGap < n several nodes are forced at every step. The ring
+	// holds window+1 states; the pauses below land on every residue of it.
+	hashed := engine.Hashed{N: n, T: T, Seed: 41, MaxGap: gap, MaxStaleness: stale}
 
 	// The lazy source, counted in closed form.
 	marched := marchEveryStep(t, p, hashed, events)
@@ -183,6 +208,27 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 		t.Fatalf("%s: only %d of %d steps were counted, not marched; the timeline has no interlude to jump", name, jp.counted, T)
 	}
 	fullSteps := full.Stats().Steps
+	// Every step was marched (one ActiveSet), an event, or jumped and
+	// counted exactly once by the Stats reads that settled it.
+	if jp.sets+len(events)+jp.counted != fullSteps {
+		t.Fatalf("%s: %d marched + %d event + %d counted steps, want the run's %d",
+			name, jp.sets, len(events), jp.counted, fullSteps)
+	}
+	if fp, w := hashed.FairPeriod(), hashed.MaxLookback(); fp-1 > w {
+		// A jump waits for quiet > window, not for a fairness period: it
+		// reaches steps that a run waiting for quiet ≥ FairPeriod()−1
+		// would still have marched.
+		lc := marched.lastChanges(p.alg, start, events)
+		waited, soonest := 0, 0
+		for e, ev := range events {
+			waited += max(ev.Step-1-(lc[e]+fp-1), 0)
+			soonest += max(ev.Step-1-(lc[e]+w+1), 0)
+		}
+		if jp.counted <= waited || jp.counted > soonest {
+			t.Fatalf("%s: %d steps jumped, want more than the %d a fairness-period wait allows and at most %d",
+				name, jp.counted, waited, soonest)
+		}
+	}
 
 	// The same source with the Batched capability hidden: the pointwise
 	// adapter must march the same steps and count the same activations.
@@ -195,8 +241,8 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 	// A materialised schedule over the whole horizon, β reaching across the
 	// events, promising the fairness period it was drawn with: jumping ≡
 	// marching ≡ the literal evaluator.
-	sched := schedule.Random(rand.New(rand.NewSource(7)), n, T, schedule.Options{MaxGap: 4, MaxStaleness: 3})
-	fair := uncounted{sched, 4}
+	sched := schedule.Random(rand.New(rand.NewSource(7)), n, T, schedule.Options{MaxGap: gap, MaxStaleness: stale})
+	fair := uncounted{sched, hashed.FairPeriod()}
 	res := jumpAgainstMarch(t, name+"/plan", p, fair, events, marchEveryStep(t, p, fair, events))
 	holdToOracle(t, name+"/plan", p.alg, res, async.RunTimelineReference(p.alg, p.adj.Clone(), start, sched, events), events)
 
@@ -258,28 +304,36 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R]) {
 func TestInterludeJumpDifferential(t *testing.T) {
 	t.Run("hopcount", func(t *testing.T) {
 		alg, adj := meshNet()
-		runInterludeJump[algebras.NatInf](t, "hopcount", pauseNet[algebras.NatInf]{alg, adj, 0, 6})
+		runInterludeJump[algebras.NatInf](t, "hopcount", pauseNet[algebras.NatInf]{alg, adj, 0, 6}, 4, 3)
 	})
 	t.Run("lex", func(t *testing.T) {
 		alg, adj, _ := lexNet()
-		runInterludeJump(t, "lex", pauseNet[algebras.Pair[algebras.NatInf, algebras.NatInf]]{alg, adj, 1, 2})
+		runInterludeJump(t, "lex", pauseNet[algebras.Pair[algebras.NatInf, algebras.NatInf]]{alg, adj, 1, 2}, 4, 3)
 	})
 	t.Run("gaorexford", func(t *testing.T) {
 		alg, adj, _ := grNet()
-		runInterludeJump(t, "gaorexford", pauseNet[gaorexford.Route]{alg, adj, 0, 3})
+		runInterludeJump(t, "gaorexford", pauseNet[gaorexford.Route]{alg, adj, 0, 3}, 4, 3)
 	})
 	t.Run("policy", func(t *testing.T) {
-		runInterludeJump(t, "policy", policyRing(t))
+		runInterludeJump(t, "policy", policyRing(t), 4, 3)
+	})
+	// A fairness period (16) far beyond the window (3), as on the service's
+	// source: the jump may start 11 steps sooner than a period's wait.
+	t.Run("hopcount-gap16", func(t *testing.T) {
+		alg, adj := meshNet()
+		runInterludeJump[algebras.NatInf](t, "hopcount-gap16", pauseNet[algebras.NatInf]{alg, adj, 0, 6}, 16, 3)
 	})
 }
 
-// TestInterludeJumpCost pins what a jump may cost. Across 10⁶ quiescent
-// steps a source that counts in closed form is asked for no activation
-// and no β at all, so the advance takes time independent of the gap; on
-// Hashed the jump hashes every skipped activation but evaluates no β and
-// allocates nothing. It also pins what a marched step may cost: over a
-// Batched source, one ActiveSet, one Betas per activation, no pointwise
-// Active or Beta call, and no allocation.
+// TestInterludeJumpCost pins what a jump may cost, and what counting it
+// does. Across 10⁶ quiescent steps the jump asks the source nothing — no
+// activation, no β, no range count — and allocates nothing, on all three
+// lazy sources, so the advance takes time independent of the gap. The
+// first Stats afterwards counts exactly the jumped steps, a second asks
+// nothing more, and the Result's Stats settle what the run jumped after
+// that. It also pins what a marched step may cost: over a Batched source,
+// one ActiveSet, one Betas per activation, no pointwise Active or Beta
+// call, and no allocation.
 func TestInterludeJumpCost(t *testing.T) {
 	alg, adj := meshNet()
 	n := adj.N
@@ -287,69 +341,61 @@ func TestInterludeJumpCost(t *testing.T) {
 	const settle, gap = 400, 1_000_000
 	events := []engine.TimelineEvent[algebras.NatInf]{{Step: settle + gap, Restart: []int{3}}}
 	const T = settle + gap + 400
+	hashed := engine.Hashed{N: n, T: T, Seed: 3, MaxGap: 6, MaxStaleness: 5}
 
-	for _, c := range []struct {
-		name    string
-		src     engine.Source
-		perStep int // activations per non-event step
-	}{
-		{"synchronous", engine.Synchronous{N: n, T: T}, n},
-		{"round-robin", engine.RoundRobin{N: n, T: T}, 1},
-	} {
+	for _, src := range []engine.Source{engine.Synchronous{N: n, T: T}, engine.RoundRobin{N: n, T: T}, hashed} {
+		name := fmt.Sprintf("%T", src)
 		eng := engine.New(alg, adj.Clone(), engine.Config{})
-		p := &probe{Source: c.src}
+		p := &probe{Source: src}
 		st := mustStart(t, eng, start, p, events)
 		st.Step(settle)
-		asked, counted := p.asked(), p.counted
-		if st.Step(settle+gap-1) || st.At() != settle+gap-1 {
-			t.Fatalf("%s: the run did not pause before the event (at %d)", c.name, st.At())
+		st.Stats() // what the run jumped before settle
+		asked, counted, until := p.asked(), p.counted, settle
+		allocs := testing.AllocsPerRun(8, func() {
+			until += gap / 10
+			if st.Step(until) || st.At() != until {
+				t.Fatalf("%s: Step(%d) finished or stopped at %d", name, until, st.At())
+			}
+		})
+		if allocs != 0 || p.asked() != asked || p.counted != counted {
+			t.Fatalf("%s: %v allocs/jump, %d Active/β questions and %d counted steps across the interlude; want 0, 0, 0",
+				name, allocs, p.asked()-asked, p.counted-counted)
 		}
-		if p.asked() != asked || p.counted-counted != gap-1 {
-			t.Fatalf("%s: %d Active/β questions and %d counted steps across the interlude, want 0 and %d",
-				c.name, p.asked()-asked, p.counted-counted, gap-1)
+		st.Stats()
+		if p.asked() != asked || p.counted-counted != until-settle {
+			t.Fatalf("%s: Stats asked %d Active/β questions and counted %d steps, want 0 and the %d jumped",
+				name, p.asked()-asked, p.counted-counted, until-settle)
+		}
+		counted = p.counted
+		st.Stats()
+		if p.asked() != asked || p.counted != counted {
+			t.Fatalf("%s: a second Stats asked the source again", name)
 		}
 		if !st.Step(T) {
-			t.Fatalf("%s: the run did not finish", c.name)
+			t.Fatalf("%s: the run did not finish", name)
 		}
 		res := st.Result()
 		eng.Close()
 		s := res.Stats()
 		if at, ok := res.Converged(); !ok || at < settle+gap {
-			t.Fatalf("%s: no certified convergence after the event: %+v", c.name, s)
+			t.Fatalf("%s: no certified convergence after the event: %+v", name, s)
 		}
-		if got, want := s.RowsComputed+s.RowsSkipped, c.perStep*(s.Steps-1); got != want {
-			t.Fatalf("%s: %d activations over %d steps and one event, want %d", c.name, got, s.Steps, want)
+		b := src.(engine.Batched)
+		if got, want := s.RowsComputed+s.RowsSkipped, b.CountActive(1, s.Steps)-b.CountActive(settle+gap, settle+gap); got != want {
+			t.Fatalf("%s: %d activations over %d steps and one event, want %d", name, got, s.Steps, want)
 		}
-	}
-
-	eng := engine.New(alg, adj.Clone(), engine.Config{})
-	defer eng.Close()
-	p := &probe{Source: engine.Hashed{N: n, T: T, Seed: 3, MaxGap: 6, MaxStaleness: 5}}
-	st := mustStart(t, eng, start, p, events)
-	defer st.Close()
-	st.Step(settle)
-	asked, counted, until := p.asked(), p.counted, settle
-	allocs := testing.AllocsPerRun(8, func() {
-		until += gap / 10
-		if st.Step(until) || st.At() != until {
-			t.Fatalf("hashed: Step(%d) finished or stopped at %d", until, st.At())
-		}
-	})
-	if allocs != 0 || p.asked() != asked || p.counted-counted != until-settle {
-		t.Fatalf("hashed: %v allocs/jump, %d Active/β questions, %d of %d steps counted; want 0, 0, all",
-			allocs, p.asked()-asked, p.counted-counted, until-settle)
 	}
 
 	// The marching run (a run over march(src) never jumps), past its first
 	// change wave so the row slabs are warm.
 	me := engine.New(alg, adj.Clone(), engine.Config{})
 	defer me.Close()
-	mp := &probe{Source: p.Source}
+	mp := &probe{Source: hashed}
 	ms := mustStart(t, me, start, march(mp), events)
 	defer ms.Close()
 	ms.Step(settle)
 	sets, rows, at := mp.sets, mp.rows, settle
-	allocs = testing.AllocsPerRun(50, func() {
+	allocs := testing.AllocsPerRun(50, func() {
 		at++
 		ms.Step(at)
 	})
@@ -358,6 +404,75 @@ func TestInterludeJumpCost(t *testing.T) {
 		t.Fatalf("marched: %v allocs/step, %d pointwise calls, %d ActiveSet and %d Betas calls over %d steps; want 0, 0, one a step, ≥ one a step",
 			allocs, mp.active+mp.beta, mp.sets-sets, mp.rows-rows, steps)
 	}
+}
+
+// TestInterludeJumpServedRequestNeverCounts replays, at the engine, what
+// the service does per request (scenario.Runner behind dbfsimd): a
+// ring-64 run over the scenario's Hashed source, horizon 4096, one link
+// cut at step 4000, stepped in quanta of 64 with At and Progress read
+// after each, and Result().Progress() at the end (the result digest).
+// That path never counts a jumped activation. The Result's Stats, read
+// afterwards — by two goroutines at once — count them all, once: they
+// equal the marching run's, through the source's CountActive and through
+// the pointwise adapter alike.
+func TestInterludeJumpServedRequestNeverCounts(t *testing.T) {
+	const n, T, cut = 64, 4096, 4000
+	alg := algebras.HopCount{Limit: 31}
+	adj := matrix.NewAdjacency[algebras.NatInf](n)
+	for i := 0; i < n; i++ {
+		adj.SetEdge(i, (i+1)%n, alg.AddEdge(1))
+		adj.SetEdge((i+1)%n, i, alg.AddEdge(1))
+	}
+	events := []engine.TimelineEvent[algebras.NatInf]{{Step: cut, Rows: []int{0, 1}, Mutate: func(adj *matrix.Adjacency[algebras.NatInf]) {
+		adj.RemoveEdge(0, 1)
+		adj.RemoveEdge(1, 0)
+	}}}
+	start := matrix.Identity[algebras.NatInf](alg, n)
+	hashed := engine.Hashed{N: n, T: T, Seed: 1, ActivationProbMille: 600, MaxStaleness: 4}
+
+	serve := func(src engine.Source) *engine.Result[algebras.NatInf] {
+		eng := engine.New(alg, adj.Clone(), engine.Config{})
+		defer eng.Close()
+		st := mustStart(t, eng, start, src, events)
+		for done := false; !done; {
+			before := st.At()
+			done = st.Step(before + 64)
+			if p := st.Progress(); p.Steps != st.At() || (!done && p.Steps != before+64) {
+				t.Fatalf("quantum from %d: Progress %+v, At %d", before, p, st.At())
+			}
+		}
+		return st.Result()
+	}
+	p := &probe{Source: hashed}
+	res := serve(p)
+	if pr := res.Progress(); pr.Steps != T || p.counted != 0 {
+		t.Fatalf("the served path ran to step %d of %d and counted %d jumped steps, want %d and 0", pr.Steps, T, p.counted, T)
+	}
+	// Two readers at once: the result settles what it owes exactly once.
+	var wg sync.WaitGroup
+	read := make([]engine.Stats, 2)
+	for g := range read {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			read[g] = res.Stats()
+		}()
+	}
+	wg.Wait()
+	got := read[0]
+	if read[1] != got || p.counted < cut/2 || p.counted >= T {
+		t.Fatalf("Result.Stats read %+v and %+v, counting %d jumped steps; want one answer, and the interlude before the cut",
+			read[0], read[1], p.counted)
+	}
+
+	me := engine.New(alg, adj.Clone(), engine.Config{})
+	defer me.Close()
+	ms := mustStart(t, me, start, march(hashed), events)
+	defer ms.Close()
+	ms.Step(T)
+	want := ms.Stats()
+	statsMatch(t, "served, settled late", got, want)
+	statsMatch(t, "served through the pointwise adapter", serve(uncounted{hashed, hashed.FairPeriod()}).Stats(), want)
 }
 
 // TestInterludeJumpWaitsForSettledRows: certification is not enough to

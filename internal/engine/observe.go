@@ -7,17 +7,19 @@ import "sync/atomic"
 // and loading it on the completion path costs one atomic read — nothing
 // per cell, nothing per step, and no allocation, which is what keeps the
 // warm-run allocation gate honest.
-var runObserver atomic.Pointer[func(Stats)]
+var runObserver atomic.Pointer[func(Progress)]
 
 // ObserveRuns installs fn to be called once per completed run with that
-// run's final Stats. "Completed" means the run loop finished on its own
-// terms — horizon reached or convergence certified — not a snapshot-halt
-// preemption: a service run that is checkpointed and resumed across many
-// quanta carries cumulative Stats through its snapshots and is observed
-// exactly once, when it truly finishes. fn must be safe for concurrent
-// calls (engines run concurrently) and must not block; it is invoked on
-// the run's goroutine. Passing nil removes the hook.
-func ObserveRuns(fn func(Stats)) {
+// run's final Progress — the identity, never RowsSkipped, so observing a
+// run counts none of its jumped activations. "Completed" means the run
+// loop finished on its own terms — horizon reached or convergence
+// certified — not a snapshot-halt preemption: a service run that is
+// checkpointed and resumed across many quanta carries cumulative counters
+// through its snapshots and is observed exactly once, when it truly
+// finishes. fn must be safe for concurrent calls (engines run
+// concurrently) and must not block; it is invoked on the run's goroutine.
+// Passing nil removes the hook.
+func ObserveRuns(fn func(Progress)) {
 	if fn == nil {
 		runObserver.Store(nil)
 		return
@@ -26,8 +28,8 @@ func ObserveRuns(fn func(Stats)) {
 }
 
 // observeRun fires the hook for a finished run, if one is installed.
-func observeRun(s Stats) {
+func observeRun(p Progress) {
 	if fn := runObserver.Load(); fn != nil {
-		(*fn)(s)
+		(*fn)(p)
 	}
 }

@@ -10,16 +10,16 @@ import (
 )
 
 // The observer contract: one call per completed run with its final
-// Stats, from Result and nowhere else — however many Step calls the run
+// Progress, from Result and nowhere else — however many Step calls the run
 // took, and never for a run that was Closed; a snapshot-halt preemption
 // observes nothing (the resumed run observes once, with cumulative
 // counters); removal stops the calls.
 func TestObserveRuns(t *testing.T) {
 	var mu sync.Mutex
-	var seen []engine.Stats
-	engine.ObserveRuns(func(s engine.Stats) {
+	var seen []engine.Progress
+	engine.ObserveRuns(func(p engine.Progress) {
 		mu.Lock()
-		seen = append(seen, s)
+		seen = append(seen, p)
 		mu.Unlock()
 	})
 	defer engine.ObserveRuns(nil)
@@ -40,8 +40,8 @@ func TestObserveRuns(t *testing.T) {
 	if count() != 1 {
 		t.Fatalf("completed run observed %d times, want 1", count())
 	}
-	if seen[0] != res.Stats() {
-		t.Fatalf("observed %+v, result says %+v", seen[0], res.Stats())
+	if seen[0] != res.Progress() {
+		t.Fatalf("observed %+v, result says %+v", seen[0], res.Progress())
 	}
 
 	// Preemption: halting at step 3 is not a completion.
@@ -62,8 +62,8 @@ func TestObserveRuns(t *testing.T) {
 	if count() != 2 {
 		t.Fatalf("resumed run observed %d times total, want 2", count())
 	}
-	if seen[1] != resumed.Stats() {
-		t.Fatalf("observed %+v, resumed result says %+v", seen[1], resumed.Stats())
+	if seen[1] != resumed.Progress() {
+		t.Fatalf("observed %+v, resumed result says %+v", seen[1], resumed.Progress())
 	}
 
 	// A non-halting snapshot run completes normally and observes.
@@ -71,12 +71,12 @@ func TestObserveRuns(t *testing.T) {
 	if count() != 3 {
 		t.Fatalf("snapshotting run observed %d times total, want 3", count())
 	}
-	if seen[2] != full.Stats() {
-		t.Fatalf("observed %+v, result says %+v", seen[2], full.Stats())
+	if seen[2] != full.Progress() {
+		t.Fatalf("observed %+v, result says %+v", seen[2], full.Progress())
 	}
 
 	// A stepped run observes exactly once, in Result, with the same
-	// Stats the one-call run reported.
+	// Progress the one-call run reported.
 	st := mustStart(t, eng, start, src, nil)
 	steps := 0
 	for k := 1; !st.Step(k); k++ {
@@ -91,8 +91,8 @@ func TestObserveRuns(t *testing.T) {
 	if count() != 4 {
 		t.Fatalf("stepped run observed %d times total, want 4", count())
 	}
-	if seen[3] != stepped.Stats() || seen[3] != res.Stats() {
-		t.Fatalf("observed %+v, stepped result says %+v, one-call run %+v", seen[3], stepped.Stats(), res.Stats())
+	if seen[3] != stepped.Progress() || seen[3] != res.Progress() {
+		t.Fatalf("observed %+v, stepped result says %+v, one-call run %+v", seen[3], stepped.Progress(), res.Progress())
 	}
 
 	// An abandoned run is not a completion.

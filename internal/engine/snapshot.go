@@ -48,9 +48,10 @@ type Snapshot[R any] struct {
 	Certified  []bool
 	LastChange int
 	// Stats are the run counters at the capture point, cell counts
-	// folded in: Steps = Step and ConvergedAt = −1 (a certified run has no
-	// continuation to capture). A restored run continues them, so the
-	// continuation's final Stats equal the uninterrupted run's.
+	// folded in and every jumped interlude settled: Steps = Step and
+	// ConvergedAt = −1 (a certified run has no continuation to capture). A
+	// restored run continues them, so the continuation's final Stats equal
+	// the uninterrupted run's.
 	Stats Stats
 }
 
@@ -101,7 +102,8 @@ func (s *Snapshot[R]) validate() error {
 }
 
 // snapshot materialises the run's complete state after its last completed
-// step. It only reads; the run continues undisturbed.
+// step. It only reads — settling the skipped rows the run owes changes no
+// counter a caller can see — and the run continues undisturbed.
 func (r *run[R, Row]) snapshot() (*Snapshot[R], error) {
 	t := r.t
 	switch {
@@ -195,7 +197,7 @@ func (e *Engine[R]) RunSnapshot(start *matrix.State[R], src Source, at int, halt
 		panic(err.Error())
 	}
 	st.Step(at)
-	if st.Stats().ConvergedAt >= 0 {
+	if st.Progress().ConvergedAt >= 0 {
 		return st.Result(), nil
 	}
 	snap, err := st.Snapshot()

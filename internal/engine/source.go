@@ -61,8 +61,8 @@ type Batched interface {
 	// returns their minimum (t when nbr is empty).
 	Betas(t, i int, nbr []int32, dst []int) (minB int)
 	// CountActive returns |{(t, i) : t0 ≤ t ≤ t1, i ∈ α(t)}|, 0 when
-	// t1 < t0; the engine advances a certified fixed point across a
-	// quiescent interlude by that count (see run.step).
+	// t1 < t0: the skipped rows of a jumped quiescent interlude, counted
+	// only when the run's Stats are read (interlude.go).
 	CountActive(t0, t1 int) int
 }
 

@@ -23,6 +23,8 @@ type Stepper[R any] struct {
 // stepperRun erases the row representation of a *run[R, Row].
 type stepperRun[R any] interface {
 	step(until int) bool
+	completed() int
+	progress() Progress
 	statsNow() Stats
 	snapshot() (*Snapshot[R], error)
 	finish(res *Result[R])
@@ -35,14 +37,31 @@ type stepperRun[R any] interface {
 func (s *Stepper[R]) Step(until int) (done bool) { return s.run == nil || s.run.step(until) }
 
 // At returns the last completed step.
-func (s *Stepper[R]) At() int { return s.Stats().Steps }
+func (s *Stepper[R]) At() int {
+	if s.run == nil {
+		return s.res.stats.Steps
+	}
+	return s.run.completed()
+}
+
+// Progress returns the run's identity as of the last completed step — the
+// Stats short of RowsSkipped — and, unlike Stats, never counts a jumped
+// interlude's activations.
+func (s *Stepper[R]) Progress() Progress {
+	if s.run == nil {
+		return s.res.stats.Progress
+	}
+	return s.run.progress()
+}
 
 // Stats returns the run counters as of the last completed step: at every
 // step the same whether the run got there in one call, in slices, or
-// through Snapshot and Resume.
+// through Snapshot and Resume. It counts the activations of the
+// interludes jumped since the last call (Batched.CountActive); a reader
+// that needs only the identity asks Progress.
 func (s *Stepper[R]) Stats() Stats {
 	if s.run == nil {
-		return s.res.stats
+		return s.res.Stats()
 	}
 	return s.run.statsNow()
 }
@@ -106,11 +125,13 @@ func (s *Stepper[R]) Close() {
 // 8–15 % on both service workloads, 4 of 4 alternating pairs (PR 22).
 //
 // While events are pending a certified fixed point does not end the run,
-// but it is not marched through either: Step advances across the
-// quiescent interlude to the next event (or to until) by counting the
-// activations it skips, in time that does not grow with the gap when the
-// source counts in closed form (Batched.CountActive). After the last
-// event fires, a Fair run may stop early again.
+// but it is not marched through either: once it is absorbing — quiet for
+// longer than the source's MaxLookback, every row read after its inputs'
+// last change — Step jumps the quiescent interlude to the next event (or
+// to until) without asking the source anything, in time that does not
+// grow with the gap. The jumped activations are owed to RowsSkipped and
+// counted (Batched.CountActive) when Stats is read, never by Progress.
+// After the last event fires, a Fair run may stop early again.
 //
 // The engine's adjacency is mutated in place as the timeline plays; the
 // engine remains valid afterwards and evaluates the post-event topology.

@@ -195,7 +195,7 @@ func runEngine[R any](sc *Scenario, build func(*Scenario) (*instance[R], error))
 	defer c.close()
 	c.advance(sc.Horizon)
 	res := c.res
-	st := res.Stats()
+	st := res.Progress()
 	sr.Steps, sr.ConvergedAt, sr.Cells, sr.Hash = st.Steps, st.ConvergedAt, st.CellsComputed, c.finalHash()
 	sr.Converged = st.ConvergedAt >= 0
 

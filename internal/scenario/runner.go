@@ -48,6 +48,7 @@ type runnerCore interface {
 	checkpoint() ([]byte, error)
 	finalHash() uint64
 	finalTable() string
+	progress() engine.Progress
 	stats() engine.Stats
 	close()
 }
@@ -188,8 +189,13 @@ func (r *Runner) Checkpoint() ([]byte, error) {
 	return r.core.checkpoint()
 }
 
+// Progress returns the run's identity (final when Done, as of the last
+// completed step otherwise): what the service reads, and free to read.
+func (r *Runner) Progress() engine.Progress { return r.core.progress() }
+
 // Stats returns the run counters (final when Done, as of the last
-// completed step otherwise).
+// completed step otherwise), RowsSkipped included: reading it counts the
+// activations of every interlude the run jumped.
 func (r *Runner) Stats() engine.Stats { return r.core.stats() }
 
 // Converged reports certified convergence of a finished run.
@@ -197,7 +203,7 @@ func (r *Runner) Converged() (int, bool) {
 	if !r.done {
 		return -1, false
 	}
-	at := r.core.stats().ConvergedAt
+	at := r.core.progress().ConvergedAt
 	return at, at >= 0
 }
 
@@ -343,7 +349,7 @@ func (c *svcCore[R]) finalHash() uint64 {
 			h.Write(b)
 		}
 	}
-	st := c.res.Stats()
+	st := c.res.Progress()
 	writeInt(st.Steps)
 	writeInt(st.CellsComputed)
 	writeInt(st.RowsComputed)
@@ -357,6 +363,8 @@ func (c *svcCore[R]) finalTable() string {
 	}
 	return c.res.Final().Format(c.inst.alg)
 }
+
+func (c *svcCore[R]) progress() engine.Progress { return c.st.Progress() }
 
 func (c *svcCore[R]) stats() engine.Stats { return c.st.Stats() }
 

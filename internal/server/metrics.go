@@ -60,10 +60,12 @@ const (
 )
 
 // ObserveEngineRuns installs a process-wide engine run observer that
-// exports every completed run's Stats as engine_* counters on reg. The
+// exports every completed run's Progress as engine_* counters on reg. The
 // hook is one atomic load plus a handful of atomic adds per *run* —
 // nothing per cell or per step, so the engine's warm-path allocation
-// and throughput profile is untouched. Call once at daemon startup.
+// and throughput profile is untouched. Skipped rows are not exported:
+// counting a jumped interlude's activations is work the request path
+// does not do. Call once at daemon startup.
 func ObserveEngineRuns(reg *metrics.Registry) {
 	runs := reg.Counter("engine_runs_total",
 		"Engine runs completed (horizon reached or convergence certified).")
@@ -75,16 +77,13 @@ func ObserveEngineRuns(reg *metrics.Registry) {
 		"Individual σ-cell evaluations, summed over completed runs.")
 	rows := reg.Counter("engine_rows_computed_total",
 		"σ-row recomputations, summed over completed runs.")
-	skipped := reg.Counter("engine_rows_skipped_total",
-		"Activations discharged without recomputation, summed over completed runs.")
-	engine.ObserveRuns(func(s engine.Stats) {
+	engine.ObserveRuns(func(p engine.Progress) {
 		runs.Inc()
-		if s.ConvergedAt >= 0 {
+		if p.ConvergedAt >= 0 {
 			converged.Inc()
 		}
-		steps.Add(float64(s.Steps))
-		cells.Add(float64(s.CellsComputed))
-		rows.Add(float64(s.RowsComputed))
-		skipped.Add(float64(s.RowsSkipped))
+		steps.Add(float64(p.Steps))
+		cells.Add(float64(p.CellsComputed))
+		rows.Add(float64(p.RowsComputed))
 	})
 }

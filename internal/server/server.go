@@ -321,7 +321,7 @@ func (s *Server) advance(r *run) {
 
 	if done {
 		convergedAt, _ := r.runner.Converged()
-		st := r.runner.Stats()
+		st := r.runner.Progress()
 		s.mu.Lock()
 		r.tenant.vtime += float64(st.Steps - before)
 		s.met.vtimeLag.With(r.tenant.name).Set(r.tenant.vtime - s.vclock)
@@ -342,7 +342,7 @@ func (s *Server) advance(r *run) {
 	s.met.vtimeLag.With(r.tenant.name).Set(r.tenant.vtime - s.vclock)
 	r.phase = wire.PhasePreempted
 	r.step = r.runner.Step()
-	r.cells = int64(r.runner.Stats().CellsComputed)
+	r.cells = int64(r.runner.Progress().CellsComputed)
 	r.spanLocked("quantum %d: steps %d→%d (cells %d), preempted", r.quanta, before, r.step, r.cells)
 	s.met.preemptions.Inc()
 	// Push the preemption Status before re-queueing, still under the lock:
