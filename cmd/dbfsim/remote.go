@@ -16,9 +16,9 @@ import (
 
 // runRemote is the -server client mode: it submits a scenario file to a
 // running dbfsimd daemon, rides out overload shedding with the daemon's
-// retry-after hints, survives a daemon drain/restart mid-wait, and
-// prints the run's result — which the drain/resume contract guarantees
-// is bit-identical to an uninterrupted run.
+// retry-after hints, survives a daemon restart mid-wait, and prints the
+// run's result — which the restart contract guarantees is bit-identical
+// to an uninterrupted run.
 func runRemote(addr, scenFile, tenant, runID string, deadline time.Duration) int {
 	if scenFile == "" {
 		fmt.Fprintln(os.Stderr, "dbfsim: -server needs a -scenario file to submit")

@@ -1,9 +1,10 @@
 // Command dbfsimd is the multi-tenant simulation service daemon: it
 // accepts scenario runs over the wire protocol, schedules them fairly
-// across tenants with checkpoint preemption, sheds
-// overload with retriable typed errors, and drains gracefully on
-// SIGTERM — checkpointing every in-flight run to the spool directory so
-// a restarted daemon resumes them bit-identically.
+// across tenants in preemptible quanta, and sheds overload with
+// retriable typed errors. With -spool, every admitted run's text and
+// every finished run's outcome is on disk as it happens, so a daemon
+// restarted after SIGTERM or kill -9 replays each unfinished run to
+// exactly the result the uninterrupted run would have produced.
 //
 // Usage:
 //
@@ -15,12 +16,11 @@
 //
 // With -admin set, a second loopback HTTP listener serves the
 // observability surface: GET /metrics (Prometheus text), /healthz
-// (drain-aware), /runs (JSON table with per-run span logs) and the
+// (503 once closing), /runs (JSON table with per-run span logs) and the
 // net/http/pprof profiler endpoints.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,11 +42,10 @@ func realMain() int {
 		addr     = flag.String("addr", "127.0.0.1:7117", "listen address (host:port, :0 picks a free port)")
 		workers  = flag.Int("workers", 2, "concurrent run-advancing workers")
 		quantum  = flag.Int("quantum", 64, "engine steps per preemption quantum")
-		spool    = flag.String("spool", "", "spool directory for drain/resume (empty disables graceful drain)")
+		spool    = flag.String("spool", "", "spool directory holding admitted scenario texts and finished outcomes, replayed on restart (empty: runs die with the process)")
 		inflight = flag.Int("max-inflight", 4, "per-tenant cap on admitted unfinished runs")
 		tenants  = flag.Int("max-tenants", 64, "cap on distinct tenants")
 		retry    = flag.Duration("retry-after", 200*time.Millisecond, "backoff hint attached to shed load")
-		drainFor = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may take before giving up")
 		stall    = flag.Duration("stall", 0, "fault injection: sleep this long after every quantum (holds runs mid-flight for kill/restart drills)")
 		quiet    = flag.Bool("quiet", false, "suppress per-event logging")
 		admin    = flag.String("admin", "", "admin HTTP address for /metrics, /healthz, /runs and pprof (empty disables)")
@@ -92,22 +91,10 @@ func realMain() int {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	sig := <-sigc
-	logf("dbfsimd: %v: draining", sig)
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
-	defer cancel()
-	if *spool == "" {
-		if err := s.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "dbfsimd: close: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	spooled, err := s.Drain(ctx)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dbfsimd: drain: %v\n", err)
+	logf("dbfsimd: %v: closing", sig)
+	if err := s.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "dbfsimd: close: %v\n", err)
 		return 1
 	}
-	fmt.Printf("dbfsimd: drained, %d runs spooled to %s\n", spooled, *spool)
 	return 0
 }

@@ -16,9 +16,9 @@
 //     counters, gauges and classic histograms need; nothing here
 //     imports outside the standard library.
 //   - Fixed bucket layouts. Histograms take their upper bounds at
-//     registration (DurationBuckets and SizeBuckets are the two layouts
-//     the service uses), so observation is a bounded linear scan over a
-//     dozen atomics, never a tree or a lock.
+//     registration (DurationBuckets is the layout the service uses),
+//     so observation is a bounded linear scan over a dozen atomics,
+//     never a tree or a lock.
 //
 // Registration is idempotent: asking for an existing name with the same
 // kind and label arity returns the same family, so package-level series
@@ -287,13 +287,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 // oversized quanta climb visibly.
 func DurationBuckets() []float64 {
 	return []float64{1e-4, 2.5e-4, 1e-3, 2.5e-3, 1e-2, 2.5e-2, 0.1, 0.25, 1, 2.5, 10}
-}
-
-// SizeBuckets is the fixed bytes layout for payload-size histograms:
-// 256B to 16MiB, quadrupling — checkpoint files for the admitted
-// scenario sizes sit in the kilobyte range.
-func SizeBuckets() []float64 {
-	return []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216}
 }
 
 // formatFloat renders a sample value the way Prometheus expects.

@@ -14,7 +14,7 @@ import (
 // Runner is a preemptible scenario run for the service path: one live
 // engine.Stepper advanced in quanta of engine steps — a quantum ends in
 // a return, not a serialisation — and a paused run serialises, only
-// when asked to (drain), to a self-describing checkpoint file (the
+// when asked to, to a self-describing checkpoint file (the
 // scenario text rides in the checkpoint metadata, so any process can
 // rebuild the instance and resume). The sliced run is bit-identical —
 // cells and work counters — to the run that was never paused; the
@@ -53,19 +53,19 @@ type runnerCore interface {
 	close()
 }
 
-// MaxServiceableBytes caps a served scenario's text: the checkpoint
-// metadata that carries it across a drain holds no more.
+// MaxServiceableBytes caps a served scenario's text: what the service
+// admits, and so what one spool entry holds.
 const MaxServiceableBytes = 1 << 12
 
 // Serviceable reports whether the scenario can run on the service path:
-// everything Run's engine substrate accepts, as long as its text fits the
-// checkpoint metadata that carries it across a drain.
+// everything Run's engine substrate accepts, as long as its text fits
+// the serviceable-text cap.
 func Serviceable(sc *Scenario) error {
 	if err := sc.Validate(); err != nil {
 		return err
 	}
 	if len(sc.Encode()) > MaxServiceableBytes {
-		return fmt.Errorf("scenario: encoded text exceeds the checkpoint metadata cap")
+		return fmt.Errorf("scenario: encoded text exceeds the %d-byte serviceable-text cap", MaxServiceableBytes)
 	}
 	return nil
 }

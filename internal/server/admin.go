@@ -46,12 +46,12 @@ func (s *Server) recordFinishedLocked(r *run, outcome string) {
 	}
 }
 
-// Draining reports whether the server has stopped admission (drain
-// begun or closed) — the health signal behind /healthz.
+// Draining reports whether the server has stopped admission (closed) —
+// the health signal behind /healthz.
 func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.draining || s.closed
+	return s.closed
 }
 
 // RunsSnapshot returns the current in-flight runs followed by the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"runtime"
@@ -26,7 +25,7 @@ func adminGet(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 // TestAdminSurface drives the full observability loop end to end: runs
 // flow through the service while /healthz, /metrics and /runs report
 // them, counters agree with what the clients saw, and span logs record
-// the lifecycle from admission to completion — then drain flips health.
+// the lifecycle from admission to completion — then closing flips health.
 func TestAdminSurface(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	reg := metrics.NewRegistry()
@@ -37,7 +36,7 @@ func TestAdminSurface(t *testing.T) {
 	ctx := testCtx(t)
 
 	if rec := adminGet(t, s, "/healthz"); rec.Code != 200 || rec.Body.String() != "ok\n" {
-		t.Fatalf("healthz before drain: %d %q", rec.Code, rec.Body.String())
+		t.Fatalf("healthz before close: %d %q", rec.Code, rec.Body.String())
 	}
 
 	c, err := DialClient(ctx, s.Addr(), "acme")
@@ -102,17 +101,15 @@ func TestAdminSurface(t *testing.T) {
 		}
 	}
 
-	// Draining flips health; pprof stays wired.
+	// Closing flips health; pprof stays wired.
 	if rec := adminGet(t, s, "/debug/pprof/cmdline"); rec.Code != 200 {
 		t.Fatalf("pprof endpoint: %d", rec.Code)
 	}
-	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if _, err := s.Drain(dctx); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if rec := adminGet(t, s, "/healthz"); rec.Code != 503 {
-		t.Fatalf("healthz after drain: %d", rec.Code)
+		t.Fatalf("healthz after close: %d", rec.Code)
 	}
 	checkGoroutines(t, goroutines)
 }

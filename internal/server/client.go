@@ -14,9 +14,9 @@ import (
 // daemon multiplexes). A Client survives load shedding by construction
 // — Submit surfaces retriable errors with their retry-after hints and
 // RunRetry loops on them — and survives a daemon restart by re-dialling
-// with backoff and re-Waiting, which is exactly the drain/resume
-// contract: the result of a resumed run is bit-identical, so asking
-// again is always safe.
+// with backoff and re-Waiting, which is exactly the restart contract:
+// the result of a replayed run is bit-identical, so asking again is
+// always safe.
 type Client struct {
 	addr   string
 	tenant string
@@ -100,8 +100,8 @@ func (c *Client) Submit(ctx context.Context, id string, scenarioText []byte, dea
 // Await blocks until the run completes, reading the streamed Status
 // frames (the most recent is returned alongside the result) and
 // re-Waiting across connection loss — including a full daemon
-// drain/restart, in which case the resumed run's result is
-// bit-identical to the undisturbed one. Returns the server's
+// restart, in which case the replayed run's result is bit-identical to
+// the undisturbed one. Returns the server's
 // ErrorFrame as the error for a failed run.
 func (c *Client) Await(ctx context.Context, id string) (wire.Result, wire.Status, error) {
 	var last wire.Status

@@ -20,7 +20,6 @@ type srvMetrics struct {
 	vtimeLag    *metrics.GaugeVec // by tenant: vtime - vclock
 	preemptions *metrics.Counter
 	quantumSec  *metrics.Histogram
-	ckptBytes   *metrics.Histogram
 	readmits    *metrics.Counter
 	finished    *metrics.CounterVec // by outcome: ok | error
 }
@@ -39,14 +38,12 @@ func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 		vtimeLag: reg.GaugeVec("dbfsimd_tenant_vtime_lag",
 			"Tenant virtual time minus the global virtual clock; positive means ahead of fair share.", "tenant"),
 		preemptions: reg.Counter("dbfsimd_preemptions_total",
-			"Quanta that ended with the run parked at a snapshot boundary rather than finished."),
+			"Quanta that ended with the run paused and re-queued rather than finished."),
 		quantumSec: reg.Histogram("dbfsimd_quantum_seconds",
 			"Wall-clock duration of one scheduling quantum (engine advance plus any configured stall).",
 			metrics.DurationBuckets()),
-		ckptBytes: reg.Histogram("dbfsimd_checkpoint_bytes",
-			"Size of checkpoints spooled at drain.", metrics.SizeBuckets()),
 		readmits: reg.Counter("dbfsimd_readmissions_total",
-			"Spooled runs re-admitted after a restart (checkpoints and scenario texts)."),
+			"Spooled runs re-admitted after a restart and replayed from step 0."),
 		finished: reg.CounterVec("dbfsimd_runs_finished_total",
 			"Completed runs, by outcome.", "outcome"),
 	}

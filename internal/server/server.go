@@ -12,26 +12,24 @@
 //     the runnable tenant with the least virtual time — a late tenant's
 //     first run starts at the current virtual clock and is therefore
 //     scheduled next;
-//   - checkpoint preemption: runs execute in bounded quanta, each
-//     quantum ending in a resumable engine snapshot, so a long run
-//     cannot hold a worker while other tenants starve, and a paused run
-//     resumes bit-identically (cells and counters) when its turn comes
-//     back;
-//   - graceful drain: Drain stops admission with CodeDraining, parks
-//     every in-flight run at its quantum boundary, and spools the
-//     snapshots (with the scenario text embedded) to the spool
-//     directory; a restarted server re-admits them and the resumed runs
-//     finish with exactly the result the uninterrupted runs would have
-//     produced.
+//   - preemption: runs execute in bounded quanta, each a Step call on
+//     the run's one live engine stepper that ends in a return, so a long
+//     run cannot hold a worker while other tenants starve, and a paused
+//     run continues bit-identically (cells and counters) when its turn
+//     comes back;
+//   - durability: with a spool directory, a run's submitted text is
+//     written there before the run is acknowledged and its terminal
+//     frame before the outcome is visible, so the spool is complete at
+//     every instant; a restarted server serves the stored outcomes and
+//     re-admits every other run, replaying it from step 0 to exactly the
+//     result the uninterrupted run would have produced — a served run is
+//     a pure function of its text.
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -56,8 +54,9 @@ type Config struct {
 	// Quantum is the engine-step slice between preemption points;
 	// default 64.
 	Quantum int
-	// SpoolDir, when set, enables graceful drain: Drain checkpoints
-	// in-flight runs there and New re-admits them.
+	// SpoolDir, when set, makes runs durable: each admitted run's text
+	// and each finished run's outcome are written there as they happen,
+	// and New replays the unfinished runs and serves the outcomes.
 	SpoolDir string
 	// MaxInFlight caps each tenant's admitted, unfinished runs (queued,
 	// running or preempted); default 4.
@@ -79,7 +78,7 @@ type Config struct {
 	// knob. Engine quanta on the scenario sizes the caps admit complete
 	// in microseconds, far below wall-clock observability; the lifecycle
 	// tests and the CI kill-mid-run smoke use this to hold runs
-	// demonstrably mid-flight across probes, drains and restarts.
+	// demonstrably mid-flight across probes, kills and restarts.
 	Stall time.Duration
 }
 
@@ -127,11 +126,10 @@ type run struct {
 	sc       *scenario.Scenario
 	deadline time.Time // zero = none
 	runner   *scenario.Runner
-	// spooled holds checkpoint bytes recovered from the spool dir; the
-	// first quantum resumes from them instead of starting fresh.
-	spooled   []byte
-	spoolPath string // file to delete when the run completes
-	resumed   bool   // re-admitted after a restart (reported in Status)
+	// spoolPath is the spool file holding the run's text (.scn, or a
+	// legacy .ckpt); it goes once the outcome is spooled.
+	spoolPath string
+	resumed   bool // re-admitted after a restart (reported in Status)
 	phase     wire.RunPhase
 	// step and cells mirror the runner's position as of the last quantum
 	// boundary, written under the server lock so status probes never
@@ -164,8 +162,7 @@ type Server struct {
 	conns    map[*clientConn]struct{}
 	finished []RunInfo // bounded ring of completed runs for /runs
 
-	draining bool
-	closed   bool
+	closed bool
 
 	workerWG sync.WaitGroup
 	acceptWG sync.WaitGroup
@@ -238,10 +235,10 @@ func (s *Server) enqueueLocked(r *run) {
 
 // nextLocked blocks for the next run to advance: the FIFO head of the
 // runnable tenant with minimal virtual time. Returns nil when the
-// server stops (close or drain).
+// server closes.
 func (s *Server) nextLocked() *run {
 	for {
-		if s.closed || s.draining {
+		if s.closed {
 			return nil
 		}
 		var best *tenant
@@ -286,19 +283,13 @@ func (s *Server) advance(r *run) {
 	if !r.deadline.IsZero() && time.Now().After(r.deadline) {
 		s.finish(r, nil, &wire.ErrorFrame{
 			ID: r.id, Code: wire.CodeDeadline,
-			Msg: fmt.Sprintf("run exceeded its deadline at step %d/%d", r.stepEstimate(), r.sc.Horizon),
+			Msg: fmt.Sprintf("run exceeded its deadline at step %d/%d", r.step, r.sc.Horizon),
 		})
 		return
 	}
 	if r.runner == nil {
 		var err error
-		if r.spooled != nil {
-			r.runner, err = scenario.ResumeRunner(r.spooled)
-			r.spooled = nil
-		} else {
-			r.runner, err = scenario.NewRunner(r.sc)
-		}
-		if err != nil {
+		if r.runner, err = scenario.NewRunner(r.sc); err != nil {
 			s.finish(r, nil, &wire.ErrorFrame{ID: r.id, Code: wire.CodeInternal, Msg: err.Error()})
 			return
 		}
@@ -357,15 +348,6 @@ func (s *Server) advance(r *run) {
 	s.mu.Unlock()
 }
 
-// stepEstimate reports the run's last completed step without requiring
-// a runner.
-func (r *run) stepEstimate() int {
-	if r.runner != nil {
-		return r.runner.Step()
-	}
-	return 0
-}
-
 // phaseLocked is the phase a run reports: a re-admitted run still
 // waiting for its first quantum reads as resumed.
 func (r *run) phaseLocked() wire.RunPhase {
@@ -394,35 +376,39 @@ func (s *Server) finish(r *run, res *wire.Result, ef *wire.ErrorFrame) {
 		r.runner.Close()
 		r.runner = nil
 	}
-	// The spool entry goes before the outcome becomes visible: a client
-	// that reads the result finds the spool already clean.
+	var terminal wire.Frame
+	if res != nil {
+		terminal = *res
+	} else {
+		terminal = *ef
+	}
+	// The outcome reaches the spool, and the text leaves it, before the
+	// outcome becomes visible: a client that reads the result finds the
+	// spool already holding it.
 	if r.spoolPath != "" {
-		os.Remove(r.spoolPath)
-		r.spoolPath = ""
+		s.spoolOutcome(r, terminal)
 	}
 	s.mu.Lock()
 	r.tenant.inflight--
 	s.met.inflight.With(r.tenant.name).Set(float64(r.tenant.inflight))
 	var outcome string
-	var terminal wire.Frame
 	if res != nil {
-		terminal = *res
 		s.met.finished.With("ok").Inc()
 		r.step, r.cells = int(res.Steps), res.CellsComputed
 		outcome = fmt.Sprintf("ok: steps=%d converged=%d hash=%x", res.Steps, res.ConvergedAt, res.Hash)
 		r.spanLocked("finished: steps=%d converged=%d", res.Steps, res.ConvergedAt)
 	} else {
 		s.met.finished.With("error").Inc()
-		terminal = *ef
 		outcome = "error: " + ef.Error()
 		r.spanLocked("failed: %s", ef.Msg)
 	}
-	s.storeResultLocked(r.key, terminal)
+	evicted := s.storeResultLocked(r.key, terminal)
 	s.recordFinishedLocked(r, outcome)
 	delete(s.runs, r.key)
 	subs := r.subs
 	r.subs = nil
 	s.mu.Unlock()
+	s.unspoolResults(evicted)
 
 	for _, cc := range subs {
 		cc.push(terminal, true)
@@ -434,14 +420,44 @@ func (s *Server) finish(r *run, res *wire.Result, ef *wire.ErrorFrame) {
 	}
 }
 
-func (s *Server) storeResultLocked(key string, res wire.Frame) {
+// spoolOutcome writes a finished run's terminal frame to the spool,
+// then removes the run's text. Should the write fail the text stays,
+// and a restart replays the run to the same outcome.
+func (s *Server) spoolOutcome(r *run, terminal wire.Frame) {
+	b, err := wire.EncodeFrame(terminal)
+	if err == nil {
+		err = writeFileAtomic(s.spoolFile(r.key, ".res"), b)
+	}
+	if err != nil {
+		s.cfg.Logf("server: spooling the outcome of %s: %v", r.key, err)
+		return
+	}
+	os.Remove(r.spoolPath)
+}
+
+// storeResultLocked records a terminal frame and returns the keys it
+// evicted from the bounded table.
+func (s *Server) storeResultLocked(key string, res wire.Frame) (evicted []string) {
 	if _, ok := s.results[key]; !ok {
 		s.order = append(s.order, key)
 	}
 	s.results[key] = res
 	for len(s.order) > maxResults {
+		evicted = append(evicted, s.order[0])
 		delete(s.results, s.order[0])
 		s.order = s.order[1:]
+	}
+	return evicted
+}
+
+// unspoolResults removes evicted outcomes from the spool, so it holds no
+// more of them than the results table.
+func (s *Server) unspoolResults(keys []string) {
+	if s.cfg.SpoolDir == "" {
+		return
+	}
+	for _, key := range keys {
+		os.Remove(s.spoolFile(key, ".res"))
 	}
 }
 
@@ -537,7 +553,7 @@ func (s *Server) handleSubmit(cc *clientConn, f wire.Submit) {
 		return
 	}
 	s.mu.Lock()
-	if s.draining || s.closed {
+	if s.closed {
 		s.mu.Unlock()
 		shed(shedDraining, wire.CodeDraining, "server is draining")
 		return
@@ -560,9 +576,10 @@ func (s *Server) handleSubmit(cc *clientConn, f wire.Submit) {
 		return
 	}
 
-	// Admission gate 2: the in-flight cap, atomically with enqueue.
+	// Admission gate 2: the in-flight cap, atomically with reserving the
+	// key.
 	s.mu.Lock()
-	if s.draining || s.closed {
+	if s.closed {
 		s.mu.Unlock()
 		shed(shedDraining, wire.CodeDraining, "server is draining")
 		return
@@ -587,12 +604,32 @@ func (s *Server) handleSubmit(cc *clientConn, f wire.Submit) {
 	if f.DeadlineMS > 0 {
 		r.deadline = time.Now().Add(time.Duration(f.DeadlineMS) * time.Millisecond)
 	}
+	s.runs[key] = r
 	t.inflight++
+	if s.cfg.SpoolDir != "" {
+		// The text reaches the spool before the run can start or be
+		// acknowledged, so no admitted run is lost to process death.
+		r.spoolPath = s.spoolFile(key, ".scn")
+		s.mu.Unlock()
+		err := writeFileAtomic(r.spoolPath, f.Scenario)
+		s.mu.Lock()
+		if err != nil {
+			delete(s.runs, key)
+			t.inflight--
+			subs := append(r.subs, cc)
+			r.subs = nil
+			s.mu.Unlock()
+			ef := wire.ErrorFrame{ID: f.ID, Code: wire.CodeInternal, Msg: "spooling the scenario: " + err.Error()}
+			for _, sub := range subs {
+				sub.push(ef, true)
+			}
+			return
+		}
+	}
 	s.met.admissions.With(f.Tenant).Inc()
 	s.met.inflight.With(f.Tenant).Set(float64(t.inflight))
 	r.spanLocked("submitted (%d-byte scenario, horizon %d)", len(f.Scenario), sc.Horizon)
 	r.spanLocked("admitted (queued)")
-	s.runs[key] = r
 	r.subs = append(r.subs, cc)
 	s.enqueueLocked(r)
 	// Push the admission Status while still holding the lock: a worker
@@ -620,115 +657,16 @@ func (s *Server) handleWait(cc *clientConn, f wire.Wait) {
 	cc.push(wire.ErrorFrame{ID: f.ID, Code: wire.CodeUnknownRun, Msg: "no such run"}, true)
 }
 
-// spoolName renders the spool filename for a run. The separator is
+// spoolFile is the spool path of a run's entry. The separator is
 // outside the nameOK charset, so the (tenant, id) pair reconstructs
 // unambiguously on recovery.
-func spoolName(tenant, id, ext string) string {
-	return tenant + "~" + id + ext
+func (s *Server) spoolFile(key, ext string) string {
+	return filepath.Join(s.cfg.SpoolDir, strings.Replace(key, "/", "~", 1)+ext)
 }
 
-// Drain gracefully stops the server for a restart: admission switches
-// to CodeDraining, workers park every run at its next quantum boundary,
-// and each unfinished run is spooled — started runs as checkpoints
-// (scenario text embedded), never-started runs as plain scenario text.
-// The listener and client connections close. Returns the number of
-// spooled runs.
-func (s *Server) Drain(ctx context.Context) (int, error) {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return 0, errors.New("server: already draining or closed")
-	}
-	s.draining = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.cfg.Logf("server: draining")
-
-	// Stop intake first so no new work arrives while workers park.
-	s.ln.Close()
-	done := make(chan struct{})
-	go func() { s.workerWG.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return 0, fmt.Errorf("server: drain interrupted: %w", ctx.Err())
-	}
-
-	s.mu.Lock()
-	runs := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		runs = append(runs, r)
-	}
-	s.mu.Unlock()
-	sort.Slice(runs, func(i, j int) bool { return runs[i].key < runs[j].key })
-
-	spooled := 0
-	for _, r := range runs {
-		if s.cfg.SpoolDir != "" {
-			var data []byte
-			ext := ".scn"
-			if r.runner != nil && r.runner.Step() > 0 && !r.runner.Done() {
-				b, err := r.runner.Checkpoint()
-				if err != nil {
-					s.cfg.Logf("server: checkpointing %s: %v (spooling scenario text instead)", r.key, err)
-				} else {
-					data, ext = b, ".ckpt"
-					s.met.ckptBytes.Observe(float64(len(b)))
-				}
-			}
-			if data == nil {
-				data = r.sc.Encode()
-			}
-			path := filepath.Join(s.cfg.SpoolDir, spoolName(r.tenant.name, r.id, ext))
-			if err := writeFileAtomic(path, data); err != nil {
-				return spooled, fmt.Errorf("server: spooling %s: %w", r.key, err)
-			}
-			spooled++
-			s.mu.Lock()
-			r.spanLocked("checkpointed to spool at step %d (%d bytes, %s)", r.stepEstimate(), len(data), ext)
-			s.mu.Unlock()
-			s.cfg.Logf("server: spooled %s at step %d (%s)", r.key, r.stepEstimate(), ext)
-		}
-		if r.runner != nil {
-			r.runner.Close()
-			r.runner = nil
-		}
-	}
-	// Spool the completed-results table too: a run that finished during
-	// the drain window (or just before it) must still answer a re-Wait
-	// after the restart, or its client would retry into CodeUnknownRun
-	// forever.
-	if s.cfg.SpoolDir != "" {
-		s.mu.Lock()
-		results := make(map[string]wire.Frame, len(s.results))
-		for k, v := range s.results {
-			results[k] = v
-		}
-		s.mu.Unlock()
-		for key, res := range results {
-			tn, id, _ := strings.Cut(key, "/")
-			b, err := wire.EncodeFrame(res)
-			if err != nil {
-				s.cfg.Logf("server: encoding result %s: %v", key, err)
-				continue
-			}
-			path := filepath.Join(s.cfg.SpoolDir, spoolName(tn, id, ".res"))
-			if err := writeFileAtomic(path, b); err != nil {
-				return spooled, fmt.Errorf("server: spooling result %s: %w", key, err)
-			}
-		}
-	}
-	s.closeConns()
-	s.acceptWG.Wait()
-	s.connWG.Wait()
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	return spooled, nil
-}
-
-// writeFileAtomic writes via a temp file + rename, so a crash mid-drain
-// never leaves a torn spool file for recovery to trip on.
+// writeFileAtomic writes via a temp file + rename, so process death
+// mid-write never leaves a torn spool entry for recovery to trip on;
+// recovery removes the orphaned temp file.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
@@ -737,9 +675,10 @@ func writeFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// recoverSpool re-admits every spooled run. Checkpointed runs carry
-// their scenario inside; .scn files are re-parsed. Corrupt files are
-// skipped with a log line, not fatal — a daemon must come up.
+// recoverSpool loads the spool: stored outcomes are served again, and
+// every run whose text is there without an outcome is re-admitted and
+// replayed from step 0. Corrupt entries are skipped with a log line, not
+// fatal — a daemon must come up.
 func (s *Server) recoverSpool() error {
 	if err := os.MkdirAll(s.cfg.SpoolDir, 0o755); err != nil {
 		return err
@@ -748,90 +687,113 @@ func (s *Server) recoverSpool() error {
 	if err != nil {
 		return err
 	}
+	// Outcomes load first, so a text whose run already finished is
+	// removed rather than replayed.
+	var texts []string
 	for _, e := range entries {
 		name := e.Name()
 		ext := filepath.Ext(name)
-		if e.IsDir() || (ext != ".ckpt" && ext != ".scn" && ext != ".res") {
+		path := filepath.Join(s.cfg.SpoolDir, name)
+		if e.IsDir() || (ext != ".tmp" && ext != ".res" && ext != ".scn" && ext != ".ckpt") {
 			continue
 		}
-		base := strings.TrimSuffix(name, ext)
-		tn, id, ok := strings.Cut(base, "~")
-		if !ok || !nameOK(tn) || !nameOK(id) {
+		if ext == ".tmp" {
+			s.cfg.Logf("server: spool: removing %q, a write cut short", name)
+			os.Remove(path)
+			continue
+		}
+		key, ok := spoolKey(name)
+		if !ok {
 			s.cfg.Logf("server: spool: skipping unparseable name %q", name)
 			continue
 		}
-		path := filepath.Join(s.cfg.SpoolDir, name)
+		if ext != ".res" {
+			texts = append(texts, name)
+			continue
+		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			s.cfg.Logf("server: spool: reading %q: %v", name, err)
 			continue
 		}
-		if ext == ".res" {
-			f, err := wire.DecodeFrame(data)
-			if err != nil {
-				s.cfg.Logf("server: spool: %q does not decode: %v", name, err)
-				continue
-			}
-			switch f.(type) {
-			case wire.Result, wire.ErrorFrame:
-				s.storeResultLocked(tn+"/"+id, f)
-			default:
-				s.cfg.Logf("server: spool: %q is not a terminal frame", name)
-				continue
-			}
+		f, err := wire.DecodeFrame(data)
+		if err != nil {
+			s.cfg.Logf("server: spool: %q does not decode: %v", name, err)
+			continue
+		}
+		switch f.(type) {
+		case wire.Result, wire.ErrorFrame:
+			s.unspoolResults(s.storeResultLocked(key, f))
+		default:
+			s.cfg.Logf("server: spool: %q is not a terminal frame", name)
+		}
+	}
+	for _, name := range texts {
+		key, _ := spoolKey(name)
+		path := filepath.Join(s.cfg.SpoolDir, name)
+		if _, done := s.results[key]; done {
+			s.cfg.Logf("server: spool: %s already finished, removing %q", key, name)
 			os.Remove(path)
 			continue
 		}
-		var sc *scenario.Scenario
-		var spooled []byte
-		var step int
-		if ext == ".ckpt" {
-			// Validate now (cheaply rebuilding once) so a corrupt file is
-			// skipped here rather than failing on a worker; the worker
-			// resumes lazily from the bytes.
-			rr, err := scenario.ResumeRunner(data)
-			if err != nil {
-				s.cfg.Logf("server: spool: %q does not resume: %v", name, err)
-				continue
-			}
-			sc = rr.Scenario()
-			step = rr.Step()
-			rr.Close()
-			spooled = data
-		} else {
-			sc, err = scenario.Parse(data)
-			if err == nil {
-				err = scenario.Serviceable(sc)
-			}
-			if err != nil {
-				s.cfg.Logf("server: spool: %q does not parse: %v", name, err)
-				continue
-			}
+		if _, dup := s.runs[key]; dup {
+			s.cfg.Logf("server: spool: duplicate run %q", key)
+			continue
 		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			s.cfg.Logf("server: spool: reading %q: %v", name, err)
+			continue
+		}
+		sc, err := spooledScenario(data, filepath.Ext(name))
+		if err != nil {
+			s.cfg.Logf("server: spool: %q does not parse: %v", name, err)
+			continue
+		}
+		tn, id, _ := strings.Cut(key, "/")
 		t := s.tenantLocked(tn)
 		if t == nil {
 			s.cfg.Logf("server: spool: tenant table full, leaving %q for the next restart", name)
 			continue
 		}
-		key := tn + "/" + id
-		if _, dup := s.runs[key]; dup {
-			s.cfg.Logf("server: spool: duplicate run %q", key)
-			continue
-		}
 		r := &run{
-			tenant: t, id: id, key: key, sc: sc,
-			spooled: spooled, spoolPath: path, resumed: true,
-			phase: wire.PhaseQueued, step: step, born: time.Now(),
+			tenant: t, id: id, key: key, sc: sc, spoolPath: path, resumed: true,
+			phase: wire.PhaseQueued, born: time.Now(),
 		}
 		t.inflight++
 		s.met.readmits.Inc()
 		s.met.inflight.With(tn).Set(float64(t.inflight))
-		r.spanLocked("re-admitted from spool at step %d (%s)", step, ext)
+		r.spanLocked("re-admitted from spool (%s), replaying from step 0", name)
 		s.runs[key] = r
 		s.enqueueLocked(r)
-		s.cfg.Logf("server: spool: re-admitted %s (%s)", key, ext)
+		s.cfg.Logf("server: spool: re-admitted %s (%s)", key, name)
 	}
 	return nil
+}
+
+// spoolKey recovers the run key from a spool entry's name.
+func spoolKey(name string) (string, bool) {
+	tn, id, ok := strings.Cut(strings.TrimSuffix(name, filepath.Ext(name)), "~")
+	return tn + "/" + id, ok && nameOK(tn) && nameOK(id)
+}
+
+// spooledScenario reads a spooled run's text: a .scn holds the
+// submitted bytes, and a .ckpt — spooled at drain by older daemons —
+// embeds them in a checkpoint, which is validated and then only read.
+func spooledScenario(data []byte, ext string) (*scenario.Scenario, error) {
+	if ext == ".ckpt" {
+		rr, err := scenario.ResumeRunner(data)
+		if err != nil {
+			return nil, err
+		}
+		defer rr.Close()
+		return rr.Scenario(), nil
+	}
+	sc, err := scenario.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	return sc, scenario.Serviceable(sc)
 }
 
 func (s *Server) closeConns() {
@@ -846,8 +808,10 @@ func (s *Server) closeConns() {
 	}
 }
 
-// Close stops the server without spooling (use Drain for a graceful
-// restart). In-flight runs are abandoned; their runners are released.
+// Close stops the server: admission sheds CodeDraining, workers stop at
+// their quantum boundary and connections close. Unfinished runs are
+// abandoned and their runners released; with a spool their text is
+// already there, and a restarted server replays them.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -618,20 +619,20 @@ func TestPreemptionKeepsLateTenantUnstarved(t *testing.T) {
 	checkGoroutines(t, goroutines)
 }
 
-// TestDrainRestartResumesBitIdentically is the graceful-drain
-// acceptance gate: runs are mid-flight when the server drains to its
-// spool directory and a new server process-equivalent takes over the
-// same address and spool. Clients riding Await across the restart must
-// receive results bit-identical to never-interrupted runs, and the
-// spool must end empty.
-func TestDrainRestartResumesBitIdentically(t *testing.T) {
+// TestRestartReplaysBitIdentically is the restart acceptance gate:
+// runs are mid-flight when the server closes, and a new server
+// process-equivalent takes over the same address and spool. The spool
+// already holds both runs' texts; clients riding Await across the
+// restart must receive results bit-identical to never-interrupted runs,
+// and the spool must end holding their outcomes and no text.
+func TestRestartReplaysBitIdentically(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	wantLong := uninterruptedRun(t, longScenario)
 	wantGadget := uninterruptedRun(t, gadgetScenario)
 
 	spool := t.TempDir()
-	// The stall keeps both runs genuinely mid-flight when the drain
-	// lands 150ms in (the long run alone needs ~30 quanta ≈ 240ms).
+	// The stall keeps both runs genuinely mid-flight when the server
+	// closes after their first quantum; both have events past step 20.
 	s1, err := New(Config{Workers: 2, Quantum: 20, SpoolDir: spool, Stall: 8 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -639,7 +640,7 @@ func TestDrainRestartResumesBitIdentically(t *testing.T) {
 	addr := s1.Addr()
 	ctx := testCtx(t)
 
-	// Two tenants, two families, both submitted before the drain.
+	// Two tenants, two families, both submitted before the close.
 	results := make(map[string]chan await)
 	clients := make(map[string]*Client)
 	for key, text := range map[string]string{
@@ -663,26 +664,15 @@ func TestDrainRestartResumesBitIdentically(t *testing.T) {
 		}(c, id, ch)
 	}
 
-	// Let both runs advance past their first quantum, then drain: the
+	// Let both runs advance past their first quantum, then close: the
 	// kill-mid-run half of the differential.
-	time.Sleep(150 * time.Millisecond)
-	drainCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	spooled, err := s1.Drain(drainCtx)
-	if err != nil {
+	for _, key := range []string{"alpha/long", "beta/wedge"} {
+		waitQuanta(t, s1, key, 1)
+	}
+	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("drained %d runs to %s", spooled, spool)
-	if spooled == 0 {
-		t.Fatal("drain caught no run mid-flight; the differential proves nothing")
-	}
-	files, err := filepath.Glob(filepath.Join(spool, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("drain left an empty spool with runs in flight")
-	}
+	spoolHolds(t, spool, "alpha~long.scn", "beta~wedge.scn")
 
 	// "Restart": a new server on the same address and spool. Clients are
 	// still blocked in Await; their redial loop must carry them across.
@@ -699,20 +689,13 @@ func TestDrainRestartResumesBitIdentically(t *testing.T) {
 		if got.err != nil {
 			t.Fatalf("%s: await across restart: %v", key, got.err)
 		}
-		sameRun(t, "resumed "+key, got.res, want)
+		sameRun(t, "replayed "+key, got.res, want)
 	}
 	for _, c := range clients {
 		c.Close()
 	}
-
-	// Completed runs clean their spool entries up.
-	files, err = filepath.Glob(filepath.Join(spool, "*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 0 {
-		t.Fatalf("completed runs left spool files behind: %v", files)
-	}
+	// A finished run's outcome replaces its text before it is visible.
+	spoolHolds(t, spool, "alpha~long.res", "beta~wedge.res")
 
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
@@ -720,13 +703,155 @@ func TestDrainRestartResumesBitIdentically(t *testing.T) {
 	checkGoroutines(t, goroutines)
 }
 
+// waitQuanta blocks until the run has been scheduled for at least n
+// quanta, failing if it finishes first.
+func waitQuanta(t *testing.T, s *Server, key string, n int) {
+	t.Helper()
+	for {
+		s.mu.Lock()
+		r := s.runs[key]
+		var quanta int
+		if r != nil {
+			quanta = r.quanta
+		}
+		s.mu.Unlock()
+		if r == nil {
+			t.Fatalf("%s finished before it could be observed mid-flight", key)
+		}
+		if quanta >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// spoolHolds asserts the spool directory's exact contents.
+func spoolHolds(t *testing.T, spool string, want ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("spool holds %v, want %v", got, want)
+	}
+}
+
+// copySpool snapshots a live spool directory into a fresh one — what a
+// disk holds at the instant a process is killed.
+func copySpool(t *testing.T, spool string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(spool, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// waitSpooled asks a server for a run's outcome on a fresh connection.
+// Unlike Await it does not poll through CodeUnknownRun: a run the
+// server does not know fails at once.
+func waitSpooled(t *testing.T, ctx context.Context, s *Server, tenant, id string) wire.Result {
+	t.Helper()
+	c, err := DialClient(ctx, s.Addr(), tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.send(wire.Wait{Tenant: tenant, ID: id}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		f, err := c.recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch f := f.(type) {
+		case wire.Result:
+			return f
+		case wire.ErrorFrame:
+			t.Fatalf("%s/%s: %v", tenant, id, &f)
+		}
+	}
+}
+
+// TestSpoolIsCompleteAtEveryInstant is the in-process kill -9: the spool
+// is copied right after Submit returns, mid-run, and after the Result,
+// and a server started over each copy must produce the uninterrupted
+// run's result — replaying the first two, serving the stored outcome of
+// the third without re-admitting anything.
+func TestSpoolIsCompleteAtEveryInstant(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	want := uninterruptedRun(t, longScenario)
+	spool := t.TempDir()
+	s, err := New(Config{Workers: 1, Quantum: 20, SpoolDir: spool, Stall: 5 * time.Millisecond, Metrics: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	c, err := DialClient(ctx, s.Addr(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Submit(ctx, "long", []byte(longScenario), 0); err != nil {
+		t.Fatal(err)
+	}
+	type instant struct {
+		label    string
+		spool    string
+		readmits float64
+	}
+	instants := []instant{{"after Submit", copySpool(t, spool), 1}}
+	waitQuanta(t, s, "acme/long", 3)
+	instants = append(instants, instant{"mid-run", copySpool(t, spool), 1})
+	res, _, err := c.Await(ctx, "long")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRun(t, "uninterrupted service run", res, want)
+	instants = append(instants, instant{"after Result", copySpool(t, spool), 0})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, in := range instants {
+		reg := metrics.NewRegistry()
+		s, err := New(Config{Workers: 1, Quantum: 50, SpoolDir: in.spool, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRun(t, "spool copied "+in.label, waitSpooled(t, ctx, s, "acme", "long"), want)
+		if got := reg.Snapshot()["dbfsimd_readmissions_total"]; got != in.readmits {
+			t.Fatalf("spool copied %s: %v re-admissions, want %v", in.label, got, in.readmits)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGoroutines(t, goroutines)
+}
+
 // TestCrashTimelineDrainedInsideWindow: the daemon serves crash/recover
-// timelines, and the schedule mask that keeps the down node silent needs
-// nothing but the step index to resume. crash-recover.scenario has node 2
-// down over steps (30, 80); the server drains to its spool while the run
-// is paused inside that window, a second server takes over, and the
-// still-waiting client must read the digest the batch door (scenario.Run,
-// what dbfsim -scenario prints) computes for the same text.
+// timelines. crash-recover.scenario has node 2 down over steps (30, 80);
+// the server closes while the run is paused inside that window, a second
+// server takes over the same spool, and the still-waiting client must
+// read the digest the batch door (scenario.Run, what dbfsim -scenario
+// prints) computes for the same text.
 func TestCrashTimelineDrainedInsideWindow(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	text, err := os.ReadFile("../../examples/scenarios/crash-recover.scenario")
@@ -748,7 +873,7 @@ func TestCrashTimelineDrainedInsideWindow(t *testing.T) {
 
 	spool := t.TempDir()
 	// One worker, quanta ending at steps 20, 40, 60: once the second
-	// quantum is scheduled, a drain parks the run at 40 — or, should this
+	// quantum is scheduled, a close stops the run at 40 — or, should this
 	// goroutine be held up for a stall or two, at 60 — inside the window.
 	s1, err := New(Config{Workers: 1, Quantum: 20, SpoolDir: spool, Stall: 50 * time.Millisecond})
 	if err != nil {
@@ -769,31 +894,15 @@ func TestCrashTimelineDrainedInsideWindow(t *testing.T) {
 		res, _, err := c.Await(ctx, "crash")
 		got <- await{res, err}
 	}()
-	for quanta := 0; quanta < 2; time.Sleep(time.Millisecond) {
-		s1.mu.Lock()
-		r := s1.runs["acme/crash"]
-		if r == nil {
-			s1.mu.Unlock()
-			t.Fatal("the run finished before it could be drained")
-		}
-		quanta = r.quanta
-		s1.mu.Unlock()
-	}
-	if _, err := s1.Drain(ctx); err != nil {
+	waitQuanta(t, s1, "acme/crash", 2)
+	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(spool, spoolName("acme", "crash", ".ckpt")))
-	if err != nil {
-		t.Fatalf("drain left no checkpoint of the run: %v", err)
-	}
-	paused, err := scenario.ResumeRunner(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := paused.Step()
-	paused.Close()
+	s1.mu.Lock()
+	at := s1.runs["acme/crash"].step
+	s1.mu.Unlock()
 	if at <= 30 || at >= 80 {
-		t.Fatalf("run was drained at step %d, want inside the crash window (30, 80)", at)
+		t.Fatalf("run was stopped at step %d, want inside the crash window (30, 80)", at)
 	}
 
 	s2, err := New(Config{Addr: addr, Workers: 1, Quantum: 20, SpoolDir: spool})
@@ -804,7 +913,7 @@ func TestCrashTimelineDrainedInsideWindow(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("await across restart: %v", r.err)
 	}
-	sameRun(t, fmt.Sprintf("crash timeline drained at step %d", at), r.res, wire.Result{
+	sameRun(t, fmt.Sprintf("crash timeline stopped at step %d", at), r.res, wire.Result{
 		Steps: int64(batch.Steps), ConvergedAt: int64(batch.ConvergedAt),
 		CellsComputed: int64(batch.Cells), Hash: batch.Hash, Table: batch.FinalTable,
 	})
@@ -823,9 +932,9 @@ func splitKey(key string) (tenant, id string, ok bool) {
 	return "", "", false
 }
 
-// TestDrainRejectsNewWorkRetriably pins the drain-window contract:
-// submissions during a drain are shed with CodeDraining (retriable,
-// with a hint), never accepted and never hung.
+// TestDrainRejectsNewWorkRetriably pins the shutdown-window contract:
+// submissions while the server closes are shed with CodeDraining
+// (retriable, with a hint), never accepted and never hung.
 func TestDrainRejectsNewWorkRetriably(t *testing.T) {
 	spool := t.TempDir()
 	s, err := New(Config{Workers: 1, Quantum: 10, SpoolDir: spool, Stall: 5 * time.Millisecond})
@@ -843,27 +952,18 @@ func TestDrainRejectsNewWorkRetriably(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Start the drain concurrently, then race a submission into it on
-	// the already-open connection (new dials cannot reach a drain — the
-	// listener closes first — so the CodeDraining contract lives on
-	// established conns). The submission must land on one typed,
-	// prompt outcome: shed with CodeDraining plus a retry hint, or a
-	// dead connection because the drain tore it down — never a hang,
-	// and never a silent admission into a draining server.
+	// Start the close concurrently, then race a submission into it on
+	// the already-open connection (new dials cannot reach a closing
+	// server — the listener closes first — so the CodeDraining contract
+	// lives on established conns). The submission must land on one
+	// typed, prompt outcome: shed with CodeDraining plus a retry hint, or
+	// a dead connection because the close tore it down — never a hang,
+	// and never a silent admission into a closing server.
 	done := make(chan error, 1)
-	go func() {
-		_, err := s.Drain(ctx)
-		done <- err
-	}()
-	// Wait until the drain flag is observably set, so the submission
-	// below deterministically lands inside the drain window.
-	for {
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			break
-		}
+	go func() { done <- s.Close() }()
+	// Wait until the closed flag is observably set, so the submission
+	// below deterministically lands inside the shutdown window.
+	for !s.Draining() {
 		time.Sleep(time.Millisecond)
 	}
 	subCtx, subCancel := context.WithTimeout(ctx, 5*time.Second)
@@ -880,7 +980,7 @@ func TestDrainRejectsNewWorkRetriably(t *testing.T) {
 				t.Fatal("draining shed without a retry-after hint")
 			}
 		}
-		// A non-frame error means the drain tore the conn down first:
+		// A non-frame error means the close tore the conn down first:
 		// also an acceptable, prompt outcome.
 	}
 	if err := <-done; err != nil {
@@ -889,8 +989,10 @@ func TestDrainRejectsNewWorkRetriably(t *testing.T) {
 }
 
 // TestSpoolRecoverySkipsCorruptEntries pins daemon-must-come-up: a
-// spool polluted with garbage, truncation and alien names still yields
-// a serving daemon, with the valid entry resumed.
+// spool polluted with garbage, truncation, alien names and a write cut
+// short still yields a serving daemon, with the valid entries replayed —
+// a current checkpoint and one an older daemon spooled at drain — and a
+// finished run's stored outcome served instead of replayed.
 func TestSpoolRecoverySkipsCorruptEntries(t *testing.T) {
 	spool := t.TempDir()
 
@@ -911,6 +1013,16 @@ func TestSpoolRecoverySkipsCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
+	v1, err := os.ReadFile("../scenario/testdata/v1/loadgen-ring8.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDone := uninterruptedRun(t, shortScenario)
+	wantDone.ID = "done"
+	done, err := wire.EncodeFrame(wantDone)
+	if err != nil {
+		t.Fatal(err)
+	}
 	writeSpool := func(name string, data []byte) {
 		t.Helper()
 		if err := os.WriteFile(filepath.Join(spool, name), data, 0o644); err != nil {
@@ -918,30 +1030,36 @@ func TestSpoolRecoverySkipsCorruptEntries(t *testing.T) {
 		}
 	}
 	writeSpool("acme~good.ckpt", ckpt)
+	writeSpool("acme~v1.ckpt", v1)
+	writeSpool("acme~done.res", done)
+	writeSpool("acme~done.scn", []byte(shortScenario))
 	writeSpool("acme~torn.ckpt", ckpt[:len(ckpt)/2])
 	writeSpool("acme~noise.scn", []byte("not a scenario at all"))
+	writeSpool("acme~cut.scn.tmp", []byte(shortScenario[:10]))
 	writeSpool("no-separator.ckpt", ckpt)
 	writeSpool("acme~unrelated.txt", []byte("ignored extension"))
 
 	want := uninterruptedRun(t, longScenario)
-	s, err := New(Config{Workers: 1, Quantum: 50, SpoolDir: spool})
+	reg := metrics.NewRegistry()
+	s, err := New(Config{Workers: 1, Quantum: 50, SpoolDir: spool, Metrics: reg})
 	if err != nil {
 		t.Fatalf("a polluted spool kept the daemon down: %v", err)
 	}
 	ctx := testCtx(t)
-	c, err := DialClient(ctx, s.Addr(), "acme")
-	if err != nil {
-		t.Fatal(err)
+	sameRun(t, "recovered run", waitSpooled(t, ctx, s, "acme", "good"), want)
+	// TestResumeV1ServiceCheckpoint's digest for the same checkpoint.
+	if got := waitSpooled(t, ctx, s, "acme", "v1"); got.Hash != 0xae5be22f5653feb6 {
+		t.Fatalf("replayed v1 checkpoint: hash %016x, want ae5be22f5653feb6", got.Hash)
 	}
-	defer c.Close()
-	if err := c.send(wire.Wait{Tenant: "acme", ID: "good"}); err != nil {
-		t.Fatal(err)
+	sameRun(t, "stored outcome", waitSpooled(t, ctx, s, "acme", "done"), wantDone)
+	if got := reg.Snapshot()["dbfsimd_readmissions_total"]; got != 2 {
+		t.Fatalf("%v re-admissions, want 2 (good, v1)", got)
 	}
-	res, _, err := c.Await(ctx, "good")
-	if err != nil {
-		t.Fatal(err)
+	for _, gone := range []string{"acme~done.scn", "acme~cut.scn.tmp"} {
+		if _, err := os.Stat(filepath.Join(spool, gone)); !os.IsNotExist(err) {
+			t.Fatalf("recovery left %s in the spool (stat: %v)", gone, err)
+		}
 	}
-	sameRun(t, "recovered run", res, want)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 
 // The run-lifecycle tracer: every admitted run carries a bounded span
 // log — timestamped one-line events from submission through quanta,
-// checkpoints and completion — served by the admin /runs endpoint.
+// re-admission and completion — served by the admin /runs endpoint.
 // Appends and reads both happen under the server lock (RunsSnapshot
 // reads concurrently with workers appending), and the log is bounded so
 // a million-quantum run costs a fixed few KB: once full, further events
@@ -17,7 +17,7 @@ import (
 // maxSpanHead events (admission and the early quanta) are kept verbatim,
 // and after that a rolling window of the maxSpanTail most recent events
 // — so a thousand-quantum run still shows how it started AND how it
-// ended (checkpoint, completion), with the repetitive middle elided.
+// ended (completion), with the repetitive middle elided.
 const (
 	maxSpanHead = 28
 	maxSpanTail = 8
