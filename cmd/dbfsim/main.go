@@ -7,8 +7,6 @@
 //	dbfsim -algebra policy -policy 'addc(3); if (comm(3)) { lp+=2 }'
 //	dbfsim -algebra gr -topo fattree -n 4 -mode delta -steps 2000
 //	dbfsim -scenario examples/scenarios/wedgie-flap.scenario -substrate all
-//	dbfsim -mode delta -checkpoint run.ckpt -checkpoint-at 150
-//	dbfsim -resume run.ckpt
 //
 // Algebras: shortest, rip, widest, pv (path-tracked shortest), gr
 // (Gao–Rexford tiers), policy (the Section 7 language; see -policy).
@@ -22,12 +20,9 @@
 // run's digest (steps, convergedAt, cells, hash) — the line -server
 // prints for the same file, since the daemon runs the same schedule; the
 // exit code is 0 only when every substrate converged.
-// With -checkpoint (delta mode), the run halts right after step
-// -checkpoint-at (default T/2) and writes a CRC-checksummed resumable
-// checkpoint; -resume continues such a run to its horizon, rebuilding
-// the instance from the checkpoint's own metadata — no other flags
-// needed — and the continuation is bit-identical to the run that was
-// never interrupted.
+// A delta run is a pure function of its flags: its schedule is a pure
+// function of (seed, t, i, k), so the same flags print the same output
+// in any process.
 // The path-aware algebras (pv, policy) run over hash-consed interned
 // paths, and in delta mode algebras that pack canonically (shortest,
 // rip, pv, policy) evaluate through the columnar struct-of-arrays
@@ -36,16 +31,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 
 	"repro/internal/algebras"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gaorexford"
@@ -56,63 +51,85 @@ import (
 	"repro/internal/simulate"
 	"repro/internal/topology"
 	"repro/internal/trace"
-	"repro/internal/wire"
 )
 
-func main() { os.Exit(realMain()) }
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// realMain carries the program body so deferred profile writers run
-// before the exit code is surfaced (os.Exit would skip them).
-func realMain() int {
+// options is what one invocation's run paths read: the parsed instance
+// and schedule knobs and the streams to report on.
+type options struct {
+	mode      string // "sim" or "delta"
+	steps     int    // -steps: the delta horizon T (0: 50·n)
+	seed      int64
+	garbage   bool
+	sim       simulate.Config
+	recorder  *trace.Recorder // -trace: the sim run's event timeline
+	statsJSON bool
+	stdout    io.Writer
+	stderr    io.Writer
+}
+
+// realMain runs one invocation and returns its exit status: 0 when the
+// run converged, 1 when it did not, 2 on bad input. It carries the
+// program body so deferred profile writers run before the status is
+// surfaced (os.Exit would skip them).
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dbfsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		algebra = flag.String("algebra", "rip", "routing algebra: shortest|rip|widest|pv|gr|policy")
-		topo    = flag.String("topo", "ring", "topology: line|ring|grid|clique|star|random|fattree")
-		n       = flag.Int("n", 6, "number of nodes (fattree: k, nodes = 5k²/4)")
-		seed    = flag.Int64("seed", 1, "simulation seed")
-		loss    = flag.Float64("loss", 0.1, "message loss probability")
-		dup     = flag.Float64("dup", 0.05, "message duplication probability")
-		delay   = flag.Int64("delay", 10, "max message delay (virtual ticks)")
-		garbage = flag.Bool("garbage", false, "start from a random state instead of the clean state")
-		polSrc  = flag.String("policy", "lp+=1",
+		algebra = fs.String("algebra", "rip", "routing algebra: shortest|rip|widest|pv|gr|policy")
+		topo    = fs.String("topo", "ring", "topology: line|ring|grid|clique|star|random|fattree")
+		n       = fs.Int("n", 6, "number of nodes (fattree: k, nodes = 5k²/4)")
+		seed    = fs.Int64("seed", 1, "simulation seed")
+		loss    = fs.Float64("loss", 0.1, "message loss probability")
+		dup     = fs.Float64("dup", 0.05, "message duplication probability")
+		delay   = fs.Int64("delay", 10, "max message delay (virtual ticks)")
+		garbage = fs.Bool("garbage", false,
+			"start from a random state instead of the clean state (shortest|rip|widest|policy)")
+		polSrc = fs.String("policy", "lp+=1",
 			"policy program applied on every edge when -algebra policy (Section 7 syntax)")
-		showTrace = flag.Bool("trace", false, "print the route-change timeline after the run")
-		modeFlag  = flag.String("mode", "sim", "evaluation substrate: sim (event simulator) | delta (schedule-driven engine)")
-		stepsFlag = flag.Int("steps", 0, "delta mode: schedule horizon T (default 50·n)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		scenFile  = flag.String("scenario", "",
+		showTrace = fs.Bool("trace", false, "print the route-change timeline after the run")
+		modeFlag  = fs.String("mode", "sim", "evaluation substrate: sim (event simulator) | delta (schedule-driven engine)")
+		stepsFlag = fs.Int("steps", 0, "delta mode: schedule horizon T (default 50·n)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		scenFile  = fs.String("scenario", "",
 			"play a dynamic-event scenario file instead of a static run (see internal/scenario)")
-		substrate = flag.String("substrate", "engine",
+		substrate = fs.String("substrate", "engine",
 			"scenario mode: substrate(s) to play the timeline on: engine|sim|dist|all")
-		ckptFile = flag.String("checkpoint", "",
-			"delta mode: halt right after step -checkpoint-at and write a resumable checkpoint to this file")
-		ckptAt = flag.Int("checkpoint-at", 0,
-			"delta mode: step to checkpoint at (default T/2)")
-		serverAddr = flag.String("server", "",
+		serverAddr = fs.String("server", "",
 			"submit -scenario to a running dbfsimd daemon at this address instead of running locally")
-		tenantFlag = flag.String("tenant", "cli",
+		tenantFlag = fs.String("tenant", "cli",
 			"tenant name for -server submissions")
-		runIDFlag = flag.String("run-id", "",
+		runIDFlag = fs.String("run-id", "",
 			"run id for -server submissions (default: derived from the scenario name and time)")
-		deadlineFlag = flag.Duration("deadline", 0,
+		deadlineFlag = fs.Duration("deadline", 0,
 			"optional completion deadline for -server submissions (0 = none)")
-		resumeFile = flag.String("resume", "",
-			"resume a checkpointed delta run to its horizon; the instance is rebuilt from the checkpoint's metadata and all other instance flags are ignored")
-		jsonFlag = flag.Bool("stats-json", false,
+		jsonFlag = fs.Bool("stats-json", false,
 			"emit the final run statistics (or scenario watchdog verdicts) as a single JSON object on stdout, suppressing the human-readable report")
 	)
-	flag.Parse()
-	statsJSON = *jsonFlag
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	o := &options{
+		mode: *modeFlag, steps: *stepsFlag, seed: *seed, garbage: *garbage,
+		sim:       simulate.Config{Seed: *seed, LossProb: *loss, DupProb: *dup, MaxDelay: *delay},
+		statsJSON: *jsonFlag, stdout: stdout, stderr: stderr,
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -120,125 +137,76 @@ func realMain() int {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 	}
 
 	if *serverAddr != "" {
-		return runRemote(*serverAddr, *scenFile, *tenantFlag, *runIDFlag, *deadlineFlag)
+		return o.runRemote(*serverAddr, *scenFile, *tenantFlag, *runIDFlag, *deadlineFlag)
 	}
 	if *scenFile != "" {
-		return runScenario(*scenFile, *substrate)
+		return o.runScenario(*scenFile, *substrate)
 	}
 
-	if *resumeFile != "" {
-		if *ckptFile != "" {
-			fmt.Fprintln(os.Stderr, "-checkpoint and -resume cannot be combined")
-			return 2
-		}
-		data, err := os.ReadFile(*resumeFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		family, meta, err := checkpoint.Header(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		// Rebuild the instance exactly as the checkpointing run shaped it:
-		// every knob that affects the algebra, topology or schedule comes
-		// from the checkpoint's own metadata, not this invocation's flags.
-		for key, dst := range map[string]*string{"algebra": algebra, "topo": topo, "policy": polSrc} {
-			if v, ok := meta[key]; ok {
-				*dst = v
-			}
-		}
-		for key, dst := range map[string]*int{"n": n, "horizon": stepsFlag} {
-			if v, err := strconv.Atoi(meta[key]); err == nil {
-				*dst = v
-			}
-		}
-		if v, err := strconv.ParseInt(meta["seed"], 10, 64); err == nil {
-			*seed = v
-		}
-		*modeFlag = "delta"
-		resumeData = data
-		infof("resuming %s checkpoint %s (algebra %s, topo %s, n %d, seed %d)\n",
-			family, *resumeFile, *algebra, *topo, *n, *seed)
-	}
-
-	mode = *modeFlag
-	deltaSteps = *stepsFlag
-	if mode != "sim" && mode != "delta" {
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", mode)
+	if o.mode != "sim" && o.mode != "delta" {
+		fmt.Fprintf(stderr, "unknown mode %q\n", o.mode)
 		return 2
 	}
-	if *ckptFile != "" {
-		if mode != "delta" {
-			fmt.Fprintln(os.Stderr, "-checkpoint applies to -mode delta only")
-			return 2
-		}
-		ckptPath, ckptAtStep = *ckptFile, *ckptAt
-		ckptMeta = map[string]string{
-			"algebra": *algebra,
-			"topo":    *topo,
-			"n":       strconv.Itoa(*n),
-			"seed":    strconv.FormatInt(*seed, 10),
-		}
-		if *algebra == "policy" {
-			ckptMeta["policy"] = *polSrc
-		}
-	}
-	if mode == "delta" {
-		flag.Visit(func(f *flag.Flag) {
+	if o.mode == "delta" {
+		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "loss", "dup", "delay":
-				fmt.Fprintf(os.Stderr, "(-%s models message faults and applies to -mode sim only; ignoring)\n", f.Name)
+				fmt.Fprintf(stderr, "(-%s models message faults and applies to -mode sim only; ignoring)\n", f.Name)
 			}
 		})
+		if *showTrace {
+			fmt.Fprintln(stderr, "(-trace records message events and applies to -mode sim only; ignoring)")
+		}
+	} else if *showTrace {
+		o.recorder = &trace.Recorder{}
+	}
+	if o.garbage && (*algebra == "pv" || *algebra == "gr") {
+		fmt.Fprintf(stderr, "-garbage applies to -algebra shortest|rip|widest|policy only, not %s\n", *algebra)
+		return 2
 	}
 
-	g := buildGraph(*topo, *n, *seed)
-	cfg := simulate.Config{Seed: *seed, LossProb: *loss, DupProb: *dup, MaxDelay: *delay}
-	if *showTrace {
-		recorder = &trace.Recorder{}
+	g, err := topology.Named(*topo, *n, *seed)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	switch *algebra {
 	case "shortest":
 		alg := algebras.ShortestPaths{}
-		runNat[algebras.ShortestPaths](alg, topology.BuildUniform[algebras.NatInf](g, alg.AddEdge(1)), cfg, *garbage, *seed,
+		return runNat[algebras.ShortestPaths](o, alg, topology.BuildUniform[algebras.NatInf](g, alg.AddEdge(1)),
 			[]algebras.NatInf{0, 1, 2, algebras.Inf})
 	case "rip":
 		alg := algebras.RIP()
-		runNat[algebras.HopCount](alg, topology.BuildUniform[algebras.NatInf](g, alg.AddEdge(1)), cfg, *garbage, *seed, alg.Universe())
+		return runNat[algebras.HopCount](o, alg, topology.BuildUniform[algebras.NatInf](g, alg.AddEdge(1)), alg.Universe())
 	case "widest":
 		alg := algebras.WidestPaths{}
 		rng := rand.New(rand.NewSource(*seed))
 		adj := topology.Build[algebras.NatInf](g, func(i, j int) core.Edge[algebras.NatInf] {
 			return alg.CapEdge(algebras.NatInf(1 + rng.Intn(9)))
 		})
-		runNat[algebras.WidestPaths](alg, adj, cfg, *garbage, *seed, []algebras.NatInf{0, 1, 5, algebras.Inf})
+		return runNat[algebras.WidestPaths](o, alg, adj, []algebras.NatInf{0, 1, 5, algebras.Inf})
 	case "pv":
 		base := algebras.ShortestPaths{}
 		baseAdj := topology.BuildUniform[algebras.NatInf](g, base.AddEdge(1))
 		alg := pathalg.NewInterned[algebras.NatInf](base, nil)
 		adj := pathalg.LiftAdjacencyInterned(alg, baseAdj)
 		type R = pathalg.IRoute[algebras.NatInf]
-		start := matrix.Identity[R](alg, g.N)
-		run[R](alg, adj, start, cfg, *seed, "pv-interned",
-			wire.InternedPathCodec[algebras.NatInf]{Alg: alg, Base: wire.NatInfCodec{}})
+		return run[R](o, alg, adj, matrix.Identity[R](alg, g.N))
 	case "gr":
 		alg := gaorexford.Algebra{MaxHops: 16}
-		rng := rand.New(rand.NewSource(*seed))
 		adj := topology.Build[gaorexford.Route](g, func(i, j int) core.Edge[gaorexford.Route] {
 			// Orient relationships by node id: lower id = provider;
 			// equal-tier links (adjacent ids) peer. This is arbitrary but
@@ -252,33 +220,30 @@ func realMain() int {
 				return alg.Edge(gaorexford.ProviderEdge)
 			}
 		})
-		_ = rng
-		start := matrix.Identity[gaorexford.Route](alg, g.N)
-		run[gaorexford.Route](alg, adj, start, cfg, *seed, "gaorexford", wire.GaoRexfordCodec{})
+		return run[gaorexford.Route](o, alg, adj, matrix.Identity[gaorexford.Route](alg, g.N))
 	case "policy":
 		pol, err := policy.ParsePolicy(*polSrc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		infof("policy on every edge: %s\n", pol)
+		o.infof("policy on every edge: %s\n", pol)
 		alg := policy.NewInterned(nil)
 		adj := topology.Build[policy.IRoute](g, func(i, j int) core.Edge[policy.IRoute] {
 			return alg.Edge(i, j, pol)
 		})
 		start := matrix.Identity[policy.IRoute](alg, g.N)
-		if *garbage {
+		if o.garbage {
 			rng := rand.New(rand.NewSource(*seed))
 			start = matrix.RandomState(rng, g.N, func(rng *rand.Rand, _, _ int) policy.IRoute {
 				return alg.FromRoute(policy.RandomRoute(rng, g.N))
 			})
 		}
-		run[policy.IRoute](alg, adj, start, cfg, *seed, "policy-interned", wire.InternedPolicyCodec{Alg: alg})
+		return run[policy.IRoute](o, alg, adj, start)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown algebra %q\n", *algebra)
+		fmt.Fprintf(stderr, "unknown algebra %q\n", *algebra)
 		return 2
 	}
-	return exitCode
 }
 
 // runScenario plays a dynamic-event timeline from a scenario file on the
@@ -286,10 +251,10 @@ func realMain() int {
 // status: 0 when every substrate's verdict is Converged, 1 when any run
 // wedged, oscillated, diverged, stayed undecided, or — engine only —
 // disagreed with the reference evaluation; 2 on bad input.
-func runScenario(path, substrate string) int {
+func (o *options) runScenario(path, substrate string) int {
 	sc, err := scenario.Load(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(o.stderr, err)
 		return 2
 	}
 	var subs []string
@@ -299,18 +264,20 @@ func runScenario(path, substrate string) int {
 	case scenario.SubEngine, scenario.SubSim, scenario.SubDist:
 		subs = []string{substrate}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown substrate %q (want engine|sim|dist|all)\n", substrate)
+		fmt.Fprintf(o.stderr, "unknown substrate %q (want engine|sim|dist|all)\n", substrate)
 		return 2
 	}
 	rep, err := scenario.Run(sc, subs...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(o.stderr, err)
 		return 2
 	}
-	if statsJSON {
-		emitJSON(scenarioJSON(rep))
+	if o.statsJSON {
+		if err := o.emitJSON(scenarioJSON(rep)); err != nil {
+			return 2
+		}
 	} else {
-		fmt.Print(rep)
+		fmt.Fprint(o.stdout, rep)
 	}
 	code := 0
 	for _, sr := range rep.Substrates {
@@ -318,228 +285,111 @@ func runScenario(path, substrate string) int {
 			code = 1
 		}
 		if sr.Substrate == scenario.SubEngine && !sr.ReferenceOK {
-			fmt.Fprintln(os.Stderr, "engine run disagreed with the reference evaluation")
+			fmt.Fprintln(o.stderr, "engine run disagreed with the reference evaluation")
 			code = 1
 		}
-		if !statsJSON && len(rep.Substrates) <= 2 && sr.FinalTable != "" {
-			fmt.Printf("%s final tables:\n%s", sr.Substrate, sr.FinalTable)
+		if !o.statsJSON && len(rep.Substrates) <= 2 && sr.FinalTable != "" {
+			fmt.Fprintf(o.stdout, "%s final tables:\n%s", sr.Substrate, sr.FinalTable)
 		}
 	}
 	return code
 }
 
-// recorder, when non-nil, captures the run's event timeline for -trace.
-var recorder *trace.Recorder
-
-// mode selects the evaluation substrate; deltaSteps is -steps; exitCode
-// is the eventual process status (set instead of os.Exit so deferred
-// profile writers run).
-var (
-	mode       string
-	deltaSteps int
-	exitCode   int
-)
-
-// ckptPath/ckptAtStep/ckptMeta configure a checkpoint-and-halt delta
-// run; resumeData, when non-nil, holds the checkpoint bytes a delta run
-// restores from instead of starting fresh.
-var (
-	ckptPath   string
-	ckptAtStep int
-	ckptMeta   map[string]string
-	resumeData []byte
-)
-
-func buildGraph(topo string, n int, seed int64) topology.Graph {
-	switch topo {
-	case "line":
-		return topology.Line(n)
-	case "ring":
-		return topology.Ring(n)
-	case "grid":
-		side := 2
-		for side*side < n {
-			side++
-		}
-		return topology.Grid(side, side)
-	case "clique":
-		return topology.Complete(n)
-	case "star":
-		return topology.Star(n)
-	case "random":
-		return topology.ErdosRenyi(rand.New(rand.NewSource(seed)), n, 0.3)
-	case "fattree":
-		g, _ := topology.FatTree(n)
-		return g
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", topo)
-		os.Exit(2)
-		return topology.Graph{}
-	}
-}
-
-func runNat[A core.Algebra[algebras.NatInf]](alg A, adj *matrix.Adjacency[algebras.NatInf],
-	cfg simulate.Config, garbage bool, seed int64, universe []algebras.NatInf) {
+func runNat[A core.Algebra[algebras.NatInf]](o *options, alg A, adj *matrix.Adjacency[algebras.NatInf],
+	universe []algebras.NatInf) int {
 	start := matrix.Identity[algebras.NatInf](alg, adj.N)
-	if garbage {
-		start = matrix.RandomStateFrom(rand.New(rand.NewSource(seed)), adj.N, universe)
+	if o.garbage {
+		start = matrix.RandomStateFrom(rand.New(rand.NewSource(o.seed)), adj.N, universe)
 	}
-	run[algebras.NatInf](alg, adj, start, cfg, seed, "natinf", wire.NatInfCodec{})
+	return run[algebras.NatInf](o, alg, adj, start)
 }
 
-// run dispatches one configured instance to the selected substrate.
-// family and codec name the carrier's checkpoint representation; the
-// simulator path never serialises and ignores them.
-func run[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], start *matrix.State[R],
-	cfg simulate.Config, seed int64, family string, codec wire.Codec[R]) {
-	switch mode {
-	case "delta":
-		runDelta[R](alg, adj, start, seed, family, codec)
-	default:
-		out := simulate.RunTraced[R](alg, adj, start, cfg, nil, nil, recorder)
-		if statsJSON {
-			convAt := out.ConvergedAt
-			if !out.Converged {
-				convAt = -1
-			}
-			emitJSON(simStatsJSON{
-				Mode: "sim", EndTime: out.EndTime,
-				Sent: out.Stats.Sent, Delivered: out.Stats.Delivered,
-				Dropped: out.Stats.Dropped, Duplicated: out.Stats.Duplicated,
-				Activations: out.Stats.Activations,
-				Converged:   out.Converged, ConvergedAt: convAt,
-				Stable: matrix.IsStable[R](alg, adj, out.Final),
-			})
-		} else {
-			fmt.Println(out.Describe())
-			report[R](alg, adj, out.Final)
-		}
-		if !out.Converged {
-			exitCode = 1
-		}
+// run dispatches one configured instance to the selected substrate and
+// returns the exit status.
+func run[R any](o *options, alg core.Algebra[R], adj *matrix.Adjacency[R], start *matrix.State[R]) int {
+	if o.mode == "delta" {
+		return runDelta[R](o, alg, adj, start)
 	}
+	out := simulate.RunTraced[R](alg, adj, start, o.sim, nil, nil, o.recorder)
+	code := 0
+	if !out.Converged {
+		code = 1
+	}
+	if o.statsJSON {
+		convAt := out.ConvergedAt
+		if !out.Converged {
+			convAt = -1
+		}
+		if err := o.emitJSON(simStatsJSON{
+			Mode: "sim", EndTime: out.EndTime,
+			Sent: out.Stats.Sent, Delivered: out.Stats.Delivered,
+			Dropped: out.Stats.Dropped, Duplicated: out.Stats.Duplicated,
+			Activations: out.Stats.Activations,
+			Converged:   out.Converged, ConvergedAt: convAt,
+			Stable: matrix.IsStable[R](alg, adj, out.Final),
+		}); err != nil {
+			return 2
+		}
+		return code
+	}
+	fmt.Fprintln(o.stdout, out.Describe())
+	report[R](o, alg, adj, out.Final)
+	return code
 }
 
 // runDelta evaluates δ over a lazy pseudo-random bounded-staleness
 // schedule (O(1) schedule memory at any n and T) with the sharded engine
 // and reports whether the horizon reached the σ fixed point. The lazy
-// schedule is a pure function of (seed, t, i, k), which is what lets a
-// resumed run re-derive the exact activation sequence from the metadata
-// alone — the checkpoint carries no schedule state beyond the step index.
-func runDelta[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], start *matrix.State[R],
-	seed int64, family string, codec wire.Codec[R]) {
-	if recorder != nil {
-		fmt.Fprintln(os.Stderr, "(-trace records message events and applies to -mode sim only; ignoring)")
-		recorder = nil
-	}
+// schedule is a pure function of (seed, t, i, k), so the flags alone
+// determine the run bit for bit.
+func runDelta[R any](o *options, alg core.Algebra[R], adj *matrix.Adjacency[R], start *matrix.State[R]) int {
 	n := adj.N
-	T := deltaSteps
+	T := o.steps
 	if T <= 0 {
 		T = 50 * n
 	}
-	src := engine.Hashed{N: n, T: T, Seed: uint64(seed), MaxStaleness: 8}
 	eng := engine.New[R](alg, adj, engine.Config{})
 	defer eng.Close()
-	var res *engine.Result[R]
-	switch {
-	case resumeData != nil:
-		f, err := checkpoint.Decode(codec, resumeData, family)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitCode = 2
-			return
-		}
-		r, err := eng.Restore(f.Snap, src)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitCode = 2
-			return
-		}
-		infof("restored at step %d, continuing to T=%d\n", f.Snap.Step, T)
-		res = r
-	case ckptPath != "":
-		at := ckptAtStep
-		if at <= 0 {
-			at = T / 2
-		}
-		if at < 1 {
-			at = 1
-		}
-		if at > T {
-			fmt.Fprintf(os.Stderr, "checkpoint step %d beyond horizon %d\n", at, T)
-			exitCode = 2
-			return
-		}
-		r, snap := eng.RunSnapshot(start, src, at, true)
-		if snap == nil {
-			infof("run certified convergence at t=%d, before checkpoint step %d; nothing to resume, no checkpoint written\n",
-				mustConvergedAt(r), at)
-			res = r
-			break
-		}
-		ckptMeta["horizon"] = strconv.Itoa(T)
-		data, err := checkpoint.Encode(codec, &checkpoint.File[R]{Family: family, Meta: ckptMeta, Snap: snap})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitCode = 2
-			return
-		}
-		if err := os.WriteFile(ckptPath, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exitCode = 2
-			return
-		}
-		infof("checkpoint written to %s at step %d of %d (%d bytes); resume with -resume %s\n",
-			ckptPath, at, T, len(data), ckptPath)
-		// The halted prefix is not a finished run: skip the stability
-		// report (and its exit-code gate) — the resuming process owns it.
-		return
-	default:
-		res = eng.Run(start, src)
-	}
+	res := eng.Run(start, engine.Hashed{N: n, T: T, Seed: uint64(o.seed), MaxStaleness: 8})
 	st := res.Stats()
-	if statsJSON {
+	if o.statsJSON {
 		stable := matrix.IsStable[R](alg, adj, res.Final())
-		emitJSON(deltaJSON(st, T, stable))
-		if !stable {
-			exitCode = 1
+		if err := o.emitJSON(deltaJSON(st, T, stable)); err != nil {
+			return 2
 		}
-		return
+		if !stable {
+			return 1
+		}
+		return 0
 	}
-	fmt.Printf("δ engine: T=%d of %d, rows computed=%d, rows skipped=%d, cells computed=%d\n",
+	fmt.Fprintf(o.stdout, "δ engine: T=%d of %d, rows computed=%d, rows skipped=%d, cells computed=%d\n",
 		st.Steps, T, st.RowsComputed, st.RowsSkipped, st.CellsComputed)
 	if at, ok := res.Converged(); ok {
-		fmt.Printf("          converged at t=%d (certified; run stopped %d steps early)\n", at, T-st.Steps)
+		fmt.Fprintf(o.stdout, "          converged at t=%d (certified; run stopped %d steps early)\n", at, T-st.Steps)
 	} else {
-		fmt.Println("          convergence not certified within the horizon")
+		fmt.Fprintln(o.stdout, "          convergence not certified within the horizon")
 	}
-	if stable := report[R](alg, adj, res.Final()); !stable {
-		exitCode = 1
+	if !report[R](o, alg, adj, res.Final()) {
+		return 1
 	}
-}
-
-// mustConvergedAt reports where a run certified convergence; it is only
-// called on runs RunSnapshot ended early, which implies certification.
-func mustConvergedAt[R any](r *engine.Result[R]) int {
-	at, _ := r.Converged()
-	return at
+	return 0
 }
 
 // report prints the outcome and returns whether the final state is a
 // fixed point of σ.
-func report[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], final *matrix.State[R]) bool {
+func report[R any](o *options, alg core.Algebra[R], adj *matrix.Adjacency[R], final *matrix.State[R]) bool {
 	stable := matrix.IsStable[R](alg, adj, final)
-	fmt.Printf("final state σ-stable: %v\n", stable)
+	fmt.Fprintf(o.stdout, "final state σ-stable: %v\n", stable)
 	if adj.N <= 12 {
-		fmt.Println("routing tables (row i = node i's best route to each destination):")
-		fmt.Print(final.Format(alg))
+		fmt.Fprintln(o.stdout, "routing tables (row i = node i's best route to each destination):")
+		fmt.Fprint(o.stdout, final.Format(alg))
 	} else {
-		fmt.Printf("(%d nodes; tables suppressed, rerun with -n ≤ 12 to print them)\n", adj.N)
+		fmt.Fprintf(o.stdout, "(%d nodes; tables suppressed, rerun with -n ≤ 12 to print them)\n", adj.N)
 	}
-	if recorder != nil {
-		fmt.Println("\nroute-change timeline:")
-		recorder.Timeline(os.Stdout, 40)
-		recorder.Summary(os.Stdout)
+	if o.recorder != nil {
+		fmt.Fprintln(o.stdout, "\nroute-change timeline:")
+		o.recorder.Timeline(o.stdout, 40)
+		o.recorder.Summary(o.stdout)
 	}
 	return stable
 }

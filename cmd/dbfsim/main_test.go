@@ -1,0 +1,241 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/algebras"
+	"repro/internal/engine"
+	"repro/internal/matrix"
+	"repro/internal/scenario"
+	"repro/internal/topology"
+)
+
+// dbfsim runs one invocation in-process and returns its exit status and
+// what it printed on each stream.
+func dbfsim(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = realMain(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// oneJSON decodes stdout into v and fails unless it holds exactly one
+// JSON object.
+func oneJSON(t *testing.T, stdout string, v any) {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(stdout))
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("stdout is not a JSON object: %v\n%s", err, stdout)
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); !errors.Is(err, io.EOF) {
+		t.Fatalf("stdout holds more than one JSON value:\n%s", stdout)
+	}
+}
+
+// scenarioOut reads back a scenario's -stats-json object
+// (scenarioStatsJSON's embedded digest pointer cannot be decoded into).
+type scenarioOut struct {
+	Mode       string `json:"mode"`
+	Substrates []struct {
+		Substrate string `json:"substrate"`
+		engineDigestJSON
+	} `json:"substrates"`
+}
+
+func scenarioPath(name string) string {
+	return filepath.Join("..", "..", "examples", "scenarios", name+".scenario")
+}
+
+// deltaRing8 is CI's replay-differential instance, extra flags appended.
+func deltaRing8(extra ...string) []string {
+	return append([]string{"-mode", "delta", "-algebra", "rip", "-topo", "ring", "-n", "8", "-seed", "4", "-steps", "400"}, extra...)
+}
+
+func TestDeltaMode(t *testing.T) {
+	for _, alg := range []string{"rip", "policy"} {
+		code, out, errs := dbfsim(deltaRing8("-algebra", alg)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", alg, code, errs)
+		}
+		for _, want := range []string{"δ engine: T=", "converged at t=", "final state σ-stable: true", "routing tables"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: stdout lacks %q:\n%s", alg, want, out)
+			}
+		}
+	}
+}
+
+func TestSimMode(t *testing.T) {
+	code, out, errs := dbfsim("-mode", "sim", "-algebra", "rip", "-topo", "ring", "-n", "6", "-seed", "1", "-trace")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errs)
+	}
+	for _, want := range []string{"final state σ-stable: true", "routing tables", "route-change timeline:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSameFlagsSameOutput: a run is a pure function of its flags, so a
+// second invocation prints what the first did, byte for byte.
+func TestSameFlagsSameOutput(t *testing.T) {
+	for _, args := range [][]string{
+		deltaRing8(),
+		deltaRing8("-algebra", "policy", "-garbage"),
+		{"-mode", "sim", "-algebra", "pv", "-topo", "random", "-n", "7", "-seed", "3"},
+		{"-scenario", scenarioPath("crash-recover")},
+	} {
+		code1, out1, _ := dbfsim(args...)
+		code2, out2, _ := dbfsim(args...)
+		if code1 != code2 || out1 != out2 {
+			t.Errorf("%v: two runs differ (exit %d vs %d):\n%s\n---\n%s", args, code1, code2, out1, out2)
+		}
+	}
+}
+
+// TestDeltaStatsJSONIsEngineStats: -stats-json prints one object whose
+// delta fields are engine.Run's Stats for the same instance.
+func TestDeltaStatsJSONIsEngineStats(t *testing.T) {
+	code, out, errs := dbfsim(deltaRing8("-stats-json")...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errs)
+	}
+	var got deltaStatsJSON
+	oneJSON(t, out, &got)
+
+	alg := algebras.RIP()
+	g, err := topology.Named("ring", 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := topology.BuildUniform[algebras.NatInf](g, alg.AddEdge(1))
+	eng := engine.New[algebras.NatInf](alg, adj, engine.Config{})
+	defer eng.Close()
+	res := eng.Run(matrix.Identity[algebras.NatInf](alg, 8), engine.Hashed{N: 8, T: 400, Seed: 4, MaxStaleness: 8})
+	want := deltaJSON(res.Stats(), 400, matrix.IsStable[algebras.NatInf](alg, adj, res.Final()))
+	if got != want {
+		t.Fatalf("-stats-json = %+v, engine.Run = %+v", got, want)
+	}
+	if !got.Converged || got.Steps >= 400 || got.CellsComputed == 0 {
+		t.Fatalf("implausible stats %+v", got)
+	}
+}
+
+func TestSimAndScenarioStatsJSON(t *testing.T) {
+	code, out, _ := dbfsim("-mode", "sim", "-algebra", "rip", "-topo", "ring", "-n", "6", "-seed", "1", "-stats-json")
+	var sim simStatsJSON
+	oneJSON(t, out, &sim)
+	if code != 0 || sim.Mode != "sim" || !sim.Converged || !sim.Stable {
+		t.Errorf("sim: exit %d, %+v", code, sim)
+	}
+	code, out, _ = dbfsim("-scenario", scenarioPath("rip-churn"), "-stats-json")
+	var sc scenarioOut
+	oneJSON(t, out, &sc)
+	if code != 0 || sc.Mode != "scenario" || len(sc.Substrates) != 1 || sc.Substrates[0].Hash == "" {
+		t.Errorf("scenario: exit %d, %+v", code, sc)
+	}
+}
+
+// TestScenarioDigestIsScenarioRun: -scenario prints scenario.Run's engine
+// digest and exits 0 exactly when it converged.
+func TestScenarioDigestIsScenarioRun(t *testing.T) {
+	for name, wantCode := range map[string]int{
+		"badgadget-churn": 1, "countinfinity": 1, "crash-recover": 0,
+		"goodgadget-churn": 0, "rip-churn": 0, "wedgie-flap": 1,
+	} {
+		sc, err := scenario.Load(scenarioPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := scenario.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr := rep.Substrates[0]
+		want := scenario.DigestLine(sr.Steps, sr.ConvergedAt, sr.Cells, sr.Hash)
+
+		code, out, errs := dbfsim("-scenario", scenarioPath(name))
+		if code != wantCode {
+			t.Errorf("%s: exit %d, want %d (stderr %q)", name, code, wantCode, errs)
+		}
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("%s: stdout lacks scenario.Run's digest %q:\n%s", name, want, out)
+		}
+
+		_, out, _ = dbfsim("-scenario", scenarioPath(name), "-stats-json")
+		var js scenarioOut
+		oneJSON(t, out, &js)
+		if len(js.Substrates) != 1 || js.Substrates[0].engineDigestJSON !=
+			(engineDigestJSON{sr.Steps, sr.ConvergedAt, sr.Cells, fmt.Sprintf("%016x", sr.Hash)}) {
+			t.Errorf("%s: -stats-json substrates %+v, scenario.Run %s", name, js.Substrates, want)
+		}
+	}
+}
+
+func TestBadInputExits2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mode", "nosuch"},
+		{"-algebra", "nosuch"},
+		{"-topo", "nosuch"},
+		{"-topo", "fattree", "-n", "3"},
+		{"-scenario", scenarioPath("rip-churn"), "-substrate", "nosuch"},
+		{"-mode", "delta", "-algebra", "policy", "-policy", "lp+="},
+		// The checkpoint door is gone: a run is replayed from its flags.
+		{"-mode", "delta", "-checkpoint", "run.ckpt"},
+		{"-mode", "delta", "-checkpoint-at", "10"},
+		{"-resume", "run.ckpt"},
+	} {
+		code, out, errs := dbfsim(args...)
+		if code != 2 || out != "" || errs == "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, a message and no output", args, code, out, errs)
+		}
+	}
+}
+
+// TestGarbageNeedsARandomState: pv and gr have no random start state, so
+// -garbage with them is refused instead of silently starting clean.
+func TestGarbageNeedsARandomState(t *testing.T) {
+	for _, alg := range []string{"pv", "gr"} {
+		for _, mode := range []string{"sim", "delta"} {
+			code, out, errs := dbfsim("-mode", mode, "-algebra", alg, "-garbage", "-n", "4")
+			if code != 2 || out != "" || !strings.Contains(errs, "shortest|rip|widest|policy") {
+				t.Errorf("%s/%s -garbage: exit %d, stdout %q, stderr %q; want exit 2 naming the algebras that support it",
+					alg, mode, code, out, errs)
+			}
+		}
+	}
+	for _, alg := range []string{"shortest", "rip", "widest", "policy"} {
+		if code, _, errs := dbfsim("-mode", "delta", "-algebra", alg, "-garbage", "-n", "5", "-seed", "2"); code != 0 {
+			t.Errorf("%s -garbage: exit %d, stderr %q", alg, code, errs)
+		}
+	}
+}
+
+// TestBadTopologyKeepsProfile: an input error returns through realMain,
+// so the deferred profile writers still finish their files.
+func TestBadTopologyKeepsProfile(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if code, _, _ := dbfsim("-cpuprofile", cpu, "-memprofile", mem, "-topo", "nosuch"); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	for _, p := range []string{cpu, mem} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// pprof writes gzip-compressed protobuf.
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes, not a finished profile", filepath.Base(p), len(b))
+		}
+	}
+}

@@ -19,14 +19,14 @@ import (
 // retry-after hints, survives a daemon restart mid-wait, and prints the
 // run's result — which the restart contract guarantees is bit-identical
 // to an uninterrupted run.
-func runRemote(addr, scenFile, tenant, runID string, deadline time.Duration) int {
+func (o *options) runRemote(addr, scenFile, tenant, runID string, deadline time.Duration) int {
 	if scenFile == "" {
-		fmt.Fprintln(os.Stderr, "dbfsim: -server needs a -scenario file to submit")
+		fmt.Fprintln(o.stderr, "dbfsim: -server needs a -scenario file to submit")
 		return 2
 	}
 	text, err := os.ReadFile(scenFile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dbfsim: %v\n", err)
+		fmt.Fprintf(o.stderr, "dbfsim: %v\n", err)
 		return 2
 	}
 	if runID == "" {
@@ -45,7 +45,7 @@ func runRemote(addr, scenFile, tenant, runID string, deadline time.Duration) int
 
 	c, err := server.DialClient(ctx, addr, tenant)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dbfsim: dialling %s: %v\n", addr, err)
+		fmt.Fprintf(o.stderr, "dbfsim: dialling %s: %v\n", addr, err)
 		return 1
 	}
 	defer c.Close()
@@ -55,17 +55,17 @@ func runRemote(addr, scenFile, tenant, runID string, deadline time.Duration) int
 	if err != nil {
 		var ef *wire.ErrorFrame
 		if errors.As(err, &ef) {
-			fmt.Fprintf(os.Stderr, "dbfsim: run %s/%s: %v\n", tenant, runID, ef)
+			fmt.Fprintf(o.stderr, "dbfsim: run %s/%s: %v\n", tenant, runID, ef)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "dbfsim: %v\n", err)
+		fmt.Fprintf(o.stderr, "dbfsim: %v\n", err)
 		return 1
 	}
-	fmt.Printf("run %s/%s completed in %v (shed %d times before admission)\n",
+	fmt.Fprintf(o.stdout, "run %s/%s completed in %v (shed %d times before admission)\n",
 		tenant, runID, time.Since(start).Round(time.Millisecond), sheds)
-	fmt.Println(scenario.DigestLine(int(res.Steps), int(res.ConvergedAt), int(res.CellsComputed), res.Hash))
+	fmt.Fprintln(o.stdout, scenario.DigestLine(int(res.Steps), int(res.ConvergedAt), int(res.CellsComputed), res.Hash))
 	if res.Table != "" {
-		fmt.Println(res.Table)
+		fmt.Fprintln(o.stdout, res.Table)
 	}
 	return 0
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/engine"
 	"repro/internal/scenario"
@@ -14,10 +13,7 @@ import (
 // pipeline can `dbfsim ... -stats-json | jq .cells_computed` without
 // scraping prose.
 
-// statsJSON mirrors the -stats-json flag for the run paths.
-var statsJSON bool
-
-// deltaStatsJSON is the -mode delta (and resumed-run) output shape.
+// deltaStatsJSON is the -mode delta output shape.
 type deltaStatsJSON struct {
 	Mode          string `json:"mode"`
 	Steps         int    `json:"steps"`
@@ -77,20 +73,22 @@ type engineDigestJSON struct {
 
 // infof prints an informational progress line — to stdout normally, to
 // stderr under -stats-json so stdout stays exactly one JSON object.
-func infof(format string, args ...any) {
-	w := os.Stdout
-	if statsJSON {
-		w = os.Stderr
+func (o *options) infof(format string, args ...any) {
+	w := o.stdout
+	if o.statsJSON {
+		w = o.stderr
 	}
 	fmt.Fprintf(w, format, args...)
 }
 
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(v); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exitCode = 2
+// emitJSON writes v as the invocation's one JSON object; an error has
+// been reported on stderr.
+func (o *options) emitJSON(v any) error {
+	err := json.NewEncoder(o.stdout).Encode(v)
+	if err != nil {
+		fmt.Fprintln(o.stderr, err)
 	}
+	return err
 }
 
 func deltaJSON(st engine.Stats, horizon int, stable bool) deltaStatsJSON {

@@ -46,7 +46,7 @@ func RunReference[R any](
 // (engine.Start), β reaching across
 // event steps included, since history[β] is read wherever β lands. At an
 // event step no node activates, Restart rows become the identity row and
-// Mutate edits adj in place; Rows and Invalidate are bookkeeping the
+// Mutate edits adj in place; Invalidate is bookkeeping the
 // literal evaluator has none of. Every other step is the recursion as
 // written: every state cloned and kept, every cell of an active row
 // recomputed, no window, no early stop.

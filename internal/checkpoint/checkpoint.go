@@ -72,8 +72,8 @@ var errTruncated = errors.New("checkpoint: truncated payload")
 // File is one checkpoint: a tagged, annotated engine snapshot. Family
 // names the carrier's codec family (e.g. "natinf", "policy-interned") —
 // Decode refuses to hand route bytes to the wrong codec. Meta is free
-// annotation: dbfsim records the instance parameters there so -resume
-// can rebuild the run without re-specifying flags.
+// annotation: scenario.Runner.Checkpoint stores the scenario text there,
+// which is what ResumeRunner rebuilds the run from.
 type File[R any] struct {
 	Family string
 	Meta   map[string]string

@@ -246,7 +246,7 @@ func BenchmarkEventRecompute(b *testing.B) {
 				a.RemoveEdge(2, 3)
 				a.RemoveEdge(3, 2)
 			},
-			Rows: []int{2, 3},
+			Invalidate: []int{2, 3},
 		}}
 	}
 

@@ -766,12 +766,8 @@ func (r *run[R, Row]) step(until int) bool {
 				e.adj.Touch()
 				r.neighbours()
 				nbr, nbrOff, betaBuf = r.nbr, r.nbrOff, r.betaBuf
-				if ev.Rows == nil {
+				if ev.Invalidate == nil {
 					for i := range r.lastComp {
-						r.lastComp[i] = -1
-					}
-				} else {
-					for _, i := range ev.Rows {
 						r.lastComp[i] = -1
 					}
 				}

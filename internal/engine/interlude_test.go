@@ -67,11 +67,11 @@ func (p pauseNet[R]) quietFlap(at [4]int) []engine.TimelineEvent[R] {
 	ab, _ := p.adj.Edge(a, b)
 	ba, _ := p.adj.Edge(b, a)
 	return []engine.TimelineEvent[R]{
-		{Step: at[0], Rows: []int{a, b}, Mutate: func(adj *matrix.Adjacency[R]) {
+		{Step: at[0], Invalidate: []int{a, b}, Mutate: func(adj *matrix.Adjacency[R]) {
 			adj.RemoveEdge(a, b)
 			adj.RemoveEdge(b, a)
 		}},
-		{Step: at[1], Rows: []int{a, b}, Restart: []int{(a + 2) % n}, Mutate: func(adj *matrix.Adjacency[R]) {
+		{Step: at[1], Invalidate: []int{a, b}, Restart: []int{(a + 2) % n}, Mutate: func(adj *matrix.Adjacency[R]) {
 			adj.SetEdge(a, b, ab)
 			adj.SetEdge(b, a, ba)
 		}},
@@ -423,7 +423,7 @@ func TestInterludeJumpServedRequestNeverCounts(t *testing.T) {
 		adj.SetEdge(i, (i+1)%n, alg.AddEdge(1))
 		adj.SetEdge((i+1)%n, i, alg.AddEdge(1))
 	}
-	events := []engine.TimelineEvent[algebras.NatInf]{{Step: cut, Rows: []int{0, 1}, Mutate: func(adj *matrix.Adjacency[algebras.NatInf]) {
+	events := []engine.TimelineEvent[algebras.NatInf]{{Step: cut, Invalidate: []int{0, 1}, Mutate: func(adj *matrix.Adjacency[algebras.NatInf]) {
 		adj.RemoveEdge(0, 1)
 		adj.RemoveEdge(1, 0)
 	}}}

@@ -270,7 +270,7 @@ func TestSmallRunsStayInline(t *testing.T) {
 				a.RemoveEdge(0, 1)
 				a.RemoveEdge(1, 0)
 			},
-			Rows: []int{0, 1},
+			Invalidate: []int{0, 1},
 		}}
 		st := mustStart(t, eng, matrix.Identity[algebras.NatInf](alg, n), src, events)
 		for k := 64; !st.Step(k); k += 64 {

@@ -36,10 +36,10 @@ func flapEvents(alg algebras.HopCount) []engine.TimelineEvent[algebras.NatInf] {
 		}
 	}
 	return []engine.TimelineEvent[algebras.NatInf]{
-		{Step: 20, Mutate: set(0, 6, false), Rows: []int{0, 6}},
-		{Step: 45, Mutate: set(0, 6, true), Rows: []int{0, 6}},
-		{Step: 70, Mutate: set(3, 9, false), Rows: []int{3, 9}},
-		{Step: 95, Mutate: set(3, 9, true), Rows: []int{3, 9}, Restart: []int{2}},
+		{Step: 20, Mutate: set(0, 6, false), Invalidate: []int{0, 6}},
+		{Step: 45, Mutate: set(0, 6, true), Invalidate: []int{0, 6}},
+		{Step: 70, Mutate: set(3, 9, false), Invalidate: []int{3, 9}},
+		{Step: 95, Mutate: set(3, 9, true), Invalidate: []int{3, 9}, Restart: []int{2}},
 	}
 }
 
@@ -311,11 +311,11 @@ func (p pauseNet[R]) flap() []engine.TimelineEvent[R] {
 	ab, _ := p.adj.Edge(a, b)
 	ba, _ := p.adj.Edge(b, a)
 	return []engine.TimelineEvent[R]{
-		{Step: 9, Rows: []int{a, b}, Mutate: func(adj *matrix.Adjacency[R]) {
+		{Step: 9, Invalidate: []int{a, b}, Mutate: func(adj *matrix.Adjacency[R]) {
 			adj.RemoveEdge(a, b)
 			adj.RemoveEdge(b, a)
 		}},
-		{Step: 23, Rows: []int{a, b}, Restart: []int{(a + 2) % n}, Mutate: func(adj *matrix.Adjacency[R]) {
+		{Step: 23, Invalidate: []int{a, b}, Restart: []int{(a + 2) % n}, Mutate: func(adj *matrix.Adjacency[R]) {
 			adj.SetEdge(a, b, ab)
 			adj.SetEdge(b, a, ba)
 		}},

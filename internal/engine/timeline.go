@@ -23,25 +23,21 @@ type TimelineEvent[R any] struct {
 	// Mutate, when non-nil, edits the engine's adjacency (and/or the
 	// policy state the edge functions close over) in place.
 	Mutate func(adj *matrix.Adjacency[R])
-	// Rows lists the nodes whose in-edge set or in-edge functions Mutate
-	// touches: exactly these rows are invalidated, so their next
-	// activation recomputes in full (with change tracking — downstream
-	// nodes still only see the columns that actually moved). nil with a
-	// non-nil Mutate invalidates every row; prefer naming the rows, that
-	// is what keeps an event cheap.
-	Rows []int
 	// Restart lists nodes that crash and restart at this step: their row
 	// is reset to the identity row (trivial to self, invalid elsewhere),
 	// generalising simulate.Restart to the stepped engine.
 	Restart []int
 	// Invalidate lists rows whose incremental reuse is abandoned at this
-	// step without touching topology or state: their next activation
-	// recomputes every destination in full (with change tracking). This
-	// is how a suspended node — a crash window whose activations the
-	// schedule masks — rejoins the run: its first activation after
-	// recovery rebuilds its row from scratch, exactly as a router
-	// restored from a snapshot of its own table would. An event may carry
-	// only Invalidate.
+	// step: their next activation recomputes every destination in full
+	// (with change tracking — downstream nodes still only see the columns
+	// that actually moved). With Mutate it names the nodes whose in-edge
+	// set or in-edge functions Mutate touches; nil with a non-nil Mutate
+	// invalidates every row, so name the rows — that is what keeps an
+	// event cheap. Without Mutate it is how a suspended node — a crash
+	// window whose activations the schedule masks — rejoins the run: its
+	// first activation after recovery rebuilds its row from scratch,
+	// exactly as a router restored from a snapshot of its own table
+	// would. An event may carry only Invalidate.
 	Invalidate []int
 }
 
@@ -62,11 +58,6 @@ func validateTimeline[R any](events []TimelineEvent[R], n, T int) error {
 		for _, i := range ev.Restart {
 			if i < 0 || i >= n {
 				return fmt.Errorf("engine: timeline event %d restarts node %d, want [0, %d)", idx, i, n)
-			}
-		}
-		for _, i := range ev.Rows {
-			if i < 0 || i >= n {
-				return fmt.Errorf("engine: timeline event %d invalidates row %d, want [0, %d)", idx, i, n)
 			}
 		}
 		for _, i := range ev.Invalidate {

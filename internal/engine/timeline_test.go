@@ -113,7 +113,7 @@ func TestTimelineLinkFailRecover(t *testing.T) {
 				a.RemoveEdge(2, 3)
 				a.RemoveEdge(3, 2)
 			},
-			Rows: []int{2, 3},
+			Invalidate: []int{2, 3},
 		},
 		{
 			Step: 80,
@@ -121,7 +121,7 @@ func TestTimelineLinkFailRecover(t *testing.T) {
 				a.SetEdge(2, 3, alg.AddEdge(1))
 				a.SetEdge(3, 2, alg.AddEdge(1))
 			},
-			Rows: []int{2, 3},
+			Invalidate: []int{2, 3},
 		},
 	}
 	for _, seed := range []int64{1, 7, 42} {
@@ -140,8 +140,8 @@ func TestTimelineRestartMatchesReference(t *testing.T) {
 				a.RemoveEdge(9, 10)
 				a.RemoveEdge(10, 9)
 			},
-			Rows:    []int{9, 10},
-			Restart: []int{0, 7},
+			Invalidate: []int{9, 10},
+			Restart:    []int{0, 7},
 		},
 	}
 	timelineAgainstOracle(t, 100, 11, events)
@@ -161,7 +161,7 @@ func TestTimelineIncrementalWin(t *testing.T) {
 				a.RemoveEdge(2, 3)
 				a.RemoveEdge(3, 2)
 			},
-			Rows: []int{2, 3},
+			Invalidate: []int{2, 3},
 		},
 	}
 	for name, res := range timelineAgainstOracle(t, 120, 3, events) {
@@ -188,7 +188,7 @@ func TestTimelineEarlyTermination(t *testing.T) {
 				a.RemoveEdge(0, 1)
 				a.RemoveEdge(1, 0)
 			},
-			Rows: []int{0, 1},
+			Invalidate: []int{0, 1},
 		},
 	}
 

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/algebras"
 	"repro/internal/core"
@@ -97,20 +96,9 @@ func buildGadget(sc *Scenario) (*instance[gadgets.Route], error) {
 // buildTopo compiles a topo-family scenario.
 func buildTopo(sc *Scenario) (*instance[algebras.NatInf], error) {
 	n := sc.Spec.N
-	var g topology.Graph
-	switch sc.Spec.Topo {
-	case "line":
-		g = topology.Line(n)
-	case "ring":
-		g = topology.Ring(n)
-	case "star":
-		g = topology.Star(n)
-	case "clique":
-		g = topology.Complete(n)
-	case "random":
-		g = topology.ErdosRenyi(rand.New(rand.NewSource(sc.Seed)), n, 0.3)
-	default:
-		return nil, fmt.Errorf("scenario: unknown topology %q", sc.Spec.Topo)
+	g, err := topology.Named(sc.Spec.Topo, n, sc.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	in := &instance[algebras.NatInf]{
 		n:      n,
@@ -248,7 +236,7 @@ func (in *instance[R]) timeline(events []Event) []engine.TimelineEvent[R] {
 		default:
 			ev := ev
 			te.Mutate = func(adj *matrix.Adjacency[R]) { in.apply(ev, adj) }
-			te.Rows = in.affectedRows(ev)
+			te.Invalidate = in.affectedRows(ev)
 		}
 		out = append(out, te)
 	}

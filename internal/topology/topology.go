@@ -6,6 +6,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -168,6 +169,38 @@ func FatTree(k int) (Graph, []FatTreeRole) {
 		}
 	}
 	return g, roles
+}
+
+// Named builds the graph a command line or scenario names: line, ring,
+// grid (the smallest square of at least n nodes), clique, star, random
+// (G(n, 0.3) drawn from seed) or fattree (n is k, the graph has 5k²/4
+// nodes).
+func Named(name string, n int, seed int64) (Graph, error) {
+	switch name {
+	case "line":
+		return Line(n), nil
+	case "ring":
+		return Ring(n), nil
+	case "grid":
+		side := 2
+		for side*side < n {
+			side++
+		}
+		return Grid(side, side), nil
+	case "clique":
+		return Complete(n), nil
+	case "star":
+		return Star(n), nil
+	case "random":
+		return ErdosRenyi(rand.New(rand.NewSource(seed)), n, 0.3), nil
+	case "fattree":
+		if n < 2 || n%2 != 0 {
+			return Graph{}, fmt.Errorf("fattree needs an even k ≥ 2, got %d", n)
+		}
+		g, _ := FatTree(n)
+		return g, nil
+	}
+	return Graph{}, fmt.Errorf("unknown topology %q (want line|ring|grid|clique|star|random|fattree)", name)
 }
 
 // Build attaches algebra-specific weights to the arcs of g: weight(i, j)

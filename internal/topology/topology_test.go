@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/algebras"
@@ -119,6 +120,39 @@ func TestFatTreeRejectsOddK(t *testing.T) {
 		}
 	}()
 	FatTree(3)
+}
+
+// TestNamed: each name builds what its constructor builds, random draws
+// from the seed, and a bad name or fat-tree k is an error, not a panic.
+func TestNamed(t *testing.T) {
+	fat, _ := FatTree(4)
+	for _, tc := range []struct {
+		name string
+		n    int
+		want Graph
+	}{
+		{"line", 5, Line(5)},
+		{"ring", 5, Ring(5)},
+		{"grid", 5, Grid(3, 3)},
+		{"grid", 4, Grid(2, 2)},
+		{"clique", 5, Complete(5)},
+		{"star", 5, Star(5)},
+		{"random", 9, ErdosRenyi(rand.New(rand.NewSource(7)), 9, 0.3)},
+		{"fattree", 4, fat},
+	} {
+		got, err := Named(tc.name, tc.n, 7)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Named(%q, %d): err %v, graph differs from its constructor's", tc.name, tc.n, err)
+		}
+	}
+	for _, bad := range []struct {
+		name string
+		n    int
+	}{{"nosuch", 5}, {"fattree", 3}, {"fattree", 0}} {
+		if _, err := Named(bad.name, bad.n, 1); err == nil {
+			t.Errorf("Named(%q, %d) accepted", bad.name, bad.n)
+		}
+	}
 }
 
 func TestBuildWeightsByArc(t *testing.T) {
