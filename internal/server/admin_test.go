@@ -26,10 +26,14 @@ func adminGet(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 // flow through the service while /healthz, /metrics and /runs report
 // them, counters agree with what the clients saw, and span logs record
 // the lifecycle from admission to completion — then closing flips health.
+// One worker serves two runs of one tenant, so the traced run really
+// yields the worker at a boundary: a lone run keeps it.
 func TestAdminSurface(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	reg := metrics.NewRegistry()
-	s, err := New(Config{Metrics: reg, Quantum: 16})
+	// The stall holds the traced run's ~38 quanta mid-flight for far
+	// longer than the second submission takes to arrive.
+	s, err := New(Config{Metrics: reg, Workers: 1, Quantum: 16, Stall: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +48,21 @@ func TestAdminSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := uninterruptedRun(t, longScenario)
-	res, err := c.Run(ctx, "traced", []byte(longScenario), 0)
+	wantShort := uninterruptedRun(t, shortScenario)
+	if _, err := c.Submit(ctx, "traced", []byte(longScenario), 0); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := DialClient(ctx, s.Addr(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c2.Run(ctx, "behind", []byte(shortScenario), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRun(t, "run queued behind it", res, wantShort)
+	c2.Close()
+	res, _, err = c.Await(ctx, "traced")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +70,11 @@ func TestAdminSurface(t *testing.T) {
 	c.Close()
 
 	snap := reg.Snapshot()
-	if got := snap[`dbfsimd_admissions_total{tenant="acme"}`]; got != 1 {
-		t.Fatalf("admissions counter = %v, want 1", got)
+	if got := snap[`dbfsimd_admissions_total{tenant="acme"}`]; got != 2 {
+		t.Fatalf("admissions counter = %v, want 2", got)
 	}
-	if got := snap[`dbfsimd_runs_finished_total{outcome="ok"}`]; got != 1 {
-		t.Fatalf("finished counter = %v, want 1", got)
+	if got := snap[`dbfsimd_runs_finished_total{outcome="ok"}`]; got != 2 {
+		t.Fatalf("finished counter = %v, want 2", got)
 	}
 	if got := snap["dbfsimd_quantum_seconds_count"]; got < 2 {
 		t.Fatalf("quantum histogram count = %v, want >= 2 (long run spans quanta)", got)
@@ -70,7 +88,7 @@ func TestAdminSurface(t *testing.T) {
 	for _, series := range []string{
 		"# TYPE dbfsimd_admissions_total counter",
 		"# TYPE dbfsimd_quantum_seconds histogram",
-		`dbfsimd_admissions_total{tenant="acme"} 1`,
+		`dbfsimd_admissions_total{tenant="acme"} 2`,
 	} {
 		if !strings.Contains(page, series) {
 			t.Fatalf("/metrics lacks %q:\n%s", series, page)
@@ -95,7 +113,7 @@ func TestAdminSurface(t *testing.T) {
 		t.Fatalf("run not reported finished ok: %+v", info)
 	}
 	trace := strings.Join(info.Trace, "\n")
-	for _, ev := range []string{"submitted", "admitted (queued)", "scheduled quantum 1", "preempted", "finished:"} {
+	for _, ev := range []string{"submitted", "admitted (queued)", "scheduled quantum 1", "preempted", "kept", "finished:"} {
 		if !strings.Contains(trace, ev) {
 			t.Fatalf("span log lacks %q:\n%s", ev, trace)
 		}

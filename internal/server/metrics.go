@@ -9,7 +9,8 @@ import (
 // the configured registry so the hot paths touch pre-bound series, not
 // the registry map. Registration is idempotent, so multiple servers on
 // one registry (tests, restarts) share families; per-tenant series are
-// bound lazily because the tenant set is dynamic.
+// bound once, when the tenant is created (see tenantLocked), because
+// the tenant set is dynamic.
 type srvMetrics struct {
 	reg *metrics.Registry
 
@@ -38,7 +39,7 @@ func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 		vtimeLag: reg.GaugeVec("dbfsimd_tenant_vtime_lag",
 			"Tenant virtual time minus the global virtual clock; positive means ahead of fair share.", "tenant"),
 		preemptions: reg.Counter("dbfsimd_preemptions_total",
-			"Quanta that ended with the run paused and re-queued rather than finished."),
+			"Quanta that gave the worker to another run: the run paused and re-queued."),
 		quantumSec: reg.Histogram("dbfsimd_quantum_seconds",
 			"Wall-clock duration of one scheduling quantum (engine advance plus any configured stall).",
 			metrics.DurationBuckets()),

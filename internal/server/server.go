@@ -16,7 +16,12 @@
 //     the run's one live engine stepper that ends in a return, so a long
 //     run cannot hold a worker while other tenants starve, and a paused
 //     run continues bit-identically (cells and counters) when its turn
-//     comes back;
+//     comes back. A boundary preempts only when the scheduler would give
+//     the worker to a different run: one is queued that no idle worker
+//     will take, and stride order puts it ahead. Otherwise the worker
+//     keeps its run, with the tenant still charged and the deadline and
+//     Close still checked, and pushes no Status — a progress Status
+//     means the run really yielded;
 //   - durability: with a spool directory, a run's submitted text is
 //     written there before the run is acknowledged and its terminal
 //     frame before the outcome is visible, so the spool is complete at
@@ -116,6 +121,10 @@ type tenant struct {
 	vtime    float64
 	queued   []*run // admitted, waiting for a worker (FIFO)
 	inflight int    // admitted, unfinished runs
+	// The tenant's series, resolved once when the tenant is created.
+	admissions  *metrics.Counter
+	inflightMet *metrics.Gauge
+	vtimeLag    *metrics.Gauge
 }
 
 // run is one admitted scenario run.
@@ -144,6 +153,11 @@ type run struct {
 	traceTail    []spanEvent // rolling window of the most recent events
 	traceDropped int
 	quanta       int // quanta executed so far, for span labels
+	// kept counts the quanta of the current hold that the run kept its
+	// worker for, which began at step keptFrom; the stretch becomes one
+	// span event when the hold ends.
+	kept     int
+	keptFrom int
 }
 
 // Server is the dbfsimd daemon core.
@@ -159,6 +173,7 @@ type Server struct {
 	results  map[string]wire.Frame // finished runs' terminal frames: Result or ErrorFrame
 	order    []string              // results eviction order
 	vclock   float64               // virtual time of the most recent scheduling decision
+	held     int                   // runs a worker holds: dequeued, hold not yet ended
 	conns    map[*clientConn]struct{}
 	finished []RunInfo // bounded ring of completed runs for /runs
 
@@ -214,50 +229,84 @@ func (s *Server) tenantLocked(name string) *tenant {
 	if len(s.tenants) >= s.cfg.MaxTenants {
 		return nil
 	}
-	t := &tenant{name: name, vtime: s.vclock}
+	t := &tenant{
+		name: name, vtime: s.vclock,
+		admissions:  s.met.admissions.With(name),
+		inflightMet: s.met.inflight.With(name),
+		vtimeLag:    s.met.vtimeLag.With(name),
+	}
 	s.tenants[name] = t
 	return t
 }
 
-// enqueueLocked makes the run schedulable. A tenant going from idle to
-// runnable re-enters at the current virtual clock, so a tenant that
-// was quiet keeps no banked priority and a brand-new tenant is next in
-// line — the no-starvation half of stride scheduling.
-func (s *Server) enqueueLocked(r *run) {
-	t := r.tenant
+// reenterLocked is the no-starvation half of stride scheduling: a
+// tenant going from idle to runnable re-enters at the current virtual
+// clock, so a tenant that was quiet keeps no banked priority and a
+// brand-new tenant is next in line.
+func (s *Server) reenterLocked(t *tenant) {
 	if len(t.queued) == 0 && t.vtime < s.vclock {
 		t.vtime = s.vclock
 	}
+}
+
+// enqueueLocked makes the run schedulable.
+func (s *Server) enqueueLocked(r *run) {
+	t := r.tenant
+	s.reenterLocked(t)
 	t.queued = append(t.queued, r)
 	s.met.queueDepth.Inc()
 	s.cond.Signal()
 }
 
-// nextLocked blocks for the next run to advance: the FIFO head of the
-// runnable tenant with minimal virtual time. Returns nil when the
-// server closes.
+// nextRunLocked is the scheduling decision, the one both the dequeue
+// and the quantum boundary take: the FIFO head of the runnable tenant
+// with minimal virtual time, ties to the lesser name. held, when not
+// nil, is a run just off its quantum. If the queued runs are no more
+// than the workers holding nothing, every one of them gets a worker
+// without held's, so held goes on. Otherwise held counts as queued
+// behind its tenant's other runs, so the answer is held exactly when
+// re-queueing it and dequeueing would hand it straight back. Returns
+// nil when nothing is runnable.
+func (s *Server) nextRunLocked(held *run) *run {
+	var best *tenant
+	queued := 0
+	for _, t := range s.tenants {
+		queued += len(t.queued)
+		if len(t.queued) == 0 && (held == nil || t != held.tenant) {
+			continue
+		}
+		if best == nil || t.vtime < best.vtime ||
+			(t.vtime == best.vtime && t.name < best.name) {
+			best = t
+		}
+	}
+	switch {
+	case best == nil:
+		return nil
+	case held != nil && queued <= s.cfg.Workers-s.held:
+		return held
+	case len(best.queued) > 0:
+		return best.queued[0]
+	default:
+		return held
+	}
+}
+
+// nextLocked blocks for the next run to advance and dequeues it.
+// Returns nil when the server closes.
 func (s *Server) nextLocked() *run {
 	for {
 		if s.closed {
 			return nil
 		}
-		var best *tenant
-		for _, t := range s.tenants {
-			if len(t.queued) == 0 {
-				continue
-			}
-			if best == nil || t.vtime < best.vtime ||
-				(t.vtime == best.vtime && t.name < best.name) {
-				best = t
-			}
-		}
-		if best != nil {
-			r := best.queued[0]
-			best.queued = best.queued[1:]
-			s.vclock = best.vtime
+		if r := s.nextRunLocked(nil); r != nil {
+			t := r.tenant
+			t.queued = t.queued[1:]
+			s.held++
+			s.vclock = t.vtime
 			r.quanta++
 			r.phase = wire.PhaseRunning
-			r.spanLocked("scheduled quantum %d (vtime %.1f)", r.quanta, best.vtime)
+			r.spanLocked("scheduled quantum %d (vtime %.1f)", r.quanta, t.vtime)
 			s.met.queueDepth.Dec()
 			return r
 		}
@@ -278,63 +327,88 @@ func (s *Server) worker() {
 	}
 }
 
-// advance runs one quantum of r outside the server lock.
+// advance runs quanta of r outside the server lock for as long as the
+// scheduler would hand r straight back. The deadline is checked before
+// every quantum; every boundary charges the tenant, moves the virtual
+// clock and mirrors the run's progress. Only a boundary at which
+// another run goes next, or the server has closed, preempts: it
+// re-queues r and pushes a progress Status.
 func (s *Server) advance(r *run) {
-	if !r.deadline.IsZero() && time.Now().After(r.deadline) {
-		s.finish(r, nil, &wire.ErrorFrame{
-			ID: r.id, Code: wire.CodeDeadline,
-			Msg: fmt.Sprintf("run exceeded its deadline at step %d/%d", r.step, r.sc.Horizon),
-		})
-		return
-	}
-	if r.runner == nil {
-		var err error
-		if r.runner, err = scenario.NewRunner(r.sc); err != nil {
+	for {
+		if !r.deadline.IsZero() && time.Now().After(r.deadline) {
+			s.finish(r, nil, &wire.ErrorFrame{
+				ID: r.id, Code: wire.CodeDeadline,
+				Msg: fmt.Sprintf("run exceeded its deadline at step %d/%d", r.step, r.sc.Horizon),
+			})
+			return
+		}
+		if r.runner == nil {
+			var err error
+			if r.runner, err = scenario.NewRunner(r.sc); err != nil {
+				s.finish(r, nil, &wire.ErrorFrame{ID: r.id, Code: wire.CodeInternal, Msg: err.Error()})
+				return
+			}
+		}
+		before := r.runner.Step()
+		qStart := time.Now()
+		done, err := r.runner.Advance(s.cfg.Quantum)
+		if s.cfg.Stall > 0 {
+			time.Sleep(s.cfg.Stall)
+		}
+		s.met.quantumSec.Observe(time.Since(qStart).Seconds())
+		if err != nil {
 			s.finish(r, nil, &wire.ErrorFrame{ID: r.id, Code: wire.CodeInternal, Msg: err.Error()})
 			return
 		}
-	}
-	before := r.runner.Step()
-	qStart := time.Now()
-	done, err := r.runner.Advance(s.cfg.Quantum)
-	if s.cfg.Stall > 0 {
-		time.Sleep(s.cfg.Stall)
-	}
-	s.met.quantumSec.Observe(time.Since(qStart).Seconds())
-	if err != nil {
-		s.finish(r, nil, &wire.ErrorFrame{ID: r.id, Code: wire.CodeInternal, Msg: err.Error()})
-		return
-	}
-	steps := r.runner.Step() - before
-	if steps < 1 {
-		steps = 1
-	}
 
-	if done {
-		convergedAt, _ := r.runner.Converged()
-		st := r.runner.Progress()
-		s.mu.Lock()
-		r.tenant.vtime += float64(st.Steps - before)
-		s.met.vtimeLag.With(r.tenant.name).Set(r.tenant.vtime - s.vclock)
-		r.step = st.Steps
-		r.cells = int64(st.CellsComputed)
-		s.mu.Unlock()
-		res := wire.Result{
-			ID: r.id, Steps: int64(st.Steps), ConvergedAt: int64(convergedAt),
-			CellsComputed: int64(st.CellsComputed), Hash: r.runner.FinalHash(),
-			Table: r.runner.FinalTable(),
+		if done {
+			convergedAt, _ := r.runner.Converged()
+			st := r.runner.Progress()
+			s.mu.Lock()
+			r.tenant.vtime += float64(st.Steps - before)
+			r.tenant.vtimeLag.Set(r.tenant.vtime - s.vclock)
+			r.step = st.Steps
+			r.cells = int64(st.CellsComputed)
+			s.mu.Unlock()
+			res := wire.Result{
+				ID: r.id, Steps: int64(st.Steps), ConvergedAt: int64(convergedAt),
+				CellsComputed: int64(st.CellsComputed), Hash: r.runner.FinalHash(),
+				Table: r.runner.FinalTable(),
+			}
+			s.finish(r, &res, nil)
+			return
 		}
-		s.finish(r, &res, nil)
-		return
+		if !s.boundary(r, max(r.runner.Step()-before, 1)) {
+			return
+		}
 	}
+}
 
+// boundary ends a quantum that advanced r by steps and did not finish
+// it: it charges the tenant and mirrors the run's progress, then either
+// keeps r on this worker (true) or preempts it (false).
+func (s *Server) boundary(r *run, steps int) (kept bool) {
 	s.mu.Lock()
-	r.tenant.vtime += float64(steps)
-	s.met.vtimeLag.With(r.tenant.name).Set(r.tenant.vtime - s.vclock)
-	r.phase = wire.PhasePreempted
+	defer s.mu.Unlock()
+	t := r.tenant
+	t.vtime += float64(steps)
+	t.vtimeLag.Set(t.vtime - s.vclock)
 	r.step = r.runner.Step()
 	r.cells = int64(r.runner.Progress().CellsComputed)
-	r.spanLocked("quantum %d: steps %d→%d (cells %d), preempted", r.quanta, before, r.step, r.cells)
+	s.reenterLocked(t)
+	if !s.closed && s.nextRunLocked(r) == r {
+		s.vclock = t.vtime
+		r.quanta++
+		if r.kept == 0 {
+			r.keptFrom = r.step
+		}
+		r.kept++
+		return true
+	}
+	s.held--
+	r.endHoldLocked()
+	r.phase = wire.PhasePreempted
+	r.spanLocked("preempted after quantum %d at step %d (cells %d)", r.quanta, r.step, r.cells)
 	s.met.preemptions.Inc()
 	// Push the preemption Status before re-queueing, still under the lock:
 	// no worker can dequeue the run (and push later progress, or its
@@ -345,7 +419,18 @@ func (s *Server) advance(r *run) {
 		cc.push(status, false)
 	}
 	s.enqueueLocked(r)
-	s.mu.Unlock()
+	return false
+}
+
+// endHoldLocked records the quanta the run kept its worker for since it
+// was last scheduled as one span event; call under s.mu when the hold
+// ends.
+func (r *run) endHoldLocked() {
+	if r.kept == 0 {
+		return
+	}
+	r.spanLocked("quanta %d–%d kept, steps %d→%d", r.quanta-r.kept+1, r.quanta, r.keptFrom, r.step)
+	r.kept = 0
 }
 
 // phaseLocked is the phase a run reports: a re-admitted run still
@@ -389,12 +474,13 @@ func (s *Server) finish(r *run, res *wire.Result, ef *wire.ErrorFrame) {
 		s.spoolOutcome(r, terminal)
 	}
 	s.mu.Lock()
+	s.held--
 	r.tenant.inflight--
-	s.met.inflight.With(r.tenant.name).Set(float64(r.tenant.inflight))
+	r.tenant.inflightMet.Set(float64(r.tenant.inflight))
 	var outcome string
+	r.endHoldLocked()
 	if res != nil {
 		s.met.finished.With("ok").Inc()
-		r.step, r.cells = int(res.Steps), res.CellsComputed
 		outcome = fmt.Sprintf("ok: steps=%d converged=%d hash=%x", res.Steps, res.ConvergedAt, res.Hash)
 		r.spanLocked("finished: steps=%d converged=%d", res.Steps, res.ConvergedAt)
 	} else {
@@ -626,8 +712,8 @@ func (s *Server) handleSubmit(cc *clientConn, f wire.Submit) {
 			return
 		}
 	}
-	s.met.admissions.With(f.Tenant).Inc()
-	s.met.inflight.With(f.Tenant).Set(float64(t.inflight))
+	t.admissions.Inc()
+	t.inflightMet.Set(float64(t.inflight))
 	r.spanLocked("submitted (%d-byte scenario, horizon %d)", len(f.Scenario), sc.Horizon)
 	r.spanLocked("admitted (queued)")
 	r.subs = append(r.subs, cc)
@@ -762,7 +848,7 @@ func (s *Server) recoverSpool() error {
 		}
 		t.inflight++
 		s.met.readmits.Inc()
-		s.met.inflight.With(tn).Set(float64(t.inflight))
+		t.inflightMet.Set(float64(t.inflight))
 		r.spanLocked("re-admitted from spool (%s), replaying from step 0", name)
 		s.runs[key] = r
 		s.enqueueLocked(r)
@@ -839,13 +925,14 @@ func (s *Server) Close() error {
 
 // clientConn wraps one client connection with a bounded, non-blocking
 // outbox: a slow or stalled client drops Status frames (they are
-// advisory and resent every quantum) rather than stalling a worker; a
-// terminal frame that cannot be enqueued closes the connection, and the
-// client re-Waits — the table of stored outcomes, failures included,
-// makes that safe. Advisory frames may queue only outboxLen deep; the
-// outboxHeadroom slots above that are for must-deliver frames, so a
-// burst of cheap quanta cannot crowd out the terminal frame that ends
-// it and cost the client a reconnect.
+// advisory and resent at the run's next preemption) rather than
+// stalling a worker; a terminal frame that cannot be enqueued closes
+// the connection, and the client re-Waits — the table of stored
+// outcomes, failures included, makes that safe. Advisory frames may
+// queue only outboxLen deep; the outboxHeadroom slots above that are
+// for must-deliver frames, so a burst of cheap preempted quanta cannot
+// crowd out the terminal frame that ends it and cost the client a
+// reconnect.
 type clientConn struct {
 	conn *transport.Conn
 	logf func(format string, args ...any)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -189,10 +190,11 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// An impossible deadline is enforced as a typed terminal error. The
-	// scenario is heavy enough (32 nodes, horizon 4000, certification
-	// blocked until a late event) that it cannot finish inside 1ms, so
-	// the per-quantum deadline check must fire.
-	heavy := "scenario heavy\ntopo ring 32 rip\nseed 9\nhorizon 4000\nat 3900 linkdown 0 1\n"
+	// scenario is heavy enough (64 nodes reading states up to 64 steps
+	// old, horizon 4096, certification blocked until a late event) that
+	// it cannot finish inside 1ms, so the per-quantum deadline check must
+	// fire.
+	heavy := "scenario heavy\ntopo ring 64 rip\nseed 9\nhorizon 4096\nstale 64\nat 4000 linkdown 0 1\n"
 	if _, err := c.Run(ctx, "late", []byte(heavy), time.Millisecond); err == nil {
 		t.Fatal("1ms-deadline run completed")
 	} else if ef := asErrorFrame(t, err); ef.Code != wire.CodeDeadline {
@@ -206,13 +208,55 @@ func TestServerEndToEnd(t *testing.T) {
 	checkGoroutines(t, goroutines)
 }
 
+// contend keeps n runs of other tenants in flight, each client
+// resubmitting as soon as its run finishes, until the returned stop is
+// called (at the latest when the test ends); stop waits for the clients
+// to wind down.
+func contend(t *testing.T, ctx context.Context, s *Server, n int) (stop func()) {
+	t.Helper()
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		c, err := DialClient(ctx, s.Addr(), fmt.Sprintf("bg%d", g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Close()
+			for i := 0; ; i++ {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				if _, err := c.Run(ctx, fmt.Sprintf("bg%d", i), []byte(longScenario), 0); err != nil {
+					t.Errorf("background run: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			close(quit)
+			wg.Wait()
+		})
+	}
+	t.Cleanup(stop)
+	return stop
+}
+
 // TestStatusNeverFollowsResult pins the frame order a client reads for
 // one run: Status steps never decrease, and nothing about the run
-// follows its Result. With two workers and one-step quanta a second
-// worker finishes the run right after the first preempts it, so a
-// preemption Status pushed outside the server lock would land after the
-// Result, and the Wait for the finished id would read that stale Status
-// instead of the stored Result.
+// follows its Result. Two background runs keep a third run queued at
+// every boundary, so the runs really yield; with two workers and
+// one-step quanta a second worker finishes a run right after the first
+// preempts it, so a preemption Status pushed outside the server lock
+// would land after the Result, and the Wait for the finished id would
+// read that stale Status instead of the stored Result.
 func TestStatusNeverFollowsResult(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	s, err := New(Config{Workers: 2, Quantum: 1})
@@ -220,10 +264,12 @@ func TestStatusNeverFollowsResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := testCtx(t)
+	stop := contend(t, ctx, s, 2)
 	c, err := DialClient(ctx, s.Addr(), "acme")
 	if err != nil {
 		t.Fatal(err)
 	}
+	progress := 0
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("r%d", i)
 		if _, err := c.Submit(ctx, id, []byte(shortScenario), 0); err != nil {
@@ -244,6 +290,7 @@ func TestStatusNeverFollowsResult(t *testing.T) {
 					t.Fatalf("run %s: Status step %d after step %d", id, f.Step, step)
 				}
 				step = f.Step
+				progress++
 			case wire.Result:
 				if f.ID != id {
 					t.Fatalf("run %s: read a Result for %s", id, f.ID)
@@ -264,6 +311,10 @@ func TestStatusNeverFollowsResult(t *testing.T) {
 			t.Fatalf("run %s: Wait after its Result read %#v, want the stored result", id, f)
 		}
 	}
+	if progress == 0 {
+		t.Fatal("no run yielded its worker: the contention never reached a boundary")
+	}
+	stop()
 	c.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -613,6 +664,312 @@ func TestPreemptionKeepsLateTenantUnstarved(t *testing.T) {
 	}
 	sameRun(t, "preempted long run", resA, wantLong)
 
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkGoroutines(t, goroutines)
+}
+
+// slicedScenario is the ring-64, horizon-4096 request with its late
+// event: certification waits for the event at step 4000, so a served
+// run lives for all 64 of its default 64-step quanta.
+const slicedScenario = `scenario sliced
+topo ring 64 rip
+seed 1
+horizon 4096
+at 4000 linkdown 0 1
+`
+
+// TestLoneRunKeepsItsWorker: a run that nobody waits behind keeps its
+// worker across every quantum boundary. It still runs in 64 quanta and
+// finishes bit-identically to the uninterrupted run, but it is never
+// preempted, so its client reads the admission Status and then the
+// Result, with no progress Status between them.
+func TestLoneRunKeepsItsWorker(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	want := uninterruptedRun(t, slicedScenario)
+	reg := metrics.NewRegistry()
+	s, err := New(Config{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	c, err := DialClient(ctx, s.Addr(), "solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := reg.Snapshot()
+	if _, err := c.Submit(ctx, "sliced", []byte(slicedScenario), 0); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := f.(wire.Result)
+	if !ok {
+		t.Fatalf("read %#v after the admission Status, want the Result", f)
+	}
+	sameRun(t, "lone run", res, want)
+	// Nothing was queued behind the Result: a Wait reads the stored one.
+	if err := c.send(wire.Wait{Tenant: "solo", ID: "sliced"}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = c.recv(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := f.(wire.Result); !ok || got.Hash != want.Hash {
+		t.Fatalf("Wait after the Result read %#v, want the stored result", f)
+	}
+	after := reg.Snapshot()
+	delta := func(name string) float64 { return after[name] - before[name] }
+	if got := delta("dbfsimd_preemptions_total"); got != 0 {
+		t.Fatalf("a lone run was preempted %v times", got)
+	}
+	if got := delta("dbfsimd_quantum_seconds_count"); got != 64 {
+		t.Fatalf("lone run took %v quanta, want 64", got)
+	}
+	runs := s.RunsSnapshot()
+	if len(runs) != 1 || !strings.Contains(strings.Join(runs[0].Trace, "\n"), "quanta 2–64 kept, steps 64→4096") {
+		t.Fatalf("span log does not record the kept stretch: %+v", runs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkGoroutines(t, goroutines)
+}
+
+// TestKeptRunMeetsItsDeadline: keeping the worker does not skip the
+// deadline check, which runs before every quantum, kept or scheduled.
+func TestKeptRunMeetsItsDeadline(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	reg := metrics.NewRegistry()
+	// 64 quanta of at least 5ms each: the run cannot finish by its
+	// deadline, and is well under way when it passes.
+	s, err := New(Config{Metrics: reg, Stall: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	c, err := DialClient(ctx, s.Addr(), "solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Run(ctx, "late", []byte(slicedScenario), 40*time.Millisecond); err == nil {
+		t.Fatal("run completed past its deadline")
+	} else if ef := asErrorFrame(t, err); ef.Code != wire.CodeDeadline {
+		t.Fatalf("run failed with %v, want deadline", ef.Code)
+	}
+	runs := s.RunsSnapshot()
+	if len(runs) != 1 {
+		t.Fatalf("/runs holds %d runs, want 1", len(runs))
+	}
+	info := runs[0]
+	if info.Step <= 0 || info.Step >= info.Horizon {
+		t.Fatalf("deadline failure at step %d/%d, want mid-run", info.Step, info.Horizon)
+	}
+	if !strings.Contains(strings.Join(info.Trace, "\n"), "kept") {
+		t.Fatalf("span log shows no kept quantum:\n%s", strings.Join(info.Trace, "\n"))
+	}
+	if got := reg.Snapshot()["dbfsimd_preemptions_total"]; got != 0 {
+		t.Fatalf("a lone run was preempted %v times", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkGoroutines(t, goroutines)
+}
+
+// TestNextRunDecision pins the one scheduling decision at a boundary:
+// the run just off its quantum goes on unless a queued run that no idle
+// worker will take comes first in stride order.
+func TestNextRunDecision(t *testing.T) {
+	held := &run{id: "held"}
+	ahead := &run{id: "ahead"}   // a queued run stride order puts first
+	behind := &run{id: "behind"} // a queued run stride order puts last
+	sibling := &run{id: "sibling"}
+	for _, tc := range []struct {
+		name    string
+		workers int
+		busy    int     // workers holding a run, held's included
+		vtimes  [3]int  // held's tenant "m", then tenants "a" and "z"
+		queue   [3]*run // the queued run of each tenant, if any
+		want    *run
+	}{
+		{"nothing queued", 1, 1, [3]int{64, 0, 0}, [3]*run{}, held},
+		{"queued run behind", 1, 1, [3]int{64, 0, 128}, [3]*run{nil, nil, behind}, held},
+		{"queued run ahead", 1, 1, [3]int{64, 0, 0}, [3]*run{nil, ahead}, ahead},
+		{"tie to the lesser name", 1, 1, [3]int{64, 0, 64}, [3]*run{nil, nil, behind}, held},
+		{"tie to the lesser name, queued", 1, 1, [3]int{64, 64, 0}, [3]*run{nil, ahead}, ahead},
+		{"own tenant's queued run goes first", 1, 1, [3]int{0, 64, 64}, [3]*run{sibling}, sibling},
+		{"an idle worker takes the run ahead", 2, 1, [3]int{64, 0, 0}, [3]*run{nil, ahead}, held},
+		{"no worker idle", 2, 2, [3]int{64, 0, 0}, [3]*run{nil, ahead}, ahead},
+		{"more queued than idle workers", 2, 1, [3]int{64, 0, 0}, [3]*run{nil, ahead, behind}, ahead},
+	} {
+		s := &Server{cfg: Config{Workers: tc.workers}, tenants: make(map[string]*tenant), held: tc.busy}
+		for i, name := range []string{"m", "a", "z"} {
+			tn := &tenant{name: name, vtime: float64(tc.vtimes[i])}
+			if r := tc.queue[i]; r != nil {
+				tn.queued = []*run{r}
+			}
+			s.tenants[name] = tn
+		}
+		held.tenant = s.tenants["m"]
+		if got := s.nextRunLocked(held); got != tc.want {
+			t.Errorf("%s: next is %s, want %s", tc.name, got.id, tc.want.id)
+		}
+	}
+}
+
+// quantumCharges replays a scenario in quanta the way a worker does and
+// returns the steps each quantum charges its tenant.
+func quantumCharges(t *testing.T, text string, quantum int) []int {
+	t.Helper()
+	sc, err := scenario.Parse([]byte(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := scenario.NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var charges []int
+	for {
+		before := r.Step()
+		done, err := r.Advance(quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			return append(charges, r.Progress().Steps-before)
+		}
+		charges = append(charges, max(r.Step()-before, 1))
+	}
+}
+
+// strideHolds is the reference schedule for one run per tenant, all
+// queued at virtual time 0 on one worker: every quantum goes to the
+// tenant with the least virtual time (ties to the lesser name), which
+// is charged the quantum's steps. It returns each tenant's holds, the
+// maximal stretches of consecutive quanta, as [first, last] quantum
+// numbers of its run.
+func strideHolds(charges map[string][]int) map[string][][2]int {
+	vtime := make(map[string]float64)
+	done := make(map[string]int) // quanta run so far
+	holds := make(map[string][][2]int)
+	last := ""
+	for {
+		best := ""
+		for name, c := range charges {
+			if done[name] == len(c) {
+				continue
+			}
+			if best == "" || vtime[name] < vtime[best] || (vtime[name] == vtime[best] && name < best) {
+				best = name
+			}
+		}
+		if best == "" {
+			return holds
+		}
+		vtime[best] += float64(charges[best][done[best]])
+		done[best]++
+		if best == last {
+			holds[best][len(holds[best])-1][1] = done[best]
+		} else {
+			holds[best] = append(holds[best], [2]int{done[best], done[best]})
+		}
+		last = best
+	}
+}
+
+// spanHolds reads a run's holds back from its span log: a hold starts
+// at "scheduled quantum i" and a "quanta j–k kept" line extends it.
+func spanHolds(t *testing.T, trace []string) [][2]int {
+	t.Helper()
+	var holds [][2]int
+	for _, line := range trace {
+		_, msg, _ := strings.Cut(line, " ")
+		var i, j int
+		switch {
+		case strings.HasPrefix(msg, "..."):
+			t.Fatalf("span log elided events:\n%s", strings.Join(trace, "\n"))
+		case strings.HasPrefix(msg, "scheduled quantum "):
+			if _, err := fmt.Sscanf(msg, "scheduled quantum %d", &i); err != nil {
+				t.Fatal(err)
+			}
+			holds = append(holds, [2]int{i, i})
+		case strings.HasPrefix(msg, "quanta "):
+			if _, err := fmt.Sscanf(msg, "quanta %d–%d kept", &i, &j); err != nil {
+				t.Fatal(err)
+			}
+			h := &holds[len(holds)-1]
+			if i != h[1]+1 {
+				t.Fatalf("kept stretch %d–%d does not continue the hold %v", i, j, *h)
+			}
+			h[1] = j
+		}
+	}
+	return holds
+}
+
+// TestKeptQuantaFollowStrideOrder: three tenants share one worker, and
+// the quanta each run's span log reports must be exactly the stride
+// order's — a run keeps its worker at precisely the boundaries where
+// the dequeue would have handed it straight back, and yields at every
+// other one. The runs are re-admitted from a spool, so all three are
+// queued at virtual time 0 before the worker starts.
+func TestKeptQuantaFollowStrideOrder(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	const quantum = 64
+	texts := map[string]string{"a": longScenario, "b": shortScenario, "c": gadgetScenario}
+	spool := t.TempDir()
+	charges := make(map[string][]int)
+	total := 0
+	for tenant, text := range texts {
+		if err := os.WriteFile(filepath.Join(spool, tenant+"~run.scn"), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		charges[tenant] = quantumCharges(t, text, quantum)
+		total += len(charges[tenant])
+	}
+	want := strideHolds(charges)
+
+	reg := metrics.NewRegistry()
+	s, err := New(Config{Workers: 1, Quantum: quantum, SpoolDir: spool, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	for tenant, text := range texts {
+		sameRun(t, tenant, waitSpooled(t, ctx, s, tenant, "run"), uninterruptedRun(t, text))
+	}
+	holds, kept := 0, 0
+	for _, info := range s.RunsSnapshot() {
+		got := spanHolds(t, info.Trace)
+		if fmt.Sprint(got) != fmt.Sprint(want[info.Tenant]) {
+			t.Fatalf("tenant %s ran its quanta in holds %v, stride order gives %v\n%s",
+				info.Tenant, got, want[info.Tenant], strings.Join(info.Trace, "\n"))
+		}
+		t.Logf("tenant %s: holds %v", info.Tenant, got)
+		for _, h := range got {
+			holds++
+			kept += h[1] - h[0]
+		}
+	}
+	if kept == 0 || holds == len(texts) {
+		t.Fatalf("%d holds with %d kept quanta: the schedule must both keep and yield", holds, kept)
+	}
+	snap := reg.Snapshot()
+	if got := snap["dbfsimd_quantum_seconds_count"]; got != float64(total) {
+		t.Fatalf("%v quanta ran, want %d", got, total)
+	}
+	// Every hold but each run's last ends in a preemption.
+	if got := snap["dbfsimd_preemptions_total"]; got != float64(holds-len(texts)) {
+		t.Fatalf("%v preemptions, want %d", got, holds-len(texts))
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

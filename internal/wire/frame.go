@@ -93,10 +93,12 @@ const (
 	PhaseQueued RunPhase = 1
 	// PhaseRunning: a worker is advancing the run.
 	PhaseRunning RunPhase = 2
-	// PhasePreempted: paused in a snapshot so another tenant's run can
-	// use the slot; will be rescheduled.
+	// PhasePreempted: paused at a quantum boundary because the scheduler
+	// gave its worker to another run; will be rescheduled. A run that
+	// nobody waits behind keeps its worker and never reports this.
 	PhasePreempted RunPhase = 3
-	// PhaseResumed: restored from a drain checkpoint after a restart.
+	// PhaseResumed: re-admitted from the spool after a restart and
+	// waiting for its first quantum; it replays from step 0.
 	PhaseResumed RunPhase = 4
 )
 
