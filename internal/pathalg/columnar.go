@@ -8,10 +8,11 @@ import "repro/internal/core"
 // struct-of-arrays pair the columnar σ kernel wants: the PathID lane plus
 // a one-word metric lane. The compiled edge kernel then runs the whole
 // dirty column in three monomorphic passes: a single batched ExtendSel
-// against the intern table (one lock round-trip per edge per row instead
-// of one per cell), the compiled base edge over the metric lane, and the
-// ⊕ fold, whose base-preference step is an integer compare with ties
-// falling through to the interned path order.
+// against the intern table (one read lock and one arc lookup per edge per
+// row, then one id probe per cell, cached loop verdicts included), the
+// compiled base edge over the metric lane, and the ⊕ fold, whose
+// base-preference step is an integer compare with ties falling through
+// to the interned path order.
 
 // packer returns the base algebra's metric packer, if any.
 func (t *Interned[B]) packer() (core.MetricPacker[B], bool) {

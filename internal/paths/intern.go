@@ -1,12 +1,15 @@
 // Hash-consed path interning: a Table assigns every simple path a small
 // integer PathID such that equal paths always receive the same id. Paths
 // are stored as a parent-pointer trie — an interned non-empty path is
-// (parent PathID, head Arc), the head arc prepended to the parent path —
-// so Extend is one map probe (amortised O(1), allocation-free once the
-// path exists), equality is a single integer compare, and loop detection
-// consults a per-id node-membership summary (a bloom word) before falling
-// back to the parent walk. The Table is safe for concurrent use; lookups
-// of already-interned paths proceed under a shared read lock.
+// (parent PathID, head Arc), the head arc prepended to the parent path.
+// Extensions are indexed per arc: Extend is one lookup of its arc's
+// child map plus one 32-bit probe of the parent id (amortised O(1) in
+// the path's fan-out, allocation-free once the extension has been seen),
+// and a rejected loop is remembered there as InvalidID, so the
+// node-membership check (a per-id bloom word before the parent walk)
+// runs once per (path, arc). Equality is a single integer compare. The
+// Table is safe for concurrent use; lookups of already-seen extensions
+// proceed under a shared read lock.
 //
 // This is the NDN-DPDK recipe — intern variable-length name-like data
 // into fixed-size ids with pooled storage — applied to the simple paths
@@ -45,22 +48,20 @@ type entry struct {
 	bloom  uint64 // membership summary over all nodes of the path
 }
 
-// extKey is the hash-consing key of Extend: extending parent by the arc
-// (i, j). For a non-empty parent j is redundant (it must equal the
-// parent's source) but including it keeps the empty-parent case — where j
-// is free — in the same map.
-type extKey struct {
-	parent PathID
-	i, j   int32
-}
+// arcKey is the first level of the extension index: the arc (i, j)
+// being prepended. The second level, keyed by the parent id (EmptyID for
+// the one-arc path), holds the extension's id, or InvalidID once the
+// extension has been found to loop.
+type arcKey struct{ i, j int32 }
 
 // Table is a hash-consing table for simple paths. The zero value is not
 // usable; construct with NewTable. All methods are safe for concurrent
-// use.
+// use; a batch of extensions by one arc costs one arc lookup and then one
+// index probe per cell.
 type Table struct {
 	mu      sync.RWMutex
 	entries []entry
-	index   map[extKey]PathID
+	index   map[arcKey]map[PathID]PathID
 	// aliased records whether any interned node falls outside [0, 63];
 	// while false, the bloom word is an exact membership set and the
 	// parent-walk fallback of Contains is never needed.
@@ -69,7 +70,7 @@ type Table struct {
 
 // NewTable returns an empty table containing only [] and ⊥.
 func NewTable() *Table {
-	return &Table{index: make(map[extKey]PathID)}
+	return &Table{index: make(map[arcKey]map[PathID]PathID)}
 }
 
 // nodeBit is the bloom-word bit of node v. For the experiment scales
@@ -183,57 +184,29 @@ func (t *Table) Extend(p PathID, i, j int) PathID {
 	if p.IsInvalid() || i == j {
 		return InvalidID
 	}
-	key := extKey{parent: p, i: int32(i), j: int32(j)}
+	miss := false
 	t.mu.RLock()
-	// Probe the index before validating: a hit proves the extension was
-	// validated when first interned, so the steady state never pays the
-	// membership walk.
-	if id, ok := t.index[key]; ok {
-		t.mu.RUnlock()
+	id := t.probe(t.index[arcKey{int32(i), int32(j)}], p, j, &miss)
+	t.mu.RUnlock()
+	if !miss {
 		return id
 	}
-	if p != EmptyID {
-		if int(t.at(p).head.From) != j || t.contains(p, i) {
-			t.mu.RUnlock()
-			return InvalidID
-		}
-	}
-	t.mu.RUnlock()
-	// Validity of (p, i, j) is immutable — paths never change once
-	// interned — so it need not be re-checked under the write lock.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.index[key]; ok {
-		return id
-	}
-	e := entry{parent: p, head: Arc{From: i, To: j}, last: int32(j), length: 1, bloom: nodeBit(i) | nodeBit(j)}
-	if p != EmptyID {
-		pe := t.at(p)
-		e.last = pe.last
-		e.length = pe.length + 1
-		e.bloom |= pe.bloom
-	}
-	if uint(i) > 63 || uint(j) > 63 {
-		t.aliased = true
-	}
-	t.entries = append(t.entries, e)
-	id := PathID(len(t.entries))
-	t.index[key] = id
-	return id
+	return t.insert(p, i, j)
 }
 
-// pendingID is an internal sentinel used by ExtendSel to mark cells whose
-// extension was not found under the read lock; it never escapes.
+// pendingID is an internal sentinel used by probe to mark cells whose
+// extension has not been seen; it never escapes.
 const pendingID PathID = -2
 
 // ExtendSel is the batched form of Extend used by the columnar σ kernels:
 // it computes out[x] = Extend(src[x], i, j) for every selected column x —
-// the ascending indices in sel, or every x of src when sel is nil — under
-// a single read-lock acquisition. A convergence sweep extends whole
-// columns by the same arc, so the batch turns one lock round-trip and one
-// index probe per cell into one lock round-trip per (edge, row);
-// only genuinely new paths fall back to the write path, and paths are
-// immutable once interned, so the late re-probe inside Extend is safe.
+// the ascending indices in sel, or every x of src when sel is nil. A
+// convergence sweep extends whole columns by the same arc, so the batch
+// takes the read lock once, looks up the arc's child map once and then
+// costs one index probe per cell, cached loop verdicts included; cells
+// never seen before are resolved together under one write lock.
 func (t *Table) ExtendSel(src, out []PathID, sel []int32, i, j int) {
 	if i == j {
 		if sel == nil {
@@ -249,51 +222,88 @@ func (t *Table) ExtendSel(src, out []PathID, sel []int32, i, j int) {
 	}
 	miss := false
 	t.mu.RLock()
+	col := t.index[arcKey{int32(i), int32(j)}]
 	if sel == nil {
 		for x, p := range src {
-			out[x] = t.extendLocked(p, i, j, &miss)
+			out[x] = t.probe(col, p, j, &miss)
 		}
 	} else {
 		for _, x := range sel {
-			out[x] = t.extendLocked(src[x], i, j, &miss)
+			out[x] = t.probe(col, src[x], j, &miss)
 		}
 	}
 	t.mu.RUnlock()
 	if !miss {
 		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if sel == nil {
 		for x, p := range src {
 			if out[x] == pendingID {
-				out[x] = t.Extend(p, i, j)
+				out[x] = t.insert(p, i, j)
 			}
 		}
 	} else {
 		for _, x := range sel {
 			if out[x] == pendingID {
-				out[x] = t.Extend(src[x], i, j)
+				out[x] = t.insert(src[x], i, j)
 			}
 		}
 	}
 }
 
-// extendLocked resolves one extension under the read lock held by
-// ExtendSel: an index hit or a provable invalidity answers immediately;
-// anything else is marked pending for the write path.
-func (t *Table) extendLocked(p PathID, i, j int, miss *bool) PathID {
+// probe resolves the extension of p by the arc whose child map is col
+// (nil if the arc has none yet) under the read lock: a seen extension
+// answers with its id or cached loop verdict, a parent that does not
+// start at j is not contiguous; anything else is marked pending for
+// insert.
+func (t *Table) probe(col map[PathID]PathID, p PathID, j int, miss *bool) PathID {
 	if p.IsInvalid() {
 		return InvalidID
 	}
-	if id, ok := t.index[extKey{parent: p, i: int32(i), j: int32(j)}]; ok {
+	if id, ok := col[p]; ok {
 		return id
 	}
-	if p != EmptyID {
-		if int(t.at(p).head.From) != j || t.contains(p, i) {
-			return InvalidID
-		}
+	if p != EmptyID && int(t.at(p).head.From) != j {
+		return InvalidID
 	}
 	*miss = true
 	return pendingID
+}
+
+// insert decides a contiguous extension of p by (i, j) under the write
+// lock and records the verdict: the new path's id, or InvalidID when i
+// is already on p. Another writer may have decided it since the caller's
+// probe, so the child map is consulted first.
+func (t *Table) insert(p PathID, i, j int) PathID {
+	key := arcKey{int32(i), int32(j)}
+	col := t.index[key]
+	if id, ok := col[p]; ok {
+		return id
+	}
+	if col == nil {
+		col = make(map[PathID]PathID)
+		t.index[key] = col
+	}
+	if p != EmptyID && t.contains(p, i) {
+		col[p] = InvalidID
+		return InvalidID
+	}
+	e := entry{parent: p, head: Arc{From: i, To: j}, last: int32(j), length: 1, bloom: nodeBit(i) | nodeBit(j)}
+	if p != EmptyID {
+		pe := t.at(p)
+		e.last = pe.last
+		e.length = pe.length + 1
+		e.bloom |= pe.bloom
+	}
+	if uint(i) > 63 || uint(j) > 63 {
+		t.aliased = true
+	}
+	t.entries = append(t.entries, e)
+	id := PathID(len(t.entries))
+	col[p] = id
+	return id
 }
 
 // Intern maps a reference Path to its id, interning every prefix along

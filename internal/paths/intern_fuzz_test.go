@@ -6,19 +6,30 @@ import (
 
 // FuzzInternDifferential drives a Table and the reference Path
 // representation through the same operation sequence and requires them to
-// agree at every step: Extend results (including loop rejection), Equal
-// vs id equality, Compare, Contains, Len and the Path/Intern round trips.
+// agree at every step: Extend and ExtendSel results (including loop
+// rejection and cached loop verdicts), Equal vs id equality, Compare,
+// Contains, Len and the Path/Intern round trips.
 //
-// The input encodes operations over a small node universe: each byte
+// The input encodes operations over a sixteen-node universe: each byte
 // pair (op, arg) either extends one of the held paths, starts a fresh
-// one, or re-interns a FromNodes construction. Holding several live
-// paths at once exercises sharing inside the trie.
+// one, compares two, or extends a batch of them with ExtendSel. Holding
+// several live paths at once exercises sharing inside the trie. Half the
+// node draws land above 63 (node(k) for k ≥ 8 is k+56), so bloom bits
+// alias and loop detection falls back to the parent walk.
 func FuzzInternDifferential(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x30})
 	f.Add([]byte{0x10, 0x01, 0x12, 0x20, 0x01})
 	f.Add([]byte{0x31, 0x42, 0x53, 0x04, 0x15, 0x21})
+	// Slots 0, 1 and 2 hold 1->2. The subset {0, 1} batch by (2, 1)
+	// loops on both cells, decides the verdict once and reads it back on
+	// the repeat; the full batch then reads it for slot 2.
+	f.Add([]byte{0x01, 0x12, 0x06, 0x12, 0x0b, 0x12, 0x13, 0x21, 0x04, 0x21})
+	// 64->1, then 0->64->1 (0 and 64 share a bloom bit, not a node), then
+	// the aliased loop 1->0->64->1, batched over all slots.
+	f.Add([]byte{0x01, 0x81, 0x01, 0x08, 0x04, 0x10, 0x04, 0x10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const nodes = 8 // > 64 is covered by the aliasing unit test
+		const draws = 16
+		node := func(k int) int { return k&7 + (k>>3)*64 }
 		tab := NewTable()
 		// Slots of live (reference, interned) pairs, all starting empty.
 		refs := [4]Path{Empty, Empty, Empty, Empty}
@@ -38,8 +49,8 @@ func FuzzInternDifferential(f *testing.F) {
 			if tab.Intern(p) != id {
 				t.Fatalf("re-intern of %s gave a different id", p)
 			}
-			for v := 0; v < nodes; v++ {
-				if p.Contains(v) != tab.Contains(id, v) {
+			for k := 0; k < draws; k++ {
+				if v := node(k); p.Contains(v) != tab.Contains(id, v) {
 					t.Fatalf("Contains(%d) mismatch on %s", v, p)
 				}
 			}
@@ -47,12 +58,12 @@ func FuzzInternDifferential(f *testing.F) {
 
 		for k := 0; k+1 < len(data); k += 2 {
 			op, arg := data[k], data[k+1]
-			slot := int(op>>2) % len(refs)
-			i := int(arg>>4) % nodes
-			j := int(arg) % nodes
-			switch op % 4 {
+			slot := int(op/5) % len(refs)
+			i := node(int(arg >> 4))
+			j := node(int(arg & 15))
+			switch op % 5 {
 			case 0, 1: // extend slot by (i, j); 0 also cross-checks CanExtend
-				if op%4 == 0 {
+				if op%5 == 0 {
 					if refs[slot].CanExtend(i, j) != tab.CanExtend(ids[slot], i, j) {
 						t.Fatalf("CanExtend(%d,%d) mismatch on %s", i, j, refs[slot])
 					}
@@ -62,7 +73,7 @@ func FuzzInternDifferential(f *testing.F) {
 			case 2: // reset slot to a FromNodes construction
 				ns := make([]int, 0, 4)
 				for v := 0; v < int(arg)%5; v++ {
-					ns = append(ns, (i+v)%nodes)
+					ns = append(ns, node((int(arg>>4)+v)%draws))
 				}
 				refs[slot] = FromNodes(ns...)
 				ids[slot] = tab.Intern(refs[slot])
@@ -73,6 +84,45 @@ func FuzzInternDifferential(f *testing.F) {
 				}
 				if (ids[slot] == ids[other]) != refs[slot].Equal(refs[other]) {
 					t.Fatalf("id equality vs Equal mismatch (%s, %s)", refs[slot], refs[other])
+				}
+			case 4: // extend a batch of slots by (i, j), twice
+				// mask 0 batches every slot with sel == nil; any other
+				// mask selects exactly its slots.
+				mask := int(op/5) % 16
+				var sel []int32
+				for x := range ids {
+					if mask>>x&1 != 0 {
+						sel = append(sel, int32(x))
+					}
+				}
+				const untouched PathID = -7
+				var first, again [4]PathID
+				for x := range ids {
+					first[x], again[x] = untouched, untouched
+				}
+				tab.ExtendSel(ids[:], first[:], sel, i, j)
+				tab.ExtendSel(ids[:], again[:], sel, i, j)
+				for x := range ids {
+					if mask != 0 && mask>>x&1 == 0 {
+						if first[x] != untouched || again[x] != untouched {
+							t.Fatalf("ExtendSel wrote unselected column %d (mask %b)", x, mask)
+						}
+						continue
+					}
+					want := refs[x].Extend(i, j)
+					if first[x] != again[x] {
+						t.Fatalf("ExtendSel(%s, %d, %d) = %s, then %s", refs[x], i, j, tab.String(first[x]), tab.String(again[x]))
+					}
+					if got := tab.Extend(ids[x], i, j); got != first[x] {
+						t.Fatalf("ExtendSel(%s, %d, %d) = %s, Extend = %s", refs[x], i, j, tab.String(first[x]), tab.String(got))
+					}
+					if first[x].IsInvalid() != want.IsInvalid() || !tab.Path(first[x]).Equal(want) {
+						t.Fatalf("ExtendSel(%s, %d, %d) = %s, want %s", refs[x], i, j, tab.String(first[x]), want)
+					}
+					refs[x], ids[x] = want, first[x]
+				}
+				for x := range ids {
+					check(x)
 				}
 			}
 			check(slot)

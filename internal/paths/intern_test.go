@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -182,16 +183,58 @@ func TestInternRoundTrip(t *testing.T) {
 
 // TestInternConcurrent hammers one table from several goroutines; the
 // race detector checks the locking discipline, and hash-consing must
-// still be canonical afterwards.
+// still be canonical afterwards. Half the goroutines intern chains with
+// Extend; the other half share one column and run ExtendSel batches by
+// arcs into node 1, while writers extend fresh parents by the same arcs,
+// deciding new paths and first-time loop verdicts in the child maps the
+// batches are probing.
 func TestInternConcurrent(t *testing.T) {
 	tab := NewTable()
 	const n = 6
+	// The shared column: [], ⊥ and paths 1->k->0, some past node 63.
+	refs := []Path{Empty, Invalid}
+	for k := 2; k < 12; k++ {
+		refs = append(refs, FromNodes(1, k*7, 0))
+	}
+	col := make([]PathID, len(refs))
+	for x, p := range refs {
+		col[x] = tab.Intern(p)
+	}
+	// Arcs into node 1: i = 0 loops on every path, i = k*7 on one, i = 5
+	// and i = 100 on none; every fourth batch selects the odd columns.
+	heads := []int{0, 5, 14, 63, 100}
+	var odd []int32
+	for x := 1; x < len(col); x += 2 {
+		odd = append(odd, int32(x))
+	}
 	var wg sync.WaitGroup
 	ids := make([]PathID, 8)
+	fails := make(chan string, 16)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			if g >= 4 { // reader of the shared column
+				out := make([]PathID, len(col))
+				for rep := 0; rep < 200; rep++ {
+					var sel []int32
+					if rep%4 == 3 {
+						sel = odd
+					}
+					i := heads[(rep+g)%len(heads)]
+					tab.ExtendSel(col, out, sel, i, 1)
+					for x := range col {
+						if sel != nil && x%2 == 0 {
+							continue
+						}
+						if want := refs[x].Extend(i, 1); !tab.Path(out[x]).Equal(want) {
+							fails <- fmt.Sprintf("ExtendSel(%s, %d, 1) = %s, want %s", refs[x], i, tab.String(out[x]), want)
+							return
+						}
+					}
+				}
+				return
+			}
 			base := g % 2
 			var last PathID
 			for rep := 0; rep < 200; rep++ {
@@ -202,14 +245,63 @@ func TestInternConcurrent(t *testing.T) {
 					tab.Compare(id, last)
 				}
 				last = id
+				// A fresh parent 1->k->0 extended by the readers' arcs.
+				fresh := tab.Intern(FromNodes(1, 200+rep*4+g, 0))
+				for _, i := range heads {
+					tab.Extend(fresh, i, 1)
+				}
 			}
 			ids[g] = last
 		}(g)
 	}
 	wg.Wait()
-	for g := 2; g < 8; g++ {
+	close(fails)
+	for msg := range fails {
+		t.Fatal(msg)
+	}
+	for g := 2; g < 4; g++ {
 		if ids[g] != ids[g%2] {
 			t.Fatalf("goroutine %d interned a divergent id", g)
+		}
+	}
+	for _, i := range heads {
+		for _, k := range []int{14, 203, 997} {
+			p := FromNodes(i, 1, k, 0)
+			if got := tab.Extend(tab.Intern(FromNodes(1, k, 0)), i, 1); got != tab.Intern(p) {
+				t.Fatalf("Extend to %s = %s, Intern = %s", p, tab.String(got), tab.String(tab.Intern(p)))
+			}
+		}
+	}
+}
+
+// TestExtendSelDoesNotAllocate pins "allocation-free once the extension
+// has been seen": a warm batch mixing index hits, invalid and empty
+// sources, contiguity mismatches and cached loop verdicts allocates
+// nothing, with sel nil or a subset.
+func TestExtendSelDoesNotAllocate(t *testing.T) {
+	tab := NewTable()
+	src := []PathID{
+		tab.Intern(FromNodes(1, 2, 3)),  // hit: 0->1->2->3
+		InvalidID,                       // invalid source
+		tab.Intern(FromNodes(1, 0, 3)),  // cached loop on 0
+		EmptyID,                         // hit: 0->1
+		tab.Intern(FromNodes(2, 3)),     // not contiguous with (0, 1)
+		tab.Intern(FromNodes(1, 70, 0)), // cached aliased loop walk
+	}
+	want := []PathID{tab.Intern(FromNodes(0, 1, 2, 3)), InvalidID, InvalidID, tab.Intern(FromNodes(0, 1)), InvalidID, InvalidID}
+	out := make([]PathID, len(src))
+	sel := []int32{0, 2, 5}
+	tab.ExtendSel(src, out, nil, 0, 1) // decides the loops once
+	allocs := testing.AllocsPerRun(100, func() {
+		tab.ExtendSel(src, out, nil, 0, 1)
+		tab.ExtendSel(src, out, sel, 0, 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm ExtendSel allocated %.1f times per run", allocs)
+	}
+	for x := range want {
+		if out[x] != want[x] {
+			t.Fatalf("out[%d] = %s, want %s", x, tab.String(out[x]), tab.String(want[x]))
 		}
 	}
 }

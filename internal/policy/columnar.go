@@ -17,7 +17,9 @@ import (
 // tracking needs. Unlike the scalar algebras the packed words are NOT
 // order-monotone; the compiled kernel instead runs the Section 7 decision
 // procedure explicitly on the decoded fields, with the batched ExtendSel
-// doing path extension for the whole column under one table lock.
+// doing path extension for the whole column: one read lock and one arc
+// lookup per call, then one id probe per cell, cached loop verdicts
+// included.
 
 const (
 	polInvW  = ^uint64(0)
