@@ -119,10 +119,6 @@ func (o *colOps[R]) prepare(r *run[R, core.Col], n int) {
 
 func (o *colOps[R]) encodeRow(dst core.Col, src []R) { o.cs.cap.EncodeCol(src, dst) }
 
-func (o *colOps[R]) emptyRow(a core.Col) bool { return len(a.M) == 0 }
-
-func (o *colOps[R]) sameRow(a, b core.Col) bool { return &a.M[0] == &b.M[0] }
-
 func (o *colOps[R]) materialise(s []core.Col) *matrix.State[R] {
 	st := matrix.NewState(len(s), o.e.alg.Invalid())
 	for i, row := range s {
@@ -136,7 +132,7 @@ func (o *colOps[R]) materialise(s []core.Col) *matrix.State[R] {
 // kernel fold running over packed lanes. The dirty bitset is materialised
 // into a selection vector because the kernels — one pass per neighbour —
 // would otherwise re-walk the bit words per edge.
-func (o *colOps[R]) runTask(tk *rowTask[R, core.Col], worker int) {
+func (o *colOps[R]) runTask(tk rowTask[R, core.Col], worker int) {
 	cs := o.cs
 	kern := cs.kern[cs.off[tk.i]:cs.off[tk.i+1]]
 	cw := &o.cws[worker]

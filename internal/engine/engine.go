@@ -15,12 +15,15 @@
 //     whose evicted rows are recycled; steady-state evaluation allocates
 //     (almost) nothing. A whole history is the literal evaluator's to
 //     keep (async.RunReference).
-//   - Sharded recomputation. The per-node σ-row updates of one step are
-//     independent, so a step that costs more than the hand-off fans them
-//     out, one task per row, across a persistent worker pool whose
-//     helpers stay hot between one step's fan-out and the next (pool.go)
-//     — with a deterministic merge: every task writes its own row, so the
-//     result is bit-identical to the sequential path.
+//   - Sharded activations. The activations of one step are independent
+//     (δ, Section 3.1: node i ∈ α(t) reads β(t, i, k) and recomputes its
+//     own row), so a step that costs more than the hand-off fans them out,
+//     one task per activation — its β draws, skip test, table resolution
+//     and kernel — across a persistent worker pool whose helpers stay hot
+//     between one step's fan-out and the next (pool.go). Every task writes
+//     only its own node's state; the fold of the step's changes, the
+//     history ring and certification stay serial, so the result is
+//     bit-identical to the sequential path.
 //   - Change-driven evaluation. Real asynchronous protocols
 //     process received updates; they do not periodically recompute
 //     everything. The engine tracks, per node and destination, when each
@@ -49,7 +52,6 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -58,11 +60,13 @@ import (
 	"repro/internal/matrix"
 )
 
-// minParallelOps is the per-step work — Σ n·(deg+1) over the rows that
-// recompute, what the kernels walk at most — below which the engine stays
+// minParallelOps is the per-step work below which the engine stays
 // sequential: a hot hand-off costs microseconds, a parked helper a futex
 // round trip, and a step this small (a ring-64 service request never
-// exceeds it) is done before either pays.
+// exceeds it) is done before either pays. A step is decided before any of
+// its activations runs its skip test, so its work is estimated: Σ n·(deg+1)
+// over the activations, what the kernels would walk at most, scaled by
+// the share of its activations the run's last step recomputed.
 const minParallelOps = 1 << 14
 
 // Config tunes an Engine. The zero value is the right default everywhere.
@@ -131,61 +135,8 @@ func Run[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], start *matrix.Sta
 	return New(alg, adj, Config{}).Run(start, src)
 }
 
-// incShared is the read-only change-tracking state a step's tasks consume:
-// the last-changed-time matrix and the per-worker scratch bitsets. It is
-// written only between steps, by the serial fold.
-type incShared struct {
-	n int
-	// ver[k·n+j] is the time at which node k's route to j last changed
-	// (0 = never since the start state). It is the compact union of every
-	// published snapshot's changed-destination bitsets: "did k's column j
-	// change in (lo, t]?" is exactly ver[k·n+j] > lo.
-	ver []int32
-	// wordMax[k·wper+wi] is the word-granular summary of ver: the latest
-	// time any of node k's columns in word wi (destinations [64wi,
-	// 64wi+64)) changed. The dirty resolution consults it first, so 64
-	// clean columns cost one compare per neighbour instead of 64.
-	wordMax []int32
-	wper    int // words per node: ⌈n/64⌉
-	// rowMax[k] = max_j ver[k·n+j]: the O(1) whole-row dirty summary,
-	// consulted both by the skip pass and by dirty resolution to drop
-	// fully-clean neighbours before any per-word work.
-	rowMax []int32
-	// hist is a ring of per-step change masks, histH slots per node:
-	// slot (k, s mod histH) holds node k's changed-destination words of
-	// step s, valid iff histStamp[k·histH + s mod histH] == s. For a
-	// threshold within the ring's depth the dirty resolution ORs these
-	// precomputed words — a handful of loads per neighbour — instead of
-	// comparing per-column stamps; ver remains the exact fallback for
-	// older thresholds. The ring is the same memory order as ver itself
-	// (histH/64 · 2 words per ver's int32 column, per node).
-	hist      []uint64 // n · histH · wper
-	histStamp []int32  // n · histH
-	// top is the latest step whose changes have been folded; the mask
-	// union over (lo, top] equals {j : ver[j] > lo} because no column
-	// changed after top.
-	top int32
-	// scratch[w] is worker w's workspace.
-	scratch []workerScratch
-}
-
-// histH is the change-mask ring depth per node: thresholds reaching at
-// most histH steps back resolve dirty columns from precomputed masks.
-// Must be a power of two.
-const histH = 32
-
-// workerScratch is one worker's private workspace: the dirty-column
-// masks being assembled, their bitset form, and the worker's count of
-// recomputed cells, padded off every other worker's cache lines.
-type workerScratch struct {
-	cols  matrix.Bitset
-	masks []uint64
-	cells int
-	_     [64]byte
-}
-
-// rowTask is one unit of sharded work: compute node i's σ-row into dst
-// from the β-resolved neighbour tables. A run's tasks are tracked
+// rowTask is one row computation: node i's σ-row into dst from the
+// β-resolved neighbour tables. A run's tasks are tracked
 // (inc != nil): they recompute only the columns whose inputs changed
 // since the row's last recomputation, copy prev for the rest, and record
 // the columns whose value moved in chg; Engine.SigmaInto's are not. Row is
@@ -240,13 +191,10 @@ type rowOps[R, Row any] interface {
 	prepare(r *run[R, Row], n int)
 	// encodeRow writes a reference row into a freshly allocated Row.
 	encodeRow(dst Row, src []R)
-	emptyRow(a Row) bool
-	// sameRow reports whether two non-empty rows share backing storage.
-	sameRow(a, b Row) bool
 	// materialise converts a snapshot into a standalone state.
 	materialise(s []Row) *matrix.State[R]
 	// runTask executes one row task on behalf of the given worker.
-	runTask(tk *rowTask[R, Row], worker int)
+	runTask(tk rowTask[R, Row], worker int)
 }
 
 // run is the mutable state of one evaluation, generic over the row
@@ -276,17 +224,23 @@ type run[R, Row any] struct {
 	// per-run working storage, retained across runs when pooled
 	nbr      []int32 // flat in-neighbour lists: node i's are nbr[nbrOff[i]:nbrOff[i+1]]
 	nbrOff   []int32
-	tabs     [][]Row // per-node β-resolved table scratch
-	actives  []int
-	tasks    []rowTask[R, Row]
-	job      job // the parallel step in flight; reused, one per run
-	loArena  []int32
-	betaBuf  []int
-	actMinB  []int32 // per processed activation: node and min β, for certification
-	actNodes []int32
+	lo       []int32   // per-edge unchanged-since thresholds, indexed like nbr
+	tabs     [][]Row   // per-node β-resolved table scratch
+	repl     [][]int32 // per ring slot: the nodes whose row that state's step replaced
+	job      job       // the parallel step in flight; reused, one per run
 	certStmp []int32
-	seenRows []Row   // ring-reclaim dedup scratch
 	cws      []colWS // columnar per-worker scratch (nil on the interface path)
+
+	// The step in flight, as its activations read it.
+	now     int
+	cur     []Row   // the state being built at now
+	actives []int   // α(now)
+	minB    []int32 // per activation: its least β, for certification
+	fanned  bool    // the activations run on the pool, each on its row in taken
+	taken   []Row
+	// The last step with activations: rows it recomputed, of lastActs
+	// activations. The next fan-out decision weighs its activations by it.
+	lastRows, lastActs int
 
 	// The evaluation in progress — the loop's position and carried state,
 	// kept on the run so that pausing is a return from step and resuming
@@ -300,7 +254,7 @@ type run[R, Row any] struct {
 	events     []TimelineEvent[R] // the timeline to play; events[:nextEv] have fired
 	nextEv     int
 	marks      []*matrix.State[R]
-	prev       []Row // the state at t
+	prev       []Row // the state at t (at now−1 while a step is in flight)
 	lastChange int
 	certGen    int32
 	nCert      int
@@ -330,25 +284,28 @@ func (r *run[R, Row]) newHeader(n int) []Row {
 	return h
 }
 
-// put publishes the state at time t, evicting — and recycling — whatever
-// ages out of the ring.
-func (r *run[R, Row]) put(t int, s []Row) {
+// replaced returns the empty list to record the nodes whose row the step
+// to time t replaces, backed by t's ring slot: that slot's own list
+// belongs to the state put evicts at t, which is no longer consulted.
+func (r *run[R, Row]) replaced(t int) []int32 { return r.repl[t%(r.window+1)][:0] }
+
+// put publishes the state at time t, whose step replaced the rows of the
+// nodes in repl, evicting — and recycling — whatever ages out of the
+// ring. The evictee is the state at t−window−1 and its immediate
+// successor (t−window) is still resident. Row sharing is contiguous in
+// time, so the evictee's rows that the successor's step replaced are
+// unreachable, and they are the only ones: eviction costs O(rows
+// replaced), not O(n).
+func (r *run[R, Row]) put(t int, s []Row, repl []int32) {
 	size := r.window + 1
 	slot := t % size
 	if old := r.ring[slot]; old != nil {
-		// The evictee is the state at t−window−1; its immediate successor
-		// (t−window) is still resident. Row sharing is contiguous in time,
-		// so a row the successor does not share is unreachable and can be
-		// reused.
-		next := r.ring[(t-r.window)%size]
-		for i, row := range old {
-			if !r.ops.emptyRow(row) && !r.ops.sameRow(row, next[i]) {
-				r.freeRows = append(r.freeRows, row)
-			}
+		for _, i := range r.repl[(t-r.window)%size] {
+			r.freeRows = append(r.freeRows, old[i])
 		}
 		r.freeHdrs = append(r.freeHdrs, old)
 	}
-	r.ring[slot] = s
+	r.ring[slot], r.repl[slot] = s, repl
 }
 
 // at resolves a β lookup: the state at time b, read while computing time t.
@@ -362,191 +319,11 @@ func (r *run[R, Row]) at(t, b int) []Row {
 	return r.ring[b%(r.window+1)]
 }
 
-// spareShape is what run scratch is sized for. A run is only ever reused
-// at the shape it was built for — a spare of another shape is left for
-// its own kind (and in time evicted), never resized in place.
-type spareShape struct {
-	typ              any // (*run[R, Row])(nil): the row type
-	n, workers, geom int
-}
-
-// spareShapes is how many shapes' worth of parked runs the process keeps.
-const spareShapes = 4
-
-// spares is the process-wide list of parked run scratch, least recently
-// parked first: what makes a warm evaluation loop allocate (almost)
-// nothing, whether the next run is on this engine or on a fresh one (the
-// service builds an engine per request). Plain slots rather than a
-// sync.Pool so the garbage the run itself no longer produces cannot
-// trigger the GC into discarding the very scratch that eliminates it.
-//
-// The bound is constants: at most GOMAXPROCS runs of one shape (more are
-// not in use at once without oversubscribing) and spareShapes·GOMAXPROCS
-// in all, the least recently parked evicted first. A parked run of n
-// nodes and window w holds at most (w+1)·n rows of n cells, n² row
-// headers of β-resolved tables and 12·n² bytes of change tracking (ver,
-// lastRead, the mask ring): ≈ 0.3 MB at the service's n = 64, w = 4, so
-// ≤ 2.4 MB retained on 2 CPUs; ≈ 35 MB a run at E5's n = 512, w = 8. It
-// holds nothing of the engine, adjacency, source or timeline it last
-// served (see release).
-var spares struct {
-	sync.Mutex
-	list []parked
-}
-
-type parked struct {
-	shape spareShape
-	run   any
-}
-
-// takeSpare removes and returns the most recently parked run of the
-// shape, nil when there is none.
-func takeSpare(shape spareShape) any {
-	spares.Lock()
-	defer spares.Unlock()
-	for idx := len(spares.list) - 1; idx >= 0; idx-- {
-		if p := spares.list[idx]; p.shape == shape {
-			spares.list = slices.Delete(spares.list, idx, idx+1)
-			return p.run
-		}
-	}
-	return nil
-}
-
-// parkSpare parks a released run, evicting the least recently parked run
-// of its shape when GOMAXPROCS of them are parked already, else of any
-// shape when the list is full.
-func parkSpare(shape spareShape, r any) {
-	perShape := runtime.GOMAXPROCS(0)
-	spares.Lock()
-	defer spares.Unlock()
-	oldest, same := 0, 0
-	for idx := len(spares.list) - 1; idx >= 0; idx-- {
-		if spares.list[idx].shape == shape {
-			oldest, same = idx, same+1
-		}
-	}
-	if same >= perShape {
-		spares.list = slices.Delete(spares.list, oldest, oldest+1)
-	} else if len(spares.list) >= spareShapes*perShape {
-		spares.list = slices.Delete(spares.list, 0, 1)
-	}
-	spares.list = append(spares.list, parked{shape, r})
-}
-
-// acquireRun returns a run ready for evaluation: a parked one of exactly
-// this shape (scratch, history ring, row slabs and change-tracking
-// matrices reset and reused) when there is one, a fresh one otherwise.
-func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window int) *run[R, Row] {
-	shape := spareShape{(*run[R, Row])(nil), n, e.workers, ops.geom()}
-	r, _ := takeSpare(shape).(*run[R, Row])
-	if r == nil {
-		r = &run[R, Row]{shape: shape}
-	}
-	r.ops = ops
-	if r.slab == nil {
-		r.slab = ops.newSlab()
-	}
-	ops.prepare(r, n)
-	r.window = window
-	r.stats, r.owed = Stats{}, r.owed[:0]
-	if len(r.ring) != window+1 {
-		r.ring = make([][]Row, window+1)
-	}
-	if r.inc == nil {
-		wper := (n + 63) / 64
-		r.inc = &incShared{
-			n: n, ver: make([]int32, n*n),
-			wordMax: make([]int32, n*wper), wper: wper,
-			rowMax:    make([]int32, n),
-			hist:      make([]uint64, n*histH*wper),
-			histStamp: make([]int32, n*histH),
-			scratch:   make([]workerScratch, e.workers),
-		}
-		for w, b := range matrix.NewBitsets(e.workers, n) {
-			r.inc.scratch[w].cols = b
-		}
-		r.lastComp = make([]int32, n)
-		r.lastRead = make([]int32, n*n)
-		r.chg = matrix.NewBitsets(n, n)
-	} else {
-		clear(r.inc.ver)
-		clear(r.inc.wordMax)
-		clear(r.inc.rowMax)
-		clear(r.inc.histStamp)
-		clear(r.lastRead)
-		for w := range r.inc.scratch {
-			r.inc.scratch[w].cells = 0
-		}
-		// r.chg is clear: the serial fold clears every set bitset before
-		// the step that set it returns, and scratch is only ever pooled
-		// between steps. hist needs no clearing — stale slots fail their
-		// stamp check.
-	}
-	r.inc.top = 0
-	for i := range r.lastComp {
-		r.lastComp[i] = -1
-	}
-	if cap(r.actives) < n {
-		r.actives = make([]int, 0, n)
-	}
-	if len(r.tabs) != n {
-		r.tabs = make([][]Row, n)
-	}
-	return r
-}
-
-// release ends the evaluation: it reclaims the run's history rows and
-// headers into its free lists and parks the scratch on the spare
-// list. Row sharing is contiguous in time, so the distinct rows of one
-// node across the ring are found by a pointer scan; everything reclaimed
-// here feeds the next run's newRow/newHeader without touching the
-// allocator.
-func (r *run[R, Row]) release() {
-	ops := r.ops
-	// A parked run pins nothing of what it served: not the engine (closed
-	// or not), its adjacency, the source or the timeline's closures.
-	r.e, r.ops, r.sched, r.pw, r.events, r.marks, r.prev = nil, nil, nil, pointwise{}, nil, nil, nil
-	seen := r.seenRows
-	for i := 0; i < r.n; i++ {
-		seen = seen[:0]
-		for _, s := range r.ring {
-			if s == nil {
-				continue
-			}
-			row := s[i]
-			if ops.emptyRow(row) {
-				continue
-			}
-			dup := false
-			for _, q := range seen {
-				if ops.sameRow(q, row) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				seen = append(seen, row)
-				r.freeRows = append(r.freeRows, row)
-			}
-		}
-	}
-	r.seenRows = seen[:0]
-	for si, s := range r.ring {
-		if s != nil {
-			r.freeHdrs = append(r.freeHdrs, s)
-			r.ring[si] = nil
-		}
-	}
-	// So do the rowTask values lingering in the retained task backing.
-	clear(r.tasks[:cap(r.tasks)])
-	parkSpare(r.shape, r)
-}
-
 // neighbours rebuilds the run's flat in-neighbour lists (r.nbr, r.nbrOff)
-// from the adjacency, and grows the per-activation β scratch to the new
-// maximum degree. Built per run, and again after a timeline mutation,
-// because the topology moves between and within runs.
+// from the adjacency, sizes the per-edge thresholds to them, and grows
+// every worker's β scratch to the new maximum degree. Built per run, and
+// again after a timeline mutation, because the topology moves between and
+// within runs.
 func (r *run[R, Row]) neighbours() {
 	adj, n := r.e.adj, r.n
 	if cap(r.nbrOff) < n+1 {
@@ -564,8 +341,15 @@ func (r *run[R, Row]) neighbours() {
 	}
 	off[n] = int32(len(nbr))
 	r.nbr, r.nbrOff = nbr, off
-	if d := maxDegree(off); len(r.betaBuf) < d {
-		r.betaBuf = make([]int, d)
+	if cap(r.lo) < len(nbr) {
+		r.lo = make([]int32, len(nbr))
+	}
+	r.lo = r.lo[:len(nbr)]
+	d := maxDegree(off)
+	for w := range r.inc.scratch {
+		if ws := &r.inc.scratch[w]; len(ws.betas) < d {
+			ws.betas = make([]int, d)
+		}
 	}
 }
 
@@ -581,44 +365,17 @@ func (e *Engine[R]) Run(start *matrix.State[R], src Source) *Result[R] {
 	return st.Result()
 }
 
-// foldRowChanges publishes node i's changed-destination scratch bitset
-// (r.chg[i]) for step t into the last-changed matrix, the change-mask
-// ring, and the word/row dirty summaries, then clears it. It reports
-// whether any column actually changed.
-func (r *run[R, Row]) foldRowChanges(i, t int) bool {
-	chgI := &r.chg[i]
-	if chgI.Empty() {
-		return false
-	}
-	base := i * r.inc.n
-	wbase := i * r.inc.wper
-	slot := i*histH + t&(histH-1)
-	hb := r.inc.hist[slot*r.inc.wper : (slot+1)*r.inc.wper]
-	clear(hb)
-	r.inc.histStamp[slot] = int32(t)
-	chgI.ForEachWord(func(wi int, w uint64) {
-		hb[wi] = w
-		r.inc.wordMax[wbase+wi] = int32(t)
-		jb := base + wi<<6
-		for w != 0 {
-			r.inc.ver[jb+bits.TrailingZeros64(w)] = int32(t)
-			w &= w - 1
-		}
-	})
-	r.inc.rowMax[i] = int32(t)
-	chgI.Clear()
-	return true
-}
-
 // load publishes a dense state as the run's state at time t.
+// Every row is new, so it replaces every row of any predecessor.
 func (r *run[R, Row]) load(t int, st *matrix.State[R]) {
-	s := r.newHeader(r.n)
+	s, repl := r.newHeader(r.n), r.replaced(t)
 	for i := range s {
 		row := r.newRow(r.n)
 		r.ops.encodeRow(row, st.RowView(i))
 		s[i] = row
+		repl = append(repl, int32(i))
 	}
-	r.put(t, s)
+	r.put(t, s, repl)
 	r.prev = s
 }
 
@@ -639,17 +396,9 @@ func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events [
 	r.doTerm, r.fairP = doTerm, fairP
 	r.events, r.nextEv = events, 0
 	r.lastChange, r.certGen, r.nCert, r.converged = 0, 1, 0, false
+	r.lastRows, r.lastActs = 1, 1
 	r.neighbours()
-	// loArena backs the per-task threshold slices of one step; sized to
-	// the edge count, it never grows within a step.
-	if cap(r.loArena) < len(r.nbr) {
-		r.loArena = make([]int32, 0, len(r.nbr))
-	}
 	if doTerm {
-		if cap(r.actMinB) < n {
-			r.actMinB = make([]int32, 0, n)
-			r.actNodes = make([]int32, 0, n)
-		}
 		if len(r.certStmp) != n {
 			r.certStmp = make([]int32, n)
 		} else {
@@ -694,9 +443,10 @@ func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events [
 
 // step evaluates time steps t+1 … until (clamped to the horizon) and
 // reports whether the run is done: the horizon was reached or convergence
-// was certified. Everything the loop touches per step is hoisted into
+// was certified. What the loop carries from step to step is hoisted into
 // locals here and written back on return, so a run driven in one call
-// pays nothing for being pausable.
+// pays nothing for being pausable; what a step's activations read is on
+// the run (now, cur, prev), because they may run on the pool's helpers.
 func (r *run[R, Row]) step(until int) bool {
 	if until > r.T {
 		until = r.T
@@ -705,11 +455,8 @@ func (r *run[R, Row]) step(until int) bool {
 		return r.converged || r.t >= r.T
 	}
 	e, ops, sched, n := r.e, r.ops, r.sched, r.n
-	doTerm := r.doTerm
-	nbr, nbrOff, tabs, betaBuf, certStmp := r.nbr, r.nbrOff, r.tabs, r.betaBuf, r.certStmp
-	actives, tasks, loArena := r.actives[:0], r.tasks, r.loArena[:0]
-	actMinB, actNodes := r.actMinB[:0], r.actNodes[:0]
-	prev, lastChange, certGen, nCert := r.prev, r.lastChange, r.certGen, r.nCert
+	doTerm, certStmp := r.doTerm, r.certStmp
+	lastChange, certGen, nCert := r.lastChange, r.certGen, r.nCert
 
 	t := r.t
 	for t < until {
@@ -722,6 +469,8 @@ func (r *run[R, Row]) step(until int) bool {
 			}
 		}
 		t++
+		cur, repl := r.newHeader(n), r.replaced(t)
+		copy(cur, r.prev)
 		if r.nextEv < len(r.events) && r.events[r.nextEv].Step == t {
 			// Timeline event step: no node activates. Restarted nodes'
 			// rows are replaced by the identity row (recorded as changes
@@ -731,10 +480,8 @@ func (r *run[R, Row]) step(until int) bool {
 			// tracking, so only genuinely moved columns propagate.
 			ev := &r.events[r.nextEv]
 			r.nextEv++
-			cur := r.newHeader(n)
-			copy(cur, prev)
 			if len(ev.Restart) > 0 {
-				prevSnap := ops.materialise(prev)
+				prevSnap := ops.materialise(r.prev)
 				var scratch []R
 				for _, i := range ev.Restart {
 					if scratch == nil {
@@ -744,9 +491,14 @@ func (r *run[R, Row]) step(until int) bool {
 						scratch[j] = e.alg.Invalid()
 					}
 					scratch[i] = e.alg.Trivial()
-					row := r.newRow(n)
+					// A node listed twice restarts on the row it already has.
+					row := cur[i]
+					if !slices.Contains(repl, int32(i)) {
+						row = r.newRow(n)
+						cur[i] = row
+						repl = append(repl, int32(i))
+					}
 					ops.encodeRow(row, scratch)
-					cur[i] = row
 					old := prevSnap.RowView(i)
 					chgI := &r.chg[i]
 					for j := 0; j < n; j++ {
@@ -765,7 +517,6 @@ func (r *run[R, Row]) step(until int) bool {
 				// compiled for a later run can never be served stale.
 				e.adj.Touch()
 				r.neighbours()
-				nbr, nbrOff, betaBuf = r.nbr, r.nbrOff, r.betaBuf
 				if ev.Invalidate == nil {
 					for i := range r.lastComp {
 						r.lastComp[i] = -1
@@ -776,8 +527,8 @@ func (r *run[R, Row]) step(until int) bool {
 				r.lastComp[i] = -1
 			}
 			r.inc.top = int32(t)
-			r.put(t, cur)
-			prev = cur
+			r.put(t, cur, repl)
+			r.prev = cur
 			r.marks = append(r.marks, ops.materialise(cur))
 			// An event reopens the convergence question from scratch.
 			lastChange = t
@@ -785,98 +536,61 @@ func (r *run[R, Row]) step(until int) bool {
 			nCert = 0
 			continue
 		}
-		actives = sched.ActiveSet(t, actives[:0])
-		cur := r.newHeader(n)
-		copy(cur, prev)
+		actives := sched.ActiveSet(t, r.actives[:0])
+		r.actives = actives
 		stepChanged := false
 		if len(actives) > 0 {
-			// The skip pass builds one task per row that survives it; the
-			// fan-out decision afterwards weighs only those rows' work (in
-			// a convergence tail most activations skip).
-			tasks = tasks[:0]
-			loArena = loArena[:0]
-			actMinB = actMinB[:0]
-			actNodes = actNodes[:0]
-			stepOps := 0
+			r.now, r.cur, r.minB = t, cur, r.minB[:len(actives)]
+			// The fan-out decision comes before any skip test, so it weighs
+			// what every activation would walk at most, n·(deg+1), by the
+			// share of its activations the run's last step recomputed: in
+			// a convergence tail most activations skip, and a step whose
+			// rows mostly skip stays inline.
+			actOps := 0
 			for _, i := range actives {
-				nb := nbr[nbrOff[i]:nbrOff[i+1]]
-				minB := sched.Betas(t, i, nb, betaBuf)
-				// A first activation (nothing to reuse yet) recomputes in
-				// full; the kernel still tracks changes against the node's
-				// starting row, so ConvergedAt and FixedPoint round counts
-				// stay exact.
-				base, arena0, compute := i*n, -1, true
-				if r.lastComp[i] >= 0 {
-					// The node has a previous row. Decide in O(deg) whether
-					// any β-resolved input changed since it was computed;
-					// if not, the row is structurally unchanged — skip it.
-					arena0, compute = len(loArena), false
-					for ai, k32 := range nb {
-						lo := min(betaBuf[ai], int(r.lastRead[base+int(k32)]))
-						loArena = append(loArena, int32(lo))
-						if int(r.inc.rowMax[k32]) > lo {
-							compute = true
-						}
-					}
+				actOps += n * int(r.nbrOff[i+1]-r.nbrOff[i]+1)
+			}
+			r.fanned = len(actives) > 1 && e.fanOut(actOps*r.lastRows/r.lastActs)
+			if r.fanned {
+				// The free list is not the tasks' to share: each activation
+				// gets a row taken here, and the fold returns those that
+				// skipped.
+				r.taken = r.taken[:0]
+				for range actives {
+					r.taken = append(r.taken, r.newRow(n))
 				}
-				if compute {
-					tb := tabs[i]
-					if tb == nil {
-						tb = r.newHeader(n)
-						tabs[i] = tb
-					}
-					for ai, k32 := range nb {
-						k := int(k32)
-						tb[k] = r.at(t, betaBuf[ai])[k]
-						r.lastRead[base+k] = int32(betaBuf[ai])
-					}
-					r.lastComp[i] = int32(t)
-					cur[i] = r.newRow(n)
-					var lo []int32 // nil: a full (first-activation) recomputation
-					if arena0 >= 0 {
-						lo = loArena[arena0 : arena0+len(nb) : arena0+len(nb)]
-					}
-					tasks = append(tasks, rowTask[R, Row]{
-						i: i, tabs: tb, dst: cur[i],
-						inc: r.inc, prev: prev[i], nbr: nb, lo: lo, chg: &r.chg[i],
-					})
-					// What the kernel walks at most: n columns over the
-					// neighbour list; a dirty scan may touch far fewer.
-					stepOps += n * (len(nb) + 1)
-				} else {
-					r.stats.RowsSkipped++
-					for ai, k32 := range nb {
-						// The kept row is also valid against the fresher
-						// read time — advance it to maximise future skips.
-						if slot := base + int(k32); int32(betaBuf[ai]) > r.lastRead[slot] {
-							r.lastRead[slot] = int32(betaBuf[ai])
-						}
-					}
-					loArena = loArena[:arena0]
-				}
-				if doTerm {
-					actNodes = append(actNodes, int32(i))
-					actMinB = append(actMinB, int32(minB))
+				e.pool.do(&r.job, min(e.workers, len(actives)), len(actives), r)
+			} else {
+				for idx := range actives {
+					r.activate(idx, 0)
 				}
 			}
-			if len(tasks) > 0 {
-				r.tasks = tasks
-				r.exec(e.fanOut(stepOps))
-			}
-			r.stats.RowsComputed += len(tasks)
 
-			// Serial fold: publish this step's changed-destination sets
-			// into the last-changed matrix, the change-mask ring, and the
-			// global dirty frontier.
-			for k := range tasks {
-				if r.foldRowChanges(tasks[k].i, t) {
+			// Serial fold: publish the changed-destination sets of the
+			// rows this step recomputed (lastComp = t) into the
+			// last-changed matrix, the change-mask ring, and the global
+			// dirty frontier.
+			rows := 0
+			for idx, i := range actives {
+				if r.lastComp[i] != int32(t) {
+					if r.fanned {
+						r.freeRows = append(r.freeRows, r.taken[idx])
+					}
+					continue
+				}
+				rows++
+				repl = append(repl, int32(i))
+				if r.foldRowChanges(i, t) {
 					stepChanged = true
 				}
 			}
+			r.stats.RowsComputed += rows
+			r.stats.RowsSkipped += len(actives) - rows
+			r.lastRows, r.lastActs = rows, len(actives)
 			r.inc.top = int32(t)
 		}
-		r.put(t, cur)
-		prev = cur
+		r.put(t, cur, repl)
+		r.prev = cur
 
 		if doTerm {
 			// Convergence certification. A change at t opens a new
@@ -893,9 +607,9 @@ func (r *run[R, Row]) step(until int) bool {
 				certGen++
 				nCert = 0
 			}
-			for idx, i32 := range actNodes {
-				if int(actMinB[idx]) >= lastChange && certStmp[i32] != certGen {
-					certStmp[i32] = certGen
+			for idx, i := range actives {
+				if int(r.minB[idx]) >= lastChange && certStmp[i] != certGen {
+					certStmp[i] = certGen
 					nCert++
 				}
 			}
@@ -909,13 +623,79 @@ func (r *run[R, Row]) step(until int) bool {
 			}
 		}
 	}
-	// Hand the position, and any backing the loop grew, back to the run.
-	r.t, r.prev = t, prev
+	// Hand the position back to the run.
+	r.t = t
 	r.lastChange, r.certGen, r.nCert = lastChange, certGen, nCert
-	r.actives, r.tasks, r.loArena = actives[:0], tasks, loArena[:0]
-	r.actMinB, r.actNodes = actMinB[:0], actNodes[:0]
 	return r.converged || t >= r.T
 }
+
+// activate evaluates activation idx of the step in flight — node i =
+// actives[idx] — on behalf of worker; it is the unit of parallel work. It
+// draws i's β values, decides in O(deg) whether any β-resolved input
+// changed since i's row was computed, and only when one did resolves i's
+// tables, takes a row and runs the kernel. It writes i's own state (its
+// thresholds, tables, lastRead and lastComp entries, cur[i], chg[i]), slot
+// idx of minB and the worker's scratch, and reads only what the serial
+// fold and put leave alone until every activation of the step is done, so
+// a step's activations run in any order, on any worker.
+func (r *run[R, Row]) activate(idx, worker int) {
+	i, t, n := r.actives[idx], r.now, r.n
+	ws := &r.inc.scratch[worker]
+	off0, off1 := r.nbrOff[i], r.nbrOff[i+1]
+	nb := r.nbr[off0:off1]
+	betas := ws.betas[:len(nb)]
+	r.minB[idx] = int32(r.sched.Betas(t, i, nb, betas))
+	// A first activation (nothing to reuse yet) recomputes in full; the
+	// kernel still tracks changes against the node's starting row, so
+	// ConvergedAt and FixedPoint round counts stay exact.
+	base := i * n
+	var lo []int32 // nil: a full (first-activation) recomputation
+	if r.lastComp[i] >= 0 {
+		// The node has a previous row. Decide in O(deg) whether any
+		// β-resolved input changed since it was computed; if not, the row
+		// is structurally unchanged — skip it.
+		lo = r.lo[off0:off1:off1]
+		compute := false
+		for ai, k32 := range nb {
+			l := min(int32(betas[ai]), r.lastRead[base+int(k32)])
+			lo[ai] = l
+			if r.inc.rowMax[k32] > l {
+				compute = true
+			}
+		}
+		if !compute {
+			for ai, k32 := range nb {
+				// The kept row is also valid against the fresher read
+				// time — advance it to maximise future skips.
+				if slot := base + int(k32); int32(betas[ai]) > r.lastRead[slot] {
+					r.lastRead[slot] = int32(betas[ai])
+				}
+			}
+			return
+		}
+	}
+	tb := r.tabs[i]
+	for ai, k32 := range nb {
+		k := int(k32)
+		tb[k] = r.at(t, betas[ai])[k]
+		r.lastRead[base+k] = int32(betas[ai])
+	}
+	r.lastComp[i] = int32(t)
+	var row Row
+	if r.fanned {
+		row = r.taken[idx]
+	} else {
+		row = r.newRow(n)
+	}
+	r.cur[i] = row
+	r.ops.runTask(rowTask[R, Row]{
+		i: i, tabs: tb, dst: row,
+		inc: r.inc, prev: r.prev[i], nbr: nb, lo: lo, chg: &r.chg[i],
+	}, worker)
+}
+
+// runIdx implements tasker: a fanned-out step's tasks are its activations.
+func (r *run[R, Row]) runIdx(idx, worker int) { r.activate(idx, worker) }
 
 // completed returns the last completed step.
 func (r *run[R, Row]) completed() int { return r.t }
@@ -970,8 +750,8 @@ func maxDegree(off []int32) int {
 	return max
 }
 
-// fanOut decides whether a step of stepOps work fans its row tasks out to
-// the pool or runs them inline on the caller.
+// fanOut decides whether a step of stepOps work fans its tasks out to the
+// pool or runs them inline on the caller.
 func (e *Engine[R]) fanOut(stepOps int) bool {
 	return e.workers > 1 && stepOps >= e.minOps
 }
@@ -987,16 +767,12 @@ func (genOps[R]) prepare(*run[R, []R], int) {}
 
 func (genOps[R]) encodeRow(dst, src []R) { copy(dst, src) }
 
-func (genOps[R]) emptyRow(a []R) bool { return len(a) == 0 }
-
-func (genOps[R]) sameRow(a, b []R) bool { return &a[0] == &b[0] }
-
 func (o genOps[R]) materialise(s [][]R) *matrix.State[R] { return materialise(o.e.alg, s) }
 
 // runTask executes one row task. Untracked tasks run the plain kernel;
 // tracked tasks resolve the row's dirty columns from the last-changed
 // matrix, recompute only those, and record which moved.
-func (o genOps[R]) runTask(tk *rowTask[R, []R], worker int) {
+func (o genOps[R]) runTask(tk rowTask[R, []R], worker int) {
 	e := o.e
 	if tk.inc == nil {
 		matrix.SigmaRowInto(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.dst)
@@ -1023,118 +799,6 @@ func (o genOps[R]) runTask(tk *rowTask[R, []R], worker int) {
 	ws.cells += matrix.SigmaRowChanged(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, cols, tk.chg)
 }
 
-// dirtyMasks computes the row's dirty-column set — the destinations
-// whose β-resolved inputs changed since the row's thresholds — as one
-// mask word per 64 columns, returning the masks and the dirty count. The
-// scan prunes at three granularities before touching a single per-column
-// stamp: a neighbour whose whole row is clean since its threshold
-// (rowMax) is dropped up front, a clean 64-column word costs one compare
-// (wordMax), and a word already fully dirty from an earlier neighbour is
-// skipped — change wavefronts make full words common. Both resolveDirty
-// and resolveDirtySel emit exactly this set, so the interface and
-// columnar paths have identical Stats by construction.
-func dirtyMasks(inc *incShared, nbr, lo []int32, ws *workerScratch) ([]uint64, int) {
-	n, wper, top := inc.n, inc.wper, int(inc.top)
-	if cap(ws.masks) < wper {
-		ws.masks = make([]uint64, wper)
-	}
-	masks := ws.masks[:wper]
-	clear(masks)
-	for ai, k32 := range nbr {
-		k := int(k32)
-		l := int(lo[ai])
-		if int(inc.rowMax[k]) <= l {
-			continue
-		}
-		if l >= top-histH {
-			// The threshold is within the mask ring: the dirty set is the
-			// union of this neighbour's change masks over (l, top] — a
-			// stamp check and at most wper ORs per step in the window.
-			stampRow := inc.histStamp[k*histH : (k+1)*histH]
-			histRow := inc.hist[k*histH*wper : (k+1)*histH*wper]
-			for s := l + 1; s <= top; s++ {
-				sl := s & (histH - 1)
-				if stampRow[sl] != int32(s) {
-					continue
-				}
-				for x, h := range histRow[sl*wper : (sl+1)*wper] {
-					masks[x] |= h
-				}
-			}
-			continue
-		}
-		// Threshold older than the ring: exact per-column scan against
-		// ver, one 64-column word at a time, skipping words the summary
-		// proves clean and words already fully dirty.
-		row := inc.ver[k*n : (k+1)*n]
-		wm := inc.wordMax[k*wper : (k+1)*wper]
-		l32 := lo[ai]
-		for wi, m := range masks {
-			if wm[wi] <= l32 {
-				continue
-			}
-			jlo, jhi := wi<<6, min(wi<<6+64, n)
-			if m == ^uint64(0)>>(64-(jhi-jlo)) {
-				continue
-			}
-			for x, v := range row[jlo:jhi] {
-				if v > l32 {
-					m |= 1 << x
-				}
-			}
-			masks[wi] = m
-		}
-	}
-	dirtyCnt := 0
-	for _, m := range masks {
-		dirtyCnt += bits.OnesCount64(m)
-	}
-	return masks, dirtyCnt
-}
-
-// resolveDirty writes the row's dirty-column set into ws.cols and returns
-// the dirty count (the interface path's form).
-func resolveDirty(inc *incShared, nbr, lo []int32, ws *workerScratch) int {
-	masks, dirtyCnt := dirtyMasks(inc, nbr, lo, ws)
-	for wi, m := range masks {
-		ws.cols.StoreWord(wi, m)
-	}
-	return dirtyCnt
-}
-
-// resolveDirtySel appends the row's dirty columns to sel in ascending
-// order (the selection vector the columnar kernels iterate).
-func resolveDirtySel(inc *incShared, nbr, lo []int32, ws *workerScratch, sel []int32) []int32 {
-	masks, _ := dirtyMasks(inc, nbr, lo, ws)
-	for wi, m := range masks {
-		jb := wi << 6
-		for m != 0 {
-			sel = append(sel, int32(jb+bits.TrailingZeros64(m)))
-			m &= m - 1
-		}
-	}
-	return sel
-}
-
-// exec runs the step's row tasks (r.tasks), across the pool when fan says
-// the step is big enough to pay for it. Tasks write disjoint rows, so the
-// merge is a no-op and the result is bit-identical to sequential order.
-// The job is the run's own: concurrent runs on one engine share the pool,
-// never a job.
-func (r *run[R, Row]) exec(fan bool) {
-	e, tasks := r.e, r.tasks
-	if !fan || len(tasks) == 1 {
-		for i := range tasks {
-			r.ops.runTask(&tasks[i], 0)
-		}
-		return
-	}
-	e.pool.do(&r.job, min(e.workers, len(tasks)), len(tasks), r)
-}
-
-// runIdx implements tasker.
-func (r *run[R, Row]) runIdx(idx, worker int) { r.ops.runTask(&r.tasks[idx], worker) }
-
 // materialise copies a snapshot into a standalone matrix.State.
 func materialise[R any](alg core.Algebra[R], s [][]R) *matrix.State[R] {
 	st := matrix.NewState(len(s), alg.Invalid())
@@ -1148,12 +812,27 @@ func materialise[R any](alg core.Algebra[R], s [][]R) *matrix.State[R] {
 func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 	n := x.N
 	tabs := x.RowViews()
-	tasks := make([]rowTask[R, []R], n)
-	for i := range tasks {
-		tasks[i] = rowTask[R, []R]{i: i, tabs: tabs, dst: out.RowView(i)}
+	s := &sigmaTasks[R]{ops: genOps[R]{e: e}, tasks: make([]rowTask[R, []R], n)}
+	for i := range s.tasks {
+		s.tasks[i] = rowTask[R, []R]{i: i, tabs: tabs, dst: out.RowView(i)}
 	}
-	(&run[R, []R]{e: e, ops: genOps[R]{e: e}, tasks: tasks}).exec(e.fanOut(n * n * n))
+	if n > 1 && e.fanOut(n*n*n) {
+		e.pool.do(&s.job, min(e.workers, n), n, s)
+		return
+	}
+	for i := range s.tasks {
+		s.runIdx(i, 0)
+	}
 }
+
+// sigmaTasks is SigmaInto's tasker: one untracked row task per node.
+type sigmaTasks[R any] struct {
+	ops   genOps[R]
+	tasks []rowTask[R, []R]
+	job   job
+}
+
+func (s *sigmaTasks[R]) runIdx(idx, worker int) { s.ops.runTask(s.tasks[idx], worker) }
 
 // FixedPoint iterates σ from start until a fixed point or maxRounds, the
 // sharded counterpart of matrix.FixedPoint. It returns the final state,

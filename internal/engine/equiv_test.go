@@ -169,18 +169,19 @@ func runEquiv[R any](t *testing.T, alg core.Algebra[R], adj *matrix.Adjacency[R]
 		if par.Stats() != seq.Stats() {
 			t.Fatalf("sharded stats %+v, sequential %+v", par.Stats(), seq.Stats())
 		}
-		// A row is the unit of parallel work: every step fans out, and
-		// builds exactly one task per computing row, however many workers
-		// are idle.
+		// An activation is the unit of parallel work: every step fans out,
+		// and builds exactly one task per activation — computed or
+		// skipped — however many workers are idle.
 		st := mustStart(t, sharded, start, sched, nil)
 		defer st.Close()
-		for k, rows := 1, 0; k <= sched.T; k++ {
+		for k, acts := 1, 0; k <= sched.T; k++ {
 			st.Step(k)
-			if computed := st.Stats().RowsComputed - rows; computed > 0 {
-				if tasks := engine.LastStepTasks(st); tasks != computed {
-					t.Fatalf("step %d: %d rows over 8 workers ran as %d tasks, want one task per row", k, computed, tasks)
+			stats := st.Stats()
+			if activated := stats.RowsComputed + stats.RowsSkipped - acts; activated > 0 {
+				if tasks := engine.LastStepTasks(st); tasks != activated {
+					t.Fatalf("step %d: %d activations over 8 workers ran as %d tasks, want one task per activation", k, activated, tasks)
 				}
-				rows += computed
+				acts += activated
 			}
 		}
 	})
@@ -280,7 +281,8 @@ func TestHashedSourceConverges(t *testing.T) {
 
 // TestLyingLookbackPanics: the ring is as deep as the source says, so a
 // source that understates its MaxLookback must panic at the first β
-// reaching past it, not read stale memory.
+// reaching past it, not read stale memory — on the caller's goroutine,
+// also when the activation that draws it runs on a pool helper.
 func TestLyingLookbackPanics(t *testing.T) {
 	alg, adj, _ := hopNet()
 	rng := rand.New(rand.NewSource(7))
@@ -288,12 +290,20 @@ func TestLyingLookbackPanics(t *testing.T) {
 	if sched.MaxLookback() <= 2 {
 		t.Skip("draw happened to be fresh; nothing to trip over")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a source claiming MaxLookback 1 over a staler β must panic, not read stale memory")
-		}
-	}()
-	engine.Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, adj.N), lookback{sched, 1})
+	for _, eng := range []*engine.Engine[algebras.NatInf]{
+		engine.New[algebras.NatInf](alg, adj, engine.Config{}),
+		engine.NewSharded[algebras.NatInf](alg, adj, engine.Config{Workers: 4}),
+	} {
+		func() {
+			defer eng.Close()
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a source claiming MaxLookback 1 over a staler β must panic, not read stale memory")
+				}
+			}()
+			eng.Run(matrix.Identity[algebras.NatInf](alg, adj.N), lookback{sched, 1})
+		}()
+	}
 }
 
 func TestRowRecyclingKeepsResultsIntact(t *testing.T) {

@@ -36,13 +36,21 @@ func PoolPolling[R any](e *Engine[R]) (polling int) {
 	return polling
 }
 
-func (r *run[R, Row]) builtTasks() int { return len(r.tasks) }
+func (r *run[R, Row]) builtTasks() int { return len(r.actives) }
 
-// LastStepTasks is how many row tasks the stepper's last step with
-// activations built: one per row it recomputed.
+// LastStepTasks is how many tasks the stepper's last step that was not
+// an event step ran, on the pool or inline: one per activation, so
+// ΔRowsComputed + ΔRowsSkipped of that step.
 func LastStepTasks[R any](s *Stepper[R]) int {
 	return s.run.(interface{ builtTasks() int }).builtTasks()
 }
+
+// Current materialises the stepper's state at its last completed step.
+func Current[R any](s *Stepper[R]) *matrix.State[R] {
+	return s.run.(interface{ current() *matrix.State[R] }).current()
+}
+
+func (r *run[R, Row]) current() *matrix.State[R] { return r.ops.materialise(r.prev) }
 
 // RunResident is e.Run that also reports how many states the run held at
 // its end: the ring's occupancy.

@@ -26,7 +26,7 @@ import "slices"
 // event, and nothing changes in between, so both resolve the same dirty
 // sets afterwards. Rotating the ring by the jump keeps every resident's
 // age, so put still evicts the oldest state and row sharing stays
-// contiguous in time.
+// contiguous in time; each state's replaced-row list rotates with it.
 func (r *run[R, Row]) jump(t, until, lastChange int) int {
 	to := min(until, r.events[r.nextEv].Step-1)
 	if to <= t || t-lastChange <= r.window || !r.settled() {
@@ -34,10 +34,16 @@ func (r *run[R, Row]) jump(t, until, lastChange int) int {
 	}
 	r.owed.add(t+1, to)
 	k := (to - t) % len(r.ring)
-	slices.Reverse(r.ring)
-	slices.Reverse(r.ring[:k])
-	slices.Reverse(r.ring[k:])
+	rotate(r.ring, k)
+	rotate(r.repl, k)
 	return to
+}
+
+// rotate moves every element of s k places on, cyclically.
+func rotate[T any](s []T, k int) {
+	slices.Reverse(s)
+	slices.Reverse(s[:k])
+	slices.Reverse(s[k:])
 }
 
 // settled reports whether every node holds a row last read at or after

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/algebras"
@@ -25,30 +26,39 @@ import (
 
 // probe counts what the engine asks of a source, and passes every
 // optional capability through: active and beta are pointwise calls, sets
-// and rows whole-step ones, counted the steps handed to CountActive.
+// and rows whole-step ones, counted the steps handed to CountActive. The
+// counters are atomic because a fanned-out step draws its activations'
+// β values (rows, or beta through the pointwise adapter) on the pool's
+// workers.
 type probe struct {
 	engine.Source
-	active, beta, sets, rows, counted int
+	active, beta, sets, rows, counted tally
 }
 
-func (p *probe) Active(t, i int) bool { p.active++; return p.Source.Active(t, i) }
-func (p *probe) Beta(t, i, k int) int { p.beta++; return p.Source.Beta(t, i, k) }
+// tally is one probe counter.
+type tally struct{ n atomic.Int64 }
+
+func (c *tally) add(d int) { c.n.Add(int64(d)) }
+func (c *tally) get() int  { return int(c.n.Load()) }
+
+func (p *probe) Active(t, i int) bool { p.active.add(1); return p.Source.Active(t, i) }
+func (p *probe) Beta(t, i, k int) int { p.beta.add(1); return p.Source.Beta(t, i, k) }
 func (p *probe) FairPeriod() int      { return p.Source.(engine.Fair).FairPeriod() }
 func (p *probe) ActiveSet(t int, dst []int) []int {
-	p.sets++
+	p.sets.add(1)
 	return p.Source.(engine.Batched).ActiveSet(t, dst)
 }
 func (p *probe) Betas(t, i int, nbr []int32, dst []int) int {
-	p.rows++
+	p.rows.add(1)
 	return p.Source.(engine.Batched).Betas(t, i, nbr, dst)
 }
 func (p *probe) CountActive(t0, t1 int) int {
-	p.counted += t1 - t0 + 1
+	p.counted.add(t1 - t0 + 1)
 	return p.Source.(engine.Batched).CountActive(t0, t1)
 }
 
 // asked is every schedule question short of a range count.
-func (p *probe) asked() int { return p.active + p.beta + p.sets + p.rows }
+func (p *probe) asked() int { return p.active.get() + p.beta.get() + p.sets.get() + p.rows.get() }
 
 // uncounted is a Fair source with the Batched capability hidden (only
 // Source's methods are promoted): the engine must march it, and count its
@@ -204,15 +214,15 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R], gap, stal
 	marched := marchEveryStep(t, p, hashed, events)
 	jp := &probe{Source: hashed}
 	full := jumpAgainstMarch(t, name+"/hashed", p, jp, events, marched)
-	if jp.counted < T/3 {
-		t.Fatalf("%s: only %d of %d steps were counted, not marched; the timeline has no interlude to jump", name, jp.counted, T)
+	if jp.counted.get() < T/3 {
+		t.Fatalf("%s: only %d of %d steps were counted, not marched; the timeline has no interlude to jump", name, jp.counted.get(), T)
 	}
 	fullSteps := full.Stats().Steps
 	// Every step was marched (one ActiveSet), an event, or jumped and
 	// counted exactly once by the Stats reads that settled it.
-	if jp.sets+len(events)+jp.counted != fullSteps {
+	if jp.sets.get()+len(events)+jp.counted.get() != fullSteps {
 		t.Fatalf("%s: %d marched + %d event + %d counted steps, want the run's %d",
-			name, jp.sets, len(events), jp.counted, fullSteps)
+			name, jp.sets.get(), len(events), jp.counted.get(), fullSteps)
 	}
 	if fp, w := hashed.FairPeriod(), hashed.MaxLookback(); fp-1 > w {
 		// A jump waits for quiet > window, not for a fairness period: it
@@ -224,9 +234,9 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R], gap, stal
 			waited += max(ev.Step-1-(lc[e]+fp-1), 0)
 			soonest += max(ev.Step-1-(lc[e]+w+1), 0)
 		}
-		if jp.counted <= waited || jp.counted > soonest {
+		if jp.counted.get() <= waited || jp.counted.get() > soonest {
 			t.Fatalf("%s: %d steps jumped, want more than the %d a fairness-period wait allows and at most %d",
-				name, jp.counted, waited, soonest)
+				name, jp.counted.get(), waited, soonest)
 		}
 	}
 
@@ -350,25 +360,25 @@ func TestInterludeJumpCost(t *testing.T) {
 		st := mustStart(t, eng, start, p, events)
 		st.Step(settle)
 		st.Stats() // what the run jumped before settle
-		asked, counted, until := p.asked(), p.counted, settle
+		asked, counted, until := p.asked(), p.counted.get(), settle
 		allocs := testing.AllocsPerRun(8, func() {
 			until += gap / 10
 			if st.Step(until) || st.At() != until {
 				t.Fatalf("%s: Step(%d) finished or stopped at %d", name, until, st.At())
 			}
 		})
-		if allocs != 0 || p.asked() != asked || p.counted != counted {
+		if allocs != 0 || p.asked() != asked || p.counted.get() != counted {
 			t.Fatalf("%s: %v allocs/jump, %d Active/β questions and %d counted steps across the interlude; want 0, 0, 0",
-				name, allocs, p.asked()-asked, p.counted-counted)
+				name, allocs, p.asked()-asked, p.counted.get()-counted)
 		}
 		st.Stats()
-		if p.asked() != asked || p.counted-counted != until-settle {
+		if p.asked() != asked || p.counted.get()-counted != until-settle {
 			t.Fatalf("%s: Stats asked %d Active/β questions and counted %d steps, want 0 and the %d jumped",
-				name, p.asked()-asked, p.counted-counted, until-settle)
+				name, p.asked()-asked, p.counted.get()-counted, until-settle)
 		}
-		counted = p.counted
+		counted = p.counted.get()
 		st.Stats()
-		if p.asked() != asked || p.counted != counted {
+		if p.asked() != asked || p.counted.get() != counted {
 			t.Fatalf("%s: a second Stats asked the source again", name)
 		}
 		if !st.Step(T) {
@@ -394,15 +404,15 @@ func TestInterludeJumpCost(t *testing.T) {
 	ms := mustStart(t, me, start, march(mp), events)
 	defer ms.Close()
 	ms.Step(settle)
-	sets, rows, at := mp.sets, mp.rows, settle
+	sets, rows, at := mp.sets.get(), mp.rows.get(), settle
 	allocs := testing.AllocsPerRun(50, func() {
 		at++
 		ms.Step(at)
 	})
 	steps := at - settle
-	if allocs != 0 || mp.active+mp.beta != 0 || mp.counted != 0 || mp.sets-sets != steps || mp.rows-rows < steps {
+	if allocs != 0 || mp.active.get()+mp.beta.get() != 0 || mp.counted.get() != 0 || mp.sets.get()-sets != steps || mp.rows.get()-rows < steps {
 		t.Fatalf("marched: %v allocs/step, %d pointwise calls, %d ActiveSet and %d Betas calls over %d steps; want 0, 0, one a step, ≥ one a step",
-			allocs, mp.active+mp.beta, mp.sets-sets, mp.rows-rows, steps)
+			allocs, mp.active.get()+mp.beta.get(), mp.sets.get()-sets, mp.rows.get()-rows, steps)
 	}
 }
 
@@ -445,8 +455,8 @@ func TestInterludeJumpServedRequestNeverCounts(t *testing.T) {
 	}
 	p := &probe{Source: hashed}
 	res := serve(p)
-	if pr := res.Progress(); pr.Steps != T || p.counted != 0 {
-		t.Fatalf("the served path ran to step %d of %d and counted %d jumped steps, want %d and 0", pr.Steps, T, p.counted, T)
+	if pr := res.Progress(); pr.Steps != T || p.counted.get() != 0 {
+		t.Fatalf("the served path ran to step %d of %d and counted %d jumped steps, want %d and 0", pr.Steps, T, p.counted.get(), T)
 	}
 	// Two readers at once: the result settles what it owes exactly once.
 	var wg sync.WaitGroup
@@ -460,9 +470,9 @@ func TestInterludeJumpServedRequestNeverCounts(t *testing.T) {
 	}
 	wg.Wait()
 	got := read[0]
-	if read[1] != got || p.counted < cut/2 || p.counted >= T {
+	if read[1] != got || p.counted.get() < cut/2 || p.counted.get() >= T {
 		t.Fatalf("Result.Stats read %+v and %+v, counting %d jumped steps; want one answer, and the interlude before the cut",
-			read[0], read[1], p.counted)
+			read[0], read[1], p.counted.get())
 	}
 
 	me := engine.New(alg, adj.Clone(), engine.Config{})

@@ -8,16 +8,16 @@ import (
 )
 
 // pool is the engine's persistent worker pool: the evaluator of one time
-// step fans its row tasks out over long-lived helper goroutines, started
-// lazily by the first step that fans out. What decides whether that pays
-// is the hand-off. A helper parked on a channel is a futex round trip
-// away — a third of an E5 step, which left it 34 % of the tasks and the
-// pool at 1.0×. So a helper that has drained a job stays runnable for
+// step fans its activation tasks out over long-lived helper goroutines,
+// started lazily by the first step that fans out. What decides whether
+// that pays is the hand-off. A helper parked on a channel is a futex
+// round trip away — a third of an E5 step, which left it 34 % of the
+// tasks and the pool at 1.0×. So a helper that has drained a job stays runnable for
 // handOffBound, polling its own mailbox and yielding between polls, and
 // the next step's submitter hands it the job with one CAS; past the bound
 // it parks on the channel. Participants claim chunks of neighbouring
-// tasks from one atomic index, and every task writes a disjoint span, so
-// results are bit-identical to sequential evaluation.
+// tasks from one atomic index, and every task writes its own node's
+// state, so results are bit-identical to sequential evaluation.
 type pool struct {
 	helpers int // helper goroutine count (excludes the submitting goroutine)
 	started atomic.Bool
@@ -37,10 +37,11 @@ type pool struct {
 }
 
 // handOffBound is how long a helper polls for the next job before it
-// parks, and a submitter for its stragglers. It is ≈ 3× the serial work
-// between two fan-outs of an E5 run (n = 512: ≈ 95 µs of resolve pass,
-// fold, put and certification): at 100 µs 552–568 of a run's 751 fan-outs
-// found the helper polling, at 300 µs 748. A constant, because that gap is
+// parks, and a submitter for its stragglers. It is several times the
+// serial work between two fan-outs of an E5 run (n = 512 on 2 CPUs:
+// ≈ 45–53 µs of fold, put, certification and the next step's active set
+// and fan-out decision): at 100 µs 740–751 of a run's 757 fan-outs found
+// the helper polling, at 300 µs 753–754. A constant, because that gap is
 // the engine's own code, not the deployment's; a paused or idle engine
 // burns one bound per helper, then nothing.
 const handOffBound = 300 * time.Microsecond
@@ -69,7 +70,15 @@ type job struct {
 	// so done reaches zero only when every fan-out so far has checked in.
 	pending atomic.Int32
 	done    sync.WaitGroup
+	// fault is the first panic a participant raised (a source's β breaking
+	// its contract); do re-raises it on the submitting goroutine once
+	// every participant is done, so it reaches the run's caller and not a
+	// helper's stack.
+	fault atomic.Pointer[panicked]
 }
+
+// panicked is a recovered panic value.
+type panicked struct{ v any }
 
 // tasker runs task idx on behalf of worker id.
 type tasker interface{ runIdx(idx, worker int) }
@@ -89,6 +98,17 @@ func (j *job) drain(worker int) {
 	}
 }
 
+// run is drain for a participant of a fanned-out job: a panic ends the
+// participant's share, and the job's fault records it.
+func (j *job) run(worker int) {
+	defer func() {
+		if v := recover(); v != nil {
+			j.fault.CompareAndSwap(nil, &panicked{v})
+		}
+	}()
+	j.drain(worker)
+}
+
 func newPool(helpers int) *pool {
 	// The buffer holds one send per helper for each of a few concurrent
 	// runs, so a submitter seldom blocks on helpers busy elsewhere.
@@ -103,7 +123,7 @@ func (p *pool) helper(id int) {
 	box := &p.box[id-1].p
 	for j := range p.work {
 		for j != nil {
-			j.drain(id)
+			j.run(id)
 			if j.pending.Add(-1) == 0 {
 				j.done.Done()
 			}
@@ -124,11 +144,12 @@ func (p *pool) helper(id int) {
 
 // do runs t's tasks [0, n) through j, fanning out across up to want-1
 // helpers while the calling goroutine works too (as worker 0). It returns
-// when every task has finished.
+// when every task has finished, and panics if a task did.
 func (p *pool) do(j *job, want, n int, t tasker) {
 	helpers := min(want-1, p.helpers, n-1)
 	j.t, j.n, j.chunk = t, n, max(1, n/(8*(helpers+1)))
 	j.next.Store(0)
+	j.fault.Store(nil)
 	p.mu.RLock()
 	if helpers < 1 || p.closed.Load() {
 		// Nobody to enlist, or closed under us: run everything on the
@@ -155,12 +176,15 @@ func (p *pool) do(j *job, want, n int, t tasker) {
 		p.work <- j
 	}
 	p.mu.RUnlock()
-	j.drain(0)
+	j.run(0)
 	for start := time.Now(); j.pending.Load() != 0; runtime.Gosched() {
 		if time.Since(start) > handOffBound {
 			j.done.Wait()
-			return
+			break
 		}
+	}
+	if f := j.fault.Load(); f != nil {
+		panic(f.v)
 	}
 }
 

@@ -8,6 +8,11 @@ package engine
 // time, through Batched. MaxLookback is the bounded staleness the paper's
 // Theorem 4 assumes, stated by the source: it sizes the run's history
 // ring, and a source that may stop early says so by implementing Fair.
+//
+// A run that fans a step out draws each activation's β values on the
+// pool's workers, so Beta — through the pointwise adapter, for a source
+// without Batched — is called concurrently for distinct i within one
+// step: a source's answers must be pure, or safe for that.
 type Source interface {
 	// Nodes returns n, the node count.
 	Nodes() int
@@ -54,6 +59,10 @@ type Fair interface {
 // each answer must equal the pointwise one (Active, Beta) exactly. A
 // source without it is served by the pointwise adapter, so Active and
 // Beta stay: they are what the reference evaluator and the adapter read.
+//
+// ActiveSet is called on the run's goroutine, between fan-outs; Betas
+// is called on the pool's workers, concurrently for distinct i within
+// one step, whenever the step fans out.
 type Batched interface {
 	// ActiveSet appends α(t) to dst in ascending node order.
 	ActiveSet(t int, dst []int) []int

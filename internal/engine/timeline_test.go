@@ -130,7 +130,9 @@ func TestTimelineLinkFailRecover(t *testing.T) {
 }
 
 // TestTimelineRestartMatchesReference injects node restarts (alone and
-// together with a link failure) and checks the run against the oracle.
+// together with a link failure) and checks the run against the oracle. A
+// node listed twice restarts once, on one row, so the ring never
+// recycles that row twice.
 func TestTimelineRestartMatchesReference(t *testing.T) {
 	events := []engine.TimelineEvent[algebras.NatInf]{
 		{Step: 30, Restart: []int{5}},
@@ -141,7 +143,7 @@ func TestTimelineRestartMatchesReference(t *testing.T) {
 				a.RemoveEdge(10, 9)
 			},
 			Invalidate: []int{9, 10},
-			Restart:    []int{0, 7},
+			Restart:    []int{0, 7, 0},
 		},
 	}
 	timelineAgainstOracle(t, 100, 11, events)
