@@ -1,15 +1,17 @@
 // Hash-consed path interning: a Table assigns every simple path a small
 // integer PathID such that equal paths always receive the same id. Paths
 // are stored as a parent-pointer trie — an interned non-empty path is
-// (parent PathID, head Arc), the head arc prepended to the parent path.
-// Extensions are indexed per arc: Extend is one lookup of its arc's
-// child map plus one 32-bit probe of the parent id (amortised O(1) in
-// the path's fan-out, allocation-free once the extension has been seen),
-// and a rejected loop is remembered there as InvalidID, so the
-// node-membership check (a per-id bloom word before the parent walk)
-// runs once per (path, arc). Equality is a single integer compare. The
-// Table is safe for concurrent use; lookups of already-seen extensions
-// proceed under a shared read lock.
+// (parent PathID, head Arc), the head arc prepended to the parent path —
+// and every entry also keeps the path's exact node set, a bit set of
+// ⌈(largest node interned + 1)/64⌉ words, so node membership (path(v)
+// conditions and the loop check alike) is one word test. Extensions are
+// indexed per arc: Extend is one lookup of its arc's open-addressed
+// index plus one probe of the parent id (amortised O(1) in the path's
+// fan-out, allocation-free once the extension has been seen), and a
+// rejected loop is remembered there as InvalidID, so the loop check runs
+// once per (path, arc). Equality is a single integer compare. The Table
+// is safe for concurrent use; lookups of already-seen extensions proceed
+// under a shared read lock.
 //
 // This is the NDN-DPDK recipe — intern variable-length name-like data
 // into fixed-size ids with pooled storage — applied to the simple paths
@@ -39,19 +41,18 @@ func (p PathID) IsEmpty() bool { return p == EmptyID }
 
 // entry is one interned non-empty path: head is the first arc and parent
 // the id of the remaining suffix, so the arc sequence of id p is
-// head(p), head(parent(p)), … down to EmptyID.
+// head(p), head(parent(p)), … down to EmptyID. Its node set lives in
+// Table.nodes, not here, so that the set can widen without touching the
+// entries.
 type entry struct {
 	parent PathID
 	head   Arc
-	last   int32  // destination node (the last node of the path)
-	length int32  // number of arcs
-	bloom  uint64 // membership summary over all nodes of the path
+	last   int32 // destination node (the last node of the path)
+	length int32 // number of arcs
 }
 
 // arcKey is the first level of the extension index: the arc (i, j)
-// being prepended. The second level, keyed by the parent id (EmptyID for
-// the one-arc path), holds the extension's id, or InvalidID once the
-// extension has been found to loop.
+// being prepended. The second level is the arc's arcIndex.
 type arcKey struct{ i, j int32 }
 
 // Table is a hash-consing table for simple paths. The zero value is not
@@ -61,22 +62,19 @@ type arcKey struct{ i, j int32 }
 type Table struct {
 	mu      sync.RWMutex
 	entries []entry
-	index   map[arcKey]map[PathID]PathID
-	// aliased records whether any interned node falls outside [0, 63];
-	// while false, the bloom word is an exact membership set and the
-	// parent-walk fallback of Contains is never needed.
-	aliased bool
+	// nodes holds the exact node set of every entry, words uint64s per
+	// entry in id order: node v of path p is bit v&63 of
+	// nodes[(p-1)*words + v>>6]. words covers the largest node interned
+	// so far; a larger node widens the slab under the write lock.
+	nodes []uint64
+	words int
+	index map[arcKey]*arcIndex
 }
 
 // NewTable returns an empty table containing only [] and ⊥.
 func NewTable() *Table {
-	return &Table{index: make(map[arcKey]map[PathID]PathID)}
+	return &Table{words: 1, index: make(map[arcKey]*arcIndex)}
 }
-
-// nodeBit is the bloom-word bit of node v. For the experiment scales
-// (n ≤ 64) distinct nodes map to distinct bits, making the summary exact;
-// beyond that it degrades gracefully into a bloom filter.
-func nodeBit(v int) uint64 { return 1 << (uint(v) & 63) }
 
 // Size returns the number of distinct non-empty paths interned so far.
 func (t *Table) Size() int {
@@ -121,49 +119,31 @@ func (t *Table) Destination(p PathID) (int, bool) {
 }
 
 // Contains reports whether node v appears anywhere in p, mirroring
-// Path.Contains: the bloom word rejects most non-members in O(1), and a
-// positive answer is confirmed by the parent walk unless the summary is
-// known to be exact.
+// Path.Contains, with one test of p's node set: a node past the largest
+// one interned, or a negative one, is on no path.
 func (t *Table) Contains(p PathID, v int) bool {
 	if p <= EmptyID {
 		return false
 	}
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.contains(p, v)
+	in := t.contains(p, v)
+	t.mu.RUnlock()
+	return in
 }
 
-// contains is Contains with the read lock held.
+// contains is Contains with the read lock held, for a non-empty p.
 func (t *Table) contains(p PathID, v int) bool {
-	e := t.at(p)
-	if e.bloom&nodeBit(v) == 0 {
+	w := uint(v) >> 6 // a negative v wraps past every word
+	if w >= uint(t.words) {
 		return false
 	}
-	if !t.aliased {
-		// No node outside [0, 63] has ever been interned, so the summary
-		// is exact for in-range v — the set bit is the node itself — and
-		// an out-of-range v cannot be a member at all (its bit was set by
-		// some in-range node).
-		return uint(v) <= 63
-	}
-	if int(e.last) == v {
-		return true
-	}
-	for {
-		if int(e.head.From) == v {
-			return true
-		}
-		if e.parent == EmptyID {
-			return false
-		}
-		e = t.at(e.parent)
-	}
+	return t.nodes[(int(p)-1)*t.words+int(w)]>>(uint(v)&63)&1 != 0
 }
 
 // CanExtend reports whether prepending the arc (i, j) to p yields a
 // simple path, mirroring Path.CanExtend. It never interns anything.
 func (t *Table) CanExtend(p PathID, i, j int) bool {
-	if p.IsInvalid() || i == j {
+	if p.IsInvalid() || !arcOK(i, j) {
 		return false
 	}
 	if p == EmptyID {
@@ -181,12 +161,15 @@ func (t *Table) CanExtend(p PathID, i, j int) bool {
 // would not be a simple contiguous path — exactly Path.Extend, O(1)
 // amortised and allocation-free once the extension has been seen.
 func (t *Table) Extend(p PathID, i, j int) PathID {
-	if p.IsInvalid() || i == j {
+	if p.IsInvalid() || !arcOK(i, j) {
 		return InvalidID
 	}
 	miss := false
 	t.mu.RLock()
-	id := t.probe(t.index[arcKey{int32(i), int32(j)}], p, j, &miss)
+	id, ok := t.index[arcKey{int32(i), int32(j)}].get(p)
+	if !ok {
+		id = t.unseen(p, j, &miss)
+	}
 	t.mu.RUnlock()
 	if !miss {
 		return id
@@ -196,7 +179,7 @@ func (t *Table) Extend(p PathID, i, j int) PathID {
 	return t.insert(p, i, j)
 }
 
-// pendingID is an internal sentinel used by probe to mark cells whose
+// pendingID is an internal sentinel used by unseen to mark cells whose
 // extension has not been seen; it never escapes.
 const pendingID PathID = -2
 
@@ -204,11 +187,11 @@ const pendingID PathID = -2
 // it computes out[x] = Extend(src[x], i, j) for every selected column x —
 // the ascending indices in sel, or every x of src when sel is nil. A
 // convergence sweep extends whole columns by the same arc, so the batch
-// takes the read lock once, looks up the arc's child map once and then
+// takes the read lock once, looks up the arc's index once and then
 // costs one index probe per cell, cached loop verdicts included; cells
 // never seen before are resolved together under one write lock.
 func (t *Table) ExtendSel(src, out []PathID, sel []int32, i, j int) {
-	if i == j {
+	if !arcOK(i, j) {
 		if sel == nil {
 			for x := range src {
 				out[x] = InvalidID
@@ -225,11 +208,19 @@ func (t *Table) ExtendSel(src, out []PathID, sel []int32, i, j int) {
 	col := t.index[arcKey{int32(i), int32(j)}]
 	if sel == nil {
 		for x, p := range src {
-			out[x] = t.probe(col, p, j, &miss)
+			id, ok := col.get(p)
+			if !ok {
+				id = t.unseen(p, j, &miss)
+			}
+			out[x] = id
 		}
 	} else {
 		for _, x := range sel {
-			out[x] = t.probe(col, src[x], j, &miss)
+			id, ok := col.get(src[x])
+			if !ok {
+				id = t.unseen(src[x], j, &miss)
+			}
+			out[x] = id
 		}
 	}
 	t.mu.RUnlock()
@@ -253,57 +244,155 @@ func (t *Table) ExtendSel(src, out []PathID, sel []int32, i, j int) {
 	}
 }
 
-// probe resolves the extension of p by the arc whose child map is col
-// (nil if the arc has none yet) under the read lock: a seen extension
-// answers with its id or cached loop verdict, a parent that does not
-// start at j is not contiguous; anything else is marked pending for
-// insert.
-func (t *Table) probe(col map[PathID]PathID, p PathID, j int, miss *bool) PathID {
-	if p.IsInvalid() {
-		return InvalidID
-	}
-	if id, ok := col[p]; ok {
-		return id
-	}
-	if p != EmptyID && int(t.at(p).head.From) != j {
+// unseen answers, under the read lock, the extension of a p that the
+// arc's index has no slot for (every p while the arc has no index): ⊥
+// stays ⊥, a parent that does not start at j is not contiguous, and
+// anything else is marked pending for insert. A seen extension never
+// gets here: get answers it with its id or cached loop verdict.
+func (t *Table) unseen(p PathID, j int, miss *bool) PathID {
+	if p.IsInvalid() || p != EmptyID && int(t.at(p).head.From) != j {
 		return InvalidID
 	}
 	*miss = true
 	return pendingID
 }
 
-// insert decides a contiguous extension of p by (i, j) under the write
-// lock and records the verdict: the new path's id, or InvalidID when i
-// is already on p. Another writer may have decided it since the caller's
-// probe, so the child map is consulted first.
+// insert decides a contiguous extension of p by (i, j), both
+// non-negative, under the write lock and records the verdict: the new
+// path's id, or InvalidID when i is already on p (one node-set test).
+// Another writer may have decided it since the caller's probe, so the
+// arc's index is consulted first. The new entry's node set is its
+// parent's plus i and j, after widening the slab if either node is past
+// it.
 func (t *Table) insert(p PathID, i, j int) PathID {
 	key := arcKey{int32(i), int32(j)}
 	col := t.index[key]
-	if id, ok := col[p]; ok {
+	if id, ok := col.get(p); ok {
 		return id
 	}
 	if col == nil {
-		col = make(map[PathID]PathID)
+		col = newArcIndex()
 		t.index[key] = col
 	}
 	if p != EmptyID && t.contains(p, i) {
-		col[p] = InvalidID
+		col.put(p, InvalidID)
 		return InvalidID
 	}
-	e := entry{parent: p, head: Arc{From: i, To: j}, last: int32(j), length: 1, bloom: nodeBit(i) | nodeBit(j)}
-	if p != EmptyID {
+	if w := max(i, j)>>6 + 1; w > t.words {
+		t.widen(w)
+	}
+	e := entry{parent: p, head: Arc{From: i, To: j}, last: int32(j), length: 1}
+	if p == EmptyID {
+		t.nodes = append(t.nodes, make([]uint64, t.words)...)
+	} else {
 		pe := t.at(p)
 		e.last = pe.last
 		e.length = pe.length + 1
-		e.bloom |= pe.bloom
+		base := (int(p) - 1) * t.words
+		t.nodes = append(t.nodes, t.nodes[base:base+t.words]...)
 	}
-	if uint(i) > 63 || uint(j) > 63 {
-		t.aliased = true
-	}
+	set := t.nodes[len(t.nodes)-t.words:]
+	set[i>>6] |= 1 << (uint(i) & 63)
+	set[j>>6] |= 1 << (uint(j) & 63)
 	t.entries = append(t.entries, e)
 	id := PathID(len(t.entries))
-	col[p] = id
+	col.put(p, id)
 	return id
+}
+
+// widen re-lays the node-set slab out at w words per entry, under the
+// write lock. Readers never see a half-widened slab, and a node set's
+// bits keep their meaning; only the stride changes.
+func (t *Table) widen(w int) {
+	nodes := make([]uint64, len(t.entries)*w, (len(t.entries)+1)*w)
+	for k := range t.entries {
+		copy(nodes[k*w:], t.nodes[k*t.words:(k+1)*t.words])
+	}
+	t.nodes, t.words = nodes, w
+}
+
+// arcOK reports whether (i, j) can be an arc of a simple path at all:
+// two distinct, non-negative nodes (i|j is negative iff either is).
+func arcOK(i, j int) bool { return i != j && i|j >= 0 }
+
+// arcIndex is the second level of the extension index: an insert-only
+// open-addressing table from a parent id (EmptyID for the one-arc path)
+// to the id of its extension by the arc, or to InvalidID once the
+// extension has been found to loop. An empty slot is (InvalidID,
+// InvalidID): an invalid parent is never stored, so a lookup of it stops
+// at the first empty slot and reads its own answer, ⊥. Slots are probed
+// linearly from a multiplicative hash of the parent, and the table
+// doubles (under the write lock) before it is half full, which keeps
+// probe runs short.
+type arcIndex struct {
+	slots []extSlot // len a power of two
+	shift uint      // 32 − log₂ len(slots)
+	used  int
+}
+
+type extSlot struct{ parent, child PathID }
+
+// newArcIndex returns an empty index of eight slots.
+func newArcIndex() *arcIndex {
+	x := &arcIndex{}
+	x.alloc(3)
+	return x
+}
+
+// alloc gives x 2^bits empty slots.
+func (x *arcIndex) alloc(bits uint) {
+	x.slots = make([]extSlot, 1<<bits)
+	for k := range x.slots {
+		x.slots[k] = extSlot{InvalidID, InvalidID}
+	}
+	x.shift = 32 - bits
+}
+
+// home is the first slot probed for parent p (Fibonacci hashing: the
+// top bits of p·2³²/φ).
+func (x *arcIndex) home(p PathID) uint32 { return uint32(p) * 0x9E3779B9 >> x.shift }
+
+// get returns the child recorded for parent p, and (InvalidID, true) for
+// p = InvalidID; x may be nil.
+func (x *arcIndex) get(p PathID) (PathID, bool) {
+	if x == nil {
+		return 0, false
+	}
+	mask := uint32(len(x.slots) - 1)
+	for h := x.home(p); ; h = (h + 1) & mask {
+		s := x.slots[h]
+		if s.parent == p {
+			return s.child, true
+		}
+		if s.parent == InvalidID {
+			return 0, false
+		}
+	}
+}
+
+// put records parent p's child, which get has just reported missing.
+func (x *arcIndex) put(p, child PathID) {
+	if 2*(x.used+1) > len(x.slots) {
+		old := x.slots
+		x.alloc(32 - x.shift + 1)
+		for _, s := range old {
+			if s.parent != InvalidID {
+				x.place(s)
+			}
+		}
+	}
+	x.place(extSlot{p, child})
+	x.used++
+}
+
+// place stores s in the first empty slot from its home.
+func (x *arcIndex) place(s extSlot) {
+	mask := uint32(len(x.slots) - 1)
+	h := x.home(s.parent)
+	for x.slots[h].parent != InvalidID {
+		h = (h + 1) & mask
+	}
+	x.slots[h] = s
 }
 
 // Intern maps a reference Path to its id, interning every prefix along

@@ -13,9 +13,12 @@ import (
 // The input encodes operations over a sixteen-node universe: each byte
 // pair (op, arg) either extends one of the held paths, starts a fresh
 // one, compares two, or extends a batch of them with ExtendSel. Holding
-// several live paths at once exercises sharing inside the trie. Half the
-// node draws land above 63 (node(k) for k ≥ 8 is k+56), so bloom bits
-// alias and loop detection falls back to the parent walk.
+// several live paths at once exercises sharing inside the trie. Node
+// draws 0–7 are nodes 0–7, draws 8–13 are nodes 64–69 (each congruent
+// to a low node mod 64, so any aliasing in the node sets shows), draw
+// 14 is node 300 (the first path through it widens every node set to
+// five words mid-sequence) and draw 15 is node −1: an arc with a
+// negative node extends nothing, Path and Table alike.
 func FuzzInternDifferential(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x30})
 	f.Add([]byte{0x10, 0x01, 0x12, 0x20, 0x01})
@@ -24,12 +27,24 @@ func FuzzInternDifferential(f *testing.F) {
 	// loops on both cells, decides the verdict once and reads it back on
 	// the repeat; the full batch then reads it for slot 2.
 	f.Add([]byte{0x01, 0x12, 0x06, 0x12, 0x0b, 0x12, 0x13, 0x21, 0x04, 0x21})
-	// 64->1, then 0->64->1 (0 and 64 share a bloom bit, not a node), then
-	// the aliased loop 1->0->64->1, batched over all slots.
+	// 64->1, then 0->64->1 (0 and 64 agree mod 64, they are not one
+	// node), then the loop 1->0->64->1, batched over all slots.
 	f.Add([]byte{0x01, 0x81, 0x01, 0x08, 0x04, 0x10, 0x04, 0x10})
+	// 300->1 widens the table and 0->300->1 follows; then (0, −1) is
+	// refused on an empty slot, (−1, 0) on 0->300->1 and, batched, on
+	// the empty slots.
+	f.Add([]byte{0x01, 0xe1, 0x00, 0x0e, 0x05, 0x0f, 0x00, 0xf0, 0x04, 0xf0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const draws = 16
-		node := func(k int) int { return k&7 + (k>>3)*64 }
+		node := func(k int) int {
+			switch k {
+			case 14:
+				return 300
+			case 15:
+				return -1
+			}
+			return k&7 + (k>>3)*64
+		}
 		tab := NewTable()
 		// Slots of live (reference, interned) pairs, all starting empty.
 		refs := [4]Path{Empty, Empty, Empty, Empty}

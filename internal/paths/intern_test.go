@@ -100,13 +100,13 @@ func TestInternLoopRejection(t *testing.T) {
 }
 
 // TestInternAliasQueryOnExactTable queries nodes ≥ 64 against a table
-// that has only interned nodes ≤ 63: the bloom bit may collide with an
-// in-range node's bit, but the out-of-range node cannot be a member, and
-// the valid extension must not be rejected. (Regression: the
-// exact-summary fast path used to trust the collided bit.)
+// that has only interned nodes ≤ 63: node 70 is not on 6->7 even though
+// 70 ≡ 6 (mod 64), and the valid extension through it must not be
+// rejected. A regression test that membership never aliases: a summary
+// keyed by v mod 64 once answered true here.
 func TestInternAliasQueryOnExactTable(t *testing.T) {
 	tab := NewTable()
-	p := tab.Extend(EmptyID, 6, 7) // 6 and 70 share bloom bit 6
+	p := tab.Extend(EmptyID, 6, 7)
 	if tab.Contains(p, 70) {
 		t.Fatal("Contains(6->7, 70) = true")
 	}
@@ -121,23 +121,135 @@ func TestInternAliasQueryOnExactTable(t *testing.T) {
 	}
 }
 
-// TestInternAliasedNodes drives node ids past the exact range of the
-// bloom word so membership falls back to the parent walk.
+// TestInternAliasedNodes is the same regression once nodes past 63 are
+// on the table's paths: 36, 100 and 164 agree mod 64, and each must be
+// a member exactly when it is on the path, so a non-member extends and
+// a member loops.
 func TestInternAliasedNodes(t *testing.T) {
 	tab := NewTable()
-	// 100 and 36 share bit 36 (100 % 64); 164 shares it too.
 	p := tab.Extend(EmptyID, 100, 5)
 	if tab.Contains(p, 36) || tab.Contains(p, 164) {
-		t.Fatal("bloom alias reported as member")
+		t.Fatal("node congruent to a member mod 64 reported as member")
 	}
 	if !tab.Contains(p, 100) || !tab.Contains(p, 5) {
 		t.Fatal("member missing")
 	}
 	if got := tab.Extend(p, 164, 100); got.IsInvalid() {
-		t.Fatal("aliased non-member rejected")
+		t.Fatal("non-member congruent to a member rejected")
 	}
 	if got := tab.Extend(tab.Extend(p, 164, 100), 100, 164); !got.IsInvalid() {
-		t.Fatal("aliased member accepted (loop)")
+		t.Fatal("member accepted (loop)")
+	}
+}
+
+// TestContainsAcrossWiden widens the node-set slab twice under paths
+// interned before it: every membership answer recorded over nodes < 64
+// must survive the re-layouts, all must equal Path.Contains, and the
+// paths through the new nodes must reject loops through them.
+func TestContainsAcrossWiden(t *testing.T) {
+	tab := NewTable()
+	var refs []Path
+	for s := 0; s < 64; s++ {
+		refs = append(refs, FromNodes(s, (s+7)%64, (s+13)%64, (s+29)%64))
+	}
+	refs = append(refs, EnumerateAllSimple(4)...)
+	ids := make([]PathID, len(refs))
+	for x, p := range refs {
+		ids[x] = tab.Intern(p)
+	}
+	const top = 300
+	before := make([][]bool, len(ids))
+	for x, id := range ids {
+		before[x] = make([]bool, top+1)
+		for v := -1; v < top; v++ {
+			before[x][v+1] = tab.Contains(id, v)
+		}
+	}
+	if tab.words != 1 {
+		t.Fatalf("%d words per path before any node past 63", tab.words)
+	}
+	wide := []Path{FromNodes(130, 0, 7, 13, 29), FromNodes(299, 130, 0, 7, 13, 29)}
+	for _, p := range wide {
+		refs = append(refs, p)
+		ids = append(ids, tab.Intern(p))
+	}
+	if tab.words != 5 {
+		t.Fatalf("%d words per path after node 299, want 5", tab.words)
+	}
+	for x, id := range ids {
+		for v := -1; v < top; v++ {
+			got := tab.Contains(id, v)
+			if x < len(before) && got != before[x][v+1] {
+				t.Fatalf("Contains(%s, %d) changed across the widening", refs[x], v)
+			}
+			if got != refs[x].Contains(v) {
+				t.Fatalf("Contains(%s, %d) = %v", refs[x], v, got)
+			}
+		}
+	}
+	top299 := ids[len(ids)-1]
+	for _, i := range []int{130, 0, 29} {
+		if tab.CanExtend(top299, i, 299) || !tab.Extend(top299, i, 299).IsInvalid() {
+			t.Fatalf("loop %d->%s accepted", i, refs[len(refs)-1])
+		}
+	}
+	out := make([]PathID, 2)
+	tab.ExtendSel(ids[len(ids)-2:], out, nil, 299, 130)
+	if want := tab.Intern(FromNodes(299, 130, 0, 7, 13, 29)); out[0] != want || out[1] != InvalidID {
+		t.Fatalf("ExtendSel by (299, 130) = %s, %s", tab.String(out[0]), tab.String(out[1]))
+	}
+}
+
+// TestExtendIndexGrowth extends thousands of parents by one arc, so the
+// arc's index doubles through every size up to 8192 slots, with a cached
+// loop verdict on every third parent. After each rehash every extension
+// decided so far must read back unchanged, and the index stays at most
+// half full.
+func TestExtendIndexGrowth(t *testing.T) {
+	tab := NewTable()
+	const n = 3000
+	refs := make([]Path, n)
+	parents := make([]PathID, n)
+	for x := range refs {
+		k := x + 3
+		if x%3 == 0 {
+			refs[x] = FromNodes(1, 2, k, 0) // loops under (2, 1)
+		} else {
+			refs[x] = FromNodes(1, k, 0)
+		}
+		parents[x] = tab.Intern(refs[x])
+	}
+	ids := make([]PathID, n)
+	size, sizes := 0, 0
+	for x, p := range parents {
+		ids[x] = tab.Extend(p, 2, 1)
+		if want := refs[x].Extend(2, 1); !tab.Path(ids[x]).Equal(want) {
+			t.Fatalf("Extend(%s, 2, 1) = %s, want %s", refs[x], tab.String(ids[x]), want)
+		}
+		col := tab.index[arcKey{2, 1}]
+		if 2*col.used > len(col.slots) || col.used != x+1 {
+			t.Fatalf("%d verdicts in %d slots after %d extensions", col.used, len(col.slots), x+1)
+		}
+		if len(col.slots) == size {
+			continue
+		}
+		size = len(col.slots)
+		sizes++
+		for y := 0; y <= x; y++ {
+			if got := tab.Extend(parents[y], 2, 1); got != ids[y] {
+				t.Fatalf("at %d slots, Extend(%s, 2, 1) = %s, was %s", size, refs[y], tab.String(got), tab.String(ids[y]))
+			}
+		}
+	}
+	if size != 8192 || sizes != 11 {
+		t.Fatalf("index grew to %d slots in %d sizes, want 8192 in 11", size, sizes)
+	}
+	out := make([]PathID, n)
+	tab.ExtendSel(parents, out, nil, 2, 1)
+	for x := range out {
+		if out[x] != ids[x] {
+			t.Fatalf("ExtendSel(%s, 2, 1) = %s, Extend = %s", refs[x], tab.String(out[x]), tab.String(ids[x]))
+		}
 	}
 }
 
@@ -186,8 +298,10 @@ func TestInternRoundTrip(t *testing.T) {
 // still be canonical afterwards. Half the goroutines intern chains with
 // Extend; the other half share one column and run ExtendSel batches by
 // arcs into node 1, while writers extend fresh parents by the same arcs,
-// deciding new paths and first-time loop verdicts in the child maps the
-// batches are probing.
+// deciding new paths and first-time loop verdicts in the indexes the
+// batches are probing. The readers also check Contains on their column
+// while one more writer interns paths through ever-larger nodes, so the
+// node-set slab widens under them again and again.
 func TestInternConcurrent(t *testing.T) {
 	tab := NewTable()
 	const n = 6
@@ -208,6 +322,14 @@ func TestInternConcurrent(t *testing.T) {
 		odd = append(odd, int32(x))
 	}
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the widener: one new 64-node band per path
+		defer wg.Done()
+		for rep := 0; rep < 100; rep++ {
+			v := 1000 + 64*rep
+			tab.Intern(FromNodes(v, v+1, 0))
+		}
+	}()
 	ids := make([]PathID, 8)
 	fails := make(chan string, 16)
 	for g := 0; g < 8; g++ {
@@ -230,6 +352,12 @@ func TestInternConcurrent(t *testing.T) {
 						if want := refs[x].Extend(i, 1); !tab.Path(out[x]).Equal(want) {
 							fails <- fmt.Sprintf("ExtendSel(%s, %d, 1) = %s, want %s", refs[x], i, tab.String(out[x]), want)
 							return
+						}
+						for _, v := range []int{-1, 0, 1, i, 70, 1000 + 64*rep/2} {
+							if tab.Contains(col[x], v) != refs[x].Contains(v) {
+								fails <- fmt.Sprintf("Contains(%s, %d) = %v", refs[x], v, !refs[x].Contains(v))
+								return
+							}
 						}
 					}
 				}
@@ -275,22 +403,24 @@ func TestInternConcurrent(t *testing.T) {
 }
 
 // TestExtendSelDoesNotAllocate pins "allocation-free once the extension
-// has been seen": a warm batch mixing index hits, invalid and empty
+// has been seen": a warm batch mixing index hits (one through a node
+// past 63, so the node sets are two words wide), invalid and empty
 // sources, contiguity mismatches and cached loop verdicts allocates
 // nothing, with sel nil or a subset.
 func TestExtendSelDoesNotAllocate(t *testing.T) {
 	tab := NewTable()
 	src := []PathID{
-		tab.Intern(FromNodes(1, 2, 3)),  // hit: 0->1->2->3
-		InvalidID,                       // invalid source
-		tab.Intern(FromNodes(1, 0, 3)),  // cached loop on 0
-		EmptyID,                         // hit: 0->1
-		tab.Intern(FromNodes(2, 3)),     // not contiguous with (0, 1)
-		tab.Intern(FromNodes(1, 70, 0)), // cached aliased loop walk
+		tab.Intern(FromNodes(1, 2, 3)),   // hit: 0->1->2->3
+		InvalidID,                        // invalid source
+		tab.Intern(FromNodes(1, 0, 3)),   // cached loop on 0
+		EmptyID,                          // hit: 0->1
+		tab.Intern(FromNodes(2, 3)),      // not contiguous with (0, 1)
+		tab.Intern(FromNodes(1, 70, 0)),  // cached loop on 0, through node 70
+		tab.Intern(FromNodes(1, 100, 3)), // hit through node 100: 0->1->100->3
 	}
-	want := []PathID{tab.Intern(FromNodes(0, 1, 2, 3)), InvalidID, InvalidID, tab.Intern(FromNodes(0, 1)), InvalidID, InvalidID}
+	want := []PathID{tab.Intern(FromNodes(0, 1, 2, 3)), InvalidID, InvalidID, tab.Intern(FromNodes(0, 1)), InvalidID, InvalidID, tab.Intern(FromNodes(0, 1, 100, 3))}
 	out := make([]PathID, len(src))
-	sel := []int32{0, 2, 5}
+	sel := []int32{0, 2, 5, 6}
 	tab.ExtendSel(src, out, nil, 0, 1) // decides the loops once
 	allocs := testing.AllocsPerRun(100, func() {
 		tab.ExtendSel(src, out, nil, 0, 1)

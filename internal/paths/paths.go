@@ -2,7 +2,9 @@
 // paper: a path is a contiguous sequence of directed arcs, the empty path
 // [] is the path of the trivial route, and the distinguished path ⊥ is the
 // path of the invalid route. Paths are immutable values; extension returns
-// a fresh path and never mutates its receiver.
+// a fresh path and never mutates its receiver. Table (intern.go) is the
+// hot-loop form of the same model: it hash-conses paths into integer
+// ids, so that extension, equality and node membership each cost O(1).
 package paths
 
 import (
@@ -128,21 +130,19 @@ func (p Path) Nodes() []int {
 // CanExtend reports whether prepending the arc (i, j) to p yields a simple
 // path: p must not be ⊥, j must be the source of p (any j is allowed when p
 // is empty), i must not already appear in p, and i must differ from j.
-// This is the (i,j) ⇿? p plus i ∉? p test of Section 7.
+// This is the (i,j) ⇿? p plus i ∉? p test of Section 7. Nodes are
+// numbered from 0, so an arc with a negative node extends nothing.
 func (p Path) CanExtend(i, j int) bool {
-	if p.invalid || i == j {
+	if p.invalid || i == j || i|j < 0 {
 		return false
 	}
-	if src, ok := p.Source(); ok && src != j {
-		return false
-	}
-	if p.Contains(i) {
+	if len(p.arcs) > 0 && p.arcs[0].From != j {
 		return false
 	}
 	// When p is non-empty, j == src(p) is already a node of p; when p is
 	// empty, j joins as the sole other endpoint. Either way i != j above
 	// plus the Contains check keeps the result simple.
-	return true
+	return !p.Contains(i)
 }
 
 // Extend returns (i,j) :: p, or ⊥ if the extension would not be a simple

@@ -18,8 +18,9 @@ import (
 // order-monotone; the compiled kernel instead runs the Section 7 decision
 // procedure explicitly on the decoded fields, with the batched ExtendSel
 // doing path extension for the whole column: one read lock and one arc
-// lookup per call, then one id probe per cell, cached loop verdicts
-// included.
+// lookup per call, then one probe of the arc's open-addressed index per
+// cell, cached loop verdicts included. An inPath condition is one test of
+// the path's exact node set in the table, at any node count.
 
 const (
 	polInvW  = ^uint64(0)
