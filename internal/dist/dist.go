@@ -5,6 +5,11 @@
 // deterministic event simulator — and it shares the same per-node update
 // kernel (matrix.SigmaRowInto); only the source of the neighbour tables
 // differs: here they come from a receive cache fed by real concurrency.
+//
+// The network runs exactly what its caller schedules: CrashNode stops a
+// router, RecoverNode and RestartNode reboot one wiped, and nothing
+// crashes or heals a router on its own. `crash`, `recover` and `restart`
+// therefore mean the same thing here as on the other two substrates.
 package dist
 
 import (
@@ -21,85 +26,34 @@ import (
 	"repro/internal/wire"
 )
 
-// Config controls a live run.
+// The message-passing periods. They are the live counterparts of the
+// simulator's virtual-time constants.
+const (
+	// activateEvery is the mean per-node recomputation period.
+	activateEvery = 2 * time.Millisecond
+	// readvertiseEvery is the period of unconditional full-table
+	// re-advertisement — the soft-state repair that discharges S3 under
+	// loss.
+	readvertiseEvery = 20 * time.Millisecond
+	// settleWindow is how long the global state must stay unchanged —
+	// while σ-stable with consistent caches — before the run is declared
+	// converged.
+	settleWindow = 8 * readvertiseEvery
+)
+
+// Config controls a live run. Message faults belong to the transport the
+// caller builds (transport.Faults), not to the network.
 type Config struct {
 	// Seed drives the per-node activation jitter.
 	Seed int64
 	// Timeout aborts the run (non-convergence) after this wall-clock time.
 	// Default: 30s.
 	Timeout time.Duration
-	// ActivateEvery is the mean per-node recomputation period. Default: 2ms.
-	ActivateEvery time.Duration
-	// ReadvertiseEvery is the period of unconditional full-table
-	// re-advertisement — the soft-state repair that discharges S3 under
-	// loss. Default: 20ms.
-	ReadvertiseEvery time.Duration
-	// SettleWindow is how long the global state must stay unchanged — while
-	// σ-stable with consistent caches — before the run is declared
-	// converged. Default: 8 × ReadvertiseEvery.
-	SettleWindow time.Duration
-	// LossProb, DupProb, MinDelay and MaxDelay are the transport fault
-	// knobs, mirroring simulate.Config and transport.Faults so a live run
-	// can reproduce a simulator fault profile. They take effect through
-	// Faults() — RunLocal applies them automatically; callers wiring their
-	// own transport pass Faults() to it.
-	LossProb           float64
-	DupProb            float64
-	MinDelay, MaxDelay time.Duration
-	// QueueLen bounds each node's transport receive buffer (see
-	// transport.Faults.QueueLen); 0 means the transport default.
-	QueueLen int
-	// Restarts schedules mid-run node restarts (the live form of
-	// simulate.Restart): each wipes the node's table and receive caches a
-	// fixed interval into the run. The run cannot settle while restarts
-	// are pending.
-	Restarts []Restart
-	// HeartbeatTimeout is the supervisor's failure-detector deadline: a
-	// router that has not beaten for this long is declared crashed.
-	// Default: max(10 × ActivateEvery, 2 × ReadvertiseEvery).
-	HeartbeatTimeout time.Duration
-	// SnapshotEvery is how often the supervisor snapshots each live
-	// node's table for crash recovery. Default: ReadvertiseEvery.
-	SnapshotEvery time.Duration
-	// AutoHeal restarts heartbeat-detected failures from their last
-	// snapshot instead of leaving them down. Intentional crashes
-	// (CrashNode, scenario `crash` events) are never auto-healed — their
-	// recovery timing belongs to whoever crashed them.
-	AutoHeal bool
-}
-
-// Restart wipes one node a fixed interval into a live run.
-type Restart struct {
-	After time.Duration
-	Node  int
-}
-
-// Faults returns the transport fault profile the Config describes.
-func (c Config) Faults() transport.Faults {
-	return transport.Faults{LossProb: c.LossProb, DupProb: c.DupProb, MinDelay: c.MinDelay, MaxDelay: c.MaxDelay, QueueLen: c.QueueLen}
 }
 
 func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.ActivateEvery == 0 {
-		c.ActivateEvery = 2 * time.Millisecond
-	}
-	if c.ReadvertiseEvery == 0 {
-		c.ReadvertiseEvery = 20 * time.Millisecond
-	}
-	if c.SettleWindow == 0 {
-		c.SettleWindow = 8 * c.ReadvertiseEvery
-	}
-	if c.HeartbeatTimeout == 0 {
-		c.HeartbeatTimeout = 10 * c.ActivateEvery
-		if hb := 2 * c.ReadvertiseEvery; hb > c.HeartbeatTimeout {
-			c.HeartbeatTimeout = hb
-		}
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = c.ReadvertiseEvery
 	}
 	return c
 }
@@ -128,15 +82,9 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// RunStats counts the supervisor's and transport's interventions over a
-// live run.
+// RunStats counts the recoveries and transport drops of a live run.
 type RunStats struct {
-	// CrashesDetected counts heartbeat-deadline failures the supervisor
-	// declared (silent deaths and wedged routers — not intentional
-	// CrashNode calls, which announce themselves).
-	CrashesDetected int64
-	// Restarts counts routers respawned from a snapshot, whether by
-	// AutoHeal or an explicit RecoverNode.
+	// Restarts counts routers respawned by RecoverNode.
 	Restarts int64
 	// QueueDrops counts messages the transport dropped on full receive
 	// buffers (the sum of transport.NodeStats.Dropped at run end).
@@ -154,7 +102,7 @@ type Outcome[R any] struct {
 	Class Class
 	// DownNodes lists routers still down when the run ended.
 	DownNodes []int
-	// Stats counts supervisor and transport interventions.
+	// Stats counts recoveries and transport drops.
 	Stats RunStats
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
@@ -165,7 +113,7 @@ func (o Outcome[R]) Describe() string {
 	if o.Converged {
 		s := fmt.Sprintf("converged in %v", o.Elapsed.Round(time.Millisecond))
 		if o.Stats.Restarts > 0 {
-			s += fmt.Sprintf(" (%d restart(s), %d failure(s) detected)", o.Stats.Restarts, o.Stats.CrashesDetected)
+			s += fmt.Sprintf(" (%d restart(s))", o.Stats.Restarts)
 		}
 		return s
 	}
@@ -194,35 +142,29 @@ type Network[R any] struct {
 	recv    [][][]R // recv[i][k]: latest table delivered to i from k
 	recvSeq [][]uint64
 	changed time.Time
-	// pendingOps counts scheduled mutations — Config.Restarts and
-	// ApplyAfter hooks — that have not fired yet; quiescence is withheld
-	// while any are outstanding.
+	// pendingOps counts ApplyAfter hooks that have not fired yet;
+	// quiescence is withheld while any are outstanding.
 	pendingOps atomic.Int32
 	// muts are the ApplyAfter hooks, armed when Run starts.
 	muts []scheduledMut[R]
 
-	// Supervisor state (see supervisor.go). ctl holds each node's current
+	// Router lifecycle (see supervisor.go). ctl holds each node's current
 	// router handle; allCtls is the append-only join list Run drains at
-	// shutdown; down marks nodes crashed and not yet recovered; snaps is
-	// the per-node snapshot store (codec-encoded rows); runCtx is the run
-	// context recovery spawns under, and stopped blocks spawns once
-	// shutdown has begun. All mu-guarded except the atomics.
-	ctl     []*routerCtl
-	allCtls []*routerCtl
-	down    []bool
-	snaps   [][][]byte
-	runCtx  context.Context
-	stopped bool
-	clock   atomic.Int64   // the supervisor's running-time clock (see supervise)
-	beats   []atomic.Int64 // each router's latest reading of clock: its heartbeat
+	// shutdown; down marks nodes crashed and not yet recovered; runCtx is
+	// the run context recovery spawns under, and stopped blocks spawns once
+	// shutdown has begun; restarts counts recoveries for RunStats. All
+	// mu-guarded.
+	ctl      []*routerCtl
+	allCtls  []*routerCtl
+	down     []bool
+	runCtx   context.Context
+	stopped  bool
+	restarts int64
 	// seqs are the per-node advertisement sequence counters. They live on
 	// the network, not the router goroutine, so a restarted router
 	// continues its predecessor's sequence — otherwise peers' freshness
 	// guards would discard everything it says as stale.
-	seqs     []atomic.Uint64
-	runStats struct {
-		crashes, restarts atomic.Int64
-	}
+	seqs []atomic.Uint64
 }
 
 // scheduledMut is one ApplyAfter registration.
@@ -232,8 +174,8 @@ type scheduledMut[R any] struct {
 }
 
 // ApplyAfter schedules f to run against the live network d after Run
-// starts — the generic form of Config.Restarts, used to play scenario
-// timelines (link failures, policy edits) against a running network. The
+// starts — how scenario timelines (link failures, policy edits, restarts,
+// crashes and recoveries) are played against a running network. The
 // run cannot be declared quiescent while scheduled mutations are
 // pending, so a network that settles before its faults arrive keeps
 // running. Must be called before Run.
@@ -258,15 +200,6 @@ func (nw *Network[R]) RemoveEdge(i, j int) {
 	nw.mu.Unlock()
 }
 
-// Touch records a policy-state edit that changed edge behaviour without
-// reinstalling an edge value, so the settle window reopens.
-func (nw *Network[R]) Touch() {
-	nw.mu.Lock()
-	nw.adj.Touch()
-	nw.changed = time.Now()
-	nw.mu.Unlock()
-}
-
 // Mutate runs f under the network lock and reopens the settle window —
 // for live policy-state edits (e.g. re-ranking a path in a shared SPP
 // table) whose edge functions the routers apply concurrently under the
@@ -284,7 +217,13 @@ func (nw *Network[R]) Mutate(f func()) {
 // invalid, modelling a crash-and-restart that also lost its peers' state.
 func (nw *Network[R]) RestartNode(i int) {
 	nw.mu.Lock()
-	defer nw.mu.Unlock()
+	nw.wipeLocked(i)
+	nw.mu.Unlock()
+}
+
+// wipeLocked resets node i's table to the identity row and its receive
+// caches to invalid — what a rebooted router knows. Callers hold mu.
+func (nw *Network[R]) wipeLocked(i int) {
 	n := nw.adj.N
 	row := make([]R, n)
 	for j := range row {
@@ -332,51 +271,29 @@ func NewNetwork[R any](
 	}
 	nw.ctl = make([]*routerCtl, n)
 	nw.down = make([]bool, n)
-	nw.snaps = make([][][]byte, n)
-	nw.beats = make([]atomic.Int64, n)
 	nw.seqs = make([]atomic.Uint64, n)
 	return nw
 }
 
-// RunLocal runs a network over a fresh seeded in-memory transport built
-// from the Config's fault knobs — the one-call way to reproduce a
-// simulator fault profile live. The transport is closed when the run
-// ends.
-func RunLocal[R any](
-	alg core.Algebra[R],
-	adj *matrix.Adjacency[R],
-	start *matrix.State[R],
-	codec wire.Codec[R],
-	cfg Config,
-) Outcome[R] {
-	tr := transport.NewMemory(adj.N, cfg.Seed, cfg.Faults())
-	nw := NewNetwork(alg, adj, start, codec, tr, cfg)
-	out := nw.Run(context.Background())
-	tr.Close()
-	return out
-}
-
-// Run starts one goroutine per router, the supervisor, and a convergence
-// monitor, and blocks until the network settles, the context is
-// cancelled, or the timeout fires. On the way out it cancels and joins
-// every router it ever spawned and closes the transport, so a finished
-// run leaves no goroutine behind whatever crashed or recovered mid-way.
+// Run starts one goroutine per router and a convergence monitor, and
+// blocks until the network settles, the context is cancelled, or the
+// timeout fires. On the way out it cancels and joins every router it
+// ever spawned and closes the transport, so a finished run leaves no
+// goroutine behind whatever crashed or recovered mid-way.
 func (nw *Network[R]) Run(ctx context.Context) Outcome[R] {
 	ctx, cancel := context.WithTimeout(ctx, nw.cfg.Timeout)
 	defer cancel()
 	begin := time.Now()
+	nw.mu.Lock()
 	nw.changed = begin
 	nw.runCtx = ctx
-
-	muts := nw.muts
-	for _, rs := range nw.cfg.Restarts {
-		node := rs.Node
-		muts = append(muts, scheduledMut[R]{after: rs.After, f: func(nw *Network[R]) {
-			nw.RestartNode(node)
-		}})
+	for i := 0; i < nw.adj.N; i++ {
+		nw.spawnLocked(ctx, i)
 	}
+	nw.mu.Unlock()
+
 	var timers []*time.Timer
-	for _, m := range muts {
+	for _, m := range nw.muts {
 		m := m
 		nw.pendingOps.Add(1)
 		timers = append(timers, time.AfterFunc(m.after, func() {
@@ -390,23 +307,11 @@ func (nw *Network[R]) Run(ctx context.Context) Outcome[R] {
 		}
 	}()
 
-	n := nw.adj.N
-	for i := 0; i < n; i++ {
-		nw.spawn(ctx, i)
-	}
-	supDone := make(chan struct{})
-	go func() {
-		defer close(supDone)
-		nw.supervise(ctx)
-	}()
-
 	converged := nw.monitor(ctx)
 	cancel()
-	// Shutdown order matters: join the supervisor first (it is the only
-	// thing that spawns routers mid-run besides recovery timers, which
-	// `stopped` fences off), then join every router ever spawned, then
-	// close the transport under no remaining senders.
-	<-supDone
+	// Shutdown order matters: fence off late recovery timers with
+	// `stopped`, then join every router ever spawned, then close the
+	// transport under no remaining senders.
 	nw.mu.Lock()
 	nw.stopped = true
 	ctls := append([]*routerCtl(nil), nw.allCtls...)
@@ -424,16 +329,12 @@ func (nw *Network[R]) Run(ctx context.Context) Outcome[R] {
 			downNodes = append(downNodes, i)
 		}
 	}
+	stats := RunStats{Restarts: nw.restarts}
 	nw.mu.Unlock()
 
-	stats := RunStats{
-		CrashesDetected: nw.runStats.crashes.Load(),
-		Restarts:        nw.runStats.restarts.Load(),
-	}
 	for _, st := range nw.tr.Stats() {
 		stats.QueueDrops += st.Dropped
 	}
-	mRunQueueDrops.Add(float64(stats.QueueDrops))
 	class := ClassConverged
 	switch {
 	case converged:
@@ -459,19 +360,15 @@ func (nw *Network[R]) router(ctx context.Context, i int) {
 	jitter := func(d time.Duration) time.Duration {
 		return d/2 + time.Duration(rng.Int63n(int64(d)))
 	}
-	activate := time.NewTimer(jitter(nw.cfg.ActivateEvery))
+	activate := time.NewTimer(jitter(activateEvery))
 	defer activate.Stop()
-	readvertise := time.NewTicker(jitter(nw.cfg.ReadvertiseEvery))
+	readvertise := time.NewTicker(jitter(readvertiseEvery))
 	defer readvertise.Stop()
 
 	n := nw.adj.N
 	scratch := make([]R, n)
 
 	for {
-		// The heartbeat the supervisor's failure detector watches: a live
-		// router beats at least every activation period (plus jitter),
-		// far inside the deadline.
-		nw.beats[i].Store(nw.clock.Load())
 		select {
 		case <-ctx.Done():
 			return
@@ -484,7 +381,7 @@ func (nw *Network[R]) router(ctx context.Context, i int) {
 			if nw.recompute(i, scratch) {
 				nw.advertise(i, nw.seqs[i].Add(1))
 			}
-			activate.Reset(jitter(nw.cfg.ActivateEvery))
+			activate.Reset(jitter(activateEvery))
 		case <-readvertise.C:
 			nw.advertise(i, nw.seqs[i].Add(1))
 		}
@@ -572,7 +469,7 @@ func (nw *Network[R]) advertise(i int, seq uint64) {
 // table, and nothing has changed for a full settle window (which dominates
 // the transport's maximum delay, so no perturbing advert is in flight).
 func (nw *Network[R]) monitor(ctx context.Context) bool {
-	tick := time.NewTicker(nw.cfg.SettleWindow / 8)
+	tick := time.NewTicker(settleWindow / 8)
 	defer tick.Stop()
 	for {
 		select {
@@ -599,17 +496,7 @@ func (nw *Network[R]) quiescent() bool {
 			return false
 		}
 	}
-	// Convergence also attests liveness: every router must have beaten
-	// within the failure-detector deadline. A silently dead router may
-	// hold a fixed-point table right now, but it can never repair a
-	// future loss — declaring quiescence over it would race the detector.
-	now := nw.clock.Load()
-	for i := range nw.beats {
-		if now-nw.beats[i].Load() > int64(nw.cfg.HeartbeatTimeout) {
-			return false
-		}
-	}
-	if time.Since(nw.changed) < nw.cfg.SettleWindow {
+	if time.Since(nw.changed) < settleWindow {
 		return false
 	}
 	n := nw.adj.N

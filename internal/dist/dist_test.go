@@ -23,23 +23,22 @@ func ringAdj(n int, alg algebras.HopCount) *matrix.Adjacency[algebras.NatInf] {
 }
 
 // TestRunLocalWithFaults: a live run over a lossy, duplicating, delaying
-// transport built straight from the Config knobs must still converge to
-// the σ fixed point (Theorem 4 with the fault profile as the adversary).
+// in-memory transport must still converge to the σ fixed point
+// (Theorem 4 with the fault profile as the adversary).
 func TestRunLocalWithFaults(t *testing.T) {
 	alg := algebras.HopCount{Limit: 15}
 	n := 6
 	adj := ringAdj(n, alg)
 	start := matrix.Identity(alg, n)
 
-	cfg := dist.Config{
-		Seed:     42,
+	cfg := dist.Config{Seed: 42, Timeout: 20 * time.Second}
+	tr := transport.NewMemory(n, cfg.Seed, transport.Faults{
 		LossProb: 0.2,
 		DupProb:  0.2,
 		MinDelay: 100 * time.Microsecond,
 		MaxDelay: 2 * time.Millisecond,
-		Timeout:  20 * time.Second,
-	}
-	out := dist.RunLocal(alg, adj, start, wire.NatInfCodec{}, cfg)
+	})
+	out := dist.NewNetwork(alg, adj, start, wire.NatInfCodec{}, tr, cfg).Run(context.Background())
 	if !out.Converged {
 		t.Fatalf("lossy live run did not converge: %s", out.Describe())
 	}
@@ -53,21 +52,22 @@ func TestRunLocalWithFaults(t *testing.T) {
 	}
 }
 
-// TestRestartHook: a Config.Restarts entry wipes a node mid-run; the run
-// must hold off convergence until the restart has fired and still settle
-// back on the fixed point.
+// TestRestartHook: a RestartNode scheduled through ApplyAfter wipes a
+// node mid-run; the run must hold off convergence until the restart has
+// fired and still settle back on the fixed point.
 func TestRestartHook(t *testing.T) {
 	alg := algebras.HopCount{Limit: 15}
 	n := 5
 	adj := ringAdj(n, alg)
 	start := matrix.Identity(alg, n)
 
-	cfg := dist.Config{
-		Seed:     7,
-		Timeout:  20 * time.Second,
-		Restarts: []dist.Restart{{After: 150 * time.Millisecond, Node: 2}},
-	}
-	out := dist.RunLocal(alg, adj, start, wire.NatInfCodec{}, cfg)
+	cfg := dist.Config{Seed: 7, Timeout: 20 * time.Second}
+	tr := transport.NewMemory(n, cfg.Seed, transport.Faults{})
+	nw := dist.NewNetwork(alg, adj, start, wire.NatInfCodec{}, tr, cfg)
+	nw.ApplyAfter(150*time.Millisecond, func(nw *dist.Network[algebras.NatInf]) {
+		nw.RestartNode(2)
+	})
+	out := nw.Run(context.Background())
 	if !out.Converged {
 		t.Fatalf("run with restart did not converge: %s", out.Describe())
 	}
@@ -89,7 +89,7 @@ func TestLiveMutation(t *testing.T) {
 	start := matrix.Identity(alg, n)
 
 	cfg := dist.Config{Seed: 3, Timeout: 20 * time.Second}
-	tr := transport.NewMemory(n, cfg.Seed, cfg.Faults())
+	tr := transport.NewMemory(n, cfg.Seed, transport.Faults{})
 	nw := dist.NewNetwork(alg, adj, start, wire.NatInfCodec{}, tr, cfg)
 
 	done := make(chan dist.Outcome[algebras.NatInf], 1)

@@ -252,39 +252,24 @@ func runSimulate[R any](sc *Scenario, build func(*Scenario) (*instance[R], error
 }
 
 // runDist plays the timeline against the live goroutine-per-router
-// network, mapping step s to wall-clock time s·distStep: restarts ride
-// the Config.Restarts hook, everything else is scheduled through
-// ApplyAfter onto the network's live mutators. Quiescence is withheld
-// until every scheduled fault has fired.
+// network, mapping step s to wall-clock time s·distStep: every event is
+// scheduled through ApplyAfter onto the network's live mutators.
+// Quiescence is withheld until every scheduled fault has fired.
 func runDist[R any](sc *Scenario, build func(*Scenario) (*instance[R], error)) (SubstrateReport, error) {
 	sr := SubstrateReport{Substrate: SubDist}
 	inst, err := build(sc)
 	if err != nil {
 		return sr, err
 	}
-	cfg := dist.Config{
-		Seed:     sc.Seed,
-		LossProb: sc.LossProb,
-		DupProb:  sc.DupProb,
-	}
-	for _, ev := range sc.Events {
-		if ev.Kind == Restart {
-			cfg.Restarts = append(cfg.Restarts, dist.Restart{After: time.Duration(ev.Step) * distStep, Node: ev.Node})
-		}
-	}
-	tr := transport.NewMemory(inst.n, sc.Seed, cfg.Faults())
-	nw := dist.NewNetwork(inst.alg, inst.adj, inst.start, inst.codec, tr, cfg)
+	tr := transport.NewMemory(inst.n, sc.Seed, transport.Faults{LossProb: sc.LossProb, DupProb: sc.DupProb})
+	nw := dist.NewNetwork(inst.alg, inst.adj, inst.start, inst.codec, tr, dist.Config{Seed: sc.Seed})
 	for _, ev := range sc.Events {
 		ev := ev
-		if ev.Kind == Restart {
-			continue
-		}
 		nw.ApplyAfter(time.Duration(ev.Step)*distStep, func(nw *dist.Network[R]) {
 			applyLive(inst, nw, ev)
 		})
 	}
 	out := nw.Run(context.Background())
-	tr.Close()
 	sr.Converged = out.Converged
 	inst.applyAll(sc.Events)
 	err = finish(sc, build, inst, out.Final, &sr)
@@ -310,6 +295,8 @@ func applyLive[R any](in *instance[R], nw *dist.Network[R], ev Event) {
 		nw.SetEdge(ev.B, ev.A, in.weightEdge(ev.Weight))
 	case SetRank:
 		nw.Mutate(func() { in.spp.SetRank(ev.Rank, ev.Path...) })
+	case Restart:
+		nw.RestartNode(ev.Node)
 	case NodeCrash:
 		nw.CrashNode(ev.Node)
 	case NodeRecover:

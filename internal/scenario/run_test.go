@@ -106,9 +106,8 @@ at 90 restart 4
 
 // TestScenarioCrashRecoverAcrossSubstrates plays a crash/recover window
 // (plus a link failure while the node is down) on all three substrates.
-// RIP must converge everywhere (Theorem 7 — the recovered node's state,
-// wiped or restored from a live snapshot, is just another arbitrary
-// starting state), the engine must stay bit-identical to the reference
+// RIP must converge everywhere (Theorem 7 — the recovered node's wiped
+// state is just another arbitrary starting state), the engine must stay bit-identical to the reference
 // under the masked schedule, and all substrates must land on one fixed
 // point.
 func TestScenarioCrashRecoverAcrossSubstrates(t *testing.T) {

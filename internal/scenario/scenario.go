@@ -41,10 +41,9 @@ const (
 	// meanwhile is lost. Every crash must be paired with a later recover
 	// in the same timeline.
 	NodeCrash
-	// NodeRecover brings a crashed node back. On the engine and
-	// simulator substrates the node reboots wiped (restart semantics);
-	// on the live substrate it is restored from the supervisor's last
-	// snapshot of its table.
+	// NodeRecover brings a crashed node back. It reboots wiped — the
+	// crash lost whatever it knew — with restart semantics on every
+	// substrate.
 	NodeRecover
 )
 

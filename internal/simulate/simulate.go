@@ -21,6 +21,21 @@ import (
 	"repro/internal/trace"
 )
 
+// The message-passing periods, in virtual time units.
+const (
+	// minDelay is the least per-message delivery latency.
+	minDelay = 1
+	// activateEvery is the mean node activation period.
+	activateEvery = 5
+	// readvertiseEvery is the period of unconditional full-table
+	// re-advertisement, the soft-state repair that discharges S3 under
+	// loss.
+	readvertiseEvery = 50
+	// settleWindow is how long the global state must remain unchanged —
+	// while σ-stable — before the run is declared converged.
+	settleWindow = 4 * readvertiseEvery
+)
+
 // Config controls a simulation run.
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical runs.
@@ -29,22 +44,12 @@ type Config struct {
 	LossProb float64
 	// DupProb is the probability an advertisement is delivered twice.
 	DupProb float64
-	// MinDelay and MaxDelay bound per-message delivery latency in virtual
-	// time units; a wide range causes heavy reordering. Defaults: 1, 10.
-	MinDelay, MaxDelay int64
-	// ActivateEvery is the mean node activation period. Default: 5.
-	ActivateEvery int64
-	// ReadvertiseEvery is the period of unconditional full-table
-	// re-advertisement, the soft-state repair that discharges S3 under
-	// loss. Default: 50.
-	ReadvertiseEvery int64
+	// MaxDelay bounds per-message delivery latency in virtual time units
+	// (the least is 1); a wide range causes heavy reordering. Default: 10.
+	MaxDelay int64
 	// MaxTime aborts the run (non-convergence) past this virtual time.
 	// Default: 100_000.
 	MaxTime int64
-	// SettleWindow is how long the global state must remain unchanged —
-	// while σ-stable — before the run is declared converged. Default:
-	// 4 × ReadvertiseEvery.
-	SettleWindow int64
 	// Restarts optionally reinjects arbitrary state mid-run (Section 3.2
 	// dynamics): at each listed virtual time, the node's table and
 	// neighbour caches are replaced with garbage drawn by Gen.
@@ -73,23 +78,11 @@ type Crash struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MinDelay == 0 {
-		c.MinDelay = 1
-	}
 	if c.MaxDelay == 0 {
 		c.MaxDelay = 10
 	}
-	if c.ActivateEvery == 0 {
-		c.ActivateEvery = 5
-	}
-	if c.ReadvertiseEvery == 0 {
-		c.ReadvertiseEvery = 50
-	}
 	if c.MaxTime == 0 {
 		c.MaxTime = 100_000
-	}
-	if c.SettleWindow == 0 {
-		c.SettleWindow = 4 * c.ReadvertiseEvery
 	}
 	return c
 }
@@ -294,7 +287,7 @@ func RunTraced[R any](
 	}
 	heap.Init(&e.queue)
 	for i := 0; i < n; i++ {
-		e.push(&event[R]{time: 1 + e.rng.Int63n(cfg.ActivateEvery), kind: evActivate, node: i})
+		e.push(&event[R]{time: 1 + e.rng.Int63n(activateEvery), kind: evActivate, node: i})
 	}
 	for _, r := range cfg.Restarts {
 		e.push(&event[R]{time: r.Time, kind: evRestart, node: r.Node})
@@ -330,14 +323,14 @@ func (e *engine[R]) loop() Outcome[R] {
 				e.activate(now, ev.node)
 				// Quiescence check at activation boundaries (gated by the
 				// settle window to amortise its cost).
-				if now-e.lastChange >= cfg.SettleWindow && e.noRestartsPending(now) && e.quiescent() {
+				if now-e.lastChange >= settleWindow && e.noRestartsPending(now) && e.quiescent() {
 					return Outcome[R]{
 						Final: e.state, Converged: true,
 						ConvergedAt: e.lastChange, EndTime: now, Stats: e.stats,
 					}
 				}
 			}
-			e.push(&event[R]{time: now + 1 + e.rng.Int63n(cfg.ActivateEvery), kind: evActivate, node: ev.node})
+			e.push(&event[R]{time: now + 1 + e.rng.Int63n(activateEvery), kind: evActivate, node: ev.node})
 		case evDeliver:
 			if e.isDown(ev.node) {
 				// The receiving process is gone; its loss is just loss.
@@ -434,7 +427,7 @@ func (e *engine[R]) activate(now int64, i int) {
 	}
 	// Advertise when changed, and periodically regardless, so lost
 	// messages are eventually repaired (the S3 discharge).
-	if changed || now%e.cfg.ReadvertiseEvery < e.cfg.ActivateEvery {
+	if changed || now%readvertiseEvery < activateEvery {
 		e.advertise(now, i, row)
 	}
 }
@@ -473,7 +466,7 @@ func RunExtracting[R any](
 	}
 	heap.Init(&e.queue)
 	for i := 0; i < n; i++ {
-		e.push(&event[R]{time: 1 + e.rng.Int63n(cfg.ActivateEvery), kind: evActivate, node: i})
+		e.push(&event[R]{time: 1 + e.rng.Int63n(activateEvery), kind: evActivate, node: i})
 	}
 	out := e.loop()
 	return out, e.extract
@@ -500,7 +493,7 @@ func (e *engine[R]) advertise(now int64, i int, row []R) {
 			e.stats.Duplicated++
 		}
 		for c := 0; c < copies; c++ {
-			delay := e.cfg.MinDelay + e.rng.Int63n(e.cfg.MaxDelay-e.cfg.MinDelay+1)
+			delay := minDelay + e.rng.Int63n(e.cfg.MaxDelay-minDelay+1)
 			payload := make([]R, len(row))
 			copy(payload, row)
 			step := 0

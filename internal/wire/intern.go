@@ -33,19 +33,16 @@ func (c PairCodec[A, B]) Encode(r algebras.Pair[A, B]) ([]byte, error) {
 // Decode implements Codec.
 func (c PairCodec[A, B]) Decode(b []byte) (algebras.Pair[A, B], error) {
 	var out algebras.Pair[A, B]
-	if len(b) < 4 {
-		return out, ErrTruncated
+	cur := NewCursor(b, ErrTruncated)
+	raw := cur.Bytes(cur.Len())
+	if err := cur.Err(); err != nil {
+		return out, err
 	}
-	l := binary.BigEndian.Uint32(b[:4])
-	b = b[4:]
-	if uint32(len(b)) < l {
-		return out, ErrTruncated
-	}
-	first, err := c.First.Decode(b[:l])
+	first, err := c.First.Decode(raw)
 	if err != nil {
 		return out, err
 	}
-	second, err := c.Second.Decode(b[l:])
+	second, err := c.Second.Decode(cur.rest())
 	if err != nil {
 		return out, err
 	}

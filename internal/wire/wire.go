@@ -170,32 +170,37 @@ func EncodePath(p paths.Path) []byte {
 
 // DecodePath parses EncodePath output and returns the remaining bytes.
 func DecodePath(b []byte) (paths.Path, []byte, error) {
-	if len(b) < 1 {
-		return paths.Invalid, nil, ErrTruncated
+	cur := NewCursor(b, ErrTruncated)
+	p, err := readPath(cur)
+	if err != nil {
+		return paths.Invalid, nil, err
 	}
-	if b[0] == 0xFF {
-		return paths.Invalid, b[1:], nil
+	return p, cur.rest(), nil
+}
+
+// readPath reads one EncodePath layout through cur, returning cur's fault
+// if the bytes run out.
+func readPath(cur *Cursor) (paths.Path, error) {
+	if cur.U8() == 0xFF {
+		return paths.Invalid, nil
 	}
-	if len(b) < 3 {
-		return paths.Invalid, nil, ErrTruncated
-	}
-	n := int(binary.BigEndian.Uint16(b[1:3]))
-	b = b[3:]
-	if len(b) < 4*n {
-		return paths.Invalid, nil, ErrTruncated
+	n := int(cur.U16())
+	raw := cur.take(4 * n)
+	if err := cur.Err(); err != nil {
+		return paths.Invalid, err
 	}
 	arcs := make([]paths.Arc, n)
-	for i := 0; i < n; i++ {
+	for i := range arcs {
 		arcs[i] = paths.Arc{
-			From: int(binary.BigEndian.Uint16(b[4*i : 4*i+2])),
-			To:   int(binary.BigEndian.Uint16(b[4*i+2 : 4*i+4])),
+			From: int(binary.BigEndian.Uint16(raw[4*i:])),
+			To:   int(binary.BigEndian.Uint16(raw[4*i+2:])),
 		}
 	}
 	p := paths.FromArcs(arcs...)
 	if p.IsInvalid() && n > 0 {
-		return paths.Invalid, nil, fmt.Errorf("wire: arc sequence does not form a simple path")
+		return paths.Invalid, fmt.Errorf("wire: arc sequence does not form a simple path")
 	}
-	return p, b[4*n:], nil
+	return p, nil
 }
 
 // PolicyCodec serialises Section 7 routes.
@@ -217,24 +222,19 @@ func (PolicyCodec) Encode(r policy.Route) ([]byte, error) {
 
 // Decode implements Codec.
 func (PolicyCodec) Decode(b []byte) (policy.Route, error) {
-	if len(b) < 1 {
-		return policy.InvalidRoute, ErrTruncated
-	}
-	if b[0] == 0xFF {
+	cur := NewCursor(b, ErrTruncated)
+	if cur.U8() == 0xFF {
 		return policy.InvalidRoute, nil
 	}
-	if len(b) < 14 {
-		return policy.InvalidRoute, ErrTruncated
-	}
-	lpref := binary.BigEndian.Uint32(b[1:5])
-	comms := policy.CommunitySet(binary.BigEndian.Uint64(b[5:13]))
-	pad := b[13]
-	p, rest, err := DecodePath(b[14:])
+	lpref := cur.U32()
+	comms := policy.CommunitySet(cur.U64())
+	pad := cur.U8()
+	p, err := readPath(cur)
 	if err != nil {
 		return policy.InvalidRoute, err
 	}
-	if len(rest) != 0 {
-		return policy.InvalidRoute, fmt.Errorf("wire: %d trailing bytes after policy route", len(rest))
+	if cur.Len() != 0 {
+		return policy.InvalidRoute, fmt.Errorf("wire: %d trailing bytes after policy route", cur.Len())
 	}
 	out := policy.Valid(lpref, comms, p)
 	out.Pad = pad
@@ -278,19 +278,16 @@ func (c TrackedCodec[B]) Encode(r pathalg.Route[B]) ([]byte, error) {
 // Decode implements Codec.
 func (c TrackedCodec[B]) Decode(b []byte) (pathalg.Route[B], error) {
 	var out pathalg.Route[B]
-	p, rest, err := DecodePath(b)
+	cur := NewCursor(b, ErrTruncated)
+	p, err := readPath(cur)
 	if err != nil {
 		return out, err
 	}
-	if len(rest) < 4 {
+	raw := cur.Bytes(cur.Len())
+	if cur.Err() != nil || cur.Len() != 0 {
 		return out, ErrTruncated
 	}
-	l := binary.BigEndian.Uint32(rest[:4])
-	rest = rest[4:]
-	if uint32(len(rest)) != l {
-		return out, ErrTruncated
-	}
-	base, err := c.Base.Decode(rest)
+	base, err := c.Base.Decode(raw)
 	if err != nil {
 		return out, err
 	}
@@ -309,16 +306,14 @@ func (SPPCodec) Encode(r gadgets.Route) ([]byte, error) {
 
 // Decode implements Codec.
 func (SPPCodec) Decode(b []byte) (gadgets.Route, error) {
-	if len(b) < 4 {
-		return gadgets.Route{}, ErrTruncated
-	}
-	rank := binary.BigEndian.Uint32(b[:4])
-	p, rest, err := DecodePath(b[4:])
+	cur := NewCursor(b, ErrTruncated)
+	rank := cur.U32()
+	p, err := readPath(cur)
 	if err != nil {
 		return gadgets.Route{}, err
 	}
-	if len(rest) != 0 {
-		return gadgets.Route{}, fmt.Errorf("wire: %d trailing bytes after SPP route", len(rest))
+	if cur.Len() != 0 {
+		return gadgets.Route{}, fmt.Errorf("wire: %d trailing bytes after SPP route", cur.Len())
 	}
 	return gadgets.Route{Rank: rank, Path: p}, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -191,6 +192,8 @@ func TestFuzzDecodeNeverPanics(t *testing.T) {
 		_, _ = (NatInfCodec{}).Decode(b)
 		_, _ = (GaoRexfordCodec{}).Decode(b)
 		_, _ = (TrackedCodec[algebras.NatInf]{Base: NatInfCodec{}}).Decode(b)
+		_, _ = (SPPCodec{}).Decode(b)
+		_, _ = (PairCodec[algebras.NatInf, algebras.NatInf]{First: NatInfCodec{}, Second: NatInfCodec{}}).Decode(b)
 	}
 	for trial := 0; trial < 3000; trial++ {
 		b := make([]byte, rng.Intn(64))
@@ -222,4 +225,40 @@ func TestSPPCodec(t *testing.T) {
 	if _, err := c.Decode([]byte{1}); err == nil {
 		t.Error("short buffer must fail")
 	}
+}
+
+// truncations checks that every strict prefix of r's encoding fails with
+// ErrTruncated and that the full encoding round-trips.
+func truncations[R any](t *testing.T, name string, c Codec[R], r R, equal func(a, b R) bool) {
+	t.Helper()
+	b, err := c.Encode(r)
+	if err != nil {
+		t.Fatalf("%s: encode: %v", name, err)
+	}
+	for k := 0; k < len(b); k++ {
+		if _, err := c.Decode(b[:k]); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: %d-byte prefix of %d: got %v, want ErrTruncated", name, k, len(b), err)
+		}
+	}
+	got, err := c.Decode(b)
+	if err != nil || !equal(got, r) {
+		t.Errorf("%s: round trip gave %v, %v", name, got, err)
+	}
+}
+
+func TestDecodersRejectEveryTruncation(t *testing.T) {
+	path := paths.FromNodes(3, 2, 1, 0)
+	truncations[policy.Route](t, "policy", PolicyCodec{},
+		policy.Valid(7, policy.NewCommunitySet(1, 5), path),
+		func(a, b policy.Route) bool { return a.Compare(b) == 0 })
+	truncations[gadgets.Route](t, "spp", SPPCodec{},
+		gadgets.Route{Rank: 2, Path: path},
+		func(a, b gadgets.Route) bool { return a.Rank == b.Rank && a.Path.Equal(b.Path) })
+	tracked := pathalg.New[algebras.NatInf](algebras.HopCount{Limit: 15})
+	truncations[pathalg.Route[algebras.NatInf]](t, "tracked", TrackedCodec[algebras.NatInf]{Base: NatInfCodec{}},
+		pathalg.Route[algebras.NatInf]{Base: 4, Path: path}, tracked.Equal)
+	truncations[algebras.Pair[algebras.NatInf, algebras.NatInf]](t, "pair",
+		PairCodec[algebras.NatInf, algebras.NatInf]{First: NatInfCodec{}, Second: NatInfCodec{}},
+		algebras.Pair[algebras.NatInf, algebras.NatInf]{First: 3, Second: 7},
+		func(a, b algebras.Pair[algebras.NatInf, algebras.NatInf]) bool { return a == b })
 }
