@@ -62,8 +62,7 @@ type options struct {
 	steps     int    // -steps: the delta horizon T (0: 50·n)
 	seed      int64
 	garbage   bool
-	sim       simulate.Config
-	recorder  *trace.Recorder // -trace: the sim run's event timeline
+	sim       simulate.Config // -trace sets Trace: the sim run's event timeline
 	statsJSON bool
 	stdout    io.Writer
 	stderr    io.Writer
@@ -170,7 +169,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "(-trace records message events and applies to -mode sim only; ignoring)")
 		}
 	} else if *showTrace {
-		o.recorder = &trace.Recorder{}
+		o.sim.Trace = &trace.Recorder{}
 	}
 	if o.garbage && (*algebra == "pv" || *algebra == "gr") {
 		fmt.Fprintf(stderr, "-garbage applies to -algebra shortest|rip|widest|policy only, not %s\n", *algebra)
@@ -310,7 +309,7 @@ func run[R any](o *options, alg core.Algebra[R], adj *matrix.Adjacency[R], start
 	if o.mode == "delta" {
 		return runDelta[R](o, alg, adj, start)
 	}
-	out := simulate.RunTraced[R](alg, adj, start, o.sim, nil, nil, o.recorder)
+	out := simulate.Run[R](alg, adj, start, o.sim, nil)
 	code := 0
 	if !out.Converged {
 		code = 1
@@ -386,10 +385,10 @@ func report[R any](o *options, alg core.Algebra[R], adj *matrix.Adjacency[R], fi
 	} else {
 		fmt.Fprintf(o.stdout, "(%d nodes; tables suppressed, rerun with -n ≤ 12 to print them)\n", adj.N)
 	}
-	if o.recorder != nil {
+	if o.sim.Trace != nil {
 		fmt.Fprintln(o.stdout, "\nroute-change timeline:")
-		o.recorder.Timeline(o.stdout, 40)
-		o.recorder.Summary(o.stdout)
+		o.sim.Trace.Timeline(o.stdout, 40)
+		o.sim.Trace.Summary(o.stdout)
 	}
 	return stable
 }

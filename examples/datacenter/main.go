@@ -69,18 +69,20 @@ func main() {
 	// restarting with garbage state mid-run.
 	u := alg.Universe()
 	gen := func(rng *rand.Rand) gaorexford.Route { return u[rng.Intn(len(u))] }
+	restartAt := func(t int64, i int) simulate.Event[gaorexford.Route] {
+		return simulate.Event[gaorexford.Route]{Time: t, Apply: func(s *simulate.Sim[gaorexford.Route]) { s.RestartNode(i) }}
+	}
 	out := simulate.Run[gaorexford.Route](alg, adj, clean, simulate.Config{
 		Seed:     4,
 		LossProb: 0.15,
 		DupProb:  0.05,
 		MaxDelay: 12,
 		MaxTime:  2_000_000,
-		Restarts: []simulate.Restart{
-			{Time: 200, Node: pick(roles, topology.CoreSwitch, 1)},
-			{Time: 400, Node: pick(roles, topology.AggSwitch, 3)},
-			{Time: 600, Node: src},
-		},
-	}, gen)
+	}, gen,
+		restartAt(200, pick(roles, topology.CoreSwitch, 1)),
+		restartAt(400, pick(roles, topology.AggSwitch, 3)),
+		restartAt(600, src),
+	)
 	fmt.Printf("async run with restarts: %s\n", out.Describe())
 	if !out.Converged || !out.Final.Equal(alg, want) {
 		log.Fatal("fabric failed to re-converge to the unique solution")

@@ -20,12 +20,14 @@ func TestSimulatorScheduleReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	for trial := 0; trial < 10; trial++ {
 		start := matrix.RandomStateFrom(rng, 4, alg.Universe())
-		out, log := simulate.RunExtracting[algebras.NatInf](alg, adj, start, simulate.Config{
+		log := &simulate.ScheduleLog{}
+		out := simulate.Run[algebras.NatInf](alg, adj, start, simulate.Config{
 			Seed:     int64(3000 + trial),
 			LossProb: 0.25,
 			DupProb:  0.15,
 			MaxDelay: 12,
-		})
+			Log:      log,
+		}, nil)
 		if !out.Converged {
 			t.Fatalf("trial %d: simulator did not converge", trial)
 		}
@@ -46,9 +48,10 @@ func TestSimulatorScheduleReplay(t *testing.T) {
 func TestExtractedScheduleIsValid(t *testing.T) {
 	alg, adj := ripNet()
 	start := matrix.Identity[algebras.NatInf](alg, 4)
-	out, log := simulate.RunExtracting[algebras.NatInf](alg, adj, start, simulate.Config{
-		Seed: 77, LossProb: 0.2,
-	})
+	log := &simulate.ScheduleLog{}
+	out := simulate.Run[algebras.NatInf](alg, adj, start, simulate.Config{
+		Seed: 77, LossProb: 0.2, Log: log,
+	}, nil)
 	if !out.Converged {
 		t.Fatal("simulator did not converge")
 	}
@@ -80,9 +83,10 @@ func TestExtractedScheduleIsValid(t *testing.T) {
 func TestReplayStepByStep(t *testing.T) {
 	alg, adj := ripNet()
 	start := matrix.Identity[algebras.NatInf](alg, 4)
-	_, log := simulate.RunExtracting[algebras.NatInf](alg, adj, start, simulate.Config{
-		Seed: 5, LossProb: 0.3, DupProb: 0.2,
-	})
+	log := &simulate.ScheduleLog{}
+	simulate.Run[algebras.NatInf](alg, adj, start, simulate.Config{
+		Seed: 5, LossProb: 0.3, DupProb: 0.2, Log: log,
+	}, nil)
 	sched := FromLog(log)
 	history := RunReference[algebras.NatInf](alg, adj, start, sched)
 	// Monotone sanity: each state differs from its predecessor only in

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/algebras"
 	"repro/internal/core"
-	"repro/internal/matrix"
 	"repro/internal/paths"
 	"repro/internal/topology"
 )
@@ -252,10 +251,4 @@ func TwoTierASes() (topology.Graph, []int) {
 	add(3, 4) // AS1 — AS2
 	add(5, 0) // AS2 — AS0
 	return g, []int{0, 0, 1, 1, 2, 2}
-}
-
-// Sigma runs one shadow round (a convenience re-export for tests and
-// experiments).
-func Sigma[A any](alg core.Algebra[A], adj *matrix.Adjacency[A], x *matrix.State[A]) *matrix.State[A] {
-	return matrix.Sigma(alg, adj, x)
 }

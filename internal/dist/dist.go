@@ -6,10 +6,12 @@
 // kernel (matrix.SigmaRowInto); only the source of the neighbour tables
 // differs: here they come from a receive cache fed by real concurrency.
 //
-// The network runs exactly what its caller schedules: CrashNode stops a
-// router, RecoverNode and RestartNode reboot one wiped, and nothing
-// crashes or heals a router on its own. `crash`, `recover` and `restart`
-// therefore mean the same thing here as on the other two substrates.
+// The network runs exactly what its caller schedules, through the same
+// four verbs the event simulator's run state (simulate.Sim) offers:
+// Mutate edits the live adjacency, CrashNode stops a router, RecoverNode
+// and RestartNode reboot one wiped, and nothing crashes or heals a router
+// on its own. A timeline event therefore means the same thing here as on
+// the other two substrates.
 package dist
 
 import (
@@ -183,31 +185,14 @@ func (nw *Network[R]) ApplyAfter(d time.Duration, f func(*Network[R])) {
 	nw.muts = append(nw.muts, scheduledMut[R]{after: d, f: f})
 }
 
-// SetEdge installs or replaces the live edge (i, j) mid-run — a link
-// recovery or a policy/weight edit played against a running network.
-func (nw *Network[R]) SetEdge(i, j int, e core.Edge[R]) {
+// Mutate edits the live adjacency in place under the network lock and
+// reopens the settle window: a link failure or recovery, a weight change,
+// or a policy edit (re-ranking a path in a shared SPP table) whose edge
+// functions the routers apply concurrently under the same lock. It is the
+// same edit engine.TimelineEvent.Mutate and simulate.Sim.Mutate apply.
+func (nw *Network[R]) Mutate(f func(adj *matrix.Adjacency[R])) {
 	nw.mu.Lock()
-	nw.adj.SetEdge(i, j, e)
-	nw.changed = time.Now()
-	nw.mu.Unlock()
-}
-
-// RemoveEdge fails the live edge (i, j) mid-run.
-func (nw *Network[R]) RemoveEdge(i, j int) {
-	nw.mu.Lock()
-	nw.adj.RemoveEdge(i, j)
-	nw.changed = time.Now()
-	nw.mu.Unlock()
-}
-
-// Mutate runs f under the network lock and reopens the settle window —
-// for live policy-state edits (e.g. re-ranking a path in a shared SPP
-// table) whose edge functions the routers apply concurrently under the
-// same lock. Plain topology edits should use SetEdge/RemoveEdge instead.
-func (nw *Network[R]) Mutate(f func()) {
-	nw.mu.Lock()
-	f()
-	nw.adj.Touch()
+	f(nw.adj)
 	nw.changed = time.Now()
 	nw.mu.Unlock()
 }

@@ -96,8 +96,10 @@ func TestLiveMutation(t *testing.T) {
 	go func() { done <- nw.Run(context.Background()) }()
 
 	time.Sleep(100 * time.Millisecond)
-	nw.RemoveEdge(0, 1)
-	nw.RemoveEdge(1, 0)
+	nw.Mutate(func(a *matrix.Adjacency[algebras.NatInf]) {
+		a.RemoveEdge(0, 1)
+		a.RemoveEdge(1, 0)
+	})
 
 	out := <-done
 	tr.Close()

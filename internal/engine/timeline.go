@@ -25,7 +25,8 @@ type TimelineEvent[R any] struct {
 	Mutate func(adj *matrix.Adjacency[R])
 	// Restart lists nodes that crash and restart at this step: their row
 	// is reset to the identity row (trivial to self, invalid elsewhere),
-	// generalising simulate.Restart to the stepped engine.
+	// the stepped engine's counterpart of the simulator's and the live
+	// network's RestartNode.
 	Restart []int
 	// Invalidate lists rows whose incremental reuse is abandoned at this
 	// step: their next activation recomputes every destination in full

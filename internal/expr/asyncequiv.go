@@ -120,9 +120,10 @@ func AsyncEquivalence(w io.Writer, trials int) AsyncEquivalenceResult {
 	res.ReplayOK = true
 	for trial := 0; trial < trials; trial++ {
 		start := matrix.RandomStateFrom(rng, 4, alg.Universe())
-		simOut, log := simulate.RunExtracting[algebras.NatInf](alg, adj, start, simulate.Config{
-			Seed: int64(1400 + trial), LossProb: 0.25, DupProb: 0.15, MaxDelay: 12,
-		})
+		log := &simulate.ScheduleLog{}
+		simOut := simulate.Run[algebras.NatInf](alg, adj, start, simulate.Config{
+			Seed: int64(1400 + trial), LossProb: 0.25, DupProb: 0.15, MaxDelay: 12, Log: log,
+		}, nil)
 		if !simOut.Converged {
 			res.ReplayOK = false
 			continue

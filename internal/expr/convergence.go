@@ -117,11 +117,13 @@ func DistanceVector(w io.Writer, trials int) ConvergenceResult {
 	row = ConvergenceRow{Scenario: "simulator, node restarts with garbage", Trials: trials, UniqueLimit: true}
 	u := alg.Universe()
 	gen := func(rng *rand.Rand) algebras.NatInf { return u[rng.Intn(len(u))] }
+	restartAt := func(t int64, i int) simulate.Event[algebras.NatInf] {
+		return simulate.Event[algebras.NatInf]{Time: t, Apply: func(s *simulate.Sim[algebras.NatInf]) { s.RestartNode(i) }}
+	}
 	for i := 0; i < trials; i++ {
 		out := simulate.Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), simulate.Config{
 			Seed: int64(9500 + i), LossProb: 0.1,
-			Restarts: []simulate.Restart{{Time: 50, Node: i % 4}, {Time: 150, Node: (i + 2) % 4}},
-		}, gen)
+		}, gen, restartAt(50, i%4), restartAt(150, (i+2)%4))
 		if out.Converged && out.Final.Equal(alg, want) {
 			row.Converged++
 		} else {

@@ -121,18 +121,21 @@ func Dynamic(w io.Writer, epochs int) DynamicResult {
 
 	// One run with a link flap inside it.
 	want, _, _ := matrix.FixedPoint[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), 100)
-	out := simulate.RunDynamic[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), simulate.Config{
+	mutateAt := func(t int64, f func(*matrix.Adjacency[algebras.NatInf])) simulate.Event[algebras.NatInf] {
+		return simulate.Event[algebras.NatInf]{Time: t, Apply: func(s *simulate.Sim[algebras.NatInf]) { s.Mutate(f) }}
+	}
+	out := simulate.Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), simulate.Config{
 		Seed: 1401, LossProb: 0.15, MaxTime: 500_000,
-	}, nil, []simulate.Change[algebras.NatInf]{
-		{Time: 150, Mutate: func(a *matrix.Adjacency[algebras.NatInf]) {
+	}, nil,
+		mutateAt(150, func(a *matrix.Adjacency[algebras.NatInf]) {
 			a.RemoveEdge(1, 2)
 			a.RemoveEdge(2, 1)
-		}},
-		{Time: 400, Mutate: func(a *matrix.Adjacency[algebras.NatInf]) {
+		}),
+		mutateAt(400, func(a *matrix.Adjacency[algebras.NatInf]) {
 			a.SetEdge(1, 2, alg.AddEdge(1))
 			a.SetEdge(2, 1, alg.AddEdge(1))
-		}},
-	})
+		}),
+	)
 	res.FlapRecovered = out.Converged && out.Final.Equal(alg, want)
 
 	// A permanent partition.
@@ -142,16 +145,14 @@ func Dynamic(w io.Writer, epochs int) DynamicResult {
 	cut.RemoveEdge(3, 0)
 	cut.RemoveEdge(0, 3)
 	wantCut, _, _ := matrix.FixedPoint[algebras.NatInf](alg, cut, matrix.Identity[algebras.NatInf](alg, 4), 100)
-	out2 := simulate.RunDynamic[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), simulate.Config{
+	out2 := simulate.Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), simulate.Config{
 		Seed: 1402, MaxTime: 500_000,
-	}, nil, []simulate.Change[algebras.NatInf]{
-		{Time: 120, Mutate: func(a *matrix.Adjacency[algebras.NatInf]) {
-			a.RemoveEdge(2, 3)
-			a.RemoveEdge(3, 2)
-			a.RemoveEdge(3, 0)
-			a.RemoveEdge(0, 3)
-		}},
-	})
+	}, nil, mutateAt(120, func(a *matrix.Adjacency[algebras.NatInf]) {
+		a.RemoveEdge(2, 3)
+		a.RemoveEdge(3, 2)
+		a.RemoveEdge(3, 0)
+		a.RemoveEdge(0, 3)
+	}))
 	res.PartitionRecovered = out2.Converged && out2.Final.Equal(alg, wantCut) &&
 		out2.Final.Get(0, 3) == algebras.Inf
 

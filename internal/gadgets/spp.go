@@ -212,17 +212,13 @@ func (g Algebra) Adjacency() *matrix.Adjacency[Route] {
 }
 
 // SampleRoutes returns every permitted (rank, path) pair plus 0 and ∞, the
-// natural finite sample for property checking.
+// natural finite sample for property checking, in a fixed order (node by
+// node, each node's paths as PermittedPaths sorts them) so that anything
+// computed over the sample is reproducible.
 func (g Algebra) SampleRoutes() []Route {
 	out := []Route{g.Trivial(), g.Invalid()}
 	for i := 0; i < g.S.N; i++ {
-		for key, rank := range g.S.rankings[i] {
-			p, ok := parsePathKey(key)
-			if !ok {
-				continue
-			}
-			out = append(out, Route{Rank: rank, Path: p})
-		}
+		out = append(out, g.S.PermittedPaths(i)...)
 	}
 	return out
 }

@@ -165,8 +165,8 @@ func (in *instance[R]) check(sc *Scenario) error {
 	return nil
 }
 
-// apply plays one event against an adjacency (the instance's own, a
-// simulator clone, or — via the network mutators — a live one). Links
+// apply plays one event against an adjacency (the instance's own, or a
+// running simulator's or live network's through applyLive). Links
 // are treated as undirected: both directions fail together, and a
 // recovery restores whichever directions the pristine topology had.
 // Rank edits mutate the instance's SPP in place and bump the adjacency

@@ -224,24 +224,14 @@ func runSimulate[R any](sc *Scenario, build func(*Scenario) (*instance[R], error
 		DupProb:  sc.DupProb,
 		MaxTime:  int64(sc.Horizon)*simTick + 60_000,
 	}
-	var changes []simulate.Change[R]
-	for _, ev := range sc.Events {
-		ev := ev
-		switch ev.Kind {
-		case Restart:
-			cfg.Restarts = append(cfg.Restarts, simulate.Restart{Time: int64(ev.Step) * simTick, Node: ev.Node})
-		case NodeCrash:
-			cfg.Crashes = append(cfg.Crashes, simulate.Crash{Time: int64(ev.Step) * simTick, Node: ev.Node})
-		case NodeRecover:
-			cfg.Recovers = append(cfg.Recovers, simulate.Crash{Time: int64(ev.Step) * simTick, Node: ev.Node})
-		default:
-			changes = append(changes, simulate.Change[R]{
-				Time:   int64(ev.Step) * simTick,
-				Mutate: func(adj *matrix.Adjacency[R]) { inst.apply(ev, adj) },
-			})
+	events := make([]simulate.Event[R], len(sc.Events))
+	for k, ev := range sc.Events {
+		events[k] = simulate.Event[R]{
+			Time:  int64(ev.Step) * simTick,
+			Apply: func(sim *simulate.Sim[R]) { applyLive(inst, sim, ev) },
 		}
 	}
-	out := simulate.RunDynamic(inst.alg, inst.adj, inst.start, cfg, nil, changes)
+	out := simulate.Run(inst.alg, inst.adj, inst.start, cfg, nil, events...)
 	sr.Converged = out.Converged
 	// The simulator mutated its private clone; bring the instance's
 	// adjacency to the post-event topology for classification (every
@@ -253,7 +243,7 @@ func runSimulate[R any](sc *Scenario, build func(*Scenario) (*instance[R], error
 
 // runDist plays the timeline against the live goroutine-per-router
 // network, mapping step s to wall-clock time s·distStep: every event is
-// scheduled through ApplyAfter onto the network's live mutators.
+// scheduled through ApplyAfter onto the network's verbs.
 // Quiescence is withheld until every scheduled fault has fired.
 func runDist[R any](sc *Scenario, build func(*Scenario) (*instance[R], error)) (SubstrateReport, error) {
 	sr := SubstrateReport{Substrate: SubDist}
@@ -276,30 +266,28 @@ func runDist[R any](sc *Scenario, build func(*Scenario) (*instance[R], error)) (
 	return sr, err
 }
 
-// applyLive plays one event against a running network through its
-// locked mutators.
-func applyLive[R any](in *instance[R], nw *dist.Network[R], ev Event) {
+// live is what the two message-passing substrates offer a running
+// timeline: *simulate.Sim and *dist.Network both satisfy it, so one
+// function plays every scenario event on both.
+type live[R any] interface {
+	Mutate(func(adj *matrix.Adjacency[R]))
+	RestartNode(i int)
+	CrashNode(i int)
+	RecoverNode(i int)
+}
+
+// applyLive plays one event against a running simulation or network:
+// node events through its verbs, everything else as the same adjacency
+// edit instance.apply makes.
+func applyLive[R any](in *instance[R], sub live[R], ev Event) {
 	switch ev.Kind {
-	case LinkDown:
-		nw.RemoveEdge(ev.A, ev.B)
-		nw.RemoveEdge(ev.B, ev.A)
-	case LinkUp:
-		if e, ok := in.prist.Edge(ev.A, ev.B); ok {
-			nw.SetEdge(ev.A, ev.B, e)
-		}
-		if e, ok := in.prist.Edge(ev.B, ev.A); ok {
-			nw.SetEdge(ev.B, ev.A, e)
-		}
-	case SetWeight:
-		nw.SetEdge(ev.A, ev.B, in.weightEdge(ev.Weight))
-		nw.SetEdge(ev.B, ev.A, in.weightEdge(ev.Weight))
-	case SetRank:
-		nw.Mutate(func() { in.spp.SetRank(ev.Rank, ev.Path...) })
 	case Restart:
-		nw.RestartNode(ev.Node)
+		sub.RestartNode(ev.Node)
 	case NodeCrash:
-		nw.CrashNode(ev.Node)
+		sub.CrashNode(ev.Node)
 	case NodeRecover:
-		nw.RecoverNode(ev.Node)
+		sub.RecoverNode(ev.Node)
+	default:
+		sub.Mutate(func(adj *matrix.Adjacency[R]) { in.apply(ev, adj) })
 	}
 }

@@ -142,9 +142,6 @@ func newShell(sc *Scenario) *Runner {
 // Name returns the scenario's name.
 func (r *Runner) Name() string { return r.sc.Name }
 
-// Scenario returns the compiled scenario (callers must not mutate it).
-func (r *Runner) Scenario() *Scenario { return r.sc }
-
 // Step returns the last completed engine step.
 func (r *Runner) Step() int { return r.core.at() }
 

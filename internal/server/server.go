@@ -135,8 +135,8 @@ type run struct {
 	sc       *scenario.Scenario
 	deadline time.Time // zero = none
 	runner   *scenario.Runner
-	// spoolPath is the spool file holding the run's text (.scn, or a
-	// legacy .ckpt); it goes once the outcome is spooled.
+	// spoolPath is the spool file holding the run's text (.scn); it goes
+	// once the outcome is spooled.
 	spoolPath string
 	resumed   bool // re-admitted after a restart (reported in Status)
 	phase     wire.RunPhase
@@ -780,7 +780,7 @@ func (s *Server) recoverSpool() error {
 		name := e.Name()
 		ext := filepath.Ext(name)
 		path := filepath.Join(s.cfg.SpoolDir, name)
-		if e.IsDir() || (ext != ".tmp" && ext != ".res" && ext != ".scn" && ext != ".ckpt") {
+		if e.IsDir() || (ext != ".tmp" && ext != ".res" && ext != ".scn") {
 			continue
 		}
 		if ext == ".tmp" {
@@ -831,7 +831,7 @@ func (s *Server) recoverSpool() error {
 			s.cfg.Logf("server: spool: reading %q: %v", name, err)
 			continue
 		}
-		sc, err := spooledScenario(data, filepath.Ext(name))
+		sc, err := spooledScenario(data)
 		if err != nil {
 			s.cfg.Logf("server: spool: %q does not parse: %v", name, err)
 			continue
@@ -863,18 +863,9 @@ func spoolKey(name string) (string, bool) {
 	return tn + "/" + id, ok && nameOK(tn) && nameOK(id)
 }
 
-// spooledScenario reads a spooled run's text: a .scn holds the
-// submitted bytes, and a .ckpt — spooled at drain by older daemons —
-// embeds them in a checkpoint, which is validated and then only read.
-func spooledScenario(data []byte, ext string) (*scenario.Scenario, error) {
-	if ext == ".ckpt" {
-		rr, err := scenario.ResumeRunner(data)
-		if err != nil {
-			return nil, err
-		}
-		defer rr.Close()
-		return rr.Scenario(), nil
-	}
+// spooledScenario reads a spooled run's text: the submitted bytes of a
+// .scn entry, held to the admission checks again.
+func spooledScenario(data []byte) (*scenario.Scenario, error) {
 	sc, err := scenario.Parse(data)
 	if err != nil {
 		return nil, err

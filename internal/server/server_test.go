@@ -1347,33 +1347,11 @@ func TestDrainRejectsNewWorkRetriably(t *testing.T) {
 
 // TestSpoolRecoverySkipsCorruptEntries pins daemon-must-come-up: a
 // spool polluted with garbage, truncation, alien names and a write cut
-// short still yields a serving daemon, with the valid entries replayed —
-// a current checkpoint and one an older daemon spooled at drain — and a
-// finished run's stored outcome served instead of replayed.
+// short still yields a serving daemon, with the valid entry replayed and
+// a finished run's stored outcome served instead of replayed.
 func TestSpoolRecoverySkipsCorruptEntries(t *testing.T) {
 	spool := t.TempDir()
 
-	// One valid checkpoint, made by hand.
-	sc, err := scenario.Parse([]byte(longScenario))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := scenario.NewRunner(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Advance(50); err != nil {
-		t.Fatal(err)
-	}
-	ckpt, err := r.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	v1, err := os.ReadFile("../scenario/testdata/v1/loadgen-ring8.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantDone := uninterruptedRun(t, shortScenario)
 	wantDone.ID = "done"
 	done, err := wire.EncodeFrame(wantDone)
@@ -1386,14 +1364,13 @@ func TestSpoolRecoverySkipsCorruptEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writeSpool("acme~good.ckpt", ckpt)
-	writeSpool("acme~v1.ckpt", v1)
+	writeSpool("acme~good.scn", []byte(longScenario))
 	writeSpool("acme~done.res", done)
 	writeSpool("acme~done.scn", []byte(shortScenario))
-	writeSpool("acme~torn.ckpt", ckpt[:len(ckpt)/2])
+	writeSpool("acme~torn.scn", []byte(longScenario[:len(longScenario)/2]))
 	writeSpool("acme~noise.scn", []byte("not a scenario at all"))
 	writeSpool("acme~cut.scn.tmp", []byte(shortScenario[:10]))
-	writeSpool("no-separator.ckpt", ckpt)
+	writeSpool("no-separator.scn", []byte(longScenario))
 	writeSpool("acme~unrelated.txt", []byte("ignored extension"))
 
 	want := uninterruptedRun(t, longScenario)
@@ -1404,13 +1381,9 @@ func TestSpoolRecoverySkipsCorruptEntries(t *testing.T) {
 	}
 	ctx := testCtx(t)
 	sameRun(t, "recovered run", waitSpooled(t, ctx, s, "acme", "good"), want)
-	// TestResumeV1ServiceCheckpoint's digest for the same checkpoint.
-	if got := waitSpooled(t, ctx, s, "acme", "v1"); got.Hash != 0xae5be22f5653feb6 {
-		t.Fatalf("replayed v1 checkpoint: hash %016x, want ae5be22f5653feb6", got.Hash)
-	}
 	sameRun(t, "stored outcome", waitSpooled(t, ctx, s, "acme", "done"), wantDone)
-	if got := reg.Snapshot()["dbfsimd_readmissions_total"]; got != 2 {
-		t.Fatalf("%v re-admissions, want 2 (good, v1)", got)
+	if got := reg.Snapshot()["dbfsimd_readmissions_total"]; got != 1 {
+		t.Fatalf("%v re-admissions, want 1 (good)", got)
 	}
 	for _, gone := range []string{"acme~done.scn", "acme~cut.scn.tmp"} {
 		if _, err := os.Stat(filepath.Join(spool, gone)); !os.IsNotExist(err) {

@@ -80,8 +80,7 @@ func TestScaleFatTreeGaoRexford(t *testing.T) {
 		Seed:     4002,
 		LossProb: 0.15,
 		MaxTime:  5_000_000,
-		Restarts: []Restart{{Time: 300, Node: 0}, {Time: 600, Node: 1}},
-	}, gen)
+	}, gen, restartAt[gaorexford.Route](300, 0), restartAt[gaorexford.Route](600, 1))
 	if !out.Converged {
 		t.Fatalf("k=6 fabric did not converge: %s", out.Describe())
 	}

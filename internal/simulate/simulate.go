@@ -9,6 +9,12 @@
 // are α, and the send time of the advertisement a node last received from
 // each neighbour is β — so Theorem 4 applies verbatim, and the simulator's
 // outcomes are the experimental witnesses for it.
+//
+// Mid-run events (Section 3.2) come as one list of timed Events. Each
+// event's Apply plays it through the run's verbs — Mutate, RestartNode,
+// CrashNode and RecoverNode, the same verbs the live network in
+// internal/dist offers — so a scenario event reaches both message-passing
+// substrates through the same code.
 package simulate
 
 import (
@@ -50,31 +56,12 @@ type Config struct {
 	// MaxTime aborts the run (non-convergence) past this virtual time.
 	// Default: 100_000.
 	MaxTime int64
-	// Restarts optionally reinjects arbitrary state mid-run (Section 3.2
-	// dynamics): at each listed virtual time, the node's table and
-	// neighbour caches are replaced with garbage drawn by Gen.
-	Restarts []Restart
-	// Crashes take nodes down at a virtual time: a down node neither
-	// activates nor advertises, and anything delivered to it is discarded
-	// (the process is gone, so its loss is counted as drops). Recovers
-	// bring crashed nodes back with a restart-style wiped state — the
-	// crash lost whatever the node knew. The run cannot be declared
-	// converged while any node is down or any crash/recover is pending.
-	Crashes  []Crash
-	Recovers []Crash
-}
-
-// Restart resets one node to an arbitrary state at a virtual time.
-type Restart struct {
-	Time int64
-	Node int
-}
-
-// Crash marks one node down (Config.Crashes) or back up
-// (Config.Recovers) at a virtual time.
-type Crash struct {
-	Time int64
-	Node int
+	// Trace, when non-nil, records the run's route changes, messages,
+	// restarts and topology changes.
+	Trace *trace.Recorder
+	// Log, when non-nil, receives the (α, β) schedule the run induces,
+	// for replay through the literal δ evaluator (async.FromLog).
+	Log *ScheduleLog
 }
 
 func (c Config) withDefaults() Config {
@@ -108,14 +95,14 @@ type Outcome[R any] struct {
 	Stats   Stats
 }
 
-// Change is a mid-run topology or policy change (Section 3.2): at the
-// given virtual time, Mutate edits the adjacency in place (add or remove
-// edges, swap policies). The continuing computation is, per the paper, a
-// new problem instance whose starting state is whatever the network held
-// at that moment — including routes that are now stale.
-type Change[R any] struct {
-	Time   int64
-	Mutate func(adj *matrix.Adjacency[R])
+// Event is one mid-run event (Section 3.2): at virtual time Time, Apply
+// plays it against the running simulation through Sim's verbs. The
+// continuing computation is, per the paper, a new problem instance whose
+// starting state is whatever the network held at that moment — including
+// routes that are now stale. Events at equal times fire in list order.
+type Event[R any] struct {
+	Time  int64
+	Apply func(*Sim[R])
 }
 
 type eventKind uint8
@@ -123,17 +110,14 @@ type eventKind uint8
 const (
 	evActivate eventKind = iota
 	evDeliver
-	evRestart
-	evChange
-	evCrash
-	evRecover
+	evScheduled
 )
 
 type event[R any] struct {
 	time int64
 	seq  int64
 	kind eventKind
-	node int // target node
+	node int // target node; for evScheduled, the index into Sim.events
 	from int // sender, for evDeliver
 	row  []R // advertised table, for evDeliver
 	// step is the logical activation step at which the advertised table
@@ -161,18 +145,20 @@ func (q *eventQueue[R]) Pop() any {
 	return e
 }
 
-// engine is the mutable state of one run.
-type engine[R any] struct {
+// Sim is the mutable state of one run. Events act on it through its
+// verbs; everything else is internal to the run.
+type Sim[R any] struct {
 	alg   core.Algebra[R]
 	adj   *matrix.Adjacency[R]
 	cfg   Config
 	rng   *rand.Rand
 	queue eventQueue[R]
 	seq   int64
+	now   int64
 	// recv[i][k] is the latest table row delivered to i from k.
 	recv [][][]R
 	// down[i] marks node i crashed: no activations, no deliveries, until
-	// the matching recover event.
+	// RecoverNode brings it back.
 	down []bool
 	// state is the omniscient global view: row i is node i's table.
 	state      *matrix.State[R]
@@ -183,16 +169,17 @@ type engine[R any] struct {
 	// i's table: edge (j, i) present.
 	listeners [][]int
 	genRoute  func(rng *rand.Rand) R
-	changes   []Change[R]
-	rec       *trace.Recorder
+	events    []Event[R]
+	// lastEvent is the latest event time: a settled state before it
+	// can still be disturbed.
+	lastEvent int64
 	// rowScratch is the reusable buffer activate computes σ-rows into;
 	// SetRow and advertise both copy, so reuse is safe.
 	rowScratch []R
 
-	// Schedule extraction (nil unless requested): the logical step
-	// counter, each node's last activation step, the step each receive
-	// cache entry was computed at, and the recorded activation log.
-	extract   *ScheduleLog
+	// Schedule extraction (nil unless Config.Log is set): the logical
+	// step counter, each node's last activation step, and the step each
+	// receive cache entry was computed at.
 	stepCount int
 	ownStep   []int
 	recvStep  [][]int
@@ -213,327 +200,270 @@ type ScheduleEntry struct {
 }
 
 // rebuildListeners recomputes who hears whom after a topology change.
-func (e *engine[R]) rebuildListeners() {
-	n := e.adj.N
-	e.listeners = make([][]int, n)
+func (s *Sim[R]) rebuildListeners() {
+	n := s.adj.N
+	s.listeners = make([][]int, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if _, ok := e.adj.Edge(j, i); ok && i != j {
-				e.listeners[i] = append(e.listeners[i], j)
+			if _, ok := s.adj.Edge(j, i); ok && i != j {
+				s.listeners[i] = append(s.listeners[i], j)
 			}
 		}
 	}
 }
 
-// Run simulates the protocol from the given starting state and returns the
-// outcome. genRoute, when non-nil, supplies arbitrary routes for Restart
-// events; nil restarts reset rows to ∞ (and 0 for the self route).
+// Run simulates the protocol from the given starting state, playing the
+// events at their virtual times, and returns the outcome. genRoute, when
+// non-nil, supplies arbitrary routes for the state a restarted or
+// recovered node reboots with; nil resets rows to ∞ (and 0 for the self
+// route). The adjacency is cloned, so the caller's copy is never mutated.
 func Run[R any](
 	alg core.Algebra[R],
 	adj *matrix.Adjacency[R],
 	start *matrix.State[R],
 	cfg Config,
 	genRoute func(rng *rand.Rand) R,
-) Outcome[R] {
-	return RunDynamic(alg, adj, start, cfg, genRoute, nil)
-}
-
-// RunDynamic is Run with mid-flight topology changes. The adjacency is
-// cloned, so the caller's copy is never mutated.
-func RunDynamic[R any](
-	alg core.Algebra[R],
-	adj *matrix.Adjacency[R],
-	start *matrix.State[R],
-	cfg Config,
-	genRoute func(rng *rand.Rand) R,
-	changes []Change[R],
-) Outcome[R] {
-	return RunTraced(alg, adj, start, cfg, genRoute, changes, nil)
-}
-
-// RunTraced is RunDynamic with an optional event recorder; pass nil to
-// disable tracing.
-func RunTraced[R any](
-	alg core.Algebra[R],
-	adj *matrix.Adjacency[R],
-	start *matrix.State[R],
-	cfg Config,
-	genRoute func(rng *rand.Rand) R,
-	changes []Change[R],
-	rec *trace.Recorder,
+	events ...Event[R],
 ) Outcome[R] {
 	cfg = cfg.withDefaults()
 	n := adj.N
-	e := &engine[R]{
+	s := &Sim[R]{
 		alg:      alg,
 		adj:      adj.Clone(),
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		state:    start.Clone(),
 		genRoute: genRoute,
-		changes:  changes,
-		rec:      rec,
+		events:   events,
 	}
 	// Node j listens to i's advertisements when the edge (j, i) exists:
 	// σ(X)_jd uses A_jk(X_kd).
-	e.rebuildListeners()
+	s.rebuildListeners()
 	// recv caches start from the initial state: β(…) = 0 initially.
-	e.recv = make([][][]R, n)
+	s.recv = make([][][]R, n)
 	for i := 0; i < n; i++ {
-		e.recv[i] = make([][]R, n)
+		s.recv[i] = make([][]R, n)
 		for k := 0; k < n; k++ {
-			e.recv[i][k] = start.Row(k)
+			s.recv[i][k] = start.Row(k)
 		}
 	}
-	heap.Init(&e.queue)
+	if s.cfg.Log != nil {
+		s.cfg.Log.N = n
+		s.ownStep = make([]int, n)
+		s.recvStep = make([][]int, n)
+		for i := range s.recvStep {
+			s.recvStep[i] = make([]int, n)
+		}
+	}
+	heap.Init(&s.queue)
 	for i := 0; i < n; i++ {
-		e.push(&event[R]{time: 1 + e.rng.Int63n(activateEvery), kind: evActivate, node: i})
+		s.push(&event[R]{time: 1 + s.rng.Int63n(activateEvery), kind: evActivate, node: i})
 	}
-	for _, r := range cfg.Restarts {
-		e.push(&event[R]{time: r.Time, kind: evRestart, node: r.Node})
+	for idx, ev := range events {
+		s.push(&event[R]{time: ev.Time, kind: evScheduled, node: idx})
+		s.lastEvent = max(s.lastEvent, ev.Time)
 	}
-	for _, c := range cfg.Crashes {
-		e.push(&event[R]{time: c.Time, kind: evCrash, node: c.Node})
-	}
-	for _, c := range cfg.Recovers {
-		e.push(&event[R]{time: c.Time, kind: evRecover, node: c.Node})
-	}
-	for idx, c := range changes {
-		e.push(&event[R]{time: c.Time, kind: evChange, node: idx})
-	}
-
-	return e.loop()
+	return s.loop()
 }
 
 // loop drains the event queue until quiescence, MaxTime, or exhaustion.
-func (e *engine[R]) loop() Outcome[R] {
-	cfg := e.cfg
-	var now int64
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*event[R])
-		now = ev.time
-		if now > cfg.MaxTime {
-			return Outcome[R]{Final: e.state, Converged: false, EndTime: now, Stats: e.stats}
+func (s *Sim[R]) loop() Outcome[R] {
+	for s.queue.Len() > 0 {
+		ev := heap.Pop(&s.queue).(*event[R])
+		now := ev.time
+		s.now = now
+		if now > s.cfg.MaxTime {
+			return Outcome[R]{Final: s.state, Converged: false, EndTime: now, Stats: s.stats}
 		}
 		switch ev.kind {
 		case evActivate:
 			// A down node's timer keeps rescheduling (so activations resume
 			// after recovery) but the node itself does nothing while down.
-			if !e.isDown(ev.node) {
-				e.activate(now, ev.node)
+			if !s.isDown(ev.node) {
+				s.activate(now, ev.node)
 				// Quiescence check at activation boundaries (gated by the
 				// settle window to amortise its cost).
-				if now-e.lastChange >= settleWindow && e.noRestartsPending(now) && e.quiescent() {
+				if now-s.lastChange >= settleWindow && now >= s.lastEvent && s.quiescent() {
 					return Outcome[R]{
-						Final: e.state, Converged: true,
-						ConvergedAt: e.lastChange, EndTime: now, Stats: e.stats,
+						Final: s.state, Converged: true,
+						ConvergedAt: s.lastChange, EndTime: now, Stats: s.stats,
 					}
 				}
 			}
-			e.push(&event[R]{time: now + 1 + e.rng.Int63n(activateEvery), kind: evActivate, node: ev.node})
+			s.push(&event[R]{time: now + 1 + s.rng.Int63n(activateEvery), kind: evActivate, node: ev.node})
 		case evDeliver:
-			if e.isDown(ev.node) {
+			if s.isDown(ev.node) {
 				// The receiving process is gone; its loss is just loss.
-				e.stats.Dropped++
-				if e.rec != nil {
-					e.rec.Message(now, trace.MessageDropped, ev.from, ev.node)
+				s.stats.Dropped++
+				if s.cfg.Trace != nil {
+					s.cfg.Trace.Message(now, trace.MessageDropped, ev.from, ev.node)
 				}
 				continue
 			}
-			e.stats.Delivered++
-			if e.rec != nil {
-				e.rec.Message(now, trace.MessageDelivered, ev.from, ev.node)
+			s.stats.Delivered++
+			if s.cfg.Trace != nil {
+				s.cfg.Trace.Message(now, trace.MessageDelivered, ev.from, ev.node)
 			}
-			e.recv[ev.node][ev.from] = ev.row
-			if e.recvStep != nil {
-				e.recvStep[ev.node][ev.from] = ev.step
+			s.recv[ev.node][ev.from] = ev.row
+			if s.recvStep != nil {
+				s.recvStep[ev.node][ev.from] = ev.step
 			}
-		case evCrash:
-			if e.down == nil {
-				e.down = make([]bool, e.adj.N)
-			}
-			e.down[ev.node] = true
-			e.lastChange = now
-			if e.rec != nil {
-				e.rec.Restart(now, ev.node)
-			}
-		case evRecover:
-			if e.isDown(ev.node) {
-				e.down[ev.node] = false
-				// The crash lost the node's state: it reboots wiped, the
-				// same semantics as a restart event.
-				e.restart(now, ev.node)
-				if e.rec != nil {
-					e.rec.Restart(now, ev.node)
-				}
-			}
-		case evRestart:
-			e.restart(now, ev.node)
-			if e.rec != nil {
-				e.rec.Restart(now, ev.node)
-			}
-		case evChange:
-			e.changes[ev.node].Mutate(e.adj)
-			e.rebuildListeners()
-			e.lastChange = now
-			if e.rec != nil {
-				e.rec.Topology(now)
-			}
+		case evScheduled:
+			s.events[ev.node].Apply(s)
 		}
 	}
-	return Outcome[R]{Final: e.state, Converged: false, EndTime: now, Stats: e.stats}
+	return Outcome[R]{Final: s.state, Converged: false, EndTime: s.now, Stats: s.stats}
 }
 
-// isDown reports whether node i is crashed and not yet recovered.
-func (e *engine[R]) isDown(i int) bool { return e.down != nil && e.down[i] }
-
-func (e *engine[R]) push(ev *event[R]) {
-	ev.seq = e.seq
-	e.seq++
-	heap.Push(&e.queue, ev)
-}
-
-// activate recomputes node i's table from its caches and advertises it.
-func (e *engine[R]) activate(now int64, i int) {
-	e.stats.Activations++
-	n := e.adj.N
-	if e.extract != nil {
-		e.stepCount++
-		entry := ScheduleEntry{Node: i, Beta: make([]int, n)}
-		for k := 0; k < n; k++ {
-			entry.Beta[k] = e.recvStep[i][k]
-		}
-		e.extract.Entries = append(e.extract.Entries, entry)
-		e.ownStep[i] = e.stepCount
-	}
-	// Recompute from the receive caches with the shared σ-row kernel
-	// (this realises δ's β lookup).
-	if e.rowScratch == nil {
-		e.rowScratch = make([]R, n)
-	}
-	row := matrix.SigmaRowInto(e.alg, e.adj, i, nil, e.recv[i], e.rowScratch)
-	changed := false
-	for j := 0; j < n; j++ {
-		if !e.alg.Equal(row[j], e.state.Get(i, j)) {
-			changed = true
-			if e.rec != nil {
-				e.rec.Route(now, i, j, e.alg.Format(e.state.Get(i, j)), e.alg.Format(row[j]))
-			}
-		}
-	}
-	if changed {
-		e.state.SetRow(i, row)
-		e.lastChange = now
-	}
-	// Advertise when changed, and periodically regardless, so lost
-	// messages are eventually repaired (the S3 discharge).
-	if changed || now%readvertiseEvery < activateEvery {
-		e.advertise(now, i, row)
+// Mutate edits the adjacency in place (add or remove edges, swap
+// policies) and reopens the settle window.
+func (s *Sim[R]) Mutate(f func(adj *matrix.Adjacency[R])) {
+	f(s.adj)
+	s.rebuildListeners()
+	s.lastChange = s.now
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Topology(s.now)
 	}
 }
 
-// RunExtracting is Run with schedule extraction: alongside the outcome it
-// returns the (α, β) log the run induced, for replay through the literal δ
-// evaluator. Extraction forces re-advertisement of the freshly computed
-// table only (periodic re-adverts of an unchanged table re-send the same
-// step, which is harmless duplication in the model).
-func RunExtracting[R any](
-	alg core.Algebra[R],
-	adj *matrix.Adjacency[R],
-	start *matrix.State[R],
-	cfg Config,
-) (Outcome[R], *ScheduleLog) {
-	cfg = cfg.withDefaults()
-	n := adj.N
-	e := &engine[R]{
-		alg:     alg,
-		adj:     adj.Clone(),
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		state:   start.Clone(),
-		extract: &ScheduleLog{N: n},
-		ownStep: make([]int, n),
+// CrashNode takes node i down: it neither activates nor advertises, and
+// anything delivered to it is discarded (the process is gone, so its loss
+// is counted as drops). The run cannot be declared converged while any
+// node is down.
+func (s *Sim[R]) CrashNode(i int) {
+	if s.down == nil {
+		s.down = make([]bool, s.adj.N)
 	}
-	e.rebuildListeners()
-	e.recv = make([][][]R, n)
-	e.recvStep = make([][]int, n)
-	for i := 0; i < n; i++ {
-		e.recv[i] = make([][]R, n)
-		e.recvStep[i] = make([]int, n)
-		for k := 0; k < n; k++ {
-			e.recv[i][k] = start.Row(k)
-		}
-	}
-	heap.Init(&e.queue)
-	for i := 0; i < n; i++ {
-		e.push(&event[R]{time: 1 + e.rng.Int63n(activateEvery), kind: evActivate, node: i})
-	}
-	out := e.loop()
-	return out, e.extract
-}
-
-// advertise sends node i's table to every listener with loss, duplication
-// and random delay.
-func (e *engine[R]) advertise(now int64, i int, row []R) {
-	for _, j := range e.listeners[i] {
-		e.stats.Sent++
-		if e.rec != nil {
-			e.rec.Message(now, trace.MessageSent, i, j)
-		}
-		if e.rng.Float64() < e.cfg.LossProb {
-			e.stats.Dropped++
-			if e.rec != nil {
-				e.rec.Message(now, trace.MessageDropped, i, j)
-			}
-			continue
-		}
-		copies := 1
-		if e.rng.Float64() < e.cfg.DupProb {
-			copies = 2
-			e.stats.Duplicated++
-		}
-		for c := 0; c < copies; c++ {
-			delay := minDelay + e.rng.Int63n(e.cfg.MaxDelay-minDelay+1)
-			payload := make([]R, len(row))
-			copy(payload, row)
-			step := 0
-			if e.ownStep != nil {
-				step = e.ownStep[i]
-			}
-			e.push(&event[R]{time: now + delay, kind: evDeliver, node: j, from: i, row: payload, step: step})
-		}
+	s.down[i] = true
+	s.lastChange = s.now
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Restart(s.now, i)
 	}
 }
 
-// restart wipes node i mid-run, simulating a crash-and-restart with
+// RecoverNode brings a crashed node back. The crash lost the node's
+// state, so it reboots wiped, exactly as RestartNode leaves it.
+// Recovering a node that is not down does nothing.
+func (s *Sim[R]) RecoverNode(i int) {
+	if s.isDown(i) {
+		s.down[i] = false
+		s.RestartNode(i)
+	}
+}
+
+// RestartNode wipes node i mid-run, simulating a crash-and-restart with
 // arbitrary (or garbage) state. All of i's neighbour caches are corrupted
 // too, modelling stale information held about a restarted peer.
-func (e *engine[R]) restart(now int64, i int) {
-	n := e.adj.N
+func (s *Sim[R]) RestartNode(i int) {
+	n := s.adj.N
 	row := make([]R, n)
 	for j := 0; j < n; j++ {
 		switch {
 		case i == j:
-			row[j] = e.alg.Trivial()
-		case e.genRoute != nil:
-			row[j] = e.genRoute(e.rng)
+			row[j] = s.alg.Trivial()
+		case s.genRoute != nil:
+			row[j] = s.genRoute(s.rng)
 		default:
-			row[j] = e.alg.Invalid()
+			row[j] = s.alg.Invalid()
 		}
 	}
-	e.state.SetRow(i, row)
+	s.state.SetRow(i, row)
 	for k := 0; k < n; k++ {
 		fresh := make([]R, n)
 		for j := 0; j < n; j++ {
-			if e.genRoute != nil {
-				fresh[j] = e.genRoute(e.rng)
+			if s.genRoute != nil {
+				fresh[j] = s.genRoute(s.rng)
 			} else {
-				fresh[j] = e.alg.Invalid()
+				fresh[j] = s.alg.Invalid()
 			}
 		}
-		e.recv[i][k] = fresh
+		s.recv[i][k] = fresh
 	}
-	e.lastChange = now
+	s.lastChange = s.now
+	if s.cfg.Trace != nil {
+		s.cfg.Trace.Restart(s.now, i)
+	}
+}
+
+// isDown reports whether node i is crashed and not yet recovered.
+func (s *Sim[R]) isDown(i int) bool { return s.down != nil && s.down[i] }
+
+func (s *Sim[R]) push(ev *event[R]) {
+	ev.seq = s.seq
+	s.seq++
+	heap.Push(&s.queue, ev)
+}
+
+// activate recomputes node i's table from its caches and advertises it.
+func (s *Sim[R]) activate(now int64, i int) {
+	s.stats.Activations++
+	n := s.adj.N
+	if s.cfg.Log != nil {
+		s.stepCount++
+		entry := ScheduleEntry{Node: i, Beta: make([]int, n)}
+		for k := 0; k < n; k++ {
+			entry.Beta[k] = s.recvStep[i][k]
+		}
+		s.cfg.Log.Entries = append(s.cfg.Log.Entries, entry)
+		s.ownStep[i] = s.stepCount
+	}
+	// Recompute from the receive caches with the shared σ-row kernel
+	// (this realises δ's β lookup).
+	if s.rowScratch == nil {
+		s.rowScratch = make([]R, n)
+	}
+	row := matrix.SigmaRowInto(s.alg, s.adj, i, nil, s.recv[i], s.rowScratch)
+	changed := false
+	for j := 0; j < n; j++ {
+		if !s.alg.Equal(row[j], s.state.Get(i, j)) {
+			changed = true
+			if s.cfg.Trace != nil {
+				s.cfg.Trace.Route(now, i, j, s.alg.Format(s.state.Get(i, j)), s.alg.Format(row[j]))
+			}
+		}
+	}
+	if changed {
+		s.state.SetRow(i, row)
+		s.lastChange = now
+	}
+	// Advertise when changed, and periodically regardless, so lost
+	// messages are eventually repaired (the S3 discharge).
+	if changed || now%readvertiseEvery < activateEvery {
+		s.advertise(now, i, row)
+	}
+}
+
+// advertise sends node i's table to every listener with loss, duplication
+// and random delay.
+func (s *Sim[R]) advertise(now int64, i int, row []R) {
+	for _, j := range s.listeners[i] {
+		s.stats.Sent++
+		if s.cfg.Trace != nil {
+			s.cfg.Trace.Message(now, trace.MessageSent, i, j)
+		}
+		if s.rng.Float64() < s.cfg.LossProb {
+			s.stats.Dropped++
+			if s.cfg.Trace != nil {
+				s.cfg.Trace.Message(now, trace.MessageDropped, i, j)
+			}
+			continue
+		}
+		copies := 1
+		if s.rng.Float64() < s.cfg.DupProb {
+			copies = 2
+			s.stats.Duplicated++
+		}
+		for c := 0; c < copies; c++ {
+			delay := minDelay + s.rng.Int63n(s.cfg.MaxDelay-minDelay+1)
+			payload := make([]R, len(row))
+			copy(payload, row)
+			step := 0
+			if s.ownStep != nil {
+				step = s.ownStep[i]
+			}
+			s.push(&event[R]{time: now + delay, kind: evDeliver, node: j, from: i, row: payload, step: step})
+		}
+	}
 }
 
 // quiescent reports whether the run has provably terminated: the global
@@ -541,62 +471,36 @@ func (e *engine[R]) restart(now int64, i int) {
 // table, and every in-flight advertisement carries the sender's current
 // table. Under these conditions every future activation recomputes exactly
 // the current state, so nothing can ever change again.
-func (e *engine[R]) quiescent() bool {
-	for i := range e.down {
-		if e.down[i] {
+func (s *Sim[R]) quiescent() bool {
+	for i := range s.down {
+		if s.down[i] {
 			return false // a partitioned network is not settled
 		}
 	}
-	if !matrix.IsStable(e.alg, e.adj, e.state) {
+	if !matrix.IsStable(s.alg, s.adj, s.state) {
 		return false
 	}
-	n := e.adj.N
+	n := s.adj.N
 	for i := 0; i < n; i++ {
 		for k := 0; k < n; k++ {
-			if _, ok := e.adj.Edge(i, k); !ok {
+			if _, ok := s.adj.Edge(i, k); !ok {
 				continue // cache never read by activate
 			}
 			for j := 0; j < n; j++ {
-				if !e.alg.Equal(e.recv[i][k][j], e.state.Get(k, j)) {
+				if !s.alg.Equal(s.recv[i][k][j], s.state.Get(k, j)) {
 					return false
 				}
 			}
 		}
 	}
-	for _, ev := range e.queue {
+	for _, ev := range s.queue {
 		if ev.kind != evDeliver {
 			continue
 		}
 		for j := range ev.row {
-			if !e.alg.Equal(ev.row[j], e.state.Get(ev.from, j)) {
+			if !s.alg.Equal(ev.row[j], s.state.Get(ev.from, j)) {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// noRestartsPending reports whether all configured restarts and topology
-// changes are in the past, so a settled state cannot be disturbed again.
-func (e *engine[R]) noRestartsPending(now int64) bool {
-	for _, r := range e.cfg.Restarts {
-		if r.Time > now {
-			return false
-		}
-	}
-	for _, c := range e.cfg.Crashes {
-		if c.Time > now {
-			return false
-		}
-	}
-	for _, c := range e.cfg.Recovers {
-		if c.Time > now {
-			return false
-		}
-	}
-	for _, c := range e.changes {
-		if c.Time > now {
-			return false
 		}
 	}
 	return true

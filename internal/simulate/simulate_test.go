@@ -88,8 +88,7 @@ func TestSimulatorSurvivesRestarts(t *testing.T) {
 	out := Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), Config{
 		Seed:     9,
 		LossProb: 0.1,
-		Restarts: []Restart{{Time: 60, Node: 1}, {Time: 120, Node: 3}, {Time: 180, Node: 0}},
-	}, gen)
+	}, gen, restartAt[algebras.NatInf](60, 1), restartAt[algebras.NatInf](120, 3), restartAt[algebras.NatInf](180, 0))
 	if !out.Converged {
 		t.Fatalf("did not converge after restarts: %s", out.Describe())
 	}
@@ -178,9 +177,9 @@ func TestSimulatorPathVectorInconsistentStart(t *testing.T) {
 func TestRunTracedRecordsEvents(t *testing.T) {
 	alg, adj := ripNet()
 	rec := &trace.Recorder{}
-	out := RunTraced[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), Config{
-		Seed: 13, LossProb: 0.3,
-	}, nil, nil, rec)
+	out := Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), Config{
+		Seed: 13, LossProb: 0.3, Trace: rec,
+	}, nil)
 	if !out.Converged {
 		t.Fatalf("run failed: %s", out.Describe())
 	}
@@ -207,15 +206,14 @@ func TestSimulatorTraceDeterminism(t *testing.T) {
 	alg, adj := ripNet()
 	u := alg.Universe()
 	gen := func(rng *rand.Rand) algebras.NatInf { return u[rng.Intn(len(u))] }
-	cfg := Config{
-		Seed:     77,
-		LossProb: 0.25,
-		DupProb:  0.15,
-		Restarts: []Restart{{Time: 60, Node: 1}, {Time: 140, Node: 3}},
-	}
 	run := func() (Outcome[algebras.NatInf], *trace.Recorder) {
 		rec := &trace.Recorder{}
-		out := RunTraced[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), cfg, gen, nil, rec)
+		out := Run[algebras.NatInf](alg, adj, matrix.Identity[algebras.NatInf](alg, 4), Config{
+			Seed:     77,
+			LossProb: 0.25,
+			DupProb:  0.15,
+			Trace:    rec,
+		}, gen, restartAt[algebras.NatInf](60, 1), restartAt[algebras.NatInf](140, 3))
 		return out, rec
 	}
 	a, ra := run()

@@ -5,7 +5,7 @@ import "repro/internal/metrics"
 // Transport instrumentation: byte/frame throughput of the framed stream
 // connections (the service's socket layer), the robustness events the
 // backoff machinery absorbs silently (dial retries, accept backoffs),
-// and the queue drops both datagram transports account. One atomic add
+// and the queue drops the Memory datagram transport accounts. One atomic add
 // per event — cheap enough for the frame path.
 var (
 	mFramesSent = metrics.Default.Counter("transport_frames_sent_total",
@@ -21,5 +21,5 @@ var (
 	mAcceptBackoffs = metrics.Default.Counter("transport_accept_backoff_total",
 		"Transient accept errors absorbed with backoff instead of killing the accept loop.")
 	mQueueDrops = metrics.Default.Counter("transport_queue_drops_total",
-		"Messages dropped on full receive buffers (Memory and TCP datagram transports).")
+		"Messages dropped on full receive buffers (Memory datagram transport).")
 )
