@@ -5,12 +5,7 @@
 // package only has to round-trip the state faithfully).
 //
 // Routes cross the boundary through the same internal/wire codecs the
-// live protocol uses. For interned carriers the codec pair
-// (wire.InternedPolicyCodec, wire.InternedPathCodec) encodes through the
-// reference representation and re-interns on decode, so a snapshot never
-// leaks table-relative path ids: the restoring process's paths.Table
-// assigns its own, and every algebra operation is indifferent to the
-// renaming.
+// live protocol uses.
 //
 // Layout (all integers big-endian):
 //
@@ -24,10 +19,7 @@
 //
 // Flag bit 1: the certification set follows. The stats are RowsComputed,
 // RowsSkipped and CellsComputed; a resumable snapshot implies the rest
-// (Steps = step, ConvergedAt = −1). Version 1 still decodes, so a spool
-// written before an upgrade resumes: its stats are 8 × i64 (Steps, the
-// three above, ConvergedAt, three allocator counters) and its flag bit 0,
-// "change tracking follows", must be set.
+// (Steps = step, ConvergedAt = −1).
 //
 // Every decode path is bounds-checked against the actual data and hard
 // caps; corrupt or hostile input yields a clean error, never a panic or
@@ -46,7 +38,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Version is the format Encode writes; Decode reads it and version 1.
+// Version is the one format Encode writes and Decode reads.
 const Version = 2
 
 var magic = []byte("DBFC")
@@ -70,7 +62,7 @@ var ErrChecksum = errors.New("checkpoint: checksum mismatch")
 var errTruncated = errors.New("checkpoint: truncated payload")
 
 // File is one checkpoint: a tagged, annotated engine snapshot. Family
-// names the carrier's codec family (e.g. "natinf", "policy-interned") —
+// names the carrier's codec family (e.g. "natinf", "spp") —
 // Decode refuses to hand route bytes to the wrong codec. Meta is free
 // annotation: scenario.Runner.Checkpoint stores the scenario text there,
 // which is what ResumeRunner rebuilds the run from.
@@ -148,7 +140,7 @@ func Encode[R any](c wire.Codec[R], f *File[R]) ([]byte, error) {
 // to decide which codec to decode with — after verifying the checksum,
 // so a corrupt file is rejected before any of it is believed.
 func Header(data []byte) (family string, meta map[string]string, err error) {
-	cur, _, err := verified(data)
+	cur, err := verified(data)
 	if err != nil {
 		return "", nil, err
 	}
@@ -158,7 +150,7 @@ func Header(data []byte) (family string, meta map[string]string, err error) {
 // Decode parses a checkpoint encoded with Encode, verifying the checksum
 // and the family tag before decoding a single route.
 func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], error) {
-	cur, version, err := verified(data)
+	cur, err := verified(data)
 	if err != nil {
 		return nil, err
 	}
@@ -171,21 +163,12 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	}
 	f := &File[R]{Family: family, Meta: meta, Snap: &engine.Snapshot[R]{}}
 	s := f.Snap
-	flags := cur.U8()
-	if cur.Err() == nil && version == 1 && flags&1 == 0 {
-		return nil, errors.New("checkpoint: snapshot of a run without change tracking (flag bit 0 clear), which no engine can resume")
-	}
-	certified := flags&2 != 0
+	certified := cur.U8()&2 != 0
 	s.Step = int(cur.U32())
 	s.N = int(cur.U32())
 	s.Window = int(cur.U32())
 	s.LastChange = int(cur.U32())
-	stats := []*int{&s.Stats.RowsComputed, &s.Stats.RowsSkipped, &s.Stats.CellsComputed}
-	if version == 1 {
-		var unread int // Steps, ConvergedAt and the allocator counters
-		stats = []*int{&unread, stats[0], stats[1], stats[2], &unread, &unread, &unread, &unread}
-	}
-	for _, p := range stats {
+	for _, p := range []*int{&s.Stats.RowsComputed, &s.Stats.RowsSkipped, &s.Stats.CellsComputed} {
 		*p = int(cur.I64())
 	}
 	s.Stats.Steps, s.Stats.ConvergedAt = s.Step, -1
@@ -198,6 +181,11 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	}
 	if cur.Err() != nil {
 		return nil, cur.Err()
+	}
+	// Every cell carries a u32 length, so states the file cannot hold are
+	// refused before they are allocated.
+	if 4*uint64(nstates)*uint64(s.N)*uint64(s.N) > uint64(cur.Len()) {
+		return nil, errTruncated
 	}
 	var zero R
 	for b := 0; b < nstates; b++ {
@@ -235,25 +223,24 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	return f, nil
 }
 
-// verified checks magic, version and CRC, returning the version and a
-// cursor over the bytes between it and the checksum trailer.
-func verified(data []byte) (*wire.Cursor, uint16, error) {
+// verified checks magic, version and CRC, returning a cursor over the
+// bytes between the version and the checksum trailer.
+func verified(data []byte) (*wire.Cursor, error) {
 	if len(data) < len(magic)+2+4 {
-		return nil, 0, errors.New("checkpoint: file too short")
+		return nil, errors.New("checkpoint: file too short")
 	}
 	if string(data[:4]) != string(magic) {
-		return nil, 0, errors.New("checkpoint: bad magic (not a checkpoint file)")
+		return nil, errors.New("checkpoint: bad magic (not a checkpoint file)")
 	}
 	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, 0, ErrChecksum
+		return nil, ErrChecksum
 	}
 	cur := wire.NewCursor(body[4:], errTruncated)
-	v := cur.U16()
-	if cur.Err() == nil && (v < 1 || v > Version) {
-		return nil, 0, fmt.Errorf("checkpoint: format version %d, this build reads 1–%d", v, Version)
+	if v := cur.U16(); cur.Err() == nil && v != Version {
+		return nil, fmt.Errorf("checkpoint: format version %d, this build reads %d", v, Version)
 	}
-	return cur, v, cur.Err()
+	return cur, cur.Err()
 }
 
 // header reads the family tag and metadata that follow the version.

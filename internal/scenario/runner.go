@@ -237,7 +237,6 @@ const (
 	familySPP    = "spp"
 	familyNatInf = "natinf"
 	metaScenario = "scenario"
-	metaName     = "name"
 )
 
 // svcCore is the one place a scenario instance meets the engine: one
@@ -304,11 +303,8 @@ func (c *svcCore[R]) checkpoint() ([]byte, error) {
 	}
 	return checkpoint.Encode(c.inst.codec, &checkpoint.File[R]{
 		Family: c.inst.family,
-		Meta: map[string]string{
-			metaScenario: string(c.sc.Encode()),
-			metaName:     c.sc.Name,
-		},
-		Snap: snap,
+		Meta:   map[string]string{metaScenario: string(c.sc.Encode())},
+		Snap:   snap,
 	})
 }
 

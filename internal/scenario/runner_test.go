@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/engine"
 )
 
@@ -468,47 +466,5 @@ func TestCrashMaskCannotBeBypassed(t *testing.T) {
 	}
 	if src.(engine.Fair).FairPeriod() != inner.FairPeriod() || src.MaxLookback() != inner.MaxLookback() {
 		t.Fatal("the mask does not forward FairPeriod and MaxLookback")
-	}
-}
-
-// TestResumeV1ServiceCheckpoint is the upgrade path of a daemon restarted
-// across a drain: testdata/v1/loadgen-ring8.ckpt is a format-1 drain
-// checkpoint of the ring-8 loadgen scenario at step 96, written by the
-// build before checkpoints stopped encoding the allocator counters. It
-// must resume to the hash that build printed for the run, which is also
-// the uninterrupted run's hash today, with equal counters.
-func TestResumeV1ServiceCheckpoint(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "v1", "loadgen-ring8.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.BigEndian.Uint16(data[4:]); v != 1 {
-		t.Fatalf("fixture is format version %d, want 1", v)
-	}
-	_, meta, err := checkpoint.Header(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantHash, _, wantStats := uninterrupted(t, meta[metaScenario])
-	const parentHash = 0xae5be22f5653feb6
-	if wantHash != parentHash {
-		t.Fatalf("uninterrupted hash %016x, the format-1 build's %016x", wantHash, uint64(parentHash))
-	}
-	r, err := ResumeRunner(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Step() != 96 {
-		t.Fatalf("resumed at step %d, want 96", r.Step())
-	}
-	if done, err := r.Advance(r.Horizon()); err != nil || !done {
-		t.Fatalf("advance: done=%v err=%v", done, err)
-	}
-	if got := r.FinalHash(); got != parentHash {
-		t.Fatalf("resumed hash %016x, want %016x", got, uint64(parentHash))
-	}
-	if got := r.Stats(); got != wantStats {
-		t.Fatalf("resumed stats %+v, uninterrupted %+v", got, wantStats)
 	}
 }

@@ -57,12 +57,14 @@ func BenchmarkNatInfRowRoundTrip(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc, err := EncodeRow[algebras.NatInf](c, row)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodeRow[algebras.NatInf](c, enc); err != nil {
-			b.Fatal(err)
+		for _, r := range row {
+			enc, err := c.Encode(r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.Decode(enc); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -34,9 +34,6 @@ func (c *Cursor) take(n int) []byte {
 	return v
 }
 
-// rest consumes and returns every unread byte.
-func (c *Cursor) rest() []byte { return c.take(len(c.b)) }
-
 // U8, U16, U32, U64 and I64 each read one fixed-width integer.
 func (c *Cursor) U8() byte {
 	if v := c.take(1); v != nil {

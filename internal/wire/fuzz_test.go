@@ -3,7 +3,7 @@ package wire
 import (
 	"testing"
 
-	"repro/internal/algebras"
+	"repro/internal/gadgets"
 	"repro/internal/paths"
 	"repro/internal/policy"
 )
@@ -54,10 +54,12 @@ func FuzzDecodePolicyRoute(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTracked checks the tracked-route codec likewise.
-func FuzzDecodeTracked(f *testing.F) {
-	c := TrackedCodec[algebras.NatInf]{Base: NatInfCodec{}}
-	f.Add(EncodePath(paths.FromNodes(1, 0)))
+// FuzzDecodeSPPRoute checks the SPP route codec likewise.
+func FuzzDecodeSPPRoute(f *testing.F) {
+	c := SPPCodec{}
+	seed, _ := c.Encode(gadgets.Route{Rank: 2, Path: paths.FromNodes(1, 2, 0)})
+	f.Add(seed)
+	f.Add(append([]byte{0, 0, 0, 1}, loopingArcs...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := c.Decode(data)
 		if err != nil {
@@ -67,8 +69,9 @@ func FuzzDecodeTracked(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		if _, err := c.Decode(enc); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
+		r2, err := c.Decode(enc)
+		if err != nil || r2.Rank != r.Rank || !r2.Path.Equal(r.Path) {
+			t.Fatalf("SPP route round trip mismatch: %v vs %v (%v)", r, r2, err)
 		}
 	})
 }

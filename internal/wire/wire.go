@@ -1,8 +1,10 @@
 // Package wire defines the advertisement message exchanged by the live
-// protocol engine and binary codecs for every route type in the
-// repository. Frames are length-prefixed and self-describing enough to
-// cross a TCP connection; the format is deliberately simple (this is a
-// clean-slate protocol, not RFC 4271 BGP).
+// protocol engine, binary codecs for the three route types a live network
+// or a checkpoint carries (ℕ∞ hop counts, SPP gadget routes and Section 7
+// policy routes), and the simulation service's frames. Frames are
+// length-prefixed and self-describing enough to cross a TCP connection;
+// the format is deliberately simple (this is a clean-slate protocol, not
+// RFC 4271 BGP).
 package wire
 
 import (
@@ -10,12 +12,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/algebras"
 	"repro/internal/gadgets"
-	"repro/internal/gaorexford"
-	"repro/internal/pathalg"
 	"repro/internal/paths"
 	"repro/internal/policy"
 )
@@ -45,9 +44,6 @@ type Advert struct {
 // ErrTruncated reports a frame shorter than its own length fields claim.
 var ErrTruncated = errors.New("wire: truncated frame")
 
-// maxFrame bounds decoded allocations against corrupt length fields.
-const maxFrame = 16 << 20
-
 // EncodeAdvert renders an advert as a single frame:
 //
 //	u32 from | u64 seq | u32 nrows | nrows × (u32 len | bytes)
@@ -75,8 +71,10 @@ func DecodeAdvert(b []byte) (Advert, error) {
 	if cur.Err() != nil {
 		return a, cur.Err()
 	}
-	if n > maxFrame/4 {
-		return a, fmt.Errorf("wire: implausible row count %d", n)
+	// Every row carries a 4-byte length, so a count the frame cannot hold
+	// is refused before it sizes an allocation.
+	if uint64(n)*4 > uint64(cur.Len()) {
+		return a, ErrTruncated
 	}
 	a.Rows = make([][]byte, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -87,32 +85,6 @@ func DecodeAdvert(b []byte) (Advert, error) {
 		a.Rows = append(a.Rows, bytes.Clone(row))
 	}
 	return a, nil
-}
-
-// EncodeRow encodes every route of a table row with the codec.
-func EncodeRow[R any](c Codec[R], row []R) ([][]byte, error) {
-	out := make([][]byte, len(row))
-	for i, r := range row {
-		b, err := c.Encode(r)
-		if err != nil {
-			return nil, fmt.Errorf("wire: encoding route %d: %w", i, err)
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
-// DecodeRow decodes an advertised row back into routes.
-func DecodeRow[R any](c Codec[R], rows [][]byte) ([]R, error) {
-	out := make([]R, len(rows))
-	for i, b := range rows {
-		r, err := c.Decode(b)
-		if err != nil {
-			return nil, fmt.Errorf("wire: decoding route %d: %w", i, err)
-		}
-		out[i] = r
-	}
-	return out, nil
 }
 
 // NatInfCodec serialises ℕ∞ routes as big-endian u64 with all-ones for ∞.
@@ -134,26 +106,9 @@ func (NatInfCodec) Decode(b []byte) (algebras.NatInf, error) {
 	return algebras.NatInf(binary.BigEndian.Uint64(b)), nil
 }
 
-// Float64Codec serialises float64 routes (most-reliable paths) by IEEE 754
-// bits.
-type Float64Codec struct{}
-
-// Encode implements Codec.
-func (Float64Codec) Encode(r float64) ([]byte, error) {
-	return binary.BigEndian.AppendUint64(nil, math.Float64bits(r)), nil
-}
-
-// Decode implements Codec.
-func (Float64Codec) Decode(b []byte) (float64, error) {
-	if len(b) != 8 {
-		return 0, ErrTruncated
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
-}
-
-// EncodePath serialises a simple path: 0xFF for ⊥, else u16 arc count and
+// encodePath serialises a simple path: 0xFF for ⊥, else u16 arc count and
 // u16 node pairs.
-func EncodePath(p paths.Path) []byte {
+func encodePath(p paths.Path) []byte {
 	if p.IsInvalid() {
 		return []byte{0xFF}
 	}
@@ -168,17 +123,7 @@ func EncodePath(p paths.Path) []byte {
 	return out
 }
 
-// DecodePath parses EncodePath output and returns the remaining bytes.
-func DecodePath(b []byte) (paths.Path, []byte, error) {
-	cur := NewCursor(b, ErrTruncated)
-	p, err := readPath(cur)
-	if err != nil {
-		return paths.Invalid, nil, err
-	}
-	return p, cur.rest(), nil
-}
-
-// readPath reads one EncodePath layout through cur, returning cur's fault
+// readPath reads one encodePath layout through cur, returning cur's fault
 // if the bytes run out.
 func readPath(cur *Cursor) (paths.Path, error) {
 	if cur.U8() == 0xFF {
@@ -217,7 +162,7 @@ func (PolicyCodec) Encode(r policy.Route) ([]byte, error) {
 	out = binary.BigEndian.AppendUint32(out, r.LPref)
 	out = binary.BigEndian.AppendUint64(out, uint64(r.Comms))
 	out = append(out, r.Pad)
-	return append(out, EncodePath(r.Path)...), nil
+	return append(out, encodePath(r.Path)...), nil
 }
 
 // Decode implements Codec.
@@ -241,59 +186,6 @@ func (PolicyCodec) Decode(b []byte) (policy.Route, error) {
 	return out, nil
 }
 
-// GaoRexfordCodec serialises Gao–Rexford routes.
-type GaoRexfordCodec struct{}
-
-// Encode implements Codec: class byte then hops u32.
-func (GaoRexfordCodec) Encode(r gaorexford.Route) ([]byte, error) {
-	out := []byte{byte(r.Class)}
-	return binary.BigEndian.AppendUint32(out, r.Hops), nil
-}
-
-// Decode implements Codec.
-func (GaoRexfordCodec) Decode(b []byte) (gaorexford.Route, error) {
-	if len(b) != 5 {
-		return gaorexford.Invalid, ErrTruncated
-	}
-	return gaorexford.Route{Class: gaorexford.Class(b[0]), Hops: binary.BigEndian.Uint32(b[1:5])}, nil
-}
-
-// TrackedCodec serialises pathalg.Route[B] given a codec for the base
-// route.
-type TrackedCodec[B any] struct {
-	Base Codec[B]
-}
-
-// Encode implements Codec: path first, then u32 base length, then base.
-func (c TrackedCodec[B]) Encode(r pathalg.Route[B]) ([]byte, error) {
-	base, err := c.Base.Encode(r.Base)
-	if err != nil {
-		return nil, err
-	}
-	out := EncodePath(r.Path)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(base)))
-	return append(out, base...), nil
-}
-
-// Decode implements Codec.
-func (c TrackedCodec[B]) Decode(b []byte) (pathalg.Route[B], error) {
-	var out pathalg.Route[B]
-	cur := NewCursor(b, ErrTruncated)
-	p, err := readPath(cur)
-	if err != nil {
-		return out, err
-	}
-	raw := cur.Bytes(cur.Len())
-	if cur.Err() != nil || cur.Len() != 0 {
-		return out, ErrTruncated
-	}
-	base, err := c.Base.Decode(raw)
-	if err != nil {
-		return out, err
-	}
-	return pathalg.Route[B]{Base: base, Path: p}, nil
-}
-
 // SPPCodec serialises the stable-paths-problem routes of the gadget
 // instances: rank u32 then path.
 type SPPCodec struct{}
@@ -301,7 +193,7 @@ type SPPCodec struct{}
 // Encode implements Codec.
 func (SPPCodec) Encode(r gadgets.Route) ([]byte, error) {
 	out := binary.BigEndian.AppendUint32(nil, r.Rank)
-	return append(out, EncodePath(r.Path)...), nil
+	return append(out, encodePath(r.Path)...), nil
 }
 
 // Decode implements Codec.

@@ -2,14 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/algebras"
 	"repro/internal/gadgets"
-	"repro/internal/gaorexford"
-	"repro/internal/pathalg"
 	"repro/internal/paths"
 	"repro/internal/policy"
 )
@@ -38,6 +38,23 @@ func TestAdvertTruncation(t *testing.T) {
 	}
 }
 
+// TestAdvertRowCountIsCheckedBeforeAllocating sends a 16-byte frame that
+// claims 2²⁰ rows: the decoder must refuse it as truncated without first
+// sizing a row slice by the claim.
+func TestAdvertRowCountIsCheckedBeforeAllocating(t *testing.T) {
+	frame := binary.BigEndian.AppendUint32(EncodeAdvert(Advert{From: 1, Seq: 2})[:12], 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeAdvert(frame)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("decode of a %d-byte frame claiming 2²⁰ rows: %v, want ErrTruncated", len(frame), err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("decode of a %d-byte frame allocated %d bytes", len(frame), d)
+	}
+}
+
 func TestNatInfCodec(t *testing.T) {
 	c := NatInfCodec{}
 	for _, v := range []algebras.NatInf{0, 1, 42, algebras.Inf} {
@@ -59,17 +76,6 @@ func TestNatInfCodec(t *testing.T) {
 	}
 }
 
-func TestFloat64Codec(t *testing.T) {
-	c := Float64Codec{}
-	for _, v := range []float64{0, 0.25, 1, 0.6180339887} {
-		b, _ := c.Encode(v)
-		got, err := c.Decode(b)
-		if err != nil || got != v {
-			t.Errorf("round trip %v: got %v", v, got)
-		}
-	}
-}
-
 func TestPathRoundTrip(t *testing.T) {
 	for _, p := range []paths.Path{
 		paths.Invalid,
@@ -77,13 +83,13 @@ func TestPathRoundTrip(t *testing.T) {
 		paths.FromNodes(1, 0),
 		paths.FromNodes(5, 3, 2, 0),
 	} {
-		enc := EncodePath(p)
-		got, rest, err := DecodePath(enc)
+		cur := NewCursor(encodePath(p), ErrTruncated)
+		got, err := readPath(cur)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
-		if len(rest) != 0 {
-			t.Errorf("%s: %d trailing bytes", p, len(rest))
+		if cur.Len() != 0 {
+			t.Errorf("%s: %d trailing bytes", p, cur.Len())
 		}
 		if !got.Equal(p) {
 			t.Errorf("round trip %s: got %s", p, got)
@@ -91,10 +97,12 @@ func TestPathRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodePathRejectsNonSimple(t *testing.T) {
-	// Hand-craft an arc sequence with a loop: (1,2),(2,1).
-	raw := []byte{0x00, 0x00, 0x02, 0x00, 1, 0x00, 2, 0x00, 2, 0x00, 1}
-	if _, _, err := DecodePath(raw); err == nil {
+// loopingArcs is an arc sequence with a loop, (1,2),(2,1), in the
+// encodePath layout.
+var loopingArcs = []byte{0x00, 0x00, 0x02, 0x00, 1, 0x00, 2, 0x00, 2, 0x00, 1}
+
+func TestReadPathRejectsNonSimple(t *testing.T) {
+	if _, err := readPath(NewCursor(loopingArcs, ErrTruncated)); err == nil {
 		t.Error("looping arc sequence must be rejected")
 	}
 }
@@ -127,73 +135,14 @@ func TestPolicyCodec(t *testing.T) {
 	}
 }
 
-func TestGaoRexfordCodec(t *testing.T) {
-	c := GaoRexfordCodec{}
-	for _, r := range []gaorexford.Route{
-		gaorexford.Trivial,
-		gaorexford.Invalid,
-		{Class: gaorexford.FromPeer, Hops: 12},
-	} {
-		b, _ := c.Encode(r)
-		got, err := c.Decode(b)
-		if err != nil || got != r {
-			t.Errorf("round trip %v: got %v, err %v", r, got, err)
-		}
-	}
-}
-
-func TestTrackedCodec(t *testing.T) {
-	c := TrackedCodec[algebras.NatInf]{Base: NatInfCodec{}}
-	alg := pathalg.New[algebras.NatInf](algebras.ShortestPaths{})
-	routes := []pathalg.Route[algebras.NatInf]{
-		alg.Trivial(),
-		alg.Invalid(),
-		{Base: 4, Path: paths.FromNodes(3, 1, 0)},
-	}
-	for _, r := range routes {
-		b, err := c.Encode(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Decode(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !alg.Equal(got, r) {
-			t.Errorf("round trip %s: got %s", alg.Format(r), alg.Format(got))
-		}
-	}
-}
-
-func TestRowRoundTrip(t *testing.T) {
-	c := NatInfCodec{}
-	row := []algebras.NatInf{0, 3, algebras.Inf, 9}
-	enc, err := EncodeRow[algebras.NatInf](c, row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRow[algebras.NatInf](c, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range row {
-		if got[i] != row[i] {
-			t.Errorf("row[%d] = %v, want %v", i, got[i], row[i])
-		}
-	}
-}
-
 func TestFuzzDecodeNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	codecs := func(b []byte) {
 		_, _ = DecodeAdvert(b)
-		_, _, _ = DecodePath(b)
+		_, _ = readPath(NewCursor(b, ErrTruncated))
 		_, _ = (PolicyCodec{}).Decode(b)
 		_, _ = (NatInfCodec{}).Decode(b)
-		_, _ = (GaoRexfordCodec{}).Decode(b)
-		_, _ = (TrackedCodec[algebras.NatInf]{Base: NatInfCodec{}}).Decode(b)
 		_, _ = (SPPCodec{}).Decode(b)
-		_, _ = (PairCodec[algebras.NatInf, algebras.NatInf]{First: NatInfCodec{}, Second: NatInfCodec{}}).Decode(b)
 	}
 	for trial := 0; trial < 3000; trial++ {
 		b := make([]byte, rng.Intn(64))
@@ -254,11 +203,6 @@ func TestDecodersRejectEveryTruncation(t *testing.T) {
 	truncations[gadgets.Route](t, "spp", SPPCodec{},
 		gadgets.Route{Rank: 2, Path: path},
 		func(a, b gadgets.Route) bool { return a.Rank == b.Rank && a.Path.Equal(b.Path) })
-	tracked := pathalg.New[algebras.NatInf](algebras.HopCount{Limit: 15})
-	truncations[pathalg.Route[algebras.NatInf]](t, "tracked", TrackedCodec[algebras.NatInf]{Base: NatInfCodec{}},
-		pathalg.Route[algebras.NatInf]{Base: 4, Path: path}, tracked.Equal)
-	truncations[algebras.Pair[algebras.NatInf, algebras.NatInf]](t, "pair",
-		PairCodec[algebras.NatInf, algebras.NatInf]{First: NatInfCodec{}, Second: NatInfCodec{}},
-		algebras.Pair[algebras.NatInf, algebras.NatInf]{First: 3, Second: 7},
-		func(a, b algebras.Pair[algebras.NatInf, algebras.NatInf]) bool { return a == b })
+	truncations[algebras.NatInf](t, "natinf", NatInfCodec{}, 4,
+		func(a, b algebras.NatInf) bool { return a == b })
 }
