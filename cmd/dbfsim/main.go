@@ -19,7 +19,10 @@
 // and prints each substrate's watchdog verdict and, for the engine, the
 // run's digest (steps, convergedAt, cells, hash) — the line -server
 // prints for the same file, since the daemon runs the same schedule; the
-// exit code is 0 only when every substrate converged.
+// exit code is 0 only when every substrate converged. The scenario file
+// names its own instance, faults and horizon, so a flag that would set
+// them (-algebra, -topo, -n, -seed, -loss, -dup, -delay, -garbage,
+// -policy, -trace, -mode, -steps) draws a warning and is ignored.
 // A delta run is a pure function of its flags: its schedule is a pure
 // function of (seed, t, i, k), so the same flags print the same output
 // in any process.
@@ -147,6 +150,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
+	if *scenFile != "" {
+		// The scenario text names its own instance, faults and horizon.
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "algebra", "topo", "n", "seed", "loss", "dup", "delay", "garbage", "policy", "trace", "mode", "steps":
+				fmt.Fprintf(stderr, "(-%s is set by the scenario file under -scenario; ignoring)\n", f.Name)
+			}
+		})
+	}
 	if *serverAddr != "" {
 		return o.runRemote(*serverAddr, *scenFile, *tenantFlag, *runIDFlag, *deadlineFlag)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -17,6 +18,9 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/topology"
 )
+
+// update rewrites the goldens under testdata/ from the current code.
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
 // dbfsim runs one invocation in-process and returns its exit status and
 // what it printed on each stream.
@@ -83,6 +87,54 @@ func TestSimMode(t *testing.T) {
 			t.Errorf("stdout lacks %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestSimGoldens pins the event simulator byte for byte: a traced static
+// run of each algebra family and every example scenario on the sim
+// substrate print exactly what testdata/ holds, exit status included.
+// Regenerate with `go test ./cmd/dbfsim -run TestSimGoldens -update` only
+// when a change is meant to move the simulator's output.
+func TestSimGoldens(t *testing.T) {
+	cases := map[string][]string{}
+	for _, alg := range []string{"rip", "policy", "pv", "gr"} {
+		cases["sim-"+alg] = []string{"-mode", "sim", "-trace", "-n", "6", "-seed", "3", "-algebra", alg}
+	}
+	scens, err := filepath.Glob(scenarioPath("*"))
+	if err != nil || len(scens) == 0 {
+		t.Fatalf("no example scenarios (%v)", err)
+	}
+	for _, p := range scens {
+		cases["scenario-"+strings.TrimSuffix(filepath.Base(p), ".scenario")] = []string{"-scenario", p, "-substrate", "sim"}
+	}
+	for name, args := range cases {
+		code, out, _ := dbfsim(args...)
+		got := fmt.Sprintf("%sexit %d\n", out, code)
+		path := filepath.Join("testdata", name+".golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%v: output differs from %s:\n%s", args, path, firstDiff(got, string(want)))
+		}
+	}
+}
+
+// firstDiff names the first line where got and want part.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got  %q\n want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }
 
 // TestSameFlagsSameOutput: a run is a pure function of its flags, so a
@@ -178,6 +230,34 @@ func TestScenarioDigestIsScenarioRun(t *testing.T) {
 			(engineDigestJSON{sr.Steps, sr.ConvergedAt, sr.Cells, fmt.Sprintf("%016x", sr.Hash)}) {
 			t.Errorf("%s: -stats-json substrates %+v, scenario.Run %s", name, js.Substrates, want)
 		}
+	}
+}
+
+// TestScenarioWarnsOfIgnoredFlags: the scenario file sets the instance,
+// faults and horizon, so each such flag given with -scenario draws one
+// warning on stderr and changes nothing on stdout.
+func TestScenarioWarnsOfIgnoredFlags(t *testing.T) {
+	plain := []string{"-scenario", scenarioPath("rip-churn")}
+	wantCode, wantOut, errs := dbfsim(plain...)
+	if strings.Contains(errs, "ignoring") {
+		t.Fatalf("no flag set, yet stderr warns: %q", errs)
+	}
+	ignored := []string{"-algebra", "pv", "-topo", "clique", "-n", "9", "-seed", "5", "-loss", "0.5",
+		"-dup", "0.5", "-delay", "3", "-garbage", "-policy", "lp+=2", "-trace", "-mode", "delta", "-steps", "7"}
+	code, out, errs := dbfsim(append(plain, ignored...)...)
+	if code != wantCode || out != wantOut {
+		t.Errorf("ignored flags changed the run: exit %d vs %d\n%s\n---\n%s", code, wantCode, out, wantOut)
+	}
+	for _, arg := range ignored {
+		if !strings.HasPrefix(arg, "-") {
+			continue
+		}
+		if want := "(" + arg + " is set by the scenario file under -scenario; ignoring)\n"; strings.Count(errs, want) != 1 {
+			t.Errorf("stderr does not warn once of %s:\n%s", arg, errs)
+		}
+	}
+	if _, _, errs := dbfsim(append(plain, "-substrate", "sim", "-stats-json")...); strings.Contains(errs, "ignoring") {
+		t.Errorf("-substrate and -stats-json apply to a scenario, yet stderr warns: %q", errs)
 	}
 }
 

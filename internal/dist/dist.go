@@ -1,10 +1,14 @@
 // Package dist is the live asynchronous engine: one goroutine per router
 // exchanging encoded full-table advertisements over a transport that may
 // drop, duplicate, delay and reorder them. It is the third substrate of
-// the Section 3 model — alongside the literal δ evaluator and the
-// deterministic event simulator — and it shares the same per-node update
-// kernel (matrix.SigmaRowInto); only the source of the neighbour tables
-// differs: here they come from a receive cache fed by real concurrency.
+// the Section 3 model, and it runs the event simulator's nodes: one
+// router state machine (internal/router) under two drivers. Here the
+// driver is the wall clock: goroutines call the router under one lock,
+// transport.Memory carries the adverts (its faults drawn as the
+// simulator's are, by transport.Draw), and what only a live network needs
+// stays in this package — route codecs, the sequence guard on each
+// advert's Seq, ApplyAfter, and a settle window that outlasts the
+// transport's longest delay.
 //
 // The network runs exactly what its caller schedules, through the same
 // four verbs the event simulator's run state (simulate.Sim) offers:
@@ -24,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/router"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -35,13 +40,19 @@ const (
 	activateEvery = 2 * time.Millisecond
 	// readvertiseEvery is the period of unconditional full-table
 	// re-advertisement — the soft-state repair that discharges S3 under
-	// loss.
+	// loss — and of the convergence monitor's poll.
 	readvertiseEvery = 20 * time.Millisecond
-	// settleWindow is how long the global state must stay unchanged —
-	// while σ-stable with consistent caches — before the run is declared
-	// converged.
-	settleWindow = 8 * readvertiseEvery
 )
+
+// settleWindow is how long the global state must stay unchanged — while
+// the router has settled — before the run is declared converged. It
+// outlasts the transport's longest delay by a re-advertisement period,
+// so no advert sent before the last change can still be in flight; an
+// older advert arriving after quiescence was judged would pass the
+// sequence guard whenever nothing newer from its sender had landed.
+func settleWindow(maxDelay time.Duration) time.Duration {
+	return max(8*readvertiseEvery, maxDelay+readvertiseEvery)
+}
 
 // Config controls a live run. Message faults belong to the transport the
 // caller builds (transport.Faults), not to the network.
@@ -51,13 +62,6 @@ type Config struct {
 	// Timeout aborts the run (non-convergence) after this wall-clock time.
 	// Default: 30s.
 	Timeout time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Timeout == 0 {
-		c.Timeout = 30 * time.Second
-	}
-	return c
 }
 
 // Class grades how a live run ended: converged cleanly, timed out with
@@ -128,37 +132,33 @@ func (o Outcome[R]) Describe() string {
 
 // Network is a set of live routers wired to a transport.
 type Network[R any] struct {
-	alg   core.Algebra[R]
-	adj   *matrix.Adjacency[R]
 	codec wire.Codec[R]
 	tr    *transport.Memory
 	cfg   Config
 
-	// mu guards the omniscient view used for convergence detection — the
-	// global state and every node's receive cache — and, now that scenario
-	// runs mutate topology mid-flight, the adjacency itself. Routers are
-	// still truly concurrent — the lock covers only cache/table/topology
-	// access, never message latency.
-	mu      sync.Mutex
-	state   *matrix.State[R]
-	recv    [][][]R // recv[i][k]: latest table delivered to i from k
+	// mu guards the router — the omniscient view used for convergence
+	// detection, every node's receive cache, which nodes are down, and the
+	// adjacency scenario runs mutate mid-flight — and the fields below.
+	// Routers are still truly concurrent — the lock covers only
+	// cache/table/topology access, never message latency.
+	mu sync.Mutex
+	r  *router.Router[R]
+	// recvSeq[i][k] is the Seq of the advert installed at i from k.
 	recvSeq [][]uint64
 	changed time.Time
 	// pendingOps counts ApplyAfter hooks that have not fired yet;
 	// quiescence is withheld while any are outstanding.
 	pendingOps atomic.Int32
-	// muts are the ApplyAfter hooks, armed when Run starts.
-	muts []scheduledMut[R]
+	// muts arm the ApplyAfter hooks when Run starts.
+	muts []func() *time.Timer
 
 	// Router lifecycle (see supervisor.go). ctl holds each node's current
 	// router handle; allCtls is the append-only join list Run drains at
-	// shutdown; down marks nodes crashed and not yet recovered; runCtx is
-	// the run context recovery spawns under, and stopped blocks spawns once
-	// shutdown has begun; restarts counts recoveries for RunStats. All
-	// mu-guarded.
+	// shutdown; runCtx is the run context recovery spawns under, and
+	// stopped blocks spawns once shutdown has begun; restarts counts
+	// recoveries for RunStats. All mu-guarded.
 	ctl      []*routerCtl
 	allCtls  []*routerCtl
-	down     []bool
 	runCtx   context.Context
 	stopped  bool
 	restarts int64
@@ -169,12 +169,6 @@ type Network[R any] struct {
 	seqs []atomic.Uint64
 }
 
-// scheduledMut is one ApplyAfter registration.
-type scheduledMut[R any] struct {
-	after time.Duration
-	f     func(*Network[R])
-}
-
 // ApplyAfter schedules f to run against the live network d after Run
 // starts — how scenario timelines (link failures, policy edits, restarts,
 // crashes and recoveries) are played against a running network. The
@@ -182,7 +176,13 @@ type scheduledMut[R any] struct {
 // pending, so a network that settles before its faults arrive keeps
 // running. Must be called before Run.
 func (nw *Network[R]) ApplyAfter(d time.Duration, f func(*Network[R])) {
-	nw.muts = append(nw.muts, scheduledMut[R]{after: d, f: f})
+	nw.pendingOps.Add(1)
+	nw.muts = append(nw.muts, func() *time.Timer {
+		return time.AfterFunc(d, func() {
+			f(nw)
+			nw.pendingOps.Add(-1)
+		})
+	})
 }
 
 // Mutate edits the live adjacency in place under the network lock and
@@ -192,7 +192,7 @@ func (nw *Network[R]) ApplyAfter(d time.Duration, f func(*Network[R])) {
 // same edit engine.TimelineEvent.Mutate and simulate.Sim.Mutate apply.
 func (nw *Network[R]) Mutate(f func(adj *matrix.Adjacency[R])) {
 	nw.mu.Lock()
-	f(nw.adj)
+	nw.r.Mutate(f)
 	nw.changed = time.Now()
 	nw.mu.Unlock()
 }
@@ -202,28 +202,9 @@ func (nw *Network[R]) Mutate(f func(adj *matrix.Adjacency[R])) {
 // invalid, modelling a crash-and-restart that also lost its peers' state.
 func (nw *Network[R]) RestartNode(i int) {
 	nw.mu.Lock()
-	nw.wipeLocked(i)
-	nw.mu.Unlock()
-}
-
-// wipeLocked resets node i's table to the identity row and its receive
-// caches to invalid — what a rebooted router knows. Callers hold mu.
-func (nw *Network[R]) wipeLocked(i int) {
-	n := nw.adj.N
-	row := make([]R, n)
-	for j := range row {
-		row[j] = nw.alg.Invalid()
-	}
-	row[i] = nw.alg.Trivial()
-	nw.state.SetRow(i, row)
-	for k := 0; k < n; k++ {
-		fresh := make([]R, n)
-		for j := range fresh {
-			fresh[j] = nw.alg.Invalid()
-		}
-		nw.recv[i][k] = fresh
-	}
+	nw.r.Wipe(i, nil, nil)
 	nw.changed = time.Now()
+	nw.mu.Unlock()
 }
 
 // NewNetwork builds a live network over the transport. The starting state
@@ -236,27 +217,22 @@ func NewNetwork[R any](
 	tr *transport.Memory,
 	cfg Config,
 ) *Network[R] {
+	if cfg.Timeout == 0 {
+		cfg.Timeout = 30 * time.Second
+	}
 	n := adj.N
 	nw := &Network[R]{
-		alg:   alg,
-		adj:   adj.Clone(),
-		codec: codec,
-		tr:    tr,
-		cfg:   cfg.withDefaults(),
-		state: start.Clone(),
+		codec:   codec,
+		tr:      tr,
+		cfg:     cfg,
+		r:       router.New(alg, adj, start),
+		recvSeq: make([][]uint64, n),
+		ctl:     make([]*routerCtl, n),
+		seqs:    make([]atomic.Uint64, n),
 	}
-	nw.recv = make([][][]R, n)
-	nw.recvSeq = make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		nw.recv[i] = make([][]R, n)
+	for i := range nw.recvSeq {
 		nw.recvSeq[i] = make([]uint64, n)
-		for k := 0; k < n; k++ {
-			nw.recv[i][k] = start.Row(k)
-		}
 	}
-	nw.ctl = make([]*routerCtl, n)
-	nw.down = make([]bool, n)
-	nw.seqs = make([]atomic.Uint64, n)
 	return nw
 }
 
@@ -272,25 +248,14 @@ func (nw *Network[R]) Run(ctx context.Context) Outcome[R] {
 	nw.mu.Lock()
 	nw.changed = begin
 	nw.runCtx = ctx
-	for i := 0; i < nw.adj.N; i++ {
+	for i := 0; i < nw.r.State.N; i++ {
 		nw.spawnLocked(ctx, i)
 	}
 	nw.mu.Unlock()
 
-	var timers []*time.Timer
-	for _, m := range nw.muts {
-		m := m
-		nw.pendingOps.Add(1)
-		timers = append(timers, time.AfterFunc(m.after, func() {
-			m.f(nw)
-			nw.pendingOps.Add(-1)
-		}))
+	for _, arm := range nw.muts {
+		defer arm().Stop()
 	}
-	defer func() {
-		for _, tm := range timers {
-			tm.Stop()
-		}
-	}()
 
 	converged := nw.monitor(ctx)
 	cancel()
@@ -307,9 +272,9 @@ func (nw *Network[R]) Run(ctx context.Context) Outcome[R] {
 	_ = nw.tr.Close()
 
 	nw.mu.Lock()
-	final := nw.state.Clone()
+	final := nw.r.State.Clone()
 	var downNodes []int
-	for i, d := range nw.down {
+	for i, d := range nw.r.Down {
 		if d {
 			downNodes = append(downNodes, i)
 		}
@@ -320,13 +285,12 @@ func (nw *Network[R]) Run(ctx context.Context) Outcome[R] {
 	for _, st := range nw.tr.Stats() {
 		stats.QueueDrops += st.Dropped
 	}
-	class := ClassConverged
+	class := ClassDegraded
 	switch {
 	case converged:
+		class = ClassConverged
 	case len(downNodes) > 0:
 		class = ClassPartitioned
-	default:
-		class = ClassDegraded
 	}
 	return Outcome[R]{
 		Final:     final,
@@ -350,9 +314,6 @@ func (nw *Network[R]) router(ctx context.Context, i int) {
 	readvertise := time.NewTicker(jitter(readvertiseEvery))
 	defer readvertise.Stop()
 
-	n := nw.adj.N
-	scratch := make([]R, n)
-
 	for {
 		select {
 		case <-ctx.Done():
@@ -363,7 +324,13 @@ func (nw *Network[R]) router(ctx context.Context, i int) {
 			}
 			nw.deliver(i, msg)
 		case <-activate.C:
-			if nw.recompute(i, scratch) {
+			nw.mu.Lock()
+			_, changed := nw.r.Recompute(i, nil)
+			if changed {
+				nw.changed = time.Now()
+			}
+			nw.mu.Unlock()
+			if changed {
 				nw.advertise(i, nw.seqs[i].Add(1))
 			}
 			activate.Reset(jitter(activateEvery))
@@ -378,16 +345,14 @@ func (nw *Network[R]) router(ctx context.Context, i int) {
 // freshness guard every real routing daemon applies).
 func (nw *Network[R]) deliver(i int, msg transport.Message) {
 	adv, err := wire.DecodeAdvert(msg.Payload)
-	if err != nil || adv.From < 0 || adv.From >= nw.adj.N || len(adv.Rows) != nw.adj.N {
+	if n := nw.r.State.N; err != nil || adv.From < 0 || adv.From >= n || len(adv.Rows) != n {
 		return // corrupt frames are indistinguishable from loss
 	}
 	row := make([]R, len(adv.Rows))
 	for j, b := range adv.Rows {
-		r, err := nw.codec.Decode(b)
-		if err != nil {
+		if row[j], err = nw.codec.Decode(b); err != nil {
 			return
 		}
-		row[j] = r
 	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -395,53 +360,26 @@ func (nw *Network[R]) deliver(i int, msg transport.Message) {
 		return
 	}
 	nw.recvSeq[i][adv.From] = adv.Seq
-	nw.recv[i][adv.From] = row
-}
-
-// recompute applies the shared σ-row kernel to node i's receive cache and
-// reports whether the node's table changed.
-func (nw *Network[R]) recompute(i int, scratch []R) bool {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	row := matrix.SigmaRowInto(nw.alg, nw.adj, i, nil, nw.recv[i], scratch)
-	changed := false
-	for j := range row {
-		if !nw.alg.Equal(row[j], nw.state.Get(i, j)) {
-			changed = true
-			break
-		}
-	}
-	if changed {
-		nw.state.SetRow(i, row)
-		nw.changed = time.Now()
-	}
-	return changed
+	nw.r.Install(i, adv.From, row)
 }
 
 // advertise encodes node i's current table and sends it to every listener
-// (nodes j with an edge (j, i), i.e. nodes whose σ-row reads i's table).
-// The listener set is gathered under the lock — the adjacency can mutate
-// mid-run — but the sends happen outside it, so a slow transport never
-// holds up the omniscient view. A Send error is shutdown (ErrClosed);
-// like any undelivered advert it is loss, which the model absorbs.
+// (the nodes whose σ-row reads i's table). The listener set is read under
+// the lock — the adjacency can mutate mid-run — but the sends happen
+// outside it, so a slow transport never holds up the omniscient view. A
+// Send error is shutdown (ErrClosed); like any undelivered advert it is
+// loss, which the model absorbs.
 func (nw *Network[R]) advertise(i int, seq uint64) {
 	nw.mu.Lock()
-	row := nw.state.Row(i)
-	n := nw.adj.N
-	listeners := make([]int, 0, n)
-	for j := 0; j < n; j++ {
-		if _, ok := nw.adj.Edge(j, i); ok && j != i {
-			listeners = append(listeners, j)
-		}
-	}
+	row := nw.r.State.Row(i)
+	listeners := nw.r.Listeners(i)
 	nw.mu.Unlock()
 	rows := make([][]byte, len(row))
 	for j, r := range row {
-		b, err := nw.codec.Encode(r)
-		if err != nil {
+		var err error
+		if rows[j], err = nw.codec.Encode(r); err != nil {
 			return
 		}
-		rows[j] = b
 	}
 	payload := wire.EncodeAdvert(wire.Advert{From: i, Seq: seq, Rows: rows})
 	for _, j := range listeners {
@@ -449,12 +387,12 @@ func (nw *Network[R]) advertise(i int, seq uint64) {
 	}
 }
 
-// monitor polls for provable quiescence: the global state is σ-stable,
-// every receive cache read by some edge agrees with the sender's current
-// table, and nothing has changed for a full settle window (which dominates
-// the transport's maximum delay, so no perturbing advert is in flight).
+// monitor polls for provable quiescence: the router has settled
+// (router.Settled) and nothing has changed for a full settle window,
+// which outlasts the transport's longest delay, so no perturbing advert
+// is in flight.
 func (nw *Network[R]) monitor(ctx context.Context) bool {
-	tick := time.NewTicker(settleWindow / 8)
+	tick := time.NewTicker(readvertiseEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -474,28 +412,5 @@ func (nw *Network[R]) quiescent() bool {
 	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	for _, d := range nw.down {
-		if d {
-			// A down node can neither verify nor repair anything; the run
-			// is not settled, it is partitioned until someone recovers it.
-			return false
-		}
-	}
-	if time.Since(nw.changed) < settleWindow {
-		return false
-	}
-	n := nw.adj.N
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			if _, ok := nw.adj.Edge(i, k); !ok {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if !nw.alg.Equal(nw.recv[i][k][j], nw.state.Get(k, j)) {
-					return false
-				}
-			}
-		}
-	}
-	return matrix.IsStable(nw.alg, nw.adj, nw.state)
+	return time.Since(nw.changed) >= settleWindow(nw.tr.MaxDelay()) && nw.r.Settled()
 }

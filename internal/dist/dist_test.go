@@ -118,3 +118,30 @@ func TestLiveMutation(t *testing.T) {
 			out.Final.Format(alg), want.Format(alg))
 	}
 }
+
+// TestLargeDelayConvergesOnFixedPoint: with transport delays longer
+// than the default settle window, the window stretches past the longest
+// delay, so a run judged converged ends on the σ fixed point — no stale
+// advert still in flight lands after the verdict.
+func TestLargeDelayConvergesOnFixedPoint(t *testing.T) {
+	alg := algebras.HopCount{Limit: 15}
+	n := 5
+	adj := ringAdj(n, alg)
+	start := matrix.Identity(alg, n)
+
+	cfg := dist.Config{Seed: 11, Timeout: 20 * time.Second}
+	tr := transport.NewMemory(n, cfg.Seed, transport.Faults{
+		LossProb: 0.1,
+		DupProb:  0.3,
+		MaxDelay: 250 * time.Millisecond,
+	})
+	out := dist.NewNetwork(alg, adj, start, wire.NatInfCodec{}, tr, cfg).Run(context.Background())
+	if !out.Converged {
+		t.Fatalf("large-delay run did not converge: %s", out.Describe())
+	}
+	want, _, _ := matrix.FixedPoint(alg, adj, start, 4*n)
+	if !matrix.IsStable(alg, adj, out.Final) || !out.Final.Equal(alg, want) {
+		t.Fatalf("converged run ended off the σ fixed point\ngot:\n%s\nwant:\n%s",
+			out.Final.Format(alg), want.Format(alg))
+	}
+}

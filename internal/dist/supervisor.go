@@ -30,7 +30,7 @@ func (nw *Network[R]) spawnLocked(ctx context.Context, i int) {
 	ctl := &routerCtl{cancel: cancel, done: make(chan struct{})}
 	nw.ctl[i] = ctl
 	nw.allCtls = append(nw.allCtls, ctl)
-	nw.down[i] = false
+	nw.r.Down[i] = false
 	go func() {
 		defer close(ctl.done)
 		nw.router(rctx, i)
@@ -44,11 +44,11 @@ func (nw *Network[R]) spawnLocked(ctx context.Context, i int) {
 func (nw *Network[R]) CrashNode(i int) {
 	nw.mu.Lock()
 	ctl := nw.ctl[i]
-	if ctl == nil || nw.down[i] {
+	if ctl == nil || nw.r.Down[i] {
 		nw.mu.Unlock()
 		return
 	}
-	nw.down[i] = true
+	nw.r.Down[i] = true
 	nw.changed = time.Now()
 	nw.mu.Unlock()
 	ctl.cancel()
@@ -62,10 +62,11 @@ func (nw *Network[R]) CrashNode(i int) {
 func (nw *Network[R]) RecoverNode(i int) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if nw.runCtx == nil || nw.stopped || !nw.down[i] {
+	if nw.runCtx == nil || nw.stopped || !nw.r.Down[i] {
 		return
 	}
-	nw.wipeLocked(i)
+	nw.r.Wipe(i, nil, nil)
+	nw.changed = time.Now()
 	nw.restarts++
 	nw.spawnLocked(nw.runCtx, i)
 }

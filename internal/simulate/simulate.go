@@ -5,6 +5,12 @@
 // neighbour tables, and advertise; the network delays, drops, duplicates
 // and reorders advertisements under seeded randomness.
 //
+// Its nodes are the live network's (internal/dist): one router state
+// machine (internal/router) under two drivers, each message's fate drawn
+// by transport.Draw on both. The simulator is the virtual-clock driver:
+// one goroutine, an event heap in virtual ticks, and adverts handed over
+// as rows, since nothing here crosses a process boundary.
+//
 // Every run of the simulator induces a valid (α, β) schedule — activations
 // are α, and the send time of the advertisement a node last received from
 // each neighbour is β — so Theorem 4 applies verbatim, and the simulator's
@@ -21,10 +27,13 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/router"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // The message-passing periods, in virtual time units.
@@ -148,38 +157,27 @@ func (q *eventQueue[R]) Pop() any {
 // Sim is the mutable state of one run. Events act on it through its
 // verbs; everything else is internal to the run.
 type Sim[R any] struct {
-	alg   core.Algebra[R]
-	adj   *matrix.Adjacency[R]
-	cfg   Config
-	rng   *rand.Rand
-	queue eventQueue[R]
-	seq   int64
-	now   int64
-	// recv[i][k] is the latest table row delivered to i from k.
-	recv [][][]R
-	// down[i] marks node i crashed: no activations, no deliveries, until
-	// RecoverNode brings it back.
-	down []bool
-	// state is the omniscient global view: row i is node i's table.
-	state      *matrix.State[R]
+	alg core.Algebra[R]
+	// r is every node's protocol state; a down node neither activates nor
+	// takes deliveries until RecoverNode brings it back.
+	r          *router.Router[R]
+	cfg        Config
+	rng        *rand.Rand
+	queue      eventQueue[R]
+	seq        int64
+	now        int64
 	lastChange int64
 	stats      Stats
-	// neighbours[i] lists k with an edge (i ← k)? No: out-neighbours for
-	// advertisement, i.e. nodes j with an edge (j ← i), meaning j uses
-	// i's table: edge (j, i) present.
-	listeners [][]int
-	genRoute  func(rng *rand.Rand) R
-	events    []Event[R]
+	genRoute   func(rng *rand.Rand) R
+	events     []Event[R]
 	// lastEvent is the latest event time: a settled state before it
 	// can still be disturbed.
 	lastEvent int64
-	// rowScratch is the reusable buffer activate computes σ-rows into;
-	// SetRow and advertise both copy, so reuse is safe.
-	rowScratch []R
 
-	// Schedule extraction (nil unless Config.Log is set): the logical
-	// step counter, each node's last activation step, and the step each
-	// receive cache entry was computed at.
+	// Schedule extraction, kept only when Config.Log is set (recvStep is
+	// nil otherwise): the logical step counter, each node's last
+	// activation step, and the step each receive cache entry was computed
+	// at.
 	stepCount int
 	ownStep   []int
 	recvStep  [][]int
@@ -199,19 +197,6 @@ type ScheduleEntry struct {
 	Beta []int
 }
 
-// rebuildListeners recomputes who hears whom after a topology change.
-func (s *Sim[R]) rebuildListeners() {
-	n := s.adj.N
-	s.listeners = make([][]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if _, ok := s.adj.Edge(j, i); ok && i != j {
-				s.listeners[i] = append(s.listeners[i], j)
-			}
-		}
-	}
-}
-
 // Run simulates the protocol from the given starting state, playing the
 // events at their virtual times, and returns the outcome. genRoute, when
 // non-nil, supplies arbitrary routes for the state a restarted or
@@ -229,27 +214,15 @@ func Run[R any](
 	n := adj.N
 	s := &Sim[R]{
 		alg:      alg,
-		adj:      adj.Clone(),
+		r:        router.New(alg, adj, start),
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		state:    start.Clone(),
 		genRoute: genRoute,
 		events:   events,
-	}
-	// Node j listens to i's advertisements when the edge (j, i) exists:
-	// σ(X)_jd uses A_jk(X_kd).
-	s.rebuildListeners()
-	// recv caches start from the initial state: β(…) = 0 initially.
-	s.recv = make([][][]R, n)
-	for i := 0; i < n; i++ {
-		s.recv[i] = make([][]R, n)
-		for k := 0; k < n; k++ {
-			s.recv[i][k] = start.Row(k)
-		}
+		ownStep:  make([]int, n),
 	}
 	if s.cfg.Log != nil {
 		s.cfg.Log.N = n
-		s.ownStep = make([]int, n)
 		s.recvStep = make([][]int, n)
 		for i := range s.recvStep {
 			s.recvStep[i] = make([]int, n)
@@ -273,26 +246,26 @@ func (s *Sim[R]) loop() Outcome[R] {
 		now := ev.time
 		s.now = now
 		if now > s.cfg.MaxTime {
-			return Outcome[R]{Final: s.state, Converged: false, EndTime: now, Stats: s.stats}
+			break
 		}
 		switch ev.kind {
 		case evActivate:
 			// A down node's timer keeps rescheduling (so activations resume
 			// after recovery) but the node itself does nothing while down.
-			if !s.isDown(ev.node) {
+			if !s.r.Down[ev.node] {
 				s.activate(now, ev.node)
 				// Quiescence check at activation boundaries (gated by the
 				// settle window to amortise its cost).
 				if now-s.lastChange >= settleWindow && now >= s.lastEvent && s.quiescent() {
 					return Outcome[R]{
-						Final: s.state, Converged: true,
+						Final: s.r.State, Converged: true,
 						ConvergedAt: s.lastChange, EndTime: now, Stats: s.stats,
 					}
 				}
 			}
 			s.push(&event[R]{time: now + 1 + s.rng.Int63n(activateEvery), kind: evActivate, node: ev.node})
 		case evDeliver:
-			if s.isDown(ev.node) {
+			if s.r.Down[ev.node] {
 				// The receiving process is gone; its loss is just loss.
 				s.stats.Dropped++
 				if s.cfg.Trace != nil {
@@ -304,7 +277,7 @@ func (s *Sim[R]) loop() Outcome[R] {
 			if s.cfg.Trace != nil {
 				s.cfg.Trace.Message(now, trace.MessageDelivered, ev.from, ev.node)
 			}
-			s.recv[ev.node][ev.from] = ev.row
+			s.r.Install(ev.node, ev.from, ev.row)
 			if s.recvStep != nil {
 				s.recvStep[ev.node][ev.from] = ev.step
 			}
@@ -312,14 +285,13 @@ func (s *Sim[R]) loop() Outcome[R] {
 			s.events[ev.node].Apply(s)
 		}
 	}
-	return Outcome[R]{Final: s.state, Converged: false, EndTime: s.now, Stats: s.stats}
+	return Outcome[R]{Final: s.r.State, Converged: false, EndTime: s.now, Stats: s.stats}
 }
 
 // Mutate edits the adjacency in place (add or remove edges, swap
 // policies) and reopens the settle window.
 func (s *Sim[R]) Mutate(f func(adj *matrix.Adjacency[R])) {
-	f(s.adj)
-	s.rebuildListeners()
+	s.r.Mutate(f)
 	s.lastChange = s.now
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Topology(s.now)
@@ -331,10 +303,7 @@ func (s *Sim[R]) Mutate(f func(adj *matrix.Adjacency[R])) {
 // is counted as drops). The run cannot be declared converged while any
 // node is down.
 func (s *Sim[R]) CrashNode(i int) {
-	if s.down == nil {
-		s.down = make([]bool, s.adj.N)
-	}
-	s.down[i] = true
+	s.r.Down[i] = true
 	s.lastChange = s.now
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Restart(s.now, i)
@@ -345,8 +314,8 @@ func (s *Sim[R]) CrashNode(i int) {
 // state, so it reboots wiped, exactly as RestartNode leaves it.
 // Recovering a node that is not down does nothing.
 func (s *Sim[R]) RecoverNode(i int) {
-	if s.isDown(i) {
-		s.down[i] = false
+	if s.r.Down[i] {
+		s.r.Down[i] = false
 		s.RestartNode(i)
 	}
 }
@@ -355,38 +324,12 @@ func (s *Sim[R]) RecoverNode(i int) {
 // arbitrary (or garbage) state. All of i's neighbour caches are corrupted
 // too, modelling stale information held about a restarted peer.
 func (s *Sim[R]) RestartNode(i int) {
-	n := s.adj.N
-	row := make([]R, n)
-	for j := 0; j < n; j++ {
-		switch {
-		case i == j:
-			row[j] = s.alg.Trivial()
-		case s.genRoute != nil:
-			row[j] = s.genRoute(s.rng)
-		default:
-			row[j] = s.alg.Invalid()
-		}
-	}
-	s.state.SetRow(i, row)
-	for k := 0; k < n; k++ {
-		fresh := make([]R, n)
-		for j := 0; j < n; j++ {
-			if s.genRoute != nil {
-				fresh[j] = s.genRoute(s.rng)
-			} else {
-				fresh[j] = s.alg.Invalid()
-			}
-		}
-		s.recv[i][k] = fresh
-	}
+	s.r.Wipe(i, s.genRoute, s.rng)
 	s.lastChange = s.now
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Restart(s.now, i)
 	}
 }
-
-// isDown reports whether node i is crashed and not yet recovered.
-func (s *Sim[R]) isDown(i int) bool { return s.down != nil && s.down[i] }
 
 func (s *Sim[R]) push(ev *event[R]) {
 	ev.seq = s.seq
@@ -397,33 +340,20 @@ func (s *Sim[R]) push(ev *event[R]) {
 // activate recomputes node i's table from its caches and advertises it.
 func (s *Sim[R]) activate(now int64, i int) {
 	s.stats.Activations++
-	n := s.adj.N
 	if s.cfg.Log != nil {
 		s.stepCount++
-		entry := ScheduleEntry{Node: i, Beta: make([]int, n)}
-		for k := 0; k < n; k++ {
-			entry.Beta[k] = s.recvStep[i][k]
-		}
-		s.cfg.Log.Entries = append(s.cfg.Log.Entries, entry)
+		s.cfg.Log.Entries = append(s.cfg.Log.Entries, ScheduleEntry{Node: i, Beta: append([]int(nil), s.recvStep[i]...)})
 		s.ownStep[i] = s.stepCount
 	}
-	// Recompute from the receive caches with the shared σ-row kernel
-	// (this realises δ's β lookup).
-	if s.rowScratch == nil {
-		s.rowScratch = make([]R, n)
-	}
-	row := matrix.SigmaRowInto(s.alg, s.adj, i, nil, s.recv[i], s.rowScratch)
-	changed := false
-	for j := 0; j < n; j++ {
-		if !s.alg.Equal(row[j], s.state.Get(i, j)) {
-			changed = true
-			if s.cfg.Trace != nil {
-				s.cfg.Trace.Route(now, i, j, s.alg.Format(s.state.Get(i, j)), s.alg.Format(row[j]))
-			}
+	// Recompute from the receive caches (this realises δ's β lookup).
+	var onChange func(j int, old, new R)
+	if s.cfg.Trace != nil {
+		onChange = func(j int, old, new R) {
+			s.cfg.Trace.Route(now, i, j, s.alg.Format(old), s.alg.Format(new))
 		}
 	}
+	row, changed := s.r.Recompute(i, onChange)
 	if changed {
-		s.state.SetRow(i, row)
 		s.lastChange = now
 	}
 	// Advertise when changed, and periodically regardless, so lost
@@ -433,74 +363,45 @@ func (s *Sim[R]) activate(now int64, i int) {
 	}
 }
 
-// advertise sends node i's table to every listener with loss, duplication
-// and random delay.
+// advertise sends node i's table to every listener, each message's loss,
+// duplication and delay drawn by transport.Draw.
 func (s *Sim[R]) advertise(now int64, i int, row []R) {
-	for _, j := range s.listeners[i] {
+	for _, j := range s.r.Listeners(i) {
 		s.stats.Sent++
 		if s.cfg.Trace != nil {
 			s.cfg.Trace.Message(now, trace.MessageSent, i, j)
 		}
-		if s.rng.Float64() < s.cfg.LossProb {
+		copies, delays := transport.Draw(s.rng, s.cfg.LossProb, s.cfg.DupProb, minDelay, s.cfg.MaxDelay)
+		switch copies {
+		case 0:
 			s.stats.Dropped++
 			if s.cfg.Trace != nil {
 				s.cfg.Trace.Message(now, trace.MessageDropped, i, j)
 			}
 			continue
-		}
-		copies := 1
-		if s.rng.Float64() < s.cfg.DupProb {
-			copies = 2
+		case 2:
 			s.stats.Duplicated++
 		}
-		for c := 0; c < copies; c++ {
-			delay := minDelay + s.rng.Int63n(s.cfg.MaxDelay-minDelay+1)
+		for _, delay := range delays[:copies] {
 			payload := make([]R, len(row))
 			copy(payload, row)
-			step := 0
-			if s.ownStep != nil {
-				step = s.ownStep[i]
-			}
-			s.push(&event[R]{time: now + delay, kind: evDeliver, node: j, from: i, row: payload, step: step})
+			s.push(&event[R]{time: now + delay, kind: evDeliver, node: j, from: i, row: payload, step: s.ownStep[i]})
 		}
 	}
 }
 
-// quiescent reports whether the run has provably terminated: the global
-// state is σ-stable, every receive cache agrees with the sender's current
-// table, and every in-flight advertisement carries the sender's current
-// table. Under these conditions every future activation recomputes exactly
-// the current state, so nothing can ever change again.
+// quiescent reports whether the run has provably terminated: the router
+// has settled (router.Settled) and every in-flight advertisement carries
+// the sender's current table. Under these conditions every future
+// activation recomputes exactly the current state, so nothing can ever
+// change again.
 func (s *Sim[R]) quiescent() bool {
-	for i := range s.down {
-		if s.down[i] {
-			return false // a partitioned network is not settled
-		}
-	}
-	if !matrix.IsStable(s.alg, s.adj, s.state) {
+	if !s.r.Settled() {
 		return false
 	}
-	n := s.adj.N
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			if _, ok := s.adj.Edge(i, k); !ok {
-				continue // cache never read by activate
-			}
-			for j := 0; j < n; j++ {
-				if !s.alg.Equal(s.recv[i][k][j], s.state.Get(k, j)) {
-					return false
-				}
-			}
-		}
-	}
 	for _, ev := range s.queue {
-		if ev.kind != evDeliver {
-			continue
-		}
-		for j := range ev.row {
-			if !s.alg.Equal(ev.row[j], s.state.Get(ev.from, j)) {
-				return false
-			}
+		if ev.kind == evDeliver && !slices.EqualFunc(ev.row, s.r.State.RowView(ev.from), s.alg.Equal) {
+			return false
 		}
 	}
 	return true

@@ -3,7 +3,8 @@
 // live engine, in process, with seeded fault injection (loss, duplication,
 // reordering via random per-message delay); Conn (stream.go) is the
 // length-prefixed TCP stream between a service client and the dbfsimd
-// daemon.
+// daemon. Draw is the one fault model: Memory and the event simulator
+// both decide each message's fate with it.
 package transport
 
 import (
@@ -31,14 +32,37 @@ type Faults struct {
 	LossProb float64
 	// DupProb delivers a message twice.
 	DupProb float64
-	// MinDelay and MaxDelay bound the artificial delivery latency. With a
-	// wide interval, later messages routinely overtake earlier ones —
-	// reordering needs no extra mechanism.
+	// MinDelay and MaxDelay bound the artificial delivery latency, both
+	// ends included (see Draw). With a wide interval, later messages
+	// routinely overtake earlier ones — reordering needs no extra
+	// mechanism.
 	MinDelay, MaxDelay time.Duration
 	// QueueLen bounds each node's receive buffer; 0 means the default
 	// (1024). A full buffer drops the message — overload is loss, which
 	// the model permits — but the drop is counted, never silent.
 	QueueLen int
+}
+
+// Draw decides one message's fate from rng: how many copies arrive (0
+// when it is lost, 2 when it is duplicated) and each copy's delay. It
+// draws in a fixed order: loss (one Float64), then duplication (one
+// Float64), then one Int63n per copy for a delay uniform over [minDelay,
+// maxDelay], both ends included; a maxDelay below minDelay means
+// minDelay. D is virtual ticks (int64) in the simulator and
+// time.Duration in Memory.
+func Draw[D ~int64](rng *rand.Rand, lossProb, dupProb float64, minDelay, maxDelay D) (copies int, delays [2]D) {
+	if rng.Float64() < lossProb {
+		return 0, delays
+	}
+	copies = 1
+	if rng.Float64() < dupProb {
+		copies = 2
+	}
+	span := int64(max(maxDelay-minDelay, 0)) + 1
+	for c := 0; c < copies; c++ {
+		delays[c] = minDelay + D(rng.Int63n(span))
+	}
+	return copies, delays
 }
 
 // NodeStats counts one node's traffic through a Memory transport, keyed
@@ -113,24 +137,19 @@ func (t *Memory) Send(msg Message) error {
 		t.mu.Unlock()
 		return fmt.Errorf("transport: no such node %d", msg.To)
 	}
-	if t.rng.Float64() < t.faults.LossProb {
+	copies, delays := Draw(t.rng, t.faults.LossProb, t.faults.DupProb, t.faults.MinDelay, t.faults.MaxDelay)
+	if copies == 0 {
 		t.mu.Unlock()
 		return nil // injected loss — that is the contract
 	}
-	copies := 1
-	if t.rng.Float64() < t.faults.DupProb {
-		copies = 2
+	if copies == 2 {
 		t.stats[msg.To].duplicated.Add(1)
-	}
-	delays := make([]time.Duration, copies)
-	for c := range delays {
-		delays[c] = t.delayLocked()
 	}
 	t.stats[msg.To].sent.Add(int64(copies))
 	t.wg.Add(copies)
 	t.mu.Unlock()
 
-	for _, d := range delays {
+	for _, d := range delays[:copies] {
 		go func(d time.Duration) {
 			defer t.wg.Done()
 			if d > 0 {
@@ -156,12 +175,8 @@ func (t *Memory) Send(msg Message) error {
 	return nil
 }
 
-func (t *Memory) delayLocked() time.Duration {
-	if t.faults.MaxDelay <= t.faults.MinDelay {
-		return t.faults.MinDelay
-	}
-	return t.faults.MinDelay + time.Duration(t.rng.Int63n(int64(t.faults.MaxDelay-t.faults.MinDelay)))
-}
+// MaxDelay is the longest delay Send can give a message.
+func (t *Memory) MaxDelay() time.Duration { return max(t.faults.MinDelay, t.faults.MaxDelay) }
 
 // Recv returns a node's receive channel; it closes when the transport does.
 func (t *Memory) Recv(node int) <-chan Message { return t.chans[node] }
