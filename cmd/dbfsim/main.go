@@ -22,7 +22,9 @@
 // exit code is 0 only when every substrate converged. The scenario file
 // names its own instance, faults and horizon, so a flag that would set
 // them (-algebra, -topo, -n, -seed, -loss, -dup, -delay, -garbage,
-// -policy, -trace, -mode, -steps) draws a warning and is ignored.
+// -policy, -trace, -mode, -steps) draws a warning and is ignored. In
+// every mode -delay must be at least 1 and -loss and -dup in the range a
+// scenario file may give (scenario.MaxFaultProb); anything else exits 2.
 // A delta run is a pure function of its flags: its schedule is a pure
 // function of (seed, t, i, k), so the same flags print the same output
 // in any process.
@@ -115,6 +117,21 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	// The fault flags take what a scenario file may say: a delay of at
+	// least one tick, and probabilities the scenario parser accepts.
+	if *delay < 1 {
+		fmt.Fprintf(stderr, "-delay %d: want at least 1 (virtual ticks)\n", *delay)
+		return 2
+	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"loss", *loss}, {"dup", *dup}} {
+		if !(p.v >= 0 && p.v <= scenario.MaxFaultProb) {
+			fmt.Fprintf(stderr, "-%s %g: want a probability in [0, %g]\n", p.name, p.v, scenario.MaxFaultProb)
+			return 2
+		}
 	}
 	o := &options{
 		mode: *modeFlag, steps: *stepsFlag, seed: *seed, garbage: *garbage,

@@ -281,6 +281,34 @@ func TestBadInputExits2(t *testing.T) {
 	}
 }
 
+// TestFaultFlagsInRange: -delay below one tick and -loss/-dup outside
+// the scenario parser's [0, 0.9] are input errors in every mode — one
+// stderr line, exit 2 — where -delay 0 used to mean 10 ticks and a
+// negative delay 1 tick. The edges of the ranges still run.
+func TestFaultFlagsInRange(t *testing.T) {
+	for _, args := range [][]string{
+		{"-delay", "0"},
+		{"-delay", "-5"},
+		{"-loss", "1.5"},
+		{"-dup", "-0.1"},
+		{"-mode", "delta", "-loss", "NaN"},
+		{"-scenario", scenarioPath("rip-churn"), "-dup", "0.95"},
+	} {
+		code, out, errs := dbfsim(args...)
+		if code != 2 || out != "" || strings.Count(errs, "\n") != 1 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, one stderr line and no output", args, code, out, errs)
+		}
+	}
+	for _, args := range [][]string{
+		{"-n", "4", "-delay", "1", "-loss", "0", "-dup", "0"},
+		{"-n", "4", "-loss", "0.9", "-dup", "0.9"},
+	} {
+		if code, _, errs := dbfsim(args...); code == 2 {
+			t.Errorf("%v: exit 2, stderr %q", args, errs)
+		}
+	}
+}
+
 // TestGarbageNeedsARandomState: pv and gr have no random start state, so
 // -garbage with them is refused instead of silently starting clean.
 func TestGarbageNeedsARandomState(t *testing.T) {

@@ -110,7 +110,7 @@ func (h HopCount) CompileEdge(e core.Edge[NatInf]) core.ColKernel {
 			return noopKernel
 		}
 		w := uint64(ed.w)
-		return func(dst, src core.Col, sel []int32, _ *core.ColScratch) {
+		return func(dst, src core.Col, sel []int32, _ *core.ColScratch, _ *core.ColMemo) {
 			dm, sm := dst.M, src.M
 			if sel == nil {
 				dm2 := dm[:len(sm)]
@@ -136,7 +136,7 @@ func (h HopCount) CompileEdge(e core.Edge[NatInf]) core.ColKernel {
 			return noopKernel
 		}
 		w, test := uint64(ed.w), ed.p.Test
-		return func(dst, src core.Col, sel []int32, _ *core.ColScratch) {
+		return func(dst, src core.Col, sel []int32, _ *core.ColScratch, _ *core.ColMemo) {
 			dm, sm := dst.M, src.M
 			if sel == nil {
 				dm2 := dm[:len(sm)]
@@ -228,7 +228,7 @@ func (ShortestPaths) CompileEdge(e core.Edge[NatInf]) core.ColKernel {
 		return noopKernel
 	}
 	w := ed.w
-	return func(dst, src core.Col, sel []int32, _ *core.ColScratch) {
+	return func(dst, src core.Col, sel []int32, _ *core.ColScratch, _ *core.ColMemo) {
 		dm, sm := dst.M, src.M
 		if sel == nil {
 			dm2 := dm[:len(sm)]
@@ -253,4 +253,4 @@ func (ShortestPaths) CompileEdge(e core.Edge[NatInf]) core.ColKernel {
 
 // noopKernel is the compiled form of an edge that maps every route to ∞:
 // folding ∞ under a min-oriented ⊕ changes nothing.
-func noopKernel(core.Col, core.Col, []int32, *core.ColScratch) {}
+func noopKernel(core.Col, core.Col, []int32, *core.ColScratch, *core.ColMemo) {}

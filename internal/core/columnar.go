@@ -12,7 +12,9 @@
 // only when the algebra implements Columnar, reports ColumnarOK, and every
 // edge of the topology compiles; otherwise evaluation stays on the general
 // interface path, which remains the differential oracle for the packed
-// one.
+// one. A second, optional capability (EdgeMemoizer) gives each edge's
+// kernel a run-owned output memo (ColMemo), so that a source cell the
+// edge has already seen in that column costs a compare.
 package core
 
 import "repro/internal/paths"
@@ -30,12 +32,14 @@ type Col struct {
 }
 
 // ColScratch is per-worker workspace a ColKernel may use freely: a spare
-// lane pair at least as long as the column being processed. Kernels that
-// batch table operations (e.g. paths.Table.ExtendSel) stage results here
-// so the fold loop that follows runs without locks.
+// lane pair at least as long as the column being processed, and a spare
+// selection. Kernels that batch table operations (e.g.
+// paths.Table.ExtendSel) stage results here so the fold loop that
+// follows runs without locks.
 type ColScratch struct {
-	ID []paths.PathID
-	M  []uint64
+	ID  []paths.PathID
+	M   []uint64
+	Sel []int32 // grown by the kernel that uses it
 }
 
 // Grow ensures the scratch covers n cells of metric width w.
@@ -62,7 +66,50 @@ func (s *ColScratch) Grow(n, w int) {
 // cells bit-identical to encoding the interface path's Choice/Apply
 // results — the columnar driver compares lanes word for word when
 // tracking changes.
-type ColKernel func(dst, src Col, sel []int32, scratch *ColScratch)
+//
+// memo is the edge's output memo (ColMemo), nil when the algebra keeps
+// none; kernels of algebras that do not implement EdgeMemoizer ignore
+// it.
+type ColKernel func(dst, src Col, sel []int32, scratch *ColScratch, memo *ColMemo)
+
+// ColMemo is one edge's output memo: for each column j, a key — the
+// last source cell the edge's kernel computed there — and the edge's
+// output for it, the packed invalid cell when the edge maps it to ∞.
+// Both are packed cells, interleaved so that a column's pair is
+// adjacent: the key is (ID[2j], M[2jW : (2j+1)W]) and the output
+// (ID[2j+1], M[(2j+1)W : (2j+2)W]) for the algebra's metric width W. A
+// kernel folds a valid source equal to its key — id and every metric
+// word — straight from the output, and computes only the others,
+// rewriting their entries. That is sound exactly when the edge is a pure
+// function of the full packed source cell, so only algebras whose
+// kernels are (EdgeMemoizer) get one.
+//
+// The memo is run-owned: kernels are shared by an engine's concurrent
+// runs, so the lanes live with the run's scratch, and only the
+// activation of the edge's destination node writes them. A key whose id
+// is invalid is the empty key: kernels drop invalid sources before
+// consulting the memo, so it matches nothing, and the engine resets
+// every key to it when a run acquires its scratch (ids from another
+// run's table mean nothing here). A memo is not part of a snapshot; a
+// resumed run starts cold.
+type ColMemo struct {
+	ID []paths.PathID
+	M  []uint64
+}
+
+// Slice returns the entries of columns [lo, hi) for metric width w.
+func (m ColMemo) Slice(lo, hi, w int) ColMemo {
+	return ColMemo{ID: m.ID[2*lo : 2*hi : 2*hi], M: m.M[2*lo*w : 2*hi*w : 2*hi*w]}
+}
+
+// EdgeMemoizer is the optional capability of a Columnar algebra whose
+// compiled kernels are pure in the full packed source cell and use the
+// edge-output memo. The engine allocates memo lanes — an n-column memo
+// per edge, pooled with the run scratch — only for an algebra that
+// reports MemoizesEdges; every other kernel gets a nil memo.
+type EdgeMemoizer interface {
+	MemoizesEdges() bool
+}
 
 // Columnar is implemented by algebras whose routes pack into fixed-width
 // cells, enabling the struct-of-arrays σ kernel. The packing must be

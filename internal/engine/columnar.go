@@ -3,6 +3,7 @@ package engine
 import (
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/paths"
 )
 
 // The columnar row representation. Rows are packed struct-of-arrays lanes
@@ -11,16 +12,25 @@ import (
 // itself is the same run.step the interface path uses, so scheduling,
 // skipping, change tracking and certification are shared line for line
 // and the two paths stay bit-identical, Stats included.
+//
+// When the algebra's kernels memoise (core.EdgeMemoizer), the run owns
+// one edge-output memo per edge (core.ColMemo), laid out like the
+// kernel table: node i's are memos[off[i]:off[i+1]], all carved from one
+// pair of lanes. Only node i's activation runs i's kernels, so the memos
+// need no lock; acquiring the scratch empties every entry, so a memo
+// never outlives its run.
 
 // colSupport is the compiled columnar backend for one topology
 // generation: the packed-cell geometry and the kernel table, laid out
 // like the run's flat neighbour lists — node i's kernels are
 // kern[off[i]:off[i+1]], aligned index for index with nbr[off[i]:off[i+1]].
+// memo reports whether the kernels use run-owned edge-output memos.
 type colSupport[R any] struct {
 	cap  core.Columnar[R]
 	meta *matrix.ColMeta
 	kern []core.ColKernel
 	off  []int32
+	memo bool
 }
 
 // columnarFor returns the compiled columnar support for the engine's
@@ -43,6 +53,9 @@ func (e *Engine[R]) columnarFor() *colSupport[R] {
 	e.mu.Unlock()
 	n := e.adj.N
 	cs := &colSupport[R]{cap: c, meta: matrix.ColMetaOf(e.alg, c), off: make([]int32, n+1)}
+	if m, ok := e.alg.(core.EdgeMemoizer); ok {
+		cs.memo = m.MemoizesEdges()
+	}
 	compiled := true
 compile:
 	for i := 0; i < n; i++ {
@@ -86,11 +99,13 @@ type colSlab struct{ s *matrix.ColSlab }
 func (s colSlab) carve(n int) core.Col { return s.s.Alloc(n, slabRows) }
 
 // colOps is the packed row representation. It is a pointer type because
-// prepare caches the run's per-worker scratch on it for runTask.
+// prepare caches the run's per-worker scratch and memo lanes on it for
+// runTask.
 type colOps[R any] struct {
-	e   *Engine[R]
-	cs  *colSupport[R]
-	cws []colWS
+	e     *Engine[R]
+	cs    *colSupport[R]
+	cws   []colWS
+	memos []core.ColMemo // per edge, like cs.kern; nil when the kernels keep none
 }
 
 // geom: pooled lanes and slabs are reusable only at the same cell layout.
@@ -115,6 +130,23 @@ func (o *colOps[R]) prepare(r *run[R, core.Col], n int) {
 		}
 	}
 	o.cws = r.cws
+	if o.cs.memo {
+		// One memo per edge, every key empty: whatever the lanes last
+		// held belongs to another run, maybe of another table.
+		edges, w := len(o.cs.kern), o.cs.meta.W
+		if len(r.memo.ID) < 2*edges*n {
+			r.memo = core.ColMemo{ID: make([]paths.PathID, 2*edges*n), M: make([]uint64, 2*edges*n*w)}
+		}
+		ids := r.memo.ID[:2*edges*n]
+		for x := range ids {
+			ids[x] = paths.InvalidID
+		}
+		r.memos = r.memos[:0]
+		for k := range edges {
+			r.memos = append(r.memos, r.memo.Slice(k*n, (k+1)*n, w))
+		}
+		o.memos = r.memos
+	}
 }
 
 func (o *colOps[R]) encodeRow(dst core.Col, src []R) { o.cs.cap.EncodeCol(src, dst) }
@@ -134,11 +166,16 @@ func (o *colOps[R]) materialise(s []core.Col) *matrix.State[R] {
 // would otherwise re-walk the bit words per edge.
 func (o *colOps[R]) runTask(tk rowTask[R, core.Col], worker int) {
 	cs := o.cs
-	kern := cs.kern[cs.off[tk.i]:cs.off[tk.i+1]]
+	lo, hi := cs.off[tk.i], cs.off[tk.i+1]
+	kern := cs.kern[lo:hi]
+	var memo []core.ColMemo
+	if o.memos != nil {
+		memo = o.memos[lo:hi]
+	}
 	cw := &o.cws[worker]
 	ws := &tk.inc.scratch[worker]
 	if tk.lo == nil {
-		ws.cells += matrix.SigmaColChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, nil, tk.chg, &cw.scratch)
+		ws.cells += matrix.SigmaColChanged(cs.meta, tk.i, tk.nbr, kern, memo, tk.tabs, tk.prev, tk.dst, nil, tk.chg, &cw.scratch)
 		return
 	}
 	sel := resolveDirtySel(tk.inc, tk.nbr, tk.lo, ws, cw.sel[:0])
@@ -152,5 +189,5 @@ func (o *colOps[R]) runTask(tk rowTask[R, core.Col], worker int) {
 		// Everything dirty: the dense kernel loops beat sel indirection.
 		sel = nil
 	}
-	ws.cells += matrix.SigmaColChanged(cs.meta, tk.i, tk.nbr, kern, tk.tabs, tk.prev, tk.dst, sel, tk.chg, &cw.scratch)
+	ws.cells += matrix.SigmaColChanged(cs.meta, tk.i, tk.nbr, kern, memo, tk.tabs, tk.prev, tk.dst, sel, tk.chg, &cw.scratch)
 }

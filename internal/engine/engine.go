@@ -229,7 +229,9 @@ type run[R, Row any] struct {
 	repl     [][]int32 // per ring slot: the nodes whose row that state's step replaced
 	job      job       // the parallel step in flight; reused, one per run
 	certStmp []int32
-	cws      []colWS // columnar per-worker scratch (nil on the interface path)
+	cws      []colWS        // columnar per-worker scratch (nil on the interface path)
+	memo     core.ColMemo   // columnar edge-output memo lanes (columnar.go)
+	memos    []core.ColMemo // their per-edge views
 
 	// The step in flight, as its activations read it.
 	now     int

@@ -73,3 +73,25 @@ func (r *run[R, Row]) resident() int {
 	}
 	return n
 }
+
+// MemoKeys reports the stepper's edge-output memo: how many cells its
+// lanes hold (0 when the run keeps none) and how many keys are set.
+func MemoKeys[R any](s *Stepper[R]) (cells, set int) {
+	return s.run.(interface{ memoKeys() (int, int) }).memoKeys()
+}
+
+func (r *run[R, Row]) memoKeys() (cells, set int) {
+	o, ok := any(r.ops).(*colOps[R])
+	if !ok {
+		return 0, 0
+	}
+	for _, m := range o.memos {
+		for x := 0; x < len(m.ID); x += 2 {
+			if !m.ID[x].IsInvalid() {
+				set++
+			}
+		}
+		cells += len(m.ID) / 2
+	}
+	return cells, set
+}

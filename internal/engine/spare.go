@@ -32,9 +32,11 @@ const spareShapes = 4
 // nodes and window w holds at most (w+1)·n rows of n cells, n² row
 // headers of β-resolved tables and 12·n² bytes of change tracking (ver,
 // lastRead, the mask ring): ≈ 0.3 MB at the service's n = 64, w = 4, so
-// ≤ 2.4 MB retained on 2 CPUs; ≈ 35 MB a run at E5's n = 512, w = 8. It
-// holds nothing of the engine, adjacency, source or timeline it last
-// served (see release).
+// ≤ 2.4 MB retained on 2 CPUs; ≈ 35 MB a run at E5's n = 512, w = 8. A
+// memoising algebra's run adds its edge-output memos, 2·E·n·(4 + 8W)
+// bytes for E edges: ≈ 1.4 MB on the policy benchmark's ring-128+chords
+// (E = 272, W = 2). It holds nothing of the engine, adjacency, source or
+// timeline it last served (see release).
 var spares struct {
 	sync.Mutex
 	list []parked

@@ -353,6 +353,25 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 		for _, ev := range cfg.events {
 			isEvent[ev.Step] = true
 		}
+		// Event-free runs of a memoising algebra (the interned policy
+		// algebra) run the edge-output memo path, a run resumed past the
+		// last event included; no other run keeps one.
+		_, memoiser := cfg.alg.(core.EdgeMemoizer)
+		memoised := memoiser && cfg.events == nil
+		memoCheck := func(kl string, st *engine.Stepper[R], hasMemo, cold bool) (set int) {
+			t.Helper()
+			cells, set := engine.MemoKeys(st)
+			switch {
+			case !hasMemo && cells != 0:
+				t.Fatalf("%s: a run without a memoising kernel has %d memo cells", kl, cells)
+			case hasMemo && cells == 0:
+				t.Fatalf("%s: the policy run has no memo", kl)
+			case cold && set != 0:
+				t.Fatalf("%s: a resumed run's memo has %d keys set; want it cold", kl, set)
+			}
+			return set
+		}
+		warmResumes := 0
 		fullEng := engine.New(cfg.alg, p.adj.Clone(), engine.Config{})
 		full := playTimeline(t, fullEng, start, src, cfg.events)
 		fullEng.Close()
@@ -368,6 +387,9 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 			if st.At() != k {
 				t.Fatalf("%s: Step(%d) left the run at %d", label, k, st.At())
 			}
+		}
+		if set := memoCheck(label+" single-stepped", st, memoised, false); memoised && set == 0 {
+			t.Fatalf("%s: the single-stepped run never wrote its memo", label)
 		}
 		res := st.Result()
 		identicalStates(t, label+" single-stepped final", res.Final(), full.Final())
@@ -400,7 +422,8 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 			fresh := p.adj.Clone()
 			replayFired(fresh, cfg.events, k)
 			e2 := engine.New(cfg.alg, fresh, engine.Config{})
-			rs, err := e2.Resume(snap, src, remainingEvents(cfg.events, k))
+			rest := remainingEvents(cfg.events, k)
+			rs, err := e2.Resume(snap, src, rest)
 			if err != nil {
 				t.Fatalf("%s: resume: %v", kl, err)
 			}
@@ -408,11 +431,18 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 				t.Fatalf("%s: resumed at %d", kl, rs.At())
 			}
 			statsMatch(t, kl+" at resume", rs.Stats(), paused)
+			memoCheck(kl+" at resume", rs, memoiser && len(rest) == 0, true)
 			rs.Step(horizon)
+			if memoCheck(kl+" resumed", rs, memoiser && len(rest) == 0, false) > 0 {
+				warmResumes++
+			}
 			resumed := rs.Result()
 			e2.Close()
 			identicalStates(t, kl+" resumed final", resumed.Final(), live.Final())
 			statsMatch(t, kl+" resumed", resumed.Stats(), live.Stats())
+		}
+		if memoiser && warmResumes == 0 {
+			t.Fatalf("%s: no run resumed from a snapshot wrote its memo", label)
 		}
 	}
 }

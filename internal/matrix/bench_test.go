@@ -126,7 +126,7 @@ func BenchmarkSigmaColumnBatch(b *testing.B) {
 	b.Run("columnar/dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
-			SigmaColChanged(meta, i, nbr, kern, cs.Rows, core.Col{}, dstC, nil, nil, &scratch)
+			SigmaColChanged(meta, i, nbr, kern, nil, cs.Rows, core.Col{}, dstC, nil, nil, &scratch)
 		}
 	})
 	b.Run("generic/dirty8", func(b *testing.B) {
@@ -140,7 +140,7 @@ func BenchmarkSigmaColumnBatch(b *testing.B) {
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
 			chg.Clear()
-			SigmaColChanged(meta, i, nbr, kern, cs.Rows, prevC, dstC, sel, chg, &scratch)
+			SigmaColChanged(meta, i, nbr, kern, nil, cs.Rows, prevC, dstC, sel, chg, &scratch)
 		}
 	})
 }

@@ -121,6 +121,9 @@ func EncodeColumnar[R any](c core.Columnar[R], s *State[R]) *ColumnarState {
 //   - kern[x] is the compiled kernel of the edge (i, nbr[x]) and tabs is
 //     indexed by absolute neighbour id — tabs[nbr[x]] is the packed table
 //     node i currently sees from neighbour x.
+//   - memos[x], when memos is non-nil, is the output memo of the edge
+//     (i, nbr[x]), handed to its kernel (core.ColMemo); kernels get nil
+//     when the algebra keeps none.
 //   - sel, when non-nil, holds the ascending indices of the dirty
 //     columns; every other column is copied from prev. A nil sel
 //     recomputes the whole row (the dense form taken when every column is
@@ -134,8 +137,8 @@ func EncodeColumnar[R any](c core.Columnar[R], s *State[R]) *ColumnarState {
 // so results are bit-identical to the interface path. Returns the number
 // of columns recomputed — len(sel), or the row width when dense.
 func SigmaColChanged(
-	meta *ColMeta, i int, nbr []int32, kern []core.ColKernel, tabs []core.Col,
-	prev, dst core.Col, sel []int32, changed *Bitset,
+	meta *ColMeta, i int, nbr []int32, kern []core.ColKernel, memos []core.ColMemo,
+	tabs []core.Col, prev, dst core.Col, sel []int32, changed *Bitset,
 	scratch *core.ColScratch,
 ) int {
 	w := meta.W
@@ -165,8 +168,14 @@ func SigmaColChanged(
 			setCell(meta, dst, j, meta.InvID, meta.InvM)
 		}
 	}
-	for x, k := range kern {
-		k(dst, tabs[nbr[x]], sel, scratch)
+	if memos == nil {
+		for x, k := range kern {
+			k(dst, tabs[nbr[x]], sel, scratch, nil)
+		}
+	} else {
+		for x, k := range kern {
+			k(dst, tabs[nbr[x]], sel, scratch, &memos[x])
+		}
 	}
 	if sel == nil || selHas(sel, int32(i)) {
 		setCell(meta, dst, i, meta.TrvID, meta.TrvM)

@@ -93,7 +93,7 @@ func checkColVsGeneric(t *testing.T, label string,
 	}
 	chgC := NewBitset(n)
 	var scratch core.ColScratch
-	compC := SigmaColChanged(meta, i, nbr, kern, cs.Rows, prevC, dstC, sel, chgC, &scratch)
+	compC := SigmaColChanged(meta, i, nbr, kern, nil, cs.Rows, prevC, dstC, sel, chgC, &scratch)
 
 	if compG != compC {
 		t.Fatalf("%s: computed counts diverge: generic %d, columnar %d", label, compG, compC)

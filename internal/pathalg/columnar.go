@@ -71,7 +71,7 @@ func (t *Interned[B]) CompileEdge(e core.Edge[IRoute[B]]) core.ColKernel {
 	}
 	invM := p.PackMetric(t.Base.Invalid())
 	tab, i, j := t.Tab, ae.i, ae.j
-	return func(dst, src core.Col, sel []int32, s *core.ColScratch) {
+	return func(dst, src core.Col, sel []int32, s *core.ColScratch, _ *core.ColMemo) {
 		s.Grow(len(src.ID), 1)
 		ext := s.ID
 		tab.ExtendSel(src.ID, ext, sel, i, j)

@@ -3,6 +3,7 @@ package policy
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/paths"
 )
 
@@ -55,5 +56,41 @@ func BenchmarkParsePolicy(b *testing.B) {
 		if _, err := ParsePolicy(src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPolicyKernel prices one compiled policy edge per cell on a
+// 128-destination column (the size of the ring-128+chords workload's
+// rows), in ns/cell. cold: every call starts from an empty memo (the
+// reset, 128 stores, is timed with it), so every valid source is
+// extended and interpreted. warm: calls alternate between two columns
+// that agree on about 64 % of their valid sources, so that share folds
+// from the memo. Both reset the destination to ∞ first, as σ does.
+func BenchmarkPolicyKernel(b *testing.B) {
+	const n = 128
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			_, kn, ca, cb := kernelColumns(n, 1)
+			memo, dst := newPolicyMemo(n), newPolicyCol(n)
+			var scratch core.ColScratch
+			kn(dst, ca, nil, &scratch, &memo)
+			kn(dst, cb, nil, &scratch, &memo)
+			src := [2]core.Col{ca, cb}
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				if !warm {
+					for x := range memo.ID {
+						memo.ID[x] = paths.InvalidID
+					}
+				}
+				resetCol(dst)
+				kn(dst, src[it&1], nil, &scratch, &memo)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/cell")
+		})
 	}
 }

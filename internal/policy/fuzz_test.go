@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -46,13 +47,19 @@ func FuzzParsePolicy(f *testing.F) {
 // Equal on random interned routes, and (b) the compiled columnar kernel
 // folded over a random column must produce exactly the cells of the
 // interface path — dst[x] = Choice(incumbent[x], edge.Apply(src[x])) —
-// including tie-breaks, invalid sources and looping extensions.
+// including tie-breaks, invalid sources and looping extensions. The
+// kernel runs two or three times over one carried edge-output memo;
+// between calls the fuzzer's mut word picks the cells that change — some
+// to a fresh route, some re-encoded to an equal one, which must fold from
+// the memo — the selection (dense or a subset) and fresh incumbents, so a
+// stale memo entry shows as a divergence in a later call. For one seed
+// in three the first call runs without a memo.
 func FuzzColumnarPolicy(f *testing.F) {
-	f.Add("lp+=1", int64(1))
-	f.Add("addc(3); if (comm(3) & !path(2)) { lp+=10 } else { reject }", int64(2))
-	f.Add("prepend(2); delc(1)", int64(3))
-	f.Add("if (lp==0) { reject }", int64(4))
-	f.Fuzz(func(t *testing.T, src string, seed int64) {
+	f.Add("lp+=1", int64(1), uint64(0))
+	f.Add("addc(3); if (comm(3) & !path(2)) { lp+=10 } else { reject }", int64(2), uint64(0x5a5a_0f0f_3c3c_9696))
+	f.Add("prepend(2); delc(1)", int64(3), ^uint64(0))
+	f.Add("if (lp==0) { reject }", int64(4), uint64(0x0123_4567_89ab_cdef))
+	f.Fuzz(func(t *testing.T, src string, seed int64, mut uint64) {
 		pol, err := ParsePolicy(src)
 		if err != nil {
 			return
@@ -61,14 +68,12 @@ func FuzzColumnarPolicy(f *testing.F) {
 		const n = 8
 		rng := rand.New(rand.NewSource(seed))
 		col := make([]IRoute, n)
-		incumbent := make([]IRoute, n)
 		for x := range col {
 			col[x] = alg.FromRoute(RandomRoute(rng, n))
-			incumbent[x] = alg.FromRoute(RandomRoute(rng, n))
 		}
 
 		// (a) Round trip through the packed lanes.
-		enc := core.Col{ID: make([]paths.PathID, n), M: make([]uint64, 2*n)}
+		enc := newPolicyCol(n)
 		alg.EncodeCol(col, enc)
 		dec := make([]IRoute, n)
 		alg.DecodeCol(enc, dec)
@@ -79,24 +84,74 @@ func FuzzColumnarPolicy(f *testing.F) {
 			}
 		}
 
-		// (b) Kernel vs interface fold for the edge (1, 2).
+		// (b) Kernel vs interface fold for the edge (1, 2), over one memo.
 		e := alg.Edge(1, 2, pol)
 		kn := alg.CompileEdge(e)
 		if kn == nil {
 			t.Fatalf("policy %q did not compile to a columnar kernel", src)
 		}
-		dst := core.Col{ID: make([]paths.PathID, n), M: make([]uint64, 2*n)}
-		alg.EncodeCol(incumbent, dst)
+		memo := newPolicyMemo(n)
 		var scratch core.ColScratch
-		kn(dst, enc, nil, &scratch)
+		incumbent := make([]IRoute, n)
+		dst := newPolicyCol(n)
 		got := make([]IRoute, n)
-		alg.DecodeCol(dst, got)
-		for x := range col {
-			want := alg.Choice(incumbent[x], e.Apply(col[x]))
-			if !alg.Equal(got[x], want) {
-				t.Fatalf("policy %q: kernel fold diverges at %d: got %s, interface %s (src %s ⊕ incumbent %s)",
-					src, x, alg.Format(got[x]), alg.Format(want), alg.Format(col[x]), alg.Format(incumbent[x]))
+		calls := 2 + int(mut&1)
+		for call := 0; call < calls; call++ {
+			bits := mut >> (1 + 21*call) // 21 bits a call: 8 change, 8 equal/fresh, 5 selection
+			if call > 0 {
+				for x := range col {
+					switch {
+					case bits>>x&1 == 0:
+					case bits>>(8+x)&1 == 1:
+						col[x] = alg.FromRoute(alg.ToRoute(col[x])) // equal, re-encoded
+					default:
+						col[x] = alg.FromRoute(RandomRoute(rng, n))
+					}
+				}
+				alg.EncodeCol(col, enc)
+			}
+			var sel []int32
+			if s := bits >> 16 & 31; s != 0 {
+				for x := range int32(n) {
+					if (uint64(x)*7+s)%5 < 3 {
+						sel = append(sel, x)
+					}
+				}
+			}
+			for x := range incumbent {
+				incumbent[x] = alg.FromRoute(RandomRoute(rng, n))
+			}
+			alg.EncodeCol(incumbent, dst)
+			m := &memo
+			if call == 0 && seed%3 == 0 {
+				m = nil // no memo: every valid source computed, nothing recorded
+			}
+			kn(dst, enc, sel, &scratch, m)
+			alg.DecodeCol(dst, got)
+			for x := range col {
+				want := incumbent[x]
+				if sel == nil || slices.Contains(sel, int32(x)) {
+					want = alg.Choice(incumbent[x], e.Apply(col[x]))
+				}
+				if !alg.Equal(got[x], want) {
+					t.Fatalf("policy %q, call %d: kernel fold diverges at %d: got %s, interface %s (src %s ⊕ incumbent %s)",
+						src, call, x, alg.Format(got[x]), alg.Format(want), alg.Format(col[x]), alg.Format(incumbent[x]))
+				}
 			}
 		}
 	})
+}
+
+func newPolicyCol(n int) core.Col {
+	return core.Col{ID: make([]paths.PathID, n), M: make([]uint64, 2*n)}
+}
+
+// newPolicyMemo returns one edge's memo lanes with every key empty, as
+// the engine hands them to a kernel at the start of a run.
+func newPolicyMemo(n int) core.ColMemo {
+	m := core.ColMemo{ID: make([]paths.PathID, 2*n), M: make([]uint64, 4*n)}
+	for x := range m.ID {
+		m.ID[x] = paths.InvalidID
+	}
+	return m
 }

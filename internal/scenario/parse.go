@@ -121,13 +121,13 @@ func Parse(data []byte) (*Scenario, error) {
 			}
 			sc.MaxStaleness = v
 		case "loss":
-			v, err := parseProb(f, 0.9)
+			v, err := parseProb(f, MaxFaultProb)
 			if err != nil {
 				return fail("loss: %v", err)
 			}
 			sc.LossProb = v
 		case "dup":
-			v, err := parseProb(f, 0.9)
+			v, err := parseProb(f, MaxFaultProb)
 			if err != nil {
 				return fail("dup: %v", err)
 			}

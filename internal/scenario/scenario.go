@@ -126,10 +126,14 @@ type Scenario struct {
 	MaxStaleness int
 	// LossProb and DupProb are message-fault knobs for the simulator and
 	// live substrates (the δ engine's schedule models faults through
-	// β-staleness instead).
+	// β-staleness instead), each in [0, MaxFaultProb].
 	LossProb, DupProb float64
 	Events            []Event
 }
+
+// MaxFaultProb is the largest loss or duplication probability a scenario
+// may ask for: a run that loses almost every message would only time out.
+const MaxFaultProb = 0.9
 
 const (
 	maxHorizon = 4096
@@ -220,8 +224,8 @@ func (sc *Scenario) Validate() error {
 	if sc.MaxStaleness < 0 || sc.MaxStaleness > maxHorizon {
 		return fmt.Errorf("scenario: stale=%d out of range", sc.MaxStaleness)
 	}
-	if sc.LossProb < 0 || sc.LossProb > 0.9 || sc.DupProb < 0 || sc.DupProb > 0.9 {
-		return fmt.Errorf("scenario: loss/dup outside [0, 0.9]")
+	if sc.LossProb < 0 || sc.LossProb > MaxFaultProb || sc.DupProb < 0 || sc.DupProb > MaxFaultProb {
+		return fmt.Errorf("scenario: loss/dup outside [0, %g]", MaxFaultProb)
 	}
 	if len(sc.Events) > maxEvents {
 		return fmt.Errorf("scenario: %d events exceeds %d", len(sc.Events), maxEvents)

@@ -60,7 +60,10 @@ type Config struct {
 	// DupProb is the probability an advertisement is delivered twice.
 	DupProb float64
 	// MaxDelay bounds per-message delivery latency in virtual time units
-	// (the least is 1); a wide range causes heavy reordering. Default: 10.
+	// (the least is 1); a wide range causes heavy reordering. Zero means
+	// the default, 10, and a negative value means 1 (transport.Draw takes
+	// a bound below the least delay as the least); cmd/dbfsim refuses
+	// both as flags.
 	MaxDelay int64
 	// MaxTime aborts the run (non-convergence) past this virtual time.
 	// Default: 100_000.
