@@ -7,11 +7,12 @@ import (
 )
 
 // The columnar row representation. Rows are packed struct-of-arrays lanes
-// (core.Col) carved from pooled slabs, and row tasks run through kernels
-// compiled once per (edge, topology generation) — the evaluation loop
-// itself is the same run.step the interface path uses, so scheduling,
-// skipping, change tracking and certification are shared line for line
-// and the two paths stay bit-identical, Stats included.
+// (core.Col) carved from pooled slabs, and a row is computed through
+// kernels compiled once per (edge, topology generation) — the evaluation
+// loop itself is the same run.step and run.activate the interface path
+// uses, so scheduling, skipping, dirty selection, change tracking and
+// certification are shared line for line and the two paths stay
+// bit-identical, Stats included.
 //
 // When the algebra's kernels memoise (core.EdgeMemoizer), the run owns
 // one edge-output memo per edge (core.ColMemo), laid out like the
@@ -86,26 +87,15 @@ compile:
 	return cs
 }
 
-// colWS is one worker's columnar scratch: the dirty-selection vector and
-// the kernel staging lanes (batched ExtendSel results land there).
-type colWS struct {
-	sel     []int32
-	scratch core.ColScratch
-}
-
 // colSlab adapts matrix.ColSlab to the generic rowSlab interface.
 type colSlab struct{ s *matrix.ColSlab }
 
 func (s colSlab) carve(n int) core.Col { return s.s.Alloc(n, slabRows) }
 
-// colOps is the packed row representation. It is a pointer type because
-// prepare caches the run's per-worker scratch and memo lanes on it for
-// runTask.
+// colOps is the packed row representation.
 type colOps[R any] struct {
-	e     *Engine[R]
-	cs    *colSupport[R]
-	cws   []colWS
-	memos []core.ColMemo // per edge, like cs.kern; nil when the kernels keep none
+	e  *Engine[R]
+	cs *colSupport[R]
 }
 
 // geom: pooled lanes and slabs are reusable only at the same cell layout.
@@ -120,16 +110,9 @@ func (o *colOps[R]) newSlab() rowSlab[core.Col] {
 	return colSlab{matrix.NewColSlab(o.cs.meta.W, o.cs.meta.HasID)}
 }
 
+// prepare lays out the run's edge-output memos (run.memos, per edge like
+// cs.kern) when the kernels keep them.
 func (o *colOps[R]) prepare(r *run[R, core.Col], n int) {
-	if len(r.cws) != o.e.workers {
-		r.cws = make([]colWS, o.e.workers)
-	}
-	for w := range r.cws {
-		if cap(r.cws[w].sel) < n {
-			r.cws[w].sel = make([]int32, 0, n)
-		}
-	}
-	o.cws = r.cws
 	if o.cs.memo {
 		// One memo per edge, every key empty: whatever the lanes last
 		// held belongs to another run, maybe of another table.
@@ -145,7 +128,6 @@ func (o *colOps[R]) prepare(r *run[R, core.Col], n int) {
 		for k := range edges {
 			r.memos = append(r.memos, r.memo.Slice(k*n, (k+1)*n, w))
 		}
-		o.memos = r.memos
 	}
 }
 
@@ -159,35 +141,13 @@ func (o *colOps[R]) materialise(s []core.Col) *matrix.State[R] {
 	return st
 }
 
-// runTask is the columnar twin of genOps.runTask: same dirty resolution
-// (shared dirtyMasks), same dense/sparse/copy trichotomy, with the
-// kernel fold running over packed lanes. The dirty bitset is materialised
-// into a selection vector because the kernels — one pass per neighbour —
-// would otherwise re-walk the bit words per edge.
-func (o *colOps[R]) runTask(tk rowTask[R, core.Col], worker int) {
+func (o *colOps[R]) sigma(r *run[R, core.Col], i int, sel []int32, worker int) int {
 	cs := o.cs
-	lo, hi := cs.off[tk.i], cs.off[tk.i+1]
-	kern := cs.kern[lo:hi]
+	lo, hi := cs.off[i], cs.off[i+1]
 	var memo []core.ColMemo
-	if o.memos != nil {
-		memo = o.memos[lo:hi]
+	if cs.memo {
+		memo = r.memos[lo:hi]
 	}
-	cw := &o.cws[worker]
-	ws := &tk.inc.scratch[worker]
-	if tk.lo == nil {
-		ws.cells += matrix.SigmaColChanged(cs.meta, tk.i, tk.nbr, kern, memo, tk.tabs, tk.prev, tk.dst, nil, tk.chg, &cw.scratch)
-		return
-	}
-	sel := resolveDirtySel(tk.inc, tk.nbr, tk.lo, ws, cw.sel[:0])
-	cw.sel = sel[:0]
-	if len(sel) == 0 {
-		copy(tk.dst.ID, tk.prev.ID) // both nil without a path lane
-		copy(tk.dst.M, tk.prev.M)
-		return
-	}
-	if len(sel) == tk.inc.n {
-		// Everything dirty: the dense kernel loops beat sel indirection.
-		sel = nil
-	}
-	ws.cells += matrix.SigmaColChanged(cs.meta, tk.i, tk.nbr, kern, memo, tk.tabs, tk.prev, tk.dst, sel, tk.chg, &cw.scratch)
+	nb := r.nbr[r.nbrOff[i]:r.nbrOff[i+1]]
+	return matrix.SigmaColChanged(cs.meta, i, nb, cs.kern[lo:hi], memo, r.tabs[i], r.prev[i], r.cur[i], sel, &r.chg[i], &r.inc.scratch[worker].col)
 }

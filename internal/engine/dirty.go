@@ -3,11 +3,11 @@ package engine
 import (
 	"math/bits"
 
-	"repro/internal/matrix"
+	"repro/internal/core"
 )
 
 // incShared is the read-only change-tracking state a step's tasks consume:
-// the last-changed-time matrix and the per-worker scratch bitsets. It is
+// the last-changed-time matrix and the per-worker scratch. It is
 // written only between steps, by the serial fold.
 type incShared struct {
 	n int
@@ -50,13 +50,15 @@ type incShared struct {
 const histH = 32
 
 // workerScratch is one worker's private workspace: the β values of the
-// activation in hand, the dirty-column masks being assembled, their
-// bitset form, and the worker's count of recomputed cells, padded off
-// every other worker's cache lines.
+// activation in hand, the dirty-column masks being assembled, the
+// selection they resolve to, the packed kernels' staging lanes (batched
+// ExtendSel results land there), and the worker's count of recomputed
+// cells, padded off every other worker's cache lines.
 type workerScratch struct {
 	betas []int
-	cols  matrix.Bitset
 	masks []uint64
+	sel   []int32
+	col   core.ColScratch
 	cells int
 	_     [64]byte
 }
@@ -90,22 +92,20 @@ func (r *run[R, Row]) foldRowChanges(i, t int) bool {
 	return true
 }
 
-// dirtyMasks computes the row's dirty-column set — the destinations
-// whose β-resolved inputs changed since the row's thresholds — as one
-// mask word per 64 columns, returning the masks and the dirty count. The
-// scan prunes at three granularities before touching a single per-column
-// stamp: a neighbour whose whole row is clean since its threshold
-// (rowMax) is dropped up front, a clean 64-column word costs one compare
-// (wordMax), and a word already fully dirty from an earlier neighbour is
-// skipped — change wavefronts make full words common. Both resolveDirty
-// and resolveDirtySel emit exactly this set, so the interface and
-// columnar paths have identical Stats by construction.
-func dirtyMasks(inc *incShared, nbr, lo []int32, ws *workerScratch) ([]uint64, int) {
+// resolveDirtySel returns the row's dirty columns — the destinations
+// whose β-resolved inputs changed since the row's thresholds — in
+// ascending order, in the worker's selection scratch: the selection both
+// row kernels iterate, so the interface and columnar paths have
+// identical Stats by construction. The set is assembled as one mask word
+// per 64 columns, and the scan prunes at three granularities before
+// touching a single per-column stamp: a neighbour whose whole row is
+// clean since its threshold (rowMax) is dropped up front, a clean
+// 64-column word costs one compare (wordMax), and a word already fully
+// dirty from an earlier neighbour is skipped — change wavefronts make
+// full words common.
+func resolveDirtySel(inc *incShared, nbr, lo []int32, ws *workerScratch) []int32 {
 	n, wper, top := inc.n, inc.wper, int(inc.top)
-	if cap(ws.masks) < wper {
-		ws.masks = make([]uint64, wper)
-	}
-	masks := ws.masks[:wper]
+	masks := ws.masks
 	clear(masks)
 	for ai, k32 := range nbr {
 		k := int(k32)
@@ -152,27 +152,7 @@ func dirtyMasks(inc *incShared, nbr, lo []int32, ws *workerScratch) ([]uint64, i
 			masks[wi] = m
 		}
 	}
-	dirtyCnt := 0
-	for _, m := range masks {
-		dirtyCnt += bits.OnesCount64(m)
-	}
-	return masks, dirtyCnt
-}
-
-// resolveDirty writes the row's dirty-column set into ws.cols and returns
-// the dirty count (the interface path's form).
-func resolveDirty(inc *incShared, nbr, lo []int32, ws *workerScratch) int {
-	masks, dirtyCnt := dirtyMasks(inc, nbr, lo, ws)
-	for wi, m := range masks {
-		ws.cols.StoreWord(wi, m)
-	}
-	return dirtyCnt
-}
-
-// resolveDirtySel appends the row's dirty columns to sel in ascending
-// order (the selection vector the columnar kernels iterate).
-func resolveDirtySel(inc *incShared, nbr, lo []int32, ws *workerScratch, sel []int32) []int32 {
-	masks, _ := dirtyMasks(inc, nbr, lo, ws)
+	sel := ws.sel[:0]
 	for wi, m := range masks {
 		jb := wi << 6
 		for m != 0 {

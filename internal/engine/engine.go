@@ -29,7 +29,8 @@
 //     everything. The engine tracks, per node and destination, when each
 //     route last changed, skips an activation outright when none of the
 //     β-resolved inputs changed since the node's last recomputation, and
-//     otherwise recomputes only the affected destination columns, reusing
+//     otherwise recomputes only the affected destination columns — one
+//     ascending selection of them, nil when every column is — reusing
 //     the previous row copy-on-write for the rest. On convergence-tail
 //     workloads this turns O(T·n²) grinding into output-sensitive cost,
 //     and — exactly when the source promises fairness (Fair) — lets the
@@ -41,8 +42,9 @@
 //     each edge to a whole dirty column through a compiled kernel — no
 //     interface calls in the fold, word compares for change tracking. The
 //     evaluation loop itself is representation-generic (run[R, Row] over
-//     a rowOps capability), so the columnar path shares every line of the
-//     scheduling, skip, and certification logic with the interface path,
+//     a rowOps capability whose one row step takes the loop's selection),
+//     so the columnar path shares every line of the scheduling, skip,
+//     dirty-selection and certification logic with the interface path,
 //     which serves every other run (algebras that do not pack, timelines).
 //
 // The source decides everything else: a run's history ring is its
@@ -135,24 +137,6 @@ func Run[R any](alg core.Algebra[R], adj *matrix.Adjacency[R], start *matrix.Sta
 	return New(alg, adj, Config{}).Run(start, src)
 }
 
-// rowTask is one row computation: node i's σ-row into dst from the
-// β-resolved neighbour tables. A run's tasks are tracked
-// (inc != nil): they recompute only the columns whose inputs changed
-// since the row's last recomputation, copy prev for the rest, and record
-// the columns whose value moved in chg; Engine.SigmaInto's are not. Row is
-// the row representation: []R on the interface path, core.Col (packed
-// lanes) on the columnar path.
-type rowTask[R, Row any] struct {
-	i    int
-	tabs []Row
-	dst  Row
-	inc  *incShared
-	prev Row            // the row's previous value
-	nbr  []int32        // i's in-neighbours
-	lo   []int32        // per-neighbour unchanged-since thresholds
-	chg  *matrix.Bitset // changed-destination output, the task's alone
-}
-
 // slabRows is how many rows a slab carves at once; batching keeps the
 // allocator out of the hot loop even before recycling warms up.
 const slabRows = 16
@@ -179,8 +163,9 @@ func (s *genSlab[R]) carve(n int) []R {
 // loop runs through: everything the loop cannot do without knowing
 // whether a row is a []R slice or a pair of packed lanes. genOps is the
 // interface path; colOps (columnar.go) the packed one. Both are
-// bit-identical by contract — the loop, the skip logic, the stats and
-// the certification never see the difference.
+// bit-identical by contract — the loop, the skip logic, the dirty
+// selection, the dense/sparse decision, the stats and the certification
+// are the loop's, and never see the difference.
 type rowOps[R, Row any] interface {
 	// geom is the row geometry beyond n that pooled scratch must match
 	// (the packed cell layout; 0 for []R rows).
@@ -193,8 +178,13 @@ type rowOps[R, Row any] interface {
 	encodeRow(dst Row, src []R)
 	// materialise converts a snapshot into a standalone state.
 	materialise(s []Row) *matrix.State[R]
-	// runTask executes one row task on behalf of the given worker.
-	runTask(tk rowTask[R, Row], worker int)
+	// sigma computes node i's row of the step in flight (r.cur[i]) from
+	// its β-resolved tables (r.tabs[i]) and its previous row (r.prev[i])
+	// on behalf of worker, recording the columns that moved in r.chg[i],
+	// and returns the number of columns computed. sel is the kernels'
+	// selection (matrix.SigmaRowChanged): nil for the whole row, else the
+	// ascending dirty columns, every other one copied from prev.
+	sigma(r *run[R, Row], i int, sel []int32, worker int) (cells int)
 }
 
 // run is the mutable state of one evaluation, generic over the row
@@ -229,7 +219,6 @@ type run[R, Row any] struct {
 	repl     [][]int32 // per ring slot: the nodes whose row that state's step replaced
 	job      job       // the parallel step in flight; reused, one per run
 	certStmp []int32
-	cws      []colWS        // columnar per-worker scratch (nil on the interface path)
 	memo     core.ColMemo   // columnar edge-output memo lanes (columnar.go)
 	memos    []core.ColMemo // their per-edge views
 
@@ -635,11 +624,12 @@ func (r *run[R, Row]) step(until int) bool {
 // actives[idx] — on behalf of worker; it is the unit of parallel work. It
 // draws i's β values, decides in O(deg) whether any β-resolved input
 // changed since i's row was computed, and only when one did resolves i's
-// tables, takes a row and runs the kernel. It writes i's own state (its
-// thresholds, tables, lastRead and lastComp entries, cur[i], chg[i]), slot
-// idx of minB and the worker's scratch, and reads only what the serial
-// fold and put leave alone until every activation of the step is done, so
-// a step's activations run in any order, on any worker.
+// tables and dirty columns, takes a row and runs the kernel. It writes
+// i's own state (its thresholds, tables, lastRead and lastComp entries,
+// cur[i], chg[i]), slot idx of minB and the worker's scratch, and reads
+// only what the serial fold and put leave alone until every activation of
+// the step is done, so a step's activations run in any order, on any
+// worker.
 func (r *run[R, Row]) activate(idx, worker int) {
 	i, t, n := r.actives[idx], r.now, r.n
 	ws := &r.inc.scratch[worker]
@@ -690,10 +680,17 @@ func (r *run[R, Row]) activate(idx, worker int) {
 		row = r.newRow(n)
 	}
 	r.cur[i] = row
-	r.ops.runTask(rowTask[R, Row]{
-		i: i, tabs: tb, dst: row,
-		inc: r.inc, prev: r.prev[i], nbr: nb, lo: lo, chg: &r.chg[i],
-	}, worker)
+	// The dense/sparse decision, for both row representations: a first
+	// activation and a row whose every column is dirty run the dense
+	// kernel loops, which beat the selection's indirection.
+	var sel []int32
+	if lo != nil {
+		sel = resolveDirtySel(r.inc, nb, lo, ws)
+		if len(sel) == n {
+			sel = nil
+		}
+	}
+	ws.cells += r.ops.sigma(r, i, sel, worker)
 }
 
 // runIdx implements tasker: a fanned-out step's tasks are its activations.
@@ -771,34 +768,9 @@ func (genOps[R]) encodeRow(dst, src []R) { copy(dst, src) }
 
 func (o genOps[R]) materialise(s [][]R) *matrix.State[R] { return materialise(o.e.alg, s) }
 
-// runTask executes one row task. Untracked tasks run the plain kernel;
-// tracked tasks resolve the row's dirty columns from the last-changed
-// matrix, recompute only those, and record which moved.
-func (o genOps[R]) runTask(tk rowTask[R, []R], worker int) {
-	e := o.e
-	if tk.inc == nil {
-		matrix.SigmaRowInto(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.dst)
-		return
-	}
-	ws := &tk.inc.scratch[worker]
-	if tk.lo == nil {
-		// Tracked full recomputation (first activation): every column is
-		// computed, changes recorded against the node's starting row.
-		ws.cells += matrix.SigmaRowChanged(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, nil, tk.chg)
-		return
-	}
-	dirtyCnt := resolveDirty(tk.inc, tk.nbr, tk.lo, ws)
-	if dirtyCnt == 0 {
-		copy(tk.dst, tk.prev)
-		return
-	}
-	cols := &ws.cols
-	if dirtyCnt == tk.inc.n {
-		// Everything changed: the dense kernel's tight loops beat the
-		// bit-iterating sparse path.
-		cols = nil
-	}
-	ws.cells += matrix.SigmaRowChanged(e.alg, e.adj, tk.i, tk.nbr, tk.tabs, tk.prev, tk.dst, cols, tk.chg)
+func (o genOps[R]) sigma(r *run[R, []R], i int, sel []int32, _ int) int {
+	nb := r.nbr[r.nbrOff[i]:r.nbrOff[i+1]]
+	return matrix.SigmaRowChanged(o.e.alg, o.e.adj, i, nb, r.tabs[i], r.prev[i], r.cur[i], sel, &r.chg[i])
 }
 
 // materialise copies a snapshot into a standalone matrix.State.
@@ -813,28 +785,28 @@ func materialise[R any](alg core.Algebra[R], s [][]R) *matrix.State[R] {
 // SigmaInto computes σ(x) into out (which must be distinct from x).
 func (e *Engine[R]) SigmaInto(x, out *matrix.State[R]) {
 	n := x.N
-	tabs := x.RowViews()
-	s := &sigmaTasks[R]{ops: genOps[R]{e: e}, tasks: make([]rowTask[R, []R], n)}
-	for i := range s.tasks {
-		s.tasks[i] = rowTask[R, []R]{i: i, tabs: tabs, dst: out.RowView(i)}
-	}
+	s := &sigmaRows[R]{e: e, tabs: x.RowViews(), out: out}
 	if n > 1 && e.fanOut(n*n*n) {
 		e.pool.do(&s.job, min(e.workers, n), n, s)
 		return
 	}
-	for i := range s.tasks {
+	for i := range n {
 		s.runIdx(i, 0)
 	}
 }
 
-// sigmaTasks is SigmaInto's tasker: one untracked row task per node.
-type sigmaTasks[R any] struct {
-	ops   genOps[R]
-	tasks []rowTask[R, []R]
-	job   job
+// sigmaRows is SigmaInto's tasker: task i is node i's row, the plain
+// kernel over every candidate neighbour.
+type sigmaRows[R any] struct {
+	e    *Engine[R]
+	tabs [][]R
+	out  *matrix.State[R]
+	job  job
 }
 
-func (s *sigmaTasks[R]) runIdx(idx, worker int) { s.ops.runTask(s.tasks[idx], worker) }
+func (s *sigmaRows[R]) runIdx(i, _ int) {
+	matrix.SigmaRowInto(s.e.alg, s.e.adj, i, nil, s.tabs, s.out.RowView(i))
+}
 
 // FixedPoint iterates σ from start until a fixed point or maxRounds, the
 // sharded counterpart of matrix.FixedPoint. It returns the final state,

@@ -82,10 +82,10 @@ func MemoKeys[R any](s *Stepper[R]) (cells, set int) {
 
 func (r *run[R, Row]) memoKeys() (cells, set int) {
 	o, ok := any(r.ops).(*colOps[R])
-	if !ok {
+	if !ok || !o.cs.memo {
 		return 0, 0
 	}
-	for _, m := range o.memos {
+	for _, m := range r.memos {
 		for x := 0; x < len(m.ID); x += 2 {
 			if !m.ID[x].IsInvalid() {
 				set++

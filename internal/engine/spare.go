@@ -85,43 +85,47 @@ func parkSpare(shape spareShape, r any) {
 // acquireRun returns a run ready for evaluation: a parked one of exactly
 // this shape (scratch, history ring, row slabs and change-tracking
 // matrices reset and reused) when there is one, a fresh one otherwise.
+// Everything sized by the shape is allocated once, for the run's life;
+// only what the window, the topology or the timeline sizes is checked.
 func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window int) *run[R, Row] {
 	shape := spareShape{(*run[R, Row])(nil), n, e.workers, ops.geom()}
 	r, _ := takeSpare(shape).(*run[R, Row])
 	if r == nil {
-		r = &run[R, Row]{shape: shape}
-	}
-	r.ops = ops
-	if r.slab == nil {
-		r.slab = ops.newSlab()
-	}
-	ops.prepare(r, n)
-	r.window = window
-	r.stats, r.owed = Stats{}, r.owed[:0]
-	if len(r.ring) != window+1 {
-		r.ring = make([][]Row, window+1)
-		r.repl = make([][]int32, window+1)
-		backing := make([]int32, (window+1)*n)
-		for slot := range r.repl {
-			r.repl[slot] = backing[slot*n : slot*n : (slot+1)*n]
-		}
-	}
-	if r.inc == nil {
 		wper := (n + 63) / 64
-		r.inc = &incShared{
-			n: n, ver: make([]int32, n*n),
-			wordMax: make([]int32, n*wper), wper: wper,
-			rowMax:    make([]int32, n),
-			hist:      make([]uint64, n*histH*wper),
-			histStamp: make([]int32, n*histH),
-			scratch:   make([]workerScratch, e.workers),
+		r = &run[R, Row]{
+			shape: shape,
+			slab:  ops.newSlab(),
+			inc: &incShared{
+				n: n, ver: make([]int32, n*n),
+				wordMax: make([]int32, n*wper), wper: wper,
+				rowMax:    make([]int32, n),
+				hist:      make([]uint64, n*histH*wper),
+				histStamp: make([]int32, n*histH),
+				scratch:   make([]workerScratch, e.workers),
+			},
+			lastComp: make([]int32, n),
+			lastRead: make([]int32, n*n),
+			chg:      matrix.NewBitsets(n, n),
+			actives:  make([]int, 0, n),
+			minB:     make([]int32, 0, n),
+			taken:    make([]Row, 0, n),
+			// Every node's table header up front: activations on the
+			// pool's helpers cannot carve one.
+			tabs: make([][]Row, n),
 		}
-		for w, b := range matrix.NewBitsets(e.workers, n) {
-			r.inc.scratch[w].cols = b
+		// Each worker's masks and selection, carved 64-byte strides apart
+		// so that no two workers write one cache line.
+		mstride, sstride := (wper+7)&^7, (n+15)&^15
+		masks, sels := make([]uint64, e.workers*mstride), make([]int32, e.workers*sstride)
+		for w := range r.inc.scratch {
+			ws := &r.inc.scratch[w]
+			ws.masks = masks[w*mstride : w*mstride+wper : w*mstride+wper]
+			ws.sel = sels[w*sstride : w*sstride : w*sstride+n]
 		}
-		r.lastComp = make([]int32, n)
-		r.lastRead = make([]int32, n*n)
-		r.chg = matrix.NewBitsets(n, n)
+		hdrs := make([]Row, n*n)
+		for i := range r.tabs {
+			r.tabs[i] = hdrs[i*n : (i+1)*n : (i+1)*n]
+		}
 	} else {
 		clear(r.inc.ver)
 		clear(r.inc.wordMax)
@@ -136,23 +140,21 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window int) *ru
 		// between steps. hist needs no clearing — stale slots fail their
 		// stamp check.
 	}
+	r.ops = ops
+	ops.prepare(r, n)
+	r.window = window
+	r.stats, r.owed = Stats{}, r.owed[:0]
+	if len(r.ring) != window+1 {
+		r.ring = make([][]Row, window+1)
+		r.repl = make([][]int32, window+1)
+		backing := make([]int32, (window+1)*n)
+		for slot := range r.repl {
+			r.repl[slot] = backing[slot*n : slot*n : (slot+1)*n]
+		}
+	}
 	r.inc.top = 0
 	for i := range r.lastComp {
 		r.lastComp[i] = -1
-	}
-	if cap(r.actives) < n {
-		r.actives = make([]int, 0, n)
-		r.minB = make([]int32, 0, n)
-		r.taken = make([]Row, 0, n)
-	}
-	if len(r.tabs) != n {
-		// Every node's table header up front: activations on the pool's
-		// helpers cannot carve one.
-		r.tabs = make([][]Row, n)
-		hdrs := make([]Row, n*n)
-		for i := range r.tabs {
-			r.tabs[i] = hdrs[i*n : (i+1)*n : (i+1)*n]
-		}
 	}
 	return r
 }

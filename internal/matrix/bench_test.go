@@ -103,17 +103,20 @@ func BenchmarkSigmaColumnBatch(b *testing.B) {
 	nbr := natNbr(adj, i)
 	kern := natKernels(alg, adj, i, nbr)
 	tabs := x.RowViews()
-	cs := EncodeColumnar(c, x)
+	tabsC := make([]core.Col, n)
+	slab := NewColSlab(meta.W, meta.HasID)
+	for k := range tabsC {
+		tabsC[k] = slab.Alloc(n, n)
+		c.EncodeCol(x.RowView(k), tabsC[k])
+	}
 	prev := randomNatRow(rng, n)
 	prevC := packRow(c, prev)
 	dstG := make([]algebras.NatInf, n)
 	dstC := core.Col{M: make([]uint64, n)}
 	chg := NewBitset(n)
 	var scratch core.ColScratch
-	cols := NewBitset(n)
 	var sel []int32
 	for j := 0; j < n; j += 8 {
-		cols.Set(j)
 		sel = append(sel, int32(j))
 	}
 
@@ -126,21 +129,21 @@ func BenchmarkSigmaColumnBatch(b *testing.B) {
 	b.Run("columnar/dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
-			SigmaColChanged(meta, i, nbr, kern, nil, cs.Rows, core.Col{}, dstC, nil, nil, &scratch)
+			SigmaColChanged(meta, i, nbr, kern, nil, tabsC, core.Col{}, dstC, nil, nil, &scratch)
 		}
 	})
 	b.Run("generic/dirty8", func(b *testing.B) {
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
 			chg.Clear()
-			SigmaRowChanged[algebras.NatInf](alg, adj, i, nbr, tabs, prev, dstG, cols, chg)
+			SigmaRowChanged[algebras.NatInf](alg, adj, i, nbr, tabs, prev, dstG, sel, chg)
 		}
 	})
 	b.Run("columnar/dirty8", func(b *testing.B) {
 		b.ReportAllocs()
 		for it := 0; it < b.N; it++ {
 			chg.Clear()
-			SigmaColChanged(meta, i, nbr, kern, nil, cs.Rows, prevC, dstC, sel, chg, &scratch)
+			SigmaColChanged(meta, i, nbr, kern, nil, tabsC, prevC, dstC, sel, chg, &scratch)
 		}
 	})
 }

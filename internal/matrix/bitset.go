@@ -17,7 +17,7 @@ func NewBitset(n int) *Bitset {
 
 // NewBitsets allocates count empty sets over columns [0, n) backed by a
 // single word slab — two allocations total, however many sets. The
-// engine's per-node and per-worker dirty sets come from here.
+// engine's per-node changed-destination sets come from here.
 func NewBitsets(count, n int) []Bitset {
 	wpr := (n + 63) / 64
 	slab := make([]uint64, count*wpr)
@@ -60,30 +60,14 @@ func (b *Bitset) Count() int {
 	return c
 }
 
-// StoreWord overwrites word w (columns [64w, 64w+64)) with mask. It is
-// the bulk fill for single-owner bitsets, e.g. a worker's dirty-column
-// scratch.
-func (b *Bitset) StoreWord(w int, mask uint64) { b.words[w] = mask }
-
 // OrWord ORs mask into word w (columns [64w, 64w+64)): how the row
 // kernels flush a row's changed bits. A row is one task, so each row's
 // change set has exactly one writer.
 func (b *Bitset) OrWord(w int, mask uint64) { b.words[w] |= mask }
 
-// ForEach calls fn for every set column in ascending order.
-func (b *Bitset) ForEach(fn func(j int)) {
-	for wi, w := range b.words {
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
 // ForEachWord calls fn for every non-zero word (wi covers columns
 // [64wi, 64wi+64)) in ascending order — the bulk form consumers use to
-// maintain word-granular summaries alongside the per-column walk.
+// maintain word-granular summaries alongside their per-column walk.
 func (b *Bitset) ForEachWord(fn func(wi int, w uint64)) {
 	for wi, w := range b.words {
 		if w != 0 {

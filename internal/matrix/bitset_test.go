@@ -23,12 +23,16 @@ func TestBitsetBasics(t *testing.T) {
 		}
 		got := map[int]bool{}
 		prev := -1
-		b.ForEach(func(j int) {
-			if j <= prev {
-				t.Fatalf("n=%d: ForEach not ascending (%d after %d)", n, j, prev)
+		b.ForEachWord(func(wi int, w uint64) {
+			if wi <= prev || w == 0 {
+				t.Fatalf("n=%d: ForEachWord gave word %d (%#x) after %d", n, wi, w, prev)
 			}
-			prev = j
-			got[j] = true
+			prev = wi
+			for x := range 64 {
+				if w&(1<<x) != 0 {
+					got[wi<<6+x] = true
+				}
+			}
 		})
 		for j := 0; j < n; j++ {
 			if b.Get(j) != want[j] || got[j] != want[j] {

@@ -8,11 +8,12 @@ import (
 // Columnar σ evaluation. A routing table row becomes a pair of packed
 // lanes (core.Col): a contiguous []paths.PathID and a contiguous []uint64
 // metric lane, W words per destination. SigmaColChanged below is the
-// struct-of-arrays analogue of SigmaRowChanged: same dirty-column
-// contract, same computed-count semantics, same diagonal handling — but
-// the per-neighbour fold runs through compiled core.ColKernels that scan
-// the lanes monomorphically, and change detection compares packed words
-// instead of calling an equality function per cell.
+// struct-of-arrays analogue of SigmaRowChanged: the same selection
+// contract (an ascending sel, nil for the dense form), computed count and
+// diagonal handling — but the per-neighbour fold runs through compiled
+// core.ColKernels that scan the lanes monomorphically, and change
+// detection compares packed words instead of calling an equality
+// function per cell.
 
 // ColMeta describes the packed-cell geometry of one columnar algebra:
 // metric width, whether cells carry a path-id lane, and the packed images
@@ -84,37 +85,6 @@ func (s *ColSlab) Alloc(n, reserveRows int) core.Col {
 	return row
 }
 
-// ColumnarState is a whole routing state in packed form: row i of the
-// matrix is Rows[i], an n-cell core.Col. It exists for conversion at run
-// boundaries and for the differential tests; the engine builds its hot
-// lanes from pooled ColSlabs instead.
-type ColumnarState struct {
-	N     int
-	W     int
-	HasID bool
-	Rows  []core.Col
-}
-
-// NewColumnarState allocates an all-zero packed state with the geometry
-// of c (every row carved from one slab).
-func NewColumnarState[R any](c core.Columnar[R], n int) *ColumnarState {
-	cs := &ColumnarState{N: n, W: c.MetricWords(), HasID: c.HasPathLane(), Rows: make([]core.Col, n)}
-	slab := NewColSlab(cs.W, cs.HasID)
-	for i := range cs.Rows {
-		cs.Rows[i] = slab.Alloc(n, n)
-	}
-	return cs
-}
-
-// EncodeColumnar packs s into a fresh ColumnarState via c's batch encoder.
-func EncodeColumnar[R any](c core.Columnar[R], s *State[R]) *ColumnarState {
-	cs := NewColumnarState(c, s.N)
-	for i := 0; i < s.N; i++ {
-		c.EncodeCol(s.RowView(i), cs.Rows[i])
-	}
-	return cs
-}
-
 // SigmaColChanged computes node i's σ-row in packed lanes, the columnar
 // twin of SigmaRowChanged:
 //
@@ -124,10 +94,10 @@ func EncodeColumnar[R any](c core.Columnar[R], s *State[R]) *ColumnarState {
 //   - memos[x], when memos is non-nil, is the output memo of the edge
 //     (i, nbr[x]), handed to its kernel (core.ColMemo); kernels get nil
 //     when the algebra keeps none.
-//   - sel, when non-nil, holds the ascending indices of the dirty
-//     columns; every other column is copied from prev. A nil sel
-//     recomputes the whole row (the dense form taken when every column is
-//     dirty or the run is not incremental).
+//   - sel is SigmaRowChanged's: when non-nil, the ascending indices of
+//     the dirty columns, every other column copied from prev; nil
+//     recomputes the whole row (the dense form the engine takes when
+//     every column is dirty or the row has no previous value).
 //   - changed, when non-nil, receives the columns whose packed cells
 //     differ from prev — one word OR per 64 columns, with cell equality a
 //     plain word compare thanks to the canonical packing.
@@ -194,10 +164,8 @@ func setCell(meta *ColMeta, row core.Col, j int, id paths.PathID, m []uint64) {
 	if meta.HasID {
 		row.ID[j] = id
 	}
-	if meta.W == 1 {
-		row.M[j] = m[0]
-	} else {
-		copy(row.M[j*meta.W:(j+1)*meta.W], m)
+	for x, v := range m {
+		row.M[j*meta.W+x] = v
 	}
 }
 
@@ -216,71 +184,42 @@ func selHas(sel []int32, j int32) bool {
 }
 
 // recordColChanged flushes the selected columns (all n when sel is nil)
-// whose packed cells differ between prev and dst into changed, one OR per
-// word — the packed twin of recordChanged, with the equality function
-// replaced by word compares.
+// whose packed cells differ between prev and dst into changed — the
+// packed twin of recordChanged, with the equality function replaced by
+// word compares.
 func recordColChanged(meta *ColMeta, prev, dst core.Col, n int, sel []int32, changed *Bitset) {
-	var mask uint64
-	word := -1
+	var m changeMask
 	w := meta.W
 	pm, dm := prev.M, dst.M
-	if sel == nil {
-		if w == 1 && !meta.HasID {
-			pm2, dm2 := pm[:n], dm[:n]
-			for j := range dm2 {
-				if pm2[j] != dm2[j] {
-					if wi := j >> 6; wi != word {
-						if mask != 0 {
-							changed.OrWord(word, mask)
-						}
-						word, mask = wi, 0
-					}
-					mask |= 1 << (j & 63)
-				}
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				if cellDiff(meta, prev, dst, pm, dm, j, w) {
-					if wi := j >> 6; wi != word {
-						if mask != 0 {
-							changed.OrWord(word, mask)
-						}
-						word, mask = wi, 0
-					}
-					mask |= 1 << (j & 63)
-				}
-			}
-		}
-	} else if w == 1 && !meta.HasID {
-		for _, j32 := range sel {
-			j := int(j32)
+	scalar := w == 1 && !meta.HasID
+	switch {
+	case sel == nil && scalar:
+		pm, dm = pm[:n], dm[:n]
+		for j := range dm {
 			if pm[j] != dm[j] {
-				if wi := j >> 6; wi != word {
-					if mask != 0 {
-						changed.OrWord(word, mask)
-					}
-					word, mask = wi, 0
-				}
-				mask |= 1 << (j & 63)
+				m.note(j, changed)
 			}
 		}
-	} else {
-		for _, j32 := range sel {
-			j := int(j32)
+	case sel == nil:
+		for j := 0; j < n; j++ {
 			if cellDiff(meta, prev, dst, pm, dm, j, w) {
-				if wi := j >> 6; wi != word {
-					if mask != 0 {
-						changed.OrWord(word, mask)
-					}
-					word, mask = wi, 0
-				}
-				mask |= 1 << (j & 63)
+				m.note(j, changed)
+			}
+		}
+	case scalar:
+		for _, j := range sel {
+			if pm[j] != dm[j] {
+				m.note(int(j), changed)
+			}
+		}
+	default:
+		for _, j := range sel {
+			if cellDiff(meta, prev, dst, pm, dm, int(j), w) {
+				m.note(int(j), changed)
 			}
 		}
 	}
-	if mask != 0 {
-		changed.OrWord(word, mask)
-	}
+	m.flush(changed)
 }
 
 // cellDiff reports whether column j's packed cell differs between prev

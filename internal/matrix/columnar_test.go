@@ -14,7 +14,8 @@ import (
 // SigmaColChanged. The two must agree cell for cell and dirty-bit for
 // dirty-bit on every dirty set the engine can produce — including the
 // degenerate ones: a node with no in-neighbours, an empty dirty
-// selection, and column counts that do not fill the last bitset word.
+// selection, a selection holding the diagonal, the full selection, and
+// column counts that do not fill the last bitset word.
 
 // natNbr returns the ascending in-neighbour list of node i.
 func natNbr(a *Adjacency[algebras.NatInf], i int) []int32 {
@@ -54,16 +55,20 @@ func packRow(c core.Columnar[algebras.NatInf], row []algebras.NatInf) core.Col {
 	return dst
 }
 
-// checkColVsGeneric runs both kernels on the same inputs and requires
-// identical recomputed cells, identical copied cells, identical dirty
-// bits and identical computed counts. cols == nil exercises the dense
-// form on both sides.
-func checkColVsGeneric(t *testing.T, label string,
-	alg algebras.ShortestPaths, adj *Adjacency[algebras.NatInf],
-	i int, nbr []int32, x *State[algebras.NatInf], prevRow []algebras.NatInf,
-	cols *Bitset,
-) {
-	t.Helper()
+// rowOut is what one change-tracking kernel call produced: the row's
+// cells (decoded on the packed side), its changed bits and its computed
+// count.
+type rowOut struct {
+	cells []algebras.NatInf
+	chg   *Bitset
+	comp  int
+}
+
+// runBoth runs the generic and the packed kernel on the same inputs and
+// selection (nil: the dense form on both sides).
+func runBoth(alg algebras.ShortestPaths, adj *Adjacency[algebras.NatInf],
+	i int, nbr []int32, x *State[algebras.NatInf], prevRow []algebras.NatInf, sel []int32,
+) (gen, col rowOut) {
 	n := adj.N
 	var c core.Columnar[algebras.NatInf] = alg
 	meta := ColMetaOf[algebras.NatInf](alg, c)
@@ -72,48 +77,54 @@ func checkColVsGeneric(t *testing.T, label string,
 	// Generic side. Every cell must be written: seed them with a sentinel
 	// no kernel produces.
 	const sentinel = algebras.NatInf(0xdead)
-	dstG := make([]algebras.NatInf, n)
-	for j := range dstG {
-		dstG[j] = sentinel
+	gen = rowOut{cells: make([]algebras.NatInf, n), chg: NewBitset(n)}
+	for j := range gen.cells {
+		gen.cells[j] = sentinel
 	}
-	chgG := NewBitset(n)
-	compG := SigmaRowChanged[algebras.NatInf](alg, adj, i, nbr, x.RowViews(), prevRow, dstG, cols, chgG)
+	gen.comp = SigmaRowChanged[algebras.NatInf](alg, adj, i, nbr, x.RowViews(), prevRow, gen.cells, sel, gen.chg)
 
-	// Columnar side: same tabs and prev, packed.
-	cs := EncodeColumnar(c, x)
-	prevC := packRow(c, prevRow)
+	// Columnar side: same tabs and prev, packed; dst starts as garbage.
+	tabs := make([]core.Col, n)
+	for k := range tabs {
+		tabs[k] = packRow(c, x.RowView(k))
+	}
 	dstC := core.Col{M: make([]uint64, n)}
-	if cols != nil {
-		copy(dstC.M, prevC.M) // the driver copy-fills before a sparse call
+	for j := range dstC.M {
+		dstC.M[j] = 0xdead
 	}
-	var sel []int32
-	if cols != nil {
-		sel = []int32{} // non-nil even when empty: the sparse form with nothing dirty
-		cols.ForEach(func(j int) { sel = append(sel, int32(j)) })
-	}
-	chgC := NewBitset(n)
+	col = rowOut{cells: make([]algebras.NatInf, n), chg: NewBitset(n)}
 	var scratch core.ColScratch
-	compC := SigmaColChanged(meta, i, nbr, kern, nil, cs.Rows, prevC, dstC, sel, chgC, &scratch)
+	col.comp = SigmaColChanged(meta, i, nbr, kern, nil, tabs, packRow(c, prevRow), dstC, sel, col.chg, &scratch)
+	c.DecodeCol(dstC, col.cells)
+	return gen, col
+}
 
-	if compG != compC {
-		t.Fatalf("%s: computed counts diverge: generic %d, columnar %d", label, compG, compC)
+// checkColVsGeneric runs both kernels on the same inputs and requires
+// identical recomputed cells, identical copied cells, identical dirty
+// bits and identical computed counts. sel == nil exercises the dense
+// form on both sides.
+func checkColVsGeneric(t *testing.T, label string,
+	alg algebras.ShortestPaths, adj *Adjacency[algebras.NatInf],
+	i int, nbr []int32, x *State[algebras.NatInf], prevRow []algebras.NatInf,
+	sel []int32,
+) rowOut {
+	t.Helper()
+	gen, col := runBoth(alg, adj, i, nbr, x, prevRow, sel)
+	if gen.comp != col.comp {
+		t.Fatalf("%s: computed counts diverge: generic %d, columnar %d", label, gen.comp, col.comp)
 	}
-	dec := make([]algebras.NatInf, n)
-	c.DecodeCol(dstC, dec)
-	for j := 0; j < n; j++ {
-		if dstG[j] == sentinel {
-			t.Fatalf("%s: generic kernel left cell %d unwritten", label, j)
+	for j := range gen.cells {
+		if gen.cells[j] != col.cells[j] {
+			t.Fatalf("%s: cell %d: generic %v, columnar %v", label, j, gen.cells[j], col.cells[j])
 		}
-		if dstG[j] != dec[j] {
-			t.Fatalf("%s: cell %d: generic %v, columnar %v", label, j, dstG[j], dec[j])
+		if sel != nil && !selHas(sel, int32(j)) && gen.cells[j] != prevRow[j] {
+			t.Fatalf("%s: clean cell %d rewritten: %v != prev %v", label, j, gen.cells[j], prevRow[j])
 		}
-		if cols != nil && !cols.Get(j) && dstG[j] != prevRow[j] {
-			t.Fatalf("%s: clean cell %d rewritten: %v != prev %v", label, j, dstG[j], prevRow[j])
-		}
-		if chgG.Get(j) != chgC.Get(j) {
-			t.Fatalf("%s: dirty bit %d diverges: generic %v, columnar %v", label, j, chgG.Get(j), chgC.Get(j))
+		if gen.chg.Get(j) != col.chg.Get(j) {
+			t.Fatalf("%s: dirty bit %d diverges: generic %v, columnar %v", label, j, gen.chg.Get(j), col.chg.Get(j))
 		}
 	}
+	return gen
 }
 
 // randomNatRow draws a canonical prev row (values an earlier kernel pass
@@ -132,8 +143,8 @@ func randomNatRow(rng *rand.Rand, n int) []algebras.NatInf {
 
 // TestSigmaSpanChangedBoundaries pins the degenerate row shapes of both
 // change-tracking kernels. n = 70 throughout, so the second bitset word
-// is ragged — the high 58 bits of word 1 must never leak into dirty sets
-// or selections.
+// is ragged — the high 58 bits of word 1 must never leak into the
+// changed bits.
 func TestSigmaSpanChangedBoundaries(t *testing.T) {
 	const n = 70 // deliberately not a multiple of 64
 	alg, adj := benchNet(n)
@@ -145,62 +156,95 @@ func TestSigmaSpanChangedBoundaries(t *testing.T) {
 	t.Run("empty-neighbour-list", func(t *testing.T) {
 		// A node with no in-neighbours folds nothing: every dirty column
 		// becomes ∞ and the diagonal stays trivial.
-		cols := NewBitset(n)
+		var sel []int32
 		for j := 0; j < n; j += 3 {
-			cols.Set(j)
+			sel = append(sel, int32(j))
 		}
 		prev := randomNatRow(rng, n)
-		checkColVsGeneric(t, "empty-nbr", alg, adj, i, []int32{}, x, prev, cols)
-
-		dst := make([]algebras.NatInf, n)
-		chg := NewBitset(n)
-		SigmaRowChanged[algebras.NatInf](alg, adj, i, []int32{}, x.RowViews(), prev, dst, cols, chg)
-		cols.ForEach(func(j int) {
+		dst := checkColVsGeneric(t, "empty-nbr", alg, adj, i, []int32{}, x, prev, sel).cells
+		for _, j := range sel {
 			switch {
-			case j == i:
+			case int(j) == i:
 				if dst[j] != 0 {
 					t.Fatalf("diagonal not trivial: %v", dst[j])
 				}
 			case dst[j] != algebras.Inf:
 				t.Fatalf("dirty cell %d not ∞ with no neighbours: %v", j, dst[j])
 			}
-		})
+		}
 	})
 
 	t.Run("empty-selection", func(t *testing.T) {
-		// Nothing dirty in the row: both kernels must return 0, keep
-		// dst == prev and record no changes.
+		// Nothing dirty in the row (a non-nil empty selection): both
+		// kernels must return 0, keep dst == prev and record no changes.
 		prev := randomNatRow(rng, n)
-		checkColVsGeneric(t, "empty-sel", alg, adj, i, nbr, x, prev, NewBitset(n))
+		out := checkColVsGeneric(t, "empty-sel", alg, adj, i, nbr, x, prev, []int32{})
+		if out.comp != 0 || !out.chg.Empty() {
+			t.Fatalf("empty selection computed %d columns and changed %d", out.comp, out.chg.Count())
+		}
+		for j, v := range out.cells {
+			if v != prev[j] {
+				t.Fatalf("empty selection rewrote cell %d: %v != prev %v", j, v, prev[j])
+			}
+		}
+	})
+
+	t.Run("diagonal-in-selection", func(t *testing.T) {
+		// The diagonal is selected among other columns: it comes out
+		// trivial, whatever prev held there, and counts as computed.
+		prev := randomNatRow(rng, n)
+		prev[i] = algebras.Inf
+		sel := []int32{0, int32(i - 1), int32(i), int32(i + 1), 66}
+		out := checkColVsGeneric(t, "diagonal", alg, adj, i, nbr, x, prev, sel)
+		if out.cells[i] != 0 || !out.chg.Get(i) || out.comp != len(sel) {
+			t.Fatalf("diagonal %v, changed %v, computed %d of %d", out.cells[i], out.chg.Get(i), out.comp, len(sel))
+		}
+	})
+
+	t.Run("full-selection-matches-nil", func(t *testing.T) {
+		// Selecting every column is the dense form spelled out: same
+		// cells, changed bits and count as nil, on both kernels.
+		prev := randomNatRow(rng, n)
+		full := make([]int32, n)
+		for j := range full {
+			full[j] = int32(j)
+		}
+		sparse := checkColVsGeneric(t, "full", alg, adj, i, nbr, x, prev, full)
+		dense := checkColVsGeneric(t, "nil", alg, adj, i, nbr, x, prev, nil)
+		if sparse.comp != dense.comp {
+			t.Fatalf("full selection computed %d, nil %d", sparse.comp, dense.comp)
+		}
+		for j := range dense.cells {
+			if sparse.cells[j] != dense.cells[j] || sparse.chg.Get(j) != dense.chg.Get(j) {
+				t.Fatalf("cell %d: full %v (changed %v), nil %v (changed %v)",
+					j, sparse.cells[j], sparse.chg.Get(j), dense.cells[j], dense.chg.Get(j))
+			}
+		}
 	})
 
 	t.Run("ragged-tail", func(t *testing.T) {
 		// Dirty columns past bit 63, including the last column of the
 		// partial word.
-		cols := NewBitset(n)
-		for _, j := range []int{1, 63, 64, 65, n - 1} {
-			cols.Set(j)
-		}
 		prev := randomNatRow(rng, n)
-		checkColVsGeneric(t, "ragged-tail", alg, adj, i, nbr, x, prev, cols)
+		checkColVsGeneric(t, "ragged-tail", alg, adj, i, nbr, x, prev, []int32{1, 63, 64, 65, n - 1})
 	})
 
 	t.Run("differential-random", func(t *testing.T) {
 		// Random rows, random dirty sets, random prevs: the packed and
 		// generic kernels must stay indistinguishable.
 		for trial := 0; trial < 50; trial++ {
-			var cols *Bitset
+			var sel []int32
 			if rng.Intn(4) != 0 {
-				cols = NewBitset(n)
+				sel = []int32{}
 				for j := 0; j < n; j++ {
 					if rng.Intn(3) == 0 {
-						cols.Set(j)
+						sel = append(sel, int32(j))
 					}
 				}
 			}
 			prev := randomNatRow(rng, n)
 			ii := rng.Intn(n)
-			checkColVsGeneric(t, fmt.Sprintf("trial-%d", trial), alg, adj, ii, natNbr(adj, ii), x, prev, cols)
+			checkColVsGeneric(t, fmt.Sprintf("trial-%d", trial), alg, adj, ii, natNbr(adj, ii), x, prev, sel)
 		}
 	})
 }

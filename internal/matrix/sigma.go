@@ -1,10 +1,6 @@
 package matrix
 
-import (
-	"math/bits"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // SigmaRowInto computes node i's σ-row per Equation 5,
 //
@@ -69,20 +65,21 @@ func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []int3
 
 // SigmaRowChanged is the change-tracking variant of SigmaRowInto that
 // powers the engine's change-driven evaluation. It computes node i's
-// σ-row over the in-neighbour list nbr under the same contract, with two
-// additions:
+// σ-row over the in-neighbour list nbr (exactly the k ≠ i with an (i, k)
+// edge, ascending) under the same contract, with two additions:
 //
-//   - cols, when non-nil, restricts recomputation to the destination
-//     columns it contains; every other column is copied from prev (the
+//   - sel, when non-nil, holds the ascending indices of the destination
+//     columns to recompute; every other column is copied from prev (the
 //     row's previous value), so work is proportional to the columns whose
-//     inputs actually changed.
+//     inputs actually changed. A nil sel recomputes the whole row (the
+//     dense form), and an empty one copies prev and records nothing.
 //   - every recomputed column is compared against prev as it is written,
 //     and columns whose value differs (per alg.Equal) are recorded in
 //     changed — the per-node dirty set downstream activations consume.
 //
 // The fold order per cell is identical to SigmaRowInto (ascending k), so
 // recomputed cells are bit-identical to the full kernel's. It returns the
-// number of columns recomputed.
+// number of columns recomputed — len(sel), or the row width when dense.
 //
 // Correctness of the copy-for-unchanged contract requires alg.Equal to
 // coincide with structural equality on values the kernel itself produces
@@ -90,82 +87,78 @@ func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []int3
 // as they go), which holds for every algebra in this repository.
 func SigmaRowChanged[R any](
 	alg core.Algebra[R], a *Adjacency[R], i int, nbr []int32, tabs [][]R,
-	prev, dst []R, cols, changed *Bitset,
+	prev, dst []R, sel []int32, changed *Bitset,
 ) int {
-	if cols == nil {
+	if sel == nil {
 		SigmaRowInto(alg, a, i, nbr, tabs, dst)
 		recordChanged(alg, prev, dst, nil, changed)
 		return a.N
 	}
 	copy(dst, prev)
 	inv := alg.Invalid()
-	cols.ForEach(func(j int) { dst[j] = inv })
-	kn := a.N
-	if nbr != nil {
-		kn = len(nbr)
+	for _, j := range sel {
+		dst[j] = inv
 	}
-	for ki := 0; ki < kn; ki++ {
-		k := ki
-		if nbr != nil {
-			k = int(nbr[ki])
-		} else if k == i {
-			continue
-		}
-		e, ok := a.Edge(i, k)
+	for _, k := range nbr {
+		e, ok := a.Edge(i, int(k))
 		if !ok {
 			continue
 		}
 		tk := tabs[k]
-		// The fold is the hot loop: iterate the dirty words inline rather
-		// than through a per-bit callback.
-		for wi, w := range cols.words {
-			base := wi << 6
-			for w != 0 {
-				j := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				if j != i {
-					dst[j] = alg.Choice(dst[j], e.Apply(tk[j]))
-				}
+		for _, j := range sel {
+			if int(j) != i {
+				dst[j] = alg.Choice(dst[j], e.Apply(tk[j]))
 			}
 		}
 	}
-	if cols.Get(i) {
+	if selHas(sel, int32(i)) {
 		dst[i] = alg.Trivial()
 	}
-	recordChanged(alg, prev, dst, cols, changed)
-	return cols.Count()
+	recordChanged(alg, prev, dst, sel, changed)
+	return len(sel)
 }
 
-// recordChanged flushes the columns (restricted to cols when non-nil)
-// where prev and dst differ into changed, one word OR per 64 columns.
-// Algebras with interned routes answer Equal with an O(1) id compare, so
-// change tracking stays O(1) per cell regardless of path length.
-func recordChanged[R any](alg core.Algebra[R], prev, dst []R, cols, changed *Bitset) {
-	var mask uint64
-	word := -1
-	flush := func() {
-		if word >= 0 {
-			changed.OrWord(word, mask)
-		}
-	}
-	note := func(j int) {
-		if alg.Equal(prev[j], dst[j]) {
-			return
-		}
-		if w := j >> 6; w != word {
-			flush()
-			word, mask = w, 0
-		}
-		mask |= 1 << (j & 63)
-	}
-	if cols == nil {
+// recordChanged flushes the columns of sel (every column when sel is
+// nil) where prev and dst differ into changed. Algebras with interned
+// routes answer Equal with an O(1) id compare, so change tracking stays
+// O(1) per cell regardless of path length.
+func recordChanged[R any](alg core.Algebra[R], prev, dst []R, sel []int32, changed *Bitset) {
+	var m changeMask
+	if sel == nil {
 		for j := range dst {
-			note(j)
+			if !alg.Equal(prev[j], dst[j]) {
+				m.note(j, changed)
+			}
 		}
 	} else {
-		cols.ForEach(note)
+		for _, j := range sel {
+			if !alg.Equal(prev[j], dst[j]) {
+				m.note(int(j), changed)
+			}
+		}
 	}
-	flush()
+	m.flush(changed)
+}
+
+// changeMask gathers changed columns, noted in ascending order, into one
+// word OR per 64 columns of a row's change set.
+type changeMask struct {
+	word int
+	mask uint64
+}
+
+func (c *changeMask) note(j int, out *Bitset) {
+	if w := j >> 6; w != c.word {
+		c.flush(out)
+		c.word, c.mask = w, 0
+	}
+	c.mask |= 1 << (j & 63)
+}
+
+func (c *changeMask) flush(out *Bitset) {
+	if c.mask != 0 {
+		out.OrWord(c.word, c.mask)
+	}
 }
 
 // Sigma applies one synchronous Bellman-Ford round: σ(X) = A(X) ⊕ I.
