@@ -99,20 +99,20 @@ type colOps[R any] struct {
 }
 
 // geom: pooled lanes and slabs are reusable only at the same cell layout.
-func (o *colOps[R]) geom() int {
+func (o colOps[R]) geom() int {
 	if o.cs.meta.HasID {
 		return -o.cs.meta.W
 	}
 	return o.cs.meta.W
 }
 
-func (o *colOps[R]) newSlab() rowSlab[core.Col] {
+func (o colOps[R]) newSlab() rowSlab[core.Col] {
 	return colSlab{matrix.NewColSlab(o.cs.meta.W, o.cs.meta.HasID)}
 }
 
 // prepare lays out the run's edge-output memos (run.memos, per edge like
 // cs.kern) when the kernels keep them.
-func (o *colOps[R]) prepare(r *run[R, core.Col], n int) {
+func (o colOps[R]) prepare(r *run[R, core.Col], n int) {
 	if o.cs.memo {
 		// One memo per edge, every key empty: whatever the lanes last
 		// held belongs to another run, maybe of another table.
@@ -131,9 +131,9 @@ func (o *colOps[R]) prepare(r *run[R, core.Col], n int) {
 	}
 }
 
-func (o *colOps[R]) encodeRow(dst core.Col, src []R) { o.cs.cap.EncodeCol(src, dst) }
+func (o colOps[R]) encodeRow(dst core.Col, src []R) { o.cs.cap.EncodeCol(src, dst) }
 
-func (o *colOps[R]) materialise(s []core.Col) *matrix.State[R] {
+func (o colOps[R]) materialise(s []core.Col) *matrix.State[R] {
 	st := matrix.NewState(len(s), o.e.alg.Invalid())
 	for i, row := range s {
 		o.cs.cap.DecodeCol(row, st.RowView(i))
@@ -141,7 +141,7 @@ func (o *colOps[R]) materialise(s []core.Col) *matrix.State[R] {
 	return st
 }
 
-func (o *colOps[R]) sigma(r *run[R, core.Col], i int, sel []int32, worker int) int {
+func (o colOps[R]) sigma(r *run[R, core.Col], i int, sel []int32, worker int) int {
 	cs := o.cs
 	lo, hi := cs.off[i], cs.off[i+1]
 	var memo []core.ColMemo

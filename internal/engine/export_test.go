@@ -81,7 +81,7 @@ func MemoKeys[R any](s *Stepper[R]) (cells, set int) {
 }
 
 func (r *run[R, Row]) memoKeys() (cells, set int) {
-	o, ok := any(r.ops).(*colOps[R])
+	o, ok := any(r.ops).(colOps[R])
 	if !ok || !o.cs.memo {
 		return 0, 0
 	}

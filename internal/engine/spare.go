@@ -113,14 +113,9 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window int) *ru
 			// pool's helpers cannot carve one.
 			tabs: make([][]Row, n),
 		}
-		// Each worker's masks and selection, carved 64-byte strides apart
-		// so that no two workers write one cache line.
-		mstride, sstride := (wper+7)&^7, (n+15)&^15
-		masks, sels := make([]uint64, e.workers*mstride), make([]int32, e.workers*sstride)
 		for w := range r.inc.scratch {
 			ws := &r.inc.scratch[w]
-			ws.masks = masks[w*mstride : w*mstride+wper : w*mstride+wper]
-			ws.sel = sels[w*sstride : w*sstride : w*sstride+n]
+			ws.masks, ws.sel = make([]uint64, wper), make([]int32, 0, n)
 		}
 		hdrs := make([]Row, n*n)
 		for i := range r.tabs {

@@ -198,7 +198,7 @@ func (e *Engine[R]) begin(start *matrix.State[R], rs *Snapshot[R], src Source, e
 	}
 	if len(events) == 0 {
 		if cs := e.columnarFor(); cs != nil {
-			return &Stepper[R]{run: startRun(e, &colOps[R]{e: e, cs: cs}, src, events, window, doTerm, fairP, start, rs)}, nil
+			return &Stepper[R]{run: startRun(e, colOps[R]{e: e, cs: cs}, src, events, window, doTerm, fairP, start, rs)}, nil
 		}
 	}
 	return &Stepper[R]{run: startRun(e, genOps[R]{e: e}, src, events, window, doTerm, fairP, start, rs)}, nil

@@ -64,6 +64,11 @@ type rowOut struct {
 	comp  int
 }
 
+// sentinel is a cell value no kernel produces from the tests' inputs:
+// both kernels' destinations start as it, so a cell neither writes
+// shows up.
+const sentinel = algebras.NatInf(0xdead)
+
 // runBoth runs the generic and the packed kernel on the same inputs and
 // selection (nil: the dense form on both sides).
 func runBoth(alg algebras.ShortestPaths, adj *Adjacency[algebras.NatInf],
@@ -74,23 +79,23 @@ func runBoth(alg algebras.ShortestPaths, adj *Adjacency[algebras.NatInf],
 	meta := ColMetaOf[algebras.NatInf](alg, c)
 	kern := natKernels(alg, adj, i, nbr)
 
-	// Generic side. Every cell must be written: seed them with a sentinel
-	// no kernel produces.
-	const sentinel = algebras.NatInf(0xdead)
+	// Generic side. Every cell must be written: seed them with the
+	// sentinel.
 	gen = rowOut{cells: make([]algebras.NatInf, n), chg: NewBitset(n)}
 	for j := range gen.cells {
 		gen.cells[j] = sentinel
 	}
 	gen.comp = SigmaRowChanged[algebras.NatInf](alg, adj, i, nbr, x.RowViews(), prevRow, gen.cells, sel, gen.chg)
 
-	// Columnar side: same tabs and prev, packed; dst starts as garbage.
+	// Columnar side: same tabs and prev, packed; dst starts as the packed
+	// sentinel, so a cell left unwritten decodes to it.
 	tabs := make([]core.Col, n)
 	for k := range tabs {
 		tabs[k] = packRow(c, x.RowView(k))
 	}
 	dstC := core.Col{M: make([]uint64, n)}
 	for j := range dstC.M {
-		dstC.M[j] = 0xdead
+		dstC.M[j] = uint64(sentinel)
 	}
 	col = rowOut{cells: make([]algebras.NatInf, n), chg: NewBitset(n)}
 	var scratch core.ColScratch
@@ -114,6 +119,9 @@ func checkColVsGeneric(t *testing.T, label string,
 		t.Fatalf("%s: computed counts diverge: generic %d, columnar %d", label, gen.comp, col.comp)
 	}
 	for j := range gen.cells {
+		if gen.cells[j] == sentinel {
+			t.Fatalf("%s: generic kernel left cell %d unwritten", label, j)
+		}
 		if gen.cells[j] != col.cells[j] {
 			t.Fatalf("%s: cell %d: generic %v, columnar %v", label, j, gen.cells[j], col.cells[j])
 		}

@@ -66,7 +66,8 @@ func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []int3
 // SigmaRowChanged is the change-tracking variant of SigmaRowInto that
 // powers the engine's change-driven evaluation. It computes node i's
 // σ-row over the in-neighbour list nbr (exactly the k ≠ i with an (i, k)
-// edge, ascending) under the same contract, with two additions:
+// edge, ascending; non-nil, since a nil nbr is not a full scan here)
+// under the same contract, with two additions:
 //
 //   - sel, when non-nil, holds the ascending indices of the destination
 //     columns to recompute; every other column is copied from prev (the
