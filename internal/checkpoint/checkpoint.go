@@ -1,25 +1,20 @@
-// Package checkpoint persists engine snapshots as versioned,
-// CRC-checksummed files, so a long δ run can be preempted, survive a
-// crash, or move between processes and resume bit-identically
-// (engine.Snapshot / engine.Restore carry the equivalence proof; this
-// package only has to round-trip the state faithfully).
+// Package checkpoint persists a point of a run as a versioned,
+// CRC-checksummed file. Durability is replay: a run's state at step k is
+// a pure function of its scenario text and k, so a file holds the text,
+// the step, and the state at that step as a witness — not the run's
+// evaluation state. The reader replays the text to the step and refuses
+// the file when its state differs from the witness, so a file resumed by
+// a build whose δ differs fails loudly instead of continuing a different
+// run.
 //
 // Routes cross the boundary through the same internal/wire codecs the
 // live protocol uses.
 //
 // Layout (all integers big-endian):
 //
-//	"DBFC" | u16 version | family (u16 len + bytes)
-//	meta: u16 count, count × (u16 klen + key + u16 vlen + value), keys sorted
-//	payload: flags u8 | u32 step | u32 n | u32 window | u32 lastChange
-//	         stats (3 × i64) | u32 nstates | states (n·n cells of u32 len + bytes, row-major)
-//	         ver n·n × i32 | lastComp n × i32 | lastRead n·n × i32
-//	         [certified: n × u8]
+//	"DBFC" | u16 version | family (u16 len + bytes) | text (u16 len + bytes)
+//	u32 step | u32 n | witness (n·n cells of u32 len + bytes, row-major)
 //	u32 CRC-32 (IEEE) of everything above
-//
-// Flag bit 1: the certification set follows. The stats are RowsComputed,
-// RowsSkipped and CellsComputed; a resumable snapshot implies the rest
-// (Steps = step, ConvergedAt = −1).
 //
 // Every decode path is bounds-checked against the actual data and hard
 // caps; corrupt or hostile input yields a clean error, never a panic or
@@ -31,15 +26,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
-	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/wire"
 )
 
 // Version is the one format Encode writes and Decode reads.
-const Version = 2
+const Version = 3
 
 var magic = []byte("DBFC")
 
@@ -49,7 +42,6 @@ var magic = []byte("DBFC")
 const (
 	maxNodes  = 1 << 14
 	maxString = 1 << 12
-	maxMeta   = 256
 	maxCell   = 1 << 20
 )
 
@@ -61,90 +53,55 @@ var ErrChecksum = errors.New("checkpoint: checksum mismatch")
 // fixed-width read ran past the verified data or over its cap.
 var errTruncated = errors.New("checkpoint: truncated payload")
 
-// File is one checkpoint: a tagged, annotated engine snapshot. Family
-// names the carrier's codec family (e.g. "natinf", "spp") —
-// Decode refuses to hand route bytes to the wrong codec. Meta is free
-// annotation: scenario.Runner.Checkpoint stores the scenario text there,
-// which is what ResumeRunner rebuilds the run from.
+// File is one checkpoint. Family names the carrier's codec family (e.g.
+// "natinf", "spp") — Decode refuses to hand route bytes to the wrong
+// codec. Text is what the run replays from (scenario.Runner.Checkpoint
+// stores the scenario text), Step the last completed step and State the
+// witness: the state after Step.
 type File[R any] struct {
-	Family string
-	Meta   map[string]string
-	Snap   *engine.Snapshot[R]
+	Family, Text string
+	Step         int
+	State        *matrix.State[R]
 }
 
 // Encode renders the checkpoint, routes serialised with c.
 func Encode[R any](c wire.Codec[R], f *File[R]) ([]byte, error) {
-	s := f.Snap
-	if s == nil {
-		return nil, errors.New("checkpoint: nil snapshot")
+	if f.State == nil {
+		return nil, errors.New("checkpoint: nil state")
 	}
-	if len(f.Family) > maxString || len(f.Meta) > maxMeta {
-		return nil, errors.New("checkpoint: family or meta too large")
+	if len(f.Family) > maxString || len(f.Text) > maxString {
+		return nil, errors.New("checkpoint: family or text too large")
 	}
 	out := append([]byte(nil), magic...)
 	out = binary.BigEndian.AppendUint16(out, Version)
 	out = appendString(out, f.Family)
-	keys := make([]string, 0, len(f.Meta))
-	for k := range f.Meta {
-		if len(k) > maxString || len(f.Meta[k]) > maxString {
-			return nil, fmt.Errorf("checkpoint: meta entry %q too large", k)
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(keys)))
-	for _, k := range keys {
-		out = appendString(out, k)
-		out = appendString(out, f.Meta[k])
-	}
-
-	var flags byte
-	if s.Certified != nil {
-		flags |= 2
-	}
-	out = append(out, flags)
-	out = binary.BigEndian.AppendUint32(out, uint32(s.Step))
-	out = binary.BigEndian.AppendUint32(out, uint32(s.N))
-	out = binary.BigEndian.AppendUint32(out, uint32(s.Window))
-	out = binary.BigEndian.AppendUint32(out, uint32(s.LastChange))
-	for _, v := range []int{s.Stats.RowsComputed, s.Stats.RowsSkipped, s.Stats.CellsComputed} {
-		out = binary.BigEndian.AppendUint64(out, uint64(int64(v)))
-	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(s.States)))
-	for _, st := range s.States {
-		for i := 0; i < s.N; i++ {
-			for j := 0; j < s.N; j++ {
-				b, err := c.Encode(st.Get(i, j))
-				if err != nil {
-					return nil, fmt.Errorf("checkpoint: encoding cell (%d,%d): %w", i, j, err)
-				}
-				out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-				out = append(out, b...)
+	out = appendString(out, f.Text)
+	out = binary.BigEndian.AppendUint32(out, uint32(f.Step))
+	n := f.State.N
+	out = binary.BigEndian.AppendUint32(out, uint32(n))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			b, err := c.Encode(f.State.Get(i, j))
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint: encoding cell (%d,%d): %w", i, j, err)
 			}
-		}
-	}
-	out = appendInt32s(out, s.Ver)
-	out = appendInt32s(out, s.LastComp)
-	out = appendInt32s(out, s.LastRead)
-	for _, cert := range s.Certified {
-		if cert {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
+			out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
+			out = append(out, b...)
 		}
 	}
 	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), nil
 }
 
-// Header parses just the family tag and metadata — enough for a caller
+// Header parses just the family tag and the text — enough for a caller
 // to decide which codec to decode with — after verifying the checksum,
 // so a corrupt file is rejected before any of it is believed.
-func Header(data []byte) (family string, meta map[string]string, err error) {
+func Header(data []byte) (family, text string, err error) {
 	cur, err := verified(data)
 	if err != nil {
-		return "", nil, err
+		return "", "", err
 	}
-	return header(cur)
+	family, text = cur.Str(maxString), cur.Str(maxString)
+	return family, text, cur.Err()
 }
 
 // Decode parses a checkpoint encoded with Encode, verifying the checksum
@@ -154,68 +111,37 @@ func Decode[R any](c wire.Codec[R], data []byte, wantFamily string) (*File[R], e
 	if err != nil {
 		return nil, err
 	}
-	family, meta, err := header(cur)
-	if err != nil {
-		return nil, err
+	f := &File[R]{Family: cur.Str(maxString), Text: cur.Str(maxString)}
+	if cur.Err() == nil && f.Family != wantFamily {
+		return nil, fmt.Errorf("checkpoint: family %q, want %q", f.Family, wantFamily)
 	}
-	if family != wantFamily {
-		return nil, fmt.Errorf("checkpoint: family %q, want %q", family, wantFamily)
-	}
-	f := &File[R]{Family: family, Meta: meta, Snap: &engine.Snapshot[R]{}}
-	s := f.Snap
-	certified := cur.U8()&2 != 0
-	s.Step = int(cur.U32())
-	s.N = int(cur.U32())
-	s.Window = int(cur.U32())
-	s.LastChange = int(cur.U32())
-	for _, p := range []*int{&s.Stats.RowsComputed, &s.Stats.RowsSkipped, &s.Stats.CellsComputed} {
-		*p = int(cur.I64())
-	}
-	s.Stats.Steps, s.Stats.ConvergedAt = s.Step, -1
-	if cur.Err() == nil && (s.N < 1 || s.N > maxNodes) {
-		return nil, fmt.Errorf("checkpoint: implausible node count %d", s.N)
-	}
-	nstates := int(cur.U32())
-	if cur.Err() == nil && (nstates < 1 || nstates > s.Step+1) {
-		return nil, fmt.Errorf("checkpoint: implausible state count %d for step %d", nstates, s.Step)
-	}
+	f.Step = int(cur.U32())
+	n := int(cur.U32())
 	if cur.Err() != nil {
 		return nil, cur.Err()
 	}
-	// Every cell carries a u32 length, so states the file cannot hold are
-	// refused before they are allocated.
-	if 4*uint64(nstates)*uint64(s.N)*uint64(s.N) > uint64(cur.Len()) {
+	if n < 1 || n > maxNodes {
+		return nil, fmt.Errorf("checkpoint: implausible node count %d", n)
+	}
+	// Every cell carries a u32 length, so a state the file cannot hold is
+	// refused before it is allocated.
+	if 4*uint64(n)*uint64(n) > uint64(cur.Len()) {
 		return nil, errTruncated
 	}
 	var zero R
-	for b := 0; b < nstates; b++ {
-		st := matrix.NewState(s.N, zero)
-		for i := 0; i < s.N; i++ {
-			for j := 0; j < s.N; j++ {
-				cell := cur.Bytes(maxCell)
-				if cur.Err() != nil {
-					return nil, cur.Err()
-				}
-				r, err := c.Decode(cell)
-				if err != nil {
-					return nil, fmt.Errorf("checkpoint: decoding cell (%d,%d) of state %d: %w", i, j, b, err)
-				}
-				st.Set(i, j, r)
+	f.State = matrix.NewState(n, zero)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			cell := cur.Bytes(maxCell)
+			if cur.Err() != nil {
+				return nil, cur.Err()
 			}
+			r, err := c.Decode(cell)
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint: decoding cell (%d,%d): %w", i, j, err)
+			}
+			f.State.Set(i, j, r)
 		}
-		s.States = append(s.States, st)
-	}
-	s.Ver = cur.Int32s(s.N * s.N)
-	s.LastComp = cur.Int32s(s.N)
-	s.LastRead = cur.Int32s(s.N * s.N)
-	if certified {
-		s.Certified = make([]bool, s.N)
-		for i := range s.Certified {
-			s.Certified[i] = cur.U8() != 0
-		}
-	}
-	if cur.Err() != nil {
-		return nil, cur.Err()
 	}
 	if cur.Len() != 0 {
 		return nil, fmt.Errorf("checkpoint: %d trailing bytes", cur.Len())
@@ -243,32 +169,7 @@ func verified(data []byte) (*wire.Cursor, error) {
 	return cur, cur.Err()
 }
 
-// header reads the family tag and metadata that follow the version.
-func header(c *wire.Cursor) (string, map[string]string, error) {
-	family := c.Str(maxString)
-	count := int(c.U16())
-	if c.Err() == nil && count > maxMeta {
-		return "", nil, fmt.Errorf("checkpoint: implausible meta count %d", count)
-	}
-	var meta map[string]string
-	if c.Err() == nil && count > 0 {
-		meta = make(map[string]string, count)
-		for i := 0; i < count; i++ {
-			k := c.Str(maxString)
-			meta[k] = c.Str(maxString)
-		}
-	}
-	return family, meta, c.Err()
-}
-
 func appendString(out []byte, s string) []byte {
 	out = binary.BigEndian.AppendUint16(out, uint16(len(s)))
 	return append(out, s...)
-}
-
-func appendInt32s(out []byte, v []int32) []byte {
-	for _, x := range v {
-		out = binary.BigEndian.AppendUint32(out, uint32(x))
-	}
-	return out
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/algebras"
@@ -25,31 +26,35 @@ import (
 var update = flag.Bool("update", false, "rewrite golden checkpoint files")
 
 // The format is pinned by committed golden files, one per carrier family a
-// checkpoint holds (natinf for scenario topologies, spp for gadgets): a
-// freshly encoded snapshot of the same deterministic run must still
-// produce exactly the golden bytes, and the golden file must decode
-// against an instance built from scratch and resume to the uninterrupted
-// run.
+// checkpoint holds (natinf for scenario topologies, spp for gadgets): the
+// freshly encoded state of the same deterministic run must still produce
+// exactly the golden bytes, and the golden file must decode against an
+// instance built from scratch to the witness a replay of that run reaches.
 
 // goldenCase checks one carrier: mk builds the instance, called
 // separately for the encode and decode sides.
 func goldenCase[R any](t *testing.T, name string, mk func() (core.Algebra[R], *matrix.Adjacency[R], wire.Codec[R])) {
 	t.Helper()
 	const T, at = 40, 20
-	alg1, adj1, codec1 := mk()
-	n := adj1.N
-	s := schedule.Random(rand.New(rand.NewSource(11)), n, T, schedule.Options{MaxGap: 5, MaxStaleness: 4})
-	eng1 := engine.New(alg1, adj1, engine.Config{})
-	defer eng1.Close()
-	full, snap := eng1.RunSnapshot(matrix.Identity(alg1, n), s, at, false)
-	if snap == nil {
-		t.Fatal("no snapshot captured")
+	text := fmt.Sprintf("%s run, horizon %d", name, T)
+	_, adj, _ := mk()
+	s := schedule.Random(rand.New(rand.NewSource(11)), adj.N, T, schedule.Options{MaxGap: 5, MaxStaleness: 4})
+	replay := func() (core.Algebra[R], *matrix.State[R], wire.Codec[R]) {
+		alg, adj, codec := mk()
+		eng := engine.New(alg, adj, engine.Config{})
+		defer eng.Close()
+		st, err := eng.Start(matrix.Identity(alg, adj.N), s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if st.Step(at) {
+			t.Fatalf("the run ended before step %d", at)
+		}
+		return alg, st.State(), codec
 	}
-	data, err := checkpoint.Encode(codec1, &checkpoint.File[R]{
-		Family: name,
-		Meta:   map[string]string{"family": name, "horizon": fmt.Sprint(T)},
-		Snap:   snap,
-	})
+	_, witness, codec1 := replay()
+	data, err := checkpoint.Encode(codec1, &checkpoint.File[R]{Family: name, Text: text, Step: at, State: witness})
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -65,39 +70,24 @@ func goldenCase[R any](t *testing.T, name string, mk func() (core.Algebra[R], *m
 		t.Fatalf("golden file: %v (run with -update to regenerate)", err)
 	}
 	if !bytes.Equal(data, want) {
-		t.Fatalf("encoding of the deterministic %s snapshot no longer matches the golden file (%d vs %d bytes); if the format changed intentionally, bump checkpoint.Version and regenerate with -update",
+		t.Fatalf("encoding of the deterministic %s state no longer matches the golden file (%d vs %d bytes); if the format changed intentionally, bump checkpoint.Version and regenerate with -update",
 			name, len(data), len(want))
 	}
 
-	family, meta, err := checkpoint.Header(want)
+	family, gotText, err := checkpoint.Header(want)
 	if err != nil {
 		t.Fatalf("header: %v", err)
 	}
-	if family != name || meta["horizon"] != fmt.Sprint(T) {
-		t.Fatalf("header round trip: got family %q meta %v", family, meta)
+	if family != name || gotText != text {
+		t.Fatalf("header round trip: got family %q text %q", family, gotText)
 	}
-	alg2, adj2, codec2 := mk()
+	alg2, replayed, codec2 := replay()
 	f, err := checkpoint.Decode(codec2, want, name)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	eng2 := engine.New(alg2, adj2, engine.Config{})
-	defer eng2.Close()
-	resumed, err := eng2.Restore(f.Snap, s)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	wantFinal, gotFinal := full.Final(), resumed.Final()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			w, g := alg1.Format(wantFinal.Get(i, j)), alg2.Format(gotFinal.Get(i, j))
-			if w != g {
-				t.Fatalf("cell (%d,%d) after golden restore: got %s want %s", i, j, g, w)
-			}
-		}
-	}
-	if got, want := resumed.Stats(), full.Stats(); got != want {
-		t.Fatalf("stats after golden restore: got %+v want %+v", got, want)
+	if f.Step != at || f.Text != text || !f.State.Equal(alg2, replayed) {
+		t.Fatalf("decoded step %d text %q, or a witness a fresh replay to step %d does not reach", f.Step, f.Text, at)
 	}
 }
 
@@ -121,6 +111,21 @@ func TestGoldenCheckpoints(t *testing.T) {
 			return alg, alg.Adjacency(), wire.SPPCodec{}
 		})
 	})
+}
+
+// TestCheckpointVersion2IsRefused: a file of the previous format, which
+// held the engine's evaluation state, is refused with a clean error.
+func TestCheckpointVersion2IsRefused(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "v2-natinf.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Decode(wire.NatInfCodec{}, data, "natinf"); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("decode of a version 2 file: %v, want a version error", err)
+	}
+	if _, _, err := checkpoint.Header(data); err == nil {
+		t.Fatal("header accepted a version 2 file")
+	}
 }
 
 // TestCheckpointTamper flips and truncates bytes of a real checkpoint:
@@ -182,8 +187,8 @@ func TestCheckpointWrongFamily(t *testing.T) {
 	}
 }
 
-// TestStateCountIsCheckedBeforeAllocating hands Decode a 65-byte file
-// with a valid checksum whose header claims one 2048×2048 state: the
+// TestStateCountIsCheckedBeforeAllocating hands Decode a 28-byte file
+// with a valid checksum whose header claims a 2048×2048 witness: the
 // decoder must refuse it without first allocating the state.
 func TestStateCountIsCheckedBeforeAllocating(t *testing.T) {
 	const n = 2048
@@ -191,13 +196,10 @@ func TestStateCountIsCheckedBeforeAllocating(t *testing.T) {
 	data = binary.BigEndian.AppendUint16(data, checkpoint.Version)
 	data = binary.BigEndian.AppendUint16(data, uint16(len("natinf")))
 	data = append(data, "natinf"...)
-	data = binary.BigEndian.AppendUint16(data, 0) // no meta
-	data = append(data, 0)                        // flags
-	for _, v := range []uint32{0, n, 0, 0} {      // step, n, window, lastChange
+	data = binary.BigEndian.AppendUint16(data, 0) // no text
+	for _, v := range []uint32{0, n} {            // step, n
 		data = binary.BigEndian.AppendUint32(data, v)
 	}
-	data = append(data, make([]byte, 3*8)...) // stats
-	data = binary.BigEndian.AppendUint32(data, 1)
 	data = binary.BigEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
 
 	var before, after runtime.MemStats

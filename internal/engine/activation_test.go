@@ -2,7 +2,7 @@ package engine_test
 
 import (
 	"fmt"
-	"slices"
+	"reflect"
 	"testing"
 
 	"repro/internal/algebras"
@@ -21,9 +21,9 @@ import (
 //   - and then waits long enough for the run to jump a quiescent
 //     interlude, which rotates the ring and its replaced-row lists.
 //
-// Both runs are then snapshotted and resumed with nothing left to play,
-// which puts a packing algebra (hop count) on the columnar path — a
-// timeline run is always on the interface path — and stepped to the end.
+// The same instance is then run again without a timeline, which puts a
+// packing algebra (hop count) on the columnar path — a timeline run is
+// always on the interface path — and compared in the same way.
 func TestShardedActivationsAcrossMutation(t *testing.T) {
 	const n = 96
 	t.Run("hopcount", func(t *testing.T) {
@@ -75,59 +75,45 @@ func shardedAcrossMutation[R any](t *testing.T, alg core.Algebra[R], adj *matrix
 	seq := mustStart(t, seqEng, start, src, events)
 	par := mustStart(t, parEng, start, p, events)
 
-	// The timeline, then a few steps past its last event.
-	resumeAt := lastAt + 5
-	if stepBoth(t, "timeline", seq, par, resumeAt) {
-		t.Fatalf("the run ended by step %d, before the resume", resumeAt)
+	if !stepBoth(t, "timeline", seq, par, src.T) {
+		t.Fatal("the timeline runs did not finish")
 	}
 	if _, fanouts, _ := engine.PoolCounters(parEng); fanouts == 0 {
 		t.Fatal("the sharded run never fanned out; the comparison tested nothing")
 	}
-	if jumped := resumeAt - len(events) - p.sets.get(); jumped <= 0 {
+	if jumped := par.At() - len(events) - p.sets.get(); jumped <= 0 {
 		t.Fatal("no step was jumped: the timeline has no interlude")
 	}
+	finalsMatch(t, "timeline", seq, par)
 
-	seqSnap, err := seq.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	seq = mustStart(t, seqEng, start, src, nil)
+	par = mustStart(t, parEng, start, src, nil)
+	if !stepBoth(t, "event-free", seq, par, src.T) {
+		t.Fatal("the event-free runs did not finish")
 	}
-	parSnap, err := par.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq.Close()
-	par.Close()
-	seqEng2 := engine.New(alg, seqAdj, engine.Config{Workers: 1})
-	defer seqEng2.Close()
-	parEng2 := engine.NewSharded(alg, parAdj, engine.Config{Workers: 8})
-	defer parEng2.Close()
-	seq, err = seqEng2.Resume(seqSnap, src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err = parEng2.Resume(parSnap, src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stepBoth(t, "resumed", seq, par, src.T) {
-		t.Fatal("the resumed runs did not finish")
-	}
+	finalsMatch(t, "event-free", seq, par)
+}
+
+// finalsMatch ends both runs and requires the same final state and Stats
+// and a certified convergence.
+func finalsMatch[R any](t *testing.T, label string, seq, par *engine.Stepper[R]) {
+	t.Helper()
 	seqRes, parRes := seq.Result(), par.Result()
-	identicalStates(t, "final", parRes.Final(), seqRes.Final())
-	statsMatch(t, "final", parRes.Stats(), seqRes.Stats())
+	identicalStates(t, label+" final", parRes.Final(), seqRes.Final())
+	statsMatch(t, label+" final", parRes.Stats(), seqRes.Stats())
 	if _, ok := seqRes.Converged(); !ok {
-		t.Fatalf("the run did not certify after its last event: %+v", seqRes.Stats())
+		t.Fatalf("%s: the run did not certify convergence: %+v", label, seqRes.Stats())
 	}
 }
 
 // stepBoth steps the sequential and the sharded run one step at a time up
 // to until, and requires after every step the same state and Stats
-// (RowsSkipped included), and every snapshotEvery steps, where a
-// snapshot exists, the same change-tracking matrices and certification.
-// It reports whether the runs are done.
+// (RowsSkipped included), and every bookkeepingEvery steps the same
+// change-tracking matrices and certification. It reports whether the
+// runs are done.
 func stepBoth[R any](t *testing.T, label string, seq, par *engine.Stepper[R], until int) bool {
 	t.Helper()
-	const snapshotEvery = 16
+	const bookkeepingEvery = 16
 	for k := seq.At() + 1; k <= until; k++ {
 		doneSeq, donePar := seq.Step(k), par.Step(k)
 		kl := fmt.Sprintf("%s step %d", label, k)
@@ -138,18 +124,8 @@ func stepBoth[R any](t *testing.T, label string, seq, par *engine.Stepper[R], un
 		if doneSeq {
 			return true
 		}
-		identicalStates(t, kl, engine.Current(par), engine.Current(seq))
-		if k%snapshotEvery != 0 {
-			continue
-		}
-		want, errSeq := seq.Snapshot()
-		got, errPar := par.Snapshot()
-		if (errSeq == nil) != (errPar == nil) {
-			t.Fatalf("%s: snapshot errors differ: sequential %v, sharded %v", kl, errSeq, errPar)
-		}
-		if errSeq == nil && (!slices.Equal(got.Ver, want.Ver) || !slices.Equal(got.LastComp, want.LastComp) ||
-			!slices.Equal(got.LastRead, want.LastRead) || !slices.Equal(got.Certified, want.Certified) ||
-			got.LastChange != want.LastChange) {
+		identicalStates(t, kl, par.State(), seq.State())
+		if k%bookkeepingEvery == 0 && !reflect.DeepEqual(engine.ReadBookkeeping(par), engine.ReadBookkeeping(seq)) {
 			t.Fatalf("%s: the sharded run's change tracking or certification differs from the sequential run's", kl)
 		}
 	}

@@ -176,7 +176,7 @@ type rowOps[R, Row any] interface {
 	prepare(r *run[R, Row], n int)
 	// encodeRow writes a reference row into a freshly allocated Row.
 	encodeRow(dst Row, src []R)
-	// materialise converts a snapshot into a standalone state.
+	// materialise converts a ring state into a standalone state.
 	materialise(s []Row) *matrix.State[R]
 	// sigma computes node i's row of the step in flight (r.cur[i]) from
 	// its β-resolved tables (r.tabs[i]) and its previous row (r.prev[i])
@@ -190,9 +190,9 @@ type rowOps[R, Row any] interface {
 // run is the mutable state of one evaluation, generic over the row
 // representation. Run values are pooled (spares) and every slice below
 // is retained across runs, so a warm run allocates nothing on the hot
-// path. A snapshot — one time step's global state —
-// is a []Row of n rows, shared with neighbouring snapshots for every
-// node that did not activate in between, and immutable once published.
+// path. A ring state — one time step's global state — is a []Row of n
+// rows, shared with neighbouring states for every node that did not
+// activate in between, and immutable once published.
 type run[R, Row any] struct {
 	shape    spareShape // what the scratch below was sized for; fixed for life
 	ops      rowOps[R, Row]
@@ -370,11 +370,10 @@ func (r *run[R, Row]) load(t int, st *matrix.State[R]) {
 	r.prev = s
 }
 
-// startRun readies a run on the given row representation: at step 0 from
-// start, or — when rs is non-nil, already validated against this engine
-// and source — right after step rs.Step from the snapshot.
+// startRun readies a run on the given row representation at step 0 from
+// start.
 func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events []TimelineEvent[R],
-	window int, doTerm bool, fairP int, start *matrix.State[R], rs *Snapshot[R]) *run[R, Row] {
+	window int, doTerm bool, fairP int, start *matrix.State[R]) *run[R, Row] {
 	n, T := src.Nodes(), src.Horizon()
 	r := acquireRun(e, ops, n, window)
 	r.e, r.n, r.T, r.t = e, n, T, 0
@@ -399,36 +398,7 @@ func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events [
 	if len(events) > 0 {
 		r.marks = make([]*matrix.State[R], 0, len(events))
 	}
-	if rs == nil {
-		r.load(0, start)
-	} else {
-		// Resume: repopulate the history ring from the snapshot's
-		// materialised states, restore the exact change-tracking matrices, and
-		// rebuild the derived dirty summaries from them. From here the run
-		// proceeds from step rs.Step+1 exactly as the uninterrupted one did.
-		r.t = rs.Step
-		for idx, st := range rs.States {
-			r.load(rs.Step-len(rs.States)+1+idx, st)
-		}
-		copy(r.inc.ver, rs.Ver)
-		copy(r.lastComp, rs.LastComp)
-		copy(r.lastRead, rs.LastRead)
-		rebuildIncSummaries(r.inc, rs.Step)
-		r.stats = rs.Stats
-		if doTerm {
-			// The generation counter restarts at 1, but only membership
-			// matters — the restored set and last-change step make every
-			// future certify/terminate decision identical to the
-			// uninterrupted run's.
-			r.lastChange = rs.LastChange
-			for i, c := range rs.Certified {
-				if c {
-					r.certStmp[i] = r.certGen
-					r.nCert++
-				}
-			}
-		}
-	}
+	r.load(0, start)
 	return r
 }
 
@@ -714,6 +684,9 @@ func (r *run[R, Row]) progress() Progress {
 	return p
 }
 
+// state materialises the state at the last completed step.
+func (r *run[R, Row]) state() *matrix.State[R] { return r.ops.materialise(r.prev) }
+
 // statsNow returns the run counters as of the last completed step, the
 // jumped interludes settled.
 func (r *run[R, Row]) statsNow() Stats {
@@ -773,7 +746,7 @@ func (o genOps[R]) sigma(r *run[R, []R], i int, sel []int32, _ int) int {
 	return matrix.SigmaRowChanged(o.e.alg, o.e.adj, i, nb, r.tabs[i], r.prev[i], r.cur[i], sel, &r.chg[i])
 }
 
-// materialise copies a snapshot into a standalone matrix.State.
+// materialise copies a ring state into a standalone matrix.State.
 func materialise[R any](alg core.Algebra[R], s [][]R) *matrix.State[R] {
 	st := matrix.NewState(len(s), alg.Invalid())
 	for i, row := range s {

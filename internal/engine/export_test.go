@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/matrix"
 )
@@ -45,12 +47,37 @@ func LastStepTasks[R any](s *Stepper[R]) int {
 	return s.run.(interface{ builtTasks() int }).builtTasks()
 }
 
-// Current materialises the stepper's state at its last completed step.
-func Current[R any](s *Stepper[R]) *matrix.State[R] {
-	return s.run.(interface{ current() *matrix.State[R] }).current()
+// Bookkeeping is the stepper's change tracking and certification as of
+// its last completed step, copied: the last-changed matrix, the
+// per-node last-recomputation times, the β each node last read, the
+// nodes certified in the current generation (nil for a run that does not
+// certify) and the last step the state changed.
+type Bookkeeping struct {
+	Ver, LastComp, LastRead []int32
+	Certified               []bool
+	LastChange              int
 }
 
-func (r *run[R, Row]) current() *matrix.State[R] { return r.ops.materialise(r.prev) }
+// ReadBookkeeping reads a stepper's Bookkeeping.
+func ReadBookkeeping[R any](s *Stepper[R]) Bookkeeping {
+	return s.run.(interface{ bookkeeping() Bookkeeping }).bookkeeping()
+}
+
+func (r *run[R, Row]) bookkeeping() Bookkeeping {
+	b := Bookkeeping{
+		Ver:        slices.Clone(r.inc.ver),
+		LastComp:   slices.Clone(r.lastComp),
+		LastRead:   slices.Clone(r.lastRead),
+		LastChange: r.lastChange,
+	}
+	if r.doTerm {
+		b.Certified = make([]bool, r.n)
+		for i := range b.Certified {
+			b.Certified[i] = r.certStmp[i] == r.certGen
+		}
+	}
+	return b
+}
 
 // RunResident is e.Run that also reports how many states the run held at
 // its end: the ring's occupancy.

@@ -110,8 +110,8 @@ func policyRing(t *testing.T) pauseNet[policy.IRoute] {
 	return pauseNet[policy.IRoute]{alg, adj, 0, 2}
 }
 
-// marchTrace is the marching oracle's record: the counters after every
-// step, the state wherever one can be captured, and the finished run.
+// marchTrace is the marching oracle's record: the counters and the state
+// after every step, and the finished run.
 type marchTrace[R any] struct {
 	stats  []engine.Stats
 	states []*matrix.State[R]
@@ -126,10 +126,7 @@ func marchEveryStep[R any](t *testing.T, p pauseNet[R], src engine.Source, event
 	m := marchTrace[R]{stats: make([]engine.Stats, T+1), states: make([]*matrix.State[R], T+1)}
 	for k := 1; k <= T; k++ {
 		st.Step(k)
-		m.stats[k] = st.Stats()
-		if snap, err := st.Snapshot(); err == nil {
-			m.states[k] = snap.States[len(snap.States)-1]
-		}
+		m.stats[k], m.states[k] = st.Stats(), st.State()
 	}
 	m.res = st.Result()
 	return m
@@ -149,12 +146,7 @@ func jumpAgainstMarch[R any](t *testing.T, label string, p pauseNet[R], src engi
 			t.Fatalf("%s: Step(%d) finished or stopped at %d", label, ev.Step-1, st.At())
 		}
 		statsMatch(t, fmt.Sprintf("%s before event %d", label, ev.Step), st.Stats(), m.stats[ev.Step-1])
-		snap, err := st.Snapshot()
-		if err != nil {
-			t.Fatalf("%s: snapshot before event %d: %v", label, ev.Step, err)
-		}
-		identicalStates(t, fmt.Sprintf("%s state before event %d", label, ev.Step),
-			snap.States[len(snap.States)-1], m.states[ev.Step-1])
+		identicalStates(t, fmt.Sprintf("%s state before event %d", label, ev.Step), st.State(), m.states[ev.Step-1])
 		st.Step(ev.Step)
 		statsMatch(t, fmt.Sprintf("%s at event %d", label, ev.Step), st.Stats(), m.stats[ev.Step])
 	}
@@ -257,9 +249,8 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R], gap, stal
 	holdToOracle(t, name+"/plan", p.alg, res, async.RunTimelineReference(p.alg, p.adj.Clone(), start, sched, events), events)
 
 	// Pause at every step — until lands inside, at the end of, and one
-	// short of every interlude — and, wherever a snapshot exists, resume
-	// it on a fresh engine over a fresh topology: a resumed ring holds
-	// loaded states that share no rows, and must still jump.
+	// short of every interlude — then at a few later points, each pause
+	// held to the marching run's state and counters.
 	nextEvent := func(k int) int {
 		for _, ev := range events {
 			if ev.Step > k {
@@ -276,38 +267,21 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R], gap, stal
 			t.Fatalf("%s: Step(k) finished or stopped at %d", kl, st.At())
 		}
 		statsMatch(t, kl+" paused", st.Stats(), marched.stats[k])
-		snap, _ := st.Snapshot()
+		identicalStates(t, kl+" paused state", st.State(), marched.states[k])
+		for _, k2 := range []int{k + 1 + k%7, nextEvent(k) - 2, nextEvent(k) - 1} {
+			if k2 <= st.At() || k2 >= fullSteps {
+				continue
+			}
+			if st.Step(k2) || st.At() != k2 {
+				t.Fatalf("%s: Step(%d) finished or stopped at %d", kl, k2, st.At())
+			}
+			statsMatch(t, fmt.Sprintf("%s paused again at %d", kl, k2), st.Stats(), marched.stats[k2])
+		}
 		st.Step(T)
 		live := st.Result()
 		eng.Close()
 		identicalStates(t, kl+" paused final", live.Final(), full.Final())
 		statsMatch(t, kl+" paused final", live.Stats(), full.Stats())
-		if snap == nil {
-			continue // an event step
-		}
-		identicalStates(t, kl+" snapshot state", snap.States[len(snap.States)-1], marched.states[k])
-
-		fresh := p.adj.Clone()
-		replayFired(fresh, events, k)
-		e2 := engine.New(p.alg, fresh, engine.Config{})
-		rs, err := e2.Resume(snap, hashed, remainingEvents(events, k))
-		if err != nil {
-			t.Fatalf("%s: resume: %v", kl, err)
-		}
-		for _, k2 := range []int{k + 1 + k%7, nextEvent(k) - 2, nextEvent(k) - 1} {
-			if k2 <= rs.At() || k2 >= fullSteps {
-				continue
-			}
-			if rs.Step(k2) || rs.At() != k2 {
-				t.Fatalf("%s: resumed Step(%d) finished or stopped at %d", kl, k2, rs.At())
-			}
-			statsMatch(t, fmt.Sprintf("%s resumed, paused at %d", kl, k2), rs.Stats(), marched.stats[k2])
-		}
-		rs.Step(T)
-		resumed := rs.Result()
-		e2.Close()
-		identicalStates(t, kl+" resumed final", resumed.Final(), full.Final())
-		statsMatch(t, kl+" resumed final", resumed.Stats(), full.Stats())
 	}
 }
 

@@ -13,10 +13,9 @@ var runObserver atomic.Pointer[func(Progress)]
 // run's final Progress — the identity, never RowsSkipped, so observing a
 // run counts none of its jumped activations. "Completed" means the run
 // loop finished on its own terms — horizon reached or convergence
-// certified — not a snapshot-halt preemption: a service run that is
-// checkpointed and resumed across many quanta carries cumulative counters
-// through its snapshots and is observed exactly once, when it truly
-// finishes. fn must be safe for concurrent calls (engines run
+// certified — and its Result was taken: a run abandoned with Close (a
+// halted RunSnapshot included) is not observed, and a service run paused
+// across many quanta is observed exactly once, when it finishes. fn must be safe for concurrent calls (engines run
 // concurrently) and must not block; it is invoked on the run's goroutine.
 // Passing nil removes the hook.
 func ObserveRuns(fn func(Progress)) {

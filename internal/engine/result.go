@@ -6,15 +6,15 @@ import (
 	"repro/internal/matrix"
 )
 
-// Stats counts what a run did. Every field is resume-invariant: a run
-// paused, snapshotted and resumed anywhere ends with Stats equal (==) to
-// the run that was never interrupted. The embedded Progress, with the
-// final state, is the run's identity — what a service result hash folds
-// in. RowsSkipped is an exact diagnostic: RowsComputed + RowsSkipped =
-// Σ|α(t)| over the non-event steps run. The activations of a jumped
-// interlude are settled into it on read (interlude.go), so it is exact in
-// every Stats value a caller gets — Stepper.Stats, Result.Stats and a
-// Snapshot's — and Progress, which never counts, is what a reader that
+// Stats counts what a run did. Every field is pause-invariant: a run
+// paused anywhere, or replayed to any step and continued, ends with Stats
+// equal (==) to the run that was never interrupted. The embedded
+// Progress, with the final state, is the run's identity — what a service
+// result hash folds in. RowsSkipped is an exact diagnostic: RowsComputed
+// + RowsSkipped = Σ|α(t)| over the non-event steps run. The activations
+// of a jumped interlude are settled into it on read (interlude.go), so it
+// is exact in every Stats value a caller gets — Stepper.Stats and
+// Result.Stats — and Progress, which never counts, is what a reader that
 // does not need it asks for.
 type Stats struct {
 	Progress

@@ -15,9 +15,9 @@ import (
 // bit-identical, in cells and counters, to the run that was never
 // paused. This holds both when one live stepper is advanced quantum by
 // quantum (in-process preemption: a pause is a return from Step) and
-// when every quantum ends in a Snapshot that a fresh engine resumes from
-// a fresh adjacency with the fired events' mutations replayed (the
-// cross-process drain / restart path a checkpointing service takes).
+// when every quantum ends with the run dropped and a fresh engine over a
+// fresh topology replaying it to the pause (the restart path a service
+// takes: durability is replay).
 
 // flapEvents is a link-flap timeline over meshNet: cut a chord, restore
 // it, cut another, then restore it with a node restart. The Mutate
@@ -63,46 +63,9 @@ func playTimeline[R any](t testing.TB, eng *engine.Engine[R], start *matrix.Stat
 	return st.Result()
 }
 
-// remainingEvents returns the suffix of events strictly after step.
-func remainingEvents[R any](events []engine.TimelineEvent[R], step int) []engine.TimelineEvent[R] {
-	i := 0
-	for i < len(events) && events[i].Step <= step {
-		i++
-	}
-	return events[i:]
-}
-
-// replayFired applies the mutations of every event at or before step to
-// a fresh topology, bringing it to the instant a snapshot was taken.
-func replayFired[R any](adj *matrix.Adjacency[R], events []engine.TimelineEvent[R], step int) {
-	for _, ev := range events {
-		if ev.Step > step {
-			break
-		}
-		if ev.Mutate != nil {
-			ev.Mutate(adj)
-		}
-	}
-}
-
-// nextQuantumEnd picks the step a slice should pause at: quantum steps
-// past from, bumped past any event step (an event step performs no
-// activation, so there is nothing to snapshot after it).
-func nextQuantumEnd(from, quantum, T int, isEvent map[int]bool) int {
-	at := from + quantum
-	for at < T && isEvent[at] {
-		at++
-	}
-	return at
-}
-
 func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
 	alg, _ := meshNet()
 	events := flapEvents(alg)
-	isEvent := map[int]bool{}
-	for _, ev := range events {
-		isEvent[ev.Step] = true
-	}
 	const T = 140
 	n := 12
 	src := engine.Hashed{N: n, T: T, Seed: 23, MaxGap: 6, MaxStaleness: 5}
@@ -124,7 +87,7 @@ func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
 		st := mustStart(t, eng, start, src, events)
 		slices := 0
 		for done := false; !done; slices++ {
-			done = st.Step(nextQuantumEnd(st.At(), quantum, T, isEvent))
+			done = st.Step(st.At() + quantum)
 		}
 		if slices < 2 {
 			t.Fatalf("%s: run never sliced (quantum too big for horizon?)", label)
@@ -134,116 +97,37 @@ func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
 		statsMatch(t, label+" sliced", res.Stats(), full.Stats())
 		eng.Close()
 
-		// Cross-process resume: every slice ends in a Snapshot and the
-		// next resumes on a FRESH engine over a FRESH topology with the
-		// already-fired events' mutations replayed — exactly what a
-		// daemon does when it reloads a spooled checkpoint after a
-		// restart.
+		// Replay: after every slice the run is dropped, and a FRESH engine
+		// over a FRESH topology starts again and steps to the pause —
+		// what a daemon does with a spooled scenario after a restart —
+		// and must stand exactly where the dropped run stood.
 		_, adj0 := meshNet()
 		e2 := engine.New(alg, adj0, engine.Config{})
 		st = mustStart(t, e2, start, src, events)
-		for !st.Step(nextQuantumEnd(st.At(), quantum, T, isEvent)) {
-			snap, err := st.Snapshot()
-			if err != nil {
-				t.Fatalf("%s: snapshot at %d: %v", label, st.At(), err)
-			}
+		for !st.Step(st.At() + quantum) {
+			at, state, stats := st.At(), st.State(), st.Stats()
 			st.Close()
 			e2.Close()
 			_, fresh := meshNet()
-			replayFired(fresh, events, snap.Step)
 			e2 = engine.New(alg, fresh, engine.Config{})
-			if st, err = e2.Resume(snap, src, remainingEvents(events, snap.Step)); err != nil {
-				t.Fatalf("%s: fresh-engine resume: %v", label, err)
+			st = mustStart(t, e2, start, src, events)
+			if st.Step(at) || st.At() != at {
+				t.Fatalf("%s: the replay of %d steps finished or stopped at %d", label, at, st.At())
 			}
+			identicalStates(t, fmt.Sprintf("%s replayed to %d", label, at), st.State(), state)
+			statsMatch(t, fmt.Sprintf("%s replayed to %d", label, at), st.Stats(), stats)
 		}
 		res = st.Result()
 		e2.Close()
-		identicalStates(t, label+" fresh-engine final", res.Final(), full.Final())
-		statsMatch(t, label+" fresh-engine", res.Stats(), full.Stats())
+		identicalStates(t, label+" replayed final", res.Final(), full.Final())
+		statsMatch(t, label+" replayed", res.Stats(), full.Stats())
 	}
 }
 
-// TestResumeRejectsBadShapes pins the validation surface of the resume
-// primitive: stale events, event-step snapshots and targets in the past
-// must be clean errors or no-ops, never a wedged or silently wrong run.
-func TestResumeRejectsBadShapes(t *testing.T) {
-	alg, _ := meshNet()
-	events := flapEvents(alg)
-	n := 12
-	src := engine.Hashed{N: n, T: 140, Seed: 23, MaxGap: 6, MaxStaleness: 5}
-	start := matrix.Identity[algebras.NatInf](alg, n)
-
-	_, adj := meshNet()
-	eng := engine.New(alg, adj, engine.Config{})
-	defer eng.Close()
-	st := mustStart(t, eng, start, src, events)
-	defer st.Close()
-	if st.Step(30) || st.At() != 30 {
-		t.Fatalf("Step(30) left the run at %d", st.At())
-	}
-	snap, err := st.Snapshot()
-	if err != nil || snap.Step != 30 {
-		t.Fatalf("no snapshot at step 30: %v", err)
-	}
-
-	// An event at or before the snapshot step can never fire again; the
-	// caller must pass only the remaining suffix.
-	if _, err := eng.Resume(snap, src, events); err == nil {
-		t.Fatal("Resume accepted an already-fired event")
-	}
-	// A snapshot on an event step has no activation to capture.
-	if st.Step(45) || st.At() != 45 {
-		t.Fatalf("Step(45) left the run at %d", st.At())
-	}
-	if _, err := st.Snapshot(); err == nil {
-		t.Fatal("Snapshot accepted an event step")
-	}
-	// A target at or before the current step is in the past: nothing
-	// runs, and the run is not done.
-	before := st.Stats()
-	if st.Step(30) || st.Step(45) || st.Stats() != before {
-		t.Fatalf("Step into the past moved the run: %+v → %+v", before, st.Stats())
-	}
-	// A decoded snapshot that does not fit the run is an error from
-	// Resume, whatever is wrong with it.
-	for name, mutate := range map[string]func(s *engine.Snapshot[algebras.NatInf]){
-		"node count": func(s *engine.Snapshot[algebras.NatInf]) { s.N = n + 1 },
-		"window":     func(s *engine.Snapshot[algebras.NatInf]) { s.Window++ },
-		"step":       func(s *engine.Snapshot[algebras.NatInf]) { s.Step = 141 },
-		"states":     func(s *engine.Snapshot[algebras.NatInf]) { s.States = s.States[1:] },
-		"matrices": func(s *engine.Snapshot[algebras.NatInf]) {
-			s.Ver, s.LastComp, s.LastRead = nil, nil, nil
-		},
-		"certifying":  func(s *engine.Snapshot[algebras.NatInf]) { s.Certified = nil },
-		"last change": func(s *engine.Snapshot[algebras.NatInf]) { s.LastChange = s.Step + 1 },
-	} {
-		bad := *snap
-		mutate(&bad)
-		if _, err := eng.Resume(&bad, src, remainingEvents(events, 30)); err == nil {
-			t.Fatalf("Resume accepted a snapshot with a wrong %s", name)
-		}
-	}
-	// A source stating a bound below one step is an error from Start and
-	// from Resume alike: no ring can be that shallow, no period that short.
-	for name, bad := range map[string]engine.Source{
-		"MaxLookback": lookback{src, 0},
-		"FairPeriod":  uncounted{src, 0},
-	} {
-		if st, err := eng.Start(start, bad, events); err == nil {
-			st.Close()
-			t.Errorf("Start accepted a source with %s 0", name)
-		}
-		if rs, err := eng.Resume(snap, bad, remainingEvents(events, 30)); err == nil {
-			rs.Close()
-			t.Errorf("Resume accepted a source with %s 0", name)
-		}
-	}
-}
-
-// TestStepperSnapshotLifecycle: a snapshot exists only for a run that
-// has started, is between activation steps, and still holds its scratch;
-// everywhere else Snapshot is a clean error.
-func TestStepperSnapshotLifecycle(t *testing.T) {
+// TestStepperStateLifecycle: State is the start state at step 0, the
+// post-event state at an event step and the final state once the run has
+// ended; a closed run has none.
+func TestStepperStateLifecycle(t *testing.T) {
 	alg, adj := meshNet()
 	events := flapEvents(alg)
 	src := engine.Hashed{N: 12, T: 140, Seed: 23, MaxGap: 6, MaxStaleness: 5}
@@ -252,46 +136,35 @@ func TestStepperSnapshotLifecycle(t *testing.T) {
 	defer eng.Close()
 
 	st := mustStart(t, eng, start, src, events)
-	if _, err := st.Snapshot(); err == nil {
-		t.Fatal("Snapshot at step 0 succeeded")
-	}
+	identicalStates(t, "step 0", st.State(), start)
 	st.Step(20)
-	if _, err := st.Snapshot(); err == nil {
-		t.Fatal("Snapshot at an event step succeeded")
-	}
-	st.Step(21)
-	if _, err := st.Snapshot(); err != nil {
-		t.Fatalf("Snapshot after an activation step: %v", err)
-	}
+	atEvent := st.State()
 	if !st.Step(140) {
 		t.Fatal("Step to the horizon did not finish the run")
 	}
 	res := st.Result()
-	if _, err := st.Snapshot(); err == nil {
-		t.Fatal("Snapshot after Result succeeded")
-	}
+	identicalStates(t, "event step 20", atEvent, res.Marks()[0])
+	identicalStates(t, "after Result", st.State(), res.Final())
 	if st.Result() != res || !st.Step(140) || st.At() != res.Stats().Steps {
 		t.Fatal("an ended stepper must keep reporting its one result")
 	}
 	st.Close() // no-op after Result
 
-	// A closed run has no result, and a run that certified convergence
-	// has no continuation.
+	// A closed run has no result and no state; a run that certified
+	// convergence stands at its fixed point.
 	ks := mustStart(t, eng, start, src, nil)
 	ks.Step(5)
 	ks.Close()
-	if ks.Result() != nil {
-		t.Fatal("Result after Close returned a result")
+	if ks.Result() != nil || ks.State() != nil {
+		t.Fatal("a closed stepper returned a result or a state")
 	}
 	cs := mustStart(t, eng, start, src, nil)
 	cs.Step(140)
 	if cs.Stats().ConvergedAt < 0 {
 		t.Fatal("event-free hop-count run did not certify convergence")
 	}
-	if _, err := cs.Snapshot(); err == nil {
-		t.Fatal("Snapshot of a converged run succeeded")
-	}
-	cs.Close()
+	fixed := cs.State()
+	identicalStates(t, "certified", fixed, cs.Result().Final())
 }
 
 // pauseNet is one carrier family for the pause-at-every-step
@@ -323,10 +196,9 @@ func (p pauseNet[R]) flap() []engine.TimelineEvent[R] {
 	}
 }
 
-// runPauseAtEveryStep checks, for every k in [1, T): Step(k) then
-// Step(T) equals the uninterrupted run in final state and Stats, and —
-// wherever a snapshot exists — Snapshot() at k resumed on a fresh engine
-// over a fresh topology equals the live stepper that kept going.
+// runPauseAtEveryStep checks, for every k in [1, T): Step(k) leaves the
+// run at the state and Stats the single-stepped run had at k, and
+// Step(T) after it equals the uninterrupted run in final state and Stats.
 func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 	n := p.adj.N
 	const horizon = 60
@@ -341,7 +213,7 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 	}{
 		{"events", p.alg, p.flap(), hashed},
 		// The same run with the source's Batched capability hidden, so
-		// every pause and resume goes through the pointwise adapter.
+		// every pause goes through the pointwise adapter.
 		{"events-pointwise", p.alg, p.flap(), uncounted{hashed, hashed.FairPeriod()}},
 		// Event-free runs, on both row representations: packed lanes
 		// wherever the algebra packs, []R slices with the packing hidden.
@@ -349,29 +221,21 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 		{"interface", unpacked[R]{p.alg}, nil, hashed},
 	} {
 		label, src := name+"/"+cfg.label, cfg.src
-		isEvent := map[int]bool{}
-		for _, ev := range cfg.events {
-			isEvent[ev.Step] = true
-		}
 		// Event-free runs of a memoising algebra (the interned policy
-		// algebra) run the edge-output memo path, a run resumed past the
-		// last event included; no other run keeps one.
+		// algebra) run the edge-output memo path; no other run keeps one.
 		_, memoiser := cfg.alg.(core.EdgeMemoizer)
 		memoised := memoiser && cfg.events == nil
-		memoCheck := func(kl string, st *engine.Stepper[R], hasMemo, cold bool) (set int) {
+		memoCheck := func(kl string, st *engine.Stepper[R]) (set int) {
 			t.Helper()
 			cells, set := engine.MemoKeys(st)
 			switch {
-			case !hasMemo && cells != 0:
+			case !memoised && cells != 0:
 				t.Fatalf("%s: a run without a memoising kernel has %d memo cells", kl, cells)
-			case hasMemo && cells == 0:
+			case memoised && cells == 0:
 				t.Fatalf("%s: the policy run has no memo", kl)
-			case cold && set != 0:
-				t.Fatalf("%s: a resumed run's memo has %d keys set; want it cold", kl, set)
 			}
 			return set
 		}
-		warmResumes := 0
 		fullEng := engine.New(cfg.alg, p.adj.Clone(), engine.Config{})
 		full := playTimeline(t, fullEng, start, src, cfg.events)
 		fullEng.Close()
@@ -380,15 +244,17 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 			t.Fatalf("%s: uninterrupted run took only %d steps; the differential needs a longer one", label, T)
 		}
 
-		// Every step its own Step call.
+		// Every step its own Step call, the state and counters recorded.
 		eng := engine.New(cfg.alg, p.adj.Clone(), engine.Config{})
 		st := mustStart(t, eng, start, src, cfg.events)
+		states, stats := []*matrix.State[R]{start}, []engine.Stats{st.Stats()}
 		for k := 1; !st.Step(k); k++ {
 			if st.At() != k {
 				t.Fatalf("%s: Step(%d) left the run at %d", label, k, st.At())
 			}
+			states, stats = append(states, st.State()), append(stats, st.Stats())
 		}
-		if set := memoCheck(label+" single-stepped", st, memoised, false); memoised && set == 0 {
+		if set := memoCheck(label+" single-stepped", st); memoised && set == 0 {
 			t.Fatalf("%s: the single-stepped run never wrote its memo", label)
 		}
 		res := st.Result()
@@ -403,11 +269,9 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 			if st.Step(k) || st.At() != k {
 				t.Fatalf("%s: Step(k) finished or stopped at %d", kl, st.At())
 			}
-			paused := st.Stats()
-			snap, err := st.Snapshot()
-			if (err != nil) != isEvent[k] {
-				t.Fatalf("%s: Snapshot error %v, event step %v", kl, err, isEvent[k])
-			}
+			identicalStates(t, kl+" paused state", st.State(), states[k])
+			statsMatch(t, kl+" paused", st.Stats(), stats[k])
+			memoCheck(kl+" paused", st)
 			if !st.Step(horizon) {
 				t.Fatalf("%s: Step to the horizon did not finish", kl)
 			}
@@ -415,34 +279,6 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 			eng.Close()
 			identicalStates(t, kl+" paused final", live.Final(), full.Final())
 			statsMatch(t, kl+" paused", live.Stats(), full.Stats())
-			if snap == nil {
-				continue
-			}
-
-			fresh := p.adj.Clone()
-			replayFired(fresh, cfg.events, k)
-			e2 := engine.New(cfg.alg, fresh, engine.Config{})
-			rest := remainingEvents(cfg.events, k)
-			rs, err := e2.Resume(snap, src, rest)
-			if err != nil {
-				t.Fatalf("%s: resume: %v", kl, err)
-			}
-			if rs.At() != k {
-				t.Fatalf("%s: resumed at %d", kl, rs.At())
-			}
-			statsMatch(t, kl+" at resume", rs.Stats(), paused)
-			memoCheck(kl+" at resume", rs, memoiser && len(rest) == 0, true)
-			rs.Step(horizon)
-			if memoCheck(kl+" resumed", rs, memoiser && len(rest) == 0, false) > 0 {
-				warmResumes++
-			}
-			resumed := rs.Result()
-			e2.Close()
-			identicalStates(t, kl+" resumed final", resumed.Final(), live.Final())
-			statsMatch(t, kl+" resumed", resumed.Stats(), live.Stats())
-		}
-		if memoiser && warmResumes == 0 {
-			t.Fatalf("%s: no run resumed from a snapshot wrote its memo", label)
 		}
 	}
 }
@@ -465,29 +301,53 @@ func TestStepperPauseAtEveryStep(t *testing.T) {
 	})
 }
 
-// TestStartRejectsBadShapes: a source or timeline that does not fit the
-// engine is an error from Start, as it is from Resume.
+// TestStartRejectsBadShapes: a start state, source or timeline that does
+// not fit the engine is an error from Start, never a wedged or silently
+// wrong run, and a Step target in the past is a no-op.
 func TestStartRejectsBadShapes(t *testing.T) {
 	alg, adj := meshNet()
+	events := flapEvents(alg)
 	start := matrix.Identity[algebras.NatInf](alg, 12)
 	src := engine.Hashed{N: 12, T: 140, Seed: 23, MaxGap: 6, MaxStaleness: 5}
 	eng := engine.New(alg, adj, engine.Config{})
 	defer eng.Close()
 
 	for name, bad := range map[string]struct {
+		start  *matrix.State[algebras.NatInf]
 		src    engine.Source
 		events []engine.TimelineEvent[algebras.NatInf]
 	}{
-		"node count":           {engine.Hashed{N: 11, T: 140, Seed: 23}, nil},
-		"event order":          {src, []engine.TimelineEvent[algebras.NatInf]{{Step: 30, Restart: []int{1}}, {Step: 30, Restart: []int{2}}}},
-		"event past":           {src, []engine.TimelineEvent[algebras.NatInf]{{Step: 141, Restart: []int{1}}}},
-		"restart out of range": {src, []engine.TimelineEvent[algebras.NatInf]{{Step: 30, Restart: []int{12}}}},
+		"node count":           {start, engine.Hashed{N: 11, T: 140, Seed: 23}, nil},
+		"start state":          {matrix.Identity[algebras.NatInf](alg, 11), src, nil},
+		"event order":          {start, src, []engine.TimelineEvent[algebras.NatInf]{{Step: 30, Restart: []int{1}}, {Step: 30, Restart: []int{2}}}},
+		"event past":           {start, src, []engine.TimelineEvent[algebras.NatInf]{{Step: 141, Restart: []int{1}}}},
+		"restart out of range": {start, src, []engine.TimelineEvent[algebras.NatInf]{{Step: 30, Restart: []int{12}}}},
+		// A source stating a bound below one step: no ring can be that
+		// shallow, no period that short.
+		"MaxLookback": {start, lookback{src, 0}, events},
+		"FairPeriod":  {start, uncounted{src, 0}, events},
 	} {
-		if st, err := eng.Start(start, bad.src, bad.events); err == nil {
+		if st, err := eng.Start(bad.start, bad.src, bad.events); err == nil {
 			st.Close()
 			t.Errorf("Start accepted a wrong %s", name)
 		}
 	}
+
+	// A target at or before the current step is in the past: nothing
+	// runs, and the run is not done.
+	_, flapAdj := meshNet()
+	flapEng := engine.New(alg, flapAdj, engine.Config{})
+	defer flapEng.Close()
+	fl := mustStart(t, flapEng, start, src, events)
+	if fl.Step(45) || fl.At() != 45 {
+		t.Fatalf("Step(45) left the run at %d", fl.At())
+	}
+	before := fl.Stats()
+	if fl.Step(30) || fl.Step(45) || fl.Stats() != before {
+		t.Fatalf("Step into the past moved the run: %+v → %+v", before, fl.Stats())
+	}
+	fl.Close()
+
 	// The engine is still usable after a refused start.
 	st := mustStart(t, eng, start, src, nil)
 	st.Step(140)

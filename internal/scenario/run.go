@@ -188,7 +188,7 @@ func runEngine[R any](sc *Scenario, build func(*Scenario) (*instance[R], error))
 	if err != nil {
 		return sr, err
 	}
-	c, err := newCore(sc, inst, nil)
+	c, err := newCore(sc, inst)
 	if err != nil {
 		return sr, err
 	}

@@ -13,27 +13,21 @@ import (
 
 // Runner is a preemptible scenario run for the service path: one live
 // engine.Stepper advanced in quanta of engine steps — a quantum ends in
-// a return, not a serialisation — and a paused run serialises, only
-// when asked to, to a self-describing checkpoint file (the
-// scenario text rides in the checkpoint metadata, so any process can
-// rebuild the instance and resume). The sliced run is bit-identical —
-// cells and work counters — to the run that was never paused; the
-// engine stepper carries that proof, the runner adds the instance
-// rebuild: on resume it replays the mutations of every already-fired
-// event onto a fresh topology before resuming.
+// a return, not a serialisation. The sliced run is bit-identical — cells
+// and work counters — to the run that was never paused; the engine
+// stepper carries that proof.
 //
 // The Runner schedules with the scenario's one source — the schedule Run
 // plays and the reference evaluator replays — a pure function of (text,
-// step, node), so the only schedule state a checkpoint needs is the step
-// index, and equal scenario text replays the identical run in any
-// process. The type parameter is erased behind the runnerCore interface,
-// so a server can hold mixed-family runs in one table.
+// step, node), so durability is replay: equal scenario text replays the
+// identical run in any process, and a checkpoint is the text, a step and
+// the state there as a witness. The type parameter is erased behind the
+// runnerCore interface, so a server can hold mixed-family runs in one
+// table.
 type Runner struct {
-	sc      *Scenario
-	evStep  map[int]bool
-	horizon int
-	done    bool
-	core    runnerCore
+	sc   *Scenario
+	done bool
+	core runnerCore
 }
 
 // runnerCore is the family-typed part of a Runner.
@@ -44,8 +38,11 @@ type runnerCore interface {
 	advance(target int) (done bool)
 	// at is the last completed engine step (0 = not started).
 	at() int
-	// checkpoint serialises a snapshot of the paused run.
+	// checkpoint serialises the paused run's text, step and state.
 	checkpoint() ([]byte, error)
+	// resume replays a fresh run to a checkpoint's step and holds its
+	// state to the checkpoint's witness.
+	resume(data []byte) error
 	finalHash() uint64
 	finalTable() string
 	progress() engine.Progress
@@ -76,44 +73,12 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 	if err := Serviceable(sc); err != nil {
 		return nil, err
 	}
-	return newRunner(sc, nil)
-}
-
-// ResumeRunner rebuilds a paused run from a checkpoint produced by
-// Checkpoint, possibly in another process: the scenario text is read
-// back from the checkpoint metadata, the instance is rebuilt, every
-// event at or before the snapshot step is replayed onto the fresh
-// topology, and the engine resumes from the snapshot. The continuation
-// is bit-identical to the run that was never paused. A checkpoint whose
-// family tag is not the embedded scenario's is refused by the decoder.
-func ResumeRunner(data []byte) (*Runner, error) {
-	_, meta, err := checkpoint.Header(data)
-	if err != nil {
-		return nil, err
-	}
-	text, ok := meta[metaScenario]
-	if !ok {
-		return nil, fmt.Errorf("scenario: checkpoint has no %s metadata (not a service checkpoint)", metaScenario)
-	}
-	sc, err := Parse([]byte(text))
-	if err != nil {
-		return nil, fmt.Errorf("scenario: embedded scenario: %w", err)
-	}
-	if err := Serviceable(sc); err != nil {
-		return nil, err
-	}
-	return newRunner(sc, data)
-}
-
-// newRunner wraps a core over the scenario's family, fresh or — data
-// non-nil — resumed from that checkpoint.
-func newRunner(sc *Scenario, data []byte) (*Runner, error) {
-	r := newShell(sc)
+	r := &Runner{sc: sc}
 	var err error
 	if sc.Spec.Gadget != "" {
-		r.core, err = serviceCore(sc, buildGadget, data)
+		r.core, err = serviceCore(sc, buildGadget)
 	} else {
-		r.core, err = serviceCore(sc, buildTopo, data)
+		r.core, err = serviceCore(sc, buildTopo)
 	}
 	if err != nil {
 		return nil, err
@@ -121,22 +86,45 @@ func newRunner(sc *Scenario, data []byte) (*Runner, error) {
 	return r, nil
 }
 
-// serviceCore builds the instance and starts or resumes a core over it
-// under the scenario's schedule.
-func serviceCore[R any](sc *Scenario, build func(*Scenario) (*instance[R], error), data []byte) (*svcCore[R], error) {
+// serviceCore builds the instance and starts a core over it under the
+// scenario's schedule.
+func serviceCore[R any](sc *Scenario, build func(*Scenario) (*instance[R], error)) (*svcCore[R], error) {
 	inst, err := build(sc)
 	if err != nil {
 		return nil, err
 	}
-	return newCore(sc, inst, data)
+	return newCore(sc, inst)
 }
 
-func newShell(sc *Scenario) *Runner {
-	r := &Runner{sc: sc, horizon: sc.Horizon, evStep: map[int]bool{}}
-	for _, ev := range sc.Events {
-		r.evStep[ev.Step] = true
+// ResumeRunner rebuilds a paused run from a checkpoint produced by
+// Checkpoint, possibly in another process, by replay: the scenario text
+// is read back from the checkpoint, a fresh run of it is advanced to the
+// checkpoint's step, and the file is refused unless the replayed state
+// equals its witness — a checkpoint resumed by a build whose δ differs
+// fails instead of continuing a different run. A checkpoint whose family
+// tag is not the embedded scenario's is refused by the decoder.
+//
+// ResumeRunner, Checkpoint and checkpoint.Decode stay only for cmd/bench,
+// which times them; they go with its checkpoint rows when the benchmark
+// is re-based (ROADMAP item 1).
+func ResumeRunner(data []byte) (*Runner, error) {
+	_, text, err := checkpoint.Header(data)
+	if err != nil {
+		return nil, err
 	}
-	return r
+	sc, err := Parse([]byte(text))
+	if err != nil {
+		return nil, fmt.Errorf("scenario: embedded scenario: %w", err)
+	}
+	r, err := NewRunner(sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.core.resume(data); err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r, nil
 }
 
 // Name returns the scenario's name.
@@ -146,7 +134,7 @@ func (r *Runner) Name() string { return r.sc.Name }
 func (r *Runner) Step() int { return r.core.at() }
 
 // Horizon returns the scenario's step budget.
-func (r *Runner) Horizon() int { return r.horizon }
+func (r *Runner) Horizon() int { return r.sc.Horizon }
 
 // Done reports whether the run finished (horizon reached or convergence
 // certified).
@@ -154,9 +142,7 @@ func (r *Runner) Done() bool { return r.done }
 
 // Advance runs one quantum of at most quantum engine steps and pauses
 // there (or finishes: a run that certifies convergence or reaches its
-// horizon inside the quantum completes instead). The quantum boundary
-// is bumped past event steps — an event step performs no activation, so
-// there is nothing to checkpoint after it.
+// horizon inside the quantum completes instead).
 func (r *Runner) Advance(quantum int) (done bool, err error) {
 	if r.done {
 		return true, nil
@@ -164,18 +150,15 @@ func (r *Runner) Advance(quantum int) (done bool, err error) {
 	if quantum < 1 {
 		return false, fmt.Errorf("scenario: quantum %d, want ≥ 1", quantum)
 	}
-	target := r.core.at() + quantum
-	for target < r.horizon && r.evStep[target] {
-		target++
-	}
-	r.done = r.core.advance(target)
+	r.done = r.core.advance(r.core.at() + quantum)
 	return r.done, nil
 }
 
 // Checkpoint serialises the paused run as a self-describing checkpoint
-// file. The run must have advanced at least once (a never-started run
-// has nothing to snapshot; re-submit its scenario instead) and must not
-// be done.
+// file: the scenario text, the last completed step and the state there.
+// The run must have advanced at least once (a never-started run is its
+// text; re-submit it instead) and must not be done. It stays only for
+// cmd/bench, as ResumeRunner does.
 func (r *Runner) Checkpoint() ([]byte, error) {
 	if r.done {
 		return nil, fmt.Errorf("scenario: run is done, nothing to checkpoint")
@@ -205,7 +188,7 @@ func (r *Runner) Converged() (int, bool) {
 }
 
 // FinalHash returns the FNV-64a fingerprint of the finished run's final
-// state cells (codec-encoded, row-major) and the resume-invariant work
+// state cells (codec-encoded, row-major) and the pause-invariant work
 // counters — the cross-process bit-identity witness: equal hashes mean
 // equal tables and equal work.
 func (r *Runner) FinalHash() uint64 {
@@ -232,11 +215,10 @@ func (r *Runner) Close() {
 	}
 }
 
-// Checkpoint family tags and metadata keys.
+// Checkpoint family tags.
 const (
 	familySPP    = "spp"
 	familyNatInf = "natinf"
-	metaScenario = "scenario"
 )
 
 // svcCore is the one place a scenario instance meets the engine: one
@@ -250,36 +232,13 @@ type svcCore[R any] struct {
 	res  *engine.Result[R] // set when the run finishes
 }
 
-// newCore starts a run of inst under the scenario's schedule at step 0,
-// or — data non-nil — resumes it right after that checkpoint's step. inst
-// must be freshly built: the core mutates its topology as the timeline
-// plays.
-func newCore[R any](sc *Scenario, inst *instance[R], data []byte) (*svcCore[R], error) {
-	var snap *engine.Snapshot[R]
-	fired := 0
-	if data != nil {
-		f, err := checkpoint.Decode(inst.codec, data, inst.family)
-		if err != nil {
-			return nil, err
-		}
-		snap = f.Snap
-		// Bring the fresh topology to the snapshot instant: replay the
-		// mutations of every event that already fired. Restarts and the
-		// crash markers mutate no topology, so replaying through apply is
-		// exact.
-		for ; fired < len(sc.Events) && sc.Events[fired].Step <= snap.Step; fired++ {
-			inst.apply(sc.Events[fired], inst.adj)
-		}
-	}
+// newCore starts a run of inst under the scenario's schedule at step 0.
+// inst must be freshly built: the core mutates its topology as the
+// timeline plays.
+func newCore[R any](sc *Scenario, inst *instance[R]) (*svcCore[R], error) {
 	c := &svcCore[R]{sc: sc, inst: inst, eng: engine.New(inst.alg, inst.adj, engine.Config{})}
-	src, events := source(sc, inst.n), inst.timeline(sc.Events)[fired:]
 	var err error
-	if snap == nil {
-		c.st, err = c.eng.Start(inst.start, src, events)
-	} else {
-		c.st, err = c.eng.Resume(snap, src, events)
-	}
-	if err != nil {
+	if c.st, err = c.eng.Start(inst.start, source(sc, inst.n), inst.timeline(sc.Events)); err != nil {
 		c.eng.Close()
 		return nil, err
 	}
@@ -297,15 +256,23 @@ func (c *svcCore[R]) advance(target int) bool {
 func (c *svcCore[R]) at() int { return c.st.At() }
 
 func (c *svcCore[R]) checkpoint() ([]byte, error) {
-	snap, err := c.st.Snapshot()
-	if err != nil {
-		return nil, err
-	}
 	return checkpoint.Encode(c.inst.codec, &checkpoint.File[R]{
-		Family: c.inst.family,
-		Meta:   map[string]string{metaScenario: string(c.sc.Encode())},
-		Snap:   snap,
+		Family: c.inst.family, Text: string(c.sc.Encode()), Step: c.at(), State: c.st.State(),
 	})
+}
+
+func (c *svcCore[R]) resume(data []byte) error {
+	f, err := checkpoint.Decode(c.inst.codec, data, c.inst.family)
+	if err != nil {
+		return err
+	}
+	if f.Step < 1 || c.advance(f.Step) {
+		return fmt.Errorf("scenario: checkpoint at step %d, but the replayed run ended at step %d", f.Step, c.at())
+	}
+	if !c.st.State().Equal(c.inst.alg, f.State) {
+		return fmt.Errorf("scenario: the state replayed to step %d differs from the checkpoint's witness", f.Step)
+	}
+	return nil
 }
 
 func (c *svcCore[R]) finalHash() uint64 {

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,14 +11,18 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/algebras"
+	"repro/internal/checkpoint"
 	"repro/internal/engine"
+	"repro/internal/matrix"
+	"repro/internal/wire"
 )
 
 // The service-path contract: a Runner advanced in quanta — in one
-// process or checkpointed to bytes and resumed in a rebuilt one — must
+// process or checkpointed to bytes and replayed in a rebuilt one — must
 // finish with exactly the final table and work counters of the run that
 // was never paused. FinalHash folds the codec-encoded cells and the
-// resume-invariant counters, so hash equality IS the bit-identity
+// pause-invariant counters, so hash equality IS the bit-identity
 // assertion.
 
 const topoRunnerScenario = `scenario flap
@@ -138,7 +144,7 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 
 				// Cross-process preemption: after every quantum the run is
 				// checkpointed to bytes, the runner torn down, and a fresh one
-				// rebuilt from the bytes alone — the drain/restart path.
+				// replayed from the bytes alone to the same step.
 				r, err = NewRunner(sc.Clone())
 				if err != nil {
 					t.Fatal(err)
@@ -171,8 +177,8 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 				if hops < 1 {
 					t.Fatalf("quantum=%d: run finished before a single checkpoint hop", quantum)
 				}
-				// The live stepper and the snapshot→resume chain do the same
-				// work quantum by quantum, not merely in total.
+				// The live stepper and the checkpoint→replay chain stand at
+				// the same counters quantum by quantum, not merely in total.
 				if !reflect.DeepEqual(liveStats, hopStats) {
 					t.Fatalf("quantum=%d: per-quantum stats diverge:\nin-process  %v\ncheckpointed %v", quantum, liveStats, hopStats)
 				}
@@ -220,11 +226,10 @@ at 120 linkup 4 5
 `
 
 // slicedAgainstReference advances a core in quanta of 7 — once straight
-// through, once with a checkpoint → resume round trip into a rebuilt
+// through, once with a checkpoint → replay round trip into a rebuilt
 // instance after half the events have fired — and holds every
-// event-boundary state and the final state to replayReference. A resumed
-// run only marks the events it fires itself, so its marks are compared
-// with the tail of the reference's. It returns the step of the hop.
+// event-boundary state and the final state to replayReference. It returns
+// the step of the hop.
 func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenario) (*instance[R], error)) (hopStep int) {
 	sc, err := Parse([]byte(text))
 	if err != nil {
@@ -242,12 +247,11 @@ func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenar
 	hopAt := sc.Events[(len(sc.Events)-1)/2].Step
 
 	for _, hop := range []bool{false, true} {
-		c, err := newCore(sc, fresh(), nil)
+		c, err := newCore(sc, fresh())
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := newShell(sc)
-		r.core = c
+		r := &Runner{sc: sc, core: c}
 		hopped := false
 		for done := false; !done; {
 			if done, err = r.Advance(7); err != nil {
@@ -260,7 +264,10 @@ func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenar
 				}
 				hopStep = r.Step()
 				r.Close()
-				if c, err = newCore(sc, fresh(), data); err != nil {
+				if c, err = newCore(sc, fresh()); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.resume(data); err != nil {
 					t.Fatalf("resume at step %d: %v", hopStep, err)
 				}
 				r.core, hopped = c, true
@@ -269,19 +276,13 @@ func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenar
 		if hop && !hopped {
 			t.Fatal("run finished before the checkpoint hop")
 		}
-		marks, want := c.res.Marks(), bounds
-		if hop {
-			want = bounds[len(bounds)-len(marks):]
-			if len(marks) == 0 || len(marks) == len(bounds) {
-				t.Fatalf("hop at step ≥ %d left %d of %d marks to the resumed run; want some before and some after", hopAt, len(marks), len(bounds))
-			}
-		}
-		if len(marks) != len(want) {
-			t.Fatalf("hop=%v: %d marks, reference has %d boundaries", hop, len(marks), len(want))
+		marks := c.res.Marks()
+		if len(marks) != len(bounds) {
+			t.Fatalf("hop=%v: %d marks, reference has %d boundaries", hop, len(marks), len(bounds))
 		}
 		for i := range marks {
-			if !marks[i].Equal(ref.alg, want[i]) {
-				t.Fatalf("hop=%v: state at event %d of %d diverges from the reference", hop, len(bounds)-len(want)+i, len(bounds))
+			if !marks[i].Equal(ref.alg, bounds[i]) {
+				t.Fatalf("hop=%v: state at event %d of %d diverges from the reference", hop, i, len(bounds))
 			}
 		}
 		if !c.res.Final().Equal(ref.alg, final) {
@@ -406,6 +407,122 @@ func TestRunnerCheckpointLifecycleErrors(t *testing.T) {
 	}
 	if done, err := r.Advance(10); err != nil || !done {
 		t.Fatalf("advance past done: done=%v err=%v", done, err)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden checkpoint files")
+
+// goldenAt is the step the golden checkpoints were taken at.
+const goldenAt = 100
+
+// TestGoldenCheckpointsResume resumes a committed checkpoint of each
+// carrier family — natinf for topologies, spp for gadgets — through
+// ResumeRunner and requires the uninterrupted run's digest. The files pin
+// the format and the replay: a build that cannot read them, or whose δ no
+// longer reaches their witness, fails here.
+func TestGoldenCheckpointsResume(t *testing.T) {
+	for _, tc := range []struct{ family, text string }{
+		{"natinf", topoRunnerScenario},
+		{"spp", gadgetRunnerScenario},
+	} {
+		t.Run(tc.family, func(t *testing.T) {
+			golden := filepath.Join("testdata", tc.family+".ckpt")
+			if *update {
+				sc, err := Parse([]byte(tc.text))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := NewRunner(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done, err := r.Advance(goldenAt); err != nil || done {
+					t.Fatalf("advance to %d: done=%v err=%v", goldenAt, done, err)
+				}
+				data, err := r.Checkpoint()
+				r.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("golden file: %v (run with -update to regenerate)", err)
+			}
+			if family, _, err := checkpoint.Header(data); err != nil || family != tc.family {
+				t.Fatalf("header: family %q, err %v", family, err)
+			}
+			r, err := ResumeRunner(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.Step() != goldenAt {
+				t.Fatalf("resumed at step %d, want %d", r.Step(), goldenAt)
+			}
+			if done, err := r.Advance(r.Horizon() + 1); err != nil || !done {
+				t.Fatalf("final quantum: done=%v err=%v", done, err)
+			}
+			wantHash, _, wantStats := uninterrupted(t, tc.text)
+			if r.FinalHash() != wantHash || r.Stats() != wantStats {
+				t.Fatalf("resumed hash %016x stats %+v, uninterrupted %016x %+v", r.FinalHash(), r.Stats(), wantHash, wantStats)
+			}
+		})
+	}
+}
+
+// TestResumeRefusesAWrongWitness re-encodes a real checkpoint with one
+// witness cell changed, a witness of another size, or a step the replay
+// never reaches: the checksum is valid, and ResumeRunner must still
+// refuse the file.
+func TestResumeRefusesAWrongWitness(t *testing.T) {
+	sc, err := Parse([]byte(topoRunnerScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if done, err := r.Advance(60); err != nil || done {
+		t.Fatalf("first quantum: done=%v err=%v", done, err)
+	}
+	data, err := r.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := wire.NatInfCodec{}
+	reencode := func(edit func(f *checkpoint.File[algebras.NatInf])) []byte {
+		t.Helper()
+		f, err := checkpoint.Decode(codec, data, familyNatInf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(f)
+		out, err := checkpoint.Encode(codec, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if same := reencode(func(*checkpoint.File[algebras.NatInf]) {}); !bytes.Equal(same, data) {
+		t.Fatal("decode → encode does not reproduce the checkpoint")
+	}
+	for name, edit := range map[string]func(f *checkpoint.File[algebras.NatInf]){
+		"witness cell":      func(f *checkpoint.File[algebras.NatInf]) { f.State.Set(0, 3, f.State.Get(0, 3)+1) },
+		"step past the end": func(f *checkpoint.File[algebras.NatInf]) { f.Step = sc.Horizon + 1 },
+		"witness size": func(f *checkpoint.File[algebras.NatInf]) {
+			f.State = matrix.Identity[algebras.NatInf](algebras.HopCount{}, 3)
+		},
+	} {
+		if bad, err := ResumeRunner(reencode(edit)); err == nil {
+			bad.Close()
+			t.Errorf("ResumeRunner accepted a checkpoint with a wrong %s", name)
+		}
 	}
 }
 

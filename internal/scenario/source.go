@@ -44,7 +44,7 @@ func source(sc *Scenario, n int) engine.Source {
 // strictly between a crash step and its recover step (the two event steps
 // activate nobody anyway); β is inner's. Its windows are computed once
 // from the scenario's events, so it is still a pure function of
-// (text, t, i) and a checkpoint needs only the step index.
+// (text, t, i) and a replay needs only the text.
 //
 // inner is a named field on purpose: embedding Hashed would promote its
 // ActiveSet and CountActive, and the engine would read the unmasked

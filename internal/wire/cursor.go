@@ -80,16 +80,3 @@ func (c *Cursor) Str(max int) string { return string(c.capped(int(c.U16()), max)
 // Bytes reads a u32-length-prefixed blob of at most max bytes. The result
 // aliases the cursor's data.
 func (c *Cursor) Bytes(max int) []byte { return c.capped(int(c.U32()), max) }
-
-// Int32s reads n fixed-width values.
-func (c *Cursor) Int32s(n int) []int32 {
-	v := c.take(4 * n)
-	if c.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.BigEndian.Uint32(v[4*i:]))
-	}
-	return out
-}
