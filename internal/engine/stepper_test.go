@@ -303,7 +303,7 @@ func TestStepperPauseAtEveryStep(t *testing.T) {
 
 // TestStartRejectsBadShapes: a start state, source or timeline that does
 // not fit the engine is an error from Start, never a wedged or silently
-// wrong run, and a Step target in the past is a no-op.
+// wrong run.
 func TestStartRejectsBadShapes(t *testing.T) {
 	alg, adj := meshNet()
 	events := flapEvents(alg)
@@ -333,25 +333,74 @@ func TestStartRejectsBadShapes(t *testing.T) {
 		}
 	}
 
-	// A target at or before the current step is in the past: nothing
-	// runs, and the run is not done.
-	_, flapAdj := meshNet()
-	flapEng := engine.New(alg, flapAdj, engine.Config{})
-	defer flapEng.Close()
-	fl := mustStart(t, flapEng, start, src, events)
-	if fl.Step(45) || fl.At() != 45 {
-		t.Fatalf("Step(45) left the run at %d", fl.At())
-	}
-	before := fl.Stats()
-	if fl.Step(30) || fl.Step(45) || fl.Stats() != before {
-		t.Fatalf("Step into the past moved the run: %+v → %+v", before, fl.Stats())
-	}
-	fl.Close()
-
 	// The engine is still usable after a refused start.
 	st := mustStart(t, eng, start, src, nil)
 	st.Step(140)
 	if st.Result().Stats().ConvergedAt < 0 {
 		t.Fatal("run after refused starts did not converge")
+	}
+}
+
+// TestResumeRejectsBadShapes pins the validation surface of resuming,
+// which is replay: Start from the snapshot's start state and Step to its
+// step. A snapshot or source that does not fit the run is a clean error
+// from Restore, and a replay target in the past is a no-op, never a
+// wedged or silently wrong run.
+func TestResumeRejectsBadShapes(t *testing.T) {
+	alg, adj := meshNet()
+	events := flapEvents(alg)
+	n := 12
+	src := engine.Hashed{N: n, T: 140, Seed: 23, MaxGap: 6, MaxStaleness: 5}
+	start := matrix.Identity[algebras.NatInf](alg, n)
+	eng := engine.New(alg, adj, engine.Config{})
+	defer eng.Close()
+
+	// A target at or before the current step is in the past: nothing
+	// runs, and the run is not done.
+	st := mustStart(t, eng, start, src, events)
+	if st.Step(45) || st.At() != 45 {
+		t.Fatalf("Step(45) left the run at %d", st.At())
+	}
+	before := st.Stats()
+	if st.Step(30) || st.Step(45) || st.Stats() != before {
+		t.Fatalf("Step into the past moved the run: %+v → %+v", before, st.Stats())
+	}
+	st.Close()
+
+	// A snapshot that does not fit the run is an error from Restore,
+	// whatever is wrong with it.
+	_, snap := eng.RunSnapshot(start, src, 3, true)
+	if snap == nil || snap.Step != 3 {
+		t.Fatal("no snapshot at step 3")
+	}
+	for name, mutate := range map[string]func(s *engine.Snapshot[algebras.NatInf]){
+		"node count": func(s *engine.Snapshot[algebras.NatInf]) { s.Start = matrix.Identity[algebras.NatInf](alg, n+1) },
+		"step zero":  func(s *engine.Snapshot[algebras.NatInf]) { s.Step = 0 },
+		"step":       func(s *engine.Snapshot[algebras.NatInf]) { s.Step = 141 },
+	} {
+		bad := *snap
+		mutate(&bad)
+		if _, err := eng.Restore(&bad, src); err == nil {
+			t.Errorf("Restore accepted a snapshot with a wrong %s", name)
+		}
+	}
+	// A source stating a bound below one step is an error from Restore
+	// as from Start: no ring can be that shallow, no period that short.
+	for name, bad := range map[string]engine.Source{
+		"MaxLookback": lookback{src, 0},
+		"FairPeriod":  uncounted{src, 0},
+	} {
+		if _, err := eng.Restore(snap, bad); err == nil {
+			t.Errorf("Restore accepted a source with %s 0", name)
+		}
+	}
+
+	// The engine still resumes after refused restores.
+	res, err := eng.Restore(snap, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats().ConvergedAt < 0 {
+		t.Fatal("restore after refused ones did not converge")
 	}
 }
