@@ -11,8 +11,8 @@
 //	dbfsimd -addr 127.0.0.1:7117 -spool /var/spool/dbfsimd \
 //	        -workers 4 -quantum 64 -max-inflight 4
 //
-// Submit runs with `dbfsim -server 127.0.0.1:7117 -scenario f.scenario`
-// or drive sustained load with the loadgen command.
+// Submit runs with `dbfsim -server 127.0.0.1:7117 -scenario f.scenario`;
+// sustained load is many such clients at once.
 //
 // With -admin set, a second loopback HTTP listener serves the
 // observability surface: GET /metrics (Prometheus text), /healthz

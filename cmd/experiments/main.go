@@ -27,7 +27,7 @@ func main() {
 		w := os.Stdout
 		switch name {
 		case "table1":
-			expr.Table1(w)
+			ok = expr.Table1(w).OK() && ok
 		case "table2":
 			res := expr.Table2(w)
 			for _, r := range res.Rows {

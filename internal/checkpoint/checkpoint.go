@@ -81,12 +81,14 @@ func Encode[R any](c wire.Codec[R], f *File[R]) ([]byte, error) {
 	out = binary.BigEndian.AppendUint32(out, uint32(n))
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			b, err := c.Encode(f.State.Get(i, j))
-			if err != nil {
+			// Each cell is appended in place after a length slot filled
+			// in once its size is known.
+			at := len(out)
+			var err error
+			if out, err = c.AppendEncode(append(out, 0, 0, 0, 0), f.State.Get(i, j)); err != nil {
 				return nil, fmt.Errorf("checkpoint: encoding cell (%d,%d): %w", i, j, err)
 			}
-			out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-			out = append(out, b...)
+			binary.BigEndian.PutUint32(out[at:], uint32(len(out)-at-4))
 		}
 	}
 	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), nil

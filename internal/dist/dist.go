@@ -377,7 +377,7 @@ func (nw *Network[R]) advertise(i int, seq uint64) {
 	rows := make([][]byte, len(row))
 	for j, r := range row {
 		var err error
-		if rows[j], err = nw.codec.Encode(r); err != nil {
+		if rows[j], err = nw.codec.AppendEncode(nil, r); err != nil {
 			return
 		}
 	}

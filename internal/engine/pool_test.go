@@ -254,7 +254,7 @@ func ring(n int) (algebras.HopCount, *matrix.Adjacency[algebras.NatInf]) {
 // TestSmallRunsStayInline: the cost model prices a row at what the
 // kernels walk, n·(deg+1), so the service's requests — cmd/bench's ring-64
 // horizon-4096 request with its late link failure, driven in quanta of 64
-// like the daemon does, and the ring-8 loadgen request — never reach the
+// like the daemon does, and its ring-8 horizon-300 request — never reach the
 // fan-out threshold on a default engine: no helper goroutine is started,
 // no hand-off made. (Priced at n·n, every request fanned out four times
 // for one task's worth of help.) E5 at n = 512 is what the pool is for

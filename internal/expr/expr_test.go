@@ -59,23 +59,49 @@ func TestTable1Matrix(t *testing.T) {
 			t.Errorf("(%s, %s) = %v, want %v", tc.alg, tc.prop, got, tc.want)
 		}
 	}
-	// Every algebra must satisfy the required laws — except bgp-med,
-	// whose associativity failure is the point of its row.
-	for _, row := range res.Rows {
-		if row.Algebra == "bgp-med" {
-			continue
-		}
-		for _, p := range core.RequiredProperties() {
-			if row.Property == p && !row.Holds {
-				t.Errorf("%s violates required law %s", row.Algebra, p)
-			}
-		}
-	}
-	if holds, found := res.Verdict("bgp-med", core.Associative); !found || holds {
-		t.Error("bgp-med must be present and non-associative")
+	if !res.OK() {
+		t.Error("E1 deviates from the paper: a required law fails outside bgp-med, or bgp-med is associative")
 	}
 	if !strings.Contains(buf.String(), "shortest-paths") {
 		t.Error("table output missing rows")
+	}
+}
+
+// TestTable1OKRejectsDeviations: OK, the verdict cmd/experiments exits
+// on, turns false when a required law of a non-MED algebra fails and
+// when bgp-med's associativity holds.
+func TestTable1OKRejectsDeviations(t *testing.T) {
+	res := Table1(io.Discard)
+	if !res.OK() {
+		t.Fatal("the regenerated matrix must agree with the paper")
+	}
+	flipped := func(alg string, p core.Property) Table1Result {
+		rows := append([]Table1Row(nil), res.Rows...)
+		for i := range rows {
+			if rows[i].Algebra == alg && rows[i].Property == p {
+				rows[i].Holds = !rows[i].Holds
+				return Table1Result{Rows: rows}
+			}
+		}
+		t.Fatalf("no (%s, %s) row", alg, p)
+		return Table1Result{}
+	}
+	for _, p := range core.RequiredProperties() {
+		if flipped("gao-rexford", p).OK() {
+			t.Errorf("OK with gao-rexford's required law %q failing", p)
+		}
+	}
+	if flipped("bgp-med", core.Associative).OK() {
+		t.Error("OK with bgp-med associative")
+	}
+	var noMED Table1Result
+	for _, row := range res.Rows {
+		if row.Algebra != "bgp-med" {
+			noMED.Rows = append(noMED.Rows, row)
+		}
+	}
+	if noMED.OK() {
+		t.Error("OK without a bgp-med row")
 	}
 }
 

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/algebras"
 	"repro/internal/core"
@@ -33,6 +34,19 @@ func (r Table1Result) Verdict(algebra string, p core.Property) (bool, bool) {
 		}
 	}
 	return false, false
+}
+
+// OK reports whether the matrix agrees with the paper: every algebra
+// satisfies the required laws, except bgp-med, whose associativity must
+// fail — that failure is the point of its row (the Section 7 MED aside).
+func (r Table1Result) OK() bool {
+	for _, row := range r.Rows {
+		if row.Algebra != "bgp-med" && !row.Holds && slices.Contains(core.RequiredProperties(), row.Property) {
+			return false
+		}
+	}
+	holds, found := r.Verdict("bgp-med", core.Associative)
+	return found && !holds
 }
 
 // Table1 regenerates Table 1 of the paper as an executable property

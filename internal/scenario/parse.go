@@ -56,7 +56,7 @@ func Parse(data []byte) (*Scenario, error) {
 		}
 		switch f[0] {
 		case "scenario":
-			if len(f) != 2 || !validName(f[1]) {
+			if len(f) != 2 {
 				return fail("usage: scenario <name>")
 			}
 			sc.Name = f[1]
@@ -313,20 +313,6 @@ func Load(path string) (*Scenario, error) {
 		return nil, err
 	}
 	return Parse(data)
-}
-
-func validName(s string) bool {
-	if len(s) == 0 || len(s) > 64 {
-		return false
-	}
-	for _, c := range s {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func parseInt(s string, lo, hi int) (int, error) {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -50,6 +51,63 @@ func TestParseCaps(t *testing.T) {
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Fatalf("accepted out-of-range input:\n%s", bad)
+		}
+	}
+}
+
+// TestValidateNameCap: the name is checked by Validate, not only by
+// Parse, so a scenario built or edited in code meets the same 64-char
+// [a-zA-Z0-9_-] rule as one read from text.
+func TestValidateNameCap(t *testing.T) {
+	sc, err := Parse([]byte("scenario ok\ntopo ring 8 rip\nhorizon 10\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Name = strings.Repeat("n", maxName)
+	if err := sc.Validate(); err != nil {
+		t.Fatalf("%d-char name refused: %v", maxName, err)
+	}
+	for _, name := range []string{strings.Repeat("n", maxName+1), "", "two words", "dot.ted"} {
+		sc.Name = name
+		if err := sc.Validate(); err == nil {
+			t.Errorf("Validate accepted name %q", name)
+		}
+	}
+	if _, err := Parse([]byte("scenario " + strings.Repeat("n", maxName+1) + "\ntopo ring 8 rip\nhorizon 10\n")); err == nil {
+		t.Error("Parse accepted a 65-char name")
+	}
+}
+
+// TestLargestValidEncodesUnderServiceableCap: the largest scenario
+// Validate accepts — a maximal name, every optional line at its longest
+// rendering, and the event cap filled with the longest event of its
+// family — encodes under MaxServiceableBytes. This is why the service
+// caps only the submitted bytes and never re-encodes a parsed scenario
+// to measure it.
+func TestLargestValidEncodesUnderServiceableCap(t *testing.T) {
+	const longest = 2.2250738585072014e-308 // the longest %g rendering in [0, 0.9]
+	base := Scenario{
+		Name: strings.Repeat("n", maxName), Seed: math.MinInt64, Horizon: maxHorizon,
+		ActProb: longest, MaxStaleness: maxHorizon, LossProb: longest, DupProb: longest,
+	}
+	gadget := base
+	gadget.Spec = Spec{Gadget: "goodgadget"}
+	gadget.StartStable = 16
+	topo := base
+	topo.Spec = Spec{Topo: "random", N: maxNodes, Algebra: "shortest"}
+	for i := 0; i < maxEvents; i++ {
+		step := maxHorizon - maxEvents + 1 + i
+		gadget.Events = append(gadget.Events, Event{Step: step, Kind: SetRank, Rank: ^uint32(0) - 1, Path: []int{3, 2, 1, 0}})
+		topo.Events = append(topo.Events, Event{Step: step, Kind: SetWeight, A: maxNodes - 1, B: maxNodes - 2, Weight: maxWeight})
+	}
+	for _, sc := range []*Scenario{&gadget, &topo} {
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("%+v: the worst case must be valid: %v", sc.Spec, err)
+		}
+		enc := sc.Encode()
+		t.Logf("%+v: %d bytes encoded", sc.Spec, len(enc))
+		if len(enc) > MaxServiceableBytes {
+			t.Errorf("%+v encodes to %d bytes, over the %d-byte serviceable cap", sc.Spec, len(enc), MaxServiceableBytes)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/gadgets"
-	"repro/internal/wire"
 )
 
 // Runner is a preemptible scenario run for the service path: one live
@@ -50,27 +49,15 @@ type runnerCore interface {
 	close()
 }
 
-// MaxServiceableBytes caps a served scenario's text: what the service
-// admits, and so what one spool entry holds.
+// MaxServiceableBytes caps a served scenario's submitted text: what the
+// service admits, and so what one spool entry holds. Every scenario
+// Validate accepts encodes under it, so the cap is on raw bytes only.
 const MaxServiceableBytes = 1 << 12
 
-// Serviceable reports whether the scenario can run on the service path:
-// everything Run's engine substrate accepts, as long as its text fits
-// the serviceable-text cap.
-func Serviceable(sc *Scenario) error {
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	if len(sc.Encode()) > MaxServiceableBytes {
-		return fmt.Errorf("scenario: encoded text exceeds the %d-byte serviceable-text cap", MaxServiceableBytes)
-	}
-	return nil
-}
-
-// NewRunner compiles a serviceable scenario into a fresh preemptible
-// run. The runner owns an engine worker pool; Close it.
+// NewRunner compiles a valid scenario into a fresh preemptible run. The
+// runner owns an engine worker pool; Close it.
 func NewRunner(sc *Scenario) (*Runner, error) {
-	if err := Serviceable(sc); err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	r := &Runner{sc: sc}
@@ -286,21 +273,13 @@ func (c *svcCore[R]) finalHash() uint64 {
 		}
 		h.Write(buf[:])
 	}
-	// One buffer for every cell when the codec can append; Encode's slice
-	// per cell otherwise. The bytes hashed are the same.
-	app, _ := c.inst.codec.(wire.Appender[R])
 	var b []byte
 	n := c.inst.n
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			var err error
-			if app != nil {
-				b, err = app.AppendEncode(b[:0], final.Get(i, j))
-			} else {
-				b, err = c.inst.codec.Encode(final.Get(i, j))
-			}
-			if err != nil {
-				// Encode failures are build bugs, not data: fold the error
+			if b, err = c.inst.codec.AppendEncode(b[:0], final.Get(i, j)); err != nil {
+				// Encoding failures are build bugs, not data: fold the error
 				// into the hash so mismatched runs cannot collide on 0.
 				h.Write([]byte(err.Error()))
 				continue

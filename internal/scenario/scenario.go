@@ -140,7 +140,22 @@ const (
 	maxEvents  = 64
 	maxNodes   = 64
 	maxWeight  = 1_000_000
+	maxName    = 64
 )
+
+func validName(s string) bool {
+	if len(s) == 0 || len(s) > maxName {
+		return false
+	}
+	for _, c := range s {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // gadgetNodes returns the node count of a gadget instance, or 0 for an
 // unknown name.
@@ -176,13 +191,21 @@ func (sc *Scenario) Clone() *Scenario {
 	return &c
 }
 
-// Validate checks the scenario is well-formed: a known instance, sane
-// bounds, and a strictly increasing timeline whose events fit the
-// family (rank edits only on gadgets, weight edits only on topologies)
-// and name in-range nodes. Build-time facts — whether a path is
-// actually permitted, whether a restored link exists in the pristine
-// topology — are checked when the instance is built, not here.
+// Validate checks the scenario is well-formed: a name of 1-64
+// characters of [a-zA-Z0-9_-], a known instance, sane bounds,
+// and a strictly increasing timeline whose events fit the family (rank
+// edits only on gadgets, weight edits only on topologies) and name
+// in-range nodes. Build-time facts — whether a path is actually
+// permitted, whether a restored link exists in the pristine topology —
+// are checked when the instance is built, not here.
+//
+// These bounds also bound the scenario's encoding: the largest scenario
+// Validate accepts encodes well under MaxServiceableBytes, so the
+// service never re-encodes a text to measure it.
 func (sc *Scenario) Validate() error {
+	if !validName(sc.Name) {
+		return fmt.Errorf("scenario: name must be 1-%d chars of [a-zA-Z0-9_-]", maxName)
+	}
 	if (sc.Spec.Gadget == "") == (sc.Spec.Topo == "") {
 		return fmt.Errorf("scenario: exactly one of gadget and topo must be set")
 	}

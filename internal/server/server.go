@@ -657,10 +657,6 @@ func (s *Server) handleSubmit(cc *clientConn, f wire.Submit) {
 		reject(wire.CodeBadRequest, err.Error())
 		return
 	}
-	if err := scenario.Serviceable(sc); err != nil {
-		reject(wire.CodeBadRequest, err.Error())
-		return
-	}
 
 	// Admission gate 2: the in-flight cap, atomically with reserving the
 	// key.
@@ -864,13 +860,13 @@ func spoolKey(name string) (string, bool) {
 }
 
 // spooledScenario reads a spooled run's text: the submitted bytes of a
-// .scn entry, held to the admission checks again.
+// .scn entry, held to the admission checks again — the raw size cap,
+// then Parse.
 func spooledScenario(data []byte) (*scenario.Scenario, error) {
-	sc, err := scenario.Parse(data)
-	if err != nil {
-		return nil, err
+	if len(data) > scenario.MaxServiceableBytes {
+		return nil, fmt.Errorf("%d-byte scenario exceeds the %d-byte cap", len(data), scenario.MaxServiceableBytes)
 	}
-	return sc, scenario.Serviceable(sc)
+	return scenario.Parse(data)
 }
 
 func (s *Server) closeConns() {

@@ -1347,8 +1347,9 @@ func TestDrainRejectsNewWorkRetriably(t *testing.T) {
 
 // TestSpoolRecoverySkipsCorruptEntries pins daemon-must-come-up: a
 // spool polluted with garbage, truncation, alien names and a write cut
-// short still yields a serving daemon, with the valid entry replayed and
-// a finished run's stored outcome served instead of replayed.
+// short, or text over the admission cap still yields a serving daemon,
+// with the valid entry replayed and a finished run's stored outcome
+// served instead of replayed.
 func TestSpoolRecoverySkipsCorruptEntries(t *testing.T) {
 	spool := t.TempDir()
 
@@ -1372,6 +1373,9 @@ func TestSpoolRecoverySkipsCorruptEntries(t *testing.T) {
 	writeSpool("acme~cut.scn.tmp", []byte(shortScenario[:10]))
 	writeSpool("no-separator.scn", []byte(longScenario))
 	writeSpool("acme~unrelated.txt", []byte("ignored extension"))
+	// Valid text padded past the admission cap with a comment: Parse
+	// alone would take it, the spool's raw size cap must not.
+	writeSpool("acme~oversized.scn", []byte(longScenario+"\n#"+strings.Repeat("x", scenario.MaxServiceableBytes)))
 
 	want := uninterruptedRun(t, longScenario)
 	reg := metrics.NewRegistry()

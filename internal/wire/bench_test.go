@@ -39,7 +39,7 @@ func BenchmarkPolicyRouteRoundTrip(b *testing.B) {
 	r := policy.Valid(7, policy.NewCommunitySet(1, 5, 9), paths.FromNodes(4, 3, 2, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc, err := c.Encode(r)
+		enc, err := c.AppendEncode(nil, r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkNatInfRowRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range row {
-			enc, err := c.Encode(r)
+			enc, err := c.AppendEncode(nil, r)
 			if err != nil {
 				b.Fatal(err)
 			}

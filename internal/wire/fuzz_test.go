@@ -34,7 +34,7 @@ func FuzzDecodeAdvert(f *testing.F) {
 // input: no panics, and anything that decodes must round-trip.
 func FuzzDecodePolicyRoute(f *testing.F) {
 	c := PolicyCodec{}
-	seed, _ := c.Encode(policy.Valid(3, policy.NewCommunitySet(1), paths.FromNodes(2, 0)))
+	seed, _ := c.AppendEncode(nil, policy.Valid(3, policy.NewCommunitySet(1), paths.FromNodes(2, 0)))
 	f.Add(seed)
 	f.Add([]byte{0xFF})
 	f.Add([]byte{0x00, 1, 2, 3})
@@ -43,7 +43,7 @@ func FuzzDecodePolicyRoute(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc, err := c.Encode(r)
+		enc, err := c.AppendEncode(nil, r)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
@@ -57,7 +57,7 @@ func FuzzDecodePolicyRoute(f *testing.F) {
 // FuzzDecodeSPPRoute checks the SPP route codec likewise.
 func FuzzDecodeSPPRoute(f *testing.F) {
 	c := SPPCodec{}
-	seed, _ := c.Encode(gadgets.Route{Rank: 2, Path: paths.FromNodes(1, 2, 0)})
+	seed, _ := c.AppendEncode(nil, gadgets.Route{Rank: 2, Path: paths.FromNodes(1, 2, 0)})
 	f.Add(seed)
 	f.Add(append([]byte{0, 0, 0, 1}, loopingArcs...))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -65,7 +65,7 @@ func FuzzDecodeSPPRoute(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc, err := c.Encode(r)
+		enc, err := c.AppendEncode(nil, r)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}

@@ -19,18 +19,13 @@ import (
 	"repro/internal/policy"
 )
 
-// Codec serialises routes of type R.
+// Codec serialises routes of type R. AppendEncode appends r's encoding
+// to dst, so a loop over many routes can reuse one buffer;
+// AppendEncode(nil, r) is a fresh slice. Decode parses exactly one
+// encoding.
 type Codec[R any] interface {
-	Encode(r R) ([]byte, error)
-	Decode(b []byte) (R, error)
-}
-
-// Appender is implemented by codecs that can encode into a caller's
-// buffer: AppendEncode appends to dst exactly the bytes Encode returns,
-// so a loop over many routes reuses one buffer instead of allocating a
-// slice per route.
-type Appender[R any] interface {
 	AppendEncode(dst []byte, r R) ([]byte, error)
+	Decode(b []byte) (R, error)
 }
 
 // Advert is one full-table advertisement: the sender's current route to
@@ -90,10 +85,7 @@ func DecodeAdvert(b []byte) (Advert, error) {
 // NatInfCodec serialises ℕ∞ routes as big-endian u64 with all-ones for ∞.
 type NatInfCodec struct{}
 
-// Encode implements Codec.
-func (c NatInfCodec) Encode(r algebras.NatInf) ([]byte, error) { return c.AppendEncode(nil, r) }
-
-// AppendEncode implements Appender.
+// AppendEncode implements Codec.
 func (NatInfCodec) AppendEncode(dst []byte, r algebras.NatInf) ([]byte, error) {
 	return binary.BigEndian.AppendUint64(dst, uint64(r)), nil
 }
@@ -106,24 +98,23 @@ func (NatInfCodec) Decode(b []byte) (algebras.NatInf, error) {
 	return algebras.NatInf(binary.BigEndian.Uint64(b)), nil
 }
 
-// encodePath serialises a simple path: 0xFF for ⊥, else u16 arc count and
+// appendPath appends a simple path: 0xFF for ⊥, else u16 arc count and
 // u16 node pairs.
-func encodePath(p paths.Path) []byte {
+func appendPath(dst []byte, p paths.Path) []byte {
 	if p.IsInvalid() {
-		return []byte{0xFF}
+		return append(dst, 0xFF)
 	}
 	arcs := p.Arcs()
-	out := make([]byte, 0, 3+4*len(arcs))
-	out = append(out, 0x00)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(arcs)))
+	dst = append(dst, 0x00)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(arcs)))
 	for _, a := range arcs {
-		out = binary.BigEndian.AppendUint16(out, uint16(a.From))
-		out = binary.BigEndian.AppendUint16(out, uint16(a.To))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(a.From))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(a.To))
 	}
-	return out
+	return dst
 }
 
-// readPath reads one encodePath layout through cur, returning cur's fault
+// readPath reads one appendPath layout through cur, returning cur's fault
 // if the bytes run out.
 func readPath(cur *Cursor) (paths.Path, error) {
 	if cur.U8() == 0xFF {
@@ -151,18 +142,17 @@ func readPath(cur *Cursor) (paths.Path, error) {
 // PolicyCodec serialises Section 7 routes.
 type PolicyCodec struct{}
 
-// Encode implements Codec: flag byte, lpref u32, communities u64, pad
-// byte, path.
-func (PolicyCodec) Encode(r policy.Route) ([]byte, error) {
+// AppendEncode implements Codec: flag byte, lpref u32, communities u64,
+// pad byte, path.
+func (PolicyCodec) AppendEncode(dst []byte, r policy.Route) ([]byte, error) {
 	if r.IsInvalid() {
-		return []byte{0xFF}, nil
+		return append(dst, 0xFF), nil
 	}
-	out := make([]byte, 0, 17)
-	out = append(out, 0x00)
-	out = binary.BigEndian.AppendUint32(out, r.LPref)
-	out = binary.BigEndian.AppendUint64(out, uint64(r.Comms))
-	out = append(out, r.Pad)
-	return append(out, encodePath(r.Path)...), nil
+	dst = append(dst, 0x00)
+	dst = binary.BigEndian.AppendUint32(dst, r.LPref)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Comms))
+	dst = append(dst, r.Pad)
+	return appendPath(dst, r.Path), nil
 }
 
 // Decode implements Codec.
@@ -190,10 +180,9 @@ func (PolicyCodec) Decode(b []byte) (policy.Route, error) {
 // instances: rank u32 then path.
 type SPPCodec struct{}
 
-// Encode implements Codec.
-func (SPPCodec) Encode(r gadgets.Route) ([]byte, error) {
-	out := binary.BigEndian.AppendUint32(nil, r.Rank)
-	return append(out, encodePath(r.Path)...), nil
+// AppendEncode implements Codec: rank u32, path.
+func (SPPCodec) AppendEncode(dst []byte, r gadgets.Route) ([]byte, error) {
+	return appendPath(binary.BigEndian.AppendUint32(dst, r.Rank), r.Path), nil
 }
 
 // Decode implements Codec.

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -58,17 +59,13 @@ func TestAdvertRowCountIsCheckedBeforeAllocating(t *testing.T) {
 func TestNatInfCodec(t *testing.T) {
 	c := NatInfCodec{}
 	for _, v := range []algebras.NatInf{0, 1, 42, algebras.Inf} {
-		b, err := c.Encode(v)
+		b, err := c.AppendEncode(nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := c.Decode(b)
 		if err != nil || got != v {
 			t.Errorf("round trip %v: got %v, err %v", v, got, err)
-		}
-		// Appender: the same bytes, after whatever dst already held.
-		if app, err := c.AppendEncode([]byte("pre"), v); err != nil || !bytes.Equal(app, append([]byte("pre"), b...)) {
-			t.Errorf("AppendEncode(%v) = %x, %v; want prefix + %x", v, app, err, b)
 		}
 	}
 	if _, err := c.Decode([]byte{1, 2}); err == nil {
@@ -83,7 +80,7 @@ func TestPathRoundTrip(t *testing.T) {
 		paths.FromNodes(1, 0),
 		paths.FromNodes(5, 3, 2, 0),
 	} {
-		cur := NewCursor(encodePath(p), ErrTruncated)
+		cur := NewCursor(appendPath(nil, p), ErrTruncated)
 		got, err := readPath(cur)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
@@ -98,7 +95,7 @@ func TestPathRoundTrip(t *testing.T) {
 }
 
 // loopingArcs is an arc sequence with a loop, (1,2),(2,1), in the
-// encodePath layout.
+// appendPath layout.
 var loopingArcs = []byte{0x00, 0x00, 0x02, 0x00, 1, 0x00, 2, 0x00, 2, 0x00, 1}
 
 func TestReadPathRejectsNonSimple(t *testing.T) {
@@ -115,7 +112,7 @@ func TestPolicyCodec(t *testing.T) {
 		policy.Valid(7, policy.NewCommunitySet(1, 5), paths.FromNodes(2, 1, 0)),
 	}
 	for _, r := range routes {
-		b, err := c.Encode(r)
+		b, err := c.AppendEncode(nil, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +156,7 @@ func TestSPPCodec(t *testing.T) {
 		{Rank: 2, Path: paths.FromNodes(1, 2, 0)},
 	}
 	for _, r := range routes {
-		b, err := c.Encode(r)
+		b, err := c.AppendEncode(nil, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,12 +174,16 @@ func TestSPPCodec(t *testing.T) {
 }
 
 // truncations checks that every strict prefix of r's encoding fails with
-// ErrTruncated and that the full encoding round-trips.
+// ErrTruncated, that the full encoding round-trips, and that appending
+// after bytes dst already holds leaves them and adds the same encoding.
 func truncations[R any](t *testing.T, name string, c Codec[R], r R, equal func(a, b R) bool) {
 	t.Helper()
-	b, err := c.Encode(r)
+	b, err := c.AppendEncode(nil, r)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", name, err)
+	}
+	if app, err := c.AppendEncode([]byte("pre"), r); err != nil || !bytes.Equal(app, append([]byte("pre"), b...)) {
+		t.Errorf("%s: AppendEncode after a prefix = %x, %v; want prefix + %x", name, app, err, b)
 	}
 	for k := 0; k < len(b); k++ {
 		if _, err := c.Decode(b[:k]); !errors.Is(err, ErrTruncated) {
@@ -205,4 +206,27 @@ func TestDecodersRejectEveryTruncation(t *testing.T) {
 		func(a, b gadgets.Route) bool { return a.Rank == b.Rank && a.Path.Equal(b.Path) })
 	truncations[algebras.NatInf](t, "natinf", NatInfCodec{}, 4,
 		func(a, b algebras.NatInf) bool { return a == b })
+}
+
+// TestCodecBytesPinned pins each codec's layout byte for byte: live
+// adverts and checkpoints written by one build are read by another.
+func TestCodecBytesPinned(t *testing.T) {
+	hexOf := func(b []byte, err error) string {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(b)
+	}
+	for _, tc := range []struct{ got, want string }{
+		{hexOf(PolicyCodec{}.AppendEncode(nil, policy.Valid(7, policy.NewCommunitySet(1, 5), paths.FromNodes(2, 1, 0)))),
+			"00000000070000000000000022000000020002000100010000"},
+		{hexOf(PolicyCodec{}.AppendEncode(nil, policy.InvalidRoute)), "ff"},
+		{hexOf(SPPCodec{}.AppendEncode(nil, gadgets.Route{Rank: 2, Path: paths.FromNodes(1, 2, 0)})),
+			"000000020000020001000200020000"},
+		{hexOf(NatInfCodec{}.AppendEncode(nil, 42)), "000000000000002a"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("encoding moved: got %s, want %s", tc.got, tc.want)
+		}
+	}
 }
