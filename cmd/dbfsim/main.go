@@ -19,11 +19,11 @@
 // and prints each substrate's watchdog verdict and, for the engine, the
 // run's digest (steps, convergedAt, cells, hash) — the line -server
 // prints for the same file, since the daemon runs the same schedule; the
-// exit code is 0 only when every substrate converged. The scenario file
-// names its own instance, faults and horizon, so a flag that would set
-// them (-algebra, -topo, -n, -seed, -loss, -dup, -delay, -garbage,
-// -policy, -trace, -mode, -steps) draws a warning and is ignored. In
-// every mode -delay must be at least 1 and -loss and -dup in the range a
+// exit code is 0 only when every substrate converged. Each door (-mode
+// sim, -mode delta, -scenario, -server) reads only its flags (flagDoors);
+// any other flag draws a warning and is ignored — under -scenario, every
+// flag that would set the file's instance, faults or horizon. In every
+// mode -delay must be at least 1 and -loss and -dup in the range a
 // scenario file may give (scenario.MaxFaultProb); anything else exits 2.
 // A delta run is a pure function of its flags: its schedule is a pure
 // function of (seed, t, i, k), so the same flags print the same output
@@ -59,6 +59,31 @@ import (
 )
 
 func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// A door is one way an invocation runs; each reads only some flags.
+type door uint8
+
+const (
+	doorSim door = 1 << iota // -mode sim, the default
+	doorDelta
+	doorScenario // -scenario without -server
+	doorServer
+	doorStatic = doorSim | doorDelta // the doors that build their own instance
+)
+
+var doorNames = map[door]string{doorSim: "-mode sim", doorDelta: "-mode delta", doorScenario: "a local -scenario", doorServer: "-server"}
+
+// flagDoors names the doors that read each flag; any other door warns
+// once of it on stderr and ignores it. -cpuprofile and -memprofile
+// serve every door.
+var flagDoors = map[string]door{
+	"algebra": doorStatic, "topo": doorStatic, "n": doorStatic, "seed": doorStatic,
+	"garbage": doorStatic, "policy": doorStatic, "mode": doorStatic, "steps": doorDelta,
+	"loss": doorSim, "dup": doorSim, "delay": doorSim, "trace": doorSim,
+	"stats-json": doorStatic | doorScenario, "substrate": doorScenario,
+	"scenario": doorScenario | doorServer, "server": doorServer,
+	"tenant": doorServer, "run-id": doorServer, "deadline": doorServer,
+}
 
 // options is what one invocation's run paths read: the parsed instance
 // and schedule knobs and the streams to report on.
@@ -167,19 +192,28 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *scenFile != "" {
-		// The scenario text names its own instance, faults and horizon.
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "algebra", "topo", "n", "seed", "loss", "dup", "delay", "garbage", "policy", "trace", "mode", "steps":
-				fmt.Fprintf(stderr, "(-%s is set by the scenario file under -scenario; ignoring)\n", f.Name)
+	d := doorSim
+	switch {
+	case *serverAddr != "":
+		d = doorServer
+	case *scenFile != "":
+		d = doorScenario
+	case o.mode == "delta":
+		d = doorDelta
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if readers, ok := flagDoors[f.Name]; ok && readers&d == 0 {
+			why := "is not read by " + doorNames[d]
+			if d&doorStatic == 0 && readers&^doorStatic == 0 {
+				why = "is set by the scenario file under -scenario"
 			}
-		})
-	}
-	if *serverAddr != "" {
+			fmt.Fprintf(stderr, "(-%s %s; ignoring)\n", f.Name, why)
+		}
+	})
+	switch d {
+	case doorServer:
 		return o.runRemote(*serverAddr, *scenFile, *tenantFlag, *runIDFlag, *deadlineFlag)
-	}
-	if *scenFile != "" {
+	case doorScenario:
 		return o.runScenario(*scenFile, *substrate)
 	}
 
@@ -187,17 +221,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown mode %q\n", o.mode)
 		return 2
 	}
-	if o.mode == "delta" {
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "loss", "dup", "delay":
-				fmt.Fprintf(stderr, "(-%s models message faults and applies to -mode sim only; ignoring)\n", f.Name)
-			}
-		})
-		if *showTrace {
-			fmt.Fprintln(stderr, "(-trace records message events and applies to -mode sim only; ignoring)")
-		}
-	} else if *showTrace {
+	if *showTrace && d == doorSim {
 		o.sim.Trace = &trace.Recorder{}
 	}
 	if o.garbage && (*algebra == "pv" || *algebra == "gr") {

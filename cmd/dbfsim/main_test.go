@@ -261,6 +261,47 @@ func TestScenarioWarnsOfIgnoredFlags(t *testing.T) {
 	}
 }
 
+// TestFlagsOutsideTheirDoorWarn: each door reads only its own flags, so
+// any other flag draws one stderr warning and changes neither stdout nor
+// the exit status. The -server row names a missing scenario file: it
+// exits 2 before dialling, after the warnings.
+func TestFlagsOutsideTheirDoorWarn(t *testing.T) {
+	for _, tc := range []struct {
+		door          string
+		args, ignored []string
+	}{
+		{"sim", []string{"-n", "4", "-seed", "2", "-trace"},
+			[]string{"-steps", "7", "-substrate", "all", "-tenant", "t", "-run-id", "r", "-deadline", "1s"}},
+		{"delta", deltaRing8(),
+			[]string{"-loss", "0.5", "-dup", "0.5", "-delay", "3", "-trace", "-substrate", "all", "-tenant", "t", "-run-id", "r", "-deadline", "1s"}},
+		{"scenario", []string{"-scenario", scenarioPath("rip-churn")},
+			[]string{"-tenant", "t", "-run-id", "r", "-deadline", "1s"}},
+		{"server", []string{"-server", "127.0.0.1:1", "-scenario", filepath.Join(t.TempDir(), "missing.scenario")},
+			[]string{"-substrate", "all", "-stats-json", "-algebra", "pv", "-steps", "7"}},
+	} {
+		wantCode, wantOut, errs := dbfsim(tc.args...)
+		if strings.Contains(errs, "ignoring") {
+			t.Errorf("%s: only the door's own flags set, yet stderr warns: %q", tc.door, errs)
+		}
+		code, out, errs := dbfsim(append(tc.args, tc.ignored...)...)
+		if code != wantCode || out != wantOut {
+			t.Errorf("%s: ignored flags changed the run: exit %d vs %d\n%s\n---\n%s", tc.door, code, wantCode, out, wantOut)
+		}
+		flags := 0
+		for _, arg := range tc.ignored {
+			if strings.HasPrefix(arg, "-") {
+				flags++
+				if n := strings.Count(errs, "("+arg+" "); n != 1 {
+					t.Errorf("%s: stderr warns %d times of %s:\n%s", tc.door, n, arg, errs)
+				}
+			}
+		}
+		if n := strings.Count(errs, "; ignoring)\n"); n != flags {
+			t.Errorf("%s: %d warnings for %d ignored flags:\n%s", tc.door, n, flags, errs)
+		}
+	}
+}
+
 func TestBadInputExits2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mode", "nosuch"},

@@ -9,8 +9,6 @@
 // Edge values attached to links of a concrete network (see package matrix).
 package core
 
-import "fmt"
-
 // Algebra is a routing algebra over route type R. Implementations must
 // satisfy the minimal properties of Definition 1, which CheckRequired
 // verifies on a finite sample:
@@ -92,9 +90,4 @@ type Enumerable[R any] interface {
 	// Universe returns every route in S, including Trivial and Invalid,
 	// with no duplicates (up to Equal).
 	Universe() []R
-}
-
-// Describe summarises an algebra for human-readable output.
-func Describe[R any](alg Algebra[R]) string {
-	return fmt.Sprintf("algebra{0=%s, ∞=%s}", alg.Format(alg.Trivial()), alg.Format(alg.Invalid()))
 }

@@ -230,10 +230,3 @@ func TestUniverseSample(t *testing.T) {
 		t.Errorf("UniverseSample: %d routes, %d edges", len(s.Routes), len(s.Edges))
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	got := Describe[int](minAlg{})
-	if !strings.Contains(got, "∞") || !strings.Contains(got, "0") {
-		t.Errorf("Describe = %s", got)
-	}
-}

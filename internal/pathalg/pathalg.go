@@ -184,14 +184,3 @@ func ConsistentRoutes[R any](alg PathAlgebra[R], a *matrix.Adjacency[R], dst int
 	}
 	return out
 }
-
-// StateConsistent reports whether every cell of x is consistent.
-func StateConsistent[R any](alg PathAlgebra[R], a *matrix.Adjacency[R], x *matrix.State[R]) bool {
-	ok := true
-	x.Each(func(i, j int, r R) {
-		if !Consistent(alg, a, r) {
-			ok = false
-		}
-	})
-	return ok
-}

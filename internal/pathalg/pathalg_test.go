@@ -166,9 +166,11 @@ func TestConsistencyPreservedBySigma(t *testing.T) {
 	alg, adj := spNet(4)
 	x := matrix.Identity[spRoute](alg, 4)
 	for it := 0; it < 6; it++ {
-		if !StateConsistent[spRoute](alg, adj, x) {
-			t.Fatalf("iteration %d produced inconsistent state", it)
-		}
+		x.Each(func(i, j int, r spRoute) {
+			if !Consistent[spRoute](alg, adj, r) {
+				t.Fatalf("iteration %d: route %s at (%d,%d) is inconsistent", it, alg.Format(r), i, j)
+			}
+		})
 		x = matrix.Sigma[spRoute](alg, adj, x)
 	}
 }

@@ -41,20 +41,6 @@ func ParsePolicy(src string) (Policy, error) {
 	return pol, nil
 }
 
-// ParseCondition parses a condition on its own.
-func ParseCondition(src string) (Condition, error) {
-	p := &parser{input: src}
-	c, err := p.parseOr()
-	if err != nil {
-		return nil, err
-	}
-	p.skipSpace()
-	if p.pos != len(p.input) {
-		return nil, p.errorf("trailing input %q", p.input[p.pos:])
-	}
-	return c, nil
-}
-
 type parser struct {
 	input string
 	pos   int

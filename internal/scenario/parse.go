@@ -216,7 +216,7 @@ func parseEvent(f []string) (Event, error) {
 		if len(args)-1 > maxNodes {
 			return Event{}, fmt.Errorf("rank path of %d nodes exceeds %d", len(args)-1, maxNodes)
 		}
-		r, err := parseInt(args[0], 1, 1<<20)
+		r, err := parseInt(args[0], 1, maxRank)
 		if err != nil {
 			return Event{}, fmt.Errorf("rank: %v", err)
 		}

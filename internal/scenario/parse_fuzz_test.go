@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -78,6 +80,20 @@ func TestValidateNameCap(t *testing.T) {
 	}
 }
 
+// TestRankBound: Validate and Parse share one rank bound, so a rank
+// edit Validate accepts encodes to text Parse reads back.
+func TestRankBound(t *testing.T) {
+	sc := &Scenario{Name: "r", Spec: Spec{Gadget: "wedgie"}, Horizon: 10,
+		Events: []Event{{Step: 5, Kind: SetRank, Rank: maxRank, Path: []int{3, 2, 1, 0}}}}
+	if back, err := Parse(sc.Encode()); err != nil || !reflect.DeepEqual(back, sc) {
+		t.Fatalf("rank %d does not round-trip: %+v, %v", maxRank, back, err)
+	}
+	sc.Events[0].Rank++
+	if _, err := Parse(sc.Encode()); sc.Validate() == nil || err == nil {
+		t.Errorf("rank %d accepted: Validate %v, Parse %v", maxRank+1, sc.Validate(), err)
+	}
+}
+
 // TestLargestValidEncodesUnderServiceableCap: the largest scenario
 // Validate accepts — a maximal name, every optional line at its longest
 // rendering, and the event cap filled with the longest event of its
@@ -97,7 +113,7 @@ func TestLargestValidEncodesUnderServiceableCap(t *testing.T) {
 	topo.Spec = Spec{Topo: "random", N: maxNodes, Algebra: "shortest"}
 	for i := 0; i < maxEvents; i++ {
 		step := maxHorizon - maxEvents + 1 + i
-		gadget.Events = append(gadget.Events, Event{Step: step, Kind: SetRank, Rank: ^uint32(0) - 1, Path: []int{3, 2, 1, 0}})
+		gadget.Events = append(gadget.Events, Event{Step: step, Kind: SetRank, Rank: maxRank, Path: []int{3, 2, 1, 0}})
 		topo.Events = append(topo.Events, Event{Step: step, Kind: SetWeight, A: maxNodes - 1, B: maxNodes - 2, Weight: maxWeight})
 	}
 	for _, sc := range []*Scenario{&gadget, &topo} {
@@ -144,6 +160,56 @@ func FuzzParse(f *testing.F) {
 		}
 		if !bytes.Equal(sc2.Encode(), enc) {
 			t.Fatalf("Encode not stable:\nfirst:\n%s\nsecond:\n%s", enc, sc2.Encode())
+		}
+	})
+}
+
+// FuzzValidateRoundTrip is FuzzParse's converse: a scenario built in
+// code that Validate accepts encodes to text Parse reads back to the
+// same scenario. Fields come from the fuzzer unclamped, so Validate alone
+// decides which scenarios count. Each 8 bytes of evs are one event: kind,
+// step delta, two signed nodes and a 32-bit rank or weight; a rank edit
+// then takes the low three bits of its second node as a path length.
+func FuzzValidateRoundTrip(f *testing.F) {
+	f.Add("flap", uint8(6), 8, uint8(2), int64(5), 600, 0, 0.6, 4, 0.1, 0.05,
+		[]byte{0, 40, 0, 1, 0, 0, 0, 0, 1, 80, 0, 1, 0, 0, 0, 0, 4, 30, 3, 2, 7, 0, 0, 0})
+	f.Add("wedge", uint8(3), 0, uint8(0), int64(math.MinInt64), 4096, 1, 1.0, 4096, 0.9, 0.9,
+		[]byte{5, 20, 1, 0, 0, 0, 0, 0, 6, 9, 1, 0, 0, 0, 0, 0, 3, 50, 3, 4, 0, 0, 0x10, 0, 3, 2, 1, 0})
+	families := []Spec{{Gadget: "disagree"}, {Gadget: "badgadget"}, {Gadget: "goodgadget"}, {Gadget: "wedgie"},
+		{Topo: "line"}, {Topo: "ring"}, {Topo: "star"}, {Topo: "clique"}, {Topo: "random"}, {Topo: "torus"}}
+	algebras := []string{"", "shortest", "rip", "bgp"}
+	f.Fuzz(func(t *testing.T, name string, family uint8, n int, algebra uint8, seed int64,
+		horizon, stable int, act float64, stale int, loss, dup float64, evs []byte) {
+		sc := &Scenario{Name: name, Spec: families[int(family)%len(families)], Seed: seed, Horizon: horizon,
+			StartStable: stable, ActProb: act, MaxStaleness: stale, LossProb: loss, DupProb: dup}
+		sc.Spec.N, sc.Spec.Algebra = n, algebras[int(algebra)%len(algebras)]
+		for step := 0; len(evs) >= 8; {
+			b, v := evs[:8], binary.LittleEndian.Uint32(evs[4:8])
+			evs = evs[8:]
+			step += int(int8(b[1]))
+			a, c := int(int8(b[2])), int(int8(b[3]))
+			ev := Event{Step: step, Kind: EventKind(b[0] % 8)}
+			switch ev.Kind {
+			case LinkDown, LinkUp:
+				ev.A, ev.B = a, c
+			case Restart, NodeCrash, NodeRecover:
+				ev.Node = a
+			case SetRank:
+				ev.Rank = v
+				for ; len(ev.Path) < int(b[3]&7) && len(evs) > 0; evs = evs[1:] {
+					ev.Path = append(ev.Path, int(int8(evs[0])))
+				}
+			case SetWeight:
+				ev.A, ev.B, ev.Weight = a, c, int64(int32(v))
+			}
+			sc.Events = append(sc.Events, ev)
+		}
+		if sc.Validate() != nil {
+			return
+		}
+		back, err := Parse(sc.Encode())
+		if err != nil || !reflect.DeepEqual(back, sc) {
+			t.Fatalf("Validate accepted %+v, but its encoding parses to %+v, %v\n%s", sc, back, err, sc.Encode())
 		}
 	})
 }

@@ -114,18 +114,8 @@ func ResumeRunner(data []byte) (*Runner, error) {
 	return r, nil
 }
 
-// Name returns the scenario's name.
-func (r *Runner) Name() string { return r.sc.Name }
-
 // Step returns the last completed engine step.
 func (r *Runner) Step() int { return r.core.at() }
-
-// Horizon returns the scenario's step budget.
-func (r *Runner) Horizon() int { return r.sc.Horizon }
-
-// Done reports whether the run finished (horizon reached or convergence
-// certified).
-func (r *Runner) Done() bool { return r.done }
 
 // Advance runs one quantum of at most quantum engine steps and pauses
 // there (or finishes: a run that certifies convergence or reaches its

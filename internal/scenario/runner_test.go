@@ -74,11 +74,18 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 	type row struct {
 		name, text string
 		quanta     []int
+		wedged     bool // the engine's verdict must be a wedge
 	}
 	rows := []row{
-		{"topo-rip", topoRunnerScenario, []int{13, 37, 111}},
-		{"gadget-wedgie", gadgetRunnerScenario, []int{13, 37, 111}},
+		{"topo-rip", topoRunnerScenario, []int{13, 37, 111}, false},
+		{"gadget-wedgie", gadgetRunnerScenario, []int{13, 37, 111}, false},
 	}
+	// The smallest known wedgie reproducer: a bare link flap, horizon 7.
+	minimal, err := os.ReadFile("testdata/corpus/wedgie-minimal.scenario")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, row{"corpus/wedgie-minimal", string(minimal), []int{2}, true})
 	// Every shipped scenario, crash windows included, in quanta of 7.
 	files, err := filepath.Glob("../../examples/scenarios/*.scenario")
 	if err != nil || len(files) != 6 {
@@ -89,7 +96,7 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, row{"examples/" + strings.TrimSuffix(filepath.Base(f), ".scenario"), string(text), []int{7}})
+		rows = append(rows, row{"examples/" + strings.TrimSuffix(filepath.Base(f), ".scenario"), string(text), []int{7}, false})
 	}
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,14 +115,18 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b := rep.Substrates[0]; !b.ReferenceOK || b.Hash != wantHash || b.Steps != wantSteps || b.Converged != (b.ConvergedAt >= 0) {
+			b := rep.Substrates[0]
+			if !b.ReferenceOK || b.Hash != wantHash || b.Steps != wantSteps || b.Converged != (b.ConvergedAt >= 0) {
 				t.Fatalf("Run: reference=%v hash %016x steps %d converged=%v convergedAt=%d; unsliced Runner: hash %016x steps %d",
 					b.ReferenceOK, b.Hash, b.Steps, b.Converged, b.ConvergedAt, wantHash, wantSteps)
+			}
+			if tc.wedged && b.Class.Verdict != VerdictWedged {
+				t.Fatalf("Run: verdict %v, want wedged", b.Class.Verdict)
 			}
 
 			for _, quantum := range tc.quanta {
 				// In-process preemption: one runner, advanced in quanta.
-				r, err := NewRunner(sc.Clone())
+				r, err := NewRunner(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +156,7 @@ func TestRunnerSlicedDifferential(t *testing.T) {
 				// Cross-process preemption: after every quantum the run is
 				// checkpointed to bytes, the runner torn down, and a fresh one
 				// replayed from the bytes alone to the same step.
-				r, err = NewRunner(sc.Clone())
+				r, err = NewRunner(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -463,7 +474,7 @@ func TestGoldenCheckpointsResume(t *testing.T) {
 			if r.Step() != goldenAt {
 				t.Fatalf("resumed at step %d, want %d", r.Step(), goldenAt)
 			}
-			if done, err := r.Advance(r.Horizon() + 1); err != nil || !done {
+			if done, err := r.Advance(r.sc.Horizon + 1); err != nil || !done {
 				t.Fatalf("final quantum: done=%v err=%v", done, err)
 			}
 			wantHash, _, wantStats := uninterrupted(t, tc.text)
@@ -538,11 +549,11 @@ func TestCrashMaskCannotBeBypassed(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n, node, from, to = 6, 2, 40, 90
-	bare := sc.Clone()
+	bare := *sc
 	bare.Events = nil
-	inner, ok := source(bare, n).(engine.Hashed)
+	inner, ok := source(&bare, n).(engine.Hashed)
 	if !ok {
-		t.Fatalf("a crash-free scenario's source is %T, want the bare engine.Hashed", source(bare, n))
+		t.Fatalf("a crash-free scenario's source is %T, want the bare engine.Hashed", source(&bare, n))
 	}
 	src := source(sc, n)
 	batched, _ := src.(engine.Batched)

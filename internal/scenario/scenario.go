@@ -140,6 +140,7 @@ const (
 	maxEvents  = 64
 	maxNodes   = 64
 	maxWeight  = 1_000_000
+	maxRank    = 1 << 20
 	maxName    = 64
 )
 
@@ -175,20 +176,6 @@ func (sc *Scenario) Nodes() int {
 		return gadgetNodes(sc.Spec.Gadget)
 	}
 	return sc.Spec.N
-}
-
-// Clone deep-copies the scenario, so shrinking candidates can be edited
-// freely.
-func (sc *Scenario) Clone() *Scenario {
-	c := *sc
-	c.Events = make([]Event, len(sc.Events))
-	for i, ev := range sc.Events {
-		c.Events[i] = ev
-		if ev.Path != nil {
-			c.Events[i].Path = append([]int(nil), ev.Path...)
-		}
-	}
-	return &c
 }
 
 // Validate checks the scenario is well-formed: a name of 1-64
@@ -241,13 +228,13 @@ func (sc *Scenario) Validate() error {
 	if sc.Horizon < 1 || sc.Horizon > maxHorizon {
 		return fmt.Errorf("scenario: horizon=%d outside [1, %d]", sc.Horizon, maxHorizon)
 	}
-	if sc.ActProb < 0 || sc.ActProb > 1 {
+	if !(sc.ActProb >= 0 && sc.ActProb <= 1) { // NaN included
 		return fmt.Errorf("scenario: act=%g outside [0, 1]", sc.ActProb)
 	}
 	if sc.MaxStaleness < 0 || sc.MaxStaleness > maxHorizon {
 		return fmt.Errorf("scenario: stale=%d out of range", sc.MaxStaleness)
 	}
-	if sc.LossProb < 0 || sc.LossProb > MaxFaultProb || sc.DupProb < 0 || sc.DupProb > MaxFaultProb {
+	if !(sc.LossProb >= 0 && sc.LossProb <= MaxFaultProb && sc.DupProb >= 0 && sc.DupProb <= MaxFaultProb) {
 		return fmt.Errorf("scenario: loss/dup outside [0, %g]", MaxFaultProb)
 	}
 	if len(sc.Events) > maxEvents {
@@ -298,7 +285,7 @@ func (sc *Scenario) Validate() error {
 			if sc.Spec.Gadget == "" {
 				return fmt.Errorf("scenario: event %d: rank edits are gadget-only", idx)
 			}
-			if ev.Rank < 1 || ev.Rank >= ^uint32(0) {
+			if ev.Rank < 1 || ev.Rank > maxRank {
 				return fmt.Errorf("scenario: event %d: bad rank %d", idx, ev.Rank)
 			}
 			if len(ev.Path) < 2 || len(ev.Path) > n {

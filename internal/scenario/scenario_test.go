@@ -69,6 +69,8 @@ func TestValidateRejects(t *testing.T) {
 		"topo ring 6 rip\nhorizon 10\nat 11 restart 1\n",              // past horizon
 		"topo ring 6 rip\nseed 1\n",                                   // no horizon
 		"topo ring 6 rip\nhorizon 10\nstart stable 0\n",               // stable start on topo
+		"topo ring 6 rip\nhorizon 10\nact NaN\n",                      // NaN probability
+		"topo ring 6 rip\nhorizon 10\nloss NaN\n",
 	}
 	for _, src := range bad {
 		if _, err := Parse([]byte(src)); err == nil {

@@ -56,7 +56,7 @@ func TestAdminSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c2.Run(ctx, "behind", []byte(shortScenario), 0)
+	res, err := submitAwait(ctx, c2, "behind", shortScenario, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestOversizedScenarioRejectedBeforeAdmission(t *testing.T) {
 	if got := reg.Snapshot()[`dbfsimd_admissions_total{tenant="big"}`]; got != 0 {
 		t.Fatalf("admissions after the oversized submit = %v, want 0", got)
 	}
-	if _, err := c.Run(ctx, "fits", []byte(shortScenario), 0); err != nil {
+	if _, err := submitAwait(ctx, c, "fits", shortScenario, 0); err != nil {
 		t.Fatalf("well-sized run after the reject: %v", err)
 	}
 	if got := reg.Snapshot()[`dbfsimd_admissions_total{tenant="big"}`]; got != 1 {

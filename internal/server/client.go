@@ -160,19 +160,10 @@ func (c *Client) Await(ctx context.Context, id string) (wire.Result, wire.Status
 	}
 }
 
-// Run submits and awaits in one call.
-func (c *Client) Run(ctx context.Context, id string, scenarioText []byte, deadline time.Duration) (wire.Result, error) {
-	if _, err := c.Submit(ctx, id, scenarioText, deadline); err != nil {
-		return wire.Result{}, err
-	}
-	res, _, err := c.Await(ctx, id)
-	return res, err
-}
-
-// RunRetry is Run with overload riding: shed submissions (retriable
-// error codes) are retried after the server's RetryAfterMS hint until
-// admission or ctx expiry — the well-behaved client of an overloaded
-// daemon.
+// RunRetry submits and awaits, riding overload: shed submissions
+// (retriable error codes) are retried after the server's RetryAfterMS
+// hint until admission or ctx expiry — the well-behaved client of an
+// overloaded daemon.
 func (c *Client) RunRetry(ctx context.Context, id string, scenarioText []byte, deadline time.Duration) (wire.Result, int, error) {
 	sheds := 0
 	for {

@@ -213,7 +213,7 @@ func New(cfg Config) (*Server, error) {
 		s.workerWG.Add(1)
 		go s.worker()
 	}
-	s.cfg.Logf("server: listening on %s (%d workers, quantum %d)", ln.Addr(), cfg.Workers, cfg.Quantum)
+	s.cfg.Logf("server: started (%d workers, quantum %d)", cfg.Workers, cfg.Quantum)
 	return s, nil
 }
 

@@ -124,6 +124,15 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// submitAwait submits one run and waits for its result.
+func submitAwait(ctx context.Context, c *Client, id, text string, deadline time.Duration) (wire.Result, error) {
+	if _, err := c.Submit(ctx, id, []byte(text), deadline); err != nil {
+		return wire.Result{}, err
+	}
+	res, _, err := c.Await(ctx, id)
+	return res, err
+}
+
 func TestServerEndToEnd(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	want := uninterruptedRun(t, shortScenario)
@@ -139,13 +148,13 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(ctx, "r1", []byte(shortScenario), 0)
+	res, err := submitAwait(ctx, c, "r1", shortScenario, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRun(t, "serviced topo run", res, want)
 
-	res, err = c.Run(ctx, "g1", []byte(gadgetScenario), 0)
+	res, err = submitAwait(ctx, c, "g1", gadgetScenario, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +204,7 @@ func TestServerEndToEnd(t *testing.T) {
 	// it cannot finish inside 1ms, so the per-quantum deadline check must
 	// fire.
 	heavy := "scenario heavy\ntopo ring 64 rip\nseed 9\nhorizon 4096\nstale 64\nat 4000 linkdown 0 1\n"
-	if _, err := c.Run(ctx, "late", []byte(heavy), time.Millisecond); err == nil {
+	if _, err := submitAwait(ctx, c, "late", heavy, time.Millisecond); err == nil {
 		t.Fatal("1ms-deadline run completed")
 	} else if ef := asErrorFrame(t, err); ef.Code != wire.CodeDeadline {
 		t.Fatalf("deadline run failed with %v, want deadline", ef.Code)
@@ -231,7 +240,7 @@ func contend(t *testing.T, ctx context.Context, s *Server, n int) (stop func()) 
 					return
 				default:
 				}
-				if _, err := c.Run(ctx, fmt.Sprintf("bg%d", i), []byte(longScenario), 0); err != nil {
+				if _, err := submitAwait(ctx, c, fmt.Sprintf("bg%d", i), longScenario, 0); err != nil {
 					t.Errorf("background run: %v", err)
 					return
 				}
@@ -642,7 +651,7 @@ func TestPreemptionKeepsLateTenantUnstarved(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cb.Close()
-	resB, err := cb.Run(ctx, "sprint", []byte(shortScenario), 0)
+	resB, err := submitAwait(ctx, cb, "sprint", shortScenario, 0)
 	if err != nil {
 		t.Fatalf("late tenant starved: %v", err)
 	}
@@ -757,7 +766,7 @@ func TestKeptRunMeetsItsDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Run(ctx, "late", []byte(slicedScenario), 40*time.Millisecond); err == nil {
+	if _, err := submitAwait(ctx, c, "late", slicedScenario, 40*time.Millisecond); err == nil {
 		t.Fatal("run completed past its deadline")
 	} else if ef := asErrorFrame(t, err); ef.Code != wire.CodeDeadline {
 		t.Fatalf("run failed with %v, want deadline", ef.Code)

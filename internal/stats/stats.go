@@ -1,13 +1,12 @@
 // Package stats provides the small descriptive-statistics toolkit the
 // experiment harness uses to summarise convergence-time distributions:
-// means, percentiles and compact text histograms.
+// means, percentiles and a one-line summary.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample accumulates observations.
@@ -47,15 +46,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sortInPlace()
-	return s.xs[0]
-}
-
 // Max returns the largest observation (0 for an empty sample).
 func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {
@@ -85,59 +75,8 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[rank-1]
 }
 
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.xs)))
-}
-
 // Summary renders "n=… mean=… p50=… p95=… max=…".
 func (s *Sample) Summary() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%.0f p95=%.0f max=%.0f",
 		s.N(), s.Mean(), s.Percentile(50), s.Percentile(95), s.Max())
-}
-
-// Histogram renders a fixed-width text histogram with the given number of
-// equal buckets over [Min, Max].
-func (s *Sample) Histogram(buckets, width int) string {
-	if len(s.xs) == 0 || buckets < 1 {
-		return "(empty)"
-	}
-	s.sortInPlace()
-	lo, hi := s.xs[0], s.xs[len(s.xs)-1]
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts := make([]int, buckets)
-	for _, x := range s.xs {
-		b := int((x - lo) / (hi - lo) * float64(buckets))
-		if b >= buckets {
-			b = buckets - 1
-		}
-		counts[b]++
-	}
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		bucketLo := lo + (hi-lo)*float64(i)/float64(buckets)
-		bars := 0
-		if maxC > 0 {
-			bars = c * width / maxC
-		}
-		fmt.Fprintf(&b, "%8.0f │%-*s %d\n", bucketLo, width, strings.Repeat("█", bars), c)
-	}
-	return b.String()
 }

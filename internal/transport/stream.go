@@ -106,9 +106,6 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.c.SetReadDeadline(t
 // uses it so a stuck peer cannot hold a closing connection open.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.c.SetWriteDeadline(t) }
 
-// RemoteAddr returns the peer's address.
-func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
-
 // Close closes the underlying connection; a blocked Recv returns.
 func (c *Conn) Close() error { return c.c.Close() }
 
