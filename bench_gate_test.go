@@ -113,11 +113,15 @@ func serviceRequest(tb testing.TB) uint64 {
 // scratch the first one parked — the engine it was built for is closed
 // and gone — and hashes its result through one buffer, so it allocates
 // the instance, the engine shell and the result, not the run: ≤ 256 KB
-// in ≤ 64 allocations (≈ 230 KB in 61), where rebuilding the scratch cost
-// 650 KB and a slice per hashed cell 4 235 allocations. The jumped
-// interlude the result still owes its skipped-row count is one merged
-// range, however many quanta it spanned. The best of five requests is
-// judged: whatever else the process allocates meanwhile only adds.
+// in ≤ 64 allocations (≈ 231 KB in 59), where rebuilding the scratch cost
+// 650 KB and a slice per hashed cell 4 235 allocations. The request runs
+// on packed lanes, so the engine shell includes its compiled kernel
+// table; the ring's 128 edges share one kernel value, the link cut
+// recompiles one more into the run's pooled table; compiling one kernel
+// per edge cost 311 allocations. The jumped interlude and tail
+// the result still owes its skipped-row count are merged ranges, however
+// many quanta they spanned. The best of five requests is judged:
+// whatever else the process allocates meanwhile only adds.
 func TestServiceRequestAllocGate(t *testing.T) {
 	want := serviceRequest(t)
 	bytes, mallocs := ^uint64(0), ^uint64(0)

@@ -21,14 +21,19 @@ import (
 //   - and then waits long enough for the run to jump a quiescent
 //     interlude, which rotates the ring and its replaced-row lists.
 //
-// The same instance is then run again without a timeline, which puts a
-// packing algebra (hop count) on the columnar path — a timeline run is
-// always on the interface path — and compared in the same way.
+// The same instance is then run again without a timeline and compared in
+// the same way. Hop count packs, so both of its runs are on packed lanes;
+// with the packing hidden (unpacked) and for lex, which does not pack,
+// both are on the interface path.
 func TestShardedActivationsAcrossMutation(t *testing.T) {
 	const n = 96
 	t.Run("hopcount", func(t *testing.T) {
 		alg, adj := incrementalNet(n)
 		shardedAcrossMutation[algebras.NatInf](t, alg, adj)
+	})
+	t.Run("hopcount-unpacked", func(t *testing.T) {
+		alg, adj := incrementalNet(n)
+		shardedAcrossMutation[algebras.NatInf](t, unpacked[algebras.NatInf]{alg}, adj)
 	})
 	t.Run("lex", func(t *testing.T) {
 		wide, hops := algebras.WidestPaths{}, algebras.HopCount{Limit: 2 * n}
@@ -74,6 +79,10 @@ func shardedAcrossMutation[R any](t *testing.T, alg core.Algebra[R], adj *matrix
 	p := &probe{Source: src}
 	seq := mustStart(t, seqEng, start, src, events)
 	par := mustStart(t, parEng, start, p, events)
+	c, ok := alg.(core.Columnar[R])
+	if packs := ok && c.ColumnarOK(); engine.Packed(seq) != packs || engine.Packed(par) != packs {
+		t.Fatalf("packed lanes: sequential %v, sharded %v; want %v", engine.Packed(seq), engine.Packed(par), packs)
+	}
 
 	if !stepBoth(t, "timeline", seq, par, src.T) {
 		t.Fatal("the timeline runs did not finish")

@@ -40,12 +40,14 @@
 //     fixed-width cells (core.Columnar) and every edge of the topology
 //     compiles, the run stores rows as struct-of-arrays lanes and applies
 //     each edge to a whole dirty column through a compiled kernel — no
-//     interface calls in the fold, word compares for change tracking. The
+//     interface calls in the fold, word compares for change tracking —
+//     timeline or not: a mutation recompiles the run's kernels. The
 //     evaluation loop itself is representation-generic (run[R, Row] over
 //     a rowOps capability whose one row step takes the loop's selection),
 //     so the columnar path shares every line of the scheduling, skip,
 //     dirty-selection and certification logic with the interface path,
-//     which serves every other run (algebras that do not pack, timelines).
+//     which serves only the runs that cannot pack (an algebra without
+//     packed cells, or an edge with no compiled form at the start).
 //
 // The source decides everything else: a run's history ring is its
 // MaxLookback, and it may stop early iff it is Fair. The only knob is the
@@ -174,6 +176,9 @@ type rowOps[R, Row any] interface {
 	// representation-specific per-run scratch.
 	newSlab() rowSlab[Row]
 	prepare(r *run[R, Row], n int)
+	// retopo follows a timeline mutation of the adjacency, after
+	// r.neighbours() has rebuilt the neighbour lists.
+	retopo(r *run[R, Row])
 	// encodeRow writes a reference row into a freshly allocated Row.
 	encodeRow(dst Row, src []R)
 	// materialise converts a ring state into a standalone state.
@@ -219,8 +224,9 @@ type run[R, Row any] struct {
 	repl     [][]int32 // per ring slot: the nodes whose row that state's step replaced
 	job      job       // the parallel step in flight; reused, one per run
 	certStmp []int32
-	memo     core.ColMemo   // columnar edge-output memo lanes (columnar.go)
-	memos    []core.ColMemo // their per-edge views
+	kern     []core.ColKernel // columnar kernel table, indexed like nbr (columnar.go)
+	memo     core.ColMemo     // columnar edge-output memo lanes
+	memos    []core.ColMemo   // their per-edge views, indexed like nbr
 
 	// The step in flight, as its activations read it.
 	now     int
@@ -421,11 +427,16 @@ func (r *run[R, Row]) step(until int) bool {
 
 	t := r.t
 	for t < until {
-		if doTerm && nCert == n && r.nextEv < len(r.events) {
-			// A certified fixed point with an event still pending: a
-			// quiescent interlude, jumped once it is absorbing (interlude.go).
-			if to := r.jump(t, until, lastChange); to > t {
+		if doTerm && nCert == n {
+			// A certified fixed point, jumped once it is absorbing
+			// (interlude.go): to the next event, or to where the marching
+			// run certifies convergence.
+			if to, done := r.jump(t, until, lastChange); to > t {
 				t = to
+				if done {
+					r.converged = true
+					break
+				}
 				continue
 			}
 		}
@@ -478,6 +489,7 @@ func (r *run[R, Row]) step(until int) bool {
 				// compiled for a later run can never be served stale.
 				e.adj.Touch()
 				r.neighbours()
+				ops.retopo(r)
 				if ev.Invalidate == nil {
 					for i := range r.lastComp {
 						r.lastComp[i] = -1
@@ -578,7 +590,9 @@ func (r *run[R, Row]) step(until int) bool {
 				// With timeline events still pending, a certified fixed
 				// point is only an interlude — the next event will
 				// perturb it, so the run carries on, by the jump at the
-				// top of the loop, to the event.
+				// top of the loop, to the event. Without one, that jump
+				// ends the run here once the fixed point is absorbing;
+				// this check ends it when it is not.
 				r.converged = true
 				break
 			}
@@ -736,6 +750,8 @@ func (genOps[R]) geom() int { return 0 }
 func (genOps[R]) newSlab() rowSlab[[]R] { return &genSlab[R]{} }
 
 func (genOps[R]) prepare(*run[R, []R], int) {}
+
+func (genOps[R]) retopo(*run[R, []R]) {}
 
 func (genOps[R]) encodeRow(dst, src []R) { copy(dst, src) }
 

@@ -122,3 +122,9 @@ func (r *run[R, Row]) memoKeys() (cells, set int) {
 	}
 	return cells, set
 }
+
+// Packed reports whether the stepper's run is on packed columnar lanes.
+func Packed[R any](s *Stepper[R]) bool {
+	_, ok := s.run.(*run[R, core.Col])
+	return ok
+}

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,6 +70,13 @@ type uncounted struct {
 }
 
 func (u uncounted) FairPeriod() int { return u.period }
+
+// farReach is a Hashed source stating a MaxLookback of a whole fairness
+// period: a fixed point never turns absorbing before the run certifies
+// it, so the run marches its certified tail instead of jumping it.
+type farReach struct{ engine.Hashed }
+
+func (f farReach) MaxLookback() int { return f.FairPeriod() }
 
 // quietFlap is a timeline with long quiet gaps, one event of each kind:
 // cut a↔b, restore it with a node restart, invalidate two rows, restart.
@@ -369,6 +377,58 @@ func TestInterludeJumpCost(t *testing.T) {
 			t.Fatalf("%s: %d activations over %d steps and one event, want %d", name, got, s.Steps, want)
 		}
 	}
+
+	// No event pending: once the fixed point after the last event is
+	// absorbing, the run jumps to where the marching run certifies,
+	// lastChange + FairPeriod − 1, asking nothing and allocating nothing;
+	// then Stats count exactly the jumped steps. A fairness period (300)
+	// far beyond the window (5) leaves a long tail to jump.
+	tailSrc := engine.Hashed{N: n, T: 2000, Seed: 3, MaxGap: 300, MaxStaleness: 5}
+	tailEvents := []engine.TimelineEvent[algebras.NatInf]{{Step: 40, Restart: []int{3}}}
+	te := engine.New(alg, adj.Clone(), engine.Config{Workers: 1})
+	tp := &probe{Source: tailSrc}
+	ts := mustStart(t, te, start, tp, tailEvents)
+	// March one step at a time until a step past the event asks the
+	// source nothing: the run has turned absorbing and jumped it.
+	for {
+		asked := tp.asked()
+		if ts.Step(ts.At() + 1) {
+			t.Fatalf("tail: the run certified at %d without jumping a step", ts.At())
+		}
+		if ts.At() > tailEvents[0].Step && tp.asked() == asked {
+			break
+		}
+	}
+	ts.Stats() // what the run jumped up to here, the interlude before the event included
+	from, asked, counted := ts.At(), tp.asked(), tp.counted.get()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := ts.Step(tailSrc.T)
+	runtime.ReadMemStats(&after)
+	if at := ts.At(); !done || ts.Progress().ConvergedAt < 0 || at >= tailSrc.T {
+		t.Fatalf("tail: Step to the horizon from %d stopped at %d, done=%v, %+v; want a certified stop short of it",
+			from, at, done, ts.Progress())
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 || tp.asked() != asked || tp.counted.get() != counted {
+		t.Fatalf("tail: the jump allocated %d times, asked %d Active/β questions and counted %d steps; want 0, 0, 0",
+			allocs, tp.asked()-asked, tp.counted.get()-counted)
+	}
+	tailRes := ts.Result()
+	te.Close()
+	tailStats := tailRes.Stats()
+	if tp.asked() != asked || tp.counted.get()-counted != tailStats.Steps-from {
+		t.Fatalf("tail: Stats asked %d questions and counted %d steps, want 0 and the %d jumped (%d … %d]",
+			tp.asked()-asked, tp.counted.get()-counted, tailStats.Steps-from, from, tailStats.Steps)
+	}
+	if tailStats.Steps != tailStats.ConvergedAt+tailSrc.FairPeriod()-1 {
+		t.Fatalf("tail: certified at step %d with the last change at %d, want a fairness period (%d) later",
+			tailStats.Steps, tailStats.ConvergedAt, tailSrc.FairPeriod())
+	}
+	// The oracle states a window of a whole fairness period, so it cannot
+	// jump before it certifies: it marches the tail.
+	oe := engine.New(alg, adj.Clone(), engine.Config{Workers: 1})
+	statsMatch(t, "tail against the marching run", tailStats, playTimeline(t, oe, start, farReach{tailSrc}, tailEvents).Stats())
+	oe.Close()
 
 	// The marching run (a run over march(src) never jumps), past its first
 	// change wave so the row slabs are warm.

@@ -47,8 +47,10 @@ func newMemoNet(t *testing.T, prog string) memoNet {
 }
 
 // memoOracle is what a run of one net over one schedule must give: the
-// literal evaluator's final state, and the counters of the same run on
-// the interface path, which keeps no memo.
+// literal evaluator's final state, and the counters of the same run with
+// the packing hidden (unpacked) — the interface path, the only run of
+// this algebra that keeps no memo: every other, timelines included,
+// takes packed lanes and memoises.
 type memoOracle struct {
 	final *matrix.State[policy.IRoute]
 	stats engine.Stats

@@ -162,8 +162,11 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window int) *ru
 // the next run's newRow/newHeader without touching the allocator.
 func (r *run[R, Row]) release() {
 	// A parked run pins nothing of what it served: not the engine (closed
-	// or not), its adjacency, the source or the timeline's closures.
+	// or not), its adjacency, its kernels, the source or the timeline's
+	// closures.
 	r.e, r.ops, r.sched, r.pw, r.events, r.marks, r.prev = nil, nil, nil, pointwise{}, nil, nil, nil
+	clear(r.kern[:cap(r.kern)])
+	r.kern = r.kern[:0]
 	size, oldest := r.window+1, true
 	for age := r.window; age >= 0; age-- {
 		slot := ((r.t-age)%size + size) % size

@@ -110,24 +110,29 @@ func (s *Stepper[R]) Close() {
 // stops at a certified fixed point — exactly when src implements Fair.
 //
 // The run picks its row representation once, here: packed columnar lanes
-// when the algebra packs (core.Columnar), every edge compiles and the run
-// has no timeline; []R slices otherwise. Both are bit-identical — in
-// cells and in Stats. Timeline runs stay on the interface path by
-// measurement, not for want of a recompile: refreshing the kernels at a
-// mutation step keeps every differential green, but at the service's
-// ≈ 6.6 cells per computed row the packed path's per-row set-up and the
-// per-request kernel compile cost more than the interface kernel saves:
-// p50 latency +12–16 % on both service workloads, 4 of 4 alternating
-// pairs, and a warm request's allocations going from 61 to 348.
+// when the algebra packs (core.Columnar) and every edge compiles, []R
+// slices otherwise. Both are bit-identical — in cells and in Stats. A
+// timeline does not change the choice: a mutation step recompiles the
+// run's kernel table for the new topology (an edge installed with no
+// compiled form folds through the interface) and empties its edge-output
+// memos. Timelines ran on the interface path until the packed path's
+// costs were cut (row eviction in O(rows replaced), one row step for both
+// paths, kernels deduplicated by edge value). Measured on the service's
+// ring-64 request (BenchmarkServiceRequest, alternating pairs, 2 vCPUs),
+// packed lanes and the tail jump below take 0.80–0.89 of the time of
+// the interface path marching its tail, at 59 allocations against 49;
+// through the daemon, svc_sliced_n64's p50 latency went 2.93 → 2.55 ms
+// (14 of 14 pairs, BENCH_pr49.json).
 //
-// While events are pending a certified fixed point does not end the run,
-// but it is not marched through either: once it is absorbing — quiet for
-// longer than the source's MaxLookback, every row read after its inputs'
-// last change — Step jumps the quiescent interlude to the next event (or
-// to until) without asking the source anything, in time that does not
-// grow with the gap. The jumped activations are owed to RowsSkipped and
-// counted (Batched.CountActive) when Stats is read, never by Progress.
-// After the last event fires, a Fair run may stop early again.
+// A certified fixed point is not marched through either: once it is
+// absorbing — quiet for longer than the source's MaxLookback, every row
+// read after its inputs' last change — Step jumps the steps ahead without
+// asking the source anything, in time that does not grow with the gap:
+// with an event pending, the quiescent interlude to the event (or to
+// until); after the last one, the certified tail to where the marching
+// run certifies, where the run stops. The jumped activations are owed to
+// RowsSkipped and counted (Batched.CountActive) when Stats is read, never
+// by Progress.
 //
 // The engine's adjacency is mutated in place as the timeline plays; the
 // engine remains valid afterwards and evaluates the post-event topology.
@@ -159,10 +164,8 @@ func (e *Engine[R]) Start(start *matrix.State[R], src Source, events []TimelineE
 			return nil, fmt.Errorf("engine: %T.FairPeriod() = %d, want ≥ 1", src, fairP)
 		}
 	}
-	if len(events) == 0 {
-		if cs := e.columnarFor(); cs != nil {
-			return &Stepper[R]{run: startRun(e, colOps[R]{e: e, cs: cs}, src, events, window, doTerm, fairP, start)}, nil
-		}
+	if cs := e.columnarFor(); cs != nil {
+		return &Stepper[R]{run: startRun(e, colOps[R]{cs}, src, events, window, doTerm, fairP, start)}, nil
 	}
 	return &Stepper[R]{run: startRun(e, genOps[R]{e: e}, src, events, window, doTerm, fairP, start)}, nil
 }

@@ -221,10 +221,11 @@ func runPauseAtEveryStep[R any](t *testing.T, name string, p pauseNet[R]) {
 		{"interface", unpacked[R]{p.alg}, nil, hashed},
 	} {
 		label, src := name+"/"+cfg.label, cfg.src
-		// Event-free runs of a memoising algebra (the interned policy
-		// algebra) run the edge-output memo path; no other run keeps one.
-		_, memoiser := cfg.alg.(core.EdgeMemoizer)
-		memoised := memoiser && cfg.events == nil
+		// Runs of a memoising algebra (the interned policy algebra) run
+		// the edge-output memo path, timelines included: a mutation
+		// recompiles the kernels and empties the memo. No other run
+		// keeps one.
+		_, memoised := cfg.alg.(core.EdgeMemoizer)
 		memoCheck := func(kl string, st *engine.Stepper[R]) (set int) {
 			t.Helper()
 			cells, set := engine.MemoKeys(st)

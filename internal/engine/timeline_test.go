@@ -10,6 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
+	"repro/internal/pathalg"
+	"repro/internal/policy"
 	"repro/internal/schedule"
 )
 
@@ -217,28 +219,142 @@ func TestTimelineEarlyTermination(t *testing.T) {
 	}
 }
 
-// TestTimelineEmptyMatchesRun: a run with no events takes packed lanes
-// where the algebra packs, and must equal the interface path's run of the
-// same schedule — identical final state and stats.
-func TestTimelineEmptyMatchesRun(t *testing.T) {
-	alg, adj := meshNet()
-	n := adj.N
-	start := matrix.Identity(alg, n)
-	rng := rand.New(rand.NewSource(5))
-	sched := schedule.Random(rng, n, 60, schedule.Options{ActivationProb: 0.5, MaxStaleness: 4})
+// crashWindow masks node's activations over steps [from, to): the
+// schedule side of a crash window, whose recovery is an Invalidate-only
+// event at to. It promotes only Source's methods, so a run over it
+// marches through the pointwise adapter.
+type crashWindow struct {
+	engine.Source
+	node, from, to int
+}
 
-	e1 := engine.New(alg, adj.Clone(), engine.Config{})
-	packed := e1.Run(start, sched)
-	e1.Close()
+func (c crashWindow) Active(t, i int) bool {
+	return !(i == c.node && t >= c.from && t < c.to) && c.Source.Active(t, i)
+}
 
-	e2 := engine.New[algebras.NatInf](unpacked[algebras.NatInf]{alg}, adj.Clone(), engine.Config{})
-	generic := e2.Run(start, sched)
-	e2.Close()
+// packedNet is one packing carrier family for the packed-timeline
+// differential: a pristine topology, an edge pair (a, b) the timelines
+// cut, and change, which edits a↔b the family's way (a new weight, a new
+// program, an edge with no compiled form).
+type packedNet[R any] struct {
+	alg    core.Algebra[R]
+	adj    *matrix.Adjacency[R]
+	a, b   int
+	change func(adj *matrix.Adjacency[R])
+}
 
-	if !packed.Final().Equal(alg, generic.Final()) {
-		t.Fatal("the packed run diverges from the interface path's")
+// runPackedTimelines plays a table of timelines on the net and holds the
+// packed run — sequential and sharded — to the interface path's run of
+// the same schedule and timeline (the algebra's packing hidden by
+// unpacked): marks, final state and Stats; and both to the literal
+// evaluator playing the timeline.
+func runPackedTimelines[R any](t *testing.T, p packedNet[R]) {
+	n, a, b := p.adj.N, p.a, p.b
+	ab, _ := p.adj.Edge(a, b)
+	ba, _ := p.adj.Edge(b, a)
+	cut := func(adj *matrix.Adjacency[R]) {
+		adj.RemoveEdge(a, b)
+		adj.RemoveEdge(b, a)
 	}
-	if packed.Stats() != generic.Stats() {
-		t.Fatalf("stats diverge: packed %+v vs interface %+v", packed.Stats(), generic.Stats())
+	restore := func(adj *matrix.Adjacency[R]) {
+		adj.SetEdge(a, b, ab)
+		adj.SetEdge(b, a, ba)
 	}
+	const T = 160
+	hashed := engine.Hashed{N: n, T: T, Seed: 19, MaxGap: 5, MaxStaleness: 4}
+	c := (a + 3) % n
+	start := matrix.Identity(p.alg, n)
+	for _, tl := range []struct {
+		name   string
+		src    engine.Source
+		events []engine.TimelineEvent[R]
+	}{
+		{"none", hashed, nil},
+		{"cut-named", hashed, []engine.TimelineEvent[R]{
+			{Step: 30, Mutate: cut, Invalidate: []int{a, b}},
+			{Step: 70, Mutate: restore, Invalidate: []int{a, b}},
+		}},
+		{"change-all", hashed, []engine.TimelineEvent[R]{
+			{Step: 30, Mutate: p.change},
+			{Step: 90, Mutate: cut},
+		}},
+		{"restart", hashed, []engine.TimelineEvent[R]{
+			{Step: 25, Restart: []int{c}},
+			{Step: 26, Restart: []int{a}, Mutate: p.change, Invalidate: []int{a, b}},
+		}},
+		{"crash-window", crashWindow{hashed, c, 20, 50}, []engine.TimelineEvent[R]{
+			{Step: 50, Invalidate: []int{c}},
+		}},
+	} {
+		hist := async.RunTimelineReference(p.alg, p.adj.Clone(), start, tl.src, tl.events)
+		for _, cfg := range []struct {
+			label string
+			mk    func(core.Algebra[R], *matrix.Adjacency[R], engine.Config) *engine.Engine[R]
+			conf  engine.Config
+		}{
+			{"sequential", engine.New[R], engine.Config{Workers: 1}},
+			{"sharded", engine.NewSharded[R], engine.Config{Workers: 8}},
+		} {
+			label := tl.name + "/" + cfg.label
+			play := func(alg core.Algebra[R], packed bool) *engine.Result[R] {
+				eng := cfg.mk(alg, p.adj.Clone(), cfg.conf)
+				defer eng.Close()
+				st := mustStart(t, eng, start, tl.src, tl.events)
+				if engine.Packed(st) != packed {
+					t.Fatalf("%s: run on packed lanes = %v, want %v", label, !packed, packed)
+				}
+				st.Step(T)
+				return st.Result()
+			}
+			res, oracle := play(p.alg, true), play(unpacked[R]{p.alg}, false)
+			for k, m := range res.Marks() {
+				identicalStates(t, fmt.Sprintf("%s mark %d", label, k), m, oracle.Marks()[k])
+			}
+			identicalStates(t, label+" final", res.Final(), oracle.Final())
+			statsMatch(t, label, res.Stats(), oracle.Stats())
+			holdToOracle(t, label, p.alg, res, hist, tl.events)
+		}
+	}
+}
+
+// TestTimelinePackedMatchesInterface: a run takes packed lanes wherever
+// the algebra packs and every edge compiles, timeline or not. A mutation
+// recompiles the run's kernels — an edge with no compiled form folds
+// through the interface — and empties its edge-output memos, so a
+// program change cannot fold the old program's outputs.
+func TestTimelinePackedMatchesInterface(t *testing.T) {
+	t.Run("hopcount", func(t *testing.T) {
+		alg, adj := meshNet()
+		opaque := core.Fn("opaque+2", alg.AddEdge(2).Apply)
+		runPackedTimelines(t, packedNet[algebras.NatInf]{alg, adj, 0, 1, func(adj *matrix.Adjacency[algebras.NatInf]) {
+			adj.SetEdge(0, 1, opaque)
+			adj.SetEdge(1, 0, opaque)
+		}})
+	})
+	t.Run("interned-pv", func(t *testing.T) {
+		_, adj := meshNet()
+		sp := algebras.ShortestPaths{}
+		base := matrix.NewAdjacency[algebras.NatInf](adj.N)
+		for _, e := range adj.Edges() {
+			base.SetEdge(e.I, e.J, sp.AddEdge(1))
+		}
+		in := pathalg.NewInterned[algebras.NatInf](sp, nil)
+		runPackedTimelines(t, packedNet[pathalg.IRoute[algebras.NatInf]]{in, pathalg.LiftAdjacencyInterned(in, base), 0, 1,
+			func(adj *matrix.Adjacency[pathalg.IRoute[algebras.NatInf]]) {
+				adj.SetEdge(0, 1, in.Edge(0, 1, sp.AddEdge(3)))
+				adj.SetEdge(1, 0, in.Edge(1, 0, sp.AddEdge(3)))
+			}})
+	})
+	t.Run("policy", func(t *testing.T) {
+		p := policyRing(t)
+		alt, err := policy.ParsePolicy("if (path(4)) { lp+=3 } else { addc(4); prepend(2) }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := p.alg.(*policy.Interned)
+		runPackedTimelines(t, packedNet[policy.IRoute]{p.alg, p.adj, p.a, p.b, func(adj *matrix.Adjacency[policy.IRoute]) {
+			adj.SetEdge(p.a, p.b, in.Edge(p.a, p.b, alt))
+			adj.SetEdge(p.b, p.a, in.Edge(p.b, p.a, alt))
+		}})
+	})
 }
