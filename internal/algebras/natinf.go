@@ -7,8 +7,8 @@
 package algebras
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // NatInf is ℕ∞: a natural number or the point at infinity. The point at
@@ -54,5 +54,5 @@ func (x NatInf) String() string {
 	if x.IsInf() {
 		return "∞"
 	}
-	return fmt.Sprintf("%d", int64(x))
+	return strconv.FormatInt(int64(x), 10)
 }

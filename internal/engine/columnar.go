@@ -224,13 +224,7 @@ func (o colOps[R]) resetMemos(r *run[R, core.Col], n int) {
 
 func (o colOps[R]) encodeRow(dst core.Col, src []R) { o.cs.cap.EncodeCol(src, dst) }
 
-func (o colOps[R]) materialise(s []core.Col) *matrix.State[R] {
-	st := matrix.NewState(len(s), o.cs.alg.Invalid())
-	for i, row := range s {
-		o.cs.cap.DecodeCol(row, st.RowView(i))
-	}
-	return st
-}
+func (o colOps[R]) decodeRow(dst []R, src core.Col) { o.cs.cap.DecodeCol(src, dst) }
 
 func (o colOps[R]) sigma(r *run[R, core.Col], i int, sel []int32, worker int) int {
 	lo, hi := r.nbrOff[i], r.nbrOff[i+1]
@@ -238,5 +232,5 @@ func (o colOps[R]) sigma(r *run[R, core.Col], i int, sel []int32, worker int) in
 	if o.cs.memo {
 		memo = r.memos[lo:hi]
 	}
-	return matrix.SigmaColChanged(o.cs.meta, i, r.nbr[lo:hi], r.kern[lo:hi], memo, r.tabs[i], r.prev[i], r.cur[i], sel, &r.chg[i], &r.inc.scratch[worker].col)
+	return matrix.SigmaColChanged(o.cs.meta, i, r.kern[lo:hi], memo, r.tabs[worker][:hi-lo], r.prev[i], r.cur[i], sel, &r.chg[i], &r.inc.scratch[worker].col)
 }

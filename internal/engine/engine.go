@@ -52,6 +52,15 @@
 // The source decides everything else: a run's history ring is its
 // MaxLookback, and it may stop early iff it is Fair. The only knob is the
 // pool size (Config).
+//
+// A run keeps what δ reads and no more. Its activation state is per edge,
+// as in Section 3.1, where active node i reads one β(t, i, k) per
+// in-neighbour k: the β each node last read from each in-neighbour, kept
+// in flat lists indexed like the neighbour lists. The β-resolved tables
+// belong to the worker running the activation, one entry per in-edge. A
+// nil start state is I, encoded by the run itself. The run keeps no copy
+// of the states it passes through: a caller that needs the state at a
+// timeline event Steps to the event's step and reads Stepper.State.
 package engine
 
 import (
@@ -179,16 +188,16 @@ type rowOps[R, Row any] interface {
 	// retopo follows a timeline mutation of the adjacency, after
 	// r.neighbours() has rebuilt the neighbour lists.
 	retopo(r *run[R, Row])
-	// encodeRow writes a reference row into a freshly allocated Row.
+	// encodeRow writes a reference row into a freshly allocated Row;
+	// decodeRow reads a Row back into a reference row.
 	encodeRow(dst Row, src []R)
-	// materialise converts a ring state into a standalone state.
-	materialise(s []Row) *matrix.State[R]
+	decodeRow(dst []R, src Row)
 	// sigma computes node i's row of the step in flight (r.cur[i]) from
-	// its β-resolved tables (r.tabs[i]) and its previous row (r.prev[i])
-	// on behalf of worker, recording the columns that moved in r.chg[i],
-	// and returns the number of columns computed. sel is the kernels'
-	// selection (matrix.SigmaRowChanged): nil for the whole row, else the
-	// ascending dirty columns, every other one copied from prev.
+	// its β-resolved tables (worker's r.tabs, by neighbour position) and
+	// its previous row (r.prev[i]), recording the columns that moved in
+	// r.chg[i], and returns the number of columns computed. sel is the
+	// kernels' selection (matrix.SigmaRowChanged): nil for the whole row,
+	// else the ascending dirty columns, every other one copied from prev.
 	sigma(r *run[R, Row], i int, sel []int32, worker int) (cells int)
 }
 
@@ -213,20 +222,25 @@ type run[R, Row any] struct {
 	// change-tracking bookkeeping
 	inc      *incShared
 	lastComp []int32         // time of node's last recomputation, −1 = never
-	lastRead []int32         // lastRead[i·n+k] = β used at i's last recomputation
+	lastRead []int32         // per edge, indexed like nbr: the β used at the node's last recomputation
 	chg      []matrix.Bitset // per-node changed-destination scratch
 
 	// per-run working storage, retained across runs when pooled
 	nbr      []int32 // flat in-neighbour lists: node i's are nbr[nbrOff[i]:nbrOff[i+1]]
 	nbrOff   []int32
 	lo       []int32   // per-edge unchanged-since thresholds, indexed like nbr
-	tabs     [][]Row   // per-node β-resolved table scratch
+	tabs     [][]Row   // per worker: the β-resolved tables of its activation, by neighbour position
+	rowR     [2][]R    // reference-row scratch: the identity start and a restart's rows
 	repl     [][]int32 // per ring slot: the nodes whose row that state's step replaced
 	job      job       // the parallel step in flight; reused, one per run
 	certStmp []int32
 	kern     []core.ColKernel // columnar kernel table, indexed like nbr (columnar.go)
 	memo     core.ColMemo     // columnar edge-output memo lanes
 	memos    []core.ColMemo   // their per-edge views, indexed like nbr
+
+	// The lists and read times a mutation step replaced: the backing the
+	// next one rebuilds into.
+	oldNbr, oldOff, oldRead []int32
 
 	// The step in flight, as its activations read it.
 	now     int
@@ -250,7 +264,6 @@ type run[R, Row any] struct {
 	fairP      int
 	events     []TimelineEvent[R] // the timeline to play; events[:nextEv] have fired
 	nextEv     int
-	marks      []*matrix.State[R]
 	prev       []Row // the state at t (at now−1 while a step is in flight)
 	lastChange int
 	certGen    int32
@@ -317,12 +330,25 @@ func (r *run[R, Row]) at(t, b int) []Row {
 }
 
 // neighbours rebuilds the run's flat in-neighbour lists (r.nbr, r.nbrOff)
-// from the adjacency, sizes the per-edge thresholds to them, and grows
-// every worker's β scratch to the new maximum degree. Built per run, and
-// again after a timeline mutation, because the topology moves between and
-// within runs.
-func (r *run[R, Row]) neighbours() {
+// from the adjacency, sizes the per-edge state to them, and grows every
+// worker's β and table scratch to the new maximum degree. Built per run,
+// and again after a timeline mutation, because the topology moves between
+// and within runs. A run's first build reads nothing before; a rebuild
+// (carry) keeps every surviving edge's read time. A row the mutation did
+// not invalidate keeps its in-edges, but their positions in the flat
+// lists shift with every row before it that gained or lost one.
+func (r *run[R, Row]) neighbours(carry bool) {
 	adj, n := r.e.adj, r.n
+	if carry {
+		// Rebuild into the spare backing; the lists it replaces become
+		// the spare.
+		r.nbr, r.oldNbr = r.oldNbr, r.nbr
+		r.nbrOff, r.oldOff = r.oldOff, r.nbrOff
+		r.lastRead, r.oldRead = r.oldRead, r.lastRead
+		if cap(r.nbr) < len(r.oldNbr) {
+			r.nbr = make([]int32, 0, len(r.oldNbr)+n)
+		}
+	}
 	if cap(r.nbrOff) < n+1 {
 		r.nbrOff = make([]int32, n+1)
 	}
@@ -338,6 +364,30 @@ func (r *run[R, Row]) neighbours() {
 	}
 	off[n] = int32(len(nbr))
 	r.nbr, r.nbrOff = nbr, off
+	if cap(r.lastRead) < len(nbr) {
+		r.lastRead = make([]int32, len(nbr))
+	}
+	r.lastRead = r.lastRead[:len(nbr)]
+	if carry {
+		for i := 0; i < n; i++ {
+			was := r.oldNbr[r.oldOff[i]:r.oldOff[i+1]]
+			read := r.oldRead[r.oldOff[i]:r.oldOff[i+1]]
+			p := 0
+			for x := off[i]; x < off[i+1]; x++ {
+				k := nbr[x]
+				for p < len(was) && was[p] < k {
+					p++
+				}
+				if p < len(was) && was[p] == k {
+					r.lastRead[x] = read[p]
+				} else {
+					r.lastRead[x] = 0
+				}
+			}
+		}
+	} else {
+		clear(r.lastRead)
+	}
 	if cap(r.lo) < len(nbr) {
 		r.lo = make([]int32, len(nbr))
 	}
@@ -346,6 +396,9 @@ func (r *run[R, Row]) neighbours() {
 	for w := range r.inc.scratch {
 		if ws := &r.inc.scratch[w]; len(ws.betas) < d {
 			ws.betas = make([]int, d)
+		}
+		if len(r.tabs[w]) < d {
+			r.tabs[w] = make([]Row, d)
 		}
 	}
 }
@@ -362,13 +415,18 @@ func (e *Engine[R]) Run(start *matrix.State[R], src Source) *Result[R] {
 	return st.Result()
 }
 
-// load publishes a dense state as the run's state at time t.
-// Every row is new, so it replaces every row of any predecessor.
+// load publishes a dense state — I when st is nil — as the run's state
+// at time t. Every row is new, so it replaces every row of any
+// predecessor.
 func (r *run[R, Row]) load(t int, st *matrix.State[R]) {
 	s, repl := r.newHeader(r.n), r.replaced(t)
 	for i := range s {
 		row := r.newRow(r.n)
-		r.ops.encodeRow(row, st.RowView(i))
+		if st != nil {
+			r.ops.encodeRow(row, st.RowView(i))
+		} else {
+			r.ops.encodeRow(row, r.identityRow(i))
+		}
 		s[i] = row
 		repl = append(repl, int32(i))
 	}
@@ -376,8 +434,19 @@ func (r *run[R, Row]) load(t int, st *matrix.State[R]) {
 	r.prev = s
 }
 
+// identityRow returns row i of I — trivial to itself, invalid elsewhere —
+// in the run's first reference-row scratch.
+func (r *run[R, Row]) identityRow(i int) []R {
+	row := r.rowR[0]
+	for j := range row {
+		row[j] = r.e.alg.Invalid()
+	}
+	row[i] = r.e.alg.Trivial()
+	return row
+}
+
 // startRun readies a run on the given row representation at step 0 from
-// start.
+// start (I when nil).
 func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events []TimelineEvent[R],
 	window int, doTerm bool, fairP int, start *matrix.State[R]) *run[R, Row] {
 	n, T := src.Nodes(), src.Horizon()
@@ -393,16 +462,13 @@ func startRun[R, Row any](e *Engine[R], ops rowOps[R, Row], src Source, events [
 	r.events, r.nextEv = events, 0
 	r.lastChange, r.certGen, r.nCert, r.converged = 0, 1, 0, false
 	r.lastRows, r.lastActs = 1, 1
-	r.neighbours()
+	r.neighbours(false)
 	if doTerm {
 		if len(r.certStmp) != n {
 			r.certStmp = make([]int32, n)
 		} else {
 			clear(r.certStmp)
 		}
-	}
-	if len(events) > 0 {
-		r.marks = make([]*matrix.State[R], 0, len(events))
 	}
 	r.load(0, start)
 	return r
@@ -452,35 +518,26 @@ func (r *run[R, Row]) step(until int) bool {
 			// tracking, so only genuinely moved columns propagate.
 			ev := &r.events[r.nextEv]
 			r.nextEv++
-			if len(ev.Restart) > 0 {
-				prevSnap := ops.materialise(r.prev)
-				var scratch []R
-				for _, i := range ev.Restart {
-					if scratch == nil {
-						scratch = make([]R, n)
-					}
-					for j := range scratch {
-						scratch[j] = e.alg.Invalid()
-					}
-					scratch[i] = e.alg.Trivial()
-					// A node listed twice restarts on the row it already has.
-					row := cur[i]
-					if !slices.Contains(repl, int32(i)) {
-						row = r.newRow(n)
-						cur[i] = row
-						repl = append(repl, int32(i))
-					}
-					ops.encodeRow(row, scratch)
-					old := prevSnap.RowView(i)
-					chgI := &r.chg[i]
-					for j := 0; j < n; j++ {
-						if !e.alg.Equal(scratch[j], old[j]) {
-							chgI.Set(j)
-						}
-					}
-					r.foldRowChanges(i, t)
-					r.lastComp[i] = -1
+			for _, i := range ev.Restart {
+				old := r.rowR[1]
+				ops.decodeRow(old, r.prev[i])
+				wiped := r.identityRow(i)
+				// A node listed twice restarts on the row it already has.
+				row := cur[i]
+				if !slices.Contains(repl, int32(i)) {
+					row = r.newRow(n)
+					cur[i] = row
+					repl = append(repl, int32(i))
 				}
+				ops.encodeRow(row, wiped)
+				chgI := &r.chg[i]
+				for j := 0; j < n; j++ {
+					if !e.alg.Equal(wiped[j], old[j]) {
+						chgI.Set(j)
+					}
+				}
+				r.foldRowChanges(i, t)
+				r.lastComp[i] = -1
 			}
 			if ev.Mutate != nil {
 				ev.Mutate(e.adj)
@@ -488,7 +545,7 @@ func (r *run[R, Row]) step(until int) bool {
 				// moving the adjacency generation; bump it so kernels
 				// compiled for a later run can never be served stale.
 				e.adj.Touch()
-				r.neighbours()
+				r.neighbours(true)
 				ops.retopo(r)
 				if ev.Invalidate == nil {
 					for i := range r.lastComp {
@@ -502,7 +559,6 @@ func (r *run[R, Row]) step(until int) bool {
 			r.inc.top = int32(t)
 			r.put(t, cur, repl)
 			r.prev = cur
-			r.marks = append(r.marks, ops.materialise(cur))
 			// An event reopens the convergence question from scratch.
 			lastChange = t
 			certGen++
@@ -609,8 +665,8 @@ func (r *run[R, Row]) step(until int) bool {
 // draws i's β values, decides in O(deg) whether any β-resolved input
 // changed since i's row was computed, and only when one did resolves i's
 // tables and dirty columns, takes a row and runs the kernel. It writes
-// i's own state (its thresholds, tables, lastRead and lastComp entries,
-// cur[i], chg[i]), slot idx of minB and the worker's scratch, and reads
+// i's own state (its thresholds, lastRead and lastComp entries, cur[i],
+// chg[i]), slot idx of minB and the worker's scratch and tables, and reads
 // only what the serial fold and put leave alone until every activation of
 // the step is done, so a step's activations run in any order, on any
 // worker.
@@ -624,7 +680,7 @@ func (r *run[R, Row]) activate(idx, worker int) {
 	// A first activation (nothing to reuse yet) recomputes in full; the
 	// kernel still tracks changes against the node's starting row, so
 	// ConvergedAt and FixedPoint round counts stay exact.
-	base := i * n
+	read := r.lastRead[off0:off1:off1]
 	var lo []int32 // nil: a full (first-activation) recomputation
 	if r.lastComp[i] >= 0 {
 		// The node has a previous row. Decide in O(deg) whether any
@@ -633,28 +689,27 @@ func (r *run[R, Row]) activate(idx, worker int) {
 		lo = r.lo[off0:off1:off1]
 		compute := false
 		for ai, k32 := range nb {
-			l := min(int32(betas[ai]), r.lastRead[base+int(k32)])
+			l := min(int32(betas[ai]), read[ai])
 			lo[ai] = l
 			if r.inc.rowMax[k32] > l {
 				compute = true
 			}
 		}
 		if !compute {
-			for ai, k32 := range nb {
+			for ai := range nb {
 				// The kept row is also valid against the fresher read
 				// time — advance it to maximise future skips.
-				if slot := base + int(k32); int32(betas[ai]) > r.lastRead[slot] {
-					r.lastRead[slot] = int32(betas[ai])
+				if b := int32(betas[ai]); b > read[ai] {
+					read[ai] = b
 				}
 			}
 			return
 		}
 	}
-	tb := r.tabs[i]
+	tb := r.tabs[worker]
 	for ai, k32 := range nb {
-		k := int(k32)
-		tb[k] = r.at(t, betas[ai])[k]
-		r.lastRead[base+k] = int32(betas[ai])
+		tb[ai] = r.at(t, betas[ai])[k32]
+		read[ai] = int32(betas[ai])
 	}
 	r.lastComp[i] = int32(t)
 	var row Row
@@ -699,7 +754,13 @@ func (r *run[R, Row]) progress() Progress {
 }
 
 // state materialises the state at the last completed step.
-func (r *run[R, Row]) state() *matrix.State[R] { return r.ops.materialise(r.prev) }
+func (r *run[R, Row]) state() *matrix.State[R] {
+	st := matrix.NewState(r.n, r.e.alg.Invalid())
+	for i, row := range r.prev {
+		r.ops.decodeRow(st.RowView(i), row)
+	}
+	return st
+}
 
 // statsNow returns the run counters as of the last completed step, the
 // jumped interludes settled.
@@ -713,8 +774,7 @@ func (r *run[R, Row]) statsNow() Stats {
 // result, settled when its Stats are read.
 func (r *run[R, Row]) finish(res *Result[R]) {
 	p := r.progress()
-	*res = Result[R]{final: r.ops.materialise(r.prev), marks: r.marks,
-		stats: Stats{Progress: p, RowsSkipped: r.stats.RowsSkipped}}
+	*res = Result[R]{final: r.state(), stats: Stats{Progress: p, RowsSkipped: r.stats.RowsSkipped}}
 	if len(r.owed) > 0 {
 		res.owed, res.sched = slices.Clone(r.owed), r.sched
 		if r.sched == Batched(&r.pw) {
@@ -755,20 +815,11 @@ func (genOps[R]) retopo(*run[R, []R]) {}
 
 func (genOps[R]) encodeRow(dst, src []R) { copy(dst, src) }
 
-func (o genOps[R]) materialise(s [][]R) *matrix.State[R] { return materialise(o.e.alg, s) }
+func (genOps[R]) decodeRow(dst, src []R) { copy(dst, src) }
 
-func (o genOps[R]) sigma(r *run[R, []R], i int, sel []int32, _ int) int {
+func (o genOps[R]) sigma(r *run[R, []R], i int, sel []int32, worker int) int {
 	nb := r.nbr[r.nbrOff[i]:r.nbrOff[i+1]]
-	return matrix.SigmaRowChanged(o.e.alg, o.e.adj, i, nb, r.tabs[i], r.prev[i], r.cur[i], sel, &r.chg[i])
-}
-
-// materialise copies a ring state into a standalone matrix.State.
-func materialise[R any](alg core.Algebra[R], s [][]R) *matrix.State[R] {
-	st := matrix.NewState(len(s), alg.Invalid())
-	for i, row := range s {
-		st.SetRow(i, row)
-	}
-	return st
+	return matrix.SigmaRowChanged(o.e.alg, o.e.adj, i, nb, r.tabs[worker][:len(nb)], r.prev[i], r.cur[i], sel, &r.chg[i])
 }
 
 // SigmaInto computes σ(x) into out (which must be distinct from x).
@@ -794,7 +845,7 @@ type sigmaRows[R any] struct {
 }
 
 func (s *sigmaRows[R]) runIdx(i, _ int) {
-	matrix.SigmaRowInto(s.e.alg, s.e.adj, i, nil, s.tabs, s.out.RowView(i))
+	matrix.SigmaRowInto(s.e.alg, s.e.adj, i, s.tabs, s.out.RowView(i))
 }
 
 // FixedPoint iterates σ from start until a fixed point or maxRounds, the

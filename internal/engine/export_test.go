@@ -49,13 +49,15 @@ func LastStepTasks[R any](s *Stepper[R]) int {
 
 // Bookkeeping is the stepper's change tracking and certification as of
 // its last completed step, copied: the last-changed matrix, the
-// per-node last-recomputation times, the β each node last read, the
-// nodes certified in the current generation (nil for a run that does not
-// certify) and the last step the state changed.
+// per-node last-recomputation times, the β each node last read from each
+// in-neighbour (keyed by the edge (i, k), whatever its position in the
+// run's flat lists), the nodes certified in the current generation (nil
+// for a run that does not certify) and the last step the state changed.
 type Bookkeeping struct {
-	Ver, LastComp, LastRead []int32
-	Certified               []bool
-	LastChange              int
+	Ver, LastComp []int32
+	LastRead      map[[2]int]int32
+	Certified     []bool
+	LastChange    int
 }
 
 // ReadBookkeeping reads a stepper's Bookkeeping.
@@ -67,8 +69,13 @@ func (r *run[R, Row]) bookkeeping() Bookkeeping {
 	b := Bookkeeping{
 		Ver:        slices.Clone(r.inc.ver),
 		LastComp:   slices.Clone(r.lastComp),
-		LastRead:   slices.Clone(r.lastRead),
+		LastRead:   make(map[[2]int]int32, len(r.nbr)),
 		LastChange: r.lastChange,
+	}
+	for i := 0; i < r.n; i++ {
+		for x := r.nbrOff[i]; x < r.nbrOff[i+1]; x++ {
+			b.LastRead[[2]int{i, int(r.nbr[x])}] = r.lastRead[x]
+		}
 	}
 	if r.doTerm {
 		b.Certified = make([]bool, r.n)

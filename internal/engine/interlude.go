@@ -63,8 +63,8 @@ func rotate[T any](s []T, k int) {
 // there finds no dirty input and skips.
 func (r *run[R, Row]) settled() bool {
 	for i := 0; i < r.n; i++ {
-		for _, k := range r.nbr[r.nbrOff[i]:r.nbrOff[i+1]] {
-			if r.lastComp[i] < 0 || r.lastRead[i*r.n+int(k)] < r.inc.rowMax[k] {
+		for x := r.nbrOff[i]; x < r.nbrOff[i+1]; x++ {
+			if r.lastComp[i] < 0 || r.lastRead[x] < r.inc.rowMax[r.nbr[x]] {
 				return false
 			}
 		}

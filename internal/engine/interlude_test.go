@@ -143,12 +143,14 @@ func marchEveryStep[R any](t *testing.T, p pauseNet[R], src engine.Source, event
 // jumpAgainstMarch drives the jumping run (the default configuration)
 // from one event boundary to the next and requires the marching run's
 // counters and state at each: the step before every event, the event
-// step, and the end. It returns the finished jumping run.
+// step, and the end. It returns the jumping run's states at the event
+// steps and the finished run.
 func jumpAgainstMarch[R any](t *testing.T, label string, p pauseNet[R], src engine.Source,
-	events []engine.TimelineEvent[R], m marchTrace[R]) *engine.Result[R] {
+	events []engine.TimelineEvent[R], m marchTrace[R]) ([]*matrix.State[R], *engine.Result[R]) {
 	eng := engine.New(p.alg, p.adj.Clone(), engine.Config{})
 	defer eng.Close()
 	st := mustStart(t, eng, matrix.Identity(p.alg, p.adj.N), src, events)
+	var atEvents []*matrix.State[R]
 	for _, ev := range events {
 		if st.Step(ev.Step-1) || st.At() != ev.Step-1 {
 			t.Fatalf("%s: Step(%d) finished or stopped at %d", label, ev.Step-1, st.At())
@@ -157,14 +159,13 @@ func jumpAgainstMarch[R any](t *testing.T, label string, p pauseNet[R], src engi
 		identicalStates(t, fmt.Sprintf("%s state before event %d", label, ev.Step), st.State(), m.states[ev.Step-1])
 		st.Step(ev.Step)
 		statsMatch(t, fmt.Sprintf("%s at event %d", label, ev.Step), st.Stats(), m.stats[ev.Step])
+		atEvents = append(atEvents, st.State())
+		identicalStates(t, fmt.Sprintf("%s state at event %d", label, ev.Step), atEvents[len(atEvents)-1], m.states[ev.Step])
 	}
 	if !st.Step(src.Horizon()) {
 		t.Fatalf("%s: Step to the horizon did not finish", label)
 	}
 	res := st.Result()
-	for k, mark := range res.Marks() {
-		identicalStates(t, fmt.Sprintf("%s mark %d", label, k), mark, m.res.Marks()[k])
-	}
 	identicalStates(t, label+" final", res.Final(), m.res.Final())
 	// The jumping run stops where it certifies; up to there it did exactly
 	// the marching run's work.
@@ -174,7 +175,7 @@ func jumpAgainstMarch[R any](t *testing.T, label string, p pauseNet[R], src engi
 	}
 	want.ConvergedAt = got.ConvergedAt
 	statsMatch(t, label+" final", got, want)
-	return res
+	return atEvents, res
 }
 
 // lastChanges reads off the marching trace, for each event, the last step
@@ -192,7 +193,7 @@ func (m marchTrace[R]) lastChanges(alg core.Algebra[R], start *matrix.State[R], 
 			}
 			prev = m.states[s]
 		}
-		at, prev = ev.Step, m.res.Marks()[e]
+		at, prev = ev.Step, m.states[ev.Step]
 	}
 	return out
 }
@@ -213,7 +214,7 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R], gap, stal
 	// The lazy source, counted in closed form.
 	marched := marchEveryStep(t, p, hashed, events)
 	jp := &probe{Source: hashed}
-	full := jumpAgainstMarch(t, name+"/hashed", p, jp, events, marched)
+	fullAt, full := jumpAgainstMarch(t, name+"/hashed", p, jp, events, marched)
 	if jp.counted.get() < T/3 {
 		t.Fatalf("%s: only %d of %d steps were counted, not marched; the timeline has no interlude to jump", name, jp.counted.get(), T)
 	}
@@ -242,19 +243,19 @@ func runInterludeJump[R any](t *testing.T, name string, p pauseNet[R], gap, stal
 
 	// The same source with the Batched capability hidden: the pointwise
 	// adapter must march the same steps and count the same activations.
-	plain := jumpAgainstMarch(t, name+"/hashed-uncounted", p,
+	_, plain := jumpAgainstMarch(t, name+"/hashed-uncounted", p,
 		uncounted{hashed, hashed.FairPeriod()}, events, marched)
 	statsMatch(t, name+" counted vs uncounted", plain.Stats(), full.Stats())
 
-	holdToOracle(t, name+"/hashed", p.alg, full, async.RunTimelineReference(p.alg, p.adj.Clone(), start, hashed, events), events)
+	holdToOracle(t, name+"/hashed", p.alg, fullAt, full, async.RunTimelineReference(p.alg, p.adj.Clone(), start, hashed, events), events)
 
 	// A materialised schedule over the whole horizon, β reaching across the
 	// events, promising the fairness period it was drawn with: jumping ≡
 	// marching ≡ the literal evaluator.
 	sched := schedule.Random(rand.New(rand.NewSource(7)), n, T, schedule.Options{MaxGap: gap, MaxStaleness: stale})
 	fair := uncounted{sched, hashed.FairPeriod()}
-	res := jumpAgainstMarch(t, name+"/plan", p, fair, events, marchEveryStep(t, p, fair, events))
-	holdToOracle(t, name+"/plan", p.alg, res, async.RunTimelineReference(p.alg, p.adj.Clone(), start, sched, events), events)
+	resAt, res := jumpAgainstMarch(t, name+"/plan", p, fair, events, marchEveryStep(t, p, fair, events))
+	holdToOracle(t, name+"/plan", p.alg, resAt, res, async.RunTimelineReference(p.alg, p.adj.Clone(), start, sched, events), events)
 
 	// Pause at every step — until lands inside, at the end of, and one
 	// short of every interlude — then at a few later points, each pause

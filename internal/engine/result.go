@@ -46,8 +46,9 @@ type Progress struct {
 	ConvergedAt int
 }
 
-// Result is the outcome of one run: the final state, the run statistics,
-// and the state at each timeline event step.
+// Result is the outcome of one run: the final state and the run
+// statistics. The state at a timeline event step is read off the Stepper
+// paused there (Stepper.State).
 type Result[R any] struct {
 	final *matrix.State[R]
 	stats Stats
@@ -56,7 +57,6 @@ type Result[R any] struct {
 	owed    owed
 	sched   Batched
 	settled sync.Once
-	marks   []*matrix.State[R] // per-event snapshots of a timeline run
 }
 
 // Final returns δᵀ(X).
@@ -80,9 +80,3 @@ func (r *Result[R]) Stats() Stats {
 func (r *Result[R]) Converged() (int, bool) {
 	return r.stats.ConvergedAt, r.stats.ConvergedAt >= 0
 }
-
-// Marks returns the state at each timeline event step of a run started
-// with a timeline (after the event's restarts, before any subsequent
-// activation), in event order; empty without one. Mark k is the state the
-// literal evaluator, async.RunTimelineReference, holds at event k's step.
-func (r *Result[R]) Marks() []*matrix.State[R] { return r.marks }

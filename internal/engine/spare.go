@@ -29,14 +29,18 @@ const spareShapes = 4
 // The bound is constants: at most GOMAXPROCS runs of one shape (more are
 // not in use at once without oversubscribing) and spareShapes·GOMAXPROCS
 // in all, the least recently parked evicted first. A parked run of n
-// nodes and window w holds at most (w+1)·n rows of n cells, n² row
-// headers of β-resolved tables and 12·n² bytes of change tracking (ver,
-// lastRead, the mask ring): ≈ 0.3 MB at the service's n = 64, w = 4, so
-// ≤ 2.4 MB retained on 2 CPUs; ≈ 35 MB a run at E5's n = 512, w = 8. A
-// memoising algebra's run adds its edge-output memos, 2·E·n·(4 + 8W)
-// bytes for E edges: ≈ 1.4 MB on the policy benchmark's ring-128+chords
-// (E = 272, W = 2). It holds nothing of the engine, adjacency, source or
-// timeline it last served (see release).
+// nodes, E edges and window w holds at most (w+1)·n rows of n cells,
+// 8·n² bytes of change tracking (ver and the mask ring), and per edge
+// its read time, threshold and neighbour entry (twice over for the
+// lists a timeline mutation rebuilds into); the β-resolved tables are one
+// row header per in-edge of the activation in hand, per worker. Measured
+// as the heap one run leaves retained (GOMAXPROCS = 2): ≈ 0.25 MB at the
+// service's n = 64, w = 4, so ≤ 2 MB on 2 CPUs, and ≈ 11.6 MB at E5's
+// n = 512, w = 8 — 0.46 and 21.6 MB while the tables were n² row headers
+// a run and the read times n² int32s. A memoising algebra's run adds its
+// edge-output memos, 2·E·n·(4 + 8W) bytes: ≈ 1.4 MB on the policy
+// benchmark's ring-128+chords (E = 272, W = 2). It holds nothing of the
+// engine, adjacency, source or timeline it last served (see release).
 var spares struct {
 	sync.Mutex
 	list []parked
@@ -104,29 +108,25 @@ func acquireRun[R, Row any](e *Engine[R], ops rowOps[R, Row], n, window int) *ru
 				scratch:   make([]workerScratch, e.workers),
 			},
 			lastComp: make([]int32, n),
-			lastRead: make([]int32, n*n),
 			chg:      matrix.NewBitsets(n, n),
 			actives:  make([]int, 0, n),
 			minB:     make([]int32, 0, n),
 			taken:    make([]Row, 0, n),
-			// Every node's table header up front: activations on the
-			// pool's helpers cannot carve one.
-			tabs: make([][]Row, n),
+			// One table scratch per worker, grown to the maximum degree
+			// by neighbours: activations on the pool's helpers cannot
+			// allocate one.
+			tabs: make([][]Row, e.workers),
+			rowR: [2][]R{make([]R, n), make([]R, n)},
 		}
 		for w := range r.inc.scratch {
 			ws := &r.inc.scratch[w]
 			ws.masks, ws.sel = make([]uint64, wper), make([]int32, 0, n)
-		}
-		hdrs := make([]Row, n*n)
-		for i := range r.tabs {
-			r.tabs[i] = hdrs[i*n : (i+1)*n : (i+1)*n]
 		}
 	} else {
 		clear(r.inc.ver)
 		clear(r.inc.wordMax)
 		clear(r.inc.rowMax)
 		clear(r.inc.histStamp)
-		clear(r.lastRead)
 		for w := range r.inc.scratch {
 			r.inc.scratch[w].cells = 0
 		}
@@ -164,9 +164,11 @@ func (r *run[R, Row]) release() {
 	// A parked run pins nothing of what it served: not the engine (closed
 	// or not), its adjacency, its kernels, the source or the timeline's
 	// closures.
-	r.e, r.ops, r.sched, r.pw, r.events, r.marks, r.prev = nil, nil, nil, pointwise{}, nil, nil, nil
+	r.e, r.ops, r.sched, r.pw, r.events, r.prev = nil, nil, nil, pointwise{}, nil, nil
 	clear(r.kern[:cap(r.kern)])
 	r.kern = r.kern[:0]
+	clear(r.rowR[0])
+	clear(r.rowR[1])
 	size, oldest := r.window+1, true
 	for age := r.window; age >= 0; age-- {
 		slot := ((r.t-age)%size + size) % size

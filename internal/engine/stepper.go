@@ -102,8 +102,17 @@ func (s *Stepper[R]) Close() {
 }
 
 // Start begins a run of δ from start over src, playing the given event
-// timeline (nil for none), and returns it paused at step 0. Run,
-// RunSnapshot and Restore are wrappers over Start, Step and Result.
+// timeline (nil for none), and returns it paused at step 0. A nil start
+// is I, the identity matrix (trivial on the diagonal, invalid elsewhere),
+// encoded row by row into the run's own rows, so a caller that starts
+// from I builds no dense state. Run, RunSnapshot and Restore are wrappers
+// over Start, Step and Result.
+//
+// A run keeps no copy of the states it passes through: to read the state
+// at a timeline event's step — after the event's restarts and mutation,
+// before any later activation, the state the literal evaluator
+// async.RunTimelineReference holds there — Step to that step and read
+// State.
 //
 // The source decides the run's shape: its history ring holds
 // src.MaxLookback() past states, and the run certifies convergence — and
@@ -147,7 +156,7 @@ func (e *Engine[R]) Start(start *matrix.State[R], src Source, events []TimelineE
 	if n != e.adj.N {
 		return nil, fmt.Errorf("engine: source has %d nodes but adjacency has %d", n, e.adj.N)
 	}
-	if start == nil || start.N != n {
+	if start != nil && start.N != n {
 		return nil, fmt.Errorf("engine: the start state does not have the adjacency's %d nodes", n)
 	}
 	if err := validateTimeline(events, n, T); err != nil {

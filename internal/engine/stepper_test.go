@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algebras"
+	"repro/internal/async"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gaorexford"
@@ -61,6 +62,23 @@ func playTimeline[R any](t testing.TB, eng *engine.Engine[R], start *matrix.Stat
 	st := mustStart(t, eng, start, src, events)
 	st.Step(src.Horizon())
 	return st.Result()
+}
+
+// playAtEvents runs a started timeline to its end, pausing at every event
+// step to read the post-event state there (Stepper.State), and returns
+// those states, in event order, and the result.
+func playAtEvents[R any](t testing.TB, st *engine.Stepper[R], src engine.Source, events []engine.TimelineEvent[R]) ([]*matrix.State[R], *engine.Result[R]) {
+	t.Helper()
+	atEvents := make([]*matrix.State[R], 0, len(events))
+	for _, ev := range events {
+		st.Step(ev.Step)
+		if st.At() != ev.Step {
+			t.Fatalf("Step(%d) stopped at step %d", ev.Step, st.At())
+		}
+		atEvents = append(atEvents, st.State())
+	}
+	st.Step(src.Horizon())
+	return atEvents, st.Result()
 }
 
 func TestTimelineSnapshotSlicedDifferential(t *testing.T) {
@@ -135,6 +153,7 @@ func TestStepperStateLifecycle(t *testing.T) {
 	eng := engine.New(alg, adj, engine.Config{})
 	defer eng.Close()
 
+	hist := async.RunTimelineReference(alg, adj.Clone(), start, src, events)
 	st := mustStart(t, eng, start, src, events)
 	identicalStates(t, "step 0", st.State(), start)
 	st.Step(20)
@@ -143,7 +162,7 @@ func TestStepperStateLifecycle(t *testing.T) {
 		t.Fatal("Step to the horizon did not finish the run")
 	}
 	res := st.Result()
-	identicalStates(t, "event step 20", atEvent, res.Marks()[0])
+	identicalStates(t, "event step 20", atEvent, hist[20])
 	identicalStates(t, "after Result", st.State(), res.Final())
 	if st.Result() != res || !st.Step(140) || st.At() != res.Stats().Steps {
 		t.Fatal("an ended stepper must keep reporting its one result")

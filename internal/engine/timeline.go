@@ -13,9 +13,10 @@ import (
 // remainder of the run into a new problem instance that starts from the
 // current state — except that here the incremental machinery carries
 // over, so after the event only the affected columns recompute. A run
-// plays a timeline from Engine.Start; its Result's Marks hold the state
-// at each event step, so it can be held to the literal evaluator playing
-// the same timeline (async.RunTimelineReference).
+// plays a timeline from Engine.Start; a Stepper paused at an event step
+// holds the post-event state (Stepper.State), so it can be held to the
+// literal evaluator playing the same timeline
+// (async.RunTimelineReference).
 type TimelineEvent[R any] struct {
 	// Step is the time step the event fires at, 1 ≤ Step ≤ horizon.
 	// Events must be given in strictly increasing Step order.

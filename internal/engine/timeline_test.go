@@ -41,16 +41,17 @@ func meshNet() (algebras.HopCount, *matrix.Adjacency[algebras.NatInf]) {
 	return alg, adj
 }
 
-// holdToOracle requires a timeline run's marks and final state to be the
-// literal evaluator's states at the event steps and at the horizon — the
-// horizon also when the run certified a fixed point and stopped early.
-func holdToOracle[R any](t *testing.T, label string, alg core.Algebra[R], res *engine.Result[R],
+// holdToOracle requires a timeline run's states at the event steps
+// (playAtEvents) and its final state to be the literal evaluator's states
+// at the event steps and at the horizon — the horizon also when the run
+// certified a fixed point and stopped early.
+func holdToOracle[R any](t *testing.T, label string, alg core.Algebra[R], atEvents []*matrix.State[R], res *engine.Result[R],
 	hist []*matrix.State[R], events []engine.TimelineEvent[R]) {
 	t.Helper()
-	if len(res.Marks()) != len(events) {
-		t.Fatalf("%s: %d marks, want one per event (%d)", label, len(res.Marks()), len(events))
+	if len(atEvents) != len(events) {
+		t.Fatalf("%s: %d event-step states, want one per event (%d)", label, len(atEvents), len(events))
 	}
-	for k, m := range res.Marks() {
+	for k, m := range atEvents {
 		if want := hist[events[k].Step]; !m.Equal(alg, want) {
 			t.Fatalf("%s: state at event %d diverges from the reference\nengine:\n%s\nreference:\n%s",
 				label, k, m.Format(alg), want.Format(alg))
@@ -91,9 +92,9 @@ func timelineAgainstOracle(t *testing.T, T int, seed int64, events []engine.Time
 				} else {
 					eng = engine.New(alg, adj.Clone(), engine.Config{Workers: 1})
 				}
-				res := playTimeline(t, eng, start, s, events)
+				atEvents, res := playAtEvents(t, mustStart(t, eng, start, s, events), s, events)
 				eng.Close()
-				holdToOracle(t, fmt.Sprintf("seed %d %s marching=%v sharded=%v", seed, name, marching, sharded), alg, res, hist, events)
+				holdToOracle(t, fmt.Sprintf("seed %d %s marching=%v sharded=%v", seed, name, marching, sharded), alg, atEvents, res, hist, events)
 				if !marching && !sharded {
 					out[name] = res
 				}
@@ -199,9 +200,9 @@ func TestTimelineEarlyTermination(t *testing.T) {
 	src := engine.Hashed{N: n, T: 4000, Seed: 9, ActivationProbMille: 600}
 	eng := engine.New(alg, adj.Clone(), engine.Config{})
 	defer eng.Close()
-	res := playTimeline(t, eng, start, src, events)
+	atEvents, res := playAtEvents(t, mustStart(t, eng, start, src, events), src, events)
 	// What it stopped on is still the literal evaluator's state 4000 steps in.
-	holdToOracle(t, "early termination", alg, res, async.RunTimelineReference(alg, adj.Clone(), start, src, events), events)
+	holdToOracle(t, "early termination", alg, atEvents, res, async.RunTimelineReference(alg, adj.Clone(), start, src, events), events)
 
 	at, ok := res.Converged()
 	if !ok {
@@ -296,23 +297,23 @@ func runPackedTimelines[R any](t *testing.T, p packedNet[R]) {
 			{"sharded", engine.NewSharded[R], engine.Config{Workers: 8}},
 		} {
 			label := tl.name + "/" + cfg.label
-			play := func(alg core.Algebra[R], packed bool) *engine.Result[R] {
+			play := func(alg core.Algebra[R], packed bool) ([]*matrix.State[R], *engine.Result[R]) {
 				eng := cfg.mk(alg, p.adj.Clone(), cfg.conf)
 				defer eng.Close()
 				st := mustStart(t, eng, start, tl.src, tl.events)
 				if engine.Packed(st) != packed {
 					t.Fatalf("%s: run on packed lanes = %v, want %v", label, !packed, packed)
 				}
-				st.Step(T)
-				return st.Result()
+				return playAtEvents(t, st, tl.src, tl.events)
 			}
-			res, oracle := play(p.alg, true), play(unpacked[R]{p.alg}, false)
-			for k, m := range res.Marks() {
-				identicalStates(t, fmt.Sprintf("%s mark %d", label, k), m, oracle.Marks()[k])
+			atEvents, res := play(p.alg, true)
+			oracleAt, oracle := play(unpacked[R]{p.alg}, false)
+			for k, m := range atEvents {
+				identicalStates(t, fmt.Sprintf("%s event %d", label, k), m, oracleAt[k])
 			}
 			identicalStates(t, label+" final", res.Final(), oracle.Final())
 			statsMatch(t, label, res.Stats(), oracle.Stats())
-			holdToOracle(t, label, p.alg, res, hist, tl.events)
+			holdToOracle(t, label, p.alg, atEvents, res, hist, tl.events)
 		}
 	}
 }
@@ -357,4 +358,114 @@ func TestTimelinePackedMatchesInterface(t *testing.T) {
 			adj.SetEdge(p.b, p.a, in.Edge(p.b, p.a, alt))
 		}})
 	})
+}
+
+// TestMutationCarriesReadTimes: an activation's state is per edge — the β
+// node i last read from each in-neighbour k — and lives in flat lists
+// indexed like the neighbour lists. A mutation that gives node 0 a new
+// in-edge shifts every later node's edges one position on, so a rebuild
+// must carry each surviving (i, k) read time to its new position: every
+// row the event does not invalidate keeps exactly its read times across
+// the event step. The states at the event and at the horizon stay the
+// literal evaluator's, packed and not, sequential and sharded.
+func TestMutationCarriesReadTimes(t *testing.T) {
+	alg, adj := meshNet()
+	const at, T = 40, 160
+	if _, ok := adj.Edge(0, 5); ok {
+		t.Fatal("the mesh already has the edge the event adds")
+	}
+	events := []engine.TimelineEvent[algebras.NatInf]{{
+		Step:       at,
+		Mutate:     func(a *matrix.Adjacency[algebras.NatInf]) { a.SetEdge(0, 5, alg.AddEdge(1)) },
+		Invalidate: []int{0},
+	}}
+	src := engine.Hashed{N: adj.N, T: T, Seed: 5, ActivationProbMille: 600, MaxStaleness: 5}
+	start := matrix.Identity(alg, adj.N)
+	hist := async.RunTimelineReference(alg, adj.Clone(), start, src, events)
+	for _, cfg := range []struct {
+		label  string
+		alg    core.Algebra[algebras.NatInf]
+		packed bool
+		mk     func(core.Algebra[algebras.NatInf], *matrix.Adjacency[algebras.NatInf], engine.Config) *engine.Engine[algebras.NatInf]
+	}{
+		{"packed", alg, true, engine.New[algebras.NatInf]},
+		{"unpacked", unpacked[algebras.NatInf]{alg}, false, engine.New[algebras.NatInf]},
+		{"packed-sharded", alg, true, engine.NewSharded[algebras.NatInf]},
+	} {
+		eng := cfg.mk(cfg.alg, adj.Clone(), engine.Config{Workers: 2})
+		st := mustStart(t, eng, start, src, events)
+		if engine.Packed(st) != cfg.packed {
+			t.Fatalf("%s: run on packed lanes = %v", cfg.label, !cfg.packed)
+		}
+		st.Step(at - 1)
+		before := engine.ReadBookkeeping(st)
+		st.Step(at)
+		after := engine.ReadBookkeeping(st)
+		kept, read := 0, 0
+		for e, b := range before.LastRead {
+			if e[0] == 0 {
+				continue
+			}
+			a, ok := after.LastRead[e]
+			if !ok || a != b {
+				t.Fatalf("%s: edge %v read at %d before the event step, %d (present %v) after", cfg.label, e, b, a, ok)
+			}
+			kept++
+			if b > 0 {
+				read++
+			}
+		}
+		want := 0
+		for e := range after.LastRead {
+			if e[0] != 0 {
+				want++
+			}
+		}
+		if kept != want || read == 0 {
+			t.Fatalf("%s: %d surviving edges carried (%d read after step 0), want %d", cfg.label, kept, read, want)
+		}
+		if _, ok := after.LastRead[[2]int{0, 5}]; !ok {
+			t.Fatalf("%s: the added edge has no read time", cfg.label)
+		}
+		identicalStates(t, cfg.label+" at the event", st.State(), hist[at])
+		st.Step(T)
+		res := st.Result()
+		eng.Close()
+		identicalStates(t, cfg.label+" final", res.Final(), hist[len(hist)-1])
+	}
+}
+
+// TestNilStartIsIdentity: a nil start is I, encoded by the run itself —
+// the same states at every event step, the same final state and the same
+// Stats as a run handed matrix.Identity, on packed lanes and on the
+// interface path.
+func TestNilStartIsIdentity(t *testing.T) {
+	hop, adj := meshNet()
+	events := flapEvents(hop)
+	src := engine.Hashed{N: adj.N, T: 140, Seed: 31, MaxGap: 6, MaxStaleness: 5}
+	for _, cfg := range []struct {
+		label  string
+		alg    core.Algebra[algebras.NatInf]
+		packed bool
+	}{
+		{"packed", hop, true},
+		{"unpacked", unpacked[algebras.NatInf]{hop}, false},
+	} {
+		play := func(start *matrix.State[algebras.NatInf]) ([]*matrix.State[algebras.NatInf], *engine.Result[algebras.NatInf]) {
+			eng := engine.New(cfg.alg, adj.Clone(), engine.Config{})
+			defer eng.Close()
+			st := mustStart(t, eng, start, src, events)
+			if engine.Packed(st) != cfg.packed {
+				t.Fatalf("%s: run on packed lanes = %v", cfg.label, !cfg.packed)
+			}
+			return playAtEvents(t, st, src, events)
+		}
+		nilAt, nilRes := play(nil)
+		idAt, idRes := play(matrix.Identity(cfg.alg, adj.N))
+		for k := range idAt {
+			identicalStates(t, fmt.Sprintf("%s event %d", cfg.label, k), nilAt[k], idAt[k])
+		}
+		identicalStates(t, cfg.label+" final", nilRes.Final(), idRes.Final())
+		statsMatch(t, cfg.label, nilRes.Stats(), idRes.Stats())
+	}
 }

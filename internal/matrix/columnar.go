@@ -88,12 +88,12 @@ func (s *ColSlab) Alloc(n, reserveRows int) core.Col {
 // SigmaColChanged computes node i's σ-row in packed lanes, the columnar
 // twin of SigmaRowChanged:
 //
-//   - kern[x] is the compiled kernel of the edge (i, nbr[x]) and tabs is
-//     indexed by absolute neighbour id — tabs[nbr[x]] is the packed table
-//     node i currently sees from neighbour x.
-//   - memos[x], when memos is non-nil, is the output memo of the edge
-//     (i, nbr[x]), handed to its kernel (core.ColMemo); kernels get nil
-//     when the algebra keeps none.
+//   - kern[x] is the compiled kernel of node i's x-th in-edge (in-neighbours
+//     ascending), and tabs is indexed the same way — tabs[x] is the packed
+//     table node i currently sees from that neighbour.
+//   - memos[x], when memos is non-nil, is the output memo of that edge,
+//     handed to its kernel (core.ColMemo); kernels get nil when the
+//     algebra keeps none.
 //   - sel is SigmaRowChanged's: when non-nil, the ascending indices of
 //     the dirty columns, every other column copied from prev; nil
 //     recomputes the whole row (the dense form the engine takes when
@@ -102,12 +102,12 @@ func (s *ColSlab) Alloc(n, reserveRows int) core.Col {
 //     differ from prev — one word OR per 64 columns, with cell equality a
 //     plain word compare thanks to the canonical packing.
 //
-// Fold order across neighbours matches the generic kernel (slice order),
+// Fold order across neighbours matches the generic kernel (position order),
 // and the diagonal is overwritten with the trivial cell after the fold,
 // so results are bit-identical to the interface path. Returns the number
 // of columns recomputed — len(sel), or the row width when dense.
 func SigmaColChanged(
-	meta *ColMeta, i int, nbr []int32, kern []core.ColKernel, memos []core.ColMemo,
+	meta *ColMeta, i int, kern []core.ColKernel, memos []core.ColMemo,
 	tabs []core.Col, prev, dst core.Col, sel []int32, changed *Bitset,
 	scratch *core.ColScratch,
 ) int {
@@ -140,11 +140,11 @@ func SigmaColChanged(
 	}
 	if memos == nil {
 		for x, k := range kern {
-			k(dst, tabs[nbr[x]], sel, scratch, nil)
+			k(dst, tabs[x], sel, scratch, nil)
 		}
 	} else {
 		for x, k := range kern {
-			k(dst, tabs[nbr[x]], sel, scratch, &memos[x])
+			k(dst, tabs[x], sel, scratch, &memos[x])
 		}
 	}
 	if sel == nil || selHas(sel, int32(i)) {

@@ -85,13 +85,18 @@ func runBoth(alg algebras.ShortestPaths, adj *Adjacency[algebras.NatInf],
 	for j := range gen.cells {
 		gen.cells[j] = sentinel
 	}
-	gen.comp = SigmaRowChanged[algebras.NatInf](alg, adj, i, nbr, x.RowViews(), prevRow, gen.cells, sel, gen.chg)
+	// Both kernels read their tables by neighbour position.
+	tabsG := make([][]algebras.NatInf, len(nbr))
+	for p, k := range nbr {
+		tabsG[p] = x.RowView(int(k))
+	}
+	gen.comp = SigmaRowChanged[algebras.NatInf](alg, adj, i, nbr, tabsG, prevRow, gen.cells, sel, gen.chg)
 
 	// Columnar side: same tabs and prev, packed; dst starts as the packed
 	// sentinel, so a cell left unwritten decodes to it.
-	tabs := make([]core.Col, n)
-	for k := range tabs {
-		tabs[k] = packRow(c, x.RowView(k))
+	tabs := make([]core.Col, len(nbr))
+	for p, k := range nbr {
+		tabs[p] = packRow(c, x.RowView(int(k)))
 	}
 	dstC := core.Col{M: make([]uint64, n)}
 	for j := range dstC.M {
@@ -99,7 +104,7 @@ func runBoth(alg algebras.ShortestPaths, adj *Adjacency[algebras.NatInf],
 	}
 	col = rowOut{cells: make([]algebras.NatInf, n), chg: NewBitset(n)}
 	var scratch core.ColScratch
-	col.comp = SigmaColChanged(meta, i, nbr, kern, nil, tabs, packRow(c, prevRow), dstC, sel, col.chg, &scratch)
+	col.comp = SigmaColChanged(meta, i, kern, nil, tabs, packRow(c, prevRow), dstC, sel, col.chg, &scratch)
 	c.DecodeCol(dstC, col.cells)
 	return gen, col
 }

@@ -7,7 +7,10 @@ package matrix
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/core"
 )
@@ -102,38 +105,61 @@ func (x *State[R]) Each(fn func(i, j int, r R)) {
 	}
 }
 
-// Format renders the state as an aligned table.
+// Format renders the state as an aligned table: each cell left-justified
+// and padded with spaces to its column's width, then one space. A column
+// is as wide as its longest cell in bytes, and a cell is padded by runes
+// (what fmt's %-*s does), so a column holding "∞" (3 bytes, 1 rune) pads
+// its one-rune cells by two.
 func (x *State[R]) Format(alg core.Algebra[R]) string {
 	cols := make([]int, x.N)
-	cellStr := make([][]string, x.N)
-	for i := 0; i < x.N; i++ {
-		cellStr[i] = make([]string, x.N)
-		for j := 0; j < x.N; j++ {
-			s := alg.Format(x.Get(i, j))
-			cellStr[i][j] = s
-			if len(s) > cols[j] {
-				cols[j] = len(s)
-			}
+	cellStr := make([]string, len(x.cells))
+	size := 0
+	for c, r := range x.cells {
+		s := alg.Format(r)
+		cellStr[c] = s
+		if j := c % x.N; len(s) > cols[j] {
+			cols[j] = len(s)
 		}
+		size += len(s)
 	}
 	var b strings.Builder
+	b.Grow(2*size + x.N)
 	for i := 0; i < x.N; i++ {
-		for j := 0; j < x.N; j++ {
-			fmt.Fprintf(&b, "%-*s ", cols[j], cellStr[i][j])
+		for j, s := range cellStr[i*x.N : (i+1)*x.N] {
+			b.WriteString(s)
+			for pad := cols[j] - utf8.RuneCountInString(s); pad > 0; pad-- {
+				b.WriteByte(' ')
+			}
+			b.WriteByte(' ')
 		}
-		b.WriteString("\n")
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
 // Adjacency is the topology matrix A: A_ij is the weight of the edge from
-// i to j, as an edge function. Missing edges are represented by nil and
-// behave as the constant-∞ function.
+// i to j, as an edge function. Missing edges behave as the constant-∞
+// function.
+//
+// The n² slots hold no pointers: slot i·n+j is 0 for a missing edge, else
+// v for the installed value vals[v−1]. Installing a comparable value that
+// is already in the table reuses its index, so a link that flaps between
+// two values cannot grow the table; an incomparable value (a func, say)
+// is appended at every install.
 type Adjacency[R any] struct {
 	N     int
-	edges []core.Edge[R]
+	slots []uint32
+	vals  []core.Edge[R]
+	// index finds a comparable value's slot number once the table
+	// outgrows a linear scan; nil until then, and after Clone.
+	index map[core.Edge[R]]uint32
 	gen   uint64
 }
+
+// scanVals is how many installed values SetEdge compares linearly before
+// it keeps an index: a topology built from one edge value never builds
+// one.
+const scanVals = 8
 
 // Generation counts the mutations (SetEdge/RemoveEdge) this adjacency has
 // seen; derived views (the engine's compiled kernels) use it to detect
@@ -148,29 +174,70 @@ func (a *Adjacency[R]) Touch() { a.gen++ }
 
 // NewAdjacency allocates an n × n adjacency matrix with no edges.
 func NewAdjacency[R any](n int) *Adjacency[R] {
-	return &Adjacency[R]{N: n, edges: make([]core.Edge[R], n*n)}
+	return &Adjacency[R]{N: n, slots: make([]uint32, n*n)}
 }
 
-// SetEdge installs the weight of the directed edge from i to j.
+// SetEdge installs the weight of the directed edge from i to j; a nil
+// weight removes the edge.
 func (a *Adjacency[R]) SetEdge(i, j int, e core.Edge[R]) {
 	if i == j {
 		panic("matrix: self-loop edges are not part of the model")
 	}
-	a.edges[i*a.N+j] = e
+	a.slots[i*a.N+j] = a.valueSlot(e)
 	a.gen++
+}
+
+// valueSlot returns e's slot number, installing e in the table unless it
+// is comparable and already there.
+func (a *Adjacency[R]) valueSlot(e core.Edge[R]) uint32 {
+	if e == nil {
+		return 0
+	}
+	if !reflect.ValueOf(e).Comparable() {
+		a.vals = append(a.vals, e)
+		return uint32(len(a.vals))
+	}
+	if a.index == nil && len(a.vals) > scanVals {
+		a.index = make(map[core.Edge[R]]uint32, len(a.vals))
+		for v, x := range a.vals {
+			if reflect.ValueOf(x).Comparable() {
+				a.index[x] = uint32(v + 1)
+			}
+		}
+	}
+	if a.index != nil {
+		if v, ok := a.index[e]; ok {
+			return v
+		}
+		a.vals = append(a.vals, e)
+		a.index[e] = uint32(len(a.vals))
+		return uint32(len(a.vals))
+	}
+	for v, x := range a.vals {
+		// x == e cannot panic: e's dynamic type is comparable, and values
+		// of other dynamic types compare unequal without a deep compare.
+		if x == e {
+			return uint32(v + 1)
+		}
+	}
+	a.vals = append(a.vals, e)
+	return uint32(len(a.vals))
 }
 
 // Edge returns the weight of the edge from i to j, or (nil, false) if the
 // edge is absent.
 func (a *Adjacency[R]) Edge(i, j int) (core.Edge[R], bool) {
-	e := a.edges[i*a.N+j]
-	return e, e != nil
+	v := a.slots[i*a.N+j]
+	if v == 0 {
+		return nil, false
+	}
+	return a.vals[v-1], true
 }
 
 // RemoveEdge deletes the edge from i to j (used by the dynamic-network
 // experiments of Section 3.2).
 func (a *Adjacency[R]) RemoveEdge(i, j int) {
-	a.edges[i*a.N+j] = nil
+	a.slots[i*a.N+j] = 0
 	a.gen++
 }
 
@@ -205,22 +272,21 @@ func (a *Adjacency[R]) Edges() []struct {
 	return out
 }
 
-// EdgeList returns the distinct edge functions present in A, for use as the
-// F-sample of property checks.
+// EdgeList returns the weight of every present edge in row order, for use
+// as the F-sample of property checks.
 func (a *Adjacency[R]) EdgeList() []core.Edge[R] {
 	var out []core.Edge[R]
-	for _, e := range a.edges {
-		if e != nil {
-			out = append(out, e)
+	for _, v := range a.slots {
+		if v != 0 {
+			out = append(out, a.vals[v-1])
 		}
 	}
 	return out
 }
 
-// Clone returns a shallow copy of the adjacency (edge functions are
-// immutable by convention, so sharing them is safe).
+// Clone returns a copy of the adjacency that shares no slot or table
+// storage with a (edge functions are immutable by convention, so sharing
+// them is safe).
 func (a *Adjacency[R]) Clone() *Adjacency[R] {
-	edges := make([]core.Edge[R], len(a.edges))
-	copy(edges, a.edges)
-	return &Adjacency[R]{N: a.N, edges: edges}
+	return &Adjacency[R]{N: a.N, slots: slices.Clone(a.slots), vals: slices.Clone(a.vals)}
 }

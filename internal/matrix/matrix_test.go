@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -223,6 +224,61 @@ func TestFormatContainsCells(t *testing.T) {
 	s := x.Format(alg)
 	if !strings.Contains(s, "0") || !strings.Contains(s, "∞") {
 		t.Errorf("Format output missing cells:\n%s", s)
+	}
+}
+
+// formatWithFmt is the fmt rendering Format must reproduce byte for
+// byte: each cell through %-*s at its column's width in bytes, which fmt
+// pads by runes.
+func formatWithFmt[R any](x *State[R], alg core.Algebra[R]) string {
+	cols := make([]int, x.N)
+	for i := 0; i < x.N; i++ {
+		for j := 0; j < x.N; j++ {
+			cols[j] = max(cols[j], len(alg.Format(x.Get(i, j))))
+		}
+	}
+	var b strings.Builder
+	for i := 0; i < x.N; i++ {
+		for j := 0; j < x.N; j++ {
+			fmt.Fprintf(&b, "%-*s ", cols[j], alg.Format(x.Get(i, j)))
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestFormatMatchesFmt: Format writes what the fmt rendering writes —
+// ∞ (3 bytes, 1 rune) beside 0 and multi-digit cells, in columns that
+// hold ∞ and in columns that do not — for NatInf cells, whose String
+// does not go through fmt either, and for cells formatted by fmt.
+func TestFormatMatchesFmt(t *testing.T) {
+	alg := algebras.ShortestPaths{}
+	x := Identity[algebras.NatInf](alg, 4)
+	x.Set(0, 1, 12345)
+	x.Set(1, 0, 7)
+	x.Set(2, 3, 40)
+	x.Set(3, 2, 1<<40)
+	for j := 0; j < 4; j++ {
+		x.Set(3, j, algebras.NatInf(j*99))
+	}
+	if got, want := x.Format(alg), formatWithFmt(x, alg); got != want {
+		t.Fatalf("Format:\n%q\nfmt:\n%q", got, want)
+	}
+	for _, v := range []algebras.NatInf{0, 7, 12345, 1 << 40} {
+		if got, want := v.String(), fmt.Sprintf("%d", int64(v)); got != want {
+			t.Fatalf("NatInf(%d).String() = %q, want %q", int64(v), got, want)
+		}
+	}
+	if got := algebras.Inf.String(); got != "∞" {
+		t.Fatalf("Inf.String() = %q, want ∞", got)
+	}
+	rel := algebras.MostReliable{}
+	y := NewState(3, rel.Invalid())
+	y.Set(0, 1, 0.5)
+	y.Set(1, 2, 1)
+	y.Set(2, 0, 0.123456789)
+	if got, want := y.Format(rel), formatWithFmt(y, rel); got != want {
+		t.Fatalf("Format:\n%q\nfmt:\n%q", got, want)
 	}
 }
 

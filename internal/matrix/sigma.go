@@ -11,23 +11,16 @@ import "repro/internal/core"
 // neighbours currently hold) from the neighbour tables in tabs, and
 // writes it into dst (allocated when nil), returning dst. tabs[k] is
 // the table node i currently sees from node k; entries for k = i or for k
-// without an (i, k) edge are never read and may be nil. This is the single
-// per-node update kernel shared by σ, the δ evaluator in internal/engine,
-// the event simulator, and the live goroutine engine — they differ only in
-// where tabs comes from (the current state, the β-indexed history, or a
-// receive cache).
+// without an (i, k) edge are never read and may be nil. This is the
+// per-node update kernel shared by σ, the event simulator, and the live
+// goroutine engine — they differ only in where tabs comes from (the
+// current state or a receive cache); the δ evaluator in internal/engine
+// runs its change-tracking twin, SigmaRowChanged.
 //
 // The loops run k-outer so the edge lookup happens once per neighbour
-// rather than once per cell — O(n·deg) instead of O(n²) on sparse
-// topologies. Each cell still folds ⊕ over neighbours in ascending-k
-// order, so the result is bit-identical to the j-outer form.
-//
-// When nbr is non-nil the kernel folds only over those k (in slice
-// order) instead of probing all n candidate edges — O(deg) edge lookups
-// per row. A nil nbr falls back to the full scan. Callers must pass
-// exactly the k ≠ i with an (i, k) edge, ascending, to keep the fold
-// order — and therefore the result — bit-identical.
-func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []int32, tabs [][]R, dst []R) []R {
+// rather than once per cell. Each cell still folds ⊕ over neighbours in
+// ascending-k order, so the result is bit-identical to the j-outer form.
+func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, tabs [][]R, dst []R) []R {
 	if dst == nil {
 		dst = make([]R, a.N)
 	}
@@ -36,27 +29,16 @@ func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []int3
 	for j := range dst {
 		dst[j] = inv
 	}
-	kn := a.N
-	if nbr != nil {
-		kn = len(nbr)
-	}
-	for ki := 0; ki < kn; ki++ {
-		k := ki
-		if nbr != nil {
-			k = int(nbr[ki])
-		} else if k == i {
-			continue
-		}
+	for k := 0; k < a.N; k++ {
 		e, ok := a.Edge(i, k)
-		if !ok {
+		if !ok || k == i {
 			continue
 		}
 		tk := tabs[k]
 		for j := range dst {
-			if j == i {
-				continue
+			if j != i {
+				dst[j] = alg.Choice(dst[j], e.Apply(tk[j]))
 			}
-			dst[j] = alg.Choice(dst[j], e.Apply(tk[j]))
 		}
 	}
 	dst[i] = alg.Trivial()
@@ -67,8 +49,12 @@ func SigmaRowInto[R any](alg core.Algebra[R], a *Adjacency[R], i int, nbr []int3
 // powers the engine's change-driven evaluation. It computes node i's
 // σ-row over the in-neighbour list nbr (exactly the k ≠ i with an (i, k)
 // edge, ascending; non-nil, since a nil nbr is not a full scan here)
-// under the same contract, with two additions:
+// under the same contract, with three differences:
 //
+//   - only the k in nbr are folded, in slice order — O(deg) edge lookups
+//     a row — and tabs is indexed by neighbour position, not by node:
+//     tabs[x] is the table node i sees from nbr[x], so the caller's table
+//     scratch is as long as the row's in-degree, not n.
 //   - sel, when non-nil, holds the ascending indices of the destination
 //     columns to recompute; every other column is copied from prev (the
 //     row's previous value), so work is proportional to the columns whose
@@ -90,22 +76,38 @@ func SigmaRowChanged[R any](
 	alg core.Algebra[R], a *Adjacency[R], i int, nbr []int32, tabs [][]R,
 	prev, dst []R, sel []int32, changed *Bitset,
 ) int {
+	inv := alg.Invalid()
 	if sel == nil {
-		SigmaRowInto(alg, a, i, nbr, tabs, dst)
+		dst = dst[:a.N]
+		for j := range dst {
+			dst[j] = inv
+		}
+		for x, k := range nbr {
+			e, ok := a.Edge(i, int(k))
+			if !ok {
+				continue
+			}
+			tk := tabs[x]
+			for j := range dst {
+				if j != i {
+					dst[j] = alg.Choice(dst[j], e.Apply(tk[j]))
+				}
+			}
+		}
+		dst[i] = alg.Trivial()
 		recordChanged(alg, prev, dst, nil, changed)
 		return a.N
 	}
 	copy(dst, prev)
-	inv := alg.Invalid()
 	for _, j := range sel {
 		dst[j] = inv
 	}
-	for _, k := range nbr {
+	for x, k := range nbr {
 		e, ok := a.Edge(i, int(k))
 		if !ok {
 			continue
 		}
-		tk := tabs[k]
+		tk := tabs[x]
 		for _, j := range sel {
 			if int(j) != i {
 				dst[j] = alg.Choice(dst[j], e.Apply(tk[j]))
@@ -175,7 +177,7 @@ func Sigma[R any](alg core.Algebra[R], a *Adjacency[R], x *State[R]) *State[R] {
 func SigmaInto[R any](alg core.Algebra[R], a *Adjacency[R], x, out *State[R]) {
 	tabs := x.RowViews()
 	for i := 0; i < x.N; i++ {
-		SigmaRowInto(alg, a, i, nil, tabs, out.RowView(i))
+		SigmaRowInto(alg, a, i, tabs, out.RowView(i))
 	}
 }
 

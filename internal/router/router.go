@@ -92,7 +92,7 @@ func (r *Router[R]) Install(i, k int, row []R) { r.recv[i][k] = row }
 // installed. onChange, when non-nil, sees each changed cell's old and new
 // route before the row is installed.
 func (r *Router[R]) Recompute(i int, onChange func(j int, old, new R)) ([]R, bool) {
-	row := matrix.SigmaRowInto(r.alg, r.adj, i, nil, r.recv[i], r.scratch)
+	row := matrix.SigmaRowInto(r.alg, r.adj, i, r.recv[i], r.scratch)
 	changed := false
 	for j := range row {
 		if r.alg.Equal(row[j], r.State.Get(i, j)) {

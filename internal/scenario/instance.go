@@ -14,10 +14,11 @@ import (
 )
 
 // instance is a scenario compiled for one run on one substrate: the
-// algebra, a working adjacency the events mutate, the pristine
-// adjacency link recoveries restore from, and the hooks the generic
-// runners need (wire codec for the live substrate, a finite measure for
-// count-to-infinity detection, a route sample for bisimulation checks).
+// algebra, a working adjacency the events mutate, the pristine edges of
+// the links the events name (what link recoveries restore), and the
+// hooks the generic runners need (wire codec for the live substrate, a
+// finite measure for count-to-infinity detection, a route sample for
+// bisimulation checks).
 //
 // Every run builds its own instance: rank edits mutate the instance's
 // private SPP clone, so an engine run and its differential reference
@@ -26,7 +27,9 @@ type instance[R any] struct {
 	n     int
 	alg   core.Algebra[R]
 	adj   *matrix.Adjacency[R]
-	prist *matrix.Adjacency[R]
+	prist []pristEdge[R]
+	// start is the start state; nil is I, which the engine builds itself
+	// (startState builds it for the substrates that read a dense one).
 	start *matrix.State[R]
 	codec wire.Codec[R]
 	// family tags the instance's checkpoints; it names the codec.
@@ -46,6 +49,49 @@ type instance[R any] struct {
 	mustConverge bool
 	// sample is a route sample for the bisimulation certifier.
 	sample []R
+}
+
+// pristEdge is one directed edge of a link an event names, as the
+// topology had it at build.
+type pristEdge[R any] struct {
+	a, b int
+	e    core.Edge[R]
+}
+
+// keepPristine captures, before any event plays, the edges of every link
+// the events take down or bring up, in both directions.
+func (in *instance[R]) keepPristine(events []Event) {
+	for _, ev := range events {
+		if ev.Kind != LinkDown && ev.Kind != LinkUp {
+			continue
+		}
+		for _, d := range [2][2]int{{ev.A, ev.B}, {ev.B, ev.A}} {
+			e, ok := in.adj.Edge(d[0], d[1])
+			if _, seen := in.pristine(d[0], d[1]); ok && !seen {
+				in.prist = append(in.prist, pristEdge[R]{d[0], d[1], e})
+			}
+		}
+	}
+}
+
+// pristine returns the edge from a to b as the topology had it at build;
+// only the links the events name are kept.
+func (in *instance[R]) pristine(a, b int) (core.Edge[R], bool) {
+	for _, p := range in.prist {
+		if p.a == a && p.b == b {
+			return p.e, true
+		}
+	}
+	return nil, false
+}
+
+// startState is the start state as a dense matrix: what the reference
+// evaluator, the simulator, the live network and the watchdog read.
+func (in *instance[R]) startState() *matrix.State[R] {
+	if in.start != nil {
+		return in.start
+	}
+	return matrix.Identity(in.alg, in.n)
 }
 
 // buildGadget compiles a gadget-family scenario.
@@ -70,7 +116,6 @@ func buildGadget(sc *Scenario) (*instance[gadgets.Route], error) {
 		n:      spp.N,
 		alg:    alg,
 		adj:    adj,
-		prist:  adj.Clone(),
 		codec:  wire.SPPCodec{},
 		family: familySPP,
 		spp:    spp,
@@ -120,28 +165,27 @@ func buildTopo(sc *Scenario) (*instance[algebras.NatInf], error) {
 			return int64(v), true
 		}
 		in.adj = topology.BuildUniform[algebras.NatInf](g, alg.AddEdge(1))
-		in.start = matrix.Identity[algebras.NatInf](alg, n)
 	case "rip":
 		alg := algebras.RIP()
 		in.alg = alg
 		in.weightEdge = func(w int64) core.Edge[algebras.NatInf] { return alg.AddEdge(algebras.NatInf(w)) }
 		in.mustConverge = true
 		in.adj = topology.BuildUniform[algebras.NatInf](g, alg.AddEdge(1))
-		in.start = matrix.Identity[algebras.NatInf](alg, n)
 	default:
 		return nil, fmt.Errorf("scenario: unknown algebra %q", sc.Spec.Algebra)
 	}
-	in.prist = in.adj.Clone()
 	if err := in.check(sc); err != nil {
 		return nil, err
 	}
 	return in, nil
 }
 
-// check verifies the build-time event facts Validate cannot see: rank
-// edits must name a permitted path, link recoveries must name a link the
+// check captures the pristine edges of the links the events name and
+// verifies the build-time event facts Validate cannot see: rank edits
+// must name a permitted path, link recoveries must name a link the
 // pristine topology actually has.
 func (in *instance[R]) check(sc *Scenario) error {
+	in.keepPristine(sc.Events)
 	for idx, ev := range sc.Events {
 		switch ev.Kind {
 		case SetRank:
@@ -149,14 +193,14 @@ func (in *instance[R]) check(sc *Scenario) error {
 				return fmt.Errorf("scenario: event %d: path %v not permitted", idx, ev.Path)
 			}
 		case LinkUp:
-			_, fwd := in.prist.Edge(ev.A, ev.B)
-			_, rev := in.prist.Edge(ev.B, ev.A)
+			_, fwd := in.pristine(ev.A, ev.B)
+			_, rev := in.pristine(ev.B, ev.A)
 			if !fwd && !rev {
 				return fmt.Errorf("scenario: event %d: link %d–%d not in the pristine topology", idx, ev.A, ev.B)
 			}
 		case LinkDown:
-			_, fwd := in.prist.Edge(ev.A, ev.B)
-			_, rev := in.prist.Edge(ev.B, ev.A)
+			_, fwd := in.pristine(ev.A, ev.B)
+			_, rev := in.pristine(ev.B, ev.A)
 			if !fwd && !rev {
 				return fmt.Errorf("scenario: event %d: link %d–%d not in the topology", idx, ev.A, ev.B)
 			}
@@ -177,10 +221,10 @@ func (in *instance[R]) apply(ev Event, adj *matrix.Adjacency[R]) {
 		adj.RemoveEdge(ev.A, ev.B)
 		adj.RemoveEdge(ev.B, ev.A)
 	case LinkUp:
-		if e, ok := in.prist.Edge(ev.A, ev.B); ok {
+		if e, ok := in.pristine(ev.A, ev.B); ok {
 			adj.SetEdge(ev.A, ev.B, e)
 		}
-		if e, ok := in.prist.Edge(ev.B, ev.A); ok {
+		if e, ok := in.pristine(ev.B, ev.A); ok {
 			adj.SetEdge(ev.B, ev.A, e)
 		}
 	case SetWeight:

@@ -138,10 +138,11 @@ func runFamily[R any](sc *Scenario, subs []string, build func(*Scenario) (*insta
 // replayReference plays the timeline on a freshly built instance with the
 // literal Section 3.1 evaluator under the scenario's schedule. Returns
 // the state at each event step and the state at the horizon — the exact
-// oracle for engine.Result.Marks() and Final(), a run that stopped early
-// included: a certified fixed point is the state at the horizon.
+// oracle for the engine's state at each event step (Stepper.State) and
+// its Final(), a run that stopped early included: a certified fixed point
+// is the state at the horizon.
 func replayReference[R any](sc *Scenario, in *instance[R]) (bounds []*matrix.State[R], final *matrix.State[R]) {
-	hist := async.RunTimelineReference(in.alg, in.adj, in.start, source(sc, in.n), in.timeline(sc.Events))
+	hist := async.RunTimelineReference(in.alg, in.adj, in.startState(), source(sc, in.n), in.timeline(sc.Events))
 	for _, ev := range sc.Events {
 		bounds = append(bounds, hist[ev.Step])
 	}
@@ -155,7 +156,7 @@ func finish[R any](sc *Scenario, build func(*Scenario) (*instance[R], error),
 	inst *instance[R], final *matrix.State[R], sr *SubstrateReport) error {
 	wd := Watchdog[R]{Alg: inst.alg, Adj: inst.adj, Measure: inst.measure}
 	if sc.StartStable > 0 {
-		wd.Intended = inst.start
+		wd.Intended = inst.startState()
 	}
 	sr.Class = wd.Classify(final)
 	sr.Stable = matrix.IsStable(inst.alg, inst.adj, final)
@@ -172,7 +173,7 @@ func finish[R any](sc *Scenario, build func(*Scenario) (*instance[R], error),
 		// the bound is the watchdog's default.
 		fp, _, ok := matrix.FixedPoint(inst.alg, inst.adj, final, 4*inst.n+64)
 		if ok {
-			_, sr.Certified = certifyWedged(inst, rebuilt, fp, inst.start, sc.Seed)
+			_, sr.Certified = certifyWedged(inst, rebuilt, fp, inst.startState(), sc.Seed)
 		}
 	}
 	return nil
@@ -193,6 +194,14 @@ func runEngine[R any](sc *Scenario, build func(*Scenario) (*instance[R], error))
 		return sr, err
 	}
 	defer c.close()
+	// The run keeps no state behind it: pause at each event step to read
+	// the post-event state the reference holds there. Pausing changes
+	// nothing the run computes.
+	marks := make([]*matrix.State[R], 0, len(sc.Events)+1)
+	for _, ev := range sc.Events {
+		c.advance(ev.Step)
+		marks = append(marks, c.st.State())
+	}
 	c.advance(sc.Horizon)
 	res := c.res
 	st := res.Progress()
@@ -204,7 +213,7 @@ func runEngine[R any](sc *Scenario, build func(*Scenario) (*instance[R], error))
 		return sr, err
 	}
 	bounds, refFinal := replayReference(sc, ref)
-	sr.ReferenceOK = slices.EqualFunc(append(res.Marks(), res.Final()), append(bounds, refFinal),
+	sr.ReferenceOK = slices.EqualFunc(append(marks, res.Final()), append(bounds, refFinal),
 		func(a, b *matrix.State[R]) bool { return a.Equal(inst.alg, b) })
 	err = finish(sc, build, inst, res.Final(), &sr)
 	return sr, err
@@ -231,7 +240,7 @@ func runSimulate[R any](sc *Scenario, build func(*Scenario) (*instance[R], error
 			Apply: func(sim *simulate.Sim[R]) { applyLive(inst, sim, ev) },
 		}
 	}
-	out := simulate.Run(inst.alg, inst.adj, inst.start, cfg, nil, events...)
+	out := simulate.Run(inst.alg, inst.adj, inst.startState(), cfg, nil, events...)
 	sr.Converged = out.Converged
 	// The simulator mutated its private clone; bring the instance's
 	// adjacency to the post-event topology for classification (every
@@ -252,7 +261,7 @@ func runDist[R any](sc *Scenario, build func(*Scenario) (*instance[R], error)) (
 		return sr, err
 	}
 	tr := transport.NewMemory(inst.n, sc.Seed, transport.Faults{LossProb: sc.LossProb, DupProb: sc.DupProb})
-	nw := dist.NewNetwork(inst.alg, inst.adj, inst.start, inst.codec, tr, dist.Config{Seed: sc.Seed})
+	nw := dist.NewNetwork(inst.alg, inst.adj, inst.startState(), inst.codec, tr, dist.Config{Seed: sc.Seed})
 	for _, ev := range sc.Events {
 		ev := ev
 		nw.ApplyAfter(time.Duration(ev.Step)*distStep, func(nw *dist.Network[R]) {

@@ -236,11 +236,12 @@ at 90 recover 2
 at 120 linkup 4 5
 `
 
-// slicedAgainstReference advances a core in quanta of 7 — once straight
-// through, once with a checkpoint → replay round trip into a rebuilt
-// instance after half the events have fired — and holds every
-// event-boundary state and the final state to replayReference. It returns
-// the step of the hop.
+// slicedAgainstReference advances a core in quanta of at most 7, pausing
+// at every event step to read the state there — once straight through,
+// once with a checkpoint → replay round trip into a rebuilt instance
+// after half the events have fired — and holds every event-boundary
+// state and the final state to replayReference. It returns the step of
+// the hop.
 func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenario) (*instance[R], error)) (hopStep int) {
 	sc, err := Parse([]byte(text))
 	if err != nil {
@@ -264,9 +265,17 @@ func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenar
 		}
 		r := &Runner{sc: sc, core: c}
 		hopped := false
+		marks := make([]*matrix.State[R], 0, len(bounds))
 		for done := false; !done; {
-			if done, err = r.Advance(7); err != nil {
+			quantum := 7
+			if next := len(marks); next < len(sc.Events) {
+				quantum = min(quantum, sc.Events[next].Step-r.Step())
+			}
+			if done, err = r.Advance(quantum); err != nil {
 				t.Fatalf("hop=%v step %d: %v", hop, r.Step(), err)
+			}
+			if next := len(marks); next < len(sc.Events) && r.Step() == sc.Events[next].Step {
+				marks = append(marks, c.st.State())
 			}
 			if hop && !hopped && !done && r.Step() >= hopAt {
 				data, err := r.Checkpoint()
@@ -287,7 +296,6 @@ func slicedAgainstReference[R any](t *testing.T, text string, build func(*Scenar
 		if hop && !hopped {
 			t.Fatal("run finished before the checkpoint hop")
 		}
-		marks := c.res.Marks()
 		if len(marks) != len(bounds) {
 			t.Fatalf("hop=%v: %d marks, reference has %d boundaries", hop, len(marks), len(bounds))
 		}

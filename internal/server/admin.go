@@ -32,15 +32,22 @@ type RunInfo struct {
 // long-lived daemon's memory is bounded too.
 const maxFinished = 64
 
+// finishedRun is a retained finished run: its /runs row short of the
+// trace, and the span log the trace is rendered from when /runs is read —
+// most finished runs never are.
+type finishedRun struct {
+	info  RunInfo
+	spans spanLog
+}
+
 // recordFinishedLocked appends to the finished ring; call under s.mu.
 func (s *Server) recordFinishedLocked(r *run, outcome string) {
 	info := RunInfo{
 		Key: r.key, Tenant: r.tenant.name, ID: r.id,
 		Phase: "finished", Step: int64(r.step), Horizon: int64(r.sc.Horizon),
 		Cells: r.cells, Resumed: r.resumed, Finished: true, Outcome: outcome,
-		Trace: r.traceLinesLocked(),
 	}
-	s.finished = append(s.finished, info)
+	s.finished = append(s.finished, finishedRun{info, r.spans})
 	if len(s.finished) > maxFinished {
 		s.finished = s.finished[len(s.finished)-maxFinished:]
 	}
@@ -66,11 +73,16 @@ func (s *Server) RunsSnapshot() []RunInfo {
 			Key: r.key, Tenant: r.tenant.name, ID: r.id,
 			Phase: r.phaseLocked().String(), Step: int64(r.step), Horizon: int64(r.sc.Horizon),
 			Cells: r.cells, Resumed: r.resumed,
-			Trace: r.traceLinesLocked(),
+			Trace: r.spans.lines(),
 		})
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].Key < live[j].Key })
-	return append(live, s.finished...)
+	for _, f := range s.finished {
+		info := f.info
+		info.Trace = f.spans.lines()
+		live = append(live, info)
+	}
+	return live
 }
 
 // AdminHandler returns the admin HTTP surface:

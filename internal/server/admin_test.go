@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -197,5 +198,48 @@ func TestOversizedScenarioRejectedBeforeAdmission(t *testing.T) {
 	}
 	if got := reg.Snapshot()[`dbfsimd_admissions_total{tenant="big"}`]; got != 1 {
 		t.Fatalf("admissions after the well-sized run = %v, want 1", got)
+	}
+}
+
+// TestFinishedTraceRenderedOnRead: a finished run keeps its span log, and
+// /runs renders it when read — byte for byte the row rendering it at
+// finish gave: a log short of its head, one whose middle was elided, and
+// an empty one (no trace key at all).
+func TestFinishedTraceRenderedOnRead(t *testing.T) {
+	sc, err := scenario.Parse([]byte("scenario traced\ntopo ring 4 rip\nhorizon 50\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{}
+	var atFinish []RunInfo
+	for k, spans := range []int{3, maxSpanHead + maxSpanTail + 5, 0} {
+		id := fmt.Sprintf("r%d", k)
+		r := &run{tenant: &tenant{name: "t"}, id: id, key: "t/" + id, sc: sc,
+			step: 40 + k, cells: int64(99 * k), born: time.Now().Add(-time.Duration(k) * time.Second)}
+		for q := 0; q < spans; q++ {
+			r.spanLocked("quantum %d", q)
+		}
+		// What recording the run rendered at finish.
+		atFinish = append(atFinish, RunInfo{
+			Key: r.key, Tenant: r.tenant.name, ID: r.id,
+			Phase: "finished", Step: int64(r.step), Horizon: int64(r.sc.Horizon),
+			Cells: r.cells, Resumed: r.resumed, Finished: true, Outcome: "ok",
+			Trace: r.spans.lines(),
+		})
+		s.recordFinishedLocked(r, "ok")
+	}
+	if n := len(atFinish[1].Trace); n != maxSpanHead+1+maxSpanTail {
+		t.Fatalf("the long log rendered %d lines, want head, elision and tail", n)
+	}
+	want, err := json.MarshalIndent(atFinish, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(s.RunsSnapshot(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("/runs rendered on read:\n%s\nat finish:\n%s", got, want)
 	}
 }

@@ -148,11 +148,9 @@ type run struct {
 	subs  []*clientConn
 	// Span log: lifecycle events since born, appended and read under the
 	// server lock (see trace.go).
-	born         time.Time
-	trace        []spanEvent // head: admission and early quanta
-	traceTail    []spanEvent // rolling window of the most recent events
-	traceDropped int
-	quanta       int // quanta executed so far, for span labels
+	born   time.Time
+	spans  spanLog
+	quanta int // quanta executed so far, for span labels
 	// kept counts the quanta of the current hold that the run kept its
 	// worker for, which began at step keptFrom; the stretch becomes one
 	// span event when the hold ends.
@@ -175,7 +173,7 @@ type Server struct {
 	vclock   float64               // virtual time of the most recent scheduling decision
 	held     int                   // runs a worker holds: dequeued, hold not yet ended
 	conns    map[*clientConn]struct{}
-	finished []RunInfo // bounded ring of completed runs for /runs
+	finished []finishedRun // bounded ring of completed runs for /runs
 
 	closed bool
 

@@ -28,38 +28,48 @@ type spanEvent struct {
 	msg string
 }
 
+// spanLog is a run's stored span log: the head events verbatim, the
+// rolling tail, and how many events fell out between the two. It is
+// rendered only when read: a finished run keeps its log, not its lines.
+type spanLog struct {
+	head    []spanEvent // admission and early quanta
+	tail    []spanEvent // rolling window of the most recent events
+	dropped int
+}
+
 // spanLocked records one lifecycle event; call under s.mu.
 func (r *run) spanLocked(format string, args ...any) {
 	ev := spanEvent{at: time.Since(r.born), msg: fmt.Sprintf(format, args...)}
-	if len(r.trace) < maxSpanHead {
-		r.trace = append(r.trace, ev)
+	l := &r.spans
+	if len(l.head) < maxSpanHead {
+		l.head = append(l.head, ev)
 		return
 	}
-	if len(r.traceTail) >= maxSpanTail {
-		copy(r.traceTail, r.traceTail[1:])
-		r.traceTail = r.traceTail[:maxSpanTail-1]
-		r.traceDropped++
+	if len(l.tail) >= maxSpanTail {
+		copy(l.tail, l.tail[1:])
+		l.tail = l.tail[:maxSpanTail-1]
+		l.dropped++
 	}
-	r.traceTail = append(r.traceTail, ev)
+	l.tail = append(l.tail, ev)
 }
 
-// traceLinesLocked renders the span log as "+12.3ms event" lines; call
-// under s.mu.
-func (r *run) traceLinesLocked() []string {
-	if len(r.trace) == 0 {
+// lines renders the span log as "+12.3ms event" lines. A run's log is
+// read under s.mu; a finished run's is never written again.
+func (l *spanLog) lines() []string {
+	if len(l.head) == 0 {
 		return nil
 	}
 	line := func(ev spanEvent) string {
 		return fmt.Sprintf("+%.1fms %s", float64(ev.at.Microseconds())/1000, ev.msg)
 	}
-	lines := make([]string, 0, len(r.trace)+1+len(r.traceTail))
-	for _, ev := range r.trace {
+	lines := make([]string, 0, len(l.head)+1+len(l.tail))
+	for _, ev := range l.head {
 		lines = append(lines, line(ev))
 	}
-	if r.traceDropped > 0 {
-		lines = append(lines, fmt.Sprintf("... (+%d events elided)", r.traceDropped))
+	if l.dropped > 0 {
+		lines = append(lines, fmt.Sprintf("... (+%d events elided)", l.dropped))
 	}
-	for _, ev := range r.traceTail {
+	for _, ev := range l.tail {
 		lines = append(lines, line(ev))
 	}
 	return lines
